@@ -3,34 +3,12 @@
 //!
 //! ```text
 //! bench_perf [--quick] [--out BENCH_perf.json] [--run-all-wall FAST REF]
-//!            [--par-wall THREADS SECS]...
-//! bench_perf --profile
 //! bench_perf --check BENCH_perf.json
 //! ```
 //!
 //! `--run-all-wall FAST REF` embeds externally measured `run_all --quick`
 //! wall times (seconds, fast path vs `TMI_FASTPATH=off` reference) as a
 //! `run_all_quick` object — `scripts/bench.sh` measures and passes them.
-//!
-//! `--par-wall THREADS SECS` (repeatable) embeds externally measured
-//! `run_all --quick` wall times at different `TMI_SIM_THREADS` shard
-//! counts. Each non-baseline count becomes a `sim/run_all_par{N}` cell
-//! whose `fast` variant is the N-shard wall and whose `reference` is the
-//! 1-shard wall, so `speedup` reads as parallel scaling. Both walls run
-//! the fast accelerator path, so the ratio isolates host sharding. The
-//! simulated output is byte-identical across shard counts
-//! (`scripts/bench.sh` diffs it); only the wall clock moves. The report
-//! records the host's core count (`host_cores`), and any cell whose
-//! shard count exceeds it is marked `"advisory": true` — oversubscribed
-//! workers cannot speed anything up, they only measure scheduling
-//! overhead.
-//!
-//! `--profile` runs a synthetic engine workload twice — speculation on
-//! and off — with host-phase attribution enabled and prints where the
-//! wall time goes (walk / commit / replay / barrier). This is the
-//! observability face of the speculative-prefetch work: with speculation
-//! on, private memory ops migrate from the serial replay into the
-//! parallel walk + barrier commit, and the replay's wall share drops.
 //!
 //! Every cell times the same workload with the fast-path accelerators
 //! (software TLBs, sharer/owner directory) forced on and forced off, and
@@ -115,25 +93,16 @@ fn best_of(ops: u64, reps: usize, cell: impl Fn(u64, bool) -> Sample) -> (Sample
 }
 
 struct Cell {
-    name: String,
+    name: &'static str,
     ops: u64,
     fast: Sample,
     reference: Sample,
-    /// True when the cell's conditions make its ratio informational only
-    /// (e.g. a parallel-scaling shard count above the host's core count).
-    advisory: bool,
 }
 
 impl Cell {
     fn speedup(&self) -> f64 {
         self.reference.ns_per_op / self.fast.ns_per_op
     }
-}
-
-/// The host's logical core count, as a scaling ceiling for the
-/// `sim/run_all_par{N}` cells.
-fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 fn machine(cores: usize, directory: bool) -> Machine {
@@ -253,11 +222,10 @@ fn run_cells(quick: bool) -> Vec<Cell> {
     let micro = |name: &'static str, ops: u64, n_reps: usize, cell: fn(u64, bool) -> Sample| {
         let (fast, reference) = best_of(ops, n_reps, cell);
         Cell {
-            name: name.to_string(),
+            name,
             ops,
             fast,
             reference,
-            advisory: false,
         }
     };
     let cells = vec![
@@ -271,50 +239,13 @@ fn run_cells(quick: bool) -> Vec<Cell> {
         micro("machine/snoop_storm", 1_000_000, reps(9), snoop_storm),
         micro("os/translate_hit", 4_000_000, reps(9), translate_hit),
         Cell {
-            name: "sim/histogram_e2e".to_string(),
+            name: "sim/histogram_e2e",
             ops: 1,
             fast: histogram_e2e(1, true),
             reference: histogram_e2e(1, false),
-            advisory: false,
         },
     ];
     cells
-}
-
-/// Synthesizes the `sim/run_all_par{N}` parallel-scaling cells from
-/// externally measured `run_all --quick` walls (`--par-wall`). The
-/// 1-shard wall is the reference of every cell; each other shard count
-/// is a `fast` variant, so the reported speedup is the scaling ratio —
-/// a fast-path-vs-fast-path comparison by construction (both walls come
-/// from the same accelerator configuration, only `TMI_SIM_THREADS`
-/// differs). Cells whose shard count exceeds the host's cores are
-/// advisory: the extra workers can only contend.
-fn par_scale_cells(walls: &[(usize, f64)], cores: usize) -> Vec<Cell> {
-    let wall_sample = |secs: f64| {
-        let secs = secs.max(1e-9);
-        Sample {
-            secs,
-            ns_per_op: secs * 1e9,
-            ops_per_sec: 1.0 / secs,
-        }
-    };
-    let Some(&(_, base)) = walls.iter().find(|(n, _)| *n == 1) else {
-        if !walls.is_empty() {
-            eprintln!("--par-wall needs a 1-thread baseline; ignoring parallel-scaling cells");
-        }
-        return Vec::new();
-    };
-    walls
-        .iter()
-        .filter(|(n, _)| *n != 1)
-        .map(|&(n, secs)| Cell {
-            name: format!("sim/run_all_par{n}"),
-            ops: 1,
-            fast: wall_sample(secs),
-            reference: wall_sample(base),
-            advisory: n > cores,
-        })
-        .collect()
 }
 
 fn render_json(cells: &[Cell], quick: bool, run_all_wall: Option<(f64, f64)>) -> String {
@@ -323,7 +254,6 @@ fn render_json(cells: &[Cell], quick: bool, run_all_wall: Option<(f64, f64)>) ->
     let _ = writeln!(s, "{{");
     let _ = writeln!(s, "  \"schema\": \"tmi-bench-perf/1\",");
     let _ = writeln!(s, "  \"quick\": {quick},");
-    let _ = writeln!(s, "  \"host_cores\": {},", host_cores());
     if let Some((fast, reference)) = run_all_wall {
         let _ = writeln!(
             s,
@@ -339,9 +269,6 @@ fn render_json(cells: &[Cell], quick: bool, run_all_wall: Option<(f64, f64)>) ->
         let _ = writeln!(s, "    {{");
         let _ = writeln!(s, "      \"name\": \"{}\",", c.name);
         let _ = writeln!(s, "      \"ops\": {},", c.ops);
-        if c.advisory {
-            let _ = writeln!(s, "      \"advisory\": true,");
-        }
         for (label, v) in [("fast", c.fast), ("reference", c.reference)] {
             let _ = writeln!(
                 s,
@@ -365,14 +292,6 @@ fn check(path: &str) -> Result<usize, String> {
     match root.get("schema").and_then(Json::as_str) {
         Some("tmi-bench-perf/1") => {}
         other => return Err(format!("unexpected schema {other:?}")),
-    }
-    if let Some(cores) = root.get("host_cores") {
-        let v = cores
-            .as_f64()
-            .ok_or("\"host_cores\" is not a number".to_string())?;
-        if v < 1.0 {
-            return Err(format!("\"host_cores\" = {v} is not positive"));
-        }
     }
     if let Some(wall) = root.get("run_all_quick") {
         for field in ["fast_secs", "reference_secs", "speedup"] {
@@ -428,107 +347,11 @@ fn check(path: &str) -> Result<usize, String> {
     Ok(cells.len())
 }
 
-/// `--profile`: host-wall phase attribution of the epoch engine, run on
-/// a synthetic workload whose memory ops are mostly provably private —
-/// the speculation target. Prints one row per configuration; the point
-/// of comparison is the replay column's share of the total, which drops
-/// when speculation moves the private ops into the walk + commit.
-fn profile_mode() {
-    use tmi_machine::{VAddr, FRAME_SIZE};
-    use tmi_os::MapRequest;
-    use tmi_program::{InstrKind, Op, SequenceProgram};
-    use tmi_sim::{Engine, EngineConfig, NullRuntime, SimTuning};
-
-    const THREADS: u64 = 4;
-    const ROUNDS: u64 = 30_000;
-    let run = |speculation: bool| {
-        let mut cfg = EngineConfig::with_cores(THREADS as usize);
-        cfg.tuning = if speculation {
-            SimTuning::sequential()
-        } else {
-            SimTuning::sequential().without_speculation()
-        };
-        let mut e = Engine::new(cfg, NullRuntime);
-        let obj = e.core_mut().kernel.create_object(64 * FRAME_SIZE);
-        let aspace = e.core_mut().kernel.create_aspace();
-        e.core_mut()
-            .kernel
-            .map(
-                aspace,
-                MapRequest::object(VAddr::new(0x10000), 64 * FRAME_SIZE, obj, 0),
-            )
-            .expect("map");
-        e.create_root_process(aspace);
-        let st = e
-            .core_mut()
-            .code
-            .instr("prof::st", InstrKind::Store, Width::W8);
-        let ld = e
-            .core_mut()
-            .code
-            .instr("prof::ld", InstrKind::Load, Width::W8);
-        let barrier = VAddr::new(0x10000);
-        for i in 0..THREADS {
-            let base = 0x10000 + 0x400 * (i + 1);
-            let mut ops = Vec::with_capacity(3 * ROUNDS as usize);
-            for j in 0..ROUNDS {
-                ops.push(Op::Compute {
-                    cycles: 40 + i * 3 + j % 7,
-                });
-                ops.push(Op::Store {
-                    pc: st,
-                    addr: VAddr::new(base + (j % 8) * 64),
-                    width: Width::W8,
-                    value: i * 1_000 + j,
-                });
-                ops.push(Op::Load {
-                    pc: ld,
-                    addr: VAddr::new(base + (j % 8) * 64),
-                    width: Width::W8,
-                });
-                if j % 4_096 == 4_095 {
-                    ops.push(Op::BarrierWait { barrier });
-                }
-            }
-            e.add_thread(Box::new(SequenceProgram::new(ops)));
-        }
-        e.enable_host_profile();
-        let r = e.run();
-        assert!(r.completed(), "profile workload failed: {:?}", r.halt);
-        let phases = e.take_host_profile().expect("profiling was enabled");
-        (phases, *e.core().par_stats())
-    };
-
-    println!(
-        "epoch phase attribution ({THREADS} sim threads x {ROUNDS} rounds, host wall seconds)"
-    );
-    println!(
-        "{:16} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>12}",
-        "config", "walk", "commit", "replay", "barrier", "total", "replay%", "spec_ops"
-    );
-    for (label, speculation) in [("speculation", true), ("no_speculation", false)] {
-        let (p, par) = run(speculation);
-        println!(
-            "{:16} {:>9.4} {:>9.4} {:>9.4} {:>9.4} {:>9.4} {:>7.1}% {:>12}",
-            label,
-            p.walk_secs,
-            p.commit_secs,
-            p.replay_secs,
-            p.barrier_secs,
-            p.total_secs,
-            100.0 * p.replay_share(),
-            par.speculated_ops
-        );
-    }
-}
-
 fn main() {
     let mut quick = false;
     let mut out: Option<String> = None;
     let mut check_path: Option<String> = None;
-    let mut profile = false;
     let mut run_all_wall: Option<(f64, f64)> = None;
-    let mut par_walls: Vec<(usize, f64)> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
@@ -541,7 +364,6 @@ fn main() {
             "--quick" => quick = true,
             "--out" => out = Some(value("--out")),
             "--check" => check_path = Some(value("--check")),
-            "--profile" => profile = true,
             "--run-all-wall" => {
                 let parse = |s: String| {
                     s.parse::<f64>().unwrap_or_else(|_| {
@@ -553,21 +375,9 @@ fn main() {
                 let reference = parse(value("--run-all-wall"));
                 run_all_wall = Some((fast, reference));
             }
-            "--par-wall" => {
-                let threads = value("--par-wall").parse::<usize>().unwrap_or_else(|_| {
-                    eprintln!("--par-wall expects a thread count and seconds");
-                    exit(2);
-                });
-                let secs = value("--par-wall").parse::<f64>().unwrap_or_else(|_| {
-                    eprintln!("--par-wall expects a thread count and seconds");
-                    exit(2);
-                });
-                par_walls.push((threads, secs));
-            }
             _ => {
                 eprintln!(
-                    "usage: bench_perf [--quick] [--out FILE] [--run-all-wall FAST REF] \
-                     [--par-wall THREADS SECS]... | bench_perf --profile | \
+                    "usage: bench_perf [--quick] [--out FILE] [--run-all-wall FAST REF] | \
                      bench_perf --check FILE"
                 );
                 exit(2);
@@ -588,26 +398,19 @@ fn main() {
         }
     }
 
-    if profile {
-        profile_mode();
-        return;
-    }
-
-    let mut cells = run_cells(quick);
-    cells.extend(par_scale_cells(&par_walls, host_cores()));
+    let cells = run_cells(quick);
     println!(
         "{:32} {:>12} {:>12} {:>12} {:>8}",
         "cell", "fast ns/op", "ref ns/op", "fast ops/s", "speedup"
     );
     for c in &cells {
         println!(
-            "{:32} {:>12.1} {:>12.1} {:>12.0} {:>7.2}x{}",
+            "{:32} {:>12.1} {:>12.1} {:>12.0} {:>7.2}x",
             c.name,
             c.fast.ns_per_op,
             c.reference.ns_per_op,
             c.fast.ops_per_sec,
-            c.speedup(),
-            if c.advisory { " (advisory)" } else { "" }
+            c.speedup()
         );
     }
     if let Some((fast, reference)) = run_all_wall {

@@ -85,6 +85,29 @@ where
         .collect()
 }
 
+/// Returns the heap a finished batch freed to the OS.
+///
+/// Every pool worker allocates a whole simulated machine per cell, and
+/// glibc keeps a worker's freed arena memory instead of unmapping it. A
+/// process that runs batch after batch (a benchmark looping over the
+/// figures) then grows its resident set with every batch although its
+/// live heap stays flat. `malloc_trim(0)` hands the free pages back once
+/// per batch, which costs far less than one cell.
+fn release_freed_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> std::os::raw::c_int;
+        }
+        // SAFETY: `malloc_trim` only releases memory glibc's allocator
+        // already holds as free; it is thread-safe and touches no live
+        // allocation.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+}
+
 /// The outcome of one executed cell.
 #[derive(Clone, Debug)]
 pub struct JobResult {
@@ -170,7 +193,6 @@ struct JobKey {
     tick_interval: u64,
     max_ops: u64,
     fast_path: tmi_sim::FastPath,
-    sim_threads: usize,
     seed: u64,
     trace: bool,
 }
@@ -190,7 +212,6 @@ impl JobKey {
             tick_interval: c.tick_interval,
             max_ops: c.max_ops,
             fast_path: c.fast_path,
-            sim_threads: c.sim_threads,
             seed: spec.seed,
             trace: spec.trace,
         }
@@ -246,9 +267,11 @@ impl Executor {
     /// returned vector is byte-identical for any pool size.
     pub fn run(&self, specs: Vec<JobSpec>) -> Vec<JobResult> {
         let batch = self.batches.fetch_add(1, Ordering::Relaxed);
-        pool_map(self.workers, specs.len(), |i| {
+        let results = pool_map(self.workers, specs.len(), |i| {
             self.run_one(batch, i, &specs[i])
-        })
+        });
+        release_freed_heap();
+        results
     }
 
     /// Runs a single cell through the memo cache on the current thread —
@@ -534,14 +557,6 @@ impl Experiment {
     /// mutation, so concurrent cells can differ).
     pub fn fast_path(mut self, fp: tmi_sim::FastPath) -> Self {
         self.spec.cfg = self.spec.cfg.fast_path(fp);
-        self
-    }
-
-    /// Sets the host-thread count the engine shards cores over (clamped
-    /// to ≥ 1). Results are bit-identical at any value; only wall-clock
-    /// changes.
-    pub fn sim_threads(mut self, n: usize) -> Self {
-        self.spec.cfg = self.spec.cfg.sim_threads(n);
         self
     }
 

@@ -11,7 +11,7 @@ use tmi_faultpoint::{FaultInjector, FaultPlan};
 use tmi_machine::{LatencyModel, VAddr, FRAME_SIZE};
 use tmi_os::MapRequest;
 use tmi_perf::PerfConfig;
-use tmi_sim::{Engine, EngineConfig, FastPath, Halt, NullRuntime, RuntimeHooks, SimTuning};
+use tmi_sim::{Engine, EngineConfig, FastPath, Halt, NullRuntime, RuntimeHooks};
 use tmi_telemetry::{MetricSource, MetricsSnapshot, Tracer};
 use tmi_workloads::{SetupCtx, Workload, WorkloadParams};
 
@@ -132,16 +132,13 @@ pub struct RunConfig {
     /// Which accelerator fast paths the engine uses (typed; replaces the
     /// old process-global `TMI_FASTPATH` toggle).
     pub fast_path: FastPath,
-    /// Host worker threads for the engine's epoch-parallel stepping.
-    /// Changes host wall time only, never a simulated observable.
-    pub sim_threads: usize,
 }
 
 impl RunConfig {
     /// Defaults: 8 threads (the detection machine), benchmark scale,
-    /// period 100, 0.5 ms ticks. The fast-path and host-parallelism
-    /// fields default from the environment (`TMI_FASTPATH`,
-    /// `TMI_SIM_THREADS`), read once per process, for CLI compatibility.
+    /// period 100, 0.5 ms ticks. The fast-path field defaults from the
+    /// environment (`TMI_FASTPATH`), read once per process, for CLI
+    /// compatibility.
     pub fn new(runtime: RuntimeKind) -> Self {
         RunConfig {
             runtime,
@@ -154,7 +151,6 @@ impl RunConfig {
             tick_interval: 1_700_000,
             max_ops: 80_000_000,
             fast_path: FastPath::from_env(),
-            sim_threads: SimTuning::from_env().threads,
         }
     }
 
@@ -203,12 +199,6 @@ impl RunConfig {
     /// Selects the accelerator fast paths (typed; no environment involved).
     pub fn fast_path(mut self, fp: FastPath) -> Self {
         self.fast_path = fp;
-        self
-    }
-
-    /// Sets the engine's host worker-thread count (clamped to ≥ 1).
-    pub fn sim_threads(mut self, n: usize) -> Self {
-        self.sim_threads = n.max(1);
         self
     }
 }
@@ -319,7 +309,6 @@ fn build<R: RuntimeHooks>(
     engine_cfg.max_ops = cfg.max_ops;
     engine_cfg.max_cycles = 60_000_000_000;
     engine_cfg.fast_path = cfg.fast_path;
-    engine_cfg.tuning = SimTuning::with_threads(cfg.sim_threads);
 
     // The runtime is constructed against the layout before the engine
     // exists (TMI sets its memory up at program start, §3.2).

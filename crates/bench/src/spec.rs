@@ -113,7 +113,7 @@ impl JobSpec {
              \"scale\": {}, \"fixed\": {}, \"misaligned\": {}, \
              \"huge_pages\": {}, \"period\": {}, \"tick_interval\": {}, \
              \"max_ops\": {}, \"fastpath_tlb\": {}, \"fastpath_dir\": {}, \
-             \"sim_threads\": {}, \"seed\": {}, \"trace\": {}}}",
+             \"seed\": {}, \"trace\": {}}}",
             json::string(&self.workload),
             json::string(c.runtime.label()),
             c.threads,
@@ -126,7 +126,6 @@ impl JobSpec {
             c.max_ops,
             c.fast_path.tlb,
             c.fast_path.directory,
-            c.sim_threads,
             self.seed,
             self.trace,
         )
@@ -185,17 +184,17 @@ impl JobSpec {
         cfg.fixed = flag("fixed")?.unwrap_or(false);
         cfg.misaligned = flag("misaligned")?.unwrap_or(false);
         cfg.huge_pages = flag("huge_pages")?.unwrap_or(false);
-        // Absent fast-path / shard members keep the RunConfig::new
-        // defaults (the once-per-process env snapshot), so minimal
-        // requests behave exactly like a fresh CLI run.
+        // Absent fast-path members keep the RunConfig::new defaults (the
+        // once-per-process env snapshot), so minimal requests behave
+        // exactly like a fresh CLI run. Unknown members are ignored, which
+        // keeps documents persisted by older builds (journals and cache
+        // spills that still carry the retired shard-count member)
+        // decodable.
         if let Some(b) = flag("fastpath_tlb")? {
             cfg.fast_path.tlb = b;
         }
         if let Some(b) = flag("fastpath_dir")? {
             cfg.fast_path.directory = b;
-        }
-        if let Some(n) = num("sim_threads")? {
-            cfg.sim_threads = (n as usize).max(1);
         }
         Ok(JobSpec {
             workload,
@@ -249,10 +248,6 @@ impl JobSpec {
                 self.cfg.fast_path.directory =
                     parse_bool("--fastpath-dir", value("--fastpath-dir")?)?
             }
-            "--sim-threads" => {
-                self.cfg.sim_threads =
-                    (parse_u64("--sim-threads", value("--sim-threads")?)? as usize).max(1)
-            }
             "--seed" => self.seed = parse_u64("--seed", value("--seed")?)?,
             "--fixed" => self.cfg.fixed = true,
             "--misaligned" => self.cfg.misaligned = true,
@@ -268,7 +263,7 @@ impl JobSpec {
     pub fn cli_usage() -> &'static str {
         "--workload NAME|litmus:<seed>|litmus+vm:<seed> [--runtime LABEL] [--threads N] \
          [--scale F] [--period N] [--tick-interval N] [--max-ops N] \
-         [--fastpath-tlb BOOL] [--fastpath-dir BOOL] [--sim-threads N] \
+         [--fastpath-tlb BOOL] [--fastpath-dir BOOL] \
          [--seed N] [--fixed] [--misaligned] [--huge-pages] [--spec-trace]"
     }
 }
@@ -300,6 +295,19 @@ mod tests {
         let spec = JobSpec::from_json(&v).unwrap();
         assert_eq!(spec, JobSpec::new("histogram"));
         assert_eq!(spec.cfg, RunConfig::new(RuntimeKind::Pthreads));
+    }
+
+    #[test]
+    fn decode_ignores_the_retired_shard_count_member() {
+        // Journals and cache spills written before the host shard count
+        // left the job identity still carry it; such a document must
+        // decode to the same spec as one without the member.
+        let with = json::parse(r#"{"workload": "lreg", "threads": 4, "sim_threads": 8}"#).unwrap();
+        let without = json::parse(r#"{"workload": "lreg", "threads": 4}"#).unwrap();
+        assert_eq!(
+            JobSpec::from_json(&with).unwrap(),
+            JobSpec::from_json(&without).unwrap()
+        );
     }
 
     #[test]
@@ -354,14 +362,14 @@ mod tests {
                 0u64..1 << 32,
                 any::<bool>(),
             ),
-            (any::<bool>(), any::<bool>(), 1usize..16),
+            (any::<bool>(), any::<bool>()),
         )
             .prop_map(
                 |(
                     (workload, runtime, threads, scale16),
                     (fixed, misaligned, huge_pages, period),
                     (tick_interval, max_ops, seed, trace),
-                    (fp_tlb, fp_dir, sim_threads),
+                    (fp_tlb, fp_dir),
                 )| {
                     let mut cfg = RunConfig::new(runtime);
                     cfg.threads = threads;
@@ -375,7 +383,6 @@ mod tests {
                     cfg.max_ops = max_ops;
                     cfg.fast_path.tlb = fp_tlb;
                     cfg.fast_path.directory = fp_dir;
-                    cfg.sim_threads = sim_threads;
                     JobSpec {
                         workload,
                         cfg,
@@ -412,7 +419,6 @@ mod tests {
                 "--max-ops".to_string(), spec.cfg.max_ops.to_string(),
                 "--fastpath-tlb".to_string(), spec.cfg.fast_path.tlb.to_string(),
                 "--fastpath-dir".to_string(), spec.cfg.fast_path.directory.to_string(),
-                "--sim-threads".to_string(), spec.cfg.sim_threads.to_string(),
                 "--seed".to_string(), spec.seed.to_string(),
             ];
             if spec.cfg.fixed { args.push("--fixed".into()); }

@@ -24,8 +24,8 @@ use tmi_telemetry::MetricSink;
 
 /// Every metric name the harness can emit, in stable (sorted) order —
 /// the union over all runtime prefixes (`machine.*`, `machine.dir.*`,
-/// `os.*`, `os.tlb.*`, `sim.par.*`, `tmi.*`, `tmi.memory.*`,
-/// `sheriff.*`, `laser.*`, `plastic.*`).
+/// `os.*`, `os.tlb.*`, `tmi.*`, `tmi.memory.*`, `sheriff.*`, `laser.*`,
+/// `plastic.*`).
 ///
 /// Derived from default-constructed sources, so it is exhaustive by
 /// construction: a counter added to any `*Stats` struct appears here
@@ -46,7 +46,6 @@ pub fn registered_metric_names() -> Vec<String> {
     sink.source("machine.dir", &DirStats::default());
     sink.source("os", &OsStats::default());
     sink.source("os.tlb", &TlbStats::default());
-    sink.source("sim.par", &tmi_sim::ParStats::default());
     sink.source("tmi", &TmiRuntime::new(TmiConfig::default(), layout));
     sink.source("tmi.memory", &MemoryBreakdown::default());
     sink.source(
@@ -184,7 +183,7 @@ mod tests {
         assert_eq!(set.len(), names.len(), "duplicate metric names");
         for n in &names {
             assert!(
-                ["machine.", "os.", "sim.", "tmi.", "sheriff.", "laser.", "plastic."]
+                ["machine.", "os.", "tmi.", "sheriff.", "laser.", "plastic."]
                     .iter()
                     .any(|p| n.starts_with(p)),
                 "unprefixed metric {n}"

@@ -308,19 +308,6 @@ impl RuntimeHooks for TmiRuntime {
         }
     }
 
-    fn speculation_allowed(&self) -> bool {
-        // Outside a repair episode TMI is compatible-by-default —
-        // `pre_access` is a NOP for every access and no page is being
-        // twinned, remapped or protection-flipped — so the engine may run
-        // provably-private memory ops speculatively. An in-flight
-        // transient-fault retry also parks speculation: its bookkeeping
-        // runs in `post_access`, which must observe accesses in replay
-        // order. Repair episodes only start inside `on_tick` / fault
-        // hooks, which the engine calls between epochs or on parked ops,
-        // so re-sampling this gate per epoch is race-free.
-        !self.repair.active() && !self.engine_retry_pending
-    }
-
     fn pre_access(&mut self, ctl: &mut dyn EngineCtl, tid: Tid, acc: &AccessInfo) -> PreAccess {
         if !self.repair.active() {
             // Compatible-by-default: before repair, the callbacks are NOPs

@@ -125,7 +125,7 @@ fn run_litmus(
     f.engine.add_thread(Box::new(p0));
     f.engine.add_thread(Box::new(p1));
     let r = f.engine.run();
-    let observed = log1.lock().unwrap().clone();
+    let observed = log1.borrow().clone();
     (r, observed)
 }
 

@@ -53,7 +53,7 @@
 
 use crate::addr::{CoreId, LineAddr, PhysAddr, Width};
 use crate::cache::{Cache, CacheConfig, Insertion, LlcTags, MesiState};
-use crate::dirtab::{streak_step, DirEntry, DirTable, HITM_STREAK_WINDOW, NO_HITM, NO_OWNER};
+use crate::dirtab::{streak_step, DirEntry, DirTable, NO_HITM, NO_OWNER};
 use crate::flat::LineTable;
 use crate::hitm::{HitmEvent, HitmKind};
 use crate::latency::LatencyModel;
@@ -868,51 +868,6 @@ impl Machine {
         &self.private[core]
     }
 
-    /// Speculation probe: is `line` provably private to `core` right now?
-    ///
-    /// Returns the line's MESI state in `core`'s private cache when (a)
-    /// that cache holds the line, (b) no sibling cache holds any copy, and
-    /// (c) the line has had no HITM within the last
-    /// `HITM_STREAK_WINDOW` accesses; `None` otherwise. Under those
-    /// conditions every load and store from `core` resolves entirely in
-    /// its own cache (a sole-held line hits locally in any state, and a
-    /// Shared-state upgrade invalidates zero siblings), so the epoch
-    /// engine may execute the access speculatively in its parallel phase.
-    ///
-    /// The HITM recency veto is load-bearing, not an optimization: in a
-    /// write ping-pong the momentary sole holder would otherwise speculate
-    /// its whole remaining run and erase the modeled contention. A line
-    /// with recent HITM traffic always parks for the serial replay.
-    ///
-    /// Deliberately side-effect-free and fast-path-invariant: only
-    /// [`Cache::peek`] (no stats, no LRU touch) and streak state whose
-    /// *values* are identical with the directory on or off (tracked lines
-    /// keep the streak in their [`DirEntry`], untracked lines in the
-    /// broadcast table, via the same [`streak_step`] math), so the answer
-    /// — and therefore every `sim.par.*` counter derived from it — cannot
-    /// depend on `MachineConfig::directory`.
-    pub fn line_private_to(&self, core: CoreId, line: LineAddr) -> Option<MesiState> {
-        let state = self.private[core].peek(line)?;
-        for c in 0..self.config.cores {
-            if c != core && self.private[c].peek(line).is_some() {
-                return None;
-            }
-        }
-        let last_hitm = match self.dir.get(line) {
-            Some(e) => e.last_hitm,
-            None => self
-                .hitm_streaks
-                .get(line)
-                .map_or(NO_HITM, |&(last, _)| last),
-        };
-        if last_hitm != NO_HITM
-            && self.stats.accesses.saturating_sub(last_hitm) < HITM_STREAK_WINDOW
-        {
-            return None;
-        }
-        Some(state)
-    }
-
     /// Asserts that the directory is a consistent *subset* of the tag
     /// arrays: every tracked line with a non-empty sharer set matches the
     /// caches exactly, and every drained (sticky) entry tracks a line no
@@ -1222,77 +1177,6 @@ mod tests {
             "promoted line never answered a query from the directory"
         );
         m.assert_directory_consistent();
-    }
-
-    #[test]
-    fn private_probe_accepts_only_sole_quiet_holders() {
-        let mut m = machine(2);
-        let line = a(0xC000).line();
-        // Unheld line: not private.
-        assert_eq!(m.line_private_to(0, line), None);
-        // Sole holder with no HITM history: private, in its actual state.
-        m.access(0, a(0xC000), AccessKind::Store, Width::W8);
-        assert_eq!(m.line_private_to(0, line), Some(MesiState::Modified));
-        assert_eq!(m.line_private_to(1, line), None);
-        // Both cores hold the line: not private to either.
-        m.access(1, a(0xC000), AccessKind::Load, Width::W8);
-        assert_eq!(m.line_private_to(0, line), None);
-        assert_eq!(m.line_private_to(1, line), None);
-    }
-
-    #[test]
-    fn private_probe_vetoes_recent_hitm_lines() {
-        // After a HITM the momentary sole holder must NOT look private —
-        // speculating through a ping-pong would erase the contention the
-        // simulator exists to model. Quiet lines recover once the streak
-        // window has passed.
-        let mut m = machine(2);
-        m.access(0, a(0xD000), AccessKind::Store, Width::W8);
-        m.access(1, a(0xD000), AccessKind::Store, Width::W8); // HITM handoff
-        let line = a(0xD000).line();
-        assert_eq!(
-            m.line_private_to(1, line),
-            None,
-            "sole holder fresh off a HITM must stay parked"
-        );
-        // Age the HITM out of the window with unrelated traffic.
-        for i in 0..crate::dirtab::HITM_STREAK_WINDOW {
-            m.access(0, a(0x10_0000 + (i % 64) * 64), AccessKind::Load, Width::W8);
-        }
-        assert_eq!(m.line_private_to(1, line), Some(MesiState::Modified));
-    }
-
-    #[test]
-    fn private_probe_is_fastpath_invariant() {
-        // The probe's answer may never depend on the directory toggle:
-        // drive an identical contended stream on both paths and compare
-        // the probe at every step for every core.
-        let mut fast = machine(4);
-        let mut refr = machine(4);
-        refr.set_directory_enabled(false);
-        let mut x = 0xdead_beefu64;
-        for _ in 0..20_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let core = (x % 4) as usize;
-            let addr = a((x >> 8) % 0x4000);
-            let kind = if x % 3 == 0 {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
-            fast.access(core, addr, kind, Width::W8);
-            refr.access(core, addr, kind, Width::W8);
-            let line = addr.line();
-            for c in 0..4 {
-                assert_eq!(
-                    fast.line_private_to(c, line),
-                    refr.line_private_to(c, line),
-                    "probe diverged across fastpath modes for core {c}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -40,10 +40,7 @@ const EMPTY: u64 = u64::MAX;
 
 /// The HITM streak window in accesses: a HITM within this many accesses
 /// of the line's previous one extends the streak; a longer gap resets it.
-/// Also the recency horizon of the speculation probe
-/// ([`crate::Machine::line_private_to`]): a line with a HITM inside the
-/// window is treated as contended even if momentarily sole-held.
-pub(crate) const HITM_STREAK_WINDOW: u64 = 2_000;
+const HITM_STREAK_WINDOW: u64 = 2_000;
 
 /// Grow at 87.5% load, as in [`crate::flat::LineTable`].
 const GROW_NUM: usize = 7;

@@ -32,7 +32,7 @@ use tmi_faultpoint::{FaultInjector, FaultPlan, FaultStats};
 use tmi_machine::{VAddr, Width};
 use tmi_os::{AsId, MapRequest, ObjId};
 use tmi_program::{width_mask, Op, SequenceProgram};
-use tmi_sim::{Engine, EngineConfig, FastPath, Halt, SimTuning, TraceStep};
+use tmi_sim::{Engine, EngineConfig, FastPath, Halt, TraceStep};
 
 use crate::interp::Interp;
 use crate::litmus::{self, Coverage, Litmus};
@@ -352,16 +352,7 @@ pub struct RawRun {
 /// except the `os.tlb.*` / `machine.dir.*` counters themselves — the
 /// contract `tests/fastpath_equivalence.rs` enforces.
 pub fn run_seed_raw(seed: u64, fastpath: bool) -> RawRun {
-    run_seed_raw_tuned(seed, fastpath, 1)
-}
-
-/// [`run_seed_raw`] with an explicit host-thread count for the engine's
-/// epoch-parallel stepping. The parallel path is required to be
-/// bit-identical to the sequential one, so for any `(seed, fastpath)` the
-/// returned observables must not depend on `host_threads` — the contract
-/// `tests/parallel_equivalence.rs` enforces.
-pub fn run_seed_raw_tuned(seed: u64, fastpath: bool, host_threads: usize) -> RawRun {
-    run_litmus_raw(&Litmus::generate(seed), fastpath, host_threads)
+    run_litmus_raw(&Litmus::generate(seed), fastpath)
 }
 
 /// [`run_seed_raw`] over the transistency program of `seed`: the same
@@ -369,16 +360,10 @@ pub fn run_seed_raw_tuned(seed: u64, fastpath: bool, host_threads: usize) -> Raw
 /// VM operations — whose outcome codes land in the trace value slots and
 /// therefore must also be byte-identical across the two variants.
 pub fn run_transistency_seed_raw(seed: u64, fastpath: bool) -> RawRun {
-    run_transistency_seed_raw_tuned(seed, fastpath, 1)
+    run_litmus_raw(&Litmus::generate_vm(seed), fastpath)
 }
 
-/// [`run_transistency_seed_raw`] with an explicit host-thread count (see
-/// [`run_seed_raw_tuned`]).
-pub fn run_transistency_seed_raw_tuned(seed: u64, fastpath: bool, host_threads: usize) -> RawRun {
-    run_litmus_raw(&Litmus::generate_vm(seed), fastpath, host_threads)
-}
-
-fn run_litmus_raw(lit: &Litmus, fastpath: bool, host_threads: usize) -> RawRun {
+fn run_litmus_raw(lit: &Litmus, fastpath: bool) -> RawRun {
     let cfg = CheckConfig::default();
     let fast_path = if fastpath {
         FastPath::enabled()
@@ -391,7 +376,6 @@ fn run_litmus_raw(lit: &Litmus, fastpath: bool, host_threads: usize) -> RawRun {
         &tmi_telemetry::Tracer::disabled(),
         None,
         fast_path,
-        SimTuning::with_threads(host_threads),
     );
     let run = engine.run();
     let trace = engine.take_trace();
@@ -457,11 +441,9 @@ fn build_fixture(
     tracer: &tmi_telemetry::Tracer,
     injector: Option<&FaultInjector>,
     fast_path: FastPath,
-    tuning: SimTuning,
 ) -> (Engine<TmiRuntime>, AsId) {
     let mut ecfg = EngineConfig::with_cores(4);
     ecfg.fast_path = fast_path;
-    ecfg.tuning = tuning;
     // Litmus runs are far too short for the sampling detector; repair is
     // forced below and the detection thread never ticks.
     ecfg.tick_interval = u64::MAX;
@@ -568,7 +550,6 @@ fn run_traced(
         tracer,
         faults.as_ref().map(|(_, _, inj)| inj),
         FastPath::from_env(),
-        SimTuning::from_env(),
     );
     let run = engine.run();
     let trace = engine.take_trace();

@@ -52,9 +52,8 @@ pub mod litmus;
 
 pub use diff::{
     check_litmus, check_seed, check_transistency_seed, check_transistency_variants,
-    derive_fault_seed, run_seed_raw, run_seed_raw_tuned, run_transistency_seed_raw,
-    run_transistency_seed_raw_tuned, trace_seed, CheckConfig, CheckReport, Divergence,
-    DivergenceKind, FaultSummary, RawRun,
+    derive_fault_seed, run_seed_raw, run_transistency_seed_raw, trace_seed, CheckConfig,
+    CheckReport, Divergence, DivergenceKind, FaultSummary, RawRun,
 };
 pub use interp::{Interp, RefStep};
 pub use litmus::{Coverage, Guard, GuardKind, Litmus, Slot, SlotClass};

@@ -164,20 +164,6 @@ impl AddressSpace {
         }
         Some(frame.base().offset(addr.page_offset()))
     }
-
-    /// [`AddressSpace::translate`] with zero side effects: walks the page
-    /// table directly, never touching the TLB (no hit/miss counters, no
-    /// fill). The speculation probe of the epoch engine classifies
-    /// accesses with this — a classifying read must not perturb the
-    /// `os.tlb.*` counters, which would make the classification itself
-    /// observable.
-    pub fn peek_translate(&self, addr: VAddr, is_write: bool) -> Option<PhysAddr> {
-        let pte = self.ptes.get(&addr.vpn())?;
-        if is_write && !pte.writable {
-            return None;
-        }
-        Some(pte.frame.base().offset(addr.page_offset()))
-    }
 }
 
 #[cfg(test)]

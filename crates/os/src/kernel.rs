@@ -146,15 +146,6 @@ impl Kernel {
         }
     }
 
-    /// Whether PTE-mutation TLB shootdowns are precise (the default). Only
-    /// the transistency ablation turns this off; the epoch engine's
-    /// speculation gate reads it because an imprecise-shootdown kernel can
-    /// serve translations from stale TLB entries, which a page-table peek
-    /// cannot predict.
-    pub fn tlb_shootdowns_precise(&self) -> bool {
-        self.tlb_precise
-    }
-
     /// Explicit single-page shootdown request (the `Op::Vm` shootdown
     /// litmus op): invalidates `vpn`'s cached translation in `aspace`.
     /// Honors the [`Kernel::set_tlb_shootdown`] ablation — an ablated
@@ -339,17 +330,6 @@ impl Kernel {
             Some((frame, _)) => Ok(frame.base().offset(addr.page_offset())),
             None => Err(PageFault::NotPresent),
         }
-    }
-
-    /// Side-effect-free translation peek: [`Kernel::translate`] without
-    /// the software-TLB fill behind it. Walks the page table directly, so
-    /// no `os.tlb.*` counter moves. Sound as a speculation predicate only
-    /// while shootdowns are precise ([`Kernel::tlb_shootdowns_precise`]):
-    /// an ablated kernel may really translate through a stale TLB entry
-    /// this peek cannot see.
-    #[inline]
-    pub fn peek_translate(&self, aspace: AsId, addr: VAddr, is_write: bool) -> Option<PhysAddr> {
-        self.aspace(aspace).peek_translate(addr, is_write)
     }
 
     /// Resolves a page fault at `addr`.

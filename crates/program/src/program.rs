@@ -1,6 +1,7 @@
 //! Thread programs: resumable state machines that emit [`Op`]s.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::op::Op;
 
@@ -42,11 +43,7 @@ impl OpResult {
 /// Implementations are ordinary Rust state machines; see
 /// [`SequenceProgram`] for the simplest one and the `tmi-workloads` crate
 /// for realistic ones.
-///
-/// `Send` is a supertrait so the engine's epoch-parallel prefetch stage
-/// (`tmi-sim`) can walk programs from host worker threads; each program is
-/// only ever touched by one host thread at a time.
-pub trait ThreadProgram: Send {
+pub trait ThreadProgram {
     /// Produces the next operation. `last` carries the result of the
     /// previously returned op ([`OpResult::none()`] on the first call).
     ///
@@ -55,10 +52,8 @@ pub trait ThreadProgram: Send {
 }
 
 /// A shared, append-only log of op results, for litmus tests that need to
-/// observe what a [`SequenceProgram`] loaded. `Arc<Mutex>` rather than
-/// `Rc<RefCell>` so programs stay `Send` for the engine's parallel
-/// prefetch stage.
-pub type SharedLog = Arc<Mutex<Vec<Option<u64>>>>;
+/// observe what a [`SequenceProgram`] loaded.
+pub type SharedLog = Rc<RefCell<Vec<Option<u64>>>>;
 
 /// The simplest [`ThreadProgram`]: plays a fixed list of ops and records
 /// every op result into a [`SharedLog`]. Used heavily by litmus tests
@@ -76,7 +71,7 @@ impl SequenceProgram {
         SequenceProgram {
             ops,
             idx: 0,
-            log: Arc::new(Mutex::new(Vec::new())),
+            log: Rc::new(RefCell::new(Vec::new())),
         }
     }
 
@@ -84,14 +79,14 @@ impl SequenceProgram {
     /// op *i* completed (so entry 0 is the first op's result, recorded when
     /// the second op is requested).
     pub fn log(&self) -> SharedLog {
-        Arc::clone(&self.log)
+        Rc::clone(&self.log)
     }
 }
 
 impl ThreadProgram for SequenceProgram {
     fn next(&mut self, last: OpResult) -> Op {
         if self.idx > 0 && self.idx <= self.ops.len() {
-            self.log.lock().unwrap().push(last.value);
+            self.log.borrow_mut().push(last.value);
         }
         let op = self.ops.get(self.idx).copied().unwrap_or(Op::Exit);
         self.idx += 1;
@@ -133,7 +128,7 @@ mod tests {
         p.next(OpResult::of(2));
         // A trailing Exit request records nothing further.
         p.next(OpResult::none());
-        assert_eq!(*log.lock().unwrap(), vec![Some(1), Some(2)]);
+        assert_eq!(*log.borrow(), vec![Some(1), Some(2)]);
     }
 
     #[test]

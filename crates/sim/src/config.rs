@@ -1,16 +1,15 @@
-//! Typed engine-tuning configuration.
+//! Typed fast-path configuration.
 //!
 //! Historically the fast-path accelerators (the software TLBs in `tmi-os`
 //! and the sharer/owner directory in `tmi-machine`) were toggled through a
 //! process-global `TMI_FASTPATH` environment variable read independently
 //! by each component at construction time, plus per-component setters for
-//! mid-run flips. That shape cannot be driven safely from concurrent
-//! shards, and mutating the process environment to flip it raced against
-//! every other thread in the process. The typed [`FastPath`] and
-//! [`SimTuning`] structs on [`crate::EngineConfig`] replace both: the
-//! environment is consulted exactly once per process (memoized), at
-//! config construction, purely for CLI compatibility, and everything
-//! downstream passes plain values.
+//! mid-run flips. Mutating the process environment to flip it raced
+//! against every other thread in the process. The typed [`FastPath`]
+//! struct on [`crate::EngineConfig`] replaces both: the environment is
+//! consulted exactly once per process (memoized), at config construction,
+//! purely for CLI compatibility, and everything downstream passes plain
+//! values.
 
 use std::sync::OnceLock;
 
@@ -73,88 +72,6 @@ impl Default for FastPath {
     }
 }
 
-/// Host-side execution tuning for the engine's epoch-based parallel
-/// stepping (see `engine.rs`): how many host threads walk thread programs
-/// ahead of the serial replay, and how long an epoch is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct SimTuning {
-    /// Host worker threads for the parallel prefetch phase. `1` runs the
-    /// prefetch inline. The value can never change a simulated outcome or
-    /// a `sim.par.*` counter — only host wall time.
-    pub threads: usize,
-    /// Epoch length in simulated cycles. Fixed (not environment-tunable):
-    /// the epoch schedule determines the `sim.par.*` counters, which must
-    /// be bit-identical across every host configuration.
-    pub quantum: u64,
-    /// Whether the prefetch phase may *speculatively execute* memory ops
-    /// that touch provably-private state (sole-held cache lines with no
-    /// recent HITM, on pages the runtime is not rewriting), instead of
-    /// parking every memory op for the serial replay. Changes the epoch
-    /// schedule — and therefore the `sim.par.*` counters and the exact
-    /// interleaving — deterministically: the flag's value must be part of
-    /// the run configuration, but for a *fixed* value the outcome is
-    /// bit-identical across host thread counts and fast-path modes.
-    pub speculation: bool,
-    /// Test-only fault injection for the demotion path: classify accesses
-    /// exactly as `speculation` would, but demote every would-be
-    /// speculated run back to the replay loop instead of executing it
-    /// (counted in `sim.par.demotions`). A demoted epoch must be
-    /// byte-identical to one that never speculated — the invariant
-    /// `engine::tests` pins down.
-    pub force_demotions: bool,
-}
-
-impl SimTuning {
-    /// The epoch quantum every configuration uses.
-    pub const QUANTUM: u64 = 100_000;
-
-    /// Single host thread (inline prefetch).
-    pub fn sequential() -> Self {
-        Self::with_threads(1)
-    }
-
-    /// `threads` host worker threads (clamped to at least one).
-    pub fn with_threads(threads: usize) -> Self {
-        SimTuning {
-            threads: threads.max(1),
-            quantum: Self::QUANTUM,
-            speculation: true,
-            force_demotions: false,
-        }
-    }
-
-    /// This tuning with speculative execution of private memory ops
-    /// disabled (every memory op parks for the serial replay, the
-    /// pre-speculation engine behavior).
-    pub fn without_speculation(self) -> Self {
-        SimTuning {
-            speculation: false,
-            ..self
-        }
-    }
-
-    /// The tuning selected by the environment: `TMI_SIM_THREADS=N` picks
-    /// the host thread count (default 1). Read once per process and
-    /// memoized, at config construction, for CLI compatibility.
-    pub fn from_env() -> Self {
-        static THREADS: OnceLock<usize> = OnceLock::new();
-        let threads = *THREADS.get_or_init(|| {
-            std::env::var("TMI_SIM_THREADS")
-                .ok()
-                .and_then(|s| s.parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or(1)
-        });
-        Self::with_threads(threads)
-    }
-}
-
-impl Default for SimTuning {
-    fn default() -> Self {
-        Self::sequential()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,22 +93,5 @@ mod tests {
             }
         );
         assert_eq!(FastPath::default(), FastPath::enabled());
-    }
-
-    #[test]
-    fn tuning_clamps_to_one_thread() {
-        assert_eq!(SimTuning::with_threads(0).threads, 1);
-        assert_eq!(SimTuning::with_threads(8).threads, 8);
-        assert_eq!(SimTuning::default(), SimTuning::sequential());
-        assert_eq!(SimTuning::with_threads(4).quantum, SimTuning::QUANTUM);
-    }
-
-    #[test]
-    fn speculation_defaults_on_and_toggles_off() {
-        assert!(SimTuning::default().speculation);
-        assert!(!SimTuning::default().force_demotions);
-        let t = SimTuning::with_threads(4).without_speculation();
-        assert!(!t.speculation);
-        assert_eq!(t.threads, 4);
     }
 }

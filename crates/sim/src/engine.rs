@@ -7,71 +7,12 @@
 //! conservative oldest-first policy yields a legal fine-grained
 //! interleaving of the threads, so contention phenomena (line ping-pong,
 //! lock convoys) emerge naturally rather than being modeled analytically.
-//!
-//! # Epoch-parallel stepping
-//!
-//! The run loop is organized into fixed-quantum *epochs*. Each epoch has
-//! four phases:
-//!
-//! 1. **Parallel walk.** Up to [`SimTuning::threads`] host workers walk
-//!    every runnable thread's program ahead of the schedule, buffering a
-//!    *run* of ops per thread: [`Op::Compute`] ops (which touch no shared
-//!    state), and — when speculation is on — plain loads and stores that
-//!    touch *provably-private* state: cache lines sole-held by the
-//!    thread's own core with no recent HITM, on pages whose translations
-//!    a side-effect-free page-table peek can prove stable (see
-//!    `Machine::line_private_to` and `Kernel::peek_translate`). Values
-//!    for speculated ops are predicted against physical memory plus a
-//!    per-run store overlay. The first op that doesn't qualify — an
-//!    atomic, a sync op, a VM op, a kernel entry, or any access to
-//!    shared-fabric state — parks in the thread's replay slot and ends
-//!    the run.
-//! 2. **Barrier commit.** The buffered runs execute serially, in thread
-//!    index order, through the full normal dispatch path (hooks,
-//!    translation, coherent cache access, physical memory). Private
-//!    classification guarantees the line sets of concurrent runs are
-//!    disjoint, so every speculated access commits as the local hit the
-//!    walk projected, and every predicted value is asserted against the
-//!    executed one.
-//! 3. **Tick catch-up.** [`RuntimeHooks::on_tick`] fires for every tick
-//!    boundary the committed runs crossed — strictly *after* the commit,
-//!    so a runtime starting a repair episode (remapping pages) can never
-//!    interleave with buffered speculative state.
-//! 4. **Serial replay.** The parked shared-fabric ops execute in the
-//!    deterministic oldest-clock-first order up to the epoch horizon,
-//!    scheduled by a calendar queue ([`crate::sched::CalendarQueue`]) in
-//!    O(1) amortized per op instead of the former O(threads)
-//!    `min_by_key` scan per op.
-//!
-//! Phases 1–4 repeat in *rounds* within one epoch: when the replay
-//! frontier reaches a thread whose parked op has drained, control
-//! returns to the walk so the thread's next private stretch executes
-//! speculatively instead of serially — only genuinely shared-fabric ops
-//! stay in the replay loop. A walk that comes up *barren* (its very
-//! first fetched op parks — a contended phase) pins its thread to the
-//! serial loop for `RETRY_WALK_AFTER` ops so ping-ponging threads do
-//! not pay a walk setup per op.
-//!
-//! The schedule — and with it every observable and every `sim.par.*`
-//! counter — is a deterministic function of the engine configuration
-//! alone: bit-identical across host thread counts and across the
-//! fast-path accelerator modes (classification reads only
-//! mode-invariant state). Turning speculation itself on or off *does*
-//! change the schedule (runs commit contiguously at the barrier rather
-//! than interleaving), which is a different but equally legal
-//! interleaving; [`SimTuning::speculation`] is therefore part of the run
-//! configuration, not a host knob.
 
-use std::collections::HashMap;
-use std::time::Instant;
-
-use tmi_machine::{
-    AccessKind, LatencyModel, Machine, MachineConfig, MesiState, PhysAddr, VAddr, Width, LINE_SIZE,
-};
+use tmi_machine::{AccessKind, Machine, MachineConfig, VAddr, Width};
 use tmi_os::{FaultResolution, Kernel, OsError, Pid, Tid};
 use tmi_program::{CodeRegistry, InstrKind, MemOrder, Op, OpResult, Pc, RmwOp, ThreadProgram};
 
-use crate::config::{FastPath, SimTuning};
+use crate::config::FastPath;
 use crate::cost::CostModel;
 use crate::hooks::{AccessInfo, EngineCtl, PreAccess, RegionEvent, Route, RuntimeHooks, SyncEvent};
 use crate::sync::SyncTable;
@@ -98,16 +39,12 @@ pub struct EngineConfig {
     /// run uses. The typed replacement for the old process-global
     /// `TMI_FASTPATH` toggle; behaviorally invisible by contract.
     pub fast_path: FastPath,
-    /// Host-parallel stepping knobs (worker threads, epoch quantum).
-    /// Changes host wall time only, never a simulated observable.
-    pub tuning: SimTuning,
 }
 
 impl EngineConfig {
-    /// Default config for `cores` cores. The fast-path and host-tuning
-    /// knobs are read from the environment exactly once per process
-    /// (`TMI_FASTPATH`, `TMI_SIM_THREADS`) for CLI compatibility;
-    /// override the fields to configure them programmatically.
+    /// Default config for `cores` cores. The fast-path knob is read from
+    /// the environment exactly once per process (`TMI_FASTPATH`) for CLI
+    /// compatibility; override the field to configure it programmatically.
     pub fn with_cores(cores: usize) -> Self {
         EngineConfig {
             machine: MachineConfig::with_cores(cores),
@@ -116,7 +53,6 @@ impl EngineConfig {
             max_cycles: 40_000_000_000,
             max_ops: 2_000_000_000,
             fast_path: FastPath::from_env(),
-            tuning: SimTuning::from_env(),
         }
     }
 }
@@ -194,116 +130,6 @@ struct ThreadCtx {
     pending: OpResult,
     asm_depth: u32,
     replay: Option<Op>,
-    /// True when this thread is the only simulated thread pinned to its
-    /// core — the precondition for speculating memory ops: sole-holder
-    /// classification is per *core*, so two threads sharing a core could
-    /// otherwise both claim the same "private" line in one epoch.
-    solo_core: bool,
-    /// The run buffered by the epoch walk: each op with the value the
-    /// walk predicted it produces (`None` for compute and stores). The
-    /// barrier commit drains the whole buffer every epoch.
-    run: Vec<(Op, Option<u64>)>,
-    /// Set when this epoch's walk for the thread came up empty — its very
-    /// first fetched op had to park, so the frontier is in a contended
-    /// phase. A barren thread stays with the serial replay loop instead
-    /// of bouncing back to the walk on every op; the flag clears at each
-    /// epoch boundary and after `RETRY_WALK_AFTER` serial steps.
-    walk_barren: bool,
-    /// Serial steps taken since the walk came up barren.
-    serial_steps: u32,
-}
-
-/// After a barren walk, the replay loop steps the thread serially this
-/// many ops before offering it back to the walk, so a thread deep in a
-/// contended stretch (where every walk fetches one op and parks it) does
-/// not pay a walk setup per op. Kept small: in mixed phases every serial
-/// step past the contended op is a private access that could have
-/// speculated, and sweeping `run_all --quick` showed the speculated
-/// share of 4-thread memory ops climbing 36% → 52% as this dropped
-/// 64 → 2, for ~7% host wall. Deterministic constant: part of the
-/// schedule, not a host knob.
-const RETRY_WALK_AFTER: u32 = 2;
-
-/// Counters for the epoch-parallel stepping path, exported under
-/// `sim.par.`. Every field is a deterministic function of the epoch
-/// schedule, which depends only on simulated thread clocks and program
-/// behavior — never on [`SimTuning::threads`] or the fast-path setting —
-/// so these counters are bit-identical across every host configuration.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ParStats {
-    /// Epochs executed (one conservative barrier each).
-    pub epochs: u64,
-    /// Ops fetched ahead of the serial replay by the prefetch phase.
-    pub prefetched_ops: u64,
-    /// Prefetch visits that sat out an epoch because the thread was
-    /// already waiting on a parked shared-fabric op at the barrier.
-    pub barrier_stalls: u64,
-    /// Shared-fabric ops (contended memory accesses, atomics, sync, VM
-    /// ops, exits) that ended a prefetch run and serialized at the epoch
-    /// barrier.
-    pub conflicts: u64,
-    /// Memory ops executed speculatively in the parallel walk against
-    /// provably-private cache lines, then committed at the barrier.
-    pub speculated_ops: u64,
-    /// Speculative runs demoted back to the serial replay instead of
-    /// committing. The classification rules make an organic demotion
-    /// impossible (a sole-held, HITM-quiet line on a stable translation
-    /// cannot be invalidated by a concurrent walk — walks don't execute),
-    /// so this stays zero outside [`SimTuning::force_demotions`] test
-    /// runs; it exists so the demotion path is exercised and observable.
-    pub demotions: u64,
-}
-
-impl ParStats {
-    fn absorb(&mut self, other: ParStats) {
-        self.epochs += other.epochs;
-        self.prefetched_ops += other.prefetched_ops;
-        self.barrier_stalls += other.barrier_stalls;
-        self.conflicts += other.conflicts;
-        self.speculated_ops += other.speculated_ops;
-        self.demotions += other.demotions;
-    }
-}
-
-impl tmi_telemetry::MetricSource for ParStats {
-    fn metrics(&self, out: &mut tmi_telemetry::MetricSink) {
-        out.u64("epochs", self.epochs);
-        out.u64("prefetched_ops", self.prefetched_ops);
-        out.u64("barrier_stalls", self.barrier_stalls);
-        out.u64("conflicts", self.conflicts);
-        out.u64("speculated_ops", self.speculated_ops);
-        out.u64("demotions", self.demotions);
-    }
-}
-
-/// Host-wall attribution of [`Engine::run`] across the epoch phases, for
-/// `bench_perf --profile`. Host-side observability only: wall times vary
-/// run to run and host to host, so this never feeds the (deterministic)
-/// metrics snapshot.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HostPhases {
-    /// Seconds in the parallel walk (prefetch + speculation).
-    pub walk_secs: f64,
-    /// Seconds in the serial barrier commit of speculated runs.
-    pub commit_secs: f64,
-    /// Seconds in the serial replay loop.
-    pub replay_secs: f64,
-    /// Seconds in everything else — epoch scheduling, queue builds, tick
-    /// catch-up, hook dispatch at the barrier.
-    pub barrier_secs: f64,
-    /// Total seconds inside `run()`.
-    pub total_secs: f64,
-}
-
-impl HostPhases {
-    /// The replay phase's share of the total wall, in [0, 1].
-    pub fn replay_share(&self) -> f64 {
-        if self.total_secs <= 0.0 {
-            0.0
-        } else {
-            self.replay_secs / self.total_secs
-        }
-    }
 }
 
 /// Internal PCs for the engine's own lock/barrier memory traffic (the
@@ -340,31 +166,7 @@ pub struct EngineCore {
     root: Option<Pid>,
     internal_pcs: InternalPcs,
     ops: u64,
-    par: ParStats,
-    /// Thread indexes whose clock or runnability changed since the replay
-    /// loop last cleared this — the calendar queue's reinsertion set.
-    /// Recording is append-only and deduplication-free (the queue's lazy
-    /// validation discards duplicates); hooks feed it transparently
-    /// through [`EngineCtl::add_cycles`] / [`EngineCtl::add_cycles_all`].
-    touched: Vec<usize>,
-    /// Per-line affinity history: the last core to touch each physical
-    /// line, and how many times the toucher has alternated (saturating).
-    /// The walk's private classification permanently refuses lines with
-    /// [`AFFINITY_STICKY`] or more alternations: "has only ever belonged
-    /// to one core, modulo a single init handoff" is the *sustained*
-    /// thread-isolation property the instantaneous sole-holder probe
-    /// cannot express — and unlike any windowed HITM-recency test, it
-    /// cannot be aged out by the long quiet sprints that speculative
-    /// batching itself creates on a falsely-shared line. Repair remaps
-    /// contended words to fresh frames, whose lines start clean.
-    line_affinity: HashMap<u64, (u8, u8)>,
 }
-
-/// Alternation count at which a line becomes permanently non-speculable
-/// (see [`EngineCore::line_affinity`]). Two alternations distinguish a
-/// one-shot init handoff (main thread populates, owner consumes — one
-/// alternation, still speculable) from taking turns.
-const AFFINITY_STICKY: u8 = 2;
 
 impl EngineCore {
     /// The engine's internal PCs (for tests and detectors).
@@ -372,48 +174,18 @@ impl EngineCore {
         self.internal_pcs
     }
 
-    /// Records a coherent access for the per-line affinity history (see
-    /// [`Self::line_affinity`]). Covers both lines of a line-crossing
-    /// access; uncached (emulated) accesses never call this, since they
-    /// bypass the coherence fabric entirely.
-    fn note_affinity(&mut self, core_id: usize, paddr: PhysAddr, width: Width) {
-        let first = paddr.line().raw();
-        let last = PhysAddr::new(paddr.raw() + (width.bytes() - 1))
-            .line()
-            .raw();
-        for line in [first, last] {
-            let e = self.line_affinity.entry(line).or_insert((core_id as u8, 0));
-            if e.0 != core_id as u8 {
-                e.0 = core_id as u8;
-                e.1 = e.1.saturating_add(1);
-            }
-            if first == last {
-                break;
-            }
-        }
-    }
-
     /// Registers the engine-owned counters (machine and OS layers) into a
     /// metrics sink under the `machine.` and `os.` prefixes, plus the
     /// fast-path accelerator counters under `machine.dir.` (sharer/owner
     /// directory) and `os.tlb.` (software TLBs, summed across address
-    /// spaces), plus the epoch-parallel stepping counters under
-    /// `sim.par.`. The accelerator counters are purely observational: they
+    /// spaces). The accelerator counters are purely observational: they
     /// measure absorbed snoops and short-circuited page walks, never a
-    /// behavioral difference. The `sim.par.` counters are deterministic
-    /// functions of the epoch schedule, identical at every host thread
-    /// count.
+    /// behavioral difference.
     pub fn collect_metrics(&self, sink: &mut tmi_telemetry::MetricSink) {
         sink.source("machine", self.machine.stats());
         sink.source("machine.dir", self.machine.dir_stats());
         sink.source("os", self.kernel.stats());
         sink.source("os.tlb", &self.kernel.tlb_stats());
-        sink.source("sim.par", &self.par);
-    }
-
-    /// The epoch-parallel stepping counters accumulated so far.
-    pub fn par_stats(&self) -> &ParStats {
-        &self.par
     }
 
     /// The engine configuration.
@@ -446,14 +218,12 @@ impl EngineCtl for EngineCore {
     fn add_cycles(&mut self, tid: Tid, cycles: u64) {
         let i = self.thread_index(tid);
         self.threads[i].clock += cycles;
-        self.touched.push(i);
     }
 
     fn add_cycles_all(&mut self, cycles: u64) {
-        for (i, t) in self.threads.iter_mut().enumerate() {
+        for t in &mut self.threads {
             if t.state != ThreadState::Done {
                 t.clock += cycles;
-                self.touched.push(i);
             }
         }
     }
@@ -472,68 +242,6 @@ impl EngineCtl for EngineCore {
     }
 }
 
-/// Read-only kernel handle shared with the epoch-walk workers.
-///
-/// `Kernel` is not `Sync` solely because each address space's software
-/// TLB keeps its slots and counters in `Cell`s. The walk never goes near
-/// them: it reaches the kernel exclusively through `thread_aspace`,
-/// `peek_translate` (which bypasses the TLB by construction — that is its
-/// whole point) and `physmem()` byte reads, all `&self` methods that
-/// touch no `Cell`.
-struct KernelView<'a>(&'a Kernel);
-
-// SAFETY: the view is only shared inside `std::thread::scope` in
-// `prefetch_epoch`, while the engine thread (the kernel's unique owner)
-// is blocked joining the scope, and the workers restrict themselves to
-// the `Cell`-free read paths listed above — so no interior-mutable state
-// in the kernel is ever accessed from two threads.
-unsafe impl Sync for KernelView<'_> {}
-
-/// Shared read-only context for the epoch-walk workers.
-struct WalkEnv<'a> {
-    machine: &'a Machine,
-    kernel: KernelView<'a>,
-    lat: LatencyModel,
-    /// This round's speculation gate (tuning knob ∧ runtime promise ∧
-    /// precise TLB shootdowns), re-sampled at every walk round.
-    speculate: bool,
-    /// Test-only: classify, then demote instead of buffering.
-    force_demotions: bool,
-    /// True only on an epoch's first round: a thread waiting on a parked
-    /// op counts one `barrier_stalls` per epoch, not one per round.
-    count_stalls: bool,
-    /// Physical lines targeted by currently-parked ops. Another thread is
-    /// stuck at the barrier *right now* waiting to touch these, so no run
-    /// may claim them: a sole holder speculating past a parked rival
-    /// would commit its whole remaining stretch as local hits and batch
-    /// away the very contention — the per-access HITM stream — that the
-    /// machine model and the TMI detector exist to observe.
-    parked_lines: Vec<u64>,
-    /// The engine's per-line affinity history (frozen during the walk).
-    affinity: &'a HashMap<u64, (u8, u8)>,
-}
-
-/// The memory target of a parked op when it replays: address and width.
-/// Sync ops name their lock/barrier object, which lives in simulated
-/// memory and can itself falsely share (spinlockpool). `None` for ops
-/// with no data target (compute, fences, asm markers, VM ops, exit).
-fn op_target(op: &Op) -> Option<(VAddr, u64)> {
-    Some(match *op {
-        Op::Load { addr, width, .. }
-        | Op::Store { addr, width, .. }
-        | Op::AtomicLoad { addr, width, .. }
-        | Op::AtomicStore { addr, width, .. }
-        | Op::AtomicRmw { addr, width, .. }
-        | Op::Cas { addr, width, .. } => (addr, width.bytes()),
-        Op::MutexLock { lock }
-        | Op::MutexUnlock { lock }
-        | Op::SpinLock { lock }
-        | Op::SpinUnlock { lock } => (lock, 8),
-        Op::BarrierWait { barrier } => (barrier, 8),
-        _ => return None,
-    })
-}
-
 enum DataAction {
     Read,
     Write(u64),
@@ -547,11 +255,6 @@ pub struct Engine<R: RuntimeHooks> {
     programs: Vec<Box<dyn ThreadProgram>>,
     runtime: R,
     trace: Option<Vec<TraceStep>>,
-    profile: Option<HostPhases>,
-    /// Host cores available to this process, sampled once at
-    /// construction — caps the walk fan-out of retry rounds (a
-    /// host-side dispatch decision; see [`Engine::prefetch_epoch`]).
-    host_cores: usize,
 }
 
 impl<R: RuntimeHooks> Engine<R> {
@@ -581,15 +284,10 @@ impl<R: RuntimeHooks> Engine<R> {
                 root: None,
                 internal_pcs,
                 ops: 0,
-                par: ParStats::default(),
-                touched: Vec::new(),
-                line_affinity: HashMap::new(),
             },
             programs: Vec::new(),
             runtime,
             trace: None,
-            profile: None,
-            host_cores: std::thread::available_parallelism().map_or(1, usize::from),
         }
     }
 
@@ -654,20 +352,6 @@ impl<R: RuntimeHooks> Engine<R> {
         self.trace.take().unwrap_or_default()
     }
 
-    /// Enables host-wall phase attribution for the next [`Self::run`]
-    /// (see [`HostPhases`]). Purely observational — it cannot change any
-    /// simulated outcome — but the per-phase clock reads cost a little
-    /// host time, so it is off by default.
-    pub fn enable_host_profile(&mut self) {
-        self.profile = Some(HostPhases::default());
-    }
-
-    /// Takes the accumulated host-phase profile, leaving profiling
-    /// disabled. `None` if [`Self::enable_host_profile`] was never called.
-    pub fn take_host_profile(&mut self) -> Option<HostPhases> {
-        self.profile.take()
-    }
-
     /// Creates the root application process around `aspace`. Must be
     /// called exactly once, before adding threads. The root process's
     /// initial kernel thread is *not* scheduled; only threads added via
@@ -701,10 +385,6 @@ impl<R: RuntimeHooks> Engine<R> {
             pending: OpResult::none(),
             asm_depth: 0,
             replay: None,
-            solo_core: false,
-            run: Vec::new(),
-            walk_barren: false,
-            serial_steps: 0,
         });
         self.programs.push(program);
         tid
@@ -717,45 +397,21 @@ impl<R: RuntimeHooks> Engine<R> {
     }
 
     /// Runs the simulation to completion, hang, or fault.
-    ///
-    /// The run is structured as fixed-quantum epochs (see the module
-    /// docs): a parallel walk that buffers compute and provably-private
-    /// memory ops, a serial barrier commit of the buffered runs, tick
-    /// catch-up, then the calendar-queue replay of everything that had to
-    /// serialize. The executed schedule, every observable, and the
-    /// `sim.par.*` counters are bit-identical at any
-    /// [`SimTuning::threads`] setting.
     pub fn run(&mut self) -> RunReport {
-        // A thread may speculate only if it is alone on its core: the
-        // private-line classification is per core, and one thread per
-        // core makes concurrent runs' line sets disjoint by construction.
-        {
-            let mut occupancy = vec![0usize; self.core.machine.cores()];
-            for t in &self.core.threads {
-                occupancy[t.core] += 1;
-            }
-            for t in &mut self.core.threads {
-                t.solo_core = occupancy[t.core] == 1;
-            }
-        }
         self.runtime.on_start(&mut self.core);
         let mut next_tick = self.core.config.tick_interval;
-        let quantum = self.core.config.tuning.quantum.max(1);
-        let profiling = self.profile.is_some();
-        let run_t0 = Instant::now();
-        let halt = 'run: loop {
-            // Epoch horizon: the oldest runnable clock plus one quantum.
-            // Conservative synchronization — nothing past the horizon runs
-            // before everything under it has serialized.
-            let oldest = match self
+        let halt = loop {
+            // Pick the runnable thread with the smallest clock.
+            let idx = match self
                 .core
                 .threads
                 .iter()
-                .filter(|t| t.state == ThreadState::Runnable)
-                .map(|t| t.clock)
-                .min()
+                .enumerate()
+                .filter(|(_, t)| t.state == ThreadState::Runnable)
+                .min_by_key(|(_, t)| t.clock)
+                .map(|(i, _)| i)
             {
-                Some(clock) => clock,
+                Some(i) => i,
                 None => {
                     if self
                         .core
@@ -768,151 +424,18 @@ impl<R: RuntimeHooks> Engine<R> {
                     break Halt::Hang; // deadlock
                 }
             };
-            let horizon = oldest.saturating_add(quantum);
-            self.core.par.epochs += 1;
-            for t in &mut self.core.threads {
-                t.walk_barren = false;
+            if let Err(e) = self.step(idx) {
+                break Halt::Fault(e);
             }
-            // One calendar queue serves every round of the epoch: clocks
-            // only move forward, so each round's pushes stay monotone and
-            // stale entries are lazily discarded by `pop_min`.
-            let mut queue = crate::sched::CalendarQueue::new(oldest, horizon);
-            let mut first_round = true;
-            // Rounds within the epoch: walk → commit → ticks → replay,
-            // repeated until the horizon. The replay loop hands control
-            // back to the walk whenever its frontier thread has no parked
-            // op left — only genuinely shared-fabric ops serialize.
-            loop {
-                // The speculation gate, re-sampled at each round boundary
-                // (at least once per epoch): the runtime's promise only
-                // has to hold until the next sample — an `on_tick` that
-                // just started a repair episode is seen here before the
-                // next walk — and a stale TLB (imprecise shootdowns)
-                // would let `peek_translate` and a replayed access
-                // disagree about a mapping.
-                let speculate = self.core.config.tuning.speculation
-                    && self.runtime.speculation_allowed()
-                    && self.core.kernel.tlb_shootdowns_precise();
-                // Forced demotions must reproduce the single-round
-                // (never-speculated) schedule exactly, so they also turn
-                // the round structure off.
-                let rounds = speculate && !self.core.config.tuning.force_demotions;
-                let t0 = profiling.then(Instant::now);
-                self.prefetch_epoch(horizon, speculate, first_round);
-                if let (Some(t0), Some(p)) = (t0, self.profile.as_mut()) {
-                    p.walk_secs += t0.elapsed().as_secs_f64();
-                }
-                first_round = false;
-                // Barrier commit: the buffered runs execute serially, in
-                // thread-index order, through the full dispatch path.
-                let t0 = profiling.then(Instant::now);
-                for idx in 0..self.core.threads.len() {
-                    if let Err(e) = self.commit_run(idx) {
-                        break 'run Halt::Fault(e);
-                    }
-                }
-                if let (Some(t0), Some(p)) = (t0, self.profile.as_mut()) {
-                    p.commit_secs += t0.elapsed().as_secs_f64();
-                }
-                // Budget and tick catch-up for the committed runs,
-                // strictly after the commit: `on_tick` may remap pages (a
-                // repair episode) and must never interleave with buffered
-                // state.
-                let now = self.core.now();
-                if now > self.core.config.max_cycles || self.core.ops > self.core.config.max_ops {
-                    break 'run Halt::Hang; // livelock / budget exhausted
-                }
-                while now >= next_tick {
-                    self.runtime.on_tick(&mut self.core, next_tick);
-                    next_tick += self.core.config.tick_interval;
-                }
-                // Serial replay: the sequential oldest-first schedule,
-                // bounded by the horizon, scheduled by the calendar
-                // queue. Re-push every runnable thread — the commits just
-                // moved clocks — and let lazy validation drop duplicates.
-                let t0 = profiling.then(Instant::now);
-                for (i, t) in self.core.threads.iter().enumerate() {
-                    if t.state == ThreadState::Runnable {
-                        queue.push(t.clock, i);
-                    }
-                }
-                let mut resume_walk = false;
-                loop {
-                    // Pick the runnable thread with the smallest clock.
-                    let threads = &self.core.threads;
-                    let Some(idx) = queue.pop_min(|i| {
-                        let t = &threads[i];
-                        (t.state == ThreadState::Runnable && t.clock < horizon).then_some(t.clock)
-                    }) else {
-                        // Epoch exhausted (or every thread blocked/done):
-                        // back to the barrier, where the outer loop
-                        // re-evaluates.
-                        break;
-                    };
-                    {
-                        let t = &self.core.threads[idx];
-                        if rounds
-                            && t.replay.is_none()
-                            && t.solo_core
-                            && t.asm_depth == 0
-                            && !t.walk_barren
-                        {
-                            // The frontier thread's parked op has drained
-                            // and its next ops are unfetched — that is the
-                            // walk's job, not the serial loop's.
-                            resume_walk = true;
-                            break;
-                        }
-                    }
-                    self.core.touched.clear();
-                    if let Err(e) = self.step(idx) {
-                        break 'run Halt::Fault(e);
-                    }
-                    let now = self.core.now();
-                    if now > self.core.config.max_cycles || self.core.ops > self.core.config.max_ops
-                    {
-                        break 'run Halt::Hang; // livelock / budget exhausted
-                    }
-                    while now >= next_tick {
-                        self.runtime.on_tick(&mut self.core, next_tick);
-                        next_tick += self.core.config.tick_interval;
-                    }
-                    // Barren retry ladder: after enough serial steps the
-                    // thread gets another shot at the walk.
-                    {
-                        let t = &mut self.core.threads[idx];
-                        if t.walk_barren {
-                            t.serial_steps += 1;
-                            if t.serial_steps >= RETRY_WALK_AFTER {
-                                t.walk_barren = false;
-                            }
-                        }
-                    }
-                    // Requeue the stepped thread plus everything the step
-                    // or a tick hook moved or woke (the touched set) —
-                    // after the tick loop, since `on_tick` moves clocks
-                    // too.
-                    self.core.touched.push(idx);
-                    for k in 0..self.core.touched.len() {
-                        let i = self.core.touched[k];
-                        let t = &self.core.threads[i];
-                        if t.state == ThreadState::Runnable {
-                            queue.push(t.clock, i);
-                        }
-                    }
-                }
-                if let (Some(t0), Some(p)) = (t0, self.profile.as_mut()) {
-                    p.replay_secs += t0.elapsed().as_secs_f64();
-                }
-                if !resume_walk {
-                    break;
-                }
+            let now = self.core.now();
+            if now > self.core.config.max_cycles || self.core.ops > self.core.config.max_ops {
+                break Halt::Hang; // livelock / cycle or op budget exhausted
+            }
+            while now >= next_tick {
+                self.runtime.on_tick(&mut self.core, next_tick);
+                next_tick += self.core.config.tick_interval;
             }
         };
-        if let Some(p) = self.profile.as_mut() {
-            p.total_secs = run_t0.elapsed().as_secs_f64();
-            p.barrier_secs = (p.total_secs - p.walk_secs - p.commit_secs - p.replay_secs).max(0.0);
-        }
         RunReport {
             halt,
             cycles: self.core.threads.iter().map(|t| t.clock).max().unwrap_or(0),
@@ -921,369 +444,6 @@ impl<R: RuntimeHooks> Engine<R> {
         }
     }
 
-    /// The parallel phase of an epoch: walk every runnable thread's
-    /// program ahead of the serial replay on up to
-    /// [`SimTuning::threads`] host workers, buffering compute ops and
-    /// (when `speculate`) speculatively-executed private memory ops, and
-    /// parking the first op that must serialize in the thread's replay
-    /// slot for the barrier.
-    ///
-    /// The walk is per-thread pure over frozen shared state: it moves
-    /// `ThreadProgram::next` calls earlier with exactly the argument
-    /// sequence the commit will reproduce, and its classification reads
-    /// (`peek_translate`, `line_private_to`, physical-memory bytes) are
-    /// side-effect-free snapshots of state nothing mutates during the
-    /// walk — so running it on 1 or N host threads cannot change any
-    /// simulated observable. Counter updates are summed in shard order,
-    /// so `sim.par.*` is deterministic too.
-    fn prefetch_epoch(&mut self, horizon: u64, speculate: bool, first_round: bool) {
-        // Workers beyond the round's eligible threads (runnable, below
-        // the horizon, no parked replay, not walk-barren) would spawn
-        // only to return immediately, so the fan-out is capped by that
-        // count — a host-side dispatch decision only. Every thread still
-        // passes through `walk_thread` regardless of the worker count, so
-        // the `sim.par.*` counters and the schedule are unaffected. The
-        // barren exclusion matters for wall time: the retry rounds the
-        // barren ladder triggers in contended phases usually have a
-        // single walkable thread, and spawning for the barren rest would
-        // pay a host thread spawn per round for no work.
-        let eligible = self
-            .core
-            .threads
-            .iter()
-            .filter(|t| {
-                t.state == ThreadState::Runnable
-                    && t.clock < horizon
-                    && t.replay.is_none()
-                    && !t.walk_barren
-            })
-            .count();
-        // Retry rounds fire often in mixed phases — one per replay drain
-        // — so their spawn cost must be bounded by actual host
-        // parallelism: a host with no spare core gains nothing from
-        // scoped workers and would pay a spawn+join per round (measured
-        // ~10x wall on a 1-core host before this cap). The first round
-        // of each epoch still honors the configured fan-out unclamped,
-        // so spawn count stays at most one per epoch everywhere and the
-        // multi-worker path is exercised at every `TMI_SIM_THREADS`.
-        let host_cap = if first_round {
-            usize::MAX
-        } else {
-            self.host_cores
-        };
-        let workers = self
-            .core
-            .config
-            .tuning
-            .threads
-            .min(self.core.threads.len())
-            .min(eligible.max(1))
-            .min(host_cap)
-            .max(1);
-        // Collect the lines named by every parked op (see
-        // `WalkEnv::parked_lines`). Read-intent peeks are enough to name
-        // the current frame; a parked access that would COW-redirect is
-        // serial regardless, and an unresolvable translation will fault
-        // at replay, not commit speculatively.
-        let mut parked_lines: Vec<u64> = Vec::new();
-        if speculate {
-            for t in &self.core.threads {
-                let Some((addr, bytes)) = t.replay.as_ref().and_then(op_target) else {
-                    continue;
-                };
-                let aspace = self.core.kernel.thread_aspace(t.tid);
-                for a in [addr, addr.offset(bytes.saturating_sub(1))] {
-                    if let Some(pa) = self.core.kernel.peek_translate(aspace, a, false) {
-                        let line = pa.line().raw();
-                        if !parked_lines.contains(&line) {
-                            parked_lines.push(line);
-                        }
-                    }
-                }
-            }
-        }
-        let env = WalkEnv {
-            machine: &self.core.machine,
-            kernel: KernelView(&self.core.kernel),
-            lat: *self.core.machine.latency(),
-            speculate,
-            force_demotions: self.core.config.tuning.force_demotions,
-            count_stalls: first_round,
-            parked_lines,
-            affinity: &self.core.line_affinity,
-        };
-        let mut pairs: Vec<(&mut ThreadCtx, &mut Box<dyn ThreadProgram>)> = self
-            .core
-            .threads
-            .iter_mut()
-            .zip(self.programs.iter_mut())
-            .collect();
-        let fetched = if workers == 1 {
-            let mut stats = ParStats::default();
-            for (t, prog) in &mut pairs {
-                Self::walk_thread(t, prog.as_mut(), horizon, &env, &mut stats);
-            }
-            stats
-        } else {
-            let chunk = pairs.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let env = &env;
-                let handles: Vec<_> = pairs
-                    .chunks_mut(chunk)
-                    .map(|shard| {
-                        scope.spawn(move || {
-                            let mut stats = ParStats::default();
-                            for (t, prog) in shard {
-                                Self::walk_thread(t, prog.as_mut(), horizon, env, &mut stats);
-                            }
-                            stats
-                        })
-                    })
-                    .collect();
-                // Joining in spawn order keeps the sum order fixed (the
-                // counters are commutative sums anyway; the order
-                // discipline is belt-and-suspenders).
-                let mut stats = ParStats::default();
-                for h in handles {
-                    stats.absorb(h.join().expect("prefetch worker panicked"));
-                }
-                stats
-            })
-        };
-        self.core.par.absorb(fetched);
-    }
-
-    /// Walks one thread's program ahead of the replay for the current
-    /// epoch, buffering its run. Static so host workers can run it
-    /// without borrowing the whole engine.
-    fn walk_thread(
-        t: &mut ThreadCtx,
-        prog: &mut dyn ThreadProgram,
-        horizon: u64,
-        env: &WalkEnv<'_>,
-        stats: &mut ParStats,
-    ) {
-        /// Buffered-op cap per thread per epoch, bounding walk memory for
-        /// degenerate all-compute programs. Deterministic constant, sized
-        /// above `quantum / local_hit` (100_000 / 4 = 25_000) so that for
-        /// real workloads the epoch horizon — not this cap — ends the run;
-        /// a cap below that line silently serializes the tail of every
-        /// all-private epoch into the replay loop.
-        const MAX_PREFETCH: usize = 32_768;
-        if t.state != ThreadState::Runnable || t.clock >= horizon {
-            return;
-        }
-        if t.replay.is_some() {
-            // A shared-fabric op parked in an earlier epoch has not
-            // serialized yet; the program must not run ahead of it.
-            // Counted once per epoch (first round), not once per round.
-            if env.count_stalls {
-                stats.barrier_stalls += 1;
-            }
-            return;
-        }
-        if t.walk_barren {
-            // Mid-contended-stretch: the thread is pinned to the serial
-            // replay until the retry ladder clears the flag (see
-            // `RETRY_WALK_AFTER`), so later rounds don't re-fetch and
-            // re-park one op per round.
-            return;
-        }
-        debug_assert!(t.run.is_empty(), "barrier commit leaked a run");
-        let speculate = env.speculate && t.solo_core && t.asm_depth == 0;
-        let aspace = env.kernel.0.thread_aspace(t.tid);
-        // This run's own stores, as a byte overlay over physical memory
-        // (value prediction source), and the projected MESI state of each
-        // line the run has claimed (latency projection source). Both maps
-        // allocate lazily — compute-only walks never touch them.
-        let mut overlay: HashMap<u64, u8> = HashMap::new();
-        let mut lines: HashMap<u64, MesiState> = HashMap::new();
-        let mut projected = t.clock;
-        while t.run.len() < MAX_PREFETCH && projected < horizon {
-            let pending = std::mem::take(&mut t.pending);
-            let op = prog.next(pending);
-            match op {
-                Op::Compute { cycles } => {
-                    projected += cycles;
-                    t.run.push((op, None));
-                    stats.prefetched_ops += 1;
-                }
-                Op::Load { addr, width, .. } | Op::Store { addr, width, .. } if speculate => {
-                    let store_value = match op {
-                        Op::Store { value, .. } => Some(value),
-                        _ => None,
-                    };
-                    let Some((paddr, state)) = Self::classify_private(
-                        env,
-                        t.core,
-                        aspace,
-                        addr,
-                        width,
-                        store_value.is_some(),
-                        &lines,
-                    ) else {
-                        t.replay = Some(op);
-                        stats.conflicts += 1;
-                        break;
-                    };
-                    if env.force_demotions {
-                        // Test-only demotion injection: the classification
-                        // ran, but the run falls back to the replay loop —
-                        // byte-identical to a never-speculated epoch.
-                        t.replay = Some(op);
-                        stats.demotions += 1;
-                        stats.conflicts += 1;
-                        break;
-                    }
-                    let n = width.bytes() as usize;
-                    let predicted = if let Some(value) = store_value {
-                        let bytes = value.to_le_bytes();
-                        for (i, b) in bytes[..n].iter().enumerate() {
-                            overlay.insert(paddr.raw() + i as u64, *b);
-                        }
-                        None
-                    } else {
-                        let pm = env.kernel.0.physmem();
-                        let mut bytes = [0u8; 8];
-                        for (i, b) in bytes[..n].iter_mut().enumerate() {
-                            let a = paddr.raw() + i as u64;
-                            *b = overlay
-                                .get(&a)
-                                .copied()
-                                .unwrap_or_else(|| pm.read_byte(PhysAddr::new(a)));
-                        }
-                        let v = u64::from_le_bytes(bytes);
-                        t.pending = OpResult { value: Some(v) };
-                        Some(v)
-                    };
-                    // Latency projection, mirrored exactly by the commit:
-                    // every speculated access is a private-cache hit; the
-                    // only coherence cost left is the upgrade (invalidate
-                    // round) of the first store to a Shared-state line.
-                    let latency = if store_value.is_some() && state == MesiState::Shared {
-                        env.lat.local_hit + env.lat.invalidate
-                    } else {
-                        env.lat.local_hit
-                    };
-                    let next_state = if store_value.is_some() {
-                        MesiState::Modified
-                    } else {
-                        state
-                    };
-                    lines.insert(paddr.line().raw(), next_state);
-                    projected += latency;
-                    t.run.push((op, predicted));
-                    stats.speculated_ops += 1;
-                }
-                _ => {
-                    t.replay = Some(op);
-                    stats.conflicts += 1;
-                    break;
-                }
-            }
-        }
-        if t.run.is_empty() && t.replay.is_some() {
-            // The very first fetched op parked: this frontier is in a
-            // contended (or non-speculable) phase, so keep the thread in
-            // the serial loop for a while instead of walking one op at a
-            // time (see `RETRY_WALK_AFTER`).
-            t.walk_barren = true;
-            t.serial_steps = 0;
-        }
-    }
-
-    /// Decides whether one access may execute speculatively: returns its
-    /// physical address and the MESI state its line will be in when the
-    /// run commits, or `None` if the access must serialize.
-    ///
-    /// Everything consulted is a side-effect-free read of state that is
-    /// frozen for the duration of the walk, and none of it varies with
-    /// the fast-path accelerator mode — the two properties the
-    /// determinism contract rests on.
-    fn classify_private(
-        env: &WalkEnv<'_>,
-        core: usize,
-        aspace: tmi_os::AsId,
-        vaddr: VAddr,
-        width: Width,
-        is_write: bool,
-        lines: &HashMap<u64, MesiState>,
-    ) -> Option<(PhysAddr, MesiState)> {
-        // Line-crossing accesses take the slow split path; a same-line
-        // access is also same-page, so one translation covers it.
-        if vaddr.line_offset() + width.bytes() > LINE_SIZE {
-            return None;
-        }
-        // The translation must already be resolvable without a fault
-        // (present, writable if needed) — `peek_translate` walks the page
-        // table without touching the TLB or any counter.
-        let paddr = env.kernel.0.peek_translate(aspace, vaddr, is_write)?;
-        let line = paddr.line();
-        // A line a parked rival is waiting on is contended by definition,
-        // whatever the coherence state says (checked before the run's own
-        // claims: a parked line can never have been claimed, because this
-        // veto already held when the claim would have been made).
-        if env.parked_lines.contains(&line.raw()) {
-            return None;
-        }
-        // A line that cores have taken turns touching is contended for
-        // the rest of the run, however quiet it looks at this instant
-        // (see `EngineCore::line_affinity`).
-        if env
-            .affinity
-            .get(&line.raw())
-            .is_some_and(|&(_, alt)| alt >= AFFINITY_STICKY)
-        {
-            return None;
-        }
-        // A line this run already claimed stays private for the rest of
-        // the run (nothing else executes during the walk); otherwise ask
-        // the machine for sole-held-and-HITM-quiet.
-        let state = match lines.get(&line.raw()) {
-            Some(&s) => s,
-            None => env.machine.line_private_to(core, line)?,
-        };
-        Some((paddr, state))
-    }
-
-    /// The barrier commit of one thread's buffered run: every op executes
-    /// serially through the full dispatch path ([`Self::dispatch_op`] —
-    /// hooks, translation, coherent cache access, data), in thread-index
-    /// order across threads. Private classification makes the runs' line
-    /// sets disjoint, so the commit reproduces the walk's projection
-    /// exactly; every predicted value is asserted against the executed
-    /// one, and a mismatch is an engine bug, not a recoverable event.
-    fn commit_run(&mut self, idx: usize) -> Result<(), OsError> {
-        if self.core.threads[idx].run.is_empty() {
-            return Ok(());
-        }
-        let run = std::mem::take(&mut self.core.threads[idx].run);
-        // Stash the pending result the walk ended with: `none()` when the
-        // run ended in a parked op (whose fetch consumed the last value),
-        // or the final op's predicted value when it ended at the horizon.
-        // The dispatches below rebuild per-op values for the trace; the
-        // walk's final state is restored afterwards so the next fetch —
-        // wherever it happens — sees exactly what the program expects.
-        let walk_pending = std::mem::take(&mut self.core.threads[idx].pending);
-        for (op, predicted) in run {
-            self.core.threads[idx].pending = OpResult::none();
-            self.dispatch_op(idx, op)?;
-            if let Some(p) = predicted {
-                let produced = self.core.threads[idx].pending.value;
-                assert_eq!(
-                    produced,
-                    Some(p),
-                    "speculated value mismatch on thread {idx}: predicted {p:#x}, got {produced:?}"
-                );
-            }
-        }
-        self.core.threads[idx].pending = walk_pending;
-        Ok(())
-    }
-
-    /// One serial step of thread `idx`: fetch (the parked replay op if
-    /// any, else the program's next op against the pending result), then
-    /// dispatch.
     fn step(&mut self, idx: usize) -> Result<(), OsError> {
         // One thread-slot borrow for the whole dispatch header instead of
         // re-indexing `threads[idx]` per field.
@@ -1295,14 +455,6 @@ impl<R: RuntimeHooks> Engine<R> {
             Some(op) => op,
             None => self.programs[idx].next(pending),
         };
-        self.dispatch_op(idx, op)
-    }
-
-    /// Executes one already-fetched op for thread `idx` through the full
-    /// normal path — hooks, translation, coherent cache access, data —
-    /// and records the trace step. Shared by the serial [`Self::step`]
-    /// and the barrier commit of speculated runs ([`Self::commit_run`]).
-    fn dispatch_op(&mut self, idx: usize, op: Op) -> Result<(), OsError> {
         self.core.ops += 1;
         let lat = *self.core.machine.latency();
         match op {
@@ -1578,9 +730,7 @@ impl<R: RuntimeHooks> Engine<R> {
                 level: tmi_machine::coherence::ServiceLevel::Local,
             }
         } else {
-            let out = self.core.machine.access(core_id, paddr, kind, width);
-            self.core.note_affinity(core_id, paddr, width);
-            out
+            self.core.machine.access(core_id, paddr, kind, width)
         };
         self.core.threads[idx].clock += outcome.latency;
 
@@ -1672,7 +822,6 @@ impl<R: RuntimeHooks> Engine<R> {
                 let ni = self.core.thread_index(next);
                 self.core.threads[ni].clock = self.core.threads[ni].clock.max(wake_at);
                 self.core.threads[ni].state = ThreadState::Runnable;
-                self.core.touched.push(ni);
             }
             None => m.owner = None,
         }
@@ -1747,7 +896,6 @@ impl<R: RuntimeHooks> Engine<R> {
                 let i = self.core.thread_index(t);
                 self.core.threads[i].clock = self.core.threads[i].clock.max(open_at);
                 self.core.threads[i].state = ThreadState::Runnable;
-                self.core.touched.push(i);
             }
         } else {
             self.core.threads[idx].state = ThreadState::BlockedBarrier(barrier);
@@ -1823,7 +971,7 @@ mod tests {
         e.add_thread(Box::new(prog));
         let r = e.run();
         assert!(r.completed(), "{:?}", r.halt);
-        assert_eq!(log.lock().unwrap().as_slice(), &[None, Some(1234)]);
+        assert_eq!(log.borrow().as_slice(), &[None, Some(1234)]);
         assert!(r.cycles > 0);
         assert_eq!(r.ops, 3); // store, load, exit
     }
@@ -1855,7 +1003,7 @@ mod tests {
         e.add_thread(Box::new(reader));
         let r = e.run();
         assert!(r.completed());
-        assert_eq!(rlog.lock().unwrap()[1], Some(7));
+        assert_eq!(rlog.borrow()[1], Some(7));
     }
 
     #[test]
@@ -1998,7 +1146,7 @@ mod tests {
         assert!(r.completed());
         let _ = aspace;
         for (i, log) in logs.iter().enumerate() {
-            let l = log.lock().unwrap();
+            let l = log.borrow();
             let a = l[2].unwrap();
             let b = l[3].unwrap();
             let expect_a = ((i as u64 + 1) % 3) + 1;
@@ -2260,241 +1408,5 @@ mod tests {
         let costs = CostModel::standard();
         assert!(r.cycles >= costs.cow_base, "COW cost charged");
         assert_eq!(e.core().kernel.stats().cow_breaks, 1);
-    }
-
-    /// The epoch-parallel run must be bit-identical to the sequential
-    /// path: same schedule, same values, same clocks, same `sim.par.*`
-    /// counters — at every host thread count.
-    #[test]
-    fn host_thread_count_never_changes_observables() {
-        let run = |host_threads: usize| {
-            let mut cfg = EngineConfig::with_cores(4);
-            cfg.tuning = crate::SimTuning::with_threads(host_threads);
-            let mut e = Engine::new(cfg, NullRuntime);
-            let obj = e.core_mut().kernel.create_object(64 * FRAME_SIZE);
-            let aspace = e.core_mut().kernel.create_aspace();
-            e.core_mut()
-                .kernel
-                .map(
-                    aspace,
-                    MapRequest::object(VAddr::new(0x10000), 64 * FRAME_SIZE, obj, 0),
-                )
-                .unwrap();
-            e.create_root_process(aspace);
-            let st = e
-                .core_mut()
-                .code
-                .instr("par::st", InstrKind::Store, Width::W8);
-            let ld = e
-                .core_mut()
-                .code
-                .instr("par::ld", InstrKind::Load, Width::W8);
-            let lock = VAddr::new(0x10000);
-            e.enable_trace();
-            // Mixed compute/memory/sync programs with enough compute to
-            // span several 100k-cycle epochs per thread.
-            for i in 0..4u64 {
-                let mut ops = Vec::new();
-                for j in 0..20u64 {
-                    ops.push(Op::Compute {
-                        cycles: 10_000 + i * 1_000 + j * 77,
-                    });
-                    ops.push(Op::SpinLock { lock });
-                    ops.push(Op::Store {
-                        pc: st,
-                        addr: VAddr::new(0x10100 + (i % 2) * 8),
-                        width: Width::W8,
-                        value: i * 100 + j,
-                    });
-                    ops.push(Op::Load {
-                        pc: ld,
-                        addr: VAddr::new(0x10100 + ((i + 1) % 2) * 8),
-                        width: Width::W8,
-                    });
-                    ops.push(Op::SpinUnlock { lock });
-                }
-                e.add_thread(Box::new(SequenceProgram::new(ops)));
-            }
-            let r = e.run();
-            assert!(r.completed(), "{:?}", r.halt);
-            let par = *e.core().par_stats();
-            assert!(par.epochs > 1, "multi-epoch run expected");
-            assert!(par.prefetched_ops > 0, "compute runs were prefetched");
-            (r.cycles, r.thread_cycles, r.ops, e.take_trace(), par)
-        };
-        let baseline = run(1);
-        for host_threads in [2, 4, 8] {
-            assert_eq!(run(host_threads), baseline, "threads={host_threads}");
-        }
-    }
-
-    /// A private-per-thread workload: each thread stores and reloads its
-    /// own cache lines with interleaved compute. After the first touches
-    /// fault the pages in, every later access hits a sole-held,
-    /// HITM-quiet line — exactly what the walk may speculate.
-    fn private_workload(e: &mut Engine<NullRuntime>, threads: u64, rounds: u64) {
-        let st = pc(e, "spec::st", InstrKind::Store, Width::W8);
-        let ld = pc(e, "spec::ld", InstrKind::Load, Width::W8);
-        for i in 0..threads {
-            let base = 0x10000 + 0x400 * (i + 1);
-            let mut ops = Vec::new();
-            for j in 0..rounds {
-                ops.push(Op::Compute {
-                    cycles: 900 + i * 37 + j * 11,
-                });
-                ops.push(Op::Store {
-                    pc: st,
-                    addr: VAddr::new(base + (j % 4) * 64),
-                    width: Width::W8,
-                    value: i * 10_000 + j,
-                });
-                ops.push(Op::Load {
-                    pc: ld,
-                    addr: VAddr::new(base + (j % 4) * 64),
-                    width: Width::W8,
-                });
-            }
-            e.add_thread(Box::new(SequenceProgram::new(ops)));
-        }
-    }
-
-    #[test]
-    fn private_memory_ops_speculate_in_the_walk() {
-        let (mut e, aspace) = engine(2);
-        private_workload(&mut e, 2, 200);
-        let r = e.run();
-        assert!(r.completed(), "{:?}", r.halt);
-        let par = *e.core().par_stats();
-        assert!(par.epochs > 1, "multi-epoch run expected");
-        assert!(
-            par.speculated_ops > 400,
-            "private stores and loads should speculate: {par:?}"
-        );
-        assert_eq!(par.demotions, 0, "organic demotions are impossible");
-        // The speculated stores really landed: the last value per slot.
-        for i in 0..2u64 {
-            let base = 0x10000 + 0x400 * (i + 1);
-            let v = e
-                .core_mut()
-                .kernel
-                .force_read(aspace, VAddr::new(base + 3 * 64), Width::W8)
-                .unwrap();
-            assert_eq!(v, i * 10_000 + 199);
-        }
-    }
-
-    /// The demotion path (satellite proof): an epoch whose speculative
-    /// runs are all demoted back to the replay loop must be byte-identical
-    /// — report, trace, and every non-demotion counter — to a run that
-    /// never speculated at all.
-    #[test]
-    fn forced_demotion_matches_no_speculation_exactly() {
-        let run = |tune: fn(crate::SimTuning) -> crate::SimTuning| {
-            let mut cfg = EngineConfig::with_cores(4);
-            cfg.tuning = tune(crate::SimTuning::sequential());
-            let mut e = Engine::new(cfg, NullRuntime);
-            let obj = e.core_mut().kernel.create_object(64 * FRAME_SIZE);
-            let aspace = e.core_mut().kernel.create_aspace();
-            e.core_mut()
-                .kernel
-                .map(
-                    aspace,
-                    MapRequest::object(VAddr::new(0x10000), 64 * FRAME_SIZE, obj, 0),
-                )
-                .unwrap();
-            e.create_root_process(aspace);
-            e.enable_trace();
-            private_workload(&mut e, 2, 120);
-            let r = e.run();
-            assert!(r.completed(), "{:?}", r.halt);
-            let par = *e.core().par_stats();
-            (r.cycles, r.thread_cycles, r.ops, e.take_trace(), par)
-        };
-        let demoted = run(|t| crate::SimTuning {
-            force_demotions: true,
-            ..t
-        });
-        let plain = run(|t| t.without_speculation());
-        assert!(demoted.4.demotions > 0, "demotion path never exercised");
-        assert_eq!(plain.4.demotions, 0);
-        assert_eq!(demoted.0, plain.0, "cycles diverged");
-        assert_eq!(demoted.1, plain.1, "thread clocks diverged");
-        assert_eq!(demoted.2, plain.2, "op counts diverged");
-        assert_eq!(demoted.3, plain.3, "traces diverged");
-        assert_eq!(
-            (
-                demoted.4.epochs,
-                demoted.4.prefetched_ops,
-                demoted.4.barrier_stalls,
-                demoted.4.conflicts,
-                demoted.4.speculated_ops,
-            ),
-            (
-                plain.4.epochs,
-                plain.4.prefetched_ops,
-                plain.4.barrier_stalls,
-                plain.4.conflicts,
-                plain.4.speculated_ops,
-            ),
-            "schedule counters diverged"
-        );
-    }
-
-    /// Speculation at any host worker count produces the identical run —
-    /// the same contract `host_thread_count_never_changes_observables`
-    /// pins for the compute-only walk, on a workload where the walk
-    /// actually speculates memory ops (and barriers create wakes for the
-    /// calendar-queue replay to schedule).
-    #[test]
-    fn speculated_runs_are_identical_at_any_host_thread_count() {
-        let run = |host_threads: usize| {
-            let mut cfg = EngineConfig::with_cores(4);
-            cfg.tuning = crate::SimTuning::with_threads(host_threads);
-            let mut e = Engine::new(cfg, NullRuntime);
-            let obj = e.core_mut().kernel.create_object(64 * FRAME_SIZE);
-            let aspace = e.core_mut().kernel.create_aspace();
-            e.core_mut()
-                .kernel
-                .map(
-                    aspace,
-                    MapRequest::object(VAddr::new(0x10000), 64 * FRAME_SIZE, obj, 0),
-                )
-                .unwrap();
-            e.create_root_process(aspace);
-            let st = e
-                .core_mut()
-                .code
-                .instr("mix::st", InstrKind::Store, Width::W8);
-            let barrier = VAddr::new(0x10000);
-            e.enable_trace();
-            for i in 0..4u64 {
-                let base = 0x10000 + 0x400 * (i + 1);
-                let mut ops = Vec::new();
-                for j in 0..60u64 {
-                    ops.push(Op::Compute {
-                        cycles: 2_000 + i * 131 + j * 17,
-                    });
-                    ops.push(Op::Store {
-                        pc: st,
-                        addr: VAddr::new(base + (j % 3) * 64),
-                        width: Width::W8,
-                        value: i * 1_000 + j,
-                    });
-                    if j % 20 == 19 {
-                        ops.push(Op::BarrierWait { barrier });
-                    }
-                }
-                e.add_thread(Box::new(SequenceProgram::new(ops)));
-            }
-            let r = e.run();
-            assert!(r.completed(), "{:?}", r.halt);
-            let par = *e.core().par_stats();
-            assert!(par.speculated_ops > 0, "workload never speculated");
-            (r.cycles, r.thread_cycles, r.ops, e.take_trace(), par)
-        };
-        let baseline = run(1);
-        for host_threads in [2, 4, 8] {
-            assert_eq!(run(host_threads), baseline, "threads={host_threads}");
-        }
     }
 }

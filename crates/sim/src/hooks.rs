@@ -201,40 +201,13 @@ pub trait RuntimeHooks {
     /// Periodic callback at the engine's tick interval (the detection
     /// thread's 1 Hz analysis pass, scaled).
     fn on_tick(&mut self, ctl: &mut dyn EngineCtl, now: u64) {}
-
-    /// Whether the engine may speculatively execute provably-private
-    /// memory ops in its parallel prefetch phase right now.
-    ///
-    /// Returning `true` is a *promise about the near future*: for as long
-    /// as this stays `true`, [`RuntimeHooks::pre_access`] returns
-    /// `PreAccess::default()` (normal route, zero extra cycles) for every
-    /// plain non-atomic access, and the runtime performs no page
-    /// remapping, twinning, or protection changes outside
-    /// [`RuntimeHooks::on_tick`] / the VM-op and fault hooks — which the
-    /// engine only invokes between epochs or on parked (replayed) ops.
-    /// The engine re-samples the gate at every walk round — epochs
-    /// repeat walk/replay rounds, and `on_tick` only fires between
-    /// rounds — so a runtime entering a repair episode only has to
-    /// start answering `false` before its next `on_tick` returns.
-    ///
-    /// The default is `false` — an arbitrary runtime gets no speculation
-    /// until it explicitly opts in — so existing runtimes keep their exact
-    /// pre-speculation schedules.
-    fn speculation_allowed(&self) -> bool {
-        false
-    }
 }
 
 /// Plain pthreads execution: no monitoring, no repair.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullRuntime;
 
-impl RuntimeHooks for NullRuntime {
-    /// A runtime that never intervenes can always speculate.
-    fn speculation_allowed(&self) -> bool {
-        true
-    }
-}
+impl RuntimeHooks for NullRuntime {}
 
 impl tmi_telemetry::MetricSource for NullRuntime {
     fn metrics(&self, _out: &mut tmi_telemetry::MetricSink) {}

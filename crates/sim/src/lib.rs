@@ -39,16 +39,12 @@ pub mod config;
 pub mod cost;
 pub mod engine;
 pub mod hooks;
-pub mod sched;
 pub mod sync;
 
-pub use config::{FastPath, SimTuning};
+pub use config::FastPath;
 pub use cost::CostModel;
-pub use engine::{
-    Engine, EngineConfig, EngineCore, Halt, HostPhases, InternalPcs, ParStats, RunReport, TraceStep,
-};
+pub use engine::{Engine, EngineConfig, EngineCore, Halt, InternalPcs, RunReport, TraceStep};
 pub use hooks::{
     AccessInfo, EngineCtl, NullRuntime, PreAccess, RegionEvent, Route, RuntimeHooks, SyncEvent,
 };
-pub use sched::CalendarQueue;
 pub use sync::{BarrierState, MutexState, SyncTable};

@@ -67,7 +67,7 @@ fn cas_success_and_failure_semantics() {
     let log = prog.log();
     e.add_thread(Box::new(prog));
     assert!(e.run().completed());
-    assert_eq!(log.lock().unwrap().as_slice(), &[Some(5), Some(5), Some(9)]);
+    assert_eq!(log.borrow().as_slice(), &[Some(5), Some(5), Some(9)]);
     assert_eq!(
         e.core_mut()
             .kernel
@@ -104,7 +104,7 @@ fn atomic_load_returns_value_and_fence_costs_cycles() {
     e.add_thread(Box::new(prog));
     let r = e.run();
     assert!(r.completed());
-    assert_eq!(log.lock().unwrap()[0], Some(77));
+    assert_eq!(log.borrow()[0], Some(77));
     let fence_cost = e.core().machine.latency().fence;
     assert!(r.cycles >= fence_cost);
 }
@@ -133,7 +133,7 @@ fn narrow_rmw_wraps_at_width() {
     e.add_thread(Box::new(prog));
     assert!(e.run().completed());
     assert_eq!(
-        log.lock().unwrap()[0],
+        log.borrow()[0],
         Some(0xff),
         "RMW returns the previous value"
     );

@@ -205,19 +205,17 @@ impl Lcg {
 }
 
 /// A [`ThreadProgram`] built from a closure — the idiomatic way workloads
-/// express their per-thread state machines. The closure must be `Send`
-/// (as all program state must be) so the engine's epoch-parallel prefetch
-/// stage can walk it from a host worker thread.
-pub struct FnProgram<F: FnMut(OpResult) -> Op + Send>(F);
+/// express their per-thread state machines.
+pub struct FnProgram<F: FnMut(OpResult) -> Op>(F);
 
-impl<F: FnMut(OpResult) -> Op + Send> ThreadProgram for FnProgram<F> {
+impl<F: FnMut(OpResult) -> Op> ThreadProgram for FnProgram<F> {
     fn next(&mut self, last: OpResult) -> Op {
         (self.0)(last)
     }
 }
 
 /// Boxes a closure as a thread program.
-pub fn fn_program(f: impl FnMut(OpResult) -> Op + Send + 'static) -> Box<dyn ThreadProgram> {
+pub fn fn_program(f: impl FnMut(OpResult) -> Op + 'static) -> Box<dyn ThreadProgram> {
     Box::new(FnProgram(f))
 }
 

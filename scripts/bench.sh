@@ -3,7 +3,7 @@
 #
 #   scripts/bench.sh [--quick]
 #
-# Three parts:
+# Two parts:
 #
 # 1. **Equivalence gate** — `run_all --quick` once on the fast path and
 #    once with `TMI_FASTPATH=off` (software TLBs + sharer directory
@@ -14,20 +14,11 @@
 #    `os.tlb.*` / `machine.dir.*` counters (the only legitimate delta).
 #    Both wall times are captured for the report.
 #
-# 2. **Parallel-scaling gate** — `run_all --quick` at 1, 2, 4 and 8 host
-#    threads (`TMI_SIM_THREADS` shards each engine's cores across host
-#    workers; `TMI_BENCH_JOBS` sizes the cell executor to match). Every
-#    report must be byte-identical to the 1-thread run — the epoch-
-#    parallel engine is a wall-clock knob only — and the harness dumps
-#    must agree after masking host-timing fields. Wall times per thread
-#    count are captured for the report.
-#
-# 3. **Throughput report** — `bench_perf` times the memory-pipeline hot
+# 2. **Throughput report** — `bench_perf` times the memory-pipeline hot
 #    paths (cache hits, HITM ping-pong, 32-core snoop storm, kernel
 #    translation, one end-to-end experiment) fast vs reference and writes
-#    BENCH_perf.json, embedding the run_all wall times from part 1 and
-#    the parallel-scaling walls from part 2 (`sim/run_all_par{N}` cells).
-#    The JSON is then re-validated with `bench_perf --check`.
+#    BENCH_perf.json, embedding the run_all wall times from part 1. The
+#    JSON is then re-validated with `bench_perf --check`.
 #
 # `--quick` shrinks the bench_perf iteration counts (the run_all gate is
 # always --quick). CI runs `scripts/bench.sh --quick` via check.sh's
@@ -74,35 +65,6 @@ diff -u "$workdir/hr.json" "$workdir/hf.json" \
   || { echo "fast path changed BENCH_harness.json beyond its own counters"; exit 1; }
 echo "equivalence OK (fast ${fast_secs}s vs reference ${ref_secs}s)"
 
-echo "== parallel scaling: run_all --quick at 1/2/4/8 host threads"
-# Mask host-timing fields only: everything simulated — including the
-# sim.par.* epoch counters — must be byte-identical across shard counts.
-mask_host_time() {
-  sed -E -e 's/"host_seconds": [0-9.eE+-]+/"host_seconds": 0/' \
-         -e 's/"wall_seconds": [0-9.eE+-]+/"wall_seconds": 0/' \
-         -e 's/"pool_workers": [0-9]+/"pool_workers": 0/' "$1"
-}
-par_args=()
-for n in 1 2 4 8; do
-  p0=$(date +%s.%N)
-  (cd "$workdir" && TMI_BENCH_JOBS=$n TMI_SIM_THREADS=$n \
-    "$OLDPWD"/target/release/run_all --quick > "run_par$n.txt")
-  p1=$(date +%s.%N)
-  mv "$workdir/BENCH_harness.json" "$workdir/harness_par$n.json"
-  wall=$(awk "BEGIN{print $p1 - $p0}")
-  diff -u "$workdir/run_par1.txt" "$workdir/run_par$n.txt" \
-    || { echo "$n host threads changed run_all --quick output — sharding must be invisible"; exit 1; }
-  mask_host_time "$workdir/harness_par$n.json" > "$workdir/hp$n.json"
-  diff -u "$workdir/hp1.json" "$workdir/hp$n.json" \
-    || { echo "$n host threads changed BENCH_harness.json beyond host timing"; exit 1; }
-  grep -q '"sim.par.epochs"' "$workdir/harness_par$n.json" \
-    || { echo "BENCH_harness.json at $n host threads lacks sim.par.* counters"; exit 1; }
-  par_args+=(--par-wall "$n" "$wall")
-  echo "  $n host threads: ${wall}s"
-done
-echo "parallel scaling OK (byte-identical at 1/2/4/8 host threads)"
-
 echo "== throughput: bench_perf ${QUICK:-(full)}"
-target/release/bench_perf $QUICK --out BENCH_perf.json \
-  --run-all-wall "$fast_secs" "$ref_secs" "${par_args[@]}"
+target/release/bench_perf $QUICK --out BENCH_perf.json --run-all-wall "$fast_secs" "$ref_secs"
 target/release/bench_perf --check BENCH_perf.json

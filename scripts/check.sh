@@ -5,7 +5,7 @@
 #
 #   fmt      rustfmt, check-only (the tree must already be formatted)
 #   clippy   workspace lints, warnings are errors
-#   tier-1   release build + the root package's test suite
+#   tier-1   release build + every workspace crate's test suite
 #   smoke    run_all --quick, the in-process harness end to end, which
 #            also exercises the parallel executor and BENCH_harness.json;
 #            its report must byte-match tests/golden/run_all_quick.txt
@@ -23,31 +23,14 @@
 #   fastpath-env  the typed-config gate: the process environment is read
 #            exactly once, in crates/sim/src/config.rs; any other direct
 #            std::env::var("TMI_FASTPATH") read fails the gate (config
-#            flows through FastPath/SimTuning on EngineConfig)
+#            flows through FastPath on EngineConfig)
 #   bench-smoke  the fast-path wall-clock gate: the machine_throughput
 #            criterion benches (compile + a short measured run), then
 #            scripts/bench.sh --quick, which byte-diffs run_all --quick
 #            fast path vs TMI_FASTPATH=off (the accelerators must be
-#            behaviorally invisible), byte-diffs it again across 1/2/4/8
-#            host threads (TMI_SIM_THREADS sharding must be invisible)
-#            and emits + validates BENCH_perf.json (speedups there are
-#            advisory in CI; a malformed report or an equivalence
-#            failure is what fails)
-#   parallel the epoch-sharded engine gate: run_all --quick at
-#            TMI_SIM_THREADS=1 vs TMI_SIM_THREADS=8 must produce
-#            byte-identical reports, the harness dumps must agree after
-#            masking host-timing fields, and the sim.par.* counters must
-#            be present in the metric stream
-#   speculation  the speculative-prefetch gate, piggybacking on the
-#            parallel stage's fixed-seed artifacts: the quick suite must
-#            actually speculate (sim.par.speculated_ops > 0 — a silent
-#            classifier regression would otherwise pass every
-#            equivalence diff by speculating nothing), organic
-#            demotions must be zero (the conflict check is a safety
-#            net; any non-forced demotion means the private classifier
-#            lied, see DESIGN.md §12), and the sim.par.* counter values
-#            must be byte-identical across host thread counts (they are
-#            functions of the epoch schedule, not of host parallelism)
+#            behaviorally invisible) and emits + validates BENCH_perf.json
+#            (speedups there are advisory in CI; a malformed report or an
+#            equivalence failure is what fails)
 #   service  the job-server determinism proof: boot the tmi_serve daemon
 #            with the seeded service chaos plan (--service-faults 1,
 #            which kills a worker on every second pickup), drive the
@@ -104,7 +87,7 @@ stray=$(grep -rn --include='*.rs' 'env::var("TMI_FASTPATH")' crates src tests 2>
 
 echo "== tier-1 build + test"
 cargo build --release --workspace
-cargo test -q
+cargo test -q --workspace
 
 echo "== smoke: run_all --quick"
 smoke_dir=$(mktemp -d)
@@ -154,41 +137,6 @@ grep -q '"service.job"' "$smoke_dir/service_trace.json" \
 echo "== bench-smoke: throughput benches + fast-path equivalence"
 cargo bench -p tmi-bench --bench machine_throughput
 scripts/bench.sh --quick
-
-echo "== parallel: epoch-sharded engine must be byte-invisible"
-(cd "$smoke_dir" && TMI_SIM_THREADS=1 "$OLDPWD"/target/release/run_all --quick > par_w1.txt)
-mv "$smoke_dir/BENCH_harness.json" "$smoke_dir/par_h1.json"
-(cd "$smoke_dir" && TMI_SIM_THREADS=8 "$OLDPWD"/target/release/run_all --quick > par_w8.txt)
-mv "$smoke_dir/BENCH_harness.json" "$smoke_dir/par_h8.json"
-diff -u "$smoke_dir/par_w1.txt" "$smoke_dir/par_w8.txt" \
-  || { echo "8 host threads changed run_all --quick output — sharding must be invisible"; exit 1; }
-mask_host_time() {
-  sed -E -e 's/"host_seconds": [0-9.eE+-]+/"host_seconds": 0/' \
-         -e 's/"wall_seconds": [0-9.eE+-]+/"wall_seconds": 0/' "$1"
-}
-diff -u <(mask_host_time "$smoke_dir/par_h1.json") <(mask_host_time "$smoke_dir/par_h8.json") \
-  || { echo "8 host threads changed BENCH_harness.json beyond host timing"; exit 1; }
-for counter in '"sim.par.epochs"' '"sim.par.prefetched_ops"' \
-               '"sim.par.barrier_stalls"' '"sim.par.conflicts"' \
-               '"sim.par.speculated_ops"' '"sim.par.demotions"'; do
-  grep -qF "$counter" "$smoke_dir/par_h8.json" \
-    || { echo "BENCH_harness.json lacks $counter"; exit 1; }
-done
-
-echo "== speculation: private ops speculate, demotions stay forced-only"
-spec_counters() {
-  grep -oE '"sim\.par\.[a-z_]+": [0-9]+' "$1"
-}
-diff -u <(spec_counters "$smoke_dir/par_h1.json") <(spec_counters "$smoke_dir/par_h8.json") \
-  || { echo "sim.par.* counters drifted across host thread counts — they must be functions of the epoch schedule only"; exit 1; }
-spec_total=$(grep -oE '"sim\.par\.speculated_ops": [0-9]+' "$smoke_dir/par_h8.json" \
-  | awk -F': ' '{s += $2} END {print s + 0}')
-[ "$spec_total" -gt 0 ] \
-  || { echo "sim.par.speculated_ops is zero across the quick suite — the private classifier speculated nothing"; exit 1; }
-demo_total=$(grep -oE '"sim\.par\.demotions": [0-9]+' "$smoke_dir/par_h8.json" \
-  | awk -F': ' '{s += $2} END {print s + 0}')
-[ "$demo_total" -eq 0 ] \
-  || { echo "sim.par.demotions = $demo_total without forced demotions — the private classifier admitted a conflicting op"; exit 1; }
 
 echo "== crash: seeded kill -9 matrix + byte-identical recovery"
 target/release/crash_matrix --kill-points 8 --data-root "$smoke_dir/crash"

@@ -41,36 +41,6 @@ fn identical_runs_are_bit_identical() {
 }
 
 #[test]
-fn shard_count_never_changes_the_run_report() {
-    // The epoch-parallel engine shards simulated cores across host
-    // threads; the shard count is a wall-clock knob only, so the full
-    // report — fingerprint and every metric, the `sim.par.*` counters
-    // included — must be identical at any `sim_threads` value.
-    for (name, rt) in [
-        ("lreg", RuntimeKind::TmiProtect),
-        ("histogramfs", RuntimeKind::Pthreads),
-    ] {
-        let base_cfg = RunConfig::repair(rt).scale(0.2).misaligned();
-        let base = run(name, &base_cfg.sim_threads(1));
-        for threads in [2usize, 4, 8] {
-            let sharded = run(name, &base_cfg.sim_threads(threads));
-            assert_eq!(
-                fingerprint(&base),
-                fingerprint(&sharded),
-                "{name} under {}: {threads} host threads changed the report",
-                rt.label()
-            );
-            assert_eq!(
-                base.metrics,
-                sharded.metrics,
-                "{name} under {}: {threads} host threads changed the metrics",
-                rt.label()
-            );
-        }
-    }
-}
-
-#[test]
 fn different_seeds_of_work_change_results() {
     // Sanity check that the fingerprint actually discriminates: changing
     // the scale must change the outcome.
