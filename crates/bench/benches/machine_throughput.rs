@@ -41,56 +41,31 @@ fn bench_local_hits(c: &mut Criterion) {
     g.finish();
 }
 
-/// The sharer/owner directory against the reference broadcast snoop, on
-/// the workload shapes where they diverge most: a many-core streaming mix
-/// (fills and invalidations probe all siblings on the reference path) and
-/// a two-core HITM ping-pong (where the directory's bookkeeping is all
-/// overhead). Both variants are simulated-cycle identical; only host
-/// throughput differs.
-fn bench_directory(c: &mut Criterion) {
+/// A 32-core streaming mix over a shared hot set: every fill, forward and
+/// invalidation goes through the sharer directory.
+fn bench_snoop_storm(c: &mut Criterion) {
     let mut g = c.benchmark_group("machine");
     g.throughput(Throughput::Elements(1));
-    for (name, directory) in [
-        ("snoop_storm_32c_directory", true),
-        ("snoop_storm_32c_reference", false),
-    ] {
-        g.bench_function(name, |b| {
-            const CORES: usize = 32;
-            let mut m = Machine::new(MachineConfig {
-                directory,
-                ..MachineConfig::with_cores(CORES)
-            });
-            let mut x = 0x9E37_79B9u64;
-            let mut i = 0usize;
-            b.iter(|| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let kind = if x & 3 == 0 {
-                    AccessKind::Store
-                } else {
-                    AccessKind::Load
-                };
-                i = (i + 1) % CORES;
-                m.access(i, PhysAddr::new((x % 4096) * 64), kind, Width::W8)
-            });
+    g.bench_function("snoop_storm_32c", |b| {
+        const CORES: usize = 32;
+        let mut m = Machine::new(MachineConfig::with_cores(CORES));
+        let mut x = 0x9E37_79B9u64;
+        let mut i = 0usize;
+        b.iter(|| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let kind = if x & 3 == 0 {
+                AccessKind::Store
+            } else {
+                AccessKind::Load
+            };
+            i = (i + 1) % CORES;
+            m.access(i, PhysAddr::new((x % 4096) * 64), kind, Width::W8)
         });
-    }
-    for (name, directory) in [("pingpong_directory", true), ("pingpong_reference", false)] {
-        g.bench_function(name, |b| {
-            let mut m = Machine::new(MachineConfig {
-                directory,
-                ..MachineConfig::with_cores(2)
-            });
-            let mut side = 0usize;
-            b.iter(|| {
-                side ^= 1;
-                m.access(side, PhysAddr::new(0x2000), AccessKind::Store, Width::W8)
-            });
-        });
-    }
+    });
     g.finish();
 }
 
-criterion_group!(benches, bench_local_hits, bench_directory);
+criterion_group!(benches, bench_local_hits, bench_snoop_storm);
 criterion_main!(benches);

@@ -192,7 +192,6 @@ struct JobKey {
     period: u64,
     tick_interval: u64,
     max_ops: u64,
-    fast_path: tmi_sim::FastPath,
     seed: u64,
     trace: bool,
 }
@@ -211,7 +210,6 @@ impl JobKey {
             period: c.period,
             tick_interval: c.tick_interval,
             max_ops: c.max_ops,
-            fast_path: c.fast_path,
             seed: spec.seed,
             trace: spec.trace,
         }
@@ -549,14 +547,6 @@ impl Experiment {
     /// Sets the livelock backstop in dynamic ops.
     pub fn max_ops(mut self, ops: u64) -> Self {
         self.spec.cfg.max_ops = ops;
-        self
-    }
-
-    /// Sets the simulator fast-path configuration (typed replacement for
-    /// the old process-global `TMI_FASTPATH` toggle — no environment
-    /// mutation, so concurrent cells can differ).
-    pub fn fast_path(mut self, fp: tmi_sim::FastPath) -> Self {
-        self.spec.cfg = self.spec.cfg.fast_path(fp);
         self
     }
 

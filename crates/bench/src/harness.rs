@@ -11,7 +11,7 @@ use tmi_faultpoint::{FaultInjector, FaultPlan};
 use tmi_machine::{LatencyModel, VAddr, FRAME_SIZE};
 use tmi_os::MapRequest;
 use tmi_perf::PerfConfig;
-use tmi_sim::{Engine, EngineConfig, FastPath, Halt, NullRuntime, RuntimeHooks};
+use tmi_sim::{Engine, EngineConfig, Halt, NullRuntime, RuntimeHooks};
 use tmi_telemetry::{MetricSource, MetricsSnapshot, Tracer};
 use tmi_workloads::{SetupCtx, Workload, WorkloadParams};
 
@@ -129,16 +129,11 @@ pub struct RunConfig {
     pub tick_interval: u64,
     /// Livelock backstop in dynamic ops.
     pub max_ops: u64,
-    /// Which accelerator fast paths the engine uses (typed; replaces the
-    /// old process-global `TMI_FASTPATH` toggle).
-    pub fast_path: FastPath,
 }
 
 impl RunConfig {
     /// Defaults: 8 threads (the detection machine), benchmark scale,
-    /// period 100, 0.5 ms ticks. The fast-path field defaults from the
-    /// environment (`TMI_FASTPATH`), read once per process, for CLI
-    /// compatibility.
+    /// period 100, 0.5 ms ticks.
     pub fn new(runtime: RuntimeKind) -> Self {
         RunConfig {
             runtime,
@@ -150,7 +145,6 @@ impl RunConfig {
             period: 100,
             tick_interval: 1_700_000,
             max_ops: 80_000_000,
-            fast_path: FastPath::from_env(),
         }
     }
 
@@ -193,12 +187,6 @@ impl RunConfig {
     /// Sets the perf sampling period.
     pub fn period(mut self, p: u64) -> Self {
         self.period = p;
-        self
-    }
-
-    /// Selects the accelerator fast paths (typed; no environment involved).
-    pub fn fast_path(mut self, fp: FastPath) -> Self {
-        self.fast_path = fp;
         self
     }
 }
@@ -308,7 +296,6 @@ fn build<R: RuntimeHooks>(
     engine_cfg.tick_interval = cfg.tick_interval;
     engine_cfg.max_ops = cfg.max_ops;
     engine_cfg.max_cycles = 60_000_000_000;
-    engine_cfg.fast_path = cfg.fast_path;
 
     // The runtime is constructed against the layout before the engine
     // exists (TMI sets its memory up at program start, §3.2).

@@ -18,6 +18,7 @@
 //!   flag set shared by `tmi_client`, `probe` and friends, replacing the
 //!   per-bin ad-hoc parsers.
 
+use tmi_machine::MAX_CORES;
 use tmi_telemetry::json::{self, Json};
 
 use crate::harness::{RunConfig, RuntimeKind};
@@ -112,8 +113,7 @@ impl JobSpec {
             "{{\"workload\": {}, \"runtime\": {}, \"threads\": {}, \
              \"scale\": {}, \"fixed\": {}, \"misaligned\": {}, \
              \"huge_pages\": {}, \"period\": {}, \"tick_interval\": {}, \
-             \"max_ops\": {}, \"fastpath_tlb\": {}, \"fastpath_dir\": {}, \
-             \"seed\": {}, \"trace\": {}}}",
+             \"max_ops\": {}, \"seed\": {}, \"trace\": {}}}",
             json::string(&self.workload),
             json::string(c.runtime.label()),
             c.threads,
@@ -124,8 +124,6 @@ impl JobSpec {
             c.period,
             c.tick_interval,
             c.max_ops,
-            c.fast_path.tlb,
-            c.fast_path.directory,
             self.seed,
             self.trace,
         )
@@ -167,7 +165,7 @@ impl JobSpec {
             }
         };
         if let Some(t) = num("threads")? {
-            cfg.threads = t as usize;
+            cfg.threads = thread_count("\"threads\"", t)?;
         }
         if let Some(s) = num("scale")? {
             cfg.scale = s;
@@ -184,18 +182,9 @@ impl JobSpec {
         cfg.fixed = flag("fixed")?.unwrap_or(false);
         cfg.misaligned = flag("misaligned")?.unwrap_or(false);
         cfg.huge_pages = flag("huge_pages")?.unwrap_or(false);
-        // Absent fast-path members keep the RunConfig::new defaults (the
-        // once-per-process env snapshot), so minimal requests behave
-        // exactly like a fresh CLI run. Unknown members are ignored, which
-        // keeps documents persisted by older builds (journals and cache
-        // spills that still carry the retired shard-count member)
-        // decodable.
-        if let Some(b) = flag("fastpath_tlb")? {
-            cfg.fast_path.tlb = b;
-        }
-        if let Some(b) = flag("fastpath_dir")? {
-            cfg.fast_path.directory = b;
-        }
+        // Unknown members are ignored, which keeps documents persisted by
+        // older builds (journals and cache spills that still carry the
+        // retired shard-count and fast-path members) decodable.
         Ok(JobSpec {
             workload,
             cfg,
@@ -217,11 +206,6 @@ impl JobSpec {
             v.parse::<u64>()
                 .map_err(|_| format!("{name} expects a number, got {v:?}"))
         };
-        let parse_bool = |name: &str, v: String| match v.as_str() {
-            "true" | "on" | "1" => Ok(true),
-            "false" | "off" | "0" => Ok(false),
-            _ => Err(format!("{name} expects true|false, got {v:?}")),
-        };
         match arg {
             "--workload" => self.workload = value("--workload")?,
             "--runtime" => {
@@ -229,7 +213,10 @@ impl JobSpec {
                 self.cfg.runtime = RuntimeKind::from_label(&label)
                     .ok_or_else(|| format!("unknown runtime {label:?}"))?;
             }
-            "--threads" => self.cfg.threads = parse_u64("--threads", value("--threads")?)? as usize,
+            "--threads" => {
+                let t = parse_u64("--threads", value("--threads")?)?;
+                self.cfg.threads = thread_count("--threads", t as f64)?;
+            }
             "--scale" => {
                 let v = value("--scale")?;
                 self.cfg.scale = v
@@ -241,13 +228,6 @@ impl JobSpec {
                 self.cfg.tick_interval = parse_u64("--tick-interval", value("--tick-interval")?)?
             }
             "--max-ops" => self.cfg.max_ops = parse_u64("--max-ops", value("--max-ops")?)?,
-            "--fastpath-tlb" => {
-                self.cfg.fast_path.tlb = parse_bool("--fastpath-tlb", value("--fastpath-tlb")?)?
-            }
-            "--fastpath-dir" => {
-                self.cfg.fast_path.directory =
-                    parse_bool("--fastpath-dir", value("--fastpath-dir")?)?
-            }
             "--seed" => self.seed = parse_u64("--seed", value("--seed")?)?,
             "--fixed" => self.cfg.fixed = true,
             "--misaligned" => self.cfg.misaligned = true,
@@ -263,8 +243,21 @@ impl JobSpec {
     pub fn cli_usage() -> &'static str {
         "--workload NAME|litmus:<seed>|litmus+vm:<seed> [--runtime LABEL] [--threads N] \
          [--scale F] [--period N] [--tick-interval N] [--max-ops N] \
-         [--fastpath-tlb BOOL] [--fastpath-dir BOOL] \
          [--seed N] [--fixed] [--misaligned] [--huge-pages] [--spec-trace]"
+    }
+}
+
+/// Validates a requested thread count. Every thread gets its own simulated
+/// core and the machine's sharer bitmap has one bit per core, so the count
+/// must be an integer in `1..=MAX_CORES`; anything else is refused here,
+/// before a machine is ever sized from it.
+fn thread_count(name: &str, t: f64) -> Result<usize, String> {
+    if t.fract() == 0.0 && (1.0..=MAX_CORES as f64).contains(&t) {
+        Ok(t as usize)
+    } else {
+        Err(format!(
+            "{name} must be an integer in 1..={MAX_CORES}, got {t}"
+        ))
     }
 }
 
@@ -300,14 +293,20 @@ mod tests {
     #[test]
     fn decode_ignores_the_retired_shard_count_member() {
         // Journals and cache spills written before the host shard count
-        // left the job identity still carry it; such a document must
-        // decode to the same spec as one without the member.
-        let with = json::parse(r#"{"workload": "lreg", "threads": 4, "sim_threads": 8}"#).unwrap();
+        // and the fast-path toggles left the job identity still carry
+        // them; such a document must decode to the same spec as one
+        // without the members.
         let without = json::parse(r#"{"workload": "lreg", "threads": 4}"#).unwrap();
-        assert_eq!(
-            JobSpec::from_json(&with).unwrap(),
-            JobSpec::from_json(&without).unwrap()
-        );
+        for with in [
+            r#"{"workload": "lreg", "threads": 4, "sim_threads": 8}"#,
+            r#"{"workload": "lreg", "threads": 4, "fastpath_tlb": false, "fastpath_dir": false}"#,
+        ] {
+            assert_eq!(
+                JobSpec::from_json(&json::parse(with).unwrap()).unwrap(),
+                JobSpec::from_json(&without).unwrap(),
+                "{with}"
+            );
+        }
     }
 
     #[test]
@@ -316,6 +315,13 @@ mod tests {
         assert!(JobSpec::from_json(&bad_rt).unwrap_err().contains("gpu"));
         let bad_threads = json::parse(r#"{"workload": "x", "threads": "four"}"#).unwrap();
         assert!(JobSpec::from_json(&bad_threads).is_err());
+        // Thread counts outside the machine's 1..=64 cores (or not whole)
+        // are refused with the range, before any machine is sized.
+        for t in ["0", "65", "1e9", "2.5"] {
+            let doc = format!(r#"{{"workload": "x", "threads": {t}}}"#);
+            let err = JobSpec::from_json(&json::parse(&doc).unwrap()).unwrap_err();
+            assert!(err.contains("1..=64"), "threads {t}: {err}");
+        }
         let no_workload = json::parse(r#"{"threads": 4}"#).unwrap();
         assert!(JobSpec::from_json(&no_workload).is_err());
     }
@@ -352,7 +358,7 @@ mod tests {
         ];
         let runtime = (0usize..RuntimeKind::ALL.len()).prop_map(|i| RuntimeKind::ALL[i]);
         (
-            (workload, runtime, 1usize..16, 1u32..64),
+            (workload, runtime, 1usize..MAX_CORES + 1, 1u32..64),
             (any::<bool>(), any::<bool>(), any::<bool>(), 1u64..1000),
             // Seeds stay below 2^32: the JSON codec routes numbers through
             // f64, which is exact only up to 2^53.
@@ -362,14 +368,12 @@ mod tests {
                 0u64..1 << 32,
                 any::<bool>(),
             ),
-            (any::<bool>(), any::<bool>()),
         )
             .prop_map(
                 |(
                     (workload, runtime, threads, scale16),
                     (fixed, misaligned, huge_pages, period),
                     (tick_interval, max_ops, seed, trace),
-                    (fp_tlb, fp_dir),
                 )| {
                     let mut cfg = RunConfig::new(runtime);
                     cfg.threads = threads;
@@ -381,8 +385,6 @@ mod tests {
                     cfg.period = period;
                     cfg.tick_interval = tick_interval;
                     cfg.max_ops = max_ops;
-                    cfg.fast_path.tlb = fp_tlb;
-                    cfg.fast_path.directory = fp_dir;
                     JobSpec {
                         workload,
                         cfg,
@@ -417,8 +419,6 @@ mod tests {
                 "--period".to_string(), spec.cfg.period.to_string(),
                 "--tick-interval".to_string(), spec.cfg.tick_interval.to_string(),
                 "--max-ops".to_string(), spec.cfg.max_ops.to_string(),
-                "--fastpath-tlb".to_string(), spec.cfg.fast_path.tlb.to_string(),
-                "--fastpath-dir".to_string(), spec.cfg.fast_path.directory.to_string(),
                 "--seed".to_string(), spec.seed.to_string(),
             ];
             if spec.cfg.fixed { args.push("--fixed".into()); }
@@ -468,5 +468,21 @@ mod tests {
         assert_eq!(spec.seed, 7);
         assert!(spec.cfg.misaligned);
         assert_eq!(leftover, ["--not-ours"]);
+    }
+
+    #[test]
+    fn cli_threads_must_fit_the_machine() {
+        for t in ["0", "65", "1000000000"] {
+            let mut spec = JobSpec::new("histogram");
+            let err = spec
+                .apply_cli_arg("--threads", &mut || Some(t.to_string()))
+                .unwrap_err();
+            assert!(err.contains("1..=64"), "--threads {t}: {err}");
+        }
+        let mut spec = JobSpec::new("histogram");
+        assert!(spec
+            .apply_cli_arg("--threads", &mut || Some("64".to_string()))
+            .unwrap());
+        assert_eq!(spec.cfg.threads, 64);
     }
 }

@@ -17,15 +17,14 @@ use tmi::{AppLayout, MemoryBreakdown, TmiConfig, TmiRuntime};
 use tmi_baselines::{
     LaserConfig, LaserRuntime, PlasticConfig, PlasticRuntime, SheriffConfig, SheriffRuntime,
 };
-use tmi_machine::{DirStats, MachineStats, VAddr};
+use tmi_machine::{MachineStats, VAddr};
 use tmi_os::{ObjId, OsStats, TlbStats};
 use tmi_telemetry::json::{self, Json};
 use tmi_telemetry::MetricSink;
 
 /// Every metric name the harness can emit, in stable (sorted) order —
-/// the union over all runtime prefixes (`machine.*`, `machine.dir.*`,
-/// `os.*`, `os.tlb.*`, `tmi.*`, `tmi.memory.*`, `sheriff.*`, `laser.*`,
-/// `plastic.*`).
+/// the union over all runtime prefixes (`machine.*`, `os.*`, `os.tlb.*`,
+/// `tmi.*`, `tmi.memory.*`, `sheriff.*`, `laser.*`, `plastic.*`).
 ///
 /// Derived from default-constructed sources, so it is exhaustive by
 /// construction: a counter added to any `*Stats` struct appears here
@@ -43,7 +42,6 @@ pub fn registered_metric_names() -> Vec<String> {
     };
     let mut sink = MetricSink::new();
     sink.source("machine", &MachineStats::default());
-    sink.source("machine.dir", &DirStats::default());
     sink.source("os", &OsStats::default());
     sink.source("os.tlb", &TlbStats::default());
     sink.source("tmi", &TmiRuntime::new(TmiConfig::default(), layout));

@@ -405,7 +405,7 @@ impl RuntimeHooks for TmiRuntime {
     /// program-chosen instant, so fuzzed schedules can force repair
     /// transitions mid-run that sampling would take millions of cycles to
     /// reach. Outcome codes depend only on PTE/governor state — never on
-    /// TLB or directory contents — keeping them fast-path invariant.
+    /// TLB contents — keeping them invariant under the TLB test seam.
     fn on_vm_op(&mut self, ctl: &mut dyn EngineCtl, tid: Tid, op: VmOp, addr: VAddr) -> u64 {
         let vpn = addr.vpn();
         match op {

@@ -1,27 +1,20 @@
 //! The sharer-directory table: an open-addressed map from [`LineAddr`] to
 //! [`DirEntry`] laid out for exactly one cache line per probe.
 //!
-//! The generic [`crate::flat::LineTable`] keeps keys and values in parallel
-//! slabs, so a hit costs two random cache lines — one for the key probe,
-//! one for the value. The directory sits on every coherence miss, which
-//! makes that second line the single largest fast-path-only cost on
-//! contended workloads. This table interleaves each key with its entry in
-//! a 32-byte slot aligned to 32 bytes: two slots per cache line, never
-//! straddling a boundary, so a probe that finds its key has the entry in
-//! the same line for free.
+//! The directory sits on every private-cache miss, fill and eviction, so
+//! its probe cost is the coherence layer's main host-time overhead. This
+//! table interleaves each key with its entry in a 32-byte slot aligned to
+//! 32 bytes: two slots per cache line, never straddling a boundary, so a
+//! probe that finds its key has the entry in the same line for free.
 //!
-//! Two structural simplifications make the packing possible:
+//! Hashing is Fibonacci multiplicative with linear probing; the table
+//! grows at 87.5% load and never shrinks. Deletion shifts the tail of the
+//! probe run backwards over the hole, so no tombstones accumulate as
+//! entries come and go with the lines the caches hold.
 //!
-//! - **No deletion.** Promotion into the directory is sticky (entries
-//!   drain to an empty sharer set rather than being removed), so the
-//!   table needs no tombstones or backward-shift machinery.
-//! - **Bounded streak.** The per-line HITM streak is stored as a
-//!   saturating `u32`. Only `min(streak, cap)` (the queuing penalty) and
-//!   the `== 2` promotion crossing are ever observed, so saturation far
-//!   above both thresholds cannot change any outcome.
-//!
-//! Hashing and growth policy match [`crate::flat::LineTable`]: Fibonacci
-//! multiplicative hashing, linear probing, growth at 87.5% load.
+//! The per-line HITM streak is stored as a saturating `u32`. Only
+//! `min(streak, cap)` (the queuing penalty) is ever observed, so
+//! saturation far above the cap cannot change any outcome.
 
 use crate::addr::LineAddr;
 use crate::latency::LatencyModel;
@@ -29,9 +22,7 @@ use crate::latency::LatencyModel;
 /// Sentinel for "no core holds this line Modified".
 pub(crate) const NO_OWNER: u8 = u8::MAX;
 
-/// Sentinel for "no HITM recorded yet" in streak state ([`DirEntry`] and
-/// the broadcast-path streak table share it so their fresh-entry behavior
-/// is identical).
+/// Sentinel for "no HITM recorded yet" in a [`DirEntry`]'s streak state.
 pub(crate) const NO_HITM: u64 = u64::MAX;
 
 /// Sentinel for an empty slot. `LineAddr` values are physical addresses
@@ -42,13 +33,14 @@ const EMPTY: u64 = u64::MAX;
 /// of the line's previous one extends the streak; a longer gap resets it.
 const HITM_STREAK_WINDOW: u64 = 2_000;
 
-/// Grow at 87.5% load, as in [`crate::flat::LineTable`].
+/// Grow when `len * 8 >= capacity * 7` (87.5% load): linear probing stays
+/// short well past this for the multiplicative hash.
 const GROW_NUM: usize = 7;
 const GROW_DEN: usize = 8;
 
 /// One directory entry: which private caches hold the line, which core
 /// (if any) holds it Modified, and the line's HITM streak state — folded
-/// in so a tracked HITM updates one table slot instead of two tables.
+/// in so a HITM updates one table slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct DirEntry {
     /// Bit `c` set ⇔ core `c`'s private cache holds the line (any state).
@@ -62,41 +54,35 @@ pub(crate) struct DirEntry {
     pub owner: u8,
 }
 
-impl Default for DirEntry {
-    fn default() -> Self {
-        DirEntry {
-            sharers: 0,
-            last_hitm: NO_HITM,
-            streak: 0,
-            owner: NO_OWNER,
-        }
-    }
-}
-
-/// Advances one line's HITM streak state and returns the queuing penalty.
-/// `last == NO_HITM` reproduces the fresh-entry path of the broadcast
-/// streak table exactly: a first HITM starts the streak at one.
-#[inline]
-pub(crate) fn streak_step(seq: u64, lat: &LatencyModel, last: &mut u64, streak: &mut u64) -> u64 {
-    if *last == NO_HITM {
-        *streak = 1;
-    } else if seq.saturating_sub(*last) < HITM_STREAK_WINDOW {
-        *streak += 1;
-    } else {
-        *streak = 0;
-    }
-    *last = seq;
-    lat.hitm_queuing_step * (*streak).min(lat.hitm_queuing_cap)
-}
-
 impl DirEntry {
-    /// [`streak_step`] over the entry's own (saturating) streak state.
+    const NEW: DirEntry = DirEntry {
+        sharers: 0,
+        last_hitm: NO_HITM,
+        streak: 0,
+        owner: NO_OWNER,
+    };
+
+    /// Advances the line's HITM streak for a HITM at access sequence
+    /// number `seq` and returns the queuing penalty. A first HITM starts
+    /// the streak at one; a HITM within [`HITM_STREAK_WINDOW`] accesses of
+    /// the previous one extends it; a longer gap resets it to zero.
     #[inline]
     pub(crate) fn hitm_streak_step(&mut self, seq: u64, lat: &LatencyModel) -> u64 {
-        let mut streak = self.streak as u64;
-        let penalty = streak_step(seq, lat, &mut self.last_hitm, &mut streak);
-        self.streak = streak.min(u32::MAX as u64) as u32;
-        penalty
+        if self.last_hitm == NO_HITM {
+            self.streak = 1;
+        } else if seq.saturating_sub(self.last_hitm) < HITM_STREAK_WINDOW {
+            self.streak = self.streak.saturating_add(1);
+        } else {
+            self.streak = 0;
+        }
+        self.last_hitm = seq;
+        lat.hitm_queuing_step * u64::from(self.streak).min(lat.hitm_queuing_cap)
+    }
+}
+
+impl Default for DirEntry {
+    fn default() -> Self {
+        Self::NEW
     }
 }
 
@@ -117,12 +103,7 @@ const _: () = assert!(
 impl Slot {
     const VACANT: Slot = Slot {
         key: EMPTY,
-        entry: DirEntry {
-            sharers: 0,
-            last_hitm: NO_HITM,
-            streak: 0,
-            owner: NO_OWNER,
-        },
+        entry: DirEntry::NEW,
     };
 }
 
@@ -152,15 +133,12 @@ impl DirTable {
         self.len
     }
 
-    /// True if no entries are live.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Fibonacci multiplicative hash, as in [`crate::flat::LineTable`].
+    /// Fibonacci multiplicative hash: spreads consecutive line numbers
+    /// (the common access pattern) across the table.
     #[inline]
     fn ideal_slot(&self, key: u64) -> usize {
         let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        // The high bits carry the mixing; fold them down onto the mask.
         (h >> 32) as usize & self.mask
     }
 
@@ -179,8 +157,8 @@ impl DirTable {
         }
     }
 
-    /// Returns the entry for `line`, if tracked.
-    #[inline]
+    /// Returns the entry for `line`, if tracked (test observability).
+    #[cfg(test)]
     pub fn get(&self, line: LineAddr) -> Option<&DirEntry> {
         self.find(line.raw()).map(|i| &self.slots[i].entry)
     }
@@ -191,8 +169,10 @@ impl DirTable {
         self.find(line.raw()).map(move |i| &mut self.slots[i].entry)
     }
 
-    /// Inserts or overwrites the entry for `line`.
-    pub fn insert(&mut self, line: LineAddr, entry: DirEntry) {
+    /// Returns the entry for `line`, inserting a fresh one (no holders, no
+    /// owner, no HITM history) if the line is untracked.
+    #[inline]
+    pub fn entry(&mut self, line: LineAddr) -> &mut DirEntry {
         if self.len * GROW_DEN >= (self.mask + 1) * GROW_NUM {
             self.grow();
         }
@@ -202,16 +182,69 @@ impl DirTable {
         loop {
             let k = self.slots[i].key;
             if k == key {
-                self.slots[i].entry = entry;
-                return;
+                break;
             }
             if k == EMPTY {
-                self.slots[i] = Slot { key, entry };
+                self.slots[i].key = key;
                 self.len += 1;
-                return;
+                break;
             }
             i = (i + 1) & self.mask;
         }
+        &mut self.slots[i].entry
+    }
+
+    /// Records the eviction of `core`'s copy of `line`: clears its sharer
+    /// bit and ownership, and removes the entry once no copy is left and
+    /// the line has no HITM history to keep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is untracked (every resident line has an entry).
+    pub fn drop_sharer(&mut self, line: LineAddr, core: usize) {
+        let i = self
+            .find(line.raw())
+            .unwrap_or_else(|| panic!("evicted line {line:?} has no directory entry"));
+        let e = &mut self.slots[i].entry;
+        e.sharers &= !(1u64 << core);
+        if usize::from(e.owner) == core {
+            e.owner = NO_OWNER;
+        }
+        if e.sharers == 0 && e.last_hitm == NO_HITM {
+            self.remove_slot(i);
+        }
+    }
+
+    /// Removes `line`'s entry, returning it if it was tracked (test
+    /// observability).
+    #[cfg(test)]
+    pub fn remove(&mut self, line: LineAddr) -> Option<DirEntry> {
+        let i = self.find(line.raw())?;
+        let removed = self.slots[i].entry;
+        self.remove_slot(i);
+        Some(removed)
+    }
+
+    /// Empties slot `hole` by shifting the tail of its probe run backwards
+    /// over it, so lookups never scan over tombstones.
+    fn remove_slot(&mut self, mut hole: usize) {
+        self.len -= 1;
+        let mut j = hole;
+        loop {
+            j = (j + 1) & self.mask;
+            let k = self.slots[j].key;
+            if k == EMPTY {
+                break;
+            }
+            // `j`'s entry may move into the hole only if its ideal slot is
+            // at or before the hole within this run (cyclic comparison).
+            let ideal = self.ideal_slot(k);
+            if (j.wrapping_sub(ideal) & self.mask) >= (j.wrapping_sub(hole) & self.mask) {
+                self.slots[hole] = self.slots[j];
+                hole = j;
+            }
+        }
+        self.slots[hole] = Slot::VACANT;
     }
 
     /// Visits every live `(line, entry)` pair in unspecified order.
@@ -221,14 +254,6 @@ impl DirTable {
                 f(LineAddr::new(s.key), &s.entry);
             }
         }
-    }
-
-    /// Drops every entry, keeping the allocation. Only the test-only
-    /// mid-run directory toggle rebuilds from scratch.
-    #[cfg(test)]
-    pub fn clear(&mut self) {
-        self.slots.fill(Slot::VACANT);
-        self.len = 0;
     }
 
     fn grow(&mut self) {
@@ -241,7 +266,7 @@ impl DirTable {
         self.len = 0;
         for s in old.iter() {
             if s.key != EMPTY {
-                self.insert(LineAddr::new(s.key), s.entry);
+                *self.entry(LineAddr::new(s.key)) = s.entry;
             }
         }
     }
@@ -264,21 +289,26 @@ mod tests {
     }
 
     #[test]
-    fn insert_get_overwrite() {
+    fn entry_get_overwrite_remove() {
         let mut t = DirTable::with_capacity(8);
         assert!(t.get(line(7)).is_none());
-        t.insert(line(7), entry(0b11));
+        assert_eq!(*t.entry(line(7)), DirEntry::default());
+        t.entry(line(7)).sharers = 0b11;
         assert_eq!(t.get(line(7)).map(|e| e.sharers), Some(0b11));
-        t.insert(line(7), entry(0b101));
+        *t.entry(line(7)) = entry(0b101);
         assert_eq!(t.get(line(7)).map(|e| e.sharers), Some(0b101));
         assert_eq!(t.len(), 1);
+        assert_eq!(t.remove(line(7)).map(|e| e.sharers), Some(0b101));
+        assert!(t.get(line(7)).is_none());
+        assert_eq!(t.remove(line(7)), None);
+        assert_eq!(t.len(), 0);
     }
 
     #[test]
     fn grows_past_initial_capacity() {
         let mut t = DirTable::with_capacity(8);
         for i in 0..1_000u64 {
-            t.insert(line(i * 3), entry(i));
+            *t.entry(line(i * 3)) = entry(i);
         }
         assert_eq!(t.len(), 1_000);
         for i in 0..1_000u64 {
@@ -287,7 +317,35 @@ mod tests {
     }
 
     #[test]
+    fn backward_shift_keeps_probe_runs_intact() {
+        // Keys that share an ideal slot form one probe run; deleting from
+        // the middle of the run must leave its tail reachable.
+        let mut t = DirTable::with_capacity(8);
+        let mut by_slot: HashMap<usize, Vec<u64>> = HashMap::new();
+        for k in 0..200u64 {
+            by_slot.entry(t.ideal_slot(k)).or_default().push(k);
+        }
+        let run = by_slot
+            .values()
+            .find(|v| v.len() >= 3)
+            .expect("some slot collides")
+            .clone();
+        for &k in &run[..3] {
+            *t.entry(line(k)) = entry(k);
+        }
+        t.remove(line(run[0]));
+        for &k in &run[1..3] {
+            assert_eq!(
+                t.get(line(k)).map(|e| e.sharers),
+                Some(k),
+                "key {k} lost after removal"
+            );
+        }
+    }
+
+    #[test]
     fn mirror_against_hashmap() {
+        // Deterministic pseudo-random op sequence diffed against HashMap.
         let mut t = DirTable::with_capacity(8);
         let mut m: HashMap<u64, u64> = HashMap::new();
         let mut x = 0x1234_5678_9abc_def0u64;
@@ -296,11 +354,17 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             let key = x % 512;
-            if x & 1 == 0 {
-                t.insert(line(key), entry(x));
-                m.insert(key, x);
-            } else {
-                assert_eq!(t.get(line(key)).map(|e| e.sharers), m.get(&key).copied());
+            match x >> 61 {
+                0..=3 => {
+                    *t.entry(line(key)) = entry(x);
+                    m.insert(key, x);
+                }
+                4 | 5 => {
+                    assert_eq!(t.remove(line(key)).map(|e| e.sharers), m.remove(&key));
+                }
+                _ => {
+                    assert_eq!(t.get(line(key)).map(|e| e.sharers), m.get(&key).copied());
+                }
             }
             assert_eq!(t.len(), m.len());
         }
@@ -310,9 +374,6 @@ mod tests {
             seen += 1;
         });
         assert_eq!(seen, m.len());
-        t.clear();
-        assert!(t.is_empty());
-        assert!(t.get(line(0)).is_none());
     }
 
     #[test]
@@ -327,8 +388,8 @@ mod tests {
         let p2 = e.hitm_streak_step(200, &lat);
         assert_eq!(e.streak, 2);
         assert_eq!(p2, 2 * lat.hitm_queuing_step);
-        // Outside the window: streak resets to zero (matching the
-        // broadcast-path table), and the penalty with it.
+        // Outside the window: streak resets to zero, and the penalty with
+        // it.
         let p3 = e.hitm_streak_step(5_000, &lat);
         assert_eq!(e.streak, 0);
         assert_eq!(p3, 0);

@@ -42,7 +42,6 @@ pub mod addr;
 pub mod cache;
 pub mod coherence;
 mod dirtab;
-pub mod flat;
 pub mod hitm;
 pub mod latency;
 pub mod physmem;
@@ -50,9 +49,8 @@ pub mod stats;
 
 pub use addr::{CoreId, FrameId, LineAddr, PhysAddr, VAddr, Vpn, Width, FRAME_SIZE, LINE_SIZE};
 pub use cache::{Cache, CacheConfig, MesiState};
-pub use coherence::{AccessKind, AccessOutcome, Machine, MachineConfig};
-pub use flat::LineTable;
+pub use coherence::{AccessKind, AccessOutcome, Machine, MachineConfig, MAX_CORES};
 pub use hitm::HitmEvent;
 pub use latency::LatencyModel;
 pub use physmem::PhysMem;
-pub use stats::{DirStats, MachineStats};
+pub use stats::MachineStats;

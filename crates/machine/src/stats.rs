@@ -60,39 +60,6 @@ impl MetricSource for MachineStats {
     }
 }
 
-/// Counters for the sharer/owner directory accelerator in
-/// [`crate::Machine`]. Purely observational: the directory answers the
-/// same queries the broadcast snoop would, so these counters measure how
-/// much snoop traffic the directory absorbed, not any behavioral change.
-/// All zero when the directory is disabled.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DirStats {
-    /// Remote queries consulted against a non-empty directory.
-    pub probes: u64,
-    /// Probes that found the line tracked — the broadcast snoop the
-    /// directory answer replaced. Untracked lines fall back to broadcast.
-    pub hits: u64,
-    /// Directory entries created (lazy promotions plus toggle rebuilds).
-    pub installs: u64,
-    /// Tracked lines whose sharer set drained to empty (last private
-    /// copy evicted). Sticky entries are retained, so this counts drain
-    /// events rather than table deletions.
-    pub removals: u64,
-    /// Lazy-activation promotions: broadcast-tracked lines whose sharer
-    /// count first exceeded two and moved under the directory.
-    pub promotions: u64,
-}
-
-impl MetricSource for DirStats {
-    fn metrics(&self, out: &mut MetricSink) {
-        out.u64("probes", self.probes);
-        out.u64("hits", self.hits);
-        out.u64("installs", self.installs);
-        out.u64("removals", self.removals);
-        out.u64("promotions", self.promotions);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,9 +30,9 @@ use std::fmt;
 use tmi::{AppLayout, GovernorState, RepairStats, TmiConfig, TmiRuntime};
 use tmi_faultpoint::{FaultInjector, FaultPlan, FaultStats};
 use tmi_machine::{VAddr, Width};
-use tmi_os::{AsId, MapRequest, ObjId};
+use tmi_os::{AsId, Kernel, MapRequest, ObjId};
 use tmi_program::{width_mask, Op, SequenceProgram};
-use tmi_sim::{Engine, EngineConfig, FastPath, Halt, TraceStep};
+use tmi_sim::{Engine, EngineConfig, Halt, TraceStep};
 
 use crate::interp::Interp;
 use crate::litmus::{self, Coverage, Litmus};
@@ -55,10 +55,10 @@ pub struct CheckConfig {
     /// diverge from the oracle.
     pub faults: Option<u64>,
     /// Transistency ablation: run the repaired execution with precise
-    /// per-PTE TLB shootdowns disabled (the "forgotten IPI" bug class) and
-    /// the software TLB forced on so stale translations can actually
-    /// serve. Expected to diverge on VM-op programs — the proof that the
-    /// oracle can see transistency violations.
+    /// per-PTE TLB shootdowns disabled (the "forgotten IPI" bug class), so
+    /// stale translations in the software TLB can actually serve.
+    /// Expected to diverge on VM-op programs — the proof that the oracle
+    /// can see transistency violations.
     pub ablate_shootdown: bool,
 }
 
@@ -324,9 +324,9 @@ pub fn trace_seed(seed: u64, cfg: &CheckConfig) -> (CheckReport, String) {
 }
 
 /// Every observable of one repaired litmus run, captured for the
-/// fast-path equivalence suite: how the run halted, its simulated clocks,
-/// the executed schedule with all load observations, and the full flat
-/// metrics snapshot (machine, OS, accelerator and runtime counters).
+/// TLB equivalence suite: how the run halted, its simulated clocks, the
+/// executed schedule with all load observations, and the full flat
+/// metrics snapshot (machine, OS, TLB and runtime counters).
 #[derive(Clone, Debug)]
 pub struct RawRun {
     /// Why the run stopped.
@@ -339,44 +339,33 @@ pub struct RawRun {
     pub ops: u64,
     /// The executed schedule and every value observed along it.
     pub trace: Vec<TraceStep>,
-    /// Flat metrics snapshot (`machine.*`, `machine.dir.*`, `os.*`,
-    /// `os.tlb.*`, `tmi.*`).
+    /// Flat metrics snapshot (`machine.*`, `os.*`, `os.tlb.*`, `tmi.*`).
     pub metrics: tmi_telemetry::MetricsSnapshot,
 }
 
 /// Runs `seed`'s litmus program through the full repaired TMI stack with
-/// the fast-path accelerators (per-address-space software TLBs and the
-/// sharer/owner directory) forced on or off, and returns every observable
-/// of the run. The accelerators are required to be behaviorally
-/// invisible, so for any seed the two variants must agree on everything
-/// except the `os.tlb.*` / `machine.dir.*` counters themselves — the
-/// contract `tests/fastpath_equivalence.rs` enforces.
-pub fn run_seed_raw(seed: u64, fastpath: bool) -> RawRun {
-    run_litmus_raw(&Litmus::generate(seed), fastpath)
+/// the per-address-space software TLBs on (`tlb = true`, as every real
+/// run) or off (a [`Kernel::with_tlb`]`(false)` kernel that walks the page
+/// table on every translation), and returns every observable of the run.
+/// The TLB is required to be behaviorally invisible, so for any seed the
+/// two variants must agree on everything except the `os.tlb.*` counters
+/// themselves — the contract `tests/fastpath_equivalence.rs` enforces.
+pub fn run_seed_raw(seed: u64, tlb: bool) -> RawRun {
+    run_litmus_raw(&Litmus::generate(seed), tlb)
 }
 
 /// [`run_seed_raw`] over the transistency program of `seed`: the same
-/// accelerator-invisibility contract, but the run now exercises explicit
-/// VM operations — whose outcome codes land in the trace value slots and
+/// TLB-invisibility contract, but the run now exercises explicit VM
+/// operations — whose outcome codes land in the trace value slots and
 /// therefore must also be byte-identical across the two variants.
-pub fn run_transistency_seed_raw(seed: u64, fastpath: bool) -> RawRun {
-    run_litmus_raw(&Litmus::generate_vm(seed), fastpath)
+pub fn run_transistency_seed_raw(seed: u64, tlb: bool) -> RawRun {
+    run_litmus_raw(&Litmus::generate_vm(seed), tlb)
 }
 
-fn run_litmus_raw(lit: &Litmus, fastpath: bool) -> RawRun {
+fn run_litmus_raw(lit: &Litmus, tlb: bool) -> RawRun {
     let cfg = CheckConfig::default();
-    let fast_path = if fastpath {
-        FastPath::enabled()
-    } else {
-        FastPath::reference()
-    };
-    let (mut engine, _aspace) = build_fixture(
-        lit,
-        &cfg,
-        &tmi_telemetry::Tracer::disabled(),
-        None,
-        fast_path,
-    );
+    let (mut engine, _aspace) =
+        build_fixture(lit, &cfg, &tmi_telemetry::Tracer::disabled(), None, tlb);
     let run = engine.run();
     let trace = engine.take_trace();
     let metrics = engine.metrics("tmi");
@@ -433,27 +422,20 @@ fn run_once(lit: &Litmus, cfg: &CheckConfig) -> (Vec<Divergence>, usize, Option<
 /// Builds the standard litmus fixture: a 4-core engine running a
 /// protect-mode [`TmiRuntime`], the app and internal objects mapped, one
 /// engine thread per litmus thread, repair forced on the program's data
-/// pages, and execution tracing enabled. Shared by the differential
-/// checker and the fast-path equivalence suite ([`run_seed_raw`]).
+/// pages, and execution tracing enabled. `tlb = false` installs the
+/// walk-every-time kernel. Shared by the differential checker and the TLB
+/// equivalence suite ([`run_seed_raw`]).
 fn build_fixture(
     lit: &Litmus,
     cfg: &CheckConfig,
     tracer: &tmi_telemetry::Tracer,
     injector: Option<&FaultInjector>,
-    fast_path: FastPath,
+    tlb: bool,
 ) -> (Engine<TmiRuntime>, AsId) {
     let mut ecfg = EngineConfig::with_cores(4);
-    ecfg.fast_path = fast_path;
     // Litmus runs are far too short for the sampling detector; repair is
     // forced below and the detection thread never ticks.
     ecfg.tick_interval = u64::MAX;
-    if cfg.ablate_shootdown {
-        // The ablation models a forgotten shootdown IPI, which is only
-        // observable if cached translations can actually serve — force
-        // the TLB on (independent of the configured fast path); per-PTE
-        // shootdowns are dropped on the built kernel below.
-        ecfg.fast_path.tlb = true;
-    }
     let layout = AppLayout {
         app_obj: ObjId(0),
         app_start: VAddr::new(litmus::APP_START),
@@ -488,6 +470,9 @@ fn build_fixture(
     }
     let mut engine = Engine::new(ecfg, rt);
     let k = &mut engine.core_mut().kernel;
+    if !tlb {
+        *k = Kernel::with_tlb(false);
+    }
     if let Some(inj) = injector {
         k.set_fault_injector(inj.clone());
     }
@@ -549,7 +534,7 @@ fn run_traced(
         cfg,
         tracer,
         faults.as_ref().map(|(_, _, inj)| inj),
-        FastPath::from_env(),
+        true,
     );
     let run = engine.run();
     let trace = engine.take_trace();
@@ -592,8 +577,8 @@ fn run_traced(
                     }
                     // VM-op trace values are engine outcome codes, not
                     // memory observations — the SC oracle has no mapping
-                    // state to predict them (they are checked fast-vs-
-                    // reference path by the equivalence suite instead).
+                    // state to predict them (they are checked TLB-on vs
+                    // TLB-off by the equivalence suite instead).
                     let vm = matches!(st.op, Op::Vm { .. });
                     if !vm && r.value != st.value && divs.len() < max_div {
                         divs.push(Divergence {

@@ -103,16 +103,16 @@ impl Default for Kernel {
 }
 
 impl Kernel {
-    /// Creates an empty kernel with the software TLB on. Use
-    /// [`Kernel::with_tlb`] to force the reference walk-every-time path
-    /// (driven by the typed `FastPath` config in `tmi-sim`).
+    /// Creates an empty kernel with the software TLBs on.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Creates an empty kernel with the software TLBs of every future
-    /// address space forced on (`true`, the default fast path) or off
-    /// (`false`, the reference walk-every-time path).
+    /// address space on (`true`, as [`Kernel::new`]) or off (`false`: every
+    /// translation walks the page table). The walk-every-time kernel is a
+    /// test seam, installed by differential runs that prove the TLB
+    /// behaviorally invisible.
     pub fn with_tlb(enabled: bool) -> Self {
         Kernel {
             tlb_enabled: enabled,

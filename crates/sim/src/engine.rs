@@ -12,7 +12,6 @@ use tmi_machine::{AccessKind, Machine, MachineConfig, VAddr, Width};
 use tmi_os::{FaultResolution, Kernel, OsError, Pid, Tid};
 use tmi_program::{CodeRegistry, InstrKind, MemOrder, Op, OpResult, Pc, RmwOp, ThreadProgram};
 
-use crate::config::FastPath;
 use crate::cost::CostModel;
 use crate::hooks::{AccessInfo, EngineCtl, PreAccess, RegionEvent, Route, RuntimeHooks, SyncEvent};
 use crate::sync::SyncTable;
@@ -35,16 +34,10 @@ pub struct EngineConfig {
     /// *host* time (spin loops execute billions of cheap ops before they
     /// exhaust the cycle budget).
     pub max_ops: u64,
-    /// Which accelerator fast paths (software TLB, sharer directory) the
-    /// run uses. The typed replacement for the old process-global
-    /// `TMI_FASTPATH` toggle; behaviorally invisible by contract.
-    pub fast_path: FastPath,
 }
 
 impl EngineConfig {
-    /// Default config for `cores` cores. The fast-path knob is read from
-    /// the environment exactly once per process (`TMI_FASTPATH`) for CLI
-    /// compatibility; override the field to configure it programmatically.
+    /// Default config for `cores` cores.
     pub fn with_cores(cores: usize) -> Self {
         EngineConfig {
             machine: MachineConfig::with_cores(cores),
@@ -52,7 +45,6 @@ impl EngineConfig {
             tick_interval: 3_400_000,
             max_cycles: 40_000_000_000,
             max_ops: 2_000_000_000,
-            fast_path: FastPath::from_env(),
         }
     }
 }
@@ -176,14 +168,11 @@ impl EngineCore {
 
     /// Registers the engine-owned counters (machine and OS layers) into a
     /// metrics sink under the `machine.` and `os.` prefixes, plus the
-    /// fast-path accelerator counters under `machine.dir.` (sharer/owner
-    /// directory) and `os.tlb.` (software TLBs, summed across address
-    /// spaces). The accelerator counters are purely observational: they
-    /// measure absorbed snoops and short-circuited page walks, never a
-    /// behavioral difference.
+    /// software-TLB counters under `os.tlb.` (summed across address
+    /// spaces). The TLB counters are purely observational: they measure
+    /// short-circuited page walks, never a behavioral difference.
     pub fn collect_metrics(&self, sink: &mut tmi_telemetry::MetricSink) {
         sink.source("machine", self.machine.stats());
-        sink.source("machine.dir", self.machine.dir_stats());
         sink.source("os", self.kernel.stats());
         sink.source("os.tlb", &self.kernel.tlb_stats());
     }
@@ -258,10 +247,7 @@ pub struct Engine<R: RuntimeHooks> {
 }
 
 impl<R: RuntimeHooks> Engine<R> {
-    /// Creates an engine with an empty kernel and cold caches. The
-    /// [`FastPath`] on `config` decides, at construction, whether the
-    /// kernel's software TLBs and the machine's sharer directory run
-    /// (the directory additionally requires `config.machine.directory`).
+    /// Creates an engine with an empty kernel and cold caches.
     pub fn new(config: EngineConfig, runtime: R) -> Self {
         let mut code = CodeRegistry::new();
         let internal_pcs = InternalPcs {
@@ -271,12 +257,10 @@ impl<R: RuntimeHooks> Engine<R> {
             spin_rmw: code.atomic_instr("spin::acquire_xchg", InstrKind::Rmw, Width::W4),
             spin_store: code.atomic_instr("spin::release_store", InstrKind::Store, Width::W4),
         };
-        let mut machine_cfg = config.machine;
-        machine_cfg.directory = machine_cfg.directory && config.fast_path.directory;
         Engine {
             core: EngineCore {
-                kernel: Kernel::with_tlb(config.fast_path.tlb),
-                machine: Machine::new(machine_cfg),
+                kernel: Kernel::new(),
+                machine: Machine::new(config.machine),
                 sync: SyncTable::new(),
                 code,
                 config,

@@ -183,9 +183,8 @@ pub trait RuntimeHooks {
     /// effect, `0` if it was a no-op in the current runtime state.
     ///
     /// The outcome must depend only on architectural state (page tables,
-    /// governor state machine) — never on accelerator contents such as
-    /// TLB occupancy — so that fast-path and reference-path runs stay
-    /// byte-identical. The default ignores the request: a runtime
+    /// governor state machine) — never on TLB occupancy — so that runs
+    /// with and without the software TLB stay byte-identical. The default ignores the request: a runtime
     /// without a repair governor has no remapping machinery to drive.
     fn on_vm_op(&mut self, ctl: &mut dyn EngineCtl, tid: Tid, op: VmOp, addr: VAddr) -> u64 {
         0

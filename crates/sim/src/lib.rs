@@ -35,13 +35,11 @@
 //! # Ok::<(), tmi_os::OsError>(())
 //! ```
 
-pub mod config;
 pub mod cost;
 pub mod engine;
 pub mod hooks;
 pub mod sync;
 
-pub use config::FastPath;
 pub use cost::CostModel;
 pub use engine::{Engine, EngineConfig, EngineCore, Halt, InternalPcs, RunReport, TraceStep};
 pub use hooks::{

@@ -20,17 +20,12 @@
 #            schema, and the smoke run's Chrome trace must be
 #            structurally valid and contain a full repair episode
 #            (trigger -> T2P -> twin -> commit)
-#   fastpath-env  the typed-config gate: the process environment is read
-#            exactly once, in crates/sim/src/config.rs; any other direct
-#            std::env::var("TMI_FASTPATH") read fails the gate (config
-#            flows through FastPath on EngineConfig)
-#   bench-smoke  the fast-path wall-clock gate: the machine_throughput
-#            criterion benches (compile + a short measured run), then
-#            scripts/bench.sh --quick, which byte-diffs run_all --quick
-#            fast path vs TMI_FASTPATH=off (the accelerators must be
-#            behaviorally invisible) and emits + validates BENCH_perf.json
-#            (speedups there are advisory in CI; a malformed report or an
-#            equivalence failure is what fails)
+#   bench-smoke  the benchmark gate: the machine_throughput criterion
+#            benches (compile + a short measured run), then the
+#            standalone perfbench package (its own cargo package, see
+#            perfbench/README.md): its unit, API-guard and self-check
+#            tests, and a --smoke run of every workload, which exits
+#            non-zero on any wrong output (timings are not gated here)
 #   service  the job-server determinism proof: boot the tmi_serve daemon
 #            with the seeded service chaos plan (--service-faults 1,
 #            which kills a worker on every second pickup), drive the
@@ -75,15 +70,6 @@ cargo fmt --all -- --check
 
 echo "== clippy"
 cargo clippy --workspace -- -D warnings
-
-echo "== fastpath-env: TMI_FASTPATH is read in exactly one place"
-stray=$(grep -rn --include='*.rs' 'env::var("TMI_FASTPATH")' crates src tests 2>/dev/null \
-  | grep -v '^crates/sim/src/config.rs:' || true)
-[ -z "$stray" ] || {
-  printf '%s\n' "$stray"
-  echo "direct TMI_FASTPATH reads outside crates/sim/src/config.rs — use FastPath on EngineConfig"
-  exit 1
-}
 
 echo "== tier-1 build + test"
 cargo build --release --workspace
@@ -134,9 +120,10 @@ test -s "$smoke_dir/service_trace.json"
 grep -q '"service.job"' "$smoke_dir/service_trace.json" \
   || { echo "service trace has no job spans"; exit 1; }
 
-echo "== bench-smoke: throughput benches + fast-path equivalence"
+echo "== bench-smoke: throughput benches + perfbench smoke"
 cargo bench -p tmi-bench --bench machine_throughput
-scripts/bench.sh --quick
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml --bin bench -- run --smoke
 
 echo "== crash: seeded kill -9 matrix + byte-identical recovery"
 target/release/crash_matrix --kill-points 8 --data-root "$smoke_dir/crash"
