@@ -45,7 +45,7 @@ fn main() {
             ..spec.clone()
         };
         let t0 = Instant::now();
-        let job = exec.run_spec(&one);
+        let job = exec.run(vec![one]).remove(0);
         match &job.outcome {
             Ok(r) => println!(
                 "{name:15} host={:6.2}s ops={:9} cycles={:12} hitm={:9} ok={}",

@@ -17,11 +17,11 @@
 //! `TMI_BENCH_JOBS` environment variable overrides it (`TMI_BENCH_JOBS=1`
 //! forces serial execution; the output must not change).
 //!
-//! Completed jobs are memoized by their full configuration, so e.g. the
-//! pthreads baselines that several figures share are computed once per
-//! `run_all` instead of once per figure. Memoization is sound because
-//! runs are deterministic: a cache hit returns exactly the bytes a rerun
-//! would.
+//! Completed jobs are memoized by their canonical [`JobSpec::to_json`]
+//! form, so e.g. the pthreads baselines that several figures share are
+//! computed once per `run_all` instead of once per figure. Memoization is
+//! sound because runs are deterministic: a cache hit returns exactly the
+//! bytes a rerun would.
 //!
 //! [`Experiment`] is the builder for one cell and the public entry point
 //! to the harness; [`ExperimentSet`] batches cells for parallel
@@ -35,7 +35,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use tmi_telemetry::MetricsSnapshot;
+use tmi_machine::LatencyModel;
+use tmi_telemetry::json::{fmt_f64, string};
+use tmi_telemetry::{chrome, MetricsSnapshot, Tracer};
 
 use crate::harness::{self, RunConfig, RunResult, RuntimeKind};
 pub use crate::spec::JobSpec;
@@ -177,52 +179,15 @@ pub struct JobRecord {
     pub metrics: MetricsSnapshot,
 }
 
-/// Memoization key: the full cell identity — `(workload, config, seed)`
-/// plus the trace flag, the same identity the service result cache keys
-/// on.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct JobKey {
-    workload: String,
-    runtime: RuntimeKind,
-    threads: usize,
-    scale_bits: u64,
-    fixed: bool,
-    misaligned: bool,
-    huge_pages: bool,
-    period: u64,
-    tick_interval: u64,
-    max_ops: u64,
-    seed: u64,
-    trace: bool,
-}
-
-impl JobKey {
-    fn of(spec: &JobSpec) -> Self {
-        let c = &spec.cfg;
-        JobKey {
-            workload: spec.workload.clone(),
-            runtime: c.runtime,
-            threads: c.threads,
-            scale_bits: c.scale.to_bits(),
-            fixed: c.fixed,
-            misaligned: c.misaligned,
-            huge_pages: c.huge_pages,
-            period: c.period,
-            tick_interval: c.tick_interval,
-            max_ops: c.max_ops,
-            seed: spec.seed,
-            trace: spec.trace,
-        }
-    }
-}
-
 /// The deterministic parallel job executor.
 ///
 /// Cheap to create; share one across figures (as `run_all` does) to get
 /// cross-figure memoization of repeated cells.
 pub struct Executor {
     workers: usize,
-    cache: Mutex<HashMap<JobKey, RunResult>>,
+    /// Memo cache keyed on [`JobSpec::to_json`], the same identity the
+    /// service's result cache, journal and spill use.
+    cache: Mutex<HashMap<String, RunResult>>,
     log: Mutex<Vec<JobRecord>>,
     batches: AtomicUsize,
     created: Instant,
@@ -272,21 +237,8 @@ impl Executor {
         results
     }
 
-    /// Runs a single cell through the memo cache on the current thread —
-    /// the entry point the `tmi-service` worker pool drains jobs into.
-    /// Equivalent to `run(vec![spec]).pop()` without spinning up a pool;
-    /// because runs are deterministic and the cache key is the full spec,
-    /// a repeated spec returns the *same* [`RunResult`] bytes whether it
-    /// recomputes or hits the cache. The spec's Chrome trace (if
-    /// `spec.trace`) is not retained — callers wanting the trace document
-    /// use [`Experiment::run_traced`].
-    pub fn run_spec(&self, spec: &JobSpec) -> JobResult {
-        let batch = self.batches.fetch_add(1, Ordering::Relaxed);
-        self.run_one(batch, 0, spec)
-    }
-
     fn run_one(&self, batch: usize, index: usize, spec: &JobSpec) -> JobResult {
-        let key = JobKey::of(spec);
+        let key = spec.to_json();
         if let Some(hit) = self.cache.lock().unwrap().get(&key).cloned() {
             self.record(batch, index, spec, "cached", 0.0, Some(&hit));
             return JobResult {
@@ -298,7 +250,9 @@ impl Executor {
             };
         }
         let t0 = Instant::now();
-        let caught = catch_unwind(AssertUnwindSafe(|| harness::execute_spec(spec).0));
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            harness::execute_spec(spec, &Tracer::disabled())
+        }));
         let host_seconds = t0.elapsed().as_secs_f64();
         let outcome = match caught {
             Ok(r) => Ok(r),
@@ -396,11 +350,11 @@ impl Executor {
                  \"metrics\": {}}}{sep}\n",
                 r.batch,
                 r.index,
-                json_string(&r.workload),
-                json_string(r.runtime),
+                string(&r.workload),
+                string(r.runtime),
                 r.threads,
-                json_number(r.scale),
-                json_string(r.status),
+                fmt_f64(r.scale),
+                string(r.status),
                 r.host_seconds,
                 r.sim_cycles,
                 r.sim_seconds,
@@ -415,35 +369,6 @@ impl Executor {
     pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
         let mut f = std::fs::File::create(path)?;
         f.write_all(self.to_json().as_bytes())
-    }
-}
-
-/// Renders a `str` as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders an `f64` as a JSON number (always with a decimal point).
-fn json_number(x: f64) -> String {
-    let s = format!("{x}");
-    if s.contains('.') || s.contains('e') {
-        s
-    } else {
-        format!("{s}.0")
     }
 }
 
@@ -587,7 +512,7 @@ impl Experiment {
     ///
     /// Panics on unknown workload names, like the harness.
     pub fn run(self) -> RunResult {
-        harness::execute_spec(&self.spec).0
+        harness::execute_spec(&self.spec, &Tracer::disabled())
     }
 
     /// Runs under `tmi-detect` and also returns the perf-c2c-style
@@ -602,10 +527,16 @@ impl Experiment {
     /// `chrome://tracing` or <https://ui.perfetto.dev>. The trace embeds
     /// the run's metrics snapshot and per-phase cycle profile under
     /// `otherData`.
-    pub fn run_traced(mut self) -> (RunResult, String) {
-        self.spec.trace = true;
-        let (r, trace) = harness::execute_spec(&self.spec);
-        (r, trace.expect("traced run returns a trace document"))
+    pub fn run_traced(self) -> (RunResult, String) {
+        let tracer = Tracer::enabled();
+        let r = harness::execute_spec(&self.spec, &tracer);
+        let trace = chrome::export_trace(
+            &tracer.take_events(),
+            &r.phases,
+            LatencyModel::CLOCK_HZ,
+            Some(&r.metrics),
+        );
+        (r, trace)
     }
 }
 
@@ -697,18 +628,6 @@ mod tests {
         assert_eq!(spec.cfg.period, 10);
         assert_eq!(spec.cfg.tick_interval, 123);
         assert_eq!(spec.cfg.max_ops, 456);
-    }
-
-    #[test]
-    fn json_strings_escape() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-    }
-
-    #[test]
-    fn json_numbers_keep_a_decimal_point() {
-        assert_eq!(json_number(1.0), "1.0");
-        assert_eq!(json_number(0.05), "0.05");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use tmi_machine::{LatencyModel, VAddr, FRAME_SIZE};
 use tmi_os::MapRequest;
 use tmi_perf::PerfConfig;
 use tmi_sim::{Engine, EngineConfig, Halt, NullRuntime, RuntimeHooks};
-use tmi_telemetry::{MetricSource, MetricsSnapshot, Tracer};
+use tmi_telemetry::{MetricSource, MetricsSnapshot, PhaseProfile, Tracer};
 use tmi_workloads::{SetupCtx, Workload, WorkloadParams};
 
 use crate::spec::JobSpec;
@@ -96,15 +96,6 @@ impl RuntimeKind {
             self,
             RuntimeKind::Pthreads | RuntimeKind::Laser | RuntimeKind::Plastic
         )
-    }
-
-    /// Whether application memory must be backed by a shared object.
-    /// Process-based runtimes need this to survive T2P; the harness also
-    /// uses object backing for the baseline so that cold-start demand
-    /// paging behaves uniformly (anonymous memory cannot survive the
-    /// residency reset between setup and simulation).
-    pub fn needs_shared_backing(self) -> bool {
-        true
     }
 }
 
@@ -229,6 +220,9 @@ pub struct RunResult {
     pub app_bytes: u64,
     /// Demand page faults taken.
     pub faults: u64,
+    /// Simulated cycles the runtime charged per repair phase (zero for
+    /// runtimes without a repair manager).
+    pub phases: PhaseProfile,
     /// The full flat metrics-registry snapshot of the run: every
     /// `machine.*`, `os.*` and runtime counter under one stable namespace.
     /// The typed fields above are derived from this snapshot; reports
@@ -278,7 +272,6 @@ fn alloc_config(cfg: &RunConfig, allocator_sensitive: bool) -> AllocConfig {
 struct Built<R: RuntimeHooks> {
     engine: Engine<R>,
     workload: Box<dyn Workload>,
-    layout: AppLayout,
     aspace: tmi_os::AsId,
 }
 
@@ -298,8 +291,9 @@ fn build<R: RuntimeHooks>(
     engine_cfg.max_cycles = 60_000_000_000;
 
     // The runtime is constructed against the layout before the engine
-    // exists (TMI sets its memory up at program start, §3.2).
-    let layout_proto = AppLayout {
+    // exists (TMI sets its memory up at program start, §3.2). The object
+    // ids are the two objects the fresh kernel creates first, below.
+    let layout = AppLayout {
         app_obj: tmi_os::ObjId(0),
         app_start: VAddr::new(APP_START),
         app_len,
@@ -308,19 +302,17 @@ fn build<R: RuntimeHooks>(
         internal_len: INTERNAL_LEN,
         huge_pages: cfg.huge_pages,
     };
-    let mut engine = Engine::new(engine_cfg, make_runtime(layout_proto));
+    let mut engine = Engine::new(engine_cfg, make_runtime(layout));
 
-    // Map the application region (object- or anon-backed) and the internal
-    // region.
+    // Map the application region and the internal region, both backed by
+    // shared objects: process-based runtimes need that to survive T2P, and
+    // the baselines use it too so that cold-start demand paging behaves
+    // uniformly (anonymous memory cannot survive the residency reset
+    // between setup and simulation).
     let kernel = &mut engine.core_mut().kernel;
     let app_obj = kernel.create_object(app_len);
     let internal_obj = kernel.create_object(INTERNAL_LEN);
     let aspace = kernel.create_aspace();
-    let mut layout = layout_proto;
-    layout.app_obj = app_obj;
-    layout.internal_obj = internal_obj;
-
-    debug_assert!(cfg.runtime.needs_shared_backing());
     let mut req = MapRequest::object(VAddr::new(APP_START), app_len, app_obj, 0);
     if cfg.huge_pages {
         req = req.huge();
@@ -365,7 +357,6 @@ fn build<R: RuntimeHooks>(
     Built {
         engine,
         workload,
-        layout,
         aspace,
     }
 }
@@ -400,6 +391,7 @@ fn base_result(name: &str, cfg: &RunConfig) -> RunResult {
         memory_bytes: 0,
         app_bytes: 0,
         faults: 0,
+        phases: PhaseProfile::new(),
         metrics: MetricsSnapshot::default(),
     }
 }
@@ -448,7 +440,6 @@ fn finish<R: RuntimeHooks + MetricSource>(
         r.verified = Err(format!("run did not complete: {:?}", report.halt));
     }
 
-    let _ = built.layout;
     fill(built.engine.runtime(), built.engine.core(), &mut r);
     r
 }
@@ -457,39 +448,17 @@ fn finish<R: RuntimeHooks + MetricSource>(
 /// [`crate::Experiment`] builder, the executor and the service worker
 /// pool all lower to a [`JobSpec`] and land here. Honors the spec's
 /// fault-schedule seed (a seeded [`FaultInjector`] installed into the
-/// kernel and, for TMI runtimes, the perf monitor and repair governor)
-/// and its trace flag (second member of the pair: the Chrome
-/// `trace_event` JSON document).
-pub(crate) fn execute_spec(spec: &JobSpec) -> (RunResult, Option<String>) {
+/// kernel and, for TMI runtimes, the perf monitor and repair governor).
+/// `tracer` receives the run's events when enabled; it never changes the
+/// result.
+///
+/// # Panics
+///
+/// Panics on unknown workload names.
+pub fn execute_spec(spec: &JobSpec, tracer: &Tracer) -> RunResult {
     let injector = (spec.seed != 0).then(|| FaultInjector::new(FaultPlan::from_seed(spec.seed)));
-    if spec.trace {
-        let tracer = Tracer::enabled();
-        let r = execute_with_tracer(&spec.workload, &spec.cfg, &tracer, injector.as_ref());
-        let events = tracer.take_events();
-        let trace = tmi_telemetry::chrome::export_trace(
-            &events,
-            &tracer.phases(),
-            LatencyModel::CLOCK_HZ,
-            Some(&r.metrics),
-        );
-        (r, Some(trace))
-    } else {
-        let r = execute_with_tracer(
-            &spec.workload,
-            &spec.cfg,
-            &Tracer::disabled(),
-            injector.as_ref(),
-        );
-        (r, None)
-    }
-}
-
-fn execute_with_tracer(
-    name: &str,
-    cfg: &RunConfig,
-    tracer: &Tracer,
-    faults: Option<&FaultInjector>,
-) -> RunResult {
+    let faults = injector.as_ref();
+    let (name, cfg) = (spec.workload.as_str(), &spec.cfg);
     let tmi_cfg = |preset: TmiConfig| TmiConfig {
         perf: PerfConfig::with_period(cfg.period),
         ..preset
@@ -582,10 +551,12 @@ fn fill_tmi(rt: &TmiRuntime, core: &tmi_sim::EngineCore, r: &mut RunResult) {
     r.t2p_cycles = r.metrics.u64("tmi.repair.t2p_cycles");
     r.memory_bytes = r.metrics.u64("tmi.memory.total_bytes");
     r.app_bytes = r.metrics.u64("tmi.memory.app_bytes");
+    r.phases = rt.observe().phases();
 }
 
-fn fill_sheriff(_rt: &SheriffRuntime, _core: &tmi_sim::EngineCore, r: &mut RunResult) {
+fn fill_sheriff(rt: &SheriffRuntime, _core: &tmi_sim::EngineCore, r: &mut RunResult) {
     r.repaired = true;
+    r.phases = rt.repair().phases();
     r.commits = r.metrics.u64("sheriff.repair.commits");
     r.t2p_cycles = r.metrics.u64("sheriff.repair.t2p_cycles");
     // Sheriff's overhead: twins + protection state, no perf buffers.
@@ -629,7 +600,6 @@ mod tests {
             RuntimeKind::TmiDetect,
             RuntimeKind::SheriffDetect,
         ] {
-            assert!(rt.needs_shared_backing());
             assert!(!rt.label().is_empty());
         }
     }

@@ -24,8 +24,7 @@ use tmi_telemetry::json::{self, Json};
 use crate::harness::{RunConfig, RuntimeKind};
 
 /// One cell of the experiment matrix: a workload under a configuration,
-/// plus the fault-schedule seed and telemetry flags that complete a job's
-/// identity.
+/// plus the fault-schedule seed that completes a job's identity.
 ///
 /// `workload` is either a suite workload name (`tmi_workloads::SUITE`) or
 /// a pseudo-workload: `litmus:<seed>` runs the seeded litmus program
@@ -47,20 +46,16 @@ pub struct JobSpec {
     /// memoization key: the same `(workload, config, seed)` always
     /// returns the same bytes.
     pub seed: u64,
-    /// Collect a Chrome `trace_event` timeline alongside the result
-    /// (ignored by runtimes without tracer support).
-    pub trace: bool,
 }
 
 impl JobSpec {
     /// A spec on `workload` with the detection-machine defaults
-    /// ([`RunConfig::new`], pthreads, no faults, no trace).
+    /// ([`RunConfig::new`], pthreads, no faults).
     pub fn new(workload: impl Into<String>) -> Self {
         JobSpec {
             workload: workload.into(),
             cfg: RunConfig::new(RuntimeKind::Pthreads),
             seed: 0,
-            trace: false,
         }
     }
 
@@ -72,7 +67,6 @@ impl JobSpec {
             workload: format!("litmus:{program_seed}"),
             cfg: RunConfig::repair(RuntimeKind::TmiProtect),
             seed: 0,
-            trace: false,
         }
     }
 
@@ -113,7 +107,7 @@ impl JobSpec {
             "{{\"workload\": {}, \"runtime\": {}, \"threads\": {}, \
              \"scale\": {}, \"fixed\": {}, \"misaligned\": {}, \
              \"huge_pages\": {}, \"period\": {}, \"tick_interval\": {}, \
-             \"max_ops\": {}, \"seed\": {}, \"trace\": {}}}",
+             \"max_ops\": {}, \"seed\": {}}}",
             json::string(&self.workload),
             json::string(c.runtime.label()),
             c.threads,
@@ -125,7 +119,6 @@ impl JobSpec {
             c.tick_interval,
             c.max_ops,
             self.seed,
-            self.trace,
         )
     }
 
@@ -184,12 +177,11 @@ impl JobSpec {
         cfg.huge_pages = flag("huge_pages")?.unwrap_or(false);
         // Unknown members are ignored, which keeps documents persisted by
         // older builds (journals and cache spills that still carry the
-        // retired shard-count and fast-path members) decodable.
+        // retired shard-count, fast-path and trace members) decodable.
         Ok(JobSpec {
             workload,
             cfg,
             seed: num("seed")?.map(|s| s as u64).unwrap_or(0),
-            trace: flag("trace")?.unwrap_or(false),
         })
     }
 
@@ -232,7 +224,6 @@ impl JobSpec {
             "--fixed" => self.cfg.fixed = true,
             "--misaligned" => self.cfg.misaligned = true,
             "--huge-pages" => self.cfg.huge_pages = true,
-            "--spec-trace" => self.trace = true,
             _ => return Ok(false),
         }
         Ok(true)
@@ -243,7 +234,7 @@ impl JobSpec {
     pub fn cli_usage() -> &'static str {
         "--workload NAME|litmus:<seed>|litmus+vm:<seed> [--runtime LABEL] [--threads N] \
          [--scale F] [--period N] [--tick-interval N] [--max-ops N] \
-         [--seed N] [--fixed] [--misaligned] [--huge-pages] [--spec-trace]"
+         [--seed N] [--fixed] [--misaligned] [--huge-pages]"
     }
 }
 
@@ -274,7 +265,6 @@ mod tests {
             .misaligned()
             .period(10);
         spec.seed = 42;
-        spec.trace = true;
         let doc = spec.to_json();
         let parsed = JobSpec::from_json(&json::parse(&doc).unwrap()).unwrap();
         assert_eq!(parsed, spec);
@@ -292,14 +282,15 @@ mod tests {
 
     #[test]
     fn decode_ignores_the_retired_shard_count_member() {
-        // Journals and cache spills written before the host shard count
-        // and the fast-path toggles left the job identity still carry
-        // them; such a document must decode to the same spec as one
-        // without the members.
+        // Journals and cache spills written before the host shard count,
+        // the fast-path toggles and the trace flag left the job identity
+        // still carry them; such a document must decode to the same spec
+        // as one without the members.
         let without = json::parse(r#"{"workload": "lreg", "threads": 4}"#).unwrap();
         for with in [
             r#"{"workload": "lreg", "threads": 4, "sim_threads": 8}"#,
             r#"{"workload": "lreg", "threads": 4, "fastpath_tlb": false, "fastpath_dir": false}"#,
+            r#"{"workload": "lreg", "threads": 4, "trace": true}"#,
         ] {
             assert_eq!(
                 JobSpec::from_json(&json::parse(with).unwrap()).unwrap(),
@@ -362,18 +353,13 @@ mod tests {
             (any::<bool>(), any::<bool>(), any::<bool>(), 1u64..1000),
             // Seeds stay below 2^32: the JSON codec routes numbers through
             // f64, which is exact only up to 2^53.
-            (
-                1u64..10_000_000,
-                1u64..100_000_000,
-                0u64..1 << 32,
-                any::<bool>(),
-            ),
+            (1u64..10_000_000, 1u64..100_000_000, 0u64..1 << 32),
         )
             .prop_map(
                 |(
                     (workload, runtime, threads, scale16),
                     (fixed, misaligned, huge_pages, period),
-                    (tick_interval, max_ops, seed, trace),
+                    (tick_interval, max_ops, seed),
                 )| {
                     let mut cfg = RunConfig::new(runtime);
                     cfg.threads = threads;
@@ -389,7 +375,6 @@ mod tests {
                         workload,
                         cfg,
                         seed,
-                        trace,
                     }
                 },
             )
@@ -424,7 +409,6 @@ mod tests {
             if spec.cfg.fixed { args.push("--fixed".into()); }
             if spec.cfg.misaligned { args.push("--misaligned".into()); }
             if spec.cfg.huge_pages { args.push("--huge-pages".into()); }
-            if spec.trace { args.push("--spec-trace".into()); }
             let mut rebuilt = JobSpec::new("placeholder");
             let mut it = args.into_iter();
             while let Some(arg) = it.next() {

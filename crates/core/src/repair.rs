@@ -27,7 +27,7 @@ use tmi_machine::addr::FRAMES_PER_HUGE_PAGE;
 use tmi_machine::Vpn;
 use tmi_os::{AsId, OsError, Pid, Tid};
 use tmi_sim::EngineCtl;
-use tmi_telemetry::{MetricSink, MetricSource, Phase, Tracer, GLOBAL_TID};
+use tmi_telemetry::{MetricSink, MetricSource, Phase, PhaseProfile, Tracer, GLOBAL_TID};
 
 use crate::config::TmiConfig;
 use crate::layout::AppLayout;
@@ -113,6 +113,8 @@ pub struct RepairManager {
     /// revert can rejoin them.
     converted: Vec<(Tid, Pid)>,
     faults: Option<FaultInjector>,
+    /// Cycles this manager charged, per repair phase.
+    phases: PhaseProfile,
     /// Telemetry event bus; disabled (a no-op) unless a run opts in.
     tracer: Tracer,
 }
@@ -174,6 +176,12 @@ impl RepairManager {
         &self.twins
     }
 
+    /// Cycles charged so far to arming, fault handling, commits and
+    /// merges.
+    pub fn phases(&self) -> PhaseProfile {
+        self.phases
+    }
+
     /// Triggers (or extends) repair: on the first call, stops the world
     /// and converts every application thread into a process via injected
     /// `fork()` (§3.2); then arms copy-on-write protection for `pages` in
@@ -233,7 +241,7 @@ impl RepairManager {
                 cost,
                 &[("threads", tids.len() as u64)],
             );
-            self.tracer.phase(Phase::Arm, cost);
+            self.phases.add(Phase::Arm, cost);
         }
         self.stats.repair_rounds += 1;
 
@@ -342,7 +350,7 @@ impl RepairManager {
                     self.stats.retries += 1;
                     let backoff = cfg.retry_backoff(attempt);
                     ctl.add_cycles(tid, backoff);
-                    self.tracer.phase(Phase::FaultHandling, backoff);
+                    self.phases.add(Phase::FaultHandling, backoff);
                 } else {
                     self.degrade_page(ctl, cfg, layout, vpn);
                     break;
@@ -379,7 +387,7 @@ impl RepairManager {
                     self.stats.retries += 1;
                     let backoff = cfg.retry_backoff(attempt);
                     ctl.add_cycles(tid, backoff);
-                    self.tracer.phase(Phase::Arm, backoff);
+                    self.phases.add(Phase::Arm, backoff);
                 }
                 Err(e) => return Err(e),
             }
@@ -410,7 +418,7 @@ impl RepairManager {
                     self.stats.retries += 1;
                     let backoff = cfg.retry_backoff(attempt);
                     ctl.add_cycles(tid, backoff);
-                    self.tracer.phase(Phase::Arm, backoff);
+                    self.phases.add(Phase::Arm, backoff);
                 }
                 Err(e) => return Err(e),
             }
@@ -459,7 +467,7 @@ impl RepairManager {
                         self.stats.bytes_merged += pc.bytes_merged;
                         self.stats.commit_cycles += pc.cycles;
                         ctl.add_cycles(tid, pc.cycles);
-                        self.tracer.phase(Phase::Merge, pc.cycles);
+                        self.phases.add(Phase::Merge, pc.cycles);
                     }
                     Err(_) => {
                         // Twin without a private frame: nothing buffered.
@@ -511,7 +519,7 @@ impl RepairManager {
         ctl.add_cycles_all(cfg.stop_world_cycles);
         self.tracer
             .instant("tmi.repair.rollback", "repair", GLOBAL_TID, ctl.now(), &[]);
-        self.tracer.phase(Phase::Merge, cfg.stop_world_cycles);
+        self.phases.add(Phase::Merge, cfg.stop_world_cycles);
     }
 
     /// Reverts an active repair because its commit overhead exceeded the
@@ -527,7 +535,7 @@ impl RepairManager {
         ctl.add_cycles_all(cfg.stop_world_cycles);
         self.tracer
             .instant("tmi.repair.revert", "repair", GLOBAL_TID, ctl.now(), &[]);
-        self.tracer.phase(Phase::Merge, cfg.stop_world_cycles);
+        self.phases.add(Phase::Merge, cfg.stop_world_cycles);
     }
 
     /// Accounts one engine-level retry of a transiently-failed fault
@@ -605,7 +613,7 @@ impl RepairManager {
             cycles,
             &[("pages", pages_this_commit)],
         );
-        self.tracer.phase(Phase::Commit, cycles);
+        self.phases.add(Phase::Commit, cycles);
         cycles
     }
 }

@@ -69,6 +69,9 @@ pub struct TmiRuntime {
     /// True while an engine-level fault retry is outstanding, so the next
     /// completed access can be credited as a transient recovery.
     engine_retry_pending: bool,
+    /// Cycles the runtime itself charged (detection, lock re-padding,
+    /// fault retries) per repair phase; the repair manager keeps the rest.
+    phases: PhaseProfile,
     /// Telemetry event bus; disabled (a no-op) unless a run opts in.
     tracer: Tracer,
 }
@@ -94,6 +97,7 @@ impl TmiRuntime {
             last_tick: 0,
             last_commit_cycles: 0,
             engine_retry_pending: false,
+            phases: PhaseProfile::new(),
             tracer: Tracer::disabled(),
             config,
             layout,
@@ -201,7 +205,7 @@ impl TmiRuntime {
                 now,
                 &[],
             );
-            self.tracer.phase(Phase::Arm, self.config.stop_world_cycles);
+            self.phases.add(Phase::Arm, self.config.stop_world_cycles);
         }
         if !app_pages.is_empty() {
             let pages: Vec<Vpn> = if self.config.targeted {
@@ -272,10 +276,14 @@ impl<'a> RuntimeView<'a> {
         }
     }
 
-    /// The per-phase cycle attribution recorded by the tracer (all zeros
-    /// unless a tracer was installed).
+    /// The per-phase cycle attribution of the run so far: the runtime's
+    /// own charges plus the repair manager's.
     pub fn phases(&self) -> PhaseProfile {
-        self.rt.tracer.phases()
+        let mut total = self.rt.phases;
+        for (phase, cycles) in self.rt.repair.phases().iter() {
+            total.add(phase, cycles);
+        }
+        total
     }
 
     /// The flat metrics snapshot of the whole runtime (no prefix; callers
@@ -297,7 +305,7 @@ impl MetricSource for TmiRuntime {
         out.source("perf", &self.perf);
         out.source("detector", &self.detector);
         out.source("locks", &self.locks);
-        out.source("phase", &self.tracer.phases());
+        out.source("phase", &self.observe().phases());
     }
 }
 
@@ -343,7 +351,7 @@ impl RuntimeHooks for TmiRuntime {
             return 0;
         }
         let capture_cycles = self.perf.on_hitm(tid, acc.pc, acc.vaddr, hitm.kind);
-        self.tracer.phase(Phase::Detect, capture_cycles);
+        self.phases.add(Phase::Detect, capture_cycles);
         capture_cycles
     }
 
@@ -376,7 +384,7 @@ impl RuntimeHooks for TmiRuntime {
                 ctl.now(),
                 &[("attempt", u64::from(attempt))],
             );
-            self.tracer.phase(Phase::FaultHandling, backoff);
+            self.phases.add(Phase::FaultHandling, backoff);
             return Some(backoff);
         }
         // Retry budget exhausted. If the failure is on a PTSB-armed page
@@ -389,7 +397,7 @@ impl RuntimeHooks for TmiRuntime {
                 .degrade_page(ctl, &self.config, &self.layout, vpn);
             self.engine_retry_pending = true;
             let backoff = self.config.retry_backoff(attempt);
-            self.tracer.phase(Phase::FaultHandling, backoff);
+            self.phases.add(Phase::FaultHandling, backoff);
             return Some(backoff);
         }
         None

@@ -301,7 +301,7 @@ pub fn check_transistency_variants(seed: u64, cap: usize, cfg: &CheckConfig) -> 
 pub fn trace_seed(seed: u64, cfg: &CheckConfig) -> (CheckReport, String) {
     let lit = Litmus::generate(seed);
     let tracer = tmi_telemetry::Tracer::enabled();
-    let (divergences, steps, faults) = run_traced(&lit, cfg, &tracer);
+    let (divergences, steps, faults, phases) = run_traced(&lit, cfg, &tracer);
     let report = CheckReport {
         seed: lit.seed,
         code_centric: cfg.code_centric,
@@ -316,7 +316,7 @@ pub fn trace_seed(seed: u64, cfg: &CheckConfig) -> (CheckReport, String) {
     let events = tracer.take_events();
     let trace = tmi_telemetry::chrome::export_trace(
         &events,
-        &tracer.phases(),
+        &phases,
         tmi_machine::LatencyModel::CLOCK_HZ,
         None,
     );
@@ -416,7 +416,8 @@ pub fn check_litmus(lit: &Litmus, cfg: &CheckConfig) -> CheckReport {
 /// Builds the standard litmus fixture, runs the repaired execution, and
 /// diffs it against the schedule-replaying oracle.
 fn run_once(lit: &Litmus, cfg: &CheckConfig) -> (Vec<Divergence>, usize, Option<FaultSummary>) {
-    run_traced(lit, cfg, &tmi_telemetry::Tracer::disabled())
+    let (divergences, steps, faults, _) = run_traced(lit, cfg, &tmi_telemetry::Tracer::disabled());
+    (divergences, steps, faults)
 }
 
 /// Builds the standard litmus fixture: a 4-core engine running a
@@ -518,12 +519,18 @@ fn build_fixture(
 }
 
 /// [`run_once`] with an explicit telemetry tracer (disabled in the fuzz
-/// hot path so checking stays allocation-lean).
+/// hot path so checking stays allocation-lean), also returning the
+/// runtime's per-phase cycle profile for the trace export.
 fn run_traced(
     lit: &Litmus,
     cfg: &CheckConfig,
     tracer: &tmi_telemetry::Tracer,
-) -> (Vec<Divergence>, usize, Option<FaultSummary>) {
+) -> (
+    Vec<Divergence>,
+    usize,
+    Option<FaultSummary>,
+    tmi_telemetry::PhaseProfile,
+) {
     let max_div = cfg.max_divergences;
     let faults = cfg.faults.map(|base| {
         let fseed = derive_fault_seed(base, lit.seed);
@@ -627,7 +634,7 @@ fn run_traced(
         governor: engine.runtime().observe().repair().stats().clone(),
         state: engine.runtime().observe().repair().state(),
     });
-    (divs, steps, summary)
+    (divs, steps, summary, engine.runtime().observe().phases())
 }
 
 fn fmt_val(v: Option<u64>) -> String {

@@ -13,6 +13,10 @@
 //! `shutdown` or `drain`. On shutdown, prints the final `service.*`
 //! metrics and — with `--chrome-trace` — writes the per-job span trace.
 //!
+//! `--queue-capacity N` (default 64) lets each priority class hold
+//! exactly N queued jobs; the next submission to a full class gets a
+//! `queue_full` rejection.
+//!
 //! `--data-dir` arms the crash-safety layer: accepted jobs are
 //! journaled and result payloads spilled under the directory, so a
 //! daemon killed with `kill -9` and restarted on the same directory

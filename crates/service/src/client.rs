@@ -108,8 +108,8 @@ pub struct RunOutcome {
     pub job_id: u64,
     /// Whether the reply was served from the result cache.
     pub cached: bool,
-    /// Attempts the job took (> 1 means a worker died and the job was
-    /// retried).
+    /// Attempts the job took (> 1 means a `worker_kill` firing
+    /// abandoned an attempt and the job was retried).
     pub attempts: u32,
     /// The deterministic result payload, byte-exact as sent on the wire
     /// (extracted with [`proto::extract_payload`]).

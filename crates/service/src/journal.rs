@@ -4,7 +4,7 @@
 //! ## Protocol
 //!
 //! Admission appends [`JournalRecord::Accepted`] *before* the job enters
-//! a ring; completion appends [`JournalRecord::Done`] (or `Failed`). A
+//! its queue; completion appends [`JournalRecord::Done`] (or `Failed`). A
 //! restarting daemon replays the file ([`Journal::replay`]): any
 //! accepted record without a matching terminal marker is an *unfinished*
 //! job the crash orphaned — the server re-enqueues it (it re-executes
@@ -38,7 +38,7 @@ pub enum JournalRecord {
         id: u64,
         /// Tenant the job counts against.
         tenant: String,
-        /// Priority ring it was queued on.
+        /// Priority class it was queued on.
         priority: usize,
         /// The full job identity.
         spec: JobSpec,

@@ -1,11 +1,13 @@
 //! # tmi-service — the multi-tenant simulation job server
 //!
 //! Long-running service wrapping the deterministic simulation stack: a
-//! TCP listener speaking newline-delimited JSON, a bounded admission
-//! queue per priority class, per-tenant quotas, a worker pool layered
-//! on the [`tmi_bench::Executor`], a memoized result cache keyed on the
-//! full [`JobSpec`] identity, and streaming progress sourced from the
-//! `service.*` metrics registry.
+//! TCP listener speaking newline-delimited JSON, one locked admission
+//! queue with a bounded FIFO per priority class, per-tenant quotas, a
+//! worker pool that runs jobs straight through the harness
+//! ([`tmi_bench::harness::execute_spec`]), a result cache of payload
+//! bytes keyed on the canonical [`JobSpec`] JSON (the only cache, so a
+//! `fresh` submit really re-simulates), and streaming progress sourced
+//! from the `service.*` metrics registry.
 //!
 //! The request-facing vocabulary is the same [`JobSpec`] used by the
 //! [`tmi_bench::Experiment`] builder, the fuzz campaign, and the CLI
@@ -38,7 +40,6 @@ pub mod client;
 pub mod journal;
 pub mod persist;
 pub mod proto;
-pub mod queue;
 pub mod server;
 pub mod stats;
 
@@ -46,7 +47,6 @@ pub use client::{run_with_retry, Client, ClientConfig, Progress, RunOutcome};
 pub use journal::{Journal, JournalRecord};
 pub use persist::{CacheSpill, FrameLog};
 pub use proto::Request;
-pub use queue::BoundedQueue;
 pub use server::{chaos_plan, persist_chaos_plan, Service, ServiceConfig, ServiceReport};
 pub use stats::{service_metric_names, ServiceStats};
 

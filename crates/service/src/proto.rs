@@ -354,7 +354,7 @@ mod tests {
     fn reply_lines_parse_as_json() {
         for line in [
             accepted(3),
-            rejected("queue_full", "ring at capacity"),
+            rejected("queue_full", "queue at capacity"),
             progress(1, "running", 2, "{\"service.jobs_submitted\": 1}"),
             result(1, false, 1, "{}"),
             job_error(1, "boom"),

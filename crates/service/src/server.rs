@@ -1,44 +1,48 @@
 //! The multi-tenant job server.
 //!
-//! One [`Service`] owns a TCP listener, a fixed worker pool layered on
-//! the deterministic [`tmi_bench::Executor`], three priority-classed
-//! admission rings ([`BoundedQueue`]), a memoized result cache keyed on
-//! the full [`JobSpec`] identity, per-tenant quota accounting, and a
-//! supervisor that respawns workers the `worker_kill` fault point
-//! murders mid-job.
+//! One [`Service`] owns a TCP listener, a fixed worker pool that runs
+//! jobs straight through the harness ([`execute_spec`]), one locked
+//! admission queue holding a FIFO per priority class, a result cache
+//! keyed on the canonical [`JobSpec`] JSON, and per-tenant quota
+//! accounting.
 //!
 //! ## Determinism contract
 //!
 //! A job's result payload is a pure function of its spec. The service
 //! holds that line through every path a reply can take:
 //!
-//! * **computed** — workers run specs through the shared [`Executor`],
-//!   whose runs are deterministic;
+//! * **computed** — workers run specs through the harness, whose runs
+//!   are deterministic;
 //! * **cache-served** — the cache stores the rendered payload bytes, so
 //!   a hit replays exactly what compute produced;
 //! * **retried** — the `worker_kill` fault fires *before* compute
-//!   starts, the job is requeued, and the respawned worker recomputes
-//!   the same bytes.
+//!   starts, the job is requeued, and the next pickup simulates it again
+//!   from scratch, producing the same bytes.
 //!
-//! The integration suite and `scripts/check.sh` byte-compare all three.
+//! The payload cache (with its disk spill) is the service's only cache,
+//! so a `fresh`, cache-dropped or retried job really re-simulates. The
+//! integration suite and `scripts/check.sh` byte-compare all three.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tmi_bench::{Executor, JobSpec};
+use tmi_bench::harness::execute_spec;
+use tmi_bench::JobSpec;
 use tmi_faultpoint::{FaultInjector, FaultPlan, FaultPoint, PointPlan};
-use tmi_telemetry::{chrome, EventKind, MetricSink, MetricsSnapshot, PhaseProfile, TraceEvent};
+use tmi_telemetry::{
+    chrome, EventKind, MetricSink, MetricsSnapshot, PhaseProfile, TraceEvent, Tracer,
+};
 
 use crate::journal::{Journal, JournalRecord};
 use crate::persist::CacheSpill;
 use crate::proto::{self, Request, PRIORITIES};
-use crate::queue::BoundedQueue;
 use crate::stats::ServiceStats;
 
 /// Server tuning knobs.
@@ -49,14 +53,15 @@ pub struct ServiceConfig {
     pub addr: String,
     /// Worker pool size. 0 runs the server admission-only — jobs queue
     /// but never execute (the backpressure tests use this to fill the
-    /// rings deterministically).
+    /// queue deterministically).
     pub workers: usize,
-    /// Capacity of each priority ring (rounded up to a power of two).
+    /// Jobs each priority class may hold queued at once, exactly; the
+    /// next submission to a full class gets a `queue_full` rejection.
     pub queue_capacity: usize,
     /// Outstanding-job quota applied to tenants.
     pub default_quota: usize,
     /// Total attempts a job gets before it fails (≥ 1); attempts beyond
-    /// the first happen only when a worker dies mid-job.
+    /// the first happen only when a `worker_kill` firing abandons one.
     pub max_attempts: u32,
     /// Fault plan for the service fault points (`worker_kill`,
     /// `queue_full`, `cache_drop`, `journal_tear`, `cache_corrupt`,
@@ -88,7 +93,7 @@ impl Default for ServiceConfig {
 /// The deterministic chaos plan used by CI and the fault campaign tests:
 /// every second worker pickup dies, every third cache store is dropped.
 /// `queue_full` stays off (backpressure is exercised by actually filling
-/// the ring). Seed 0 means no faults.
+/// the queue). Seed 0 means no faults.
 pub fn chaos_plan(seed: u64) -> Option<FaultPlan> {
     (seed != 0).then(|| {
         FaultPlan::quiet()
@@ -162,13 +167,15 @@ struct CacheEntry {
     warm: bool,
 }
 
-/// Everything the connection, worker, and supervisor threads share.
+/// Everything the connection and worker threads share.
 struct ServiceInner {
     cfg: ServiceConfig,
-    /// One ring per priority class; workers drain 0 first.
-    queues: [BoundedQueue<u64>; PRIORITIES],
-    /// Wakes idle workers when a job is queued (or shutdown begins).
-    queue_signal: (Mutex<()>, Condvar),
+    /// Queued job ids, one FIFO per priority class; workers drain 0
+    /// first. Admission enforces `queue_capacity` under this lock, and
+    /// idle workers park on `queue_cv` until a job is queued or the
+    /// server stops.
+    queue: Mutex<[VecDeque<u64>; PRIORITIES]>,
+    queue_cv: Condvar,
     /// Job table indexed by `job_id - 1`; `job_cv` wakes streamers on
     /// any job-state change.
     jobs: Mutex<Vec<Job>>,
@@ -178,13 +185,13 @@ struct ServiceInner {
     tenants: Mutex<BTreeMap<String, Tenant>>,
     stats: ServiceStats,
     faults: Option<FaultInjector>,
-    executor: Executor,
     /// Write-ahead job journal (None without a `data_dir`).
     journal: Option<Mutex<Journal>>,
     /// Result-cache spill file (None without a `data_dir`).
     spill: Option<Mutex<CacheSpill>>,
     /// Graceful drain in progress: admission refuses, in-flight jobs
-    /// finish, then the supervisor flips `shutdown`.
+    /// finish, and whichever of them becomes terminal last stops the
+    /// server.
     draining: AtomicBool,
     shutdown: AtomicBool,
     /// Chrome-trace spans (one per job completion), stamped in host
@@ -235,8 +242,7 @@ impl ServiceInner {
             .unwrap_or(false)
     }
 
-    /// Appends a progress event to a job (caller holds the jobs lock —
-    /// the snapshot is rendered before locking).
+    /// Appends a progress event to a job (caller holds the jobs lock).
     fn push_event(job: &mut Job, state: &'static str, metrics: String) {
         let attempt = job.attempts;
         job.events.push(JobEvent {
@@ -331,7 +337,7 @@ impl ServiceInner {
             };
             if let Some((payload, warm)) = hit {
                 // Served straight from the cache: the job is born Done
-                // and never touches the rings or the workers. A `warm`
+                // and never touches the queue or the workers. A `warm`
                 // entry came off disk — this hit is the restart saving
                 // a re-simulation.
                 if warm {
@@ -344,31 +350,18 @@ impl ServiceInner {
                 if let Some(t) = self.tenants.lock().unwrap().get_mut(tenant_name) {
                     t.submitted += 1;
                 }
-                let snapshot = self.rendered_stats();
-                let mut jobs = self.jobs.lock().unwrap();
-                let id = jobs.len() as u64 + 1;
-                let mut job = Job {
-                    tenant: tenant_name.to_string(),
-                    spec,
-                    priority,
-                    attempts: 0,
-                    state: JobState::Done {
-                        payload,
-                        cached: true,
-                    },
-                    events: Vec::new(),
+                let done = JobState::Done {
+                    payload,
+                    cached: true,
                 };
-                Self::push_event(&mut job, "done", snapshot);
-                jobs.push(job);
-                self.job_cv.notify_all();
-                return Admission::Accepted(id);
+                return Admission::Accepted(self.new_job(tenant_name, spec, priority, done));
             }
         }
         self.stats.inc(&self.stats.cache_misses);
 
         // The queue_full fault point models load-shedding under
         // admission pressure: a firing sheds this request even though
-        // the ring has room.
+        // the queue has room.
         if self.roll(FaultPoint::QueueFull) {
             self.stats.inc(&self.stats.reject_queue_full);
             self.release_tenant(tenant_name, false);
@@ -379,57 +372,75 @@ impl ServiceInner {
             };
         }
 
-        // Create the job, then publish its id to the priority ring.
-        let snapshot = self.rendered_stats();
-        let spec_for_journal = spec.clone();
-        let id = {
-            let mut jobs = self.jobs.lock().unwrap();
-            let id = jobs.len() as u64 + 1;
-            let mut job = Job {
-                tenant: tenant_name.to_string(),
-                spec,
-                priority,
-                attempts: 0,
-                state: JobState::Queued,
-                events: Vec::new(),
-            };
-            Self::push_event(&mut job, "queued", snapshot);
-            jobs.push(job);
-            id
-        };
+        // Create the job, then queue its id on its priority class.
+        let id = self.new_job(tenant_name, spec.clone(), priority, JobState::Queued);
         // Write-ahead: the accepted record hits the journal before the
         // job can run (or the accepted reply can flush), so a crash
-        // from here on leaves a record to replay. A ring-full rejection
+        // from here on leaves a record to replay. A queue-full rejection
         // below lands a terminal `failed` record after it.
         self.journal_append(&JournalRecord::Accepted {
             id,
             tenant: tenant_name.to_string(),
             priority,
-            spec: spec_for_journal,
+            spec,
         });
-        if self.queues[priority].push(id).is_err() {
-            // Ring full: true backpressure. The job record stays as a
+        if !self.enqueue(id, priority) {
+            // Class full: true backpressure. The job record stays as a
             // tombstone so its id never re-enters circulation.
-            let detail = format!(
-                "priority-{priority} ring at capacity {}",
-                self.queues[priority].capacity()
-            );
             self.fail_job(id, "rejected at admission: queue full".to_string());
             self.stats.inc(&self.stats.reject_queue_full);
             self.note_tenant_reject(tenant_name);
             return Admission::Rejected {
                 reason: "queue_full",
-                detail,
+                detail: format!(
+                    "priority-{priority} queue at capacity {}",
+                    self.cfg.queue_capacity
+                ),
             };
         }
         self.stats.inc(&self.stats.jobs_submitted);
         if let Some(t) = self.tenants.lock().unwrap().get_mut(tenant_name) {
             t.submitted += 1;
         }
-        self.stats
-            .note_queue_depth(self.queues[priority].len() as u64);
-        self.queue_signal.1.notify_one();
         Admission::Accepted(id)
+    }
+
+    /// Appends a job born in `state` — `Queued`, or `Done` from the
+    /// cache — with its first progress event, and returns its id.
+    /// Admission and journal replay both create jobs here.
+    fn new_job(&self, tenant: &str, spec: JobSpec, priority: usize, state: JobState) -> u64 {
+        let event = match state {
+            JobState::Queued => "queued",
+            _ => "done",
+        };
+        let snapshot = self.rendered_stats();
+        let mut jobs = self.jobs.lock().unwrap();
+        let mut job = Job {
+            tenant: tenant.to_string(),
+            spec,
+            priority,
+            attempts: 0,
+            state,
+            events: Vec::new(),
+        };
+        Self::push_event(&mut job, event, snapshot);
+        jobs.push(job);
+        self.job_cv.notify_all();
+        jobs.len() as u64
+    }
+
+    /// Queues `id` on its priority class and wakes one idle worker, or
+    /// returns false if the class already holds `queue_capacity` jobs.
+    fn enqueue(&self, id: u64, priority: usize) -> bool {
+        let mut queue = self.queue.lock().unwrap();
+        let class = &mut queue[priority];
+        if class.len() >= self.cfg.queue_capacity {
+            return false;
+        }
+        class.push_back(id);
+        self.stats.note_queue_depth(class.len() as u64);
+        self.queue_cv.notify_one();
+        true
     }
 
     fn note_tenant_reject(&self, tenant: &str) {
@@ -455,6 +466,7 @@ impl ServiceInner {
         }
         self.release_tenant(&tenant, false);
         self.job_cv.notify_all();
+        self.finish_drain_if_idle();
     }
 
     /// Moves a job to `Done`, stores the payload in the result cache
@@ -521,33 +533,63 @@ impl ServiceInner {
             ],
         });
         self.job_cv.notify_all();
+        self.finish_drain_if_idle();
     }
 
-    /// Pops the highest-priority queued job id.
+    /// Blocks until a job is queued and pops the highest-priority one,
+    /// or returns `None` once the server stops.
     fn next_job(&self) -> Option<u64> {
-        self.queues.iter().find_map(BoundedQueue::pop)
+        let mut queue = self.queue.lock().unwrap();
+        loop {
+            if self.shutdown.load(Ordering::SeqCst) {
+                return None;
+            }
+            if let Some(id) = queue.iter_mut().find_map(VecDeque::pop_front) {
+                return Some(id);
+            }
+            queue = self.queue_cv.wait(queue).unwrap();
+        }
+    }
+
+    /// Stops the server: idle workers wake and exit, busy ones exit
+    /// after their current job, and the accept loop returns.
+    fn stop(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        // Notifying under the queue lock means a worker has either not
+        // yet checked the flag or is already parked on the condvar.
+        let _queue = self.queue.lock().unwrap();
+        self.queue_cv.notify_all();
+        self.job_cv.notify_all();
     }
 
     /// Flips the server into drain mode (idempotent): admission starts
-    /// refusing, and the supervisor shuts the server down once every
-    /// admitted job has reached a terminal state.
+    /// refusing, and the server stops once every admitted job has
+    /// reached a terminal state — at once if none is in flight.
     fn begin_drain(&self) {
         if !self.draining.swap(true, Ordering::SeqCst) {
             self.stats.inc(&self.stats.drain_requests);
         }
-        self.queue_signal.1.notify_all();
+        self.finish_drain_if_idle();
     }
 
-    /// Whether a draining server has finished its in-flight work: every
-    /// ring empty and every job terminal.
-    fn drained(&self) -> bool {
-        self.queues.iter().all(|q| q.is_empty())
-            && self
-                .jobs
-                .lock()
-                .unwrap()
-                .iter()
-                .all(|j| matches!(j.state, JobState::Done { .. } | JobState::Failed { .. }))
+    /// Completes a drain once every job is terminal: flushes durable
+    /// state and stops the server. Runs when the drain begins and each
+    /// time a job becomes terminal, so one of them sees the last job
+    /// finish.
+    fn finish_drain_if_idle(&self) {
+        if !self.draining.load(Ordering::SeqCst) {
+            return;
+        }
+        let idle = self
+            .jobs
+            .lock()
+            .unwrap()
+            .iter()
+            .all(|j| matches!(j.state, JobState::Done { .. } | JobState::Failed { .. }));
+        if idle {
+            self.flush_durable();
+            self.stop();
+        }
     }
 
     /// Final durability flush on the drain path (best-effort — replay
@@ -561,25 +603,12 @@ impl ServiceInner {
         }
     }
 
-    /// One worker thread: drain the rings; park on the condvar when
-    /// idle. A `worker_kill` firing panics the thread *after* arranging
-    /// the job's retry — the supervisor respawns the worker and the
-    /// respawned pool recomputes the identical result.
-    fn worker_loop(self: &Arc<Self>, worker: u64) {
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let Some(id) = self.next_job() else {
-                let guard = self.queue_signal.0.lock().unwrap();
-                let _ = self
-                    .queue_signal
-                    .1
-                    .wait_timeout(guard, Duration::from_millis(10))
-                    .unwrap();
-                continue;
-            };
-
+    /// One worker thread: runs queued jobs until the server stops. A
+    /// `worker_kill` firing abandons the attempt before any work is
+    /// done — the job is requeued (or failed on its last attempt) and
+    /// the worker carries on with the next pickup.
+    fn worker_loop(&self, worker: u64) {
+        while let Some(id) = self.next_job() {
             let span_start = self.now_us();
             let spec = {
                 let snapshot = self.rendered_stats();
@@ -594,37 +623,33 @@ impl ServiceInner {
 
             // The kill point sits between pickup and compute, so a
             // killed attempt has observably done no work — the retry
-            // recomputes from scratch and must produce the same bytes.
+            // simulates from scratch and must produce the same bytes.
             if self.roll(FaultPoint::WorkerKill) {
                 self.stats.inc(&self.stats.worker_kills);
-                let (attempts, priority) = {
-                    let jobs = self.jobs.lock().unwrap();
-                    let job = &jobs[id as usize - 1];
-                    (job.attempts, job.priority)
-                };
-                if attempts < self.cfg.max_attempts && self.queues[priority].push(id).is_ok() {
+                let mut jobs = self.jobs.lock().unwrap();
+                let job = &mut jobs[id as usize - 1];
+                // Requeue under the jobs lock: the job reads Queued before
+                // the next worker can pick it up and mark it Running.
+                if job.attempts < self.cfg.max_attempts && self.enqueue(id, job.priority) {
                     self.stats.inc(&self.stats.jobs_retried);
-                    let snapshot = self.rendered_stats();
-                    {
-                        let mut jobs = self.jobs.lock().unwrap();
-                        let job = &mut jobs[id as usize - 1];
-                        job.state = JobState::Queued;
-                        Self::push_event(job, "retrying", snapshot);
-                    }
+                    job.state = JobState::Queued;
+                    Self::push_event(job, "retrying", self.rendered_stats());
+                    drop(jobs);
                     self.job_cv.notify_all();
-                    self.queue_signal.1.notify_one();
                 } else {
+                    let attempts = job.attempts;
+                    drop(jobs);
                     self.fail_job(id, format!("worker killed on final attempt {attempts}"));
                 }
-                panic!("worker {worker} killed by fault injection");
+                continue;
             }
 
-            let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let computed = catch_unwind(AssertUnwindSafe(|| {
                 if spec.is_litmus() {
                     tmi_bench::check_spec(&spec).map(|report| proto::litmus_payload(&spec, &report))
                 } else {
-                    let job = self.executor.run_spec(&spec);
-                    job.outcome.map(|r| proto::run_payload(&spec, &r))
+                    let r = execute_spec(&spec, &Tracer::disabled());
+                    Ok(proto::run_payload(&spec, &r))
                 }
             }));
             match computed {
@@ -751,9 +776,7 @@ impl ServiceInner {
                 }
                 Request::Shutdown => {
                     let io = writeln!(writer, "{}", proto::ok());
-                    self.shutdown.store(true, Ordering::SeqCst);
-                    self.queue_signal.1.notify_all();
-                    self.job_cv.notify_all();
+                    self.stop();
                     return io.unwrap_or(());
                 }
             };
@@ -780,13 +803,13 @@ pub struct ServiceReport {
 pub struct Service {
     inner: Arc<ServiceInner>,
     addr: std::net::SocketAddr,
-    listener: Option<JoinHandle<()>>,
-    supervisor: Option<JoinHandle<()>>,
+    listener: JoinHandle<()>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Service {
-    /// Binds, spawns the worker pool, supervisor, and accept loop, and
-    /// returns once the server is reachable.
+    /// Binds, spawns the worker pool and accept loop, and returns once
+    /// the server is reachable.
     pub fn start(cfg: ServiceConfig) -> std::io::Result<Service> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
@@ -838,14 +861,13 @@ impl Service {
 
         let inner = Arc::new(ServiceInner {
             faults: cfg.faults.clone().map(FaultInjector::new),
-            queues: std::array::from_fn(|_| BoundedQueue::new(cfg.queue_capacity)),
-            queue_signal: (Mutex::new(()), Condvar::new()),
+            queue: Mutex::new(Default::default()),
+            queue_cv: Condvar::new(),
             jobs: Mutex::new(Vec::new()),
             job_cv: Condvar::new(),
             cache: Mutex::new(HashMap::new()),
             tenants: Mutex::new(BTreeMap::new()),
             stats: ServiceStats::default(),
-            executor: Executor::new(1),
             journal,
             spill,
             draining: AtomicBool::new(false),
@@ -923,98 +945,34 @@ impl Service {
                     if let Some(t) = inner.tenants.lock().unwrap().get_mut(&tenant) {
                         t.completed += 1;
                     }
-                    let snapshot = inner.rendered_stats();
-                    let id = {
-                        let mut jobs = inner.jobs.lock().unwrap();
-                        let id = jobs.len() as u64 + 1;
-                        let mut job = Job {
-                            tenant,
-                            spec,
-                            priority,
-                            attempts: 0,
-                            state: JobState::Done {
-                                payload,
-                                cached: true,
-                            },
-                            events: Vec::new(),
-                        };
-                        ServiceInner::push_event(&mut job, "done", snapshot);
-                        jobs.push(job);
-                        id
+                    let done = JobState::Done {
+                        payload,
+                        cached: true,
                     };
+                    let id = inner.new_job(&tenant, spec, priority, done);
                     inner.journal_append(&JournalRecord::Done { id });
                     continue;
                 }
 
-                let snapshot = inner.rendered_stats();
-                let id = {
-                    let mut jobs = inner.jobs.lock().unwrap();
-                    let id = jobs.len() as u64 + 1;
-                    let mut job = Job {
-                        tenant: tenant.clone(),
-                        spec,
-                        priority,
-                        attempts: 0,
-                        state: JobState::Queued,
-                        events: Vec::new(),
-                    };
-                    ServiceInner::push_event(&mut job, "queued", snapshot);
-                    jobs.push(job);
-                    id
-                };
+                let id = inner.new_job(&tenant, spec, priority, JobState::Queued);
                 if let Some(t) = inner.tenants.lock().unwrap().get_mut(&tenant) {
                     t.outstanding += 1;
                 }
-                if inner.queues[priority].push(id).is_err() {
+                if !inner.enqueue(id, priority) {
                     inner.fail_job(id, "recovery re-enqueue: queue full".to_string());
                 }
             }
         }
 
-        let spawn_worker = |inner: Arc<ServiceInner>, idx: u64| {
-            std::thread::Builder::new()
-                .name(format!("tmi-service-worker-{idx}"))
-                .spawn(move || inner.worker_loop(idx))
-                .expect("spawn worker")
-        };
-        let mut pool: Vec<(u64, JoinHandle<()>)> = (0..workers as u64)
-            .map(|i| (i, spawn_worker(Arc::clone(&inner), i)))
+        let workers = (0..workers as u64)
+            .map(|idx| {
+                let inner = Arc::clone(&inner);
+                std::thread::Builder::new()
+                    .name(format!("tmi-service-worker-{idx}"))
+                    .spawn(move || inner.worker_loop(idx))
+                    .expect("spawn worker")
+            })
             .collect();
-
-        // Supervisor: respawn any worker that died (the worker_kill
-        // fault panics the thread) until shutdown, then join the pool.
-        let supervisor = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("tmi-service-supervisor".to_string())
-                .spawn(move || loop {
-                    if inner.shutdown.load(Ordering::SeqCst) {
-                        for (_, handle) in pool.drain(..) {
-                            let _ = handle.join();
-                        }
-                        return;
-                    }
-                    // Drain completion: once every admitted job is
-                    // terminal, flush durable state and stop cleanly.
-                    if inner.draining.load(Ordering::SeqCst) && inner.drained() {
-                        inner.flush_durable();
-                        inner.shutdown.store(true, Ordering::SeqCst);
-                        inner.queue_signal.1.notify_all();
-                        inner.job_cv.notify_all();
-                        continue;
-                    }
-                    for (idx, handle) in pool.iter_mut() {
-                        if handle.is_finished() {
-                            let replacement = spawn_worker(Arc::clone(&inner), *idx);
-                            let dead = std::mem::replace(handle, replacement);
-                            let _ = dead.join(); // reap the panic
-                            inner.stats.inc(&inner.stats.workers_respawned);
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                })
-                .expect("spawn supervisor")
-        };
 
         // Accept loop: nonblocking so it can notice shutdown promptly.
         let accept = {
@@ -1045,8 +1003,8 @@ impl Service {
         Ok(Service {
             inner,
             addr,
-            listener: Some(accept),
-            supervisor: Some(supervisor),
+            listener: accept,
+            workers,
         })
     }
 
@@ -1076,20 +1034,17 @@ impl Service {
 
     /// Requests shutdown without a client connection (tests/embedders).
     pub fn shutdown_now(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.queue_signal.1.notify_all();
-        self.inner.job_cv.notify_all();
+        self.inner.stop();
     }
 
-    /// Blocks until the server has shut down (a client must have sent
-    /// `shutdown`, or [`Service::shutdown_now`] was called) and returns
+    /// Blocks until the server has shut down (a client sent `shutdown`
+    /// or `drain`, [`Service::shutdown_now`] or [`Service::begin_drain`]
+    /// was called), joins the accept loop and every worker, and returns
     /// the final report.
-    pub fn wait(mut self) -> ServiceReport {
-        if let Some(h) = self.listener.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.supervisor.take() {
-            let _ = h.join();
+    pub fn wait(self) -> ServiceReport {
+        let _ = self.listener.join();
+        for worker in self.workers {
+            let _ = worker.join();
         }
         let metrics = self.inner.stats.snapshot();
         let events = self.inner.trace.lock().unwrap();

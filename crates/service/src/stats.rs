@@ -21,7 +21,7 @@ pub struct ServiceStats {
     pub jobs_completed: AtomicU64,
     /// Jobs finished with an error.
     pub jobs_failed: AtomicU64,
-    /// Requeues after a worker died mid-job.
+    /// Requeues after a `worker_kill` firing abandoned an attempt.
     pub jobs_retried: AtomicU64,
     /// Submissions answered straight from the result cache.
     pub cache_hits: AtomicU64,
@@ -29,7 +29,7 @@ pub struct ServiceStats {
     pub cache_misses: AtomicU64,
     /// Cache stores dropped by the `cache_drop` fault point.
     pub cache_drops: AtomicU64,
-    /// Rejections because the admission ring was full (or the
+    /// Rejections because the admission queue was full (or the
     /// `queue_full` fault point forced load-shedding).
     pub reject_queue_full: AtomicU64,
     /// Rejections because the tenant hit its outstanding-job quota.
@@ -40,9 +40,7 @@ pub struct ServiceStats {
     pub malformed_requests: AtomicU64,
     /// `worker_kill` fault-point firings.
     pub worker_kills: AtomicU64,
-    /// Workers the supervisor respawned after a death.
-    pub workers_respawned: AtomicU64,
-    /// High-water mark of any one priority ring's depth.
+    /// High-water mark of any one priority class's queue depth.
     pub queue_peak_depth: AtomicU64,
     /// Distinct tenants seen since boot.
     pub tenants: AtomicU64,
@@ -104,7 +102,6 @@ impl MetricSource for ServiceStats {
         out.u64("reject_bad_request", g(&self.reject_bad_request));
         out.u64("malformed_requests", g(&self.malformed_requests));
         out.u64("worker_kills", g(&self.worker_kills));
-        out.u64("workers_respawned", g(&self.workers_respawned));
         out.u64("queue_peak_depth", g(&self.queue_peak_depth));
         out.u64("tenants", g(&self.tenants));
         out.u64("persist.journal.appended", g(&self.journal_appended));
@@ -145,7 +142,7 @@ mod tests {
     #[test]
     fn names_are_stable_sorted_and_prefixed() {
         let names = service_metric_names();
-        assert_eq!(names.len(), 26);
+        assert_eq!(names.len(), 25);
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted, "snapshot order is sorted");

@@ -32,14 +32,14 @@ fn arb_spec() -> impl Strategy<Value = JobSpec> {
         (arb_string(), 0..RuntimeKind::ALL.len(), 1usize..64),
         (0u64..4_000, any::<bool>(), any::<bool>()),
         (any::<bool>(), 1u64..1_000, 1u64..1_000),
-        (0u64..MAX_EXACT, 0u64..MAX_EXACT, any::<bool>()),
+        (0u64..MAX_EXACT, 0u64..MAX_EXACT),
     )
         .prop_map(
             |(
                 (workload, rt, threads),
                 (scale_millis, fixed, misaligned),
                 (huge_pages, period, tick_interval),
-                (max_ops, seed, trace),
+                (max_ops, seed),
             )| {
                 let mut spec = JobSpec::new(workload);
                 spec.cfg.runtime = RuntimeKind::ALL[rt];
@@ -52,7 +52,6 @@ fn arb_spec() -> impl Strategy<Value = JobSpec> {
                 spec.cfg.tick_interval = tick_interval;
                 spec.cfg.max_ops = max_ops;
                 spec.seed = seed;
-                spec.trace = trace;
                 spec
             },
         )

@@ -141,8 +141,9 @@ mod tests {
             &[("lines", 2)],
         );
         t.span("repair.commit", "repair", 3, 6_800, 3_400, &[("pages", 1)]);
-        t.phase(Phase::Commit, 3_400);
-        (t.take_events(), t.phases())
+        let mut phases = PhaseProfile::new();
+        phases.add(Phase::Commit, 3_400);
+        (t.take_events(), phases)
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   `name → u64/f64` snapshot that exporters, reports and tests consume.
 //! - [`Tracer`] — the structured event bus. Zero-cost when disabled (a
 //!   disabled tracer is a `None` and every emit is one branch); when enabled
-//!   it records [`TraceEvent`]s stamped with simulated cycles and thread ids,
-//!   plus a [`PhaseProfile`] attributing cycles to repair phases.
+//!   it records [`TraceEvent`]s stamped with simulated cycles and thread ids.
+//! - [`PhaseProfile`] — cycles attributed to repair phases, kept by the
+//!   runtime that charges them whether or not a run is traced.
 //! - [`chrome::export_trace`] — Chrome `trace_event` JSON, loadable in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>.
 //! - [`json`] — a hand-rolled JSON writer/parser (the workspace builds

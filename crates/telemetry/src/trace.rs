@@ -5,12 +5,12 @@
 //! allocation, so instrumented code is zero-cost unless a run opts in.
 //! Handles are reference-counted (each simulated run lives on a single host
 //! thread), so the engine, runtime and repair manager can all share one
-//! buffer.
+//! buffer. The tracer holds events only: the per-phase cycle profile is
+//! owned by the runtime that charges the cycles, so it is the same whether
+//! or not a run is traced.
 
 use std::cell::RefCell;
 use std::rc::Rc;
-
-use crate::phase::{Phase, PhaseProfile};
 
 /// The shape of a [`TraceEvent`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,16 +47,10 @@ pub struct TraceEvent {
 /// The thread id [`Tracer`] stamps on events with no single acting thread.
 pub const GLOBAL_TID: u64 = u64::MAX;
 
-#[derive(Debug, Default)]
-struct TraceBuf {
-    events: Vec<TraceEvent>,
-    phases: PhaseProfile,
-}
-
 /// A cloneable handle to a shared trace buffer, or a no-op when disabled.
 #[derive(Clone, Debug, Default)]
 pub struct Tracer {
-    inner: Option<Rc<RefCell<TraceBuf>>>,
+    inner: Option<Rc<RefCell<Vec<TraceEvent>>>>,
 }
 
 impl Tracer {
@@ -68,7 +62,7 @@ impl Tracer {
     /// An enabled tracer with a fresh buffer. Clones share the buffer.
     pub fn enabled() -> Self {
         Tracer {
-            inner: Some(Rc::new(RefCell::new(TraceBuf::default()))),
+            inner: Some(Rc::new(RefCell::new(Vec::new()))),
         }
     }
 
@@ -87,7 +81,7 @@ impl Tracer {
         args: &[(&'static str, u64)],
     ) {
         if let Some(buf) = &self.inner {
-            buf.borrow_mut().events.push(TraceEvent {
+            buf.borrow_mut().push(TraceEvent {
                 name,
                 cat,
                 tid,
@@ -109,7 +103,7 @@ impl Tracer {
         args: &[(&'static str, u64)],
     ) {
         if let Some(buf) = &self.inner {
-            buf.borrow_mut().events.push(TraceEvent {
+            buf.borrow_mut().push(TraceEvent {
                 name,
                 cat,
                 tid,
@@ -120,16 +114,9 @@ impl Tracer {
         }
     }
 
-    /// Attributes `cycles` to `phase` in the shared [`PhaseProfile`].
-    pub fn phase(&self, phase: Phase, cycles: u64) {
-        if let Some(buf) = &self.inner {
-            buf.borrow_mut().phases.add(phase, cycles);
-        }
-    }
-
     /// Number of events recorded so far (0 when disabled).
     pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |b| b.borrow().events.len())
+        self.inner.as_ref().map_or(0, |b| b.borrow().len())
     }
 
     /// True if no events have been recorded.
@@ -137,18 +124,11 @@ impl Tracer {
         self.len() == 0
     }
 
-    /// A copy of the phase profile accumulated so far.
-    pub fn phases(&self) -> PhaseProfile {
-        self.inner
-            .as_ref()
-            .map_or_else(PhaseProfile::new, |b| b.borrow().phases)
-    }
-
-    /// Drains the recorded events, leaving the phase profile in place.
+    /// Drains the recorded events.
     pub fn take_events(&self) -> Vec<TraceEvent> {
         self.inner
             .as_ref()
-            .map_or_else(Vec::new, |b| std::mem::take(&mut b.borrow_mut().events))
+            .map_or_else(Vec::new, |b| std::mem::take(&mut *b.borrow_mut()))
     }
 }
 
@@ -161,10 +141,8 @@ mod tests {
         let t = Tracer::disabled();
         t.instant("x", "c", 0, 1, &[]);
         t.span("y", "c", 0, 1, 5, &[]);
-        t.phase(Phase::Commit, 100);
         assert!(!t.is_enabled());
         assert!(t.is_empty());
-        assert_eq!(t.phases().total(), 0);
     }
 
     #[test]
@@ -173,14 +151,11 @@ mod tests {
         let u = t.clone();
         t.instant("a", "c", 1, 10, &[("k", 7)]);
         u.span("b", "c", 2, 20, 5, &[]);
-        u.phase(Phase::Arm, 3);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.phases().get(Phase::Arm), 3);
         let events = t.take_events();
         assert_eq!(events[0].name, "a");
         assert_eq!(events[0].args, vec![("k", 7)]);
         assert_eq!(events[1].kind, EventKind::Complete { dur_cycles: 5 });
         assert!(u.is_empty(), "take drains the shared buffer");
-        assert_eq!(u.phases().get(Phase::Arm), 3, "phases survive the drain");
     }
 }

@@ -28,12 +28,12 @@
 #            non-zero on any wrong output (timings are not gated here)
 #   service  the job-server determinism proof: boot the tmi_serve daemon
 #            with the seeded service chaos plan (--service-faults 1,
-#            which kills a worker on every second pickup), drive the
+#            which kills the attempt on every second pickup), drive the
 #            same job through it three ways — cold compute, cache-served
-#            duplicate, and --fresh recompute whose worker is killed and
-#            retried — and byte-diff the three result payloads; the
-#            server's stats must show the kill, the retry and the cache
-#            hit actually happened
+#            duplicate, and --fresh recompute whose first attempt is
+#            killed and retried, re-simulating the job — and byte-diff
+#            the three result payloads; the server's stats must show the
+#            kill, the retry and the cache hit actually happened
 #   crash    the crash-recovery proof: crash_matrix boots tmi_serve on a
 #            durable data dir, kills it with SIGKILL at 8 seeded points
 #            x {none, journal-tear, cache-corrupt} persistence fault
@@ -110,7 +110,7 @@ cmp "$smoke_dir/service_cold.json" "$smoke_dir/service_fault.json" \
   || { echo "fault-retried payload differs from cold compute"; exit 1; }
 svc_stats=$(target/release/tmi_client --port-file "$smoke_dir/service.port" stats 2> /dev/null)
 for want in '"service.worker_kills": 1' '"service.jobs_retried": 1' \
-            '"service.cache_hits": 1' '"service.workers_respawned": 1'; do
+            '"service.cache_hits": 1'; do
   printf '%s\n' "$svc_stats" | grep -qF "$want" \
     || { printf '%s\n' "$svc_stats"; echo "service stats missing $want"; exit 1; }
 done
