@@ -288,11 +288,6 @@ impl SimAllocator {
             self.free_lists[class].push(addr);
         }
     }
-
-    /// One past the highest address handed out, for mapping validation.
-    pub fn high_water(&self) -> VAddr {
-        VAddr::new(self.start.raw() + self.bump)
-    }
 }
 
 #[cfg(test)]

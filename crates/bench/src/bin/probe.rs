@@ -1,11 +1,18 @@
-//! Internal probe: times suite workloads under a configurable spec.
-//! Used during development; kept as a diagnostic.
+//! Diagnostic probe: times suite workloads under a configurable spec and
+//! prints one line per run with what the detector saw and what repair
+//! did.
 //!
 //! Accepts the shared [`JobSpec`] flag set (`--runtime`, `--scale`,
 //! `--threads`, `--seed`, ...). With `--workload` it probes that one
 //! workload; without, it sweeps the whole suite under the given spec. A
-//! bare leading number is still accepted as the scale, matching the old
-//! invocation.
+//! bare number is accepted as the scale (default 0.03).
+//!
+//! Detector visibility on one repair cell, for example:
+//!
+//! ```text
+//! probe --workload shptr-relaxed --runtime tmi-protect --threads 4 \
+//!       --tick-interval 400000 --scale 0.5 --misaligned
+//! ```
 use std::time::Instant;
 
 use tmi_bench::{Executor, JobSpec};
@@ -48,12 +55,20 @@ fn main() {
         let job = exec.run(vec![one]).remove(0);
         match &job.outcome {
             Ok(r) => println!(
-                "{name:15} host={:6.2}s ops={:9} cycles={:12} hitm={:9} ok={}",
+                "{name:15} host={:6.2}s ops={:9} cycles={:12} hitm={:9} ok={} \
+                 perf_events={} perf_records={} repaired={} commits={} \
+                 converted_at={:?} halt={:?}",
                 t0.elapsed().as_secs_f64(),
                 r.ops,
                 r.cycles,
                 r.hitm_events,
-                r.ok()
+                r.ok(),
+                r.perf_events,
+                r.perf_records,
+                r.repaired,
+                r.commits,
+                r.converted_at,
+                r.halt
             ),
             Err(e) => println!("{name:15} FAILED: {e}"),
         }

@@ -475,12 +475,6 @@ impl Experiment {
         self
     }
 
-    /// Replaces the entire configuration (escape hatch for presets).
-    pub fn config(mut self, cfg: RunConfig) -> Self {
-        self.spec.cfg = cfg;
-        self
-    }
-
     /// Runs the cell under the seeded fault schedule
     /// ([`tmi_faultpoint::FaultPlan::from_seed`]); `0` (the default)
     /// disables injection. The seed is part of the cell's identity:
@@ -489,16 +483,6 @@ impl Experiment {
     pub fn fault_seed(mut self, seed: u64) -> Self {
         self.spec.seed = seed;
         self
-    }
-
-    /// The workload name.
-    pub fn workload(&self) -> &str {
-        &self.spec.workload
-    }
-
-    /// The assembled configuration.
-    pub fn run_config(&self) -> &RunConfig {
-        &self.spec.cfg
     }
 
     /// Lowers the builder into a queueable cell.
@@ -567,7 +551,7 @@ impl ExperimentSet {
     }
 
     /// Queues one experiment and returns its submission index — the
-    /// position of its result in the vector `run_parallel` returns.
+    /// position of its result in the vector `run_on` returns.
     ///
     /// Identical cells are submitted once: pushing an experiment equal to
     /// one already queued returns the earlier index instead of queueing a
@@ -592,11 +576,6 @@ impl ExperimentSet {
         self.specs.is_empty()
     }
 
-    /// Runs the batch on a fresh [`Executor::from_env`] pool.
-    pub fn run_parallel(self) -> Vec<JobResult> {
-        self.run_on(&Executor::from_env())
-    }
-
     /// Runs the batch on an existing executor (sharing its memo cache).
     pub fn run_on(self, exec: &Executor) -> Vec<JobResult> {
         exec.run(self.specs)
@@ -609,6 +588,11 @@ mod tests {
 
     #[test]
     fn experiment_builder_composes() {
+        // The §4.1 repair preset: 4 threads and a faster detection tick.
+        let preset = Experiment::repair("lreg").spec().cfg;
+        assert_eq!(preset.threads, 4);
+        assert!(preset.tick_interval < Experiment::new("lreg").spec().cfg.tick_interval);
+
         let e = Experiment::repair("lreg")
             .runtime(RuntimeKind::TmiProtect)
             .threads(2)

@@ -2,10 +2,11 @@
 //! evaluation (§4).
 //!
 //! Each function submits its (workload × runtime) matrix through an
-//! [`Executor`] and returns the finished report as a `String` — the
-//! experiment binaries are one-line wrappers that print it, and `run_all`
-//! renders every section in-process on one shared executor so repeated
-//! cells (most prominently the pthreads baselines) are simulated once.
+//! [`Executor`] and returns the finished report as a `String`.
+//! [`SECTIONS`] lists them in report order with the scales they render
+//! at; the `run_all` binary walks that table on one shared executor, so
+//! repeated cells (most prominently the pthreads baselines) are
+//! simulated once.
 //!
 //! Determinism contract: a figure's string depends only on its inputs,
 //! never on the executor's pool size — cells are consumed by submission
@@ -19,6 +20,102 @@ use std::fmt::Write as _;
 use crate::exec::{Executor, Experiment, ExperimentSet, JobResult};
 use crate::report::{mean, pct, SpeedupTable, Table};
 use crate::{RunResult, RuntimeKind};
+
+/// One section of the evaluation report, as `run_all` renders it.
+#[derive(Clone, Copy, Debug)]
+pub struct Section {
+    /// The banner name; `run_all` also takes it as an argument.
+    pub name: &'static str,
+    /// The scale of `run_all --quick`, or `None` if the quick run leaves
+    /// the section out.
+    pub quick: Option<f64>,
+    /// The scale of a full run.
+    pub full: f64,
+    /// Renders the section at a scale. `fig3` and `fig12` have a fixed
+    /// size and ignore it.
+    pub render: fn(&Executor, f64) -> String,
+}
+
+/// Every section of the report, in the order `run_all` prints them.
+pub static SECTIONS: [Section; 12] = [
+    Section {
+        name: "fig3",
+        quick: Some(1.0),
+        full: 1.0,
+        render: |_, _| fig3(),
+    },
+    Section {
+        name: "fig4",
+        quick: Some(0.05),
+        full: 1.0,
+        render: fig4,
+    },
+    Section {
+        name: "fig7",
+        quick: Some(0.05),
+        full: 1.0,
+        render: fig7,
+    },
+    Section {
+        name: "fig8",
+        quick: Some(0.05),
+        full: 1.0,
+        render: fig8,
+    },
+    Section {
+        name: "fig9",
+        quick: Some(0.25),
+        full: 2.0,
+        render: fig9,
+    },
+    Section {
+        name: "table3",
+        quick: Some(0.25),
+        full: 2.0,
+        render: table3,
+    },
+    Section {
+        name: "fig10",
+        quick: Some(0.05),
+        full: 1.0,
+        render: fig10,
+    },
+    Section {
+        name: "fig11",
+        quick: None,
+        full: 1.0,
+        render: fig11,
+    },
+    Section {
+        name: "fig12",
+        quick: Some(1.0),
+        full: 1.0,
+        render: |exec, _| fig12(exec),
+    },
+    Section {
+        name: "ablate_ptsb_everywhere",
+        quick: Some(0.25),
+        full: 2.0,
+        render: ablate_ptsb_everywhere,
+    },
+    Section {
+        name: "sweep_threads",
+        quick: None,
+        full: 1.0,
+        render: |exec, scale| sweep_threads(exec, "lreg", scale),
+    },
+    Section {
+        name: "table1",
+        quick: None,
+        full: 0.5,
+        render: table1,
+    },
+];
+
+/// The section with banner `name`.
+pub fn section(name: &str) -> Option<&'static Section> {
+    SECTIONS.iter().find(|s| s.name == name)
+}
 
 /// The run behind a non-asserted cell, if it neither panicked nor ran
 /// afoul of the harness.
@@ -1027,4 +1124,31 @@ pub fn table1(exec: &Executor, scale: f64) -> String {
          Plastic 6% / ~30%; LASER 2% / 24%; TMI 2% / 88%)"
     );
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sections_are_unique_and_quick_rows_match_the_golden_banners() {
+        for (i, s) in SECTIONS.iter().enumerate() {
+            assert!(
+                SECTIONS[..i].iter().all(|t| t.name != s.name),
+                "section {} is listed twice",
+                s.name
+            );
+        }
+        let golden = include_str!("../../../tests/golden/run_all_quick.txt");
+        let banners: Vec<&str> = golden
+            .lines()
+            .filter_map(|l| l.strip_prefix("== "))
+            .collect();
+        let quick: Vec<&str> = SECTIONS
+            .iter()
+            .filter(|s| s.quick.is_some())
+            .map(|s| s.name)
+            .collect();
+        assert_eq!(quick, banners);
+    }
 }

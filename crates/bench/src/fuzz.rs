@@ -33,7 +33,7 @@ use tmi_oracle::{
 };
 
 use crate::exec::pool_map;
-use crate::harness::{RunConfig, RuntimeKind};
+use crate::harness::RuntimeKind;
 use crate::spec::JobSpec;
 
 /// Campaign parameters.
@@ -68,9 +68,8 @@ pub struct FuzzConfig {
     /// Disable precise per-PTE TLB shootdowns in the repaired runs — the
     /// transistency ablation that *must* diverge (stale translations
     /// serve dead frames and bypass COW tracking). Requires
-    /// [`FuzzConfig::transistency`]; not representable as a [`JobSpec`],
-    /// so ablated campaigns check directly rather than via the service
-    /// job vocabulary.
+    /// [`FuzzConfig::transistency`]. A [`JobSpec`] cannot express it, so
+    /// a service client cannot request a broken kernel.
     pub ablate_shootdown: bool,
 }
 
@@ -307,73 +306,39 @@ pub fn check_spec(spec: &JobSpec) -> Result<CheckReport, String> {
     }
 }
 
-/// The [`JobSpec`] for one campaign seed under the campaign config.
-/// (The shootdown ablation is deliberately *not* representable here — a
-/// service client cannot request a broken kernel — so ablated campaigns
-/// bypass the spec and call the checker directly.)
-fn campaign_spec(cfg: &FuzzConfig, seed: u64) -> JobSpec {
-    let runtime = if cfg.ablate_code_centric {
-        RuntimeKind::TmiNoCodeCentric
-    } else {
-        RuntimeKind::TmiProtect
-    };
-    let base = if cfg.transistency {
-        JobSpec::litmus_vm(seed)
-    } else {
-        JobSpec::litmus(seed)
-    };
-    JobSpec {
-        cfg: RunConfig::repair(runtime),
-        seed: cfg.faults.unwrap_or(0),
-        ..base
+/// The one checker configuration every seed of a campaign runs under.
+fn campaign_check(cfg: &FuzzConfig) -> CheckConfig {
+    CheckConfig {
+        code_centric: !cfg.ablate_code_centric,
+        faults: cfg.faults,
+        ablate_shootdown: cfg.ablate_shootdown,
+        ..CheckConfig::default()
     }
 }
 
-/// Runs the campaign: lowers every seed in the range to a litmus
-/// [`JobSpec`], checks them in parallel via [`check_spec`], and
-/// aggregates in seed order.
+/// Runs the campaign: checks every seed in the range in parallel, plus
+/// its enumerated VM-op variants, and aggregates in seed order.
 pub fn run_campaign(cfg: &FuzzConfig) -> CampaignResult {
     let workers = cfg.workers.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
     });
+    let check = campaign_check(cfg);
     let n = usize::try_from(cfg.seeds).expect("seed count fits usize");
     let results = pool_map(workers, n, |i| {
         let seed = cfg.start_seed + i as u64;
-        let mut reports = Vec::new();
-        if cfg.ablate_shootdown {
-            // Not representable as a JobSpec (see `campaign_spec`): check
-            // directly with the broken-kernel configuration.
-            let check = CheckConfig {
-                code_centric: !cfg.ablate_code_centric,
-                ablate_shootdown: true,
-                faults: cfg.faults,
-                ..CheckConfig::default()
-            };
-            reports.push(check_transistency_seed(seed, &check));
-            if cfg.enumerate > 0 {
-                reports.extend(check_transistency_variants(
-                    seed,
-                    cfg.enumerate as usize,
-                    &check,
-                ));
-            }
+        let mut reports = vec![if cfg.transistency {
+            check_transistency_seed(seed, &check)
         } else {
-            let spec = campaign_spec(cfg, seed);
-            reports.push(check_spec(&spec).expect("campaign specs are litmus jobs"));
-            if cfg.enumerate > 0 {
-                let check = CheckConfig {
-                    code_centric: !cfg.ablate_code_centric,
-                    faults: cfg.faults,
-                    ..CheckConfig::default()
-                };
-                reports.extend(check_transistency_variants(
-                    seed,
-                    cfg.enumerate as usize,
-                    &check,
-                ));
-            }
+            check_seed(seed, &check)
+        }];
+        if cfg.enumerate > 0 {
+            reports.extend(check_transistency_variants(
+                seed,
+                cfg.enumerate as usize,
+                &check,
+            ));
         }
         reports
     });
@@ -474,11 +439,39 @@ mod tests {
 
     #[test]
     fn check_spec_matches_direct_check_seed() {
-        let spec = campaign_spec(&FuzzConfig::default(), 3);
-        let via_spec = check_spec(&spec).unwrap();
-        let direct = check_seed(3, &CheckConfig::default());
+        let via_spec = check_spec(&JobSpec::litmus(3)).unwrap();
+        let direct = check_seed(3, &campaign_check(&FuzzConfig::default()));
         assert_eq!(via_spec.render(), direct.render());
+        let faulted = JobSpec {
+            seed: 7,
+            ..JobSpec::litmus(3)
+        };
+        let campaign = FuzzConfig {
+            faults: Some(7),
+            ..FuzzConfig::default()
+        };
+        assert_eq!(
+            check_spec(&faulted).unwrap().render(),
+            check_seed(3, &campaign_check(&campaign)).render()
+        );
         assert!(check_spec(&JobSpec::new("histogram")).is_err());
+    }
+
+    #[test]
+    fn zero_fault_seed_still_injects_faults() {
+        let cfg = FuzzConfig {
+            seeds: 16,
+            start_seed: 0,
+            workers: Some(2),
+            faults: Some(0),
+            ..FuzzConfig::default()
+        };
+        let r = run_campaign(&cfg);
+        assert!(r.ok(), "fault campaign must stay clean:\n{}", r.render());
+        let f = r.faults.as_ref().expect("fault aggregates present");
+        for p in FaultPoint::SIM {
+            assert!(f.stats.get(p).fired > 0, "{} never fired", p.name());
+        }
     }
 
     #[test]
@@ -531,10 +524,8 @@ mod tests {
             transistency: true,
             ..FuzzConfig::default()
         };
-        let spec = campaign_spec(&cfg, 3);
-        assert_eq!(spec.litmus_vm_seed(), Some(3));
-        let via_spec = check_spec(&spec).unwrap();
-        let direct = check_transistency_seed(3, &CheckConfig::default());
+        let via_spec = check_spec(&JobSpec::litmus_vm(3)).unwrap();
+        let direct = check_transistency_seed(3, &campaign_check(&cfg));
         assert_eq!(via_spec.render(), direct.render());
     }
 

@@ -150,36 +150,6 @@ impl RunConfig {
             ..Self::new(runtime)
         }
     }
-
-    /// Scales the work (tests use small scales).
-    pub fn scale(mut self, s: f64) -> Self {
-        self.scale = s;
-        self
-    }
-
-    /// Applies the manual fix.
-    pub fn fixed(mut self) -> Self {
-        self.fixed = true;
-        self
-    }
-
-    /// Forces misaligned allocation.
-    pub fn misaligned(mut self) -> Self {
-        self.misaligned = true;
-        self
-    }
-
-    /// Uses huge pages for application memory.
-    pub fn huge_pages(mut self) -> Self {
-        self.huge_pages = true;
-        self
-    }
-
-    /// Sets the perf sampling period.
-    pub fn period(mut self, p: u64) -> Self {
-        self.period = p;
-        self
-    }
 }
 
 /// Everything measured in one run.
@@ -234,11 +204,6 @@ impl RunResult {
     /// True if the run completed and verified.
     pub fn ok(&self) -> bool {
         self.halt == Halt::Completed && self.verified.is_ok()
-    }
-
-    /// Wall time in seconds (alias).
-    pub fn runtime_secs(&self) -> f64 {
-        self.seconds
     }
 
     /// Commits per simulated second (Table 3).
@@ -588,6 +553,7 @@ pub(crate) fn execute_detect_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Experiment;
 
     #[test]
     fn runtime_kind_properties() {
@@ -605,33 +571,21 @@ mod tests {
     }
 
     #[test]
-    fn run_config_builders_compose() {
-        let c = RunConfig::repair(RuntimeKind::TmiProtect)
-            .scale(0.5)
-            .fixed()
-            .misaligned()
-            .huge_pages()
-            .period(10);
-        assert_eq!(c.threads, 4);
-        assert_eq!(c.scale, 0.5);
-        assert!(c.fixed && c.misaligned && c.huge_pages);
-        assert_eq!(c.period, 10);
-        assert!(c.tick_interval < RunConfig::new(RuntimeKind::TmiProtect).tick_interval);
-    }
-
-    #[test]
     fn alloc_config_selects_glibc_only_for_sensitive_baselines() {
-        let base = RunConfig::repair(RuntimeKind::Pthreads).misaligned();
+        let cfg = |e: Experiment| e.spec().cfg;
+        let base = cfg(Experiment::repair("lu-ncb").misaligned());
         let ac = alloc_config(&base, true);
         assert_eq!(ac.policy, AllocPolicy::Glibc);
         assert_eq!(ac.misalign, 8);
         // Runtimes with their own allocator escape the bad layout.
-        let tmi = RunConfig::repair(RuntimeKind::TmiProtect).misaligned();
+        let tmi = cfg(Experiment::repair("lu-ncb")
+            .runtime(RuntimeKind::TmiProtect)
+            .misaligned());
         assert_eq!(alloc_config(&tmi, true).policy, AllocPolicy::Lockless);
         // Non-sensitive workloads keep the default even on baselines.
         assert_eq!(alloc_config(&base, false).policy, AllocPolicy::Lockless);
         // The manual fix also escapes it.
-        let fixed = RunConfig::repair(RuntimeKind::Pthreads).fixed();
+        let fixed = cfg(Experiment::repair("lu-ncb").fixed());
         assert_eq!(alloc_config(&fixed, true).policy, AllocPolicy::Lockless);
     }
 

@@ -2,13 +2,20 @@
 
 //! # tmi-bench — experiment harness for every table and figure
 //!
-//! One binary per table/figure of the paper's evaluation (§4), each
-//! printing the same rows/series the paper reports, regenerated from the
-//! simulation:
+//! Every table and figure of the paper's evaluation (§4) is a section of
+//! [`figures::SECTIONS`], regenerated from the simulation with the same
+//! rows and series the paper reports. The crate has three binaries:
 //!
-//! | binary | reproduces |
-//! |--------|------------|
-//! | `table1` | Table 1 — requirements matrix |
+//! | binary | does |
+//! |--------|------|
+//! | `run_all` | renders the sections in-process, all of them or `run_all <section> [scale]`, and writes `BENCH_harness.json` |
+//! | `probe` | times one workload, or the suite, under any [`JobSpec`] flag set |
+//! | `fuzz_consistency` | differential litmus fuzz of the repair path vs the SC oracle ([`tmi_oracle`]) |
+//!
+//! The sections are:
+//!
+//! | section | reproduces |
+//! |---------|------------|
 //! | `fig3`   | Fig. 3 — AMBSA word-tearing litmus |
 //! | `fig4`   | Fig. 4 — runtime & HITM records vs perf period |
 //! | `fig7`   | Fig. 7 — detection overhead across the suite |
@@ -19,13 +26,12 @@
 //! | `fig11`  | Fig. 11 — canneal corruption without code-centric consistency |
 //! | `fig12`  | Fig. 12 — cholesky hang without code-centric consistency |
 //! | `ablate_ptsb_everywhere` | §4.3 — targeted repair vs PTSB-everywhere |
-//! | `sweep_threads` | extension: FS penalty & repair quality vs thread count |
-//! | `run_all` | all of the above in-process, writing `BENCH_harness.json` |
-//! | `fuzz_consistency` | differential litmus fuzz of the repair path vs the SC oracle ([`tmi_oracle`]) |
+//! | `sweep_threads` | extension: FS penalty & repair quality vs thread count on lreg |
+//! | `table1` | Table 1 — requirements matrix |
 //!
 //! The public API is the [`Experiment`] builder for a single run and
 //! [`ExperimentSet`] / [`Executor`] ([`exec`]) for deterministic parallel
-//! batches; [`figures`] holds the rendering behind each binary, and
+//! batches; [`figures`] holds the rendering behind each section, and
 //! [`harness`] is the machine-assembly layer underneath.
 
 pub mod exec;

@@ -1,14 +1,6 @@
-//! Plain-text report formatting for the experiment binaries.
-//!
-//! Numeric inputs come from the metrics registry
-//! ([`tmi_telemetry::MetricsSnapshot`], filled into
-//! [`crate::RunResult::metrics`] by the harness) rather than from walking
-//! `*Stats` struct fields; [`metrics_table`] renders any prefix slice of
-//! a snapshot directly.
+//! Plain-text report formatting for the figure sections.
 
 use std::fmt::Write as _;
-
-use tmi_telemetry::{MetricValue, MetricsSnapshot};
 
 /// A simple fixed-width table printer.
 #[derive(Debug, Default)]
@@ -64,11 +56,6 @@ impl Table {
             line(&mut out, row);
         }
         out
-    }
-
-    /// Prints the table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 }
 
@@ -160,32 +147,6 @@ impl SpeedupTable {
         }
         table.render()
     }
-
-    /// Prints the grid to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-}
-
-/// Renders the metrics under `prefix` (e.g. `"tmi.repair"`; `""` for
-/// all) as a two-column `metric | value` [`Table`], in the registry's
-/// stable sorted order. This is the registry-driven replacement for
-/// hand-formatting individual `*Stats` fields in report code.
-pub fn metrics_table(snap: &MetricsSnapshot, prefix: &str) -> Table {
-    let mut t = Table::new(&["metric", "value"]);
-    for (name, value) in snap.iter() {
-        let under = name
-            .strip_prefix(prefix)
-            .is_some_and(|rest| prefix.is_empty() || rest.is_empty() || rest.starts_with('.'));
-        if under {
-            let text = match value {
-                MetricValue::U64(v) => v.to_string(),
-                MetricValue::F64(v) => format!("{v:.3}"),
-            };
-            t.row(vec![name.to_string(), text]);
-        }
-    }
-    t
 }
 
 /// Formats a ratio as `1.23x`.
@@ -266,39 +227,6 @@ mod tests {
     fn speedup_table_rejects_unknown_columns() {
         let mut st = SpeedupTable::new("workload", &["manual"]);
         st.set("histogram", "laser", "1.00x");
-    }
-
-    #[test]
-    fn metrics_table_filters_by_prefix_component() {
-        use tmi_telemetry::{MetricSink, MetricSource};
-        struct Src;
-        impl MetricSource for Src {
-            fn metrics(&self, sink: &mut MetricSink) {
-                sink.u64("repair.commits", 16);
-                sink.u64("repaired", 1);
-                sink.f64("repair.rate", 0.5);
-            }
-        }
-        let mut sink = MetricSink::new();
-        sink.source("tmi", &Src);
-        let snap = sink.finish();
-
-        let all = metrics_table(&snap, "").render();
-        assert!(all.contains("tmi.repair.commits") && all.contains("tmi.repaired"));
-
-        let repair = metrics_table(&snap, "tmi.repair").render();
-        let row = |name: &str| {
-            repair
-                .lines()
-                .find(|l| l.starts_with(name))
-                .unwrap_or_else(|| panic!("no row for {name}:\n{repair}"))
-        };
-        assert!(row("tmi.repair.commits").ends_with("16"));
-        assert!(row("tmi.repair.rate").ends_with("0.500"));
-        assert!(
-            !repair.contains("tmi.repaired"),
-            "prefix must match whole dotted components:\n{repair}"
-        );
     }
 
     #[test]

@@ -259,12 +259,13 @@ mod tests {
 
     #[test]
     fn json_round_trip_preserves_every_field() {
-        let mut spec = JobSpec::new("histogramfs");
-        spec.cfg = RunConfig::repair(RuntimeKind::TmiProtect)
+        let spec = crate::Experiment::repair("histogramfs")
+            .runtime(RuntimeKind::TmiProtect)
             .scale(0.25)
             .misaligned()
-            .period(10);
-        spec.seed = 42;
+            .period(10)
+            .fault_seed(42)
+            .spec();
         let doc = spec.to_json();
         let parsed = JobSpec::from_json(&json::parse(&doc).unwrap()).unwrap();
         assert_eq!(parsed, spec);

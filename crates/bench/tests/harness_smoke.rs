@@ -2,20 +2,17 @@
 //! under the baseline, and the key repair behaviours reproduce at small
 //! scale.
 
-use tmi_bench::{Experiment, RunConfig, RunResult, RuntimeKind};
+use tmi_bench::{Experiment, RunResult, RuntimeKind};
 
-fn run(name: &str, cfg: &RunConfig) -> RunResult {
-    Experiment::new(name).config(*cfg).run()
-}
-
-fn small(runtime: RuntimeKind) -> RunConfig {
-    RunConfig::new(runtime).scale(0.03)
+/// The workload under pthreads at a small scale.
+fn small(name: &str) -> RunResult {
+    Experiment::new(name).scale(0.03).run()
 }
 
 #[test]
 fn whole_suite_completes_under_pthreads() {
     for name in tmi_workloads::SUITE {
-        let r = run(name, &small(RuntimeKind::Pthreads));
+        let r = small(name);
         assert!(r.ok(), "{name}: halt={:?} verify={:?}", r.halt, r.verified);
         assert!(r.cycles > 0);
     }
@@ -24,7 +21,7 @@ fn whole_suite_completes_under_pthreads() {
 #[test]
 fn false_sharing_workloads_generate_hitm_storms() {
     for name in ["histogramfs", "lreg", "shptr-relaxed", "leveldb-fs"] {
-        let r = run(name, &small(RuntimeKind::Pthreads));
+        let r = small(name);
         assert!(r.ok(), "{name}");
         assert!(
             r.hitm_events > 5_000,
@@ -37,7 +34,7 @@ fn false_sharing_workloads_generate_hitm_storms() {
 #[test]
 fn quiet_workloads_do_not() {
     for name in ["blackscholes", "swaptions", "matrix"] {
-        let r = run(name, &small(RuntimeKind::Pthreads));
+        let r = small(name);
         assert!(r.ok(), "{name}");
         assert!(
             r.hitm_events < 2_000,
@@ -49,8 +46,11 @@ fn quiet_workloads_do_not() {
 
 #[test]
 fn tmi_protect_repairs_lreg_at_small_scale() {
-    let base = run("lreg", &RunConfig::new(RuntimeKind::Pthreads).scale(0.3));
-    let tmi = run("lreg", &RunConfig::new(RuntimeKind::TmiProtect).scale(0.3));
+    let base = Experiment::new("lreg").scale(0.3).run();
+    let tmi = Experiment::new("lreg")
+        .runtime(RuntimeKind::TmiProtect)
+        .scale(0.3)
+        .run();
     assert!(
         base.ok() && tmi.ok(),
         "{:?} {:?}",

@@ -63,10 +63,9 @@ pub struct TmiConfig {
     pub stop_world_cycles: u64,
     /// Commit cost model.
     pub commit: CommitCostModel,
-    /// Redirect pthread mutexes through process-shared TMI lock objects
-    /// (§3.2). Required for repair (locks must survive T2P).
-    pub lock_redirect: bool,
     /// Cycles for the lock-pointer indirection on each mutex operation.
+    /// TMI always redirects pthread mutexes through process-shared lock
+    /// objects (§3.2), because locks must survive T2P.
     pub lock_indirect_cycles: u64,
     /// Fixed detector memory overhead in bytes (disassembly tables and
     /// dynamic tracking structures; ≈90 MB floor in Fig. 8).
@@ -97,7 +96,6 @@ impl Default for TmiConfig {
             t2p_cycles_per_thread: LatencyModel::micros_to_cycles(30.0),
             stop_world_cycles: LatencyModel::micros_to_cycles(15.0),
             commit: CommitCostModel::standard(),
-            lock_redirect: true,
             lock_indirect_cycles: 6,
             detector_fixed_bytes: 72 * 1024 * 1024,
             repair_retry_limit: 4,

@@ -27,11 +27,6 @@ impl MemoryBreakdown {
         self.app_bytes + self.perf_bytes + self.detector_bytes + self.twin_bytes + self.lock_bytes
     }
 
-    /// Total in MB (the unit of Fig. 8).
-    pub fn total_mb(&self) -> f64 {
-        self.total() as f64 / (1024.0 * 1024.0)
-    }
-
     /// Runtime overhead (everything but the application itself).
     pub fn overhead_bytes(&self) -> u64 {
         self.total() - self.app_bytes
@@ -64,6 +59,6 @@ mod tests {
             lock_bytes: 4096,
         };
         assert_eq!(m.total(), m.app_bytes + m.overhead_bytes());
-        assert!(m.total_mb() > 77.0 && m.total_mb() < 78.0);
+        assert_eq!(m.total(), (77 << 20) + 4096);
     }
 }

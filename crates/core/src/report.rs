@@ -114,14 +114,10 @@ impl ContentionReport {
     /// false-sharing lines would yield: the fraction of runtime spent in
     /// (amortized) HITM stalls on falsely-shared lines is recovered.
     /// `run_cycles` is the observed wall time; `threads` the worker count.
-    pub fn predict_manual_speedup(&self, run_cycles: u64, threads: usize) -> f64 {
-        self.predict_manual_speedup_calibrated(run_cycles, threads, None)
-    }
-
-    /// Like [`Self::predict_manual_speedup`], but rescales the detector's
-    /// period-reconstructed event counts to `actual_hitm_events` (the
-    /// runtime knows the true total from the counting side of perf even
-    /// when only 1-in-n events produced records).
+    /// `actual_hitm_events`, if given, rescales the detector's
+    /// period-reconstructed event counts to the true total (the runtime
+    /// knows it from the counting side of perf even when only 1-in-n
+    /// events produced records).
     pub fn predict_manual_speedup_calibrated(
         &self,
         run_cycles: u64,
@@ -270,11 +266,11 @@ mod tests {
         let stall = penalty_events
             * (lat.hitm + lat.hitm_queuing_step * lat.hitm_queuing_cap / 2 - lat.local_hit) as f64;
         let run = stall as u64; // stall/2 of the run → predicted 2x
-        let pred = r.predict_manual_speedup(run, 1);
+        let pred = r.predict_manual_speedup_calibrated(run, 1, None);
         assert!((1.8..2.2).contains(&pred), "{pred}");
         // No FS events → 1.0x.
         let empty = ContentionReport::default();
-        assert_eq!(empty.predict_manual_speedup(1000, 4), 1.0);
+        assert_eq!(empty.predict_manual_speedup_calibrated(1000, 4, None), 1.0);
     }
 
     #[test]

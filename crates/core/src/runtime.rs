@@ -483,9 +483,6 @@ impl RuntimeHooks for TmiRuntime {
     }
 
     fn map_lock(&mut self, _ctl: &mut dyn EngineCtl, _tid: Tid, lock: VAddr) -> (VAddr, u64) {
-        if !self.config.lock_redirect {
-            return (lock, 0);
-        }
         (self.locks.redirect(lock), self.config.lock_indirect_cycles)
     }
 

@@ -432,11 +432,6 @@ impl FaultInjector {
         fail
     }
 
-    /// True once `point` has latched into always-fail mode.
-    pub fn is_persistent(&self, point: FaultPoint) -> bool {
-        self.inner.lock().unwrap().points[point.index()].persistent
-    }
-
     /// Snapshot of all counters.
     pub fn stats(&self) -> FaultStats {
         let st = self.inner.lock().unwrap();
@@ -512,7 +507,6 @@ mod tests {
             fails,
             vec![false, false, true, false, false, true, true, true, true, true]
         );
-        assert!(inj.is_persistent(FaultPoint::Fork));
     }
 
     #[test]

@@ -241,17 +241,6 @@ impl Width {
             Width::W8 => 8,
         }
     }
-
-    /// The width needed to hold `n` bytes, if `n` is 1, 2, 4 or 8.
-    pub const fn from_bytes(n: u64) -> Option<Width> {
-        match n {
-            1 => Some(Width::W1),
-            2 => Some(Width::W2),
-            4 => Some(Width::W4),
-            8 => Some(Width::W8),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Width {
@@ -290,15 +279,6 @@ mod tests {
         let f = FrameId(123);
         assert_eq!(f.base().frame(), f);
         assert_eq!(f.base().frame_offset(), 0);
-    }
-
-    #[test]
-    fn width_bytes_roundtrip() {
-        for w in [Width::W1, Width::W2, Width::W4, Width::W8] {
-            assert_eq!(Width::from_bytes(w.bytes()), Some(w));
-        }
-        assert_eq!(Width::from_bytes(3), None);
-        assert_eq!(Width::from_bytes(16), None);
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl CacheConfig {
             ways: 16,
         }
     }
-
-    /// Total capacity in bytes.
-    pub const fn capacity_bytes(&self) -> u64 {
-        (self.sets * self.ways) as u64 * crate::addr::LINE_SIZE
-    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -446,12 +441,6 @@ mod tests {
         assert_eq!(c.insert(line(4), MesiState::Exclusive), Insertion::Placed);
         assert_eq!(c.resident_lines(), 2);
         assert!(c.peek(line(2)).is_some());
-    }
-
-    #[test]
-    fn capacity_bytes() {
-        assert_eq!(CacheConfig::l1().capacity_bytes(), 32 * 1024);
-        assert_eq!(CacheConfig::private_default().capacity_bytes(), 256 * 1024);
     }
 
     #[test]

@@ -93,14 +93,6 @@ impl PhysMem {
         self.peak_allocated
     }
 
-    /// Returns true if `id` refers to a live frame.
-    pub fn is_allocated(&self, id: FrameId) -> bool {
-        self.frames
-            .get(id.index())
-            .map(Option::is_some)
-            .unwrap_or(false)
-    }
-
     fn frame(&self, id: FrameId) -> &[u8; FRAME_SIZE as usize] {
         self.frames
             .get(id.index())
@@ -156,11 +148,6 @@ impl PhysMem {
         self.frame(id)
     }
 
-    /// Overwrites the full contents of a frame.
-    pub fn write_frame(&mut self, id: FrameId, bytes: &[u8; FRAME_SIZE as usize]) {
-        *self.frame_mut(id) = *bytes;
-    }
-
     /// Copies frame `src` into frame `dst` (the COW copy).
     pub fn copy_frame(&mut self, src: FrameId, dst: FrameId) {
         let data = *self.frame(src);
@@ -172,11 +159,6 @@ impl PhysMem {
     /// bytes "is tantamount to fabricating stores").
     pub fn write_byte(&mut self, addr: PhysAddr, value: u8) {
         self.frame_mut(addr.frame())[addr.frame_offset() as usize] = value;
-    }
-
-    /// Reads a single byte.
-    pub fn read_byte(&self, addr: PhysAddr) -> u8 {
-        self.frame(addr.frame())[addr.frame_offset() as usize]
     }
 }
 
@@ -234,9 +216,7 @@ mod tests {
         let mut pm = PhysMem::new();
         let _pad = pm.alloc_frame();
         let first = pm.alloc_contiguous(4);
-        for i in 0..4u32 {
-            assert!(pm.is_allocated(FrameId(first.0 + i)));
-        }
+        assert_eq!(pm.allocated_frames(), 5);
         let addr = FrameId(first.0 + 3).base();
         pm.write(addr, Width::W1, 7);
         assert_eq!(pm.read(addr, Width::W1), 7);
@@ -257,8 +237,8 @@ mod tests {
         let mut pm = PhysMem::new();
         let f = pm.alloc_frame();
         pm.write_byte(f.base().offset(5), 0xab);
-        assert_eq!(pm.read_byte(f.base().offset(5)), 0xab);
-        assert_eq!(pm.read_byte(f.base().offset(4)), 0);
+        assert_eq!(pm.read(f.base().offset(5), Width::W1), 0xab);
+        assert_eq!(pm.read(f.base().offset(4), Width::W1), 0);
     }
 
     #[test]

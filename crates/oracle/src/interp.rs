@@ -112,11 +112,6 @@ impl Interp {
         }
     }
 
-    /// True once every thread has executed its `Exit`.
-    pub fn all_done(&self) -> bool {
-        self.threads.iter().all(|t| t.state == ThreadState::Done)
-    }
-
     /// Executes the next op of `thread` under sequential consistency.
     ///
     /// # Errors
@@ -256,20 +251,6 @@ impl Interp {
         }
         Ok(RefStep { thread, op, value })
     }
-
-    /// Runs a full explicit schedule (`schedule[k]` is the thread stepped
-    /// at step `k`), returning every step.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first infeasible step, with its index.
-    pub fn run_schedule(&mut self, schedule: &[u32]) -> Result<Vec<RefStep>, (usize, String)> {
-        schedule
-            .iter()
-            .enumerate()
-            .map(|(k, &t)| self.step(t).map_err(|e| (k, e)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -294,7 +275,6 @@ mod tests {
         assert_eq!(it.step(0).unwrap().value, Some(0xEF01), "truncated store");
         assert_eq!(it.step(0).unwrap().value, Some(0xEF01), "upper bytes zero");
         assert!(matches!(it.step(0).unwrap().op, Op::Exit));
-        assert!(it.all_done());
     }
 
     #[test]
@@ -386,13 +366,5 @@ mod tests {
         assert!(it.step(1).is_err());
         assert!(it.step(2).is_err());
         assert!(it.step(9).is_err(), "unknown thread");
-    }
-
-    #[test]
-    fn run_schedule_reports_the_failing_step() {
-        let mut it = Interp::new(vec![OpBuilder::new().store(PC, X, Width::W8, 4).build()]);
-        // store, exit, then one step too many.
-        let err = it.run_schedule(&[0, 0, 0]).unwrap_err();
-        assert_eq!(err.0, 2);
     }
 }

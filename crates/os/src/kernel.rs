@@ -177,11 +177,6 @@ impl Kernel {
         self.faults = Some(injector);
     }
 
-    /// The installed fault schedule, if any.
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.faults.as_ref()
-    }
-
     fn inject(&self, point: FaultPoint) -> bool {
         self.faults.as_ref().is_some_and(|i| i.should_fail(point))
     }

@@ -53,11 +53,6 @@ impl PageSize {
             PageSize::Huge => tmi_machine::addr::HUGE_PAGE_SIZE,
         }
     }
-
-    /// 4 KiB pages per page of this size.
-    pub const fn small_pages(self) -> u64 {
-        self.bytes() / FRAME_SIZE
-    }
 }
 
 /// What backs a mapping.
@@ -196,6 +191,5 @@ mod tests {
     fn page_size_geometry() {
         assert_eq!(PageSize::Small.bytes(), 4096);
         assert_eq!(PageSize::Huge.bytes(), 2 * 1024 * 1024);
-        assert_eq!(PageSize::Huge.small_pages(), 512);
     }
 }

@@ -244,26 +244,6 @@ impl Op {
             _ => None,
         }
     }
-
-    /// True for the C++11 atomic operations (not plain loads/stores).
-    pub fn is_atomic(&self) -> bool {
-        matches!(
-            self,
-            Op::AtomicLoad { .. } | Op::AtomicStore { .. } | Op::AtomicRmw { .. } | Op::Cas { .. }
-        )
-    }
-
-    /// True for synchronization operations that commit the PTSB (§3.3).
-    pub fn is_sync(&self) -> bool {
-        matches!(
-            self,
-            Op::MutexLock { .. }
-                | Op::MutexUnlock { .. }
-                | Op::SpinLock { .. }
-                | Op::SpinUnlock { .. }
-                | Op::BarrierWait { .. }
-        )
-    }
 }
 
 impl fmt::Display for MemOrder {
@@ -403,21 +383,15 @@ mod tests {
             operand: 1,
             order: MemOrder::Relaxed,
         };
-        assert!(atomic.is_atomic());
-        assert!(!atomic.is_sync());
         assert_eq!(atomic.pc(), Some(pc));
         let lock = Op::MutexLock {
             lock: VAddr::new(64),
         };
-        assert!(lock.is_sync());
         assert_eq!(lock.pc(), None);
-        assert!(!Op::Exit.is_atomic());
         let vm = Op::Vm {
             op: VmOp::Shootdown,
             addr: VAddr::new(0x1000),
         };
-        assert!(!vm.is_atomic());
-        assert!(!vm.is_sync());
         assert_eq!(vm.pc(), None);
         assert_eq!(vm.to_string(), "vm.shootdown 0x1000");
     }

@@ -182,11 +182,6 @@ impl EngineCore {
         &self.config
     }
 
-    /// Root process, once created.
-    pub fn root_pid(&self) -> Option<Pid> {
-        self.root
-    }
-
     fn thread_index(&self, tid: Tid) -> usize {
         self.threads
             .iter()
@@ -289,16 +284,6 @@ impl<R: RuntimeHooks> Engine<R> {
     /// The runtime system.
     pub fn runtime(&self) -> &R {
         &self.runtime
-    }
-
-    /// Mutable access to the runtime system.
-    pub fn runtime_mut(&mut self) -> &mut R {
-        &mut self.runtime
-    }
-
-    /// Consumes the engine, returning the runtime (for post-run stats).
-    pub fn into_runtime(self) -> R {
-        self.runtime
     }
 
     /// One flat metrics snapshot of the whole simulated system: the

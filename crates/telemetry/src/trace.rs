@@ -66,11 +66,6 @@ impl Tracer {
         }
     }
 
-    /// True if events are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Records an instant event.
     pub fn instant(
         &self,
@@ -141,7 +136,6 @@ mod tests {
         let t = Tracer::disabled();
         t.instant("x", "c", 0, 1, &[]);
         t.span("y", "c", 0, 1, 5, &[]);
-        assert!(!t.is_enabled());
         assert!(t.is_empty());
     }
 

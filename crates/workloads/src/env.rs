@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use tmi_alloc::SimAllocator;
-use tmi_machine::{VAddr, Width, LINE_SIZE};
+use tmi_machine::{VAddr, Width};
 use tmi_os::{AsId, Kernel};
 use tmi_program::{CodeRegistry, Op, OpResult, ThreadProgram};
 
@@ -141,13 +141,6 @@ impl<'a> SetupCtx<'a> {
             .expect("setup write");
     }
 
-    /// Initializes `count` consecutive u64s starting at `addr`.
-    pub fn write_u64s(&mut self, addr: VAddr, values: impl IntoIterator<Item = u64>) {
-        for (i, v) in values.into_iter().enumerate() {
-            self.write(addr.offset(i as u64 * 8), Width::W8, v);
-        }
-    }
-
     /// Reads one word back (verification).
     pub fn read(&mut self, addr: VAddr, width: Width) -> u64 {
         self.kernel
@@ -163,16 +156,6 @@ impl<'a> SetupCtx<'a> {
         match self.kernel.object_paddr(self.aspace, addr) {
             Ok(pa) => self.kernel.physmem().read(pa, width),
             Err(_) => self.read(addr, width),
-        }
-    }
-
-    /// Allocates a buggy-layout or line-padded per-thread record: `size`
-    /// bytes from arena `arena`, padded to a line when `fixed`.
-    pub fn alloc_record(&mut self, arena: usize, size: u64, fixed: bool) -> VAddr {
-        if fixed {
-            self.alloc.alloc_line_padded(arena, size)
-        } else {
-            self.alloc.alloc(arena, size)
         }
     }
 }
@@ -241,16 +224,6 @@ pub trait Workload {
     }
 }
 
-/// Stride between per-thread records: packed (buggy) or line-padded
-/// (fixed).
-pub fn record_stride(natural: u64, fixed: bool) -> u64 {
-    if fixed {
-        natural.next_multiple_of(LINE_SIZE)
-    } else {
-        natural
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,14 +236,6 @@ mod tests {
         assert_eq!(t.iters(1000), 64.max((1000.0 * 0.05) as usize));
         assert!(p.fixed().fixed);
         assert!(p.misaligned().misaligned);
-    }
-
-    #[test]
-    fn record_stride_padding() {
-        assert_eq!(record_stride(40, false), 40);
-        assert_eq!(record_stride(40, true), 64);
-        assert_eq!(record_stride(64, true), 64);
-        assert_eq!(record_stride(100, true), 128);
     }
 
     #[test]

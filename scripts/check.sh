@@ -20,9 +20,8 @@
 #            schema, and the smoke run's Chrome trace must be
 #            structurally valid and contain a full repair episode
 #            (trigger -> T2P -> twin -> commit)
-#   bench-smoke  the benchmark gate: the machine_throughput criterion
-#            benches (compile + a short measured run), then the
-#            standalone perfbench package (its own cargo package, see
+#   bench-smoke  the benchmark gate: the standalone perfbench package
+#            (its own cargo package and the only timing harness, see
 #            perfbench/README.md): its unit, API-guard and self-check
 #            tests, and a --smoke run of every workload, which exits
 #            non-zero on any wrong output (timings are not gated here)
@@ -120,8 +119,7 @@ test -s "$smoke_dir/service_trace.json"
 grep -q '"service.job"' "$smoke_dir/service_trace.json" \
   || { echo "service trace has no job spans"; exit 1; }
 
-echo "== bench-smoke: throughput benches + perfbench smoke"
-cargo bench -p tmi-bench --bench machine_throughput
+echo "== bench-smoke: perfbench tests + smoke"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml --bin bench -- run --smoke
 

@@ -2,11 +2,7 @@
 //! produce identical cycle counts, HITM counts and repair decisions. This
 //! is what makes every number in EXPERIMENTS.md reproducible exactly.
 
-use tmi_repro::bench::{Experiment, RunConfig, RunResult, RuntimeKind};
-
-fn run(name: &str, cfg: &RunConfig) -> RunResult {
-    Experiment::new(name).config(*cfg).run()
-}
+use tmi_repro::bench::{Experiment, RuntimeKind};
 
 fn fingerprint(r: &tmi_repro::bench::RunResult) -> (u64, u64, u64, bool, u64, Option<u64>) {
     (
@@ -28,9 +24,9 @@ fn identical_runs_are_bit_identical() {
         ("spinlockpool", RuntimeKind::Laser),
         ("canneal", RuntimeKind::Pthreads),
     ] {
-        let cfg = RunConfig::repair(rt).scale(0.2).misaligned();
-        let a = run(name, &cfg);
-        let b = run(name, &cfg);
+        let cell = Experiment::repair(name).runtime(rt).scale(0.2).misaligned();
+        let a = cell.clone().run();
+        let b = cell.run();
         assert_eq!(
             fingerprint(&a),
             fingerprint(&b),
@@ -44,10 +40,7 @@ fn identical_runs_are_bit_identical() {
 fn different_seeds_of_work_change_results() {
     // Sanity check that the fingerprint actually discriminates: changing
     // the scale must change the outcome.
-    let a = run("lreg", &RunConfig::repair(RuntimeKind::Pthreads).scale(0.2));
-    let b = run(
-        "lreg",
-        &RunConfig::repair(RuntimeKind::Pthreads).scale(0.25),
-    );
+    let a = Experiment::repair("lreg").scale(0.2).run();
+    let b = Experiment::repair("lreg").scale(0.25).run();
     assert_ne!(a.cycles, b.cycles);
 }

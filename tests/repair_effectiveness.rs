@@ -2,21 +2,18 @@
 //! reduced scale: repair helps where it should, stays out of the way where
 //! it shouldn't, and the comparison systems order the way Table 1 says.
 
-use tmi_repro::bench::{Experiment, RunConfig, RunResult, RuntimeKind};
+use tmi_repro::bench::{Experiment, RunResult, RuntimeKind};
 
-fn run(name: &str, cfg: &RunConfig) -> RunResult {
-    Experiment::new(name).config(*cfg).run()
-}
-
-fn repair_cfg(rt: RuntimeKind) -> RunConfig {
-    RunConfig::repair(rt).scale(1.0).misaligned()
+/// A §4.1 repair cell at benchmark scale with the misaligned allocation.
+fn repair_run(name: &str, rt: RuntimeKind) -> RunResult {
+    Experiment::repair(name).runtime(rt).misaligned().run()
 }
 
 #[test]
 fn tmi_recovers_most_of_the_manual_speedup_on_lreg() {
-    let base = run("lreg", &repair_cfg(RuntimeKind::Pthreads));
-    let manual = run("lreg", &RunConfig::repair(RuntimeKind::Pthreads).fixed());
-    let tmi = run("lreg", &repair_cfg(RuntimeKind::TmiProtect));
+    let base = repair_run("lreg", RuntimeKind::Pthreads);
+    let manual = Experiment::repair("lreg").fixed().run();
+    let tmi = repair_run("lreg", RuntimeKind::TmiProtect);
     assert!(base.ok() && manual.ok() && tmi.ok());
     assert!(tmi.repaired, "repair must trigger");
     let manual_speedup = base.cycles as f64 / manual.cycles as f64;
@@ -33,9 +30,9 @@ fn tmi_recovers_most_of_the_manual_speedup_on_lreg() {
 
 #[test]
 fn laser_repair_is_much_weaker_than_tmi() {
-    let base = run("stringmatch", &repair_cfg(RuntimeKind::Pthreads));
-    let tmi = run("stringmatch", &repair_cfg(RuntimeKind::TmiProtect));
-    let laser = run("stringmatch", &repair_cfg(RuntimeKind::Laser));
+    let base = repair_run("stringmatch", RuntimeKind::Pthreads);
+    let tmi = repair_run("stringmatch", RuntimeKind::TmiProtect);
+    let laser = repair_run("stringmatch", RuntimeKind::Laser);
     assert!(base.ok() && tmi.ok() && laser.ok());
     let s_tmi = base.cycles as f64 / tmi.cycles as f64;
     let s_laser = base.cycles as f64 / laser.cycles as f64;
@@ -49,8 +46,8 @@ fn laser_repair_is_much_weaker_than_tmi() {
 fn relaxed_atomics_keep_repair_effective_but_locks_do_not() {
     // §4.3's shptr pair: the headline result for code-centric consistency.
     let speedup = |name: &str| {
-        let base = run(name, &repair_cfg(RuntimeKind::Pthreads));
-        let tmi = run(name, &repair_cfg(RuntimeKind::TmiProtect));
+        let base = repair_run(name, RuntimeKind::Pthreads);
+        let tmi = repair_run(name, RuntimeKind::TmiProtect);
         assert!(base.ok() && tmi.ok(), "{name}");
         base.cycles as f64 / tmi.cycles as f64
     };
@@ -63,8 +60,8 @@ fn relaxed_atomics_keep_repair_effective_but_locks_do_not() {
 
 #[test]
 fn lu_ncb_is_fixed_by_tmis_allocator_without_page_protection() {
-    let base = run("lu-ncb", &repair_cfg(RuntimeKind::Pthreads));
-    let tmi = run("lu-ncb", &repair_cfg(RuntimeKind::TmiProtect));
+    let base = repair_run("lu-ncb", RuntimeKind::Pthreads);
+    let tmi = repair_run("lu-ncb", RuntimeKind::TmiProtect);
     assert!(base.ok() && tmi.ok());
     assert!(
         tmi.cycles as f64 <= base.cycles as f64 * 0.8,
@@ -76,8 +73,8 @@ fn lu_ncb_is_fixed_by_tmis_allocator_without_page_protection() {
 
 #[test]
 fn spinlockpool_is_repaired_by_lock_repadding() {
-    let base = run("spinlockpool", &repair_cfg(RuntimeKind::Pthreads));
-    let tmi = run("spinlockpool", &repair_cfg(RuntimeKind::TmiProtect));
+    let base = repair_run("spinlockpool", RuntimeKind::Pthreads);
+    let tmi = repair_run("spinlockpool", RuntimeKind::TmiProtect);
     assert!(base.ok() && tmi.ok());
     assert!(
         tmi.repaired,
@@ -94,8 +91,11 @@ fn spinlockpool_is_repaired_by_lock_repadding() {
 #[test]
 fn no_contention_means_no_intervention() {
     for name in ["blackscholes", "swaptions", "matrix"] {
-        let base = run(name, &RunConfig::repair(RuntimeKind::Pthreads).scale(0.2));
-        let tmi = run(name, &RunConfig::repair(RuntimeKind::TmiProtect).scale(0.2));
+        let base = Experiment::repair(name).scale(0.2).run();
+        let tmi = Experiment::repair(name)
+            .runtime(RuntimeKind::TmiProtect)
+            .scale(0.2)
+            .run();
         assert!(base.ok() && tmi.ok());
         assert!(!tmi.repaired, "{name} must not trigger repair");
         let over = tmi.cycles as f64 / base.cycles as f64 - 1.0;
@@ -107,10 +107,10 @@ fn no_contention_means_no_intervention() {
 fn detection_classifies_leveldbs_queue_as_true_sharing() {
     // §4.2: TMI sees the pristine store's contention but declines to
     // repair it (true sharing dominates).
-    let r = run(
-        "leveldb",
-        &RunConfig::new(RuntimeKind::TmiProtect).scale(0.4),
-    );
+    let r = Experiment::new("leveldb")
+        .runtime(RuntimeKind::TmiProtect)
+        .scale(0.4)
+        .run();
     assert!(r.ok());
     assert!(
         r.perf_events > 1_000,
@@ -122,16 +122,11 @@ fn detection_classifies_leveldbs_queue_as_true_sharing() {
 
 #[test]
 fn huge_pages_cut_fault_counts_by_orders_of_magnitude() {
-    let small = run(
-        "ocean-cp",
-        &RunConfig::new(RuntimeKind::TmiDetect).scale(0.2),
-    );
-    let huge = run(
-        "ocean-cp",
-        &RunConfig::new(RuntimeKind::TmiDetect)
-            .scale(0.2)
-            .huge_pages(),
-    );
+    let cell = Experiment::new("ocean-cp")
+        .runtime(RuntimeKind::TmiDetect)
+        .scale(0.2);
+    let small = cell.clone().run();
+    let huge = cell.huge_pages().run();
     assert!(small.ok() && huge.ok());
     assert!(
         huge.faults * 50 < small.faults,
@@ -143,9 +138,15 @@ fn huge_pages_cut_fault_counts_by_orders_of_magnitude() {
 
 #[test]
 fn ptsb_everywhere_is_worse_than_targeted_on_histogram() {
-    let cfg = |rt| RunConfig::repair(rt).scale(2.0).misaligned();
-    let targeted = run("histogram", &cfg(RuntimeKind::TmiProtect));
-    let everywhere = run("histogram", &cfg(RuntimeKind::TmiPtsbEverywhere));
+    let run = |rt| {
+        Experiment::repair("histogram")
+            .runtime(rt)
+            .scale(2.0)
+            .misaligned()
+            .run()
+    };
+    let targeted = run(RuntimeKind::TmiProtect);
+    let everywhere = run(RuntimeKind::TmiPtsbEverywhere);
     assert!(targeted.ok() && everywhere.ok());
     assert!(
         everywhere.cycles > targeted.cycles,

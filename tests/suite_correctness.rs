@@ -2,24 +2,21 @@
 //! compatibility must complete and verify; known-broken combinations must
 //! fail in exactly the way the paper describes.
 
-use tmi_repro::bench::{Experiment, RunConfig, RunResult, RuntimeKind};
+use tmi_repro::bench::{Experiment, RuntimeKind};
 use tmi_repro::sim::Halt;
 
-fn run(name: &str, cfg: &RunConfig) -> RunResult {
-    Experiment::new(name).config(*cfg).run()
-}
-
-fn small(rt: RuntimeKind) -> RunConfig {
-    let mut cfg = RunConfig::new(rt).scale(0.05);
-    cfg.tick_interval = 300_000;
-    cfg.max_ops = 30_000_000;
-    cfg
+fn small(name: &str, rt: RuntimeKind) -> Experiment {
+    Experiment::new(name)
+        .runtime(rt)
+        .scale(0.05)
+        .tick_interval(300_000)
+        .max_ops(30_000_000)
 }
 
 #[test]
 fn whole_suite_verifies_under_pthreads() {
     for name in tmi_repro::workloads::SUITE {
-        let r = run(name, &small(RuntimeKind::Pthreads));
+        let r = small(name, RuntimeKind::Pthreads).run();
         assert!(r.ok(), "{name}: halt={:?} verify={:?}", r.halt, r.verified);
     }
 }
@@ -27,7 +24,7 @@ fn whole_suite_verifies_under_pthreads() {
 #[test]
 fn whole_suite_verifies_under_tmi_detect() {
     for name in tmi_repro::workloads::SUITE {
-        let r = run(name, &small(RuntimeKind::TmiDetect));
+        let r = small(name, RuntimeKind::TmiDetect).run();
         assert!(r.ok(), "{name}: halt={:?} verify={:?}", r.halt, r.verified);
     }
 }
@@ -37,33 +34,31 @@ fn whole_suite_verifies_under_tmi_protect() {
     // The paper's core compatibility claim: TMI's repair machinery never
     // breaks a program, whether or not it triggers.
     for name in tmi_repro::workloads::SUITE {
-        let r = run(name, &small(RuntimeKind::TmiProtect));
+        let r = small(name, RuntimeKind::TmiProtect).run();
         assert!(r.ok(), "{name}: halt={:?} verify={:?}", r.halt, r.verified);
     }
 }
 
 #[test]
 fn cholesky_is_safe_under_tmi_but_hangs_under_sheriff() {
-    let tmi = run("cholesky", &small(RuntimeKind::TmiProtect));
+    let tmi = small("cholesky", RuntimeKind::TmiProtect).run();
     assert!(tmi.ok(), "{:?}", tmi.halt);
-    let mut cfg = small(RuntimeKind::SheriffProtect);
-    cfg.max_ops = 3_000_000;
-    let sheriff = run("cholesky", &cfg);
+    let sheriff = small("cholesky", RuntimeKind::SheriffProtect)
+        .max_ops(3_000_000)
+        .run();
     assert_eq!(sheriff.halt, Halt::Hang, "Sheriff must hang (Fig. 12)");
 }
 
 #[test]
 fn canneal_corrupts_under_sheriff_only() {
-    let mut cfg = small(RuntimeKind::SheriffProtect);
-    cfg.scale = 0.3;
-    let sheriff = run("canneal", &cfg);
+    let sheriff = small("canneal", RuntimeKind::SheriffProtect)
+        .scale(0.3)
+        .run();
     assert!(
         sheriff.verified.is_err(),
         "Sheriff's guard-less PTSB must corrupt canneal (Fig. 11)"
     );
-    let mut tcfg = small(RuntimeKind::TmiProtect);
-    tcfg.scale = 0.3;
-    let tmi = run("canneal", &tcfg);
+    let tmi = small("canneal", RuntimeKind::TmiProtect).scale(0.3).run();
     assert!(tmi.ok(), "{:?} {:?}", tmi.halt, tmi.verified);
 }
 
@@ -73,9 +68,7 @@ fn laser_and_plastic_preserve_correctness() {
     // case studies must pass (Table 1's "memory consistency" row).
     for rt in [RuntimeKind::Laser, RuntimeKind::Plastic] {
         for name in ["canneal", "cholesky", "leveldb-fs"] {
-            let mut cfg = small(rt);
-            cfg.scale = 0.2;
-            let r = run(name, &cfg);
+            let r = small(name, rt).scale(0.2).run();
             assert!(
                 r.ok(),
                 "{name} under {}: {:?} {:?}",
@@ -94,7 +87,7 @@ fn sheriff_compatible_workloads_run_correctly_under_sheriff() {
         if !spec.sheriff_compatible {
             continue;
         }
-        let r = run(name, &small(RuntimeKind::SheriffDetect));
+        let r = small(name, RuntimeKind::SheriffDetect).run();
         assert!(
             r.ok(),
             "{name} under sheriff-detect: {:?} {:?}",
