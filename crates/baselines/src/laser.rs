@@ -16,43 +16,25 @@
 
 use std::collections::HashSet;
 
-use tmi::{AppLayout, FalseSharingDetector, SharingKind};
+use tmi::{AppLayout, FalseSharingDetector, SharingKind, FS_THRESHOLD_PER_SEC};
 use tmi_machine::{AccessOutcome, LatencyModel, VAddr, LINE_SIZE};
 use tmi_os::Tid;
 use tmi_perf::{PerfConfig, PerfMonitor};
 use tmi_sim::{AccessInfo, EngineCtl, PreAccess, RegionEvent, Route, RuntimeHooks, SyncEvent};
 
-/// LASER configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct LaserConfig {
-    /// PEBS sampling configuration.
-    pub perf: PerfConfig,
-    /// Detection threshold (scaled HITM events per second per line).
-    pub fs_threshold_per_sec: f64,
-    /// Emulation cycles per buffered store.
-    pub store_emulation_cycles: u64,
-    /// Emulation cycles per load that must consult the store buffer.
-    pub load_check_cycles: u64,
-    /// One in `drain_every` buffered stores performs a real coherent write
-    /// (the batched drain).
-    pub drain_every: u64,
-    /// Repair is declined when the program synchronizes more often than
-    /// this (events per second per thread): TSO drains would dominate.
-    pub max_sync_rate_for_repair: f64,
-}
-
-impl Default for LaserConfig {
-    fn default() -> Self {
-        LaserConfig {
-            perf: PerfConfig::default(),
-            fs_threshold_per_sec: 100_000.0,
-            store_emulation_cycles: 12,
-            load_check_cycles: 6,
-            drain_every: 32,
-            max_sync_rate_for_repair: 200_000.0,
-        }
-    }
-}
+/// Emulation cycles per buffered store.
+const STORE_EMULATION_CYCLES: u64 = 12;
+/// Emulation cycles per load that must consult the store buffer.
+const LOAD_CHECK_CYCLES: u64 = 6;
+/// One in `DRAIN_EVERY` buffered stores performs a real coherent write
+/// (the batched drain).
+const DRAIN_EVERY: u64 = 32;
+/// Cycles of the full ordered drain a sync or ordering fence forces: half
+/// a batch of emulated stores.
+const FULL_DRAIN_CYCLES: u64 = STORE_EMULATION_CYCLES * DRAIN_EVERY / 2;
+/// Repair is declined when the program synchronizes more often than this
+/// (events per second per thread): TSO drains would dominate.
+const MAX_SYNC_RATE_FOR_REPAIR: f64 = 200_000.0;
 
 /// LASER runtime statistics.
 #[derive(Clone, Debug, Default)]
@@ -79,7 +61,6 @@ impl tmi_telemetry::MetricSource for LaserStats {
 /// The LASER runtime.
 #[derive(Debug)]
 pub struct LaserRuntime {
-    config: LaserConfig,
     layout: AppLayout,
     perf: PerfMonitor,
     detector: FalseSharingDetector,
@@ -91,21 +72,21 @@ pub struct LaserRuntime {
 }
 
 impl LaserRuntime {
-    /// Creates a LASER runtime over the given layout.
-    pub fn new(config: LaserConfig, layout: AppLayout) -> Self {
+    /// Creates a LASER runtime over the given layout, sampling HITM events
+    /// with `perf`.
+    pub fn new(perf: PerfConfig, layout: AppLayout) -> Self {
         let ranges = vec![
             (layout.app_start, layout.app_len),
             (layout.internal_start, layout.internal_len),
         ];
         LaserRuntime {
-            perf: PerfMonitor::new(config.perf),
-            detector: FalseSharingDetector::new(config.perf, ranges),
+            perf: PerfMonitor::new(perf),
+            detector: FalseSharingDetector::new(perf, ranges),
             repaired: HashSet::new(),
             store_seq: 0,
             sync_events_window: 0,
             last_tick: 0,
             stats: LaserStats::default(),
-            config,
             layout,
         }
     }
@@ -148,21 +129,21 @@ impl RuntimeHooks for LaserRuntime {
         if acc.kind.is_write() {
             self.stats.emulated_stores += 1;
             self.store_seq += 1;
-            if self.store_seq.is_multiple_of(self.config.drain_every) {
+            if self.store_seq.is_multiple_of(DRAIN_EVERY) {
                 // The batched drain performs a real coherent store.
                 PreAccess {
-                    extra_cycles: self.config.store_emulation_cycles,
+                    extra_cycles: STORE_EMULATION_CYCLES,
                     route: Route::Normal,
                 }
             } else {
                 PreAccess {
-                    extra_cycles: self.config.store_emulation_cycles,
+                    extra_cycles: STORE_EMULATION_CYCLES,
                     route: Route::Uncached,
                 }
             }
         } else {
             PreAccess {
-                extra_cycles: self.config.load_check_cycles,
+                extra_cycles: LOAD_CHECK_CYCLES,
                 route: Route::Normal,
             }
         }
@@ -189,7 +170,7 @@ impl RuntimeHooks for LaserRuntime {
         }
         // TSO: a sync forces a full ordered drain of the store buffer.
         self.stats.drains += 1;
-        self.config.store_emulation_cycles * self.config.drain_every / 2
+        FULL_DRAIN_CYCLES
     }
 
     fn on_region(&mut self, _ctl: &mut dyn EngineCtl, _tid: Tid, ev: RegionEvent) -> u64 {
@@ -197,7 +178,7 @@ impl RuntimeHooks for LaserRuntime {
         match ev {
             RegionEvent::Fence(o) if o.is_ordering() && !self.repaired.is_empty() => {
                 self.stats.drains += 1;
-                self.config.store_emulation_cycles * self.config.drain_every / 2
+                FULL_DRAIN_CYCLES
             }
             _ => 0,
         }
@@ -210,7 +191,7 @@ impl RuntimeHooks for LaserRuntime {
         self.last_tick = now;
         let reports = self
             .detector
-            .analyze_window(window_secs, self.config.fs_threshold_per_sec);
+            .analyze_window(window_secs, FS_THRESHOLD_PER_SEC);
         let threads = ctl.tids().len().max(1) as f64;
         let sync_rate = self.sync_events_window as f64 / threads / window_secs;
         self.sync_events_window = 0;
@@ -218,7 +199,7 @@ impl RuntimeHooks for LaserRuntime {
             if r.kind != SharingKind::FalseSharing {
                 continue;
             }
-            if sync_rate > self.config.max_sync_rate_for_repair {
+            if sync_rate > MAX_SYNC_RATE_FOR_REPAIR {
                 // TSO consistency is too restrictive for sync-heavy code
                 // (the Boost microbenchmark case, §4.3).
                 self.stats.repairs_declined_tso += 1;

@@ -23,6 +23,6 @@ pub mod laser;
 pub mod plastic;
 pub mod sheriff;
 
-pub use laser::{LaserConfig, LaserRuntime, LaserStats};
-pub use plastic::{PlasticConfig, PlasticRuntime, PlasticStats};
+pub use laser::{LaserRuntime, LaserStats};
+pub use plastic::{PlasticRuntime, PlasticStats};
 pub use sheriff::{SheriffConfig, SheriffRuntime};

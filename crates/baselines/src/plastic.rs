@@ -14,36 +14,17 @@
 
 use std::collections::HashSet;
 
-use tmi::{AppLayout, FalseSharingDetector, SharingKind};
-use tmi_machine::{AccessOutcome, LatencyModel, VAddr, LINE_SIZE};
+use tmi::{AppLayout, FalseSharingDetector, SharingKind, FS_THRESHOLD_PER_SEC};
+use tmi_machine::{AccessOutcome, LatencyModel, LINE_SIZE};
 use tmi_os::Tid;
 use tmi_perf::{PerfConfig, PerfMonitor};
 use tmi_sim::{AccessInfo, EngineCtl, PreAccess, Route, RuntimeHooks};
 
-/// Plastic-style configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct PlasticConfig {
-    /// Sampling configuration for its HITM counters.
-    pub perf: PerfConfig,
-    /// Detection threshold.
-    pub fs_threshold_per_sec: f64,
-    /// Hypervisor/virtualization overhead in hundredths of a cycle charged
-    /// per memory access (6 % ≈ 0.3 cycles on a ~5-cycle average access).
-    pub base_overhead_x100: u64,
-    /// DBI emulation cycles per access to a remapped line.
-    pub remap_access_cycles: u64,
-}
-
-impl Default for PlasticConfig {
-    fn default() -> Self {
-        PlasticConfig {
-            perf: PerfConfig::default(),
-            fs_threshold_per_sec: 100_000.0,
-            base_overhead_x100: 55,
-            remap_access_cycles: 95,
-        }
-    }
-}
+/// Hypervisor/virtualization overhead in hundredths of a cycle charged per
+/// memory access (6 % ≈ 0.3 cycles on a ~5-cycle average access).
+const BASE_OVERHEAD_X100: u64 = 55;
+/// DBI emulation cycles per access to a remapped line.
+const REMAP_ACCESS_CYCLES: u64 = 95;
 
 /// Plastic-style runtime statistics.
 #[derive(Clone, Debug, Default)]
@@ -64,7 +45,6 @@ impl tmi_telemetry::MetricSource for PlasticStats {
 /// The Plastic-style runtime.
 #[derive(Debug)]
 pub struct PlasticRuntime {
-    config: PlasticConfig,
     layout: AppLayout,
     perf: PerfMonitor,
     detector: FalseSharingDetector,
@@ -75,20 +55,20 @@ pub struct PlasticRuntime {
 }
 
 impl PlasticRuntime {
-    /// Creates a Plastic-style runtime over the given layout.
-    pub fn new(config: PlasticConfig, layout: AppLayout) -> Self {
+    /// Creates a Plastic-style runtime over the given layout, sampling its
+    /// HITM counters with `perf`.
+    pub fn new(perf: PerfConfig, layout: AppLayout) -> Self {
         let ranges = vec![
             (layout.app_start, layout.app_len),
             (layout.internal_start, layout.internal_len),
         ];
         PlasticRuntime {
-            perf: PerfMonitor::new(config.perf),
-            detector: FalseSharingDetector::new(config.perf, ranges),
+            perf: PerfMonitor::new(perf),
+            detector: FalseSharingDetector::new(perf, ranges),
             remapped: HashSet::new(),
             overhead_acc: 0,
             last_tick: 0,
             stats: PlasticStats::default(),
-            config,
             layout,
         }
     }
@@ -116,13 +96,13 @@ impl RuntimeHooks for PlasticRuntime {
 
     fn pre_access(&mut self, _ctl: &mut dyn EngineCtl, _tid: Tid, acc: &AccessInfo) -> PreAccess {
         // Flat virtualization overhead, accumulated in 1/100 cycles.
-        self.overhead_acc += self.config.base_overhead_x100;
+        self.overhead_acc += BASE_OVERHEAD_X100;
         let mut extra = self.overhead_acc / 100;
         self.overhead_acc %= 100;
 
         if !self.remapped.is_empty() && self.remapped.contains(&(acc.vaddr.raw() / LINE_SIZE)) {
             self.stats.remapped_accesses += 1;
-            extra += self.config.remap_access_cycles;
+            extra += REMAP_ACCESS_CYCLES;
             // Byte-granular remapping: the contended line is never touched.
             return PreAccess {
                 extra_cycles: extra,
@@ -156,7 +136,7 @@ impl RuntimeHooks for PlasticRuntime {
         self.last_tick = now;
         for r in self
             .detector
-            .analyze_window(window_secs, self.config.fs_threshold_per_sec)
+            .analyze_window(window_secs, FS_THRESHOLD_PER_SEC)
         {
             if r.kind == SharingKind::FalseSharing {
                 self.remapped.insert(r.vline);
@@ -165,9 +145,3 @@ impl RuntimeHooks for PlasticRuntime {
         self.stats.remapped_lines = self.remapped.len();
     }
 }
-
-// Re-exported for the Table 1 harness.
-pub use PlasticRuntime as Plastic;
-
-#[allow(unused)]
-fn _doc_anchor(_: VAddr) {}

@@ -19,48 +19,28 @@
 //! full-line-sized, so lock-array false sharing (spinlockpool) is fixed as
 //! a side effect of interposition.
 
-use tmi::{AppLayout, RepairManager, TmiConfig};
+use tmi::{AppLayout, RepairManager, LOCK_INDIRECT_CYCLES};
 use tmi_machine::{VAddr, Vpn};
 use tmi_os::{FaultResolution, Tid};
 use tmi_sim::{AccessInfo, EngineCtl, PreAccess, RuntimeHooks, SyncEvent};
 
-/// Sheriff configuration.
-#[derive(Clone, Copy, Debug)]
+/// Extra cycles per committed page in detect mode (sampled diff
+/// analysis).
+const DETECT_ANALYSIS_PER_PAGE: u64 = 900;
+
+/// Sheriff configuration. Conversion and commit costs are TMI's (the
+/// [`RepairManager`] constants).
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SheriffConfig {
-    /// Conversion/protection cost model (reuses TMI's).
-    pub tmi: TmiConfig,
     /// `sheriff-detect` adds per-commit diff-analysis bookkeeping on top of
     /// `sheriff-protect`.
     pub detect_mode: bool,
-    /// Extra cycles per committed page in detect mode (sampled diff
-    /// analysis).
-    pub detect_analysis_per_page: u64,
-}
-
-impl Default for SheriffConfig {
-    fn default() -> Self {
-        SheriffConfig {
-            tmi: TmiConfig {
-                // Sheriff has no perf-based detector and no code-centric
-                // consistency; these fields are unused except commit costs.
-                repair_enabled: true,
-                code_centric: false,
-                targeted: false,
-                ..TmiConfig::default()
-            },
-            detect_mode: false,
-            detect_analysis_per_page: 900,
-        }
-    }
 }
 
 impl SheriffConfig {
     /// The `sheriff-detect` tool configuration.
     pub fn detect() -> Self {
-        SheriffConfig {
-            detect_mode: true,
-            ..Default::default()
-        }
+        SheriffConfig { detect_mode: true }
     }
 
     /// The `sheriff-protect` tool configuration.
@@ -115,12 +95,10 @@ impl SheriffRuntime {
 
     fn commit(&mut self, ctl: &mut dyn EngineCtl, tid: Tid) -> u64 {
         let before_pages = self.repair.stats().committed_pages;
-        let mut cycles = self
-            .repair
-            .commit_thread(ctl, tid, &self.config.tmi, &self.layout);
+        let mut cycles = self.repair.commit_thread(ctl, tid, &self.layout);
         if self.config.detect_mode {
             let pages = self.repair.stats().committed_pages - before_pages;
-            cycles += pages * self.config.detect_analysis_per_page;
+            cycles += pages * DETECT_ANALYSIS_PER_PAGE;
         }
         cycles
     }
@@ -130,8 +108,7 @@ impl RuntimeHooks for SheriffRuntime {
     fn on_start(&mut self, ctl: &mut dyn EngineCtl) {
         // Threads-as-processes from the very beginning, whole-heap PTSB.
         let pages: Vec<Vpn> = self.layout.all_app_pages().collect();
-        self.repair
-            .trigger(ctl, &self.config.tmi, &self.layout, &pages);
+        self.repair.trigger(ctl, &self.layout, &pages);
     }
 
     fn pre_access(&mut self, _ctl: &mut dyn EngineCtl, _tid: Tid, _acc: &AccessInfo) -> PreAccess {
@@ -142,8 +119,7 @@ impl RuntimeHooks for SheriffRuntime {
 
     fn on_fault(&mut self, ctl: &mut dyn EngineCtl, tid: Tid, res: &FaultResolution) {
         if let FaultResolution::CowBroken { vpn, pages, .. } = *res {
-            self.repair
-                .on_cow(ctl, tid, vpn, pages, &self.config.tmi, &self.layout);
+            self.repair.on_cow(ctl, tid, vpn, pages, &self.layout);
         }
     }
 
@@ -152,9 +128,6 @@ impl RuntimeHooks for SheriffRuntime {
     }
 
     fn map_lock(&mut self, _ctl: &mut dyn EngineCtl, _tid: Tid, lock: VAddr) -> (VAddr, u64) {
-        (
-            self.locks.redirect(lock),
-            self.config.tmi.lock_indirect_cycles,
-        )
+        (self.locks.redirect(lock), LOCK_INDIRECT_CYCLES)
     }
 }

@@ -15,6 +15,7 @@
 //! ```
 use std::time::Instant;
 
+use tmi_bench::spec::work_scale;
 use tmi_bench::{Executor, JobSpec};
 
 fn main() {
@@ -23,7 +24,10 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if let Ok(scale) = arg.parse::<f64>() {
-            spec.cfg.scale = scale;
+            spec.cfg.scale = work_scale("SCALE", scale).unwrap_or_else(|e| {
+                eprintln!("{e}");
+                std::process::exit(2);
+            });
             continue;
         }
         match spec.apply_cli_arg(&arg, &mut || args.next()) {

@@ -20,7 +20,8 @@
 //! SCALE replaces the scale of every selected section; `fig3` and `fig12`
 //! have a fixed size and ignore it. (Before the section table, a bare
 //! SCALE reached only fig4, fig7, fig8 and fig10.) `run_all fig9 0.5`
-//! prints the Fig. 9 table at half the default work.
+//! prints the Fig. 9 table at half the default work. A SCALE that is not
+//! a finite number greater than 0 (`inf`, `nan`, `0`, `-1`) exits 2.
 //!
 //! `TMI_BENCH_JOBS=N` bounds the pool; the printed report is
 //! byte-identical for every pool size. A machine-readable per-job timing
@@ -35,6 +36,7 @@
 //! figure cells, so the printed report is unaffected.
 
 use tmi_bench::figures::{self, Section, SECTIONS};
+use tmi_bench::spec::work_scale;
 use tmi_bench::{Executor, Experiment, RuntimeKind};
 
 /// What one invocation renders.
@@ -69,7 +71,7 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Plan, String> {
         } else if arg == "--trace" {
             trace = Some(args.next().ok_or("--trace requires an output path")?);
         } else if let Ok(s) = arg.parse::<f64>() {
-            scale = Some(s);
+            scale = Some(work_scale("SCALE", s).map_err(|e| format!("{e}\n{}", usage()))?);
         } else if let Some(section) = figures::section(&arg) {
             named.push(section.name);
         } else {
@@ -181,6 +183,19 @@ mod tests {
             picked(&parse_line("table3 fig4 --quick").unwrap()),
             [("fig4", 0.05), ("table3", 0.25)]
         );
+    }
+
+    #[test]
+    fn scale_must_be_finite_and_positive() {
+        for bad in ["inf", "-inf", "nan", "NaN", "0", "-1", "1e400"] {
+            let err = parse_line(&format!("fig4 {bad}")).unwrap_err();
+            assert!(
+                err.contains("SCALE must be a finite number greater than 0"),
+                "{bad}: {err}"
+            );
+            assert!(err.contains("usage: run_all"), "{bad}: {err}");
+        }
+        assert_eq!(picked(&parse_line("fig4 0.05").unwrap()), [("fig4", 0.05)]);
     }
 
     #[test]

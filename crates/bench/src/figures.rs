@@ -192,10 +192,8 @@ pub fn fig3() -> String {
 
     fn layout() -> AppLayout {
         AppLayout {
-            app_obj: tmi_os::ObjId(0),
             app_start: VAddr::new(APP),
             app_len: 16 * FRAME_SIZE,
-            internal_obj: tmi_os::ObjId(1),
             internal_start: VAddr::new(INTERNAL),
             internal_len: 4 * FRAME_SIZE,
             huge_pages: false,

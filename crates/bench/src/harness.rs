@@ -4,9 +4,7 @@
 
 use tmi::{AppLayout, MemoryBreakdown, TmiConfig, TmiRuntime};
 use tmi_alloc::{AllocConfig, AllocPolicy, SimAllocator};
-use tmi_baselines::{
-    LaserConfig, LaserRuntime, PlasticConfig, PlasticRuntime, SheriffConfig, SheriffRuntime,
-};
+use tmi_baselines::{LaserRuntime, PlasticRuntime, SheriffConfig, SheriffRuntime};
 use tmi_faultpoint::{FaultInjector, FaultPlan};
 use tmi_machine::{LatencyModel, VAddr, FRAME_SIZE};
 use tmi_os::MapRequest;
@@ -256,13 +254,10 @@ fn build<R: RuntimeHooks>(
     engine_cfg.max_cycles = 60_000_000_000;
 
     // The runtime is constructed against the layout before the engine
-    // exists (TMI sets its memory up at program start, §3.2). The object
-    // ids are the two objects the fresh kernel creates first, below.
+    // exists (TMI sets its memory up at program start, §3.2).
     let layout = AppLayout {
-        app_obj: tmi_os::ObjId(0),
         app_start: VAddr::new(APP_START),
         app_len,
-        internal_obj: tmi_os::ObjId(1),
         internal_start: VAddr::new(INTERNAL_START),
         internal_len: INTERNAL_LEN,
         huge_pages: cfg.huge_pages,
@@ -479,22 +474,16 @@ pub fn execute_spec(spec: &JobSpec, tracer: &Tracer) -> RunResult {
             finish(name, cfg, "sheriff", built, faults, fill_sheriff)
         }
         RuntimeKind::Laser => {
-            let c = LaserConfig {
-                perf: PerfConfig::with_period(cfg.period),
-                ..Default::default()
-            };
-            let built = build(name, cfg, |l| LaserRuntime::new(c, l));
+            let perf = PerfConfig::with_period(cfg.period);
+            let built = build(name, cfg, |l| LaserRuntime::new(perf, l));
             finish(name, cfg, "laser", built, faults, |_rt, _core, r| {
                 r.repaired = r.metrics.u64("laser.repaired") != 0;
                 r.perf_events = r.metrics.u64("laser.emulated_stores"); // proxy
             })
         }
         RuntimeKind::Plastic => {
-            let c = PlasticConfig {
-                perf: PerfConfig::with_period(cfg.period),
-                ..Default::default()
-            };
-            let built = build(name, cfg, |l| PlasticRuntime::new(c, l));
+            let perf = PerfConfig::with_period(cfg.period);
+            let built = build(name, cfg, |l| PlasticRuntime::new(perf, l));
             finish(name, cfg, "plastic", built, faults, |_rt, _core, r| {
                 r.repaired = r.metrics.u64("plastic.remapped_lines") > 0;
             })

@@ -161,7 +161,7 @@ impl JobSpec {
             cfg.threads = thread_count("\"threads\"", t)?;
         }
         if let Some(s) = num("scale")? {
-            cfg.scale = s;
+            cfg.scale = work_scale("\"scale\"", s)?;
         }
         if let Some(p) = num("period")? {
             cfg.period = p as u64;
@@ -211,9 +211,10 @@ impl JobSpec {
             }
             "--scale" => {
                 let v = value("--scale")?;
-                self.cfg.scale = v
+                let s = v
                     .parse::<f64>()
                     .map_err(|_| format!("--scale expects a number, got {v:?}"))?;
+                self.cfg.scale = work_scale("--scale", s)?;
             }
             "--period" => self.cfg.period = parse_u64("--period", value("--period")?)?,
             "--tick-interval" => {
@@ -248,6 +249,20 @@ fn thread_count(name: &str, t: f64) -> Result<usize, String> {
     } else {
         Err(format!(
             "{name} must be an integer in 1..={MAX_CORES}, got {t}"
+        ))
+    }
+}
+
+/// Validates a requested work scale. Workloads size their iteration
+/// counts and arrays from it, so it must be a finite number greater than
+/// 0; NaN, infinities, zero and negatives are refused before any
+/// workload is built.
+pub fn work_scale(name: &str, s: f64) -> Result<f64, String> {
+    if s.is_finite() && s > 0.0 {
+        Ok(s)
+    } else {
+        Err(format!(
+            "{name} must be a finite number greater than 0, got {s}"
         ))
     }
 }
@@ -313,6 +328,17 @@ mod tests {
             let doc = format!(r#"{{"workload": "x", "threads": {t}}}"#);
             let err = JobSpec::from_json(&json::parse(&doc).unwrap()).unwrap_err();
             assert!(err.contains("1..=64"), "threads {t}: {err}");
+        }
+        // Scales that are not finite and positive are refused with the
+        // requirement. 1e400 overflows to infinity, which the canonical
+        // form would re-encode as null.
+        for s in ["0", "-1", "1e400", "-1e400"] {
+            let doc = format!(r#"{{"workload": "x", "scale": {s}}}"#);
+            let err = JobSpec::from_json(&json::parse(&doc).unwrap()).unwrap_err();
+            assert!(
+                err.contains("finite number greater than 0"),
+                "scale {s}: {err}"
+            );
         }
         let no_workload = json::parse(r#"{"threads": 4}"#).unwrap();
         assert!(JobSpec::from_json(&no_workload).is_err());
@@ -453,6 +479,26 @@ mod tests {
         assert_eq!(spec.seed, 7);
         assert!(spec.cfg.misaligned);
         assert_eq!(leftover, ["--not-ours"]);
+    }
+
+    #[test]
+    fn cli_scale_must_be_finite_and_positive() {
+        for s in ["inf", "-inf", "NaN", "0", "-1", "1e400"] {
+            let mut spec = JobSpec::new("histogram");
+            let err = spec
+                .apply_cli_arg("--scale", &mut || Some(s.to_string()))
+                .unwrap_err();
+            assert!(
+                err.contains("--scale must be a finite number greater than 0"),
+                "--scale {s}: {err}"
+            );
+            assert_eq!(spec.cfg.scale, 1.0, "a refused scale leaves the spec alone");
+        }
+        let mut spec = JobSpec::new("histogram");
+        assert!(spec
+            .apply_cli_arg("--scale", &mut || Some("0.05".to_string()))
+            .unwrap());
+        assert_eq!(spec.cfg.scale, 0.05);
     }
 
     #[test]

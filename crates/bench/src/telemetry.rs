@@ -14,11 +14,10 @@
 use std::collections::BTreeSet;
 
 use tmi::{AppLayout, MemoryBreakdown, TmiConfig, TmiRuntime};
-use tmi_baselines::{
-    LaserConfig, LaserRuntime, PlasticConfig, PlasticRuntime, SheriffConfig, SheriffRuntime,
-};
+use tmi_baselines::{LaserRuntime, PlasticRuntime, SheriffConfig, SheriffRuntime};
 use tmi_machine::{MachineStats, VAddr};
-use tmi_os::{ObjId, OsStats, TlbStats};
+use tmi_os::{OsStats, TlbStats};
+use tmi_perf::PerfConfig;
 use tmi_telemetry::json::{self, Json};
 use tmi_telemetry::MetricSink;
 
@@ -32,10 +31,8 @@ use tmi_telemetry::MetricSink;
 /// [`MetricSink`], which panics on duplicates.
 pub fn registered_metric_names() -> Vec<String> {
     let layout = AppLayout {
-        app_obj: ObjId(0),
         app_start: VAddr::new(crate::APP_START),
         app_len: 1 << 20,
-        internal_obj: ObjId(1),
         internal_start: VAddr::new(crate::INTERNAL_START),
         internal_len: 1 << 20,
         huge_pages: false,
@@ -50,10 +47,10 @@ pub fn registered_metric_names() -> Vec<String> {
         "sheriff",
         &SheriffRuntime::new(SheriffConfig::protect(), layout),
     );
-    sink.source("laser", &LaserRuntime::new(LaserConfig::default(), layout));
+    sink.source("laser", &LaserRuntime::new(PerfConfig::default(), layout));
     sink.source(
         "plastic",
-        &PlasticRuntime::new(PlasticConfig::default(), layout),
+        &PlasticRuntime::new(PerfConfig::default(), layout),
     );
     sink.finish().names().map(String::from).collect()
 }

@@ -7,19 +7,14 @@
 //! that interposed `pthread_mutex_t`s point at (§3.2).
 
 use tmi_machine::{VAddr, Vpn, FRAME_SIZE, LINE_SIZE};
-use tmi_os::ObjId;
 
 /// Where everything lives in the application's virtual address space.
 #[derive(Clone, Copy, Debug)]
 pub struct AppLayout {
-    /// The application shared-memory object ("Shared Memory File").
-    pub app_obj: ObjId,
     /// Start of the primary (remappable) mapping of the app object.
     pub app_start: VAddr,
     /// Length of the app mapping in bytes.
     pub app_len: u64,
-    /// TMI's internal shared-memory object ("Internal Memory File").
-    pub internal_obj: ObjId,
     /// Start of the internal mapping (pshared mutexes, TMI state).
     pub internal_start: VAddr,
     /// Length of the internal mapping.
@@ -70,10 +65,8 @@ mod tests {
 
     fn layout() -> AppLayout {
         AppLayout {
-            app_obj: ObjId(0),
             app_start: VAddr::new(0x10000),
             app_len: 8 * FRAME_SIZE,
-            internal_obj: ObjId(1),
             internal_start: VAddr::new(0x80_0000),
             internal_len: 4 * FRAME_SIZE,
             huge_pages: false,

@@ -44,10 +44,10 @@ pub mod report;
 pub mod runtime;
 pub mod twins;
 
-pub use config::{CommitCostModel, TmiConfig};
+pub use config::{TmiConfig, FS_THRESHOLD_PER_SEC};
 pub use detect::{FalseSharingDetector, LineProfile, SharingKind, SharingReport};
 pub use layout::AppLayout;
-pub use locks::LockRedirector;
+pub use locks::{LockRedirector, LOCK_INDIRECT_CYCLES};
 pub use memstats::MemoryBreakdown;
 pub use repair::{GovernorState, RepairManager, RepairStats};
 pub use report::{ContentionReport, LineReport};

@@ -18,6 +18,12 @@ use std::collections::HashMap;
 
 use tmi_machine::{VAddr, LINE_SIZE};
 
+/// Cycles for the lock-pointer indirection on each mutex operation. TMI
+/// always redirects pthread mutexes through process-shared lock objects
+/// (§3.2), because locks must survive T2P; Sheriff's interposed locks pay
+/// the same.
+pub const LOCK_INDIRECT_CYCLES: u64 = 6;
+
 /// Redirection table from application lock addresses to internal slots.
 #[derive(Debug)]
 pub struct LockRedirector {

@@ -29,9 +29,31 @@ use tmi_os::{AsId, OsError, Pid, Tid};
 use tmi_sim::EngineCtl;
 use tmi_telemetry::{MetricSink, MetricSource, Phase, PhaseProfile, Tracer, GLOBAL_TID};
 
-use crate::config::TmiConfig;
 use crate::layout::AppLayout;
 use crate::twins::TwinStore;
+
+/// Cycles to convert one thread into a process: 30 µs at 3.4 GHz, after
+/// float truncation (Table 3 reports 73–179 µs of T2P per application).
+const T2P_CYCLES_PER_THREAD: u64 = 101_999;
+
+/// Cycles to stop the world with ptrace before conversion: 15 µs at
+/// 3.4 GHz, after float truncation. Rollback, revert and lock re-padding
+/// pay it too.
+pub(crate) const STOP_WORLD_CYCLES: u64 = 50_999;
+
+/// Extra attempts allowed when a repair-path kernel call fails transiently
+/// (fork veto, out-of-frames, mprotect EAGAIN) before the failure is
+/// treated as persistent.
+pub(crate) const REPAIR_RETRY_LIMIT: u32 = 4;
+
+/// Base backoff charged (in simulated cycles) before the first retry.
+const REPAIR_RETRY_BACKOFF_CYCLES: u64 = 500;
+
+/// Backoff charged before retry number `attempt` (1-based): exponential
+/// in the attempt count, capped at 64× the base.
+pub(crate) fn retry_backoff(attempt: u32) -> u64 {
+    REPAIR_RETRY_BACKOFF_CYCLES << attempt.saturating_sub(1).min(6)
+}
 
 /// Lifecycle of the repair governor.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -193,13 +215,7 @@ impl RepairManager {
     /// ([`GovernorState::Aborted`]) and a persistent arming failure leaves
     /// just that page in shared mode. After an abort or revert the governor
     /// stays down: re-triggering is a no-op.
-    pub fn trigger(
-        &mut self,
-        ctl: &mut dyn EngineCtl,
-        cfg: &TmiConfig,
-        layout: &AppLayout,
-        pages: &[Vpn],
-    ) {
+    pub fn trigger(&mut self, ctl: &mut dyn EngineCtl, layout: &AppLayout, pages: &[Vpn]) {
         if matches!(self.state, GovernorState::Aborted | GovernorState::Reverted) {
             return;
         }
@@ -215,11 +231,11 @@ impl RepairManager {
                 &[("pages", pages.len() as u64)],
             );
             for &tid in &tids {
-                if self.convert_retrying(ctl, tid, cfg).is_err() {
+                if self.convert_retrying(ctl, tid).is_err() {
                     // Persistent fork veto: the paper's ptrace-inject
                     // failure analogue. Put every already-isolated thread
                     // back and run on in shared-memory mode.
-                    self.rollback(ctl, cfg, layout);
+                    self.rollback(ctl, layout);
                     return;
                 }
                 self.tracer.instant(
@@ -230,7 +246,7 @@ impl RepairManager {
                     &[],
                 );
             }
-            let cost = cfg.stop_world_cycles + cfg.t2p_cycles_per_thread * tids.len() as u64;
+            let cost = STOP_WORLD_CYCLES + T2P_CYCLES_PER_THREAD * tids.len() as u64;
             self.stats.t2p_cycles = cost;
             ctl.add_cycles_all(cost);
             self.tracer.span(
@@ -267,7 +283,7 @@ impl RepairManager {
                 if armed.contains(&aspace) {
                     continue;
                 }
-                match self.protect_retrying(ctl, tid, aspace, vpn, cfg) {
+                match self.protect_retrying(ctl, tid, aspace, vpn) {
                     Ok(()) => armed.push(aspace),
                     Err(_) => {
                         failed = true;
@@ -316,7 +332,6 @@ impl RepairManager {
         tid: Tid,
         first: Vpn,
         pages: u64,
-        cfg: &TmiConfig,
         layout: &AppLayout,
     ) {
         let aspace = ctl.kernel().thread_aspace(tid);
@@ -345,14 +360,14 @@ impl RepairManager {
                     }
                     break;
                 }
-                if attempt < cfg.repair_retry_limit {
+                if attempt < REPAIR_RETRY_LIMIT {
                     attempt += 1;
                     self.stats.retries += 1;
-                    let backoff = cfg.retry_backoff(attempt);
+                    let backoff = retry_backoff(attempt);
                     ctl.add_cycles(tid, backoff);
                     self.phases.add(Phase::FaultHandling, backoff);
                 } else {
-                    self.degrade_page(ctl, cfg, layout, vpn);
+                    self.degrade_page(ctl, layout, vpn);
                     break;
                 }
             }
@@ -361,12 +376,7 @@ impl RepairManager {
 
     /// Converts one thread, retrying transient failures with backoff.
     /// Records the original pid so rollback/revert can rejoin.
-    fn convert_retrying(
-        &mut self,
-        ctl: &mut dyn EngineCtl,
-        tid: Tid,
-        cfg: &TmiConfig,
-    ) -> Result<(), OsError> {
+    fn convert_retrying(&mut self, ctl: &mut dyn EngineCtl, tid: Tid) -> Result<(), OsError> {
         let old_pid = ctl.kernel().thread(tid).pid;
         let mut attempt = 0u32;
         loop {
@@ -382,10 +392,10 @@ impl RepairManager {
                 // every worker can convert; a sole-thread error means the
                 // workload had one thread and conversion is moot.
                 Err(OsError::AlreadyConverted { .. }) => return Ok(()),
-                Err(e) if e.is_transient() && attempt < cfg.repair_retry_limit => {
+                Err(e) if e.is_transient() && attempt < REPAIR_RETRY_LIMIT => {
                     attempt += 1;
                     self.stats.retries += 1;
-                    let backoff = cfg.retry_backoff(attempt);
+                    let backoff = retry_backoff(attempt);
                     ctl.add_cycles(tid, backoff);
                     self.phases.add(Phase::Arm, backoff);
                 }
@@ -402,7 +412,6 @@ impl RepairManager {
         tid: Tid,
         aspace: AsId,
         vpn: Vpn,
-        cfg: &TmiConfig,
     ) -> Result<(), OsError> {
         let mut attempt = 0u32;
         loop {
@@ -413,10 +422,10 @@ impl RepairManager {
                     }
                     return Ok(());
                 }
-                Err(e) if e.is_transient() && attempt < cfg.repair_retry_limit => {
+                Err(e) if e.is_transient() && attempt < REPAIR_RETRY_LIMIT => {
                     attempt += 1;
                     self.stats.retries += 1;
-                    let backoff = cfg.retry_backoff(attempt);
+                    let backoff = retry_backoff(attempt);
                     ctl.add_cycles(tid, backoff);
                     self.phases.add(Phase::Arm, backoff);
                 }
@@ -429,13 +438,7 @@ impl RepairManager {
     /// dirty twins first (losing a buffered byte is never safe), then
     /// unprotects it everywhere and forgets it. Used when arming,
     /// twinning or re-arming the page fails persistently.
-    pub fn degrade_page(
-        &mut self,
-        ctl: &mut dyn EngineCtl,
-        cfg: &TmiConfig,
-        layout: &AppLayout,
-        vpn: Vpn,
-    ) {
+    pub fn degrade_page(&mut self, ctl: &mut dyn EngineCtl, layout: &AppLayout, vpn: Vpn) {
         if !self.protected.remove(&vpn) {
             return;
         }
@@ -455,13 +458,10 @@ impl RepairManager {
             }
             seen.push(aspace);
             if self.twins.has_twin(aspace, vpn) {
-                match self.twins.commit_page(
-                    ctl.kernel(),
-                    aspace,
-                    vpn,
-                    &cfg.commit,
-                    layout.huge_pages,
-                ) {
+                match self
+                    .twins
+                    .commit_page(ctl.kernel(), aspace, vpn, layout.huge_pages)
+                {
                     Ok(pc) => {
                         self.stats.committed_pages += 1;
                         self.stats.bytes_merged += pc.bytes_merged;
@@ -483,11 +483,11 @@ impl RepairManager {
 
     /// Undoes repair entirely: flushes every buffered page, unprotects
     /// everything, rejoins isolated threads into their original processes.
-    fn dismantle(&mut self, ctl: &mut dyn EngineCtl, cfg: &TmiConfig, layout: &AppLayout) {
+    fn dismantle(&mut self, ctl: &mut dyn EngineCtl, layout: &AppLayout) {
         let tids = ctl.tids();
         // Flush first — an early commit is always safe, a lost byte never.
         for &tid in &tids {
-            let cycles = self.commit_thread(ctl, tid, cfg, layout);
+            let cycles = self.commit_thread(ctl, tid, layout);
             ctl.add_cycles(tid, cycles);
         }
         let mut aspaces: Vec<AsId> = Vec::new();
@@ -512,30 +512,30 @@ impl RepairManager {
     }
 
     /// Rolls repair back after a persistent conversion failure.
-    fn rollback(&mut self, ctl: &mut dyn EngineCtl, cfg: &TmiConfig, layout: &AppLayout) {
-        self.dismantle(ctl, cfg, layout);
+    fn rollback(&mut self, ctl: &mut dyn EngineCtl, layout: &AppLayout) {
+        self.dismantle(ctl, layout);
         self.state = GovernorState::Aborted;
         self.stats.rollbacks += 1;
-        ctl.add_cycles_all(cfg.stop_world_cycles);
+        ctl.add_cycles_all(STOP_WORLD_CYCLES);
         self.tracer
             .instant("tmi.repair.rollback", "repair", GLOBAL_TID, ctl.now(), &[]);
-        self.phases.add(Phase::Merge, cfg.stop_world_cycles);
+        self.phases.add(Phase::Merge, STOP_WORLD_CYCLES);
     }
 
     /// Reverts an active repair because its commit overhead exceeded the
     /// efficacy threshold. No-op unless the governor is
     /// [`GovernorState::Active`].
-    pub fn revert(&mut self, ctl: &mut dyn EngineCtl, cfg: &TmiConfig, layout: &AppLayout) {
+    pub fn revert(&mut self, ctl: &mut dyn EngineCtl, layout: &AppLayout) {
         if self.state != GovernorState::Active {
             return;
         }
-        self.dismantle(ctl, cfg, layout);
+        self.dismantle(ctl, layout);
         self.state = GovernorState::Reverted;
         self.stats.efficacy_reverts += 1;
-        ctl.add_cycles_all(cfg.stop_world_cycles);
+        ctl.add_cycles_all(STOP_WORLD_CYCLES);
         self.tracer
             .instant("tmi.repair.revert", "repair", GLOBAL_TID, ctl.now(), &[]);
-        self.phases.add(Phase::Merge, cfg.stop_world_cycles);
+        self.phases.add(Phase::Merge, STOP_WORLD_CYCLES);
     }
 
     /// Accounts one engine-level retry of a transiently-failed fault
@@ -557,13 +557,7 @@ impl RepairManager {
 
     /// Commits every dirty page of `tid`'s process: the PTSB flush at a
     /// synchronization operation. Returns the cycles it cost.
-    pub fn commit_thread(
-        &mut self,
-        ctl: &mut dyn EngineCtl,
-        tid: Tid,
-        cfg: &TmiConfig,
-        layout: &AppLayout,
-    ) -> u64 {
+    pub fn commit_thread(&mut self, ctl: &mut dyn EngineCtl, tid: Tid, layout: &AppLayout) -> u64 {
         let aspace = ctl.kernel().thread_aspace(tid);
         let dirty = self.twins.dirty_pages(aspace);
         if dirty.is_empty() {
@@ -576,7 +570,7 @@ impl RepairManager {
         for vpn in dirty {
             match self
                 .twins
-                .commit_page(ctl.kernel(), aspace, vpn, &cfg.commit, layout.huge_pages)
+                .commit_page(ctl.kernel(), aspace, vpn, layout.huge_pages)
             {
                 Ok(pc) => {
                     cycles += pc.cycles;
@@ -587,7 +581,7 @@ impl RepairManager {
                         // The merge landed but the re-protect faulted;
                         // retry the arming, degrading the page if the
                         // failure is persistent.
-                        if self.protect_retrying(ctl, tid, aspace, vpn, cfg).is_err() {
+                        if self.protect_retrying(ctl, tid, aspace, vpn).is_err() {
                             degrade.push(vpn);
                         }
                     }
@@ -601,7 +595,7 @@ impl RepairManager {
             }
         }
         for vpn in degrade {
-            self.degrade_page(ctl, cfg, layout, vpn);
+            self.degrade_page(ctl, layout, vpn);
         }
         self.stats.commits += 1;
         self.stats.commit_cycles += cycles;
@@ -622,7 +616,7 @@ impl RepairManager {
 mod tests {
     use super::*;
     use tmi_machine::{VAddr, Width, FRAME_SIZE};
-    use tmi_os::{Kernel, MapRequest, ObjId};
+    use tmi_os::{Kernel, MapRequest};
     use tmi_program::CodeRegistry;
 
     /// A minimal EngineCtl for unit-testing the manager without a full
@@ -673,10 +667,8 @@ mod tests {
         let (pid, _main) = kernel.create_process(aspace);
         let tids: Vec<Tid> = (0..threads).map(|_| kernel.spawn_thread(pid)).collect();
         let layout = AppLayout {
-            app_obj: obj,
             app_start: base,
             app_len: 16 * FRAME_SIZE,
-            internal_obj: ObjId(1),
             internal_start: VAddr::new(0x80_0000),
             internal_len: FRAME_SIZE,
             huge_pages: false,
@@ -695,15 +687,14 @@ mod tests {
     #[test]
     fn trigger_converts_threads_and_protects_pages() {
         let (mut ctl, layout) = setup(2);
-        let cfg = TmiConfig::default();
         let mut rm = RepairManager::new();
         let hot = VAddr::new(0x10000).vpn();
-        rm.trigger(&mut ctl, &cfg, &layout, &[hot]);
+        rm.trigger(&mut ctl, &layout, &[hot]);
 
         assert!(rm.active());
         assert!(rm.is_protected(hot));
         assert_eq!(ctl.kernel.stats().conversions, 2);
-        assert!(ctl.cycles_added >= cfg.t2p_cycles_per_thread * 2);
+        assert!(ctl.cycles_added >= T2P_CYCLES_PER_THREAD * 2);
         // Both processes have the page armed.
         let tids = ctl.tids();
         for tid in tids {
@@ -714,13 +705,27 @@ mod tests {
     }
 
     #[test]
+    fn t2p_cost_is_tens_of_microseconds() {
+        // The constants are the microsecond figures at the simulated clock,
+        // truncated exactly as a float conversion truncates them.
+        use tmi_machine::LatencyModel;
+        assert_eq!(T2P_CYCLES_PER_THREAD, LatencyModel::micros_to_cycles(30.0));
+        assert_eq!(STOP_WORLD_CYCLES, LatencyModel::micros_to_cycles(15.0));
+        assert_eq!(
+            (T2P_CYCLES_PER_THREAD, STOP_WORLD_CYCLES),
+            (101_999, 50_999)
+        );
+        let us = T2P_CYCLES_PER_THREAD as f64 / 3_400.0;
+        assert!((10.0..100.0).contains(&us));
+    }
+
+    #[test]
     fn second_trigger_only_adds_pages() {
         let (mut ctl, layout) = setup(2);
-        let cfg = TmiConfig::default();
         let mut rm = RepairManager::new();
-        rm.trigger(&mut ctl, &cfg, &layout, &[VAddr::new(0x10000).vpn()]);
+        rm.trigger(&mut ctl, &layout, &[VAddr::new(0x10000).vpn()]);
         let conversions = ctl.kernel.stats().conversions;
-        rm.trigger(&mut ctl, &cfg, &layout, &[VAddr::new(0x11000).vpn()]);
+        rm.trigger(&mut ctl, &layout, &[VAddr::new(0x11000).vpn()]);
         assert_eq!(ctl.kernel.stats().conversions, conversions, "no re-convert");
         assert_eq!(rm.protected_pages(), 2);
         assert_eq!(rm.stats().repair_rounds, 2);
@@ -729,23 +734,22 @@ mod tests {
     #[test]
     fn cow_snapshot_and_commit_roundtrip() {
         let (mut ctl, layout) = setup(2);
-        let cfg = TmiConfig::default();
         let mut rm = RepairManager::new();
         let base = VAddr::new(0x10000);
         ctl.kernel
             .force_write(ctl.tids[0].into_aspace(&ctl.kernel), base, Width::W8, 1)
             .unwrap();
-        rm.trigger(&mut ctl, &cfg, &layout, &[base.vpn()]);
+        rm.trigger(&mut ctl, &layout, &[base.vpn()]);
 
         let t0 = ctl.tids[0];
         let a0 = ctl.kernel.thread_aspace(t0);
         // Simulate the engine's fault path: break COW, notify, write.
         ctl.kernel.handle_fault(a0, base, true).unwrap();
-        rm.on_cow(&mut ctl, t0, base.vpn(), 1, &cfg, &layout);
+        rm.on_cow(&mut ctl, t0, base.vpn(), 1, &layout);
         assert!(rm.has_dirty(&mut ctl, t0));
         ctl.kernel.force_write(a0, base, Width::W8, 42).unwrap();
 
-        let cycles = rm.commit_thread(&mut ctl, t0, &cfg, &layout);
+        let cycles = rm.commit_thread(&mut ctl, t0, &layout);
         assert!(cycles > 0);
         assert!(!rm.has_dirty(&mut ctl, t0));
         assert_eq!(rm.stats().commits, 1);
@@ -759,10 +763,9 @@ mod tests {
     #[test]
     fn commit_without_dirty_pages_is_free() {
         let (mut ctl, layout) = setup(1);
-        let cfg = TmiConfig::default();
         let mut rm = RepairManager::new();
         let t0 = ctl.tids[0];
-        assert_eq!(rm.commit_thread(&mut ctl, t0, &cfg, &layout), 0);
+        assert_eq!(rm.commit_thread(&mut ctl, t0, &layout), 0);
         assert_eq!(rm.stats().commits, 0);
     }
 
@@ -770,6 +773,7 @@ mod tests {
     // Governor state machine under scripted fault schedules.
     // ------------------------------------------------------------------
 
+    use crate::config::TmiConfig;
     use crate::runtime::TmiRuntime;
     use tmi_faultpoint::{FaultPlan, PointPlan};
     use tmi_sim::{RuntimeHooks, SyncEvent};
@@ -786,7 +790,6 @@ mod tests {
     #[test]
     fn fork_transient_failure_retries_then_succeeds() {
         let (mut ctl, layout) = setup(2);
-        let cfg = TmiConfig::default();
         let mut rm = RepairManager::new();
         // Fork roll 1 (thread 0) succeeds, roll 2 (thread 1) fails once,
         // roll 3 (thread 1's retry) succeeds.
@@ -795,7 +798,7 @@ mod tests {
             &mut rm,
             FaultPlan::quiet().with(FaultPoint::Fork, PointPlan::transient(2, 1)),
         );
-        rm.trigger(&mut ctl, &cfg, &layout, &[VAddr::new(0x10000).vpn()]);
+        rm.trigger(&mut ctl, &layout, &[VAddr::new(0x10000).vpn()]);
 
         assert_eq!(rm.state(), GovernorState::Active);
         assert_eq!(ctl.kernel.stats().conversions, 2);
@@ -804,13 +807,12 @@ mod tests {
         assert_eq!(rm.stats().rollbacks, 0);
         assert_eq!(inj.stats().get(FaultPoint::Fork).fired, 1);
         // The backoff was charged in simulated cycles.
-        assert!(ctl.cycles_added >= cfg.retry_backoff(1));
+        assert!(ctl.cycles_added >= retry_backoff(1));
     }
 
     #[test]
     fn fork_exhaustion_rolls_back_and_governor_stays_down() {
         let (mut ctl, layout) = setup(2);
-        let cfg = TmiConfig::default();
         let mut rm = RepairManager::new();
         let base = VAddr::new(0x10000);
         let t0 = ctl.tids[0];
@@ -827,12 +829,12 @@ mod tests {
             &mut rm,
             FaultPlan::quiet().with(FaultPoint::Fork, PointPlan::persistent_after(2, 1)),
         );
-        rm.trigger(&mut ctl, &cfg, &layout, &[base.vpn()]);
+        rm.trigger(&mut ctl, &layout, &[base.vpn()]);
 
         assert_eq!(rm.state(), GovernorState::Aborted);
         assert!(!rm.active());
         assert_eq!(rm.stats().rollbacks, 1);
-        assert_eq!(rm.stats().retries, cfg.repair_retry_limit as u64);
+        assert_eq!(rm.stats().retries, u64::from(REPAIR_RETRY_LIMIT));
         assert_eq!(
             rm.protected_pages(),
             0,
@@ -847,7 +849,7 @@ mod tests {
         assert_eq!(ctl.kernel.physmem().allocated_frames(), frames_before);
 
         // Double trigger: after an abort the governor stays down.
-        rm.trigger(&mut ctl, &cfg, &layout, &[VAddr::new(0x11000).vpn()]);
+        rm.trigger(&mut ctl, &layout, &[VAddr::new(0x11000).vpn()]);
         assert_eq!(rm.state(), GovernorState::Aborted);
         assert_eq!(rm.stats().repair_rounds, 0);
         assert_eq!(ctl.kernel.stats().conversions, 1, "no further conversions");
@@ -858,7 +860,6 @@ mod tests {
     #[test]
     fn persistent_arming_failure_degrades_the_page() {
         let (mut ctl, layout) = setup(2);
-        let cfg = TmiConfig::default();
         let mut rm = RepairManager::new();
         let hot = VAddr::new(0x10000).vpn();
         let root = ctl.kernel.thread_aspace(ctl.tids[0]);
@@ -871,7 +872,7 @@ mod tests {
             &mut rm,
             FaultPlan::quiet().with(FaultPoint::ProtectPage, PointPlan::persistent_after(1, 1)),
         );
-        rm.trigger(&mut ctl, &cfg, &layout, &[hot]);
+        rm.trigger(&mut ctl, &layout, &[hot]);
 
         // Conversion still succeeded; only the page degraded to shared mode.
         assert_eq!(rm.state(), GovernorState::Active);
@@ -879,7 +880,7 @@ mod tests {
         assert!(!rm.is_protected(hot));
         assert_eq!(rm.protected_pages(), 0);
         assert_eq!(rm.stats().pages_degraded, 1);
-        assert_eq!(rm.stats().retries, cfg.repair_retry_limit as u64);
+        assert_eq!(rm.stats().retries, u64::from(REPAIR_RETRY_LIMIT));
         // Writes through the unarmed page reach shared memory directly.
         let a0 = ctl.kernel.thread_aspace(ctl.tids[0]);
         let a1 = ctl.kernel.thread_aspace(ctl.tids[1]);
@@ -892,7 +893,6 @@ mod tests {
     #[test]
     fn persistent_twin_failure_degrades_on_cow() {
         let (mut ctl, layout) = setup(2);
-        let cfg = TmiConfig::default();
         let mut rm = RepairManager::new();
         let base = VAddr::new(0x10000);
         let root = ctl.kernel.thread_aspace(ctl.tids[0]);
@@ -902,20 +902,20 @@ mod tests {
             &mut rm,
             FaultPlan::quiet().with(FaultPoint::TwinAlloc, PointPlan::persistent_after(1, 1)),
         );
-        rm.trigger(&mut ctl, &cfg, &layout, &[base.vpn()]);
+        rm.trigger(&mut ctl, &layout, &[base.vpn()]);
         let frames_armed = ctl.kernel.physmem().allocated_frames();
 
         let t0 = ctl.tids[0];
         let a0 = ctl.kernel.thread_aspace(t0);
         ctl.kernel.handle_fault(a0, base, true).unwrap();
-        rm.on_cow(&mut ctl, t0, base.vpn(), 1, &cfg, &layout);
+        rm.on_cow(&mut ctl, t0, base.vpn(), 1, &layout);
 
         // No twin could be taken, so the page degraded to shared mode —
         // safe, because the private copy held nothing buffered yet.
         assert_eq!(rm.state(), GovernorState::Active);
         assert!(!rm.is_protected(base.vpn()));
         assert_eq!(rm.stats().pages_degraded, 1);
-        assert_eq!(rm.stats().retries, cfg.repair_retry_limit as u64);
+        assert_eq!(rm.stats().retries, u64::from(REPAIR_RETRY_LIMIT));
         assert_eq!(rm.twins().current_bytes(), 0);
         assert!(!rm.has_dirty(&mut ctl, t0));
         // The orphaned private frame was freed with the degrade.
@@ -929,7 +929,6 @@ mod tests {
     #[test]
     fn revert_flushes_buffered_bytes_and_returns_all_memory() {
         let (mut ctl, layout) = setup(2);
-        let cfg = TmiConfig::default();
         let mut rm = RepairManager::new();
         let base = VAddr::new(0x10000);
         let t0 = ctl.tids[0];
@@ -940,16 +939,16 @@ mod tests {
             .unwrap();
         let frames_before = ctl.kernel.physmem().allocated_frames();
 
-        rm.trigger(&mut ctl, &cfg, &layout, &[base.vpn()]);
+        rm.trigger(&mut ctl, &layout, &[base.vpn()]);
         let a0 = ctl.kernel.thread_aspace(t0);
         ctl.kernel.handle_fault(a0, base, true).unwrap();
-        rm.on_cow(&mut ctl, t0, base.vpn(), 1, &cfg, &layout);
+        rm.on_cow(&mut ctl, t0, base.vpn(), 1, &layout);
         ctl.kernel.force_write(a0, base, Width::W8, 42).unwrap();
         assert!(rm.has_dirty(&mut ctl, t0));
         assert!(ctl.kernel.physmem().allocated_frames() > frames_before);
         assert!(rm.twins().current_bytes() > 0);
 
-        rm.revert(&mut ctl, &cfg, &layout);
+        rm.revert(&mut ctl, &layout);
 
         assert_eq!(rm.state(), GovernorState::Reverted);
         assert_eq!(rm.stats().efficacy_reverts, 1);
@@ -970,9 +969,9 @@ mod tests {
         assert_eq!(ctl.kernel.physmem().allocated_frames(), frames_before);
 
         // Revert is idempotent and the governor stays down for good.
-        rm.revert(&mut ctl, &cfg, &layout);
+        rm.revert(&mut ctl, &layout);
         assert_eq!(rm.stats().efficacy_reverts, 1);
-        rm.trigger(&mut ctl, &cfg, &layout, &[base.vpn()]);
+        rm.trigger(&mut ctl, &layout, &[base.vpn()]);
         assert_eq!(rm.state(), GovernorState::Reverted);
         assert_eq!(
             ctl.kernel.stats().conversions,
@@ -1086,7 +1085,6 @@ mod tests {
         let (mut aborted, mut survived) = (0u32, 0u32);
         for seed in 0..200u64 {
             let (mut ctl, layout) = setup(2);
-            let cfg = TmiConfig::default();
             let mut rm = RepairManager::new();
             let base = VAddr::new(0x10000);
             let t0 = ctl.tids[0];
@@ -1096,19 +1094,19 @@ mod tests {
             let frames_before = ctl.kernel.physmem().allocated_frames();
             inject(&mut ctl, &mut rm, FaultPlan::from_seed(seed));
 
-            rm.trigger(&mut ctl, &cfg, &layout, &[base.vpn()]);
+            rm.trigger(&mut ctl, &layout, &[base.vpn()]);
             if rm.active() {
                 let a0 = ctl.kernel.thread_aspace(t0);
                 if ctl.kernel.translate(a0, base, true).is_err() {
                     if let Ok(FaultResolution::CowBroken { pages, .. }) =
                         ctl.kernel.handle_fault(a0, base, true)
                     {
-                        rm.on_cow(&mut ctl, t0, base.vpn(), pages, &cfg, &layout);
+                        rm.on_cow(&mut ctl, t0, base.vpn(), pages, &layout);
                         ctl.kernel.force_write(a0, base, Width::W8, 6).unwrap();
                     }
                 }
-                rm.commit_thread(&mut ctl, t0, &cfg, &layout);
-                rm.trigger(&mut ctl, &cfg, &layout, &[VAddr::new(0x11000).vpn()]);
+                rm.commit_thread(&mut ctl, t0, &layout);
+                rm.trigger(&mut ctl, &layout, &[VAddr::new(0x11000).vpn()]);
             }
 
             if rm.state() == GovernorState::Aborted {

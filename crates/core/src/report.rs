@@ -11,6 +11,13 @@ use tmi_program::CodeRegistry;
 
 use crate::detect::{FalseSharingDetector, SharingKind};
 
+/// The stall one falsely-shared HITM costs, in cycles: the mean HITM
+/// latency (base plus half the queuing cap) minus the local hit it would
+/// have been.
+const FS_EVENT_PENALTY: u64 = LatencyModel::HITM
+    + LatencyModel::HITM_QUEUING_STEP * LatencyModel::HITM_QUEUING_CAP / 2
+    - LatencyModel::LOCAL_HIT;
+
 /// One line's entry in a [`ContentionReport`].
 #[derive(Clone, Debug)]
 pub struct LineReport {
@@ -125,13 +132,9 @@ impl ContentionReport {
         actual_hitm_events: Option<u64>,
     ) -> f64 {
         let _ = threads;
-        let lat = LatencyModel::haswell();
-        // Each FS event is one cache-to-cache transfer; attribute the mean
-        // HITM penalty (base + half the queuing cap) minus the local hit
-        // it would have been. A ping-pong stalls its two participants
-        // alternately, so wall-clock stall ≈ events × penalty / 2.
-        let penalty =
-            (lat.hitm + lat.hitm_queuing_step * lat.hitm_queuing_cap / 2 - lat.local_hit) as f64;
+        // A ping-pong stalls its two participants alternately, so
+        // wall-clock stall ≈ events × penalty / 2.
+        let penalty = FS_EVENT_PENALTY as f64;
         let calibration = match actual_hitm_events {
             Some(actual) if self.total_events > 0.0 => actual as f64 / self.total_events,
             _ => 1.0,
@@ -262,9 +265,7 @@ mod tests {
         let r = ContentionReport::build(&d, &code, 10);
         // All FS stalls ≈ half the runtime → predicted ≈ 2x.
         let penalty_events = r.false_sharing_events;
-        let lat = LatencyModel::haswell();
-        let stall = penalty_events
-            * (lat.hitm + lat.hitm_queuing_step * lat.hitm_queuing_cap / 2 - lat.local_hit) as f64;
+        let stall = penalty_events * FS_EVENT_PENALTY as f64;
         let run = stall as u64; // stall/2 of the run → predicted 2x
         let pred = r.predict_manual_speedup_calibrated(run, 1, None);
         assert!((1.8..2.2).contains(&pred), "{pred}");

@@ -16,9 +16,13 @@ use crate::config::TmiConfig;
 use crate::consistency;
 use crate::detect::{FalseSharingDetector, SharingKind, SharingReport};
 use crate::layout::AppLayout;
-use crate::locks::LockRedirector;
+use crate::locks::{LockRedirector, LOCK_INDIRECT_CYCLES};
 use crate::memstats::MemoryBreakdown;
-use crate::repair::RepairManager;
+use crate::repair::{retry_backoff, RepairManager, REPAIR_RETRY_LIMIT, STOP_WORLD_CYCLES};
+
+/// Fixed detector memory overhead in bytes: disassembly tables and
+/// dynamic tracking structures (the ≈90 MB floor of Fig. 8).
+const DETECTOR_FIXED_BYTES: u64 = 72 * 1024 * 1024;
 
 /// Summary counters exposed after a run.
 #[derive(Clone, Debug, Default)]
@@ -145,15 +149,14 @@ impl TmiRuntime {
     /// (COW faults, twins, commits, code-centric routing) from the first
     /// instruction.
     pub fn force_repair(&mut self, ctl: &mut dyn EngineCtl, pages: &[Vpn]) {
-        self.repair.trigger(ctl, &self.config, &self.layout, pages);
+        self.repair.trigger(ctl, &self.layout, pages);
     }
 
     fn flush_cost(&mut self, ctl: &mut dyn EngineCtl, tid: Tid) -> u64 {
         if !self.repair.active() {
             return 0;
         }
-        self.repair
-            .commit_thread(ctl, tid, &self.config, &self.layout)
+        self.repair.commit_thread(ctl, tid, &self.layout)
     }
 
     fn handle_reports(&mut self, ctl: &mut dyn EngineCtl, reports: &[SharingReport], now: u64) {
@@ -197,7 +200,7 @@ impl TmiRuntime {
             // Stop the world briefly and re-pad the shared lock objects.
             self.locks.repad();
             self.stats.lock_repads += 1;
-            ctl.add_cycles_all(self.config.stop_world_cycles);
+            ctl.add_cycles_all(STOP_WORLD_CYCLES);
             self.tracer.instant(
                 "tmi.repair.lock_repad",
                 "repair",
@@ -205,7 +208,7 @@ impl TmiRuntime {
                 now,
                 &[],
             );
-            self.phases.add(Phase::Arm, self.config.stop_world_cycles);
+            self.phases.add(Phase::Arm, STOP_WORLD_CYCLES);
         }
         if !app_pages.is_empty() {
             let pages: Vec<Vpn> = if self.config.targeted {
@@ -213,7 +216,7 @@ impl TmiRuntime {
             } else {
                 self.layout.all_app_pages().collect()
             };
-            self.repair.trigger(ctl, &self.config, &self.layout, &pages);
+            self.repair.trigger(ctl, &self.layout, &pages);
         }
     }
 }
@@ -270,7 +273,7 @@ impl<'a> RuntimeView<'a> {
         MemoryBreakdown {
             app_bytes: kernel.physmem().peak_allocated_frames() as u64 * tmi_machine::FRAME_SIZE,
             perf_bytes: self.rt.perf.buffer_bytes(),
-            detector_bytes: self.rt.detector.table_bytes() + self.rt.config.detector_fixed_bytes,
+            detector_bytes: self.rt.detector.table_bytes() + DETECTOR_FIXED_BYTES,
             twin_bytes: self.rt.repair.twins().peak_bytes(),
             lock_bytes: self.rt.locks.bytes_used(),
         }
@@ -357,8 +360,7 @@ impl RuntimeHooks for TmiRuntime {
 
     fn on_fault(&mut self, ctl: &mut dyn EngineCtl, tid: Tid, res: &FaultResolution) {
         if let FaultResolution::CowBroken { vpn, pages, .. } = *res {
-            self.repair
-                .on_cow(ctl, tid, vpn, pages, &self.config, &self.layout);
+            self.repair.on_cow(ctl, tid, vpn, pages, &self.layout);
         }
     }
 
@@ -373,10 +375,10 @@ impl RuntimeHooks for TmiRuntime {
         if !err.is_transient() {
             return None;
         }
-        if attempt <= self.config.repair_retry_limit {
+        if attempt <= REPAIR_RETRY_LIMIT {
             self.repair.note_retry();
             self.engine_retry_pending = true;
-            let backoff = self.config.retry_backoff(attempt);
+            let backoff = retry_backoff(attempt);
             self.tracer.instant(
                 "tmi.fault.retry",
                 "fault",
@@ -393,10 +395,9 @@ impl RuntimeHooks for TmiRuntime {
         // degrades, the program does not die.
         let vpn = addr.vpn();
         if self.repair.is_protected(vpn) {
-            self.repair
-                .degrade_page(ctl, &self.config, &self.layout, vpn);
+            self.repair.degrade_page(ctl, &self.layout, vpn);
             self.engine_retry_pending = true;
-            let backoff = self.config.retry_backoff(attempt);
+            let backoff = retry_backoff(attempt);
             self.phases.add(Phase::FaultHandling, backoff);
             return Some(backoff);
         }
@@ -420,7 +421,7 @@ impl RuntimeHooks for TmiRuntime {
             VmOp::T2p => {
                 // Start (or extend) a repair episode on this page, exactly
                 // as a detector threshold crossing would.
-                self.repair.trigger(ctl, &self.config, &self.layout, &[vpn]);
+                self.repair.trigger(ctl, &self.layout, &[vpn]);
                 u64::from(self.repair.is_protected(vpn))
             }
             VmOp::Mprotect => {
@@ -429,7 +430,7 @@ impl RuntimeHooks for TmiRuntime {
                     // no governor is not part of TMI's repertoire.
                     return 0;
                 }
-                self.repair.trigger(ctl, &self.config, &self.layout, &[vpn]);
+                self.repair.trigger(ctl, &self.layout, &[vpn]);
                 u64::from(self.repair.is_protected(vpn))
             }
             VmOp::CowBreak => {
@@ -443,8 +444,7 @@ impl RuntimeHooks for TmiRuntime {
                 };
                 match res {
                     Ok(FaultResolution::CowBroken { vpn, pages, .. }) => {
-                        self.repair
-                            .on_cow(ctl, tid, vpn, pages, &self.config, &self.layout);
+                        self.repair.on_cow(ctl, tid, vpn, pages, &self.layout);
                         1
                     }
                     // Transient kernel failures (injected out-of-frames)
@@ -457,9 +457,7 @@ impl RuntimeHooks for TmiRuntime {
                 if !self.repair.active() {
                     return 0;
                 }
-                let cycles = self
-                    .repair
-                    .commit_thread(ctl, tid, &self.config, &self.layout);
+                let cycles = self.repair.commit_thread(ctl, tid, &self.layout);
                 ctl.add_cycles(tid, cycles);
                 1
             }
@@ -483,7 +481,7 @@ impl RuntimeHooks for TmiRuntime {
     }
 
     fn map_lock(&mut self, _ctl: &mut dyn EngineCtl, _tid: Tid, lock: VAddr) -> (VAddr, u64) {
-        (self.locks.redirect(lock), self.config.lock_indirect_cycles)
+        (self.locks.redirect(lock), LOCK_INDIRECT_CYCLES)
     }
 
     fn on_tick(&mut self, ctl: &mut dyn EngineCtl, now: u64) {
@@ -519,7 +517,7 @@ impl RuntimeHooks for TmiRuntime {
                 .commit_cycles
                 .saturating_sub(self.last_commit_cycles);
             if commit_delta as f64 / window_cycles as f64 > self.config.efficacy_revert_threshold {
-                self.repair.revert(ctl, &self.config, &self.layout);
+                self.repair.revert(ctl, &self.layout);
             }
         }
         // Post-revert value, so the revert's own flush cannot re-trigger.

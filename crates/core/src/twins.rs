@@ -14,7 +14,22 @@ use std::collections::HashMap;
 use tmi_machine::{FrameId, Vpn, FRAME_SIZE};
 use tmi_os::{AsId, Kernel, OsError};
 
-use crate::config::CommitCostModel;
+// The commit cost model, in cycles (the diff-and-merge of §2.2 / §3.3). A
+// vectorized (SSE `memcmp`-style) byte diff runs at ≈0.15 cycles/byte and
+// the chunk-skip fast path at ≈0.06; per-byte costs are in hundredths of a
+// cycle.
+
+/// Fixed cycles per committed page (syscall + bookkeeping).
+const COMMIT_PER_PAGE_BASE: u64 = 350;
+/// Hundredths of a cycle per byte of the twin/private byte-level diff.
+const DIFF_PER_BYTE_X100: u64 = 15;
+/// Hundredths of a cycle per byte of the `memcmp` fast path used to skip
+/// identical 4 KiB chunks of a 2 MiB huge page (§4.4: "We optimize huge
+/// page commit by comparing 4KB regions of the 2MB page using memcmp
+/// before comparing the individual bytes").
+const MEMCMP_PER_BYTE_X100: u64 = 6;
+/// Hundredths of a cycle per byte actually merged into shared memory.
+const MERGE_PER_BYTE_X100: u64 = 100;
 
 /// Result of committing one page.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -98,7 +113,6 @@ impl TwinStore {
         kernel: &mut Kernel,
         aspace: AsId,
         vpn: Vpn,
-        cost: &CommitCostModel,
         huge: bool,
     ) -> Result<PageCommit, OsError> {
         if !self.has_twin(aspace, vpn) {
@@ -141,13 +155,13 @@ impl TwinStore {
 
         let scan = if huge && identical {
             // The memcmp fast path skips identical 4 KiB chunks cheaply.
-            FRAME_SIZE * cost.memcmp_per_byte_x100 / 100
+            FRAME_SIZE * MEMCMP_PER_BYTE_X100 / 100
         } else if huge {
-            FRAME_SIZE * (cost.memcmp_per_byte_x100 + cost.diff_per_byte_x100) / 100
+            FRAME_SIZE * (MEMCMP_PER_BYTE_X100 + DIFF_PER_BYTE_X100) / 100
         } else {
-            FRAME_SIZE * cost.diff_per_byte_x100 / 100
+            FRAME_SIZE * DIFF_PER_BYTE_X100 / 100
         };
-        let cycles = cost.per_page_base + scan + merged * cost.merge_per_byte_x100 / 100;
+        let cycles = COMMIT_PER_PAGE_BASE + scan + merged * MERGE_PER_BYTE_X100 / 100;
         Ok(PageCommit {
             bytes_merged: merged,
             cycles,
@@ -240,9 +254,7 @@ mod tests {
         let shared = k.object_paddr(a, base).unwrap();
         k.physmem_mut().write(shared.offset(32), Width::W8, 777);
 
-        let pc = tw
-            .commit_page(&mut k, a, base.vpn(), &CommitCostModel::standard(), false)
-            .unwrap();
+        let pc = tw.commit_page(&mut k, a, base.vpn(), false).unwrap();
         assert!(pc.bytes_merged >= 1 && pc.bytes_merged <= 8);
         assert_eq!(
             k.physmem().read(shared, Width::W8),
@@ -268,9 +280,7 @@ mod tests {
         tw.snapshot(&k, a, base.vpn());
         // Rewrite the same value: diff finds no changed bytes.
         k.force_write(a, base, Width::W8, 5).unwrap();
-        let pc = tw
-            .commit_page(&mut k, a, base.vpn(), &CommitCostModel::standard(), false)
-            .unwrap();
+        let pc = tw.commit_page(&mut k, a, base.vpn(), false).unwrap();
         assert_eq!(pc.bytes_merged, 0);
     }
 
@@ -296,10 +306,8 @@ mod tests {
             tw.snapshot(&k, aspace, base.vpn());
             k.force_write(aspace, base, Width::W2, val).unwrap();
         }
-        tw.commit_page(&mut k, a, base.vpn(), &CommitCostModel::standard(), false)
-            .unwrap();
-        tw.commit_page(&mut k, b, base.vpn(), &CommitCostModel::standard(), false)
-            .unwrap();
+        tw.commit_page(&mut k, a, base.vpn(), false).unwrap();
+        tw.commit_page(&mut k, b, base.vpn(), false).unwrap();
         let shared = k.object_paddr(a, base).unwrap();
         assert_eq!(
             k.physmem().read(shared, Width::W2),
@@ -315,8 +323,7 @@ mod tests {
         assert!(tw.has_dirty(a));
         assert_eq!(tw.dirty_pages(a), vec![base.vpn()]);
         assert_eq!(tw.current_bytes(), FRAME_SIZE);
-        tw.commit_page(&mut k, a, base.vpn(), &CommitCostModel::standard(), false)
-            .unwrap();
+        tw.commit_page(&mut k, a, base.vpn(), false).unwrap();
         assert!(!tw.has_dirty(a));
         assert_eq!(tw.current_bytes(), 0);
         assert_eq!(tw.peak_bytes(), FRAME_SIZE);
@@ -340,7 +347,6 @@ mod tests {
 
     #[test]
     fn huge_commit_costs_less_when_identical() {
-        let cost = CommitCostModel::standard();
         let (mut k, a, base) = setup();
         // Identical page, huge model.
         k.force_write(a, base, Width::W8, 5).unwrap();
@@ -348,12 +354,12 @@ mod tests {
         k.handle_fault(a, base, true).unwrap();
         let mut tw = TwinStore::new();
         tw.snapshot(&k, a, base.vpn());
-        let clean = tw.commit_page(&mut k, a, base.vpn(), &cost, true).unwrap();
+        let clean = tw.commit_page(&mut k, a, base.vpn(), true).unwrap();
 
         // Dirty page, huge model.
         let mut tw = arm_and_dirty(&mut k, a, base.offset(FRAME_SIZE), 7);
         let dirty = tw
-            .commit_page(&mut k, a, base.offset(FRAME_SIZE).vpn(), &cost, true)
+            .commit_page(&mut k, a, base.offset(FRAME_SIZE).vpn(), true)
             .unwrap();
         assert!(clean.cycles < dirty.cycles);
     }

@@ -30,10 +30,8 @@ fn fixture(code_centric: bool) -> Fixture {
     let mut cfg = EngineConfig::with_cores(2);
     cfg.tick_interval = 150_000;
     let layout = AppLayout {
-        app_obj: tmi_os::ObjId(0),
         app_start: VAddr::new(APP),
         app_len: APP_LEN,
-        internal_obj: tmi_os::ObjId(1),
         internal_start: VAddr::new(INTERNAL),
         internal_len: INTERNAL_LEN,
         huge_pages: false,

@@ -3,7 +3,7 @@
 
 use tmi::{AppLayout, TmiConfig, TmiRuntime};
 use tmi_machine::{VAddr, Width, FRAME_SIZE};
-use tmi_os::{AsId, MapRequest, ObjId};
+use tmi_os::{AsId, MapRequest};
 use tmi_program::{InstrKind, MemOrder, Op, RmwOp, SequenceProgram};
 use tmi_sim::{Engine, EngineConfig, NullRuntime, RuntimeHooks};
 
@@ -35,10 +35,8 @@ fn build_engine<R: RuntimeHooks>(runtime: R, cores: usize) -> (Engine<R>, AsId, 
         .unwrap();
     e.create_root_process(aspace);
     let layout = AppLayout {
-        app_obj,
         app_start: VAddr::new(APP_START),
         app_len: APP_LEN,
-        internal_obj,
         internal_start: VAddr::new(INTERNAL_START),
         internal_len: INTERNAL_LEN,
         huge_pages: false,
@@ -48,10 +46,8 @@ fn build_engine<R: RuntimeHooks>(runtime: R, cores: usize) -> (Engine<R>, AsId, 
 
 fn layout_only() -> AppLayout {
     AppLayout {
-        app_obj: ObjId(0),
         app_start: VAddr::new(APP_START),
         app_len: APP_LEN,
-        internal_obj: ObjId(1),
         internal_start: VAddr::new(INTERNAL_START),
         internal_len: INTERNAL_LEN,
         huge_pages: false,

@@ -14,7 +14,7 @@
 //!   word tearing — while every interleaving still only produces bytes
 //!   some thread wrote (the merge never fabricates data).
 
-use tmi::{CommitCostModel, TwinStore};
+use tmi::TwinStore;
 use tmi_machine::{VAddr, Vpn, Width, FRAME_SIZE};
 use tmi_os::{AsId, Kernel, MapRequest};
 
@@ -86,13 +86,7 @@ impl World {
         let s = self.spaces[thread];
         for page in self.twins.dirty_pages(s) {
             self.twins
-                .commit_page(
-                    &mut self.kernel,
-                    s,
-                    page,
-                    &CommitCostModel::standard(),
-                    false,
-                )
+                .commit_page(&mut self.kernel, s, page, false)
                 .unwrap();
         }
     }

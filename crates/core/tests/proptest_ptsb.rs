@@ -7,7 +7,7 @@
 //! the racy locations themselves).
 
 use proptest::prelude::*;
-use tmi::{CommitCostModel, TwinStore};
+use tmi::TwinStore;
 use tmi_machine::{VAddr, Width, FRAME_SIZE};
 use tmi_os::{AsId, Kernel, MapRequest};
 
@@ -70,7 +70,7 @@ proptest! {
         let order = if b_commits_first { [b, a] } else { [a, b] };
         for s in order {
             if tw2.has_dirty(s) {
-                tw2.commit_page(&mut k, s, vpn, &CommitCostModel::standard(), false).unwrap();
+                tw2.commit_page(&mut k, s, vpn, false).unwrap();
             }
         }
         for (&word, &v) in &expect {
@@ -101,8 +101,8 @@ proptest! {
             tw.snapshot(&k, s, vpn);
             k.force_write(s, addr, Width::W8, v).unwrap();
         }
-        tw.commit_page(&mut k, a, vpn, &CommitCostModel::standard(), false).unwrap();
-        tw.commit_page(&mut k, b, vpn, &CommitCostModel::standard(), false).unwrap();
+        tw.commit_page(&mut k, a, vpn, false).unwrap();
+        tw.commit_page(&mut k, b, vpn, false).unwrap();
 
         let pa = k.object_paddr(a, addr).unwrap();
         let got = k.physmem().read(pa, Width::W8).to_le_bytes();
@@ -133,7 +133,7 @@ proptest! {
             k.handle_fault(a, addr, true).unwrap();
             tw.snapshot(&k, a, vpn);
             k.force_write(a, addr, Width::W8, v).unwrap();
-            tw.commit_page(&mut k, a, vpn, &CommitCostModel::standard(), false).unwrap();
+            tw.commit_page(&mut k, a, vpn, false).unwrap();
             let pa = k.object_paddr(a, addr).unwrap();
             prop_assert_eq!(k.physmem().read(pa, Width::W8), v);
         }

@@ -4,7 +4,7 @@
 //! same page, and the twin-memory accounting (`current_bytes` /
 //! `peak_bytes`) across those sequences.
 
-use tmi::{CommitCostModel, TwinStore};
+use tmi::TwinStore;
 use tmi_machine::{VAddr, Width, FRAME_SIZE};
 use tmi_os::{AsId, Kernel, MapRequest};
 
@@ -46,7 +46,6 @@ fn overlapping_words_resolve_per_byte_to_the_last_committer() {
     let (mut k, ids) = setup(2);
     let (a, b) = (ids[0], ids[1]);
     let addr = VAddr::new(BASE);
-    let cost = CommitCostModel::standard();
 
     // Both processes dirty the SAME aligned word — a racy overlap the
     // PTSB resolves byte-wise. A changes the low half, B the high half.
@@ -55,12 +54,8 @@ fn overlapping_words_resolve_per_byte_to_the_last_committer() {
     dirty(&mut k, &mut tw_a, a, addr, 0x0000_0000_1111_2222);
     dirty(&mut k, &mut tw_b, b, addr, 0x3333_4444_0000_0000);
 
-    let pa = tw_a
-        .commit_page(&mut k, a, addr.vpn(), &cost, false)
-        .unwrap();
-    let pb = tw_b
-        .commit_page(&mut k, b, addr.vpn(), &cost, false)
-        .unwrap();
+    let pa = tw_a.commit_page(&mut k, a, addr.vpn(), false).unwrap();
+    let pb = tw_b.commit_page(&mut k, b, addr.vpn(), false).unwrap();
     // Each writer changed 4 of the 8 bytes relative to its twin (both
     // twins saw the word as 0).
     assert_eq!(pa.bytes_merged, 4);
@@ -77,10 +72,8 @@ fn overlapping_words_resolve_per_byte_to_the_last_committer() {
     let mut tw_b = TwinStore::new();
     dirty(&mut k, &mut tw_a, a, addr, 0x3333_4444_1111_22AA);
     dirty(&mut k, &mut tw_b, b, addr, 0x3333_4444_1111_22BB);
-    tw_a.commit_page(&mut k, a, addr.vpn(), &cost, false)
-        .unwrap();
-    tw_b.commit_page(&mut k, b, addr.vpn(), &cost, false)
-        .unwrap();
+    tw_a.commit_page(&mut k, a, addr.vpn(), false).unwrap();
+    tw_b.commit_page(&mut k, b, addr.vpn(), false).unwrap();
     // Last committer wins on the conflicting byte — the racy-write
     // semantics of case 1 in Table 2 (undefined, but never fabricated:
     // the byte is one of the two written values).
@@ -95,11 +88,10 @@ fn commit_after_resnapshot_diffs_against_the_new_twin() {
     let (mut k, ids) = setup(1);
     let a = ids[0];
     let addr = VAddr::new(BASE);
-    let cost = CommitCostModel::standard();
 
     let mut tw = TwinStore::new();
     dirty(&mut k, &mut tw, a, addr, 0xAB);
-    let p1 = tw.commit_page(&mut k, a, addr.vpn(), &cost, false).unwrap();
+    let p1 = tw.commit_page(&mut k, a, addr.vpn(), false).unwrap();
     assert_eq!(p1.bytes_merged, 1);
     assert_eq!(shared_read(&mut k, a, addr, Width::W8), 0xAB);
     // commit_page re-armed the page: the next write faults again.
@@ -112,13 +104,13 @@ fn commit_after_resnapshot_diffs_against_the_new_twin() {
     k.handle_fault(a, addr, true).unwrap();
     tw.snapshot(&k, a, addr.vpn());
     k.force_write(a, addr, Width::W8, 0xAB).unwrap();
-    let p2 = tw.commit_page(&mut k, a, addr.vpn(), &cost, false).unwrap();
+    let p2 = tw.commit_page(&mut k, a, addr.vpn(), false).unwrap();
     assert_eq!(p2.bytes_merged, 0, "identical rewrite diffs clean");
 
     k.handle_fault(a, addr, true).unwrap();
     tw.snapshot(&k, a, addr.vpn());
     k.force_write(a, addr, Width::W8, 0xCD).unwrap();
-    let p3 = tw.commit_page(&mut k, a, addr.vpn(), &cost, false).unwrap();
+    let p3 = tw.commit_page(&mut k, a, addr.vpn(), false).unwrap();
     assert_eq!(p3.bytes_merged, 1, "only the changed byte re-merges");
     assert_eq!(shared_read(&mut k, a, addr, Width::W8), 0xCD);
 }
@@ -127,7 +119,6 @@ fn commit_after_resnapshot_diffs_against_the_new_twin() {
 fn twin_memory_accounting_tracks_concurrent_peak() {
     let (mut k, ids) = setup(2);
     let (a, b) = (ids[0], ids[1]);
-    let cost = CommitCostModel::standard();
     let p0 = VAddr::new(BASE);
     let p1 = VAddr::new(BASE + FRAME_SIZE);
 
@@ -146,10 +137,10 @@ fn twin_memory_accounting_tracks_concurrent_peak() {
     assert_eq!(tw.dirty_pages(b).len(), 1);
 
     // Committing releases twins one page at a time; the peak stays.
-    tw.commit_page(&mut k, a, p0.vpn(), &cost, false).unwrap();
+    tw.commit_page(&mut k, a, p0.vpn(), false).unwrap();
     assert_eq!(tw.current_bytes(), 2 * FRAME_SIZE);
-    tw.commit_page(&mut k, a, p1.vpn(), &cost, false).unwrap();
-    tw.commit_page(&mut k, b, p0.vpn(), &cost, false).unwrap();
+    tw.commit_page(&mut k, a, p1.vpn(), false).unwrap();
+    tw.commit_page(&mut k, b, p0.vpn(), false).unwrap();
     assert_eq!(tw.current_bytes(), 0);
     assert_eq!(tw.peak_bytes(), 3 * FRAME_SIZE);
     assert!(!tw.has_dirty(a) && !tw.has_dirty(b));
@@ -158,6 +149,6 @@ fn twin_memory_accounting_tracks_concurrent_peak() {
     dirty(&mut k, &mut tw, b, p1, 4);
     assert_eq!(tw.current_bytes(), FRAME_SIZE);
     assert_eq!(tw.peak_bytes(), 3 * FRAME_SIZE);
-    tw.commit_page(&mut k, b, p1.vpn(), &cost, false).unwrap();
+    tw.commit_page(&mut k, b, p1.vpn(), false).unwrap();
     assert_eq!(tw.current_bytes(), 0);
 }

@@ -86,7 +86,8 @@ pub struct AccessOutcome {
     pub level: ServiceLevel,
 }
 
-/// Geometry and latency configuration for a [`Machine`].
+/// Geometry of a [`Machine`]; its latencies are the [`LatencyModel`]
+/// constants.
 #[derive(Clone, Copy, Debug)]
 pub struct MachineConfig {
     /// Number of cores (1 to [`MAX_CORES`]).
@@ -95,8 +96,6 @@ pub struct MachineConfig {
     pub private_cache: CacheConfig,
     /// Geometry of the shared LLC.
     pub llc: CacheConfig,
-    /// The latency model.
-    pub latency: LatencyModel,
 }
 
 impl MachineConfig {
@@ -106,7 +105,6 @@ impl MachineConfig {
             cores,
             private_cache: CacheConfig::private_default(),
             llc: CacheConfig::llc_default(),
-            latency: LatencyModel::haswell(),
         }
     }
 }
@@ -159,11 +157,6 @@ impl Machine {
         self.config.cores
     }
 
-    /// The latency model in effect.
-    pub fn latency(&self) -> &LatencyModel {
-        &self.config.latency
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &MachineStats {
         &self.stats
@@ -184,7 +177,6 @@ impl Machine {
     ) -> AccessOutcome {
         assert!(core < self.config.cores, "core {core} out of range");
         let line = paddr.line();
-        let lat = self.config.latency;
         self.stats.accesses += 1;
         if kind.is_write() {
             self.stats.stores += 1;
@@ -198,7 +190,7 @@ impl Machine {
             self.access_read(core, line, paddr, width)
         };
         if kind == AccessKind::Rmw {
-            outcome.latency += lat.atomic_extra;
+            outcome.latency += LatencyModel::ATOMIC_EXTRA;
         }
         outcome
     }
@@ -210,11 +202,10 @@ impl Machine {
         paddr: PhysAddr,
         width: Width,
     ) -> AccessOutcome {
-        let lat = self.config.latency;
         if self.private[core].lookup(line).is_some() {
             self.stats.local_hits += 1;
             return AccessOutcome {
-                latency: lat.local_hit,
+                latency: LatencyModel::LOCAL_HIT,
                 hitm: None,
                 level: ServiceLevel::Local,
             };
@@ -232,7 +223,7 @@ impl Machine {
                 let owner = e.owner as usize;
                 e.sharers |= 1u64 << core;
                 e.owner = NO_OWNER;
-                let queuing = e.hitm_streak_step(seq, &lat);
+                let queuing = e.hitm_streak_step(seq);
                 debug_assert_eq!(
                     Some(owner),
                     self.find_remote(core, line, MesiState::Modified),
@@ -245,7 +236,7 @@ impl Machine {
                 self.stats.hitm_events += 1;
                 self.stats.hitm_loads += 1;
                 return AccessOutcome {
-                    latency: lat.hitm + queuing,
+                    latency: LatencyModel::HITM + queuing,
                     hitm: Some(HitmEvent {
                         requester: core,
                         owner,
@@ -275,7 +266,7 @@ impl Machine {
                 self.fill_tags(core, line, MesiState::Shared);
                 self.stats.remote_clean_transfers += 1;
                 return AccessOutcome {
-                    latency: lat.remote_clean,
+                    latency: LatencyModel::REMOTE_CLEAN,
                     hitm: None,
                     level: ServiceLevel::RemoteClean,
                 };
@@ -292,7 +283,7 @@ impl Machine {
             self.fill_private(core, line, MesiState::Exclusive);
             self.stats.llc_hits += 1;
             return AccessOutcome {
-                latency: lat.llc_hit,
+                latency: LatencyModel::LLC_HIT,
                 hitm: None,
                 level: ServiceLevel::Llc,
             };
@@ -301,7 +292,7 @@ impl Machine {
         self.fill_private(core, line, MesiState::Exclusive);
         self.stats.dram_accesses += 1;
         AccessOutcome {
-            latency: lat.dram,
+            latency: LatencyModel::DRAM,
             hitm: None,
             level: ServiceLevel::Dram,
         }
@@ -315,12 +306,11 @@ impl Machine {
         kind: AccessKind,
         width: Width,
     ) -> AccessOutcome {
-        let lat = self.config.latency;
         match self.private[core].lookup(line) {
             Some(MesiState::Modified) => {
                 self.stats.local_hits += 1;
                 return AccessOutcome {
-                    latency: lat.local_hit,
+                    latency: LatencyModel::LOCAL_HIT,
                     hitm: None,
                     level: ServiceLevel::Local,
                 };
@@ -331,7 +321,7 @@ impl Machine {
                 self.tracked(line).owner = core as u8;
                 self.stats.local_hits += 1;
                 return AccessOutcome {
-                    latency: lat.local_hit,
+                    latency: LatencyModel::LOCAL_HIT,
                     hitm: None,
                     level: ServiceLevel::Local,
                 };
@@ -351,7 +341,7 @@ impl Machine {
                 self.stats.local_hits += 1;
                 self.stats.invalidations += n;
                 return AccessOutcome {
-                    latency: lat.local_hit + lat.invalidate,
+                    latency: LatencyModel::LOCAL_HIT + LatencyModel::INVALIDATE,
                     hitm: None,
                     level: ServiceLevel::Local,
                 };
@@ -372,7 +362,7 @@ impl Machine {
                 debug_assert_eq!(e.sharers, 1u64 << owner, "M line with extra sharers");
                 e.sharers = 1u64 << core;
                 e.owner = core as u8;
-                let queuing = e.hitm_streak_step(seq, &lat);
+                let queuing = e.hitm_streak_step(seq);
                 debug_assert_eq!(
                     Some(owner),
                     self.find_remote(core, line, MesiState::Modified),
@@ -394,7 +384,7 @@ impl Machine {
                     HitmKind::Store
                 };
                 return AccessOutcome {
-                    latency: lat.hitm + lat.invalidate + queuing,
+                    latency: LatencyModel::HITM + LatencyModel::INVALIDATE + queuing,
                     hitm: Some(HitmEvent {
                         requester: core,
                         owner,
@@ -422,7 +412,7 @@ impl Machine {
                 self.fill_tags(core, line, MesiState::Modified);
                 self.stats.remote_clean_transfers += 1;
                 return AccessOutcome {
-                    latency: lat.remote_clean + lat.invalidate,
+                    latency: LatencyModel::REMOTE_CLEAN + LatencyModel::INVALIDATE,
                     hitm: None,
                     level: ServiceLevel::RemoteClean,
                 };
@@ -439,7 +429,7 @@ impl Machine {
             self.fill_private(core, line, MesiState::Modified);
             self.stats.llc_hits += 1;
             return AccessOutcome {
-                latency: lat.llc_hit,
+                latency: LatencyModel::LLC_HIT,
                 hitm: None,
                 level: ServiceLevel::Llc,
             };
@@ -448,7 +438,7 @@ impl Machine {
         self.fill_private(core, line, MesiState::Modified);
         self.stats.dram_accesses += 1;
         AccessOutcome {
-            latency: lat.dram,
+            latency: LatencyModel::DRAM,
             hitm: None,
             level: ServiceLevel::Dram,
         }
@@ -716,7 +706,6 @@ mod tests {
             cores: 1,
             private_cache: CacheConfig { sets: 1, ways: 1 },
             llc: CacheConfig::llc_default(),
-            latency: LatencyModel::haswell(),
         };
         let mut m = Machine::new(cfg);
         m.access(0, a(0), AccessKind::Load, Width::W8);
@@ -747,7 +736,6 @@ mod tests {
             cores: 4,
             private_cache: CacheConfig { sets: 2, ways: 2 },
             llc: CacheConfig::llc_default(),
-            latency: LatencyModel::haswell(),
         };
         let mut m = Machine::new(cfg);
         let mut x = 0x1234_5678u64;
@@ -777,7 +765,6 @@ mod tests {
             ..MachineConfig::with_cores(2)
         };
         let mut m = Machine::new(cfg);
-        let lat = *m.latency();
         m.access(0, a(0xC000), AccessKind::Store, Width::W8);
         m.access(1, a(0xC000), AccessKind::Store, Width::W8); // streak 1
         m.access(0, a(0xC000), AccessKind::Store, Width::W8); // streak 2
@@ -788,7 +775,7 @@ mod tests {
         let o = m.access(1, a(0xC000), AccessKind::Store, Width::W8); // streak 3
         assert_eq!(
             o.latency,
-            lat.hitm + lat.invalidate + 3 * lat.hitm_queuing_step
+            LatencyModel::HITM + LatencyModel::INVALIDATE + 3 * LatencyModel::HITM_QUEUING_STEP
         );
         m.assert_directory_consistent();
     }

@@ -67,7 +67,7 @@ impl DirEntry {
     /// the streak at one; a HITM within [`HITM_STREAK_WINDOW`] accesses of
     /// the previous one extends it; a longer gap resets it to zero.
     #[inline]
-    pub(crate) fn hitm_streak_step(&mut self, seq: u64, lat: &LatencyModel) -> u64 {
+    pub(crate) fn hitm_streak_step(&mut self, seq: u64) -> u64 {
         if self.last_hitm == NO_HITM {
             self.streak = 1;
         } else if seq.saturating_sub(self.last_hitm) < HITM_STREAK_WINDOW {
@@ -76,7 +76,7 @@ impl DirEntry {
             self.streak = 0;
         }
         self.last_hitm = seq;
-        lat.hitm_queuing_step * u64::from(self.streak).min(lat.hitm_queuing_cap)
+        LatencyModel::HITM_QUEUING_STEP * u64::from(self.streak).min(LatencyModel::HITM_QUEUING_CAP)
     }
 }
 
@@ -378,27 +378,29 @@ mod tests {
 
     #[test]
     fn streak_step_matches_fresh_and_windowed_semantics() {
-        let lat = LatencyModel::haswell();
         let mut e = DirEntry::default();
         // First HITM: streak 1.
-        let p1 = e.hitm_streak_step(100, &lat);
+        let p1 = e.hitm_streak_step(100);
         assert_eq!(e.streak, 1);
-        assert_eq!(p1, lat.hitm_queuing_step);
+        assert_eq!(p1, LatencyModel::HITM_QUEUING_STEP);
         // Within the window: streak grows.
-        let p2 = e.hitm_streak_step(200, &lat);
+        let p2 = e.hitm_streak_step(200);
         assert_eq!(e.streak, 2);
-        assert_eq!(p2, 2 * lat.hitm_queuing_step);
+        assert_eq!(p2, 2 * LatencyModel::HITM_QUEUING_STEP);
         // Outside the window: streak resets to zero, and the penalty with
         // it.
-        let p3 = e.hitm_streak_step(5_000, &lat);
+        let p3 = e.hitm_streak_step(5_000);
         assert_eq!(e.streak, 0);
         assert_eq!(p3, 0);
         // The cap bounds the penalty, not the streak.
         for _ in 0..100 {
-            e.hitm_streak_step(5_001, &lat);
+            e.hitm_streak_step(5_001);
         }
-        let p = e.hitm_streak_step(5_002, &lat);
-        assert_eq!(p, lat.hitm_queuing_cap * lat.hitm_queuing_step);
-        assert!(u64::from(e.streak) > lat.hitm_queuing_cap);
+        let p = e.hitm_streak_step(5_002);
+        assert_eq!(
+            p,
+            LatencyModel::HITM_QUEUING_CAP * LatencyModel::HITM_QUEUING_STEP
+        );
+        assert!(u64::from(e.streak) > LatencyModel::HITM_QUEUING_CAP);
     }
 }

@@ -7,50 +7,34 @@
 //! order-of-magnitude gap between a local hit and a HITM transfer is what
 //! makes false sharing an order-of-magnitude slowdown (§1).
 
-/// Cycle costs for each kind of memory-system outcome.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LatencyModel {
+/// The one machine every experiment runs on: cycle costs for each kind of
+/// memory-system outcome, and the clock that turns cycles into seconds.
+pub enum LatencyModel {}
+
+impl LatencyModel {
     /// Hit in the local private cache.
-    pub local_hit: u64,
+    pub const LOCAL_HIT: u64 = 4;
     /// Clean transfer from a sibling private cache (remote E/S).
-    pub remote_clean: u64,
+    pub const REMOTE_CLEAN: u64 = 45;
     /// Dirty transfer from a sibling private cache (remote M — the HITM).
-    pub hitm: u64,
+    pub const HITM: u64 = 70;
     /// Hit in the shared LLC.
-    pub llc_hit: u64,
+    pub const LLC_HIT: u64 = 30;
     /// Full miss to DRAM.
-    pub dram: u64,
+    pub const DRAM: u64 = 180;
     /// Extra cost of an invalidating upgrade (S→M) or RFO broadcast.
-    pub invalidate: u64,
+    pub const INVALIDATE: u64 = 20;
     /// Extra cost of a locked/atomic operation (bus-lock-free LOCK prefix).
-    pub atomic_extra: u64,
+    pub const ATOMIC_EXTRA: u64 = 18;
     /// Cost of a full memory fence.
-    pub fence: u64,
+    pub const FENCE: u64 = 25;
     /// Queuing penalty added per unit of HITM *streak* on a line: sustained
     /// ping-pong saturates the coherence fabric, so each transfer in a
     /// storm costs more than an isolated one (this is what makes false
     /// sharing "slow memory accesses by an order of magnitude", §1).
-    pub hitm_queuing_step: u64,
+    pub const HITM_QUEUING_STEP: u64 = 40;
     /// Streak cap for the queuing penalty.
-    pub hitm_queuing_cap: u64,
-}
-
-impl LatencyModel {
-    /// The default Haswell-like model used in all experiments.
-    pub const fn haswell() -> Self {
-        LatencyModel {
-            local_hit: 4,
-            remote_clean: 45,
-            hitm: 70,
-            llc_hit: 30,
-            dram: 180,
-            invalidate: 20,
-            atomic_extra: 18,
-            fence: 25,
-            hitm_queuing_step: 40,
-            hitm_queuing_cap: 8,
-        }
-    }
+    pub const HITM_QUEUING_CAP: u64 = 8;
 
     /// Simulated clock frequency in Hz (3.4 GHz, matching the repair
     /// machine in §4.1). Used to convert cycles to seconds in reports.
@@ -72,22 +56,15 @@ impl LatencyModel {
     }
 }
 
-impl Default for LatencyModel {
-    fn default() -> Self {
-        Self::haswell()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn hitm_is_order_of_magnitude_slower_than_hit() {
-        let m = LatencyModel::haswell();
-        assert!(m.hitm >= 10 * m.local_hit);
-        assert!(m.dram > m.llc_hit);
-        assert!(m.llc_hit > m.local_hit);
+        const { assert!(LatencyModel::HITM >= 10 * LatencyModel::LOCAL_HIT) };
+        const { assert!(LatencyModel::DRAM > LatencyModel::LLC_HIT) };
+        const { assert!(LatencyModel::LLC_HIT > LatencyModel::LOCAL_HIT) };
     }
 
     #[test]

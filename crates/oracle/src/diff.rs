@@ -30,7 +30,7 @@ use std::fmt;
 use tmi::{AppLayout, GovernorState, RepairStats, TmiConfig, TmiRuntime};
 use tmi_faultpoint::{FaultInjector, FaultPlan, FaultStats};
 use tmi_machine::{VAddr, Width};
-use tmi_os::{AsId, Kernel, MapRequest, ObjId};
+use tmi_os::{AsId, Kernel, MapRequest};
 use tmi_program::{width_mask, Op, SequenceProgram};
 use tmi_sim::{Engine, EngineConfig, Halt, TraceStep};
 
@@ -438,10 +438,8 @@ fn build_fixture(
     // forced below and the detection thread never ticks.
     ecfg.tick_interval = u64::MAX;
     let layout = AppLayout {
-        app_obj: ObjId(0),
         app_start: VAddr::new(litmus::APP_START),
         app_len: litmus::APP_LEN,
-        internal_obj: ObjId(1),
         internal_start: VAddr::new(litmus::INTERNAL_START),
         internal_len: litmus::INTERNAL_LEN,
         huge_pages: false,

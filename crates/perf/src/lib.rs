@@ -26,6 +26,10 @@ use tmi_machine::VAddr;
 use tmi_os::Tid;
 use tmi_program::Pc;
 
+/// Cycles charged to the triggering core per record captured (the PEBS
+/// microcode assist plus buffer write).
+pub const CAPTURE_CYCLES: u64 = 350;
+
 /// Sampling configuration (the `perf_event_attr` of the simulator).
 #[derive(Clone, Copy, Debug)]
 pub struct PerfConfig {
@@ -34,9 +38,6 @@ pub struct PerfConfig {
     pub period: u64,
     /// Extra period multiplier for store-triggered events.
     pub store_divisor: u64,
-    /// Cycles charged to the triggering core per record captured (the PEBS
-    /// microcode assist plus buffer write).
-    pub capture_cycles: u64,
     /// Every `skid_every`-th record gets its data address perturbed by one
     /// word, modeling PEBS data-address imprecision. `0` disables skid.
     pub skid_every: u64,
@@ -51,7 +52,6 @@ impl Default for PerfConfig {
         PerfConfig {
             period: 100,
             store_divisor: 4,
-            capture_cycles: 350,
             skid_every: 64,
             buffer_capacity: 1 << 16,
         }
@@ -132,7 +132,7 @@ impl PerfMonitor {
     /// Installs a seeded fault schedule: each captured record rolls
     /// [`FaultPoint::PebsDrop`], and a firing roll loses the record at
     /// capture time (the microcode assist still runs — and still costs
-    /// [`PerfConfig::capture_cycles`] — but the buffer write is lost).
+    /// [`CAPTURE_CYCLES`] — but the buffer write is lost).
     pub fn set_fault_injector(&mut self, injector: FaultInjector) {
         self.faults = Some(injector);
     }
@@ -175,7 +175,7 @@ impl PerfMonitor {
         if let Some(inj) = &self.faults {
             if inj.should_fail(FaultPoint::PebsDrop) {
                 self.records_injected_dropped += 1;
-                return cfg.capture_cycles;
+                return CAPTURE_CYCLES;
             }
         }
         let vaddr = if cfg.skid_every > 0 && self.records_taken.is_multiple_of(cfg.skid_every) {
@@ -189,7 +189,7 @@ impl PerfMonitor {
         }
         t.records
             .push((self.records_taken, PebsRecord { tid, pc, vaddr }));
-        cfg.capture_cycles
+        CAPTURE_CYCLES
     }
 
     /// Drains all buffered records (the detection thread's consume pass),

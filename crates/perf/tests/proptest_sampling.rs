@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use tmi_machine::hitm::HitmKind;
 use tmi_machine::VAddr;
 use tmi_os::Tid;
-use tmi_perf::{PerfConfig, PerfMonitor};
+use tmi_perf::{PerfConfig, PerfMonitor, CAPTURE_CYCLES};
 use tmi_program::Pc;
 
 proptest! {
@@ -78,6 +78,6 @@ proptest! {
         for i in 0..n {
             total += m.on_hitm(Tid(0), Pc(0x400000), VAddr::new(i), HitmKind::Load);
         }
-        prop_assert_eq!(total, (n / period) * cfg.capture_cycles);
+        prop_assert_eq!(total, (n / period) * CAPTURE_CYCLES);
     }
 }

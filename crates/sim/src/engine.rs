@@ -8,21 +8,48 @@
 //! interleaving of the threads, so contention phenomena (line ping-pong,
 //! lock convoys) emerge naturally rather than being modeled analytically.
 
-use tmi_machine::{AccessKind, Machine, MachineConfig, VAddr, Width};
+use tmi_machine::{AccessKind, LatencyModel, Machine, MachineConfig, VAddr, Width};
 use tmi_os::{FaultResolution, Kernel, OsError, Pid, Tid};
 use tmi_program::{CodeRegistry, InstrKind, MemOrder, Op, OpResult, Pc, RmwOp, ThreadProgram};
 
-use crate::cost::CostModel;
 use crate::hooks::{AccessInfo, EngineCtl, PreAccess, RegionEvent, Route, RuntimeHooks, SyncEvent};
 use crate::sync::SyncTable;
+
+// OS-event costs in core cycles: the software costs the engine charges on
+// top of the machine's memory latencies (`tmi_machine::LatencyModel`).
+// Page faults drive the 4 KiB-vs-huge-page comparison of Fig. 10.
+
+/// Demand fault on a populated page (minor). Shared file mappings "must
+/// carry their changes through to the underlying file" (§4.4), so this is
+/// the file-backed cost; an anonymous demand fault is charged the same.
+const FAULT_MINOR: u64 = 2_600;
+/// Demand fault on a shared file-backed page needing fresh backing (major).
+const FAULT_MAJOR: u64 = 4_800;
+/// One 2 MiB huge-page fault (populates 512 frames at once).
+const FAULT_HUGE: u64 = 9_000;
+/// Fixed cost of a copy-on-write break.
+const COW_BASE: u64 = 3_000;
+/// Additional COW cost per 4 KiB page copied.
+const COW_PER_PAGE: u64 = 700;
+/// Software overhead of an uncontended mutex lock/unlock beyond its memory
+/// traffic.
+const MUTEX_OP: u64 = 40;
+/// Software overhead of a barrier arrival.
+const BARRIER_OP: u64 = 120;
+/// Latency from a wake-up (futex-style) to the woken thread resuming.
+const WAKE: u64 = 250;
+/// Cycles burned per failed spinlock attempt before retrying.
+const SPIN_RETRY: u64 = 35;
+/// Syscall overhead of an explicit VM operation request ([`Op::Vm`])
+/// before whatever the runtime charges for the operation itself (fork,
+/// twin commit, shootdown IPIs...).
+const VM_OP: u64 = 350;
 
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Machine (cores, caches, latencies).
+    /// Machine (cores, caches).
     pub machine: MachineConfig,
-    /// OS-event cost model.
-    pub costs: CostModel,
     /// Interval between [`RuntimeHooks::on_tick`] calls, in cycles.
     /// Defaults to 1 ms of simulated time — the paper's once-per-second
     /// detector analysis (§4.3) scaled to simulator-sized workloads.
@@ -41,7 +68,6 @@ impl EngineConfig {
     pub fn with_cores(cores: usize) -> Self {
         EngineConfig {
             machine: MachineConfig::with_cores(cores),
-            costs: CostModel::standard(),
             tick_interval: 3_400_000,
             max_cycles: 40_000_000_000,
             max_ops: 2_000_000_000,
@@ -96,7 +122,7 @@ pub struct RunReport {
 impl RunReport {
     /// Wall time in simulated seconds.
     pub fn seconds(&self) -> f64 {
-        tmi_machine::LatencyModel::cycles_to_secs(self.cycles)
+        LatencyModel::cycles_to_secs(self.cycles)
     }
 
     /// True if the run completed normally.
@@ -425,7 +451,6 @@ impl<R: RuntimeHooks> Engine<R> {
             None => self.programs[idx].next(pending),
         };
         self.core.ops += 1;
-        let lat = *self.core.machine.latency();
         match op {
             Op::Compute { cycles } => {
                 self.core.threads[idx].clock += cycles;
@@ -549,7 +574,7 @@ impl<R: RuntimeHooks> Engine<R> {
                 self.core.threads[idx].pending = OpResult { value: v };
             }
             Op::Fence { order } => {
-                self.core.threads[idx].clock += lat.fence;
+                self.core.threads[idx].clock += LatencyModel::FENCE;
                 let tid = self.core.threads[idx].tid;
                 let extra = self
                     .runtime
@@ -579,7 +604,7 @@ impl<R: RuntimeHooks> Engine<R> {
             Op::Vm { op: vm, addr } => {
                 let tid = self.core.threads[idx].tid;
                 let outcome = self.runtime.on_vm_op(&mut self.core, tid, vm, addr);
-                self.core.threads[idx].clock += self.core.config.costs.vm_op;
+                self.core.threads[idx].clock += VM_OP;
                 self.core.threads[idx].pending = OpResult {
                     value: Some(outcome),
                 };
@@ -637,7 +662,6 @@ impl<R: RuntimeHooks> Engine<R> {
 
         let aspace = self.core.kernel.thread_aspace(tid);
         let is_write = kind.is_write();
-        let costs = self.core.config.costs;
         // Kernel errors while resolving the access (out of frames, vetoed
         // remaps) are offered to the runtime's governor via
         // `on_fault_error`: `Some(backoff)` charges the thread and retries
@@ -669,7 +693,7 @@ impl<R: RuntimeHooks> Engine<R> {
                     Err(_) => match self.core.kernel.handle_fault(aspace, vaddr, is_write) {
                         Ok(res) => {
                             attempts = 0;
-                            self.core.threads[idx].clock += fault_cost(&costs, &res);
+                            self.core.threads[idx].clock += fault_cost(&res);
                             self.runtime.on_fault(&mut self.core, tid, &res);
                         }
                         Err(err) => {
@@ -738,7 +762,7 @@ impl<R: RuntimeHooks> Engine<R> {
         let commit = self
             .runtime
             .on_sync(&mut self.core, tid, SyncEvent::MutexLock(mapped));
-        self.core.threads[idx].clock += commit + self.core.config.costs.mutex_op;
+        self.core.threads[idx].clock += commit + MUTEX_OP;
         // Locked RMW on the (possibly redirected) lock word — glibc's
         // cmpxchg. Mutual exclusion is keyed on the *application* lock
         // address so redirection can change the traffic address at any time.
@@ -770,7 +794,7 @@ impl<R: RuntimeHooks> Engine<R> {
         let commit = self
             .runtime
             .on_sync(&mut self.core, tid, SyncEvent::MutexUnlock(mapped));
-        self.core.threads[idx].clock += commit + self.core.config.costs.mutex_op;
+        self.core.threads[idx].clock += commit + MUTEX_OP;
         let pc = self.core.internal_pcs.mutex_store;
         self.data_access(
             idx,
@@ -787,7 +811,7 @@ impl<R: RuntimeHooks> Engine<R> {
         match m.waiters.pop_front() {
             Some(next) => {
                 m.owner = Some(next);
-                let wake_at = self.core.threads[idx].clock + self.core.config.costs.wake;
+                let wake_at = self.core.threads[idx].clock + WAKE;
                 let ni = self.core.thread_index(next);
                 self.core.threads[ni].clock = self.core.threads[ni].clock.max(wake_at);
                 self.core.threads[ni].state = ThreadState::Runnable;
@@ -812,7 +836,7 @@ impl<R: RuntimeHooks> Engine<R> {
             DataAction::Rmw(RmwOp::Xchg, 1),
         )?;
         if !self.core.sync.try_spin_lock(lock, tid) {
-            self.core.threads[idx].clock += self.core.config.costs.spin_retry;
+            self.core.threads[idx].clock += SPIN_RETRY;
             self.core.threads[idx].replay = Some(op);
         }
         Ok(())
@@ -844,7 +868,7 @@ impl<R: RuntimeHooks> Engine<R> {
         let commit = self
             .runtime
             .on_sync(&mut self.core, tid, SyncEvent::BarrierWait(barrier));
-        self.core.threads[idx].clock += commit + self.core.config.costs.barrier_op;
+        self.core.threads[idx].clock += commit + BARRIER_OP;
         let pc = self.core.internal_pcs.barrier_rmw;
         self.data_access(
             idx,
@@ -860,7 +884,7 @@ impl<R: RuntimeHooks> Engine<R> {
         b.arrived.push(tid);
         if b.arrived.len() >= b.parties {
             let woken = std::mem::take(&mut b.arrived);
-            let open_at = self.core.threads[idx].clock + self.core.config.costs.wake;
+            let open_at = self.core.threads[idx].clock + WAKE;
             for t in woken {
                 let i = self.core.thread_index(t);
                 self.core.threads[i].clock = self.core.threads[i].clock.max(open_at);
@@ -873,17 +897,12 @@ impl<R: RuntimeHooks> Engine<R> {
     }
 }
 
-fn fault_cost(costs: &CostModel, res: &FaultResolution) -> u64 {
+fn fault_cost(res: &FaultResolution) -> u64 {
     match *res {
-        FaultResolution::DemandPaged { huge: true, .. } => costs.fault_huge,
-        FaultResolution::DemandPaged { major, .. } => {
-            if major {
-                costs.fault_file_major
-            } else {
-                costs.fault_file_minor
-            }
-        }
-        FaultResolution::CowBroken { pages, .. } => costs.cow_base + costs.cow_per_page * pages,
+        FaultResolution::DemandPaged { huge: true, .. } => FAULT_HUGE,
+        FaultResolution::DemandPaged { major: true, .. } => FAULT_MAJOR,
+        FaultResolution::DemandPaged { major: false, .. } => FAULT_MINOR,
+        FaultResolution::CowBroken { pages, .. } => COW_BASE + COW_PER_PAGE * pages,
         FaultResolution::Spurious => 0,
     }
 }
@@ -1374,8 +1393,53 @@ mod tests {
         }])));
         let r = e.run();
         assert!(r.completed());
-        let costs = CostModel::standard();
-        assert!(r.cycles >= costs.cow_base, "COW cost charged");
+        assert!(r.cycles >= COW_BASE, "COW cost charged");
         assert_eq!(e.core().kernel.stats().cow_breaks, 1);
+    }
+
+    #[test]
+    fn fault_cost_charges_each_resolution_its_constant() {
+        let vpn = VAddr::new(0x10000).vpn();
+        let demand = |major, pages, huge| FaultResolution::DemandPaged {
+            vpn,
+            major,
+            pages,
+            huge,
+        };
+        let cow = |pages| FaultResolution::CowBroken {
+            vpn,
+            shared_frame: tmi_machine::FrameId(1),
+            private_frame: tmi_machine::FrameId(2),
+            pages,
+            huge: pages > 1,
+        };
+        assert_eq!(fault_cost(&demand(true, 512, true)), FAULT_HUGE);
+        assert_eq!(fault_cost(&demand(false, 512, true)), FAULT_HUGE);
+        assert_eq!(fault_cost(&demand(true, 1, false)), FAULT_MAJOR);
+        assert_eq!(fault_cost(&demand(false, 1, false)), FAULT_MINOR);
+        assert_eq!(fault_cost(&cow(1)), COW_BASE + COW_PER_PAGE);
+        assert_eq!(fault_cost(&cow(512)), COW_BASE + 512 * COW_PER_PAGE);
+        assert_eq!(fault_cost(&FaultResolution::Spurious), 0);
+        assert_eq!(
+            [FAULT_HUGE, FAULT_MAJOR, FAULT_MINOR, COW_BASE, COW_PER_PAGE],
+            [9_000, 4_800, 2_600, 3_000, 700]
+        );
+
+        // An anonymous demand fault resolves as a minor fault: there is
+        // no separate anonymous cost.
+        let mut k = Kernel::new();
+        let aspace = k.create_aspace();
+        let a = VAddr::new(0x20_0000);
+        k.map(aspace, MapRequest::anon(a, FRAME_SIZE)).unwrap();
+        let res = k.handle_fault(aspace, a, true).unwrap();
+        assert!(matches!(
+            res,
+            FaultResolution::DemandPaged {
+                major: false,
+                huge: false,
+                ..
+            }
+        ));
+        assert_eq!(fault_cost(&res), FAULT_MINOR);
     }
 }

@@ -35,12 +35,10 @@
 //! # Ok::<(), tmi_os::OsError>(())
 //! ```
 
-pub mod cost;
 pub mod engine;
 pub mod hooks;
 pub mod sync;
 
-pub use cost::CostModel;
 pub use engine::{Engine, EngineConfig, EngineCore, Halt, InternalPcs, RunReport, TraceStep};
 pub use hooks::{
     AccessInfo, EngineCtl, NullRuntime, PreAccess, RegionEvent, Route, RuntimeHooks, SyncEvent,

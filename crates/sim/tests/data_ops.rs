@@ -1,7 +1,7 @@
 //! Data-plane semantics of the remaining op kinds: CAS success/failure,
 //! atomic loads, fences, and width truncation through the engine.
 
-use tmi_machine::{VAddr, Width, FRAME_SIZE};
+use tmi_machine::{LatencyModel, VAddr, Width, FRAME_SIZE};
 use tmi_os::MapRequest;
 use tmi_program::{InstrKind, MemOrder, Op, RmwOp, SequenceProgram};
 use tmi_sim::{Engine, EngineConfig, NullRuntime};
@@ -105,8 +105,7 @@ fn atomic_load_returns_value_and_fence_costs_cycles() {
     let r = e.run();
     assert!(r.completed());
     assert_eq!(log.borrow()[0], Some(77));
-    let fence_cost = e.core().machine.latency().fence;
-    assert!(r.cycles >= fence_cost);
+    assert!(r.cycles >= LatencyModel::FENCE);
 }
 
 #[test]

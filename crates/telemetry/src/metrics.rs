@@ -167,24 +167,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// The per-name difference `self - earlier`: counters saturate at zero,
-    /// derived values subtract. Names present in only one snapshot keep
-    /// their value from `self` (or are dropped if only in `earlier`).
-    pub fn delta(&self, earlier: &Self) -> Self {
-        let mut entries = BTreeMap::new();
-        for (name, &now) in &self.entries {
-            let v = match (now, earlier.entries.get(name)) {
-                (MetricValue::U64(a), Some(&MetricValue::U64(b))) => {
-                    MetricValue::U64(a.saturating_sub(b))
-                }
-                (now, Some(&before)) => MetricValue::F64(now.as_f64() - before.as_f64()),
-                (now, None) => now,
-            };
-            entries.insert(name.clone(), v);
-        }
-        MetricsSnapshot { entries }
-    }
-
     /// Renders the snapshot as a JSON object, one `"name": value` member
     /// per metric, in stable order. `indent` is prepended to every member
     /// line; pass `""` for a compact single-line object.
@@ -253,23 +235,6 @@ mod tests {
         let mut sink = MetricSink::new();
         sink.u64("x", 1);
         sink.u64("x", 2);
-    }
-
-    #[test]
-    fn delta_saturates_counters() {
-        let mut a = MetricSink::new();
-        a.u64("n", 10);
-        a.f64("r", 1.5);
-        let a = a.finish();
-        let mut b = MetricSink::new();
-        b.u64("n", 4);
-        b.f64("r", 2.0);
-        let b = b.finish();
-        let d = a.delta(&b);
-        assert_eq!(d.u64("n"), 6);
-        assert_eq!(d.f64("r"), -0.5);
-        let under = b.delta(&a);
-        assert_eq!(under.u64("n"), 0, "counters saturate");
     }
 
     #[test]

@@ -74,10 +74,8 @@ fn build<R: RuntimeHooks>(runtime: R, stride: u64, iters: usize) -> Engine<R> {
 
 fn layout() -> AppLayout {
     AppLayout {
-        app_obj: tmi_repro::os::ObjId(0),
         app_start: VAddr::new(APP),
         app_len: APP_LEN,
-        internal_obj: tmi_repro::os::ObjId(1),
         internal_start: VAddr::new(INTERNAL),
         internal_len: INTERNAL_LEN,
         huge_pages: false,

@@ -4,7 +4,8 @@
 # authoritative: if this script passes, CI passes.
 #
 #   fmt      rustfmt, check-only (the tree must already be formatted)
-#   clippy   workspace lints, warnings are errors
+#   clippy   workspace lints over every target (libraries, binaries,
+#            tests, examples), warnings are errors
 #   tier-1   release build + every workspace crate's test suite
 #   smoke    run_all --quick, the in-process harness end to end, which
 #            also exercises the parallel executor and BENCH_harness.json;
@@ -68,7 +69,7 @@ echo "== fmt"
 cargo fmt --all -- --check
 
 echo "== clippy"
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tier-1 build + test"
 cargo build --release --workspace
