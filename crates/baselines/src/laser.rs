@@ -16,10 +16,10 @@
 
 use std::collections::HashSet;
 
-use tmi::{AppLayout, FalseSharingDetector, SharingKind, FS_THRESHOLD_PER_SEC};
+use tmi::{AppLayout, DetectionLoop, SharingKind, FS_THRESHOLD_PER_SEC};
 use tmi_machine::{AccessOutcome, LatencyModel, VAddr, LINE_SIZE};
 use tmi_os::Tid;
-use tmi_perf::{PerfConfig, PerfMonitor};
+use tmi_perf::PerfConfig;
 use tmi_sim::{AccessInfo, EngineCtl, PreAccess, RegionEvent, Route, RuntimeHooks, SyncEvent};
 
 /// Emulation cycles per buffered store.
@@ -61,13 +61,10 @@ impl tmi_telemetry::MetricSource for LaserStats {
 /// The LASER runtime.
 #[derive(Debug)]
 pub struct LaserRuntime {
-    layout: AppLayout,
-    perf: PerfMonitor,
-    detector: FalseSharingDetector,
+    detection: DetectionLoop,
     repaired: HashSet<u64>,
     store_seq: u64,
     sync_events_window: u64,
-    last_tick: u64,
     stats: LaserStats,
 }
 
@@ -75,19 +72,12 @@ impl LaserRuntime {
     /// Creates a LASER runtime over the given layout, sampling HITM events
     /// with `perf`.
     pub fn new(perf: PerfConfig, layout: AppLayout) -> Self {
-        let ranges = vec![
-            (layout.app_start, layout.app_len),
-            (layout.internal_start, layout.internal_len),
-        ];
         LaserRuntime {
-            perf: PerfMonitor::new(perf),
-            detector: FalseSharingDetector::new(perf, ranges),
+            detection: DetectionLoop::new(perf, layout),
             repaired: HashSet::new(),
             store_seq: 0,
             sync_events_window: 0,
-            last_tick: 0,
             stats: LaserStats::default(),
-            layout,
         }
     }
 
@@ -110,16 +100,13 @@ impl tmi_telemetry::MetricSource for LaserRuntime {
     fn metrics(&self, out: &mut tmi_telemetry::MetricSink) {
         tmi_telemetry::MetricSource::metrics(&self.stats, out);
         out.u64("repaired", u64::from(self.repaired()));
-        out.source("perf", &self.perf);
-        out.source("detector", &self.detector);
+        self.detection.metrics(out);
     }
 }
 
 impl RuntimeHooks for LaserRuntime {
     fn on_start(&mut self, ctl: &mut dyn EngineCtl) {
-        for tid in ctl.tids() {
-            self.perf.open_thread(tid);
-        }
+        self.detection.start(ctl);
     }
 
     fn pre_access(&mut self, _ctl: &mut dyn EngineCtl, _tid: Tid, acc: &AccessInfo) -> PreAccess {
@@ -156,11 +143,7 @@ impl RuntimeHooks for LaserRuntime {
         acc: &AccessInfo,
         outcome: &AccessOutcome,
     ) -> u64 {
-        let Some(hitm) = &outcome.hitm else { return 0 };
-        if !self.layout.in_app(acc.vaddr) && !self.layout.in_internal(acc.vaddr) {
-            return 0;
-        }
-        self.perf.on_hitm(tid, acc.pc, acc.vaddr, hitm.kind)
+        self.detection.capture(tid, acc, outcome)
     }
 
     fn on_sync(&mut self, _ctl: &mut dyn EngineCtl, _tid: Tid, _ev: SyncEvent) -> u64 {
@@ -185,17 +168,12 @@ impl RuntimeHooks for LaserRuntime {
     }
 
     fn on_tick(&mut self, ctl: &mut dyn EngineCtl, now: u64) {
-        let records = self.perf.drain();
-        self.detector.ingest(&records, ctl.code());
-        let window_secs = LatencyModel::cycles_to_secs(now.saturating_sub(self.last_tick).max(1));
-        self.last_tick = now;
-        let reports = self
-            .detector
-            .analyze_window(window_secs, FS_THRESHOLD_PER_SEC);
+        let window = self.detection.tick(ctl, now, FS_THRESHOLD_PER_SEC);
         let threads = ctl.tids().len().max(1) as f64;
-        let sync_rate = self.sync_events_window as f64 / threads / window_secs;
+        let sync_rate =
+            self.sync_events_window as f64 / threads / LatencyModel::cycles_to_secs(window.cycles);
         self.sync_events_window = 0;
-        for r in reports {
+        for r in window.reports {
             if r.kind != SharingKind::FalseSharing {
                 continue;
             }

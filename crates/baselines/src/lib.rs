@@ -8,7 +8,8 @@
 //! * [`SheriffRuntime`] — threads-as-processes from startup with a
 //!   whole-heap page-twinning store buffer and **no** consistency guard
 //!   (so the canneal/cholesky failures of Figs. 11–12 actually occur);
-//! * [`LaserRuntime`] — HITM detection identical to TMI, repair via a
+//! * [`LaserRuntime`] — HITM detection identical to TMI (both run
+//!   [`tmi::DetectionLoop`], as does the Plastic model), repair via a
 //!   TSO-preserving software store buffer (low repair benefit, declines
 //!   sync-heavy programs);
 //! * [`PlasticRuntime`] — a model of Plastic's reported behaviour

@@ -14,10 +14,10 @@
 
 use std::collections::HashSet;
 
-use tmi::{AppLayout, FalseSharingDetector, SharingKind, FS_THRESHOLD_PER_SEC};
-use tmi_machine::{AccessOutcome, LatencyModel, LINE_SIZE};
+use tmi::{AppLayout, DetectionLoop, SharingKind, FS_THRESHOLD_PER_SEC};
+use tmi_machine::{AccessOutcome, LINE_SIZE};
 use tmi_os::Tid;
-use tmi_perf::{PerfConfig, PerfMonitor};
+use tmi_perf::PerfConfig;
 use tmi_sim::{AccessInfo, EngineCtl, PreAccess, Route, RuntimeHooks};
 
 /// Hypervisor/virtualization overhead in hundredths of a cycle charged per
@@ -45,12 +45,9 @@ impl tmi_telemetry::MetricSource for PlasticStats {
 /// The Plastic-style runtime.
 #[derive(Debug)]
 pub struct PlasticRuntime {
-    layout: AppLayout,
-    perf: PerfMonitor,
-    detector: FalseSharingDetector,
+    detection: DetectionLoop,
     remapped: HashSet<u64>,
     overhead_acc: u64,
-    last_tick: u64,
     stats: PlasticStats,
 }
 
@@ -58,18 +55,11 @@ impl PlasticRuntime {
     /// Creates a Plastic-style runtime over the given layout, sampling its
     /// HITM counters with `perf`.
     pub fn new(perf: PerfConfig, layout: AppLayout) -> Self {
-        let ranges = vec![
-            (layout.app_start, layout.app_len),
-            (layout.internal_start, layout.internal_len),
-        ];
         PlasticRuntime {
-            perf: PerfMonitor::new(perf),
-            detector: FalseSharingDetector::new(perf, ranges),
+            detection: DetectionLoop::new(perf, layout),
             remapped: HashSet::new(),
             overhead_acc: 0,
-            last_tick: 0,
             stats: PlasticStats::default(),
-            layout,
         }
     }
 
@@ -82,16 +72,13 @@ impl PlasticRuntime {
 impl tmi_telemetry::MetricSource for PlasticRuntime {
     fn metrics(&self, out: &mut tmi_telemetry::MetricSink) {
         tmi_telemetry::MetricSource::metrics(&self.stats, out);
-        out.source("perf", &self.perf);
-        out.source("detector", &self.detector);
+        self.detection.metrics(out);
     }
 }
 
 impl RuntimeHooks for PlasticRuntime {
     fn on_start(&mut self, ctl: &mut dyn EngineCtl) {
-        for tid in ctl.tids() {
-            self.perf.open_thread(tid);
-        }
+        self.detection.start(ctl);
     }
 
     fn pre_access(&mut self, _ctl: &mut dyn EngineCtl, _tid: Tid, acc: &AccessInfo) -> PreAccess {
@@ -122,22 +109,12 @@ impl RuntimeHooks for PlasticRuntime {
         acc: &AccessInfo,
         outcome: &AccessOutcome,
     ) -> u64 {
-        let Some(hitm) = &outcome.hitm else { return 0 };
-        if !self.layout.in_app(acc.vaddr) {
-            return 0;
-        }
-        self.perf.on_hitm(tid, acc.pc, acc.vaddr, hitm.kind)
+        self.detection.capture(tid, acc, outcome)
     }
 
     fn on_tick(&mut self, ctl: &mut dyn EngineCtl, now: u64) {
-        let records = self.perf.drain();
-        self.detector.ingest(&records, ctl.code());
-        let window_secs = LatencyModel::cycles_to_secs(now.saturating_sub(self.last_tick).max(1));
-        self.last_tick = now;
-        for r in self
-            .detector
-            .analyze_window(window_secs, FS_THRESHOLD_PER_SEC)
-        {
+        let window = self.detection.tick(ctl, now, FS_THRESHOLD_PER_SEC);
+        for r in window.reports {
             if r.kind == SharingKind::FalseSharing {
                 self.remapped.insert(r.vline);
             }

@@ -38,11 +38,6 @@ pub struct SheriffConfig {
 }
 
 impl SheriffConfig {
-    /// The `sheriff-detect` tool configuration.
-    pub fn detect() -> Self {
-        SheriffConfig { detect_mode: true }
-    }
-
     /// The `sheriff-protect` tool configuration.
     pub fn protect() -> Self {
         Self::default()

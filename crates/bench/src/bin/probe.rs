@@ -20,11 +20,11 @@ use tmi_bench::{Executor, JobSpec};
 
 fn main() {
     let mut spec = JobSpec::new("");
-    spec.cfg.scale = 0.03;
+    spec.scale = 0.03;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if let Ok(scale) = arg.parse::<f64>() {
-            spec.cfg.scale = work_scale("SCALE", scale).unwrap_or_else(|e| {
+            spec.scale = work_scale("SCALE", scale).unwrap_or_else(|e| {
                 eprintln!("{e}");
                 std::process::exit(2);
             });

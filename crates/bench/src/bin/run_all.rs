@@ -37,7 +37,7 @@
 
 use tmi_bench::figures::{self, Section, SECTIONS};
 use tmi_bench::spec::work_scale;
-use tmi_bench::{Executor, Experiment, RuntimeKind};
+use tmi_bench::{Executor, JobSpec, RuntimeKind};
 
 /// What one invocation renders.
 #[derive(Debug)]
@@ -129,7 +129,7 @@ fn main() {
     // The traced run prints only to stderr so that stdout stays
     // byte-identical to the golden report whether or not --trace is given.
     if let Some(out) = plan.trace {
-        let (r, trace) = Experiment::repair("histogramfs")
+        let (r, trace) = JobSpec::repair("histogramfs")
             .runtime(RuntimeKind::TmiProtect)
             .scale(if plan.quick { 0.25 } else { 1.0 })
             .misaligned()

@@ -23,8 +23,7 @@
 //! sound because runs are deterministic: a cache hit returns exactly the
 //! bytes a rerun would.
 //!
-//! [`Experiment`] is the builder for one cell and the public entry point
-//! to the harness; [`ExperimentSet`] batches cells for parallel
+//! A cell is a [`JobSpec`]; [`ExperimentSet`] batches cells for parallel
 //! execution. The executor also keeps a per-job timing log which
 //! [`Executor::write_json`] emits as `BENCH_harness.json`.
 
@@ -35,11 +34,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use tmi_machine::LatencyModel;
 use tmi_telemetry::json::{fmt_f64, string};
-use tmi_telemetry::{chrome, MetricsSnapshot, Tracer};
+use tmi_telemetry::{MetricsSnapshot, Tracer};
 
-use crate::harness::{self, RunConfig, RunResult, RuntimeKind};
+use crate::harness::{self, RunResult};
 pub use crate::spec::JobSpec;
 
 /// Fans `f(0..n)` out over a scoped pool of `workers` threads and returns
@@ -110,20 +108,13 @@ fn release_freed_heap() {
     }
 }
 
-/// The outcome of one executed cell.
+/// The outcome of one executed cell. The executor's [`JobRecord`] log
+/// keeps the rest: the cell's spec fields, host time and cache status.
 #[derive(Clone, Debug)]
 pub struct JobResult {
-    /// The cell that ran.
-    pub spec: JobSpec,
-    /// Submission index within its batch (results are returned in this
-    /// order regardless of completion order).
-    pub index: usize,
-    /// The measured run, or the panic message if the cell failed.
+    /// The measured run, or, if the cell panicked, a message naming the
+    /// cell and quoting the panic.
     pub outcome: Result<RunResult, String>,
-    /// Host wall-clock seconds this cell took (0 for memoized hits).
-    pub host_seconds: f64,
-    /// Whether the result came from the executor's memo cache.
-    pub from_cache: bool,
 }
 
 impl JobResult {
@@ -136,17 +127,12 @@ impl JobResult {
     ///
     /// # Panics
     ///
-    /// Panics with the cell's panic message if the cell failed; use
+    /// Panics with the failure message if the cell failed; use
     /// [`JobResult::outcome`] to handle failures.
     pub fn result(&self) -> &RunResult {
         match &self.outcome {
             Ok(r) => r,
-            Err(e) => panic!(
-                "job {} ({} under {}) failed: {e}",
-                self.index,
-                self.spec.workload,
-                self.spec.cfg.runtime.label()
-            ),
+            Err(e) => panic!("{e}"),
         }
     }
 }
@@ -241,13 +227,7 @@ impl Executor {
         let key = spec.to_json();
         if let Some(hit) = self.cache.lock().unwrap().get(&key).cloned() {
             self.record(batch, index, spec, "cached", 0.0, Some(&hit));
-            return JobResult {
-                spec: spec.clone(),
-                index,
-                outcome: Ok(hit),
-                host_seconds: 0.0,
-                from_cache: true,
-            };
+            return JobResult { outcome: Ok(hit) };
         }
         let t0 = Instant::now();
         let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -255,23 +235,22 @@ impl Executor {
         }));
         let host_seconds = t0.elapsed().as_secs_f64();
         let outcome = match caught {
-            Ok(r) => Ok(r),
-            Err(payload) => Err(panic_message(payload.as_ref())),
-        };
-        match &outcome {
             Ok(r) => {
                 self.cache.lock().unwrap().insert(key, r.clone());
-                self.record(batch, index, spec, "ok", host_seconds, Some(r));
+                self.record(batch, index, spec, "ok", host_seconds, Some(&r));
+                Ok(r)
             }
-            Err(_) => self.record(batch, index, spec, "failed", host_seconds, None),
-        }
-        JobResult {
-            spec: spec.clone(),
-            index,
-            outcome,
-            host_seconds,
-            from_cache: false,
-        }
+            Err(payload) => {
+                self.record(batch, index, spec, "failed", host_seconds, None);
+                Err(format!(
+                    "job {index} ({} under {}) failed: {}",
+                    spec.workload,
+                    spec.runtime.label(),
+                    panic_message(payload.as_ref())
+                ))
+            }
+        };
+        JobResult { outcome }
     }
 
     fn record(
@@ -287,9 +266,9 @@ impl Executor {
             batch,
             index,
             workload: spec.workload.clone(),
-            runtime: spec.cfg.runtime.label(),
-            threads: spec.cfg.threads,
-            scale: spec.cfg.scale,
+            runtime: spec.runtime.label(),
+            threads: spec.threads,
+            scale: spec.scale,
             status,
             host_seconds,
             sim_cycles: result.map_or(0, |r| r.cycles),
@@ -382,157 +361,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Builder for one experiment cell — the canonical way to run the
-/// harness:
+/// An ordered batch of cells destined for parallel execution.
 ///
 /// ```
-/// use tmi_bench::{Experiment, RuntimeKind};
-///
-/// let r = Experiment::new("histogram")
-///     .runtime(RuntimeKind::TmiProtect)
-///     .threads(4)
-///     .scale(0.05)
-///     .run();
-/// assert!(r.ok());
-/// ```
-#[derive(Clone, Debug)]
-pub struct Experiment {
-    spec: JobSpec,
-}
-
-impl Experiment {
-    /// An experiment on `workload` with the detection-machine defaults
-    /// (pthreads, 8 threads, benchmark scale); see [`RunConfig::new`].
-    pub fn new(workload: impl Into<String>) -> Self {
-        Experiment {
-            spec: JobSpec::new(workload),
-        }
-    }
-
-    /// An experiment with the §4.1 repair-experiment defaults (4 threads,
-    /// fast detection tick); see [`RunConfig::repair`].
-    pub fn repair(workload: impl Into<String>) -> Self {
-        Experiment {
-            spec: JobSpec {
-                cfg: RunConfig::repair(RuntimeKind::Pthreads),
-                ..JobSpec::new(workload)
-            },
-        }
-    }
-
-    /// Sets the supervising runtime.
-    pub fn runtime(mut self, rt: RuntimeKind) -> Self {
-        self.spec.cfg.runtime = rt;
-        self
-    }
-
-    /// Sets the worker-thread (= core) count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.spec.cfg.threads = threads;
-        self
-    }
-
-    /// Sets the work scale (1.0 = benchmark size).
-    pub fn scale(mut self, scale: f64) -> Self {
-        self.spec.cfg.scale = scale;
-        self
-    }
-
-    /// Applies the manual source fix (the `manual` bars of Fig. 9).
-    pub fn fixed(mut self) -> Self {
-        self.spec.cfg.fixed = true;
-        self
-    }
-
-    /// Forces the misaligned allocation that exposes allocator-sensitive
-    /// false sharing (§4.3).
-    pub fn misaligned(mut self) -> Self {
-        self.spec.cfg.misaligned = true;
-        self
-    }
-
-    /// Maps application memory with 2 MiB huge pages (§4.4).
-    pub fn huge_pages(mut self) -> Self {
-        self.spec.cfg.huge_pages = true;
-        self
-    }
-
-    /// Sets the perf sampling period (Fig. 4 sweeps this).
-    pub fn period(mut self, period: u64) -> Self {
-        self.spec.cfg.period = period;
-        self
-    }
-
-    /// Sets the detection-tick interval in cycles.
-    pub fn tick_interval(mut self, cycles: u64) -> Self {
-        self.spec.cfg.tick_interval = cycles;
-        self
-    }
-
-    /// Sets the livelock backstop in dynamic ops.
-    pub fn max_ops(mut self, ops: u64) -> Self {
-        self.spec.cfg.max_ops = ops;
-        self
-    }
-
-    /// Runs the cell under the seeded fault schedule
-    /// ([`tmi_faultpoint::FaultPlan::from_seed`]); `0` (the default)
-    /// disables injection. The seed is part of the cell's identity:
-    /// executors memoize and the service caches per `(workload, config,
-    /// seed)`.
-    pub fn fault_seed(mut self, seed: u64) -> Self {
-        self.spec.seed = seed;
-        self
-    }
-
-    /// Lowers the builder into a queueable cell.
-    pub fn spec(self) -> JobSpec {
-        self.spec
-    }
-
-    /// Runs this cell synchronously on the current thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown workload names, like the harness.
-    pub fn run(self) -> RunResult {
-        harness::execute_spec(&self.spec, &Tracer::disabled())
-    }
-
-    /// Runs under `tmi-detect` and also returns the perf-c2c-style
-    /// contention report plus the Cheetah-style predicted manual-fix
-    /// speedup (the runtime is forced to [`RuntimeKind::TmiDetect`]).
-    pub fn run_detect_report(self) -> (RunResult, tmi::ContentionReport, f64) {
-        harness::execute_detect_report(&self.spec.workload, &self.spec.cfg)
-    }
-
-    /// Runs this cell with telemetry tracing enabled and returns the
-    /// result plus the Chrome `trace_event` JSON document — load it at
-    /// `chrome://tracing` or <https://ui.perfetto.dev>. The trace embeds
-    /// the run's metrics snapshot and per-phase cycle profile under
-    /// `otherData`.
-    pub fn run_traced(self) -> (RunResult, String) {
-        let tracer = Tracer::enabled();
-        let r = harness::execute_spec(&self.spec, &tracer);
-        let trace = chrome::export_trace(
-            &tracer.take_events(),
-            &r.phases,
-            LatencyModel::CLOCK_HZ,
-            Some(&r.metrics),
-        );
-        (r, trace)
-    }
-}
-
-/// An ordered batch of experiments destined for parallel execution.
-///
-/// ```
-/// use tmi_bench::{Executor, Experiment, ExperimentSet, RuntimeKind};
+/// use tmi_bench::{Executor, ExperimentSet, JobSpec, RuntimeKind};
 ///
 /// let mut set = ExperimentSet::new();
-/// let base = set.push(Experiment::new("histogram").scale(0.05));
+/// let base = set.push(JobSpec::new("histogram").scale(0.05));
 /// let tmi = set.push(
-///     Experiment::new("histogram")
+///     JobSpec::new("histogram")
 ///         .runtime(RuntimeKind::TmiProtect)
 ///         .scale(0.05),
 /// );
@@ -550,15 +387,14 @@ impl ExperimentSet {
         ExperimentSet::default()
     }
 
-    /// Queues one experiment and returns its submission index — the
-    /// position of its result in the vector `run_on` returns.
+    /// Queues one cell and returns its submission index — the position
+    /// of its result in the vector `run_on` returns.
     ///
-    /// Identical cells are submitted once: pushing an experiment equal to
-    /// one already queued returns the earlier index instead of queueing a
+    /// Identical cells are submitted once: pushing a spec equal to one
+    /// already queued returns the earlier index instead of queueing a
     /// duplicate, so figures can share baselines without re-running them
     /// (and without two identical jobs racing within one batch).
-    pub fn push(&mut self, e: Experiment) -> usize {
-        let spec = e.spec();
+    pub fn push(&mut self, spec: JobSpec) -> usize {
         if let Some(i) = self.specs.iter().position(|s| *s == spec) {
             return i;
         }
@@ -585,34 +421,6 @@ impl ExperimentSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn experiment_builder_composes() {
-        // The §4.1 repair preset: 4 threads and a faster detection tick.
-        let preset = Experiment::repair("lreg").spec().cfg;
-        assert_eq!(preset.threads, 4);
-        assert!(preset.tick_interval < Experiment::new("lreg").spec().cfg.tick_interval);
-
-        let e = Experiment::repair("lreg")
-            .runtime(RuntimeKind::TmiProtect)
-            .threads(2)
-            .scale(0.25)
-            .fixed()
-            .misaligned()
-            .huge_pages()
-            .period(10)
-            .tick_interval(123)
-            .max_ops(456);
-        let spec = e.spec();
-        assert_eq!(spec.workload, "lreg");
-        assert_eq!(spec.cfg.runtime, RuntimeKind::TmiProtect);
-        assert_eq!(spec.cfg.threads, 2);
-        assert_eq!(spec.cfg.scale, 0.25);
-        assert!(spec.cfg.fixed && spec.cfg.misaligned && spec.cfg.huge_pages);
-        assert_eq!(spec.cfg.period, 10);
-        assert_eq!(spec.cfg.tick_interval, 123);
-        assert_eq!(spec.cfg.max_ops, 456);
-    }
 
     #[test]
     fn pool_sizing_respects_explicit_count() {

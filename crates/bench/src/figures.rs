@@ -17,9 +17,9 @@
 
 use std::fmt::Write as _;
 
-use crate::exec::{Executor, Experiment, ExperimentSet, JobResult};
+use crate::exec::{Executor, ExperimentSet, JobResult};
 use crate::report::{mean, pct, SpeedupTable, Table};
-use crate::{RunResult, RuntimeKind};
+use crate::{JobSpec, RunResult, RuntimeKind};
 
 /// One section of the evaluation report, as `run_all` renders it.
 #[derive(Clone, Copy, Debug)]
@@ -132,17 +132,91 @@ fn completed(jr: &JobResult) -> Option<&RunResult> {
 /// stored values natively; a guard-less PTSB merges at byte granularity
 /// and fabricates `0xABCD`.
 pub fn fig3() -> String {
-    use tmi::{AppLayout, TmiConfig, TmiRuntime};
     use tmi_baselines::{SheriffConfig, SheriffRuntime};
+    use tmi_sim::NullRuntime;
+
+    let mut table = Table::new(&["execution", "final x", "AMBSA"]);
+    let verdict = |x: u64| {
+        if x == 0xAB00 || x == 0x00CD {
+            "preserved".to_string()
+        } else {
+            format!("VIOLATED (x = {x:#06x}, written by no thread)")
+        }
+    };
+
+    let (native, _) = ambsa::litmus(NullRuntime, |_| {});
+    table.row(vec![
+        "native (pthreads)".into(),
+        format!("{native:#06x}"),
+        verdict(native),
+    ]);
+
+    // Sheriff: whole-heap PTSB, no consistency guard → word tearing.
+    let (sheriff, _) = ambsa::litmus(
+        SheriffRuntime::new(SheriffConfig::protect(), ambsa::layout()),
+        |_| {},
+    );
+    table.row(vec![
+        "sheriff-protect".into(),
+        format!("{sheriff:#06x}"),
+        verdict(sheriff),
+    ]);
+
+    // TMI with code-centric consistency and x's page PTSB-armed by a
+    // pre-triggered repair: asm-region stores are routed to shared
+    // memory, so AMBSA holds even with the page armed.
+    let (tmi, _) = ambsa::tmi_protect();
+    table.row(vec![
+        "tmi-protect".into(),
+        format!("{tmi:#06x}"),
+        verdict(tmi),
+    ]);
+
+    let mut out = String::new();
+    let _ = writeln!(out, "Fig. 3: the AMBSA word-tearing litmus\n");
+    out.push_str(&table.render());
+    let _ = writeln!(
+        out,
+        "\nThe merge interleaving (Fig. 2/3): each thread's diff sees only its one\n\
+         changed byte, so both bytes land in shared memory: 0xABCD.\n\
+         (tmi-sim's twin-store unit tests exercise the same tearing deterministically:\n\
+         crates/core/src/twins.rs::word_tearing_is_reproducible_at_byte_granularity)"
+    );
+    out
+}
+
+/// The two-thread litmus engine behind [`fig3`].
+mod ambsa {
+    use tmi::{AppLayout, TmiConfig, TmiRuntime};
     use tmi_machine::{VAddr, Width, FRAME_SIZE};
     use tmi_os::MapRequest;
     use tmi_program::{InstrKind, Op, SequenceProgram};
-    use tmi_sim::{Engine, EngineConfig, NullRuntime, RuntimeHooks};
+    use tmi_sim::{Engine, EngineConfig, RuntimeHooks};
 
     const APP: u64 = 0x10_0000;
     const INTERNAL: u64 = 0x80_0000;
+    /// The contended location, 2-byte aligned.
+    const X: u64 = APP + 0x100;
 
-    fn litmus<R: RuntimeHooks>(runtime: R, in_asm_region: bool) -> u64 {
+    /// The litmus's memory layout, for runtimes built against one.
+    pub(super) fn layout() -> AppLayout {
+        AppLayout {
+            app_start: VAddr::new(APP),
+            app_len: 16 * FRAME_SIZE,
+            internal_start: VAddr::new(INTERNAL),
+            internal_len: 4 * FRAME_SIZE,
+            huge_pages: false,
+        }
+    }
+
+    /// Runs the litmus under `runtime`, each store inside an inline-asm
+    /// region. `arm` runs once both threads exist, before the first
+    /// instruction. Returns the final value of `x` and the finished
+    /// engine.
+    pub(super) fn litmus<R: RuntimeHooks>(
+        runtime: R,
+        arm: impl FnOnce(&mut Engine<R>),
+    ) -> (u64, Engine<R>) {
         let mut e = Engine::new(EngineConfig::with_cores(2), runtime);
         let app_obj = e.core_mut().kernel.create_object(16 * FRAME_SIZE);
         let int_obj = e.core_mut().kernel.create_object(4 * FRAME_SIZE);
@@ -163,91 +237,42 @@ pub fn fig3() -> String {
             .unwrap();
         e.create_root_process(aspace);
 
-        let x = VAddr::new(APP + 0x100); // 2-byte aligned
+        let x = VAddr::new(X);
         let st = e
             .core_mut()
             .code
             .asm_instr("litmus::store_x", InstrKind::Store, Width::W2);
         for value in [0xAB00u64, 0x00CD] {
-            let mut ops = Vec::new();
-            if in_asm_region {
-                ops.push(Op::AsmEnter);
-            }
-            ops.push(Op::Store {
-                pc: st,
-                addr: x,
-                width: Width::W2,
-                value,
-            });
-            if in_asm_region {
-                ops.push(Op::AsmExit);
-            }
+            let ops = vec![
+                Op::AsmEnter,
+                Op::Store {
+                    pc: st,
+                    addr: x,
+                    width: Width::W2,
+                    value,
+                },
+                Op::AsmExit,
+            ];
             e.add_thread(Box::new(SequenceProgram::new(ops)));
         }
+        arm(&mut e);
         let r = e.run();
         assert!(r.completed(), "litmus must complete: {:?}", r.halt);
         let pa = e.core_mut().kernel.object_paddr(aspace, x).unwrap();
-        e.core_mut().kernel.physmem().read(pa, Width::W2)
+        let value = e.core_mut().kernel.physmem().read(pa, Width::W2);
+        (value, e)
     }
 
-    fn layout() -> AppLayout {
-        AppLayout {
-            app_start: VAddr::new(APP),
-            app_len: 16 * FRAME_SIZE,
-            internal_start: VAddr::new(INTERNAL),
-            internal_len: 4 * FRAME_SIZE,
-            huge_pages: false,
-        }
+    /// Fig. 3's `tmi-protect` row: full TMI with `x`'s page armed up
+    /// front through [`TmiRuntime::force_repair`], as the differential
+    /// oracle's fixture arms its data pages. Two stores are far too few to
+    /// trigger repair by sampling.
+    pub(super) fn tmi_protect() -> (u64, Engine<TmiRuntime>) {
+        litmus(TmiRuntime::new(TmiConfig::protect(), layout()), |e| {
+            let (rt, core) = e.runtime_and_core();
+            rt.force_repair(core, &[VAddr::new(X).vpn()]);
+        })
     }
-
-    let mut table = Table::new(&["execution", "final x", "AMBSA"]);
-    let verdict = |x: u64| {
-        if x == 0xAB00 || x == 0x00CD {
-            "preserved".to_string()
-        } else {
-            format!("VIOLATED (x = {x:#06x}, written by no thread)")
-        }
-    };
-
-    let native = litmus(NullRuntime, true);
-    table.row(vec![
-        "native (pthreads)".into(),
-        format!("{native:#06x}"),
-        verdict(native),
-    ]);
-
-    // Sheriff: whole-heap PTSB, no consistency guard → word tearing.
-    let sheriff = litmus(
-        SheriffRuntime::new(SheriffConfig::protect(), layout()),
-        true,
-    );
-    table.row(vec![
-        "sheriff-protect".into(),
-        format!("{sheriff:#06x}"),
-        verdict(sheriff),
-    ]);
-
-    // TMI with code-centric consistency, PTSB-everywhere armed via the
-    // ablation config plus a pre-triggered repair: asm-region stores are
-    // routed to shared memory, so AMBSA holds even with the page armed.
-    let tmi = litmus(TmiRuntime::new(TmiConfig::protect(), layout()), true);
-    table.row(vec![
-        "tmi-protect".into(),
-        format!("{tmi:#06x}"),
-        verdict(tmi),
-    ]);
-
-    let mut out = String::new();
-    let _ = writeln!(out, "Fig. 3: the AMBSA word-tearing litmus\n");
-    out.push_str(&table.render());
-    let _ = writeln!(
-        out,
-        "\nThe merge interleaving (Fig. 2/3): each thread's diff sees only its one\n\
-         changed byte, so both bytes land in shared memory: 0xABCD.\n\
-         (tmi-sim's twin-store unit tests exercise the same tearing deterministically:\n\
-         crates/core/src/twins.rs::word_tearing_is_reproducible_at_byte_granularity)"
-    );
-    out
 }
 
 /// Fig. 4 — runtime and HITM records vs perf sampling period on leveldb.
@@ -258,7 +283,7 @@ pub fn fig4(exec: &Executor, scale: f64) -> String {
         .iter()
         .map(|&p| {
             set.push(
-                Experiment::new("leveldb")
+                JobSpec::new("leveldb")
                     .runtime(RuntimeKind::TmiDetect)
                     .scale(scale)
                     .period(p),
@@ -318,22 +343,22 @@ pub fn fig7(exec: &Executor, scale: f64) -> String {
     let mut sheriff_compat = 0usize;
     for name in tmi_workloads::SUITE {
         let spec = tmi_workloads::by_name(name).unwrap().spec();
-        let base = set.push(Experiment::new(name).scale(scale));
+        let base = set.push(JobSpec::new(name).scale(scale));
         let sheriff = spec.sheriff_compatible.then(|| {
             sheriff_compat += 1;
             set.push(
-                Experiment::new(name)
+                JobSpec::new(name)
                     .runtime(RuntimeKind::SheriffDetect)
                     .scale(scale),
             )
         });
         let alloc = set.push(
-            Experiment::new(name)
+            JobSpec::new(name)
                 .runtime(RuntimeKind::TmiAlloc)
                 .scale(scale),
         );
         let detect = set.push(
-            Experiment::new(name)
+            JobSpec::new(name)
                 .runtime(RuntimeKind::TmiDetect)
                 .scale(scale),
         );
@@ -404,9 +429,9 @@ pub fn fig8(exec: &Executor, scale: f64) -> String {
     let jobs: Vec<(&str, usize, usize)> = tmi_workloads::SUITE
         .iter()
         .map(|&name| {
-            let base = set.push(Experiment::new(name).scale(scale));
+            let base = set.push(JobSpec::new(name).scale(scale));
             let tmi = set.push(
-                Experiment::new(name)
+                JobSpec::new(name)
                     .runtime(RuntimeKind::TmiProtect)
                     .scale(scale),
             );
@@ -470,16 +495,11 @@ pub fn fig9(exec: &Executor, scale: f64) -> String {
     let mut rows = Vec::new();
     for name in tmi_workloads::REPAIR_SUITE {
         let spec = tmi_workloads::by_name(name).unwrap().spec();
-        let cfg = |rt| {
-            Experiment::repair(name)
-                .runtime(rt)
-                .scale(scale)
-                .misaligned()
-        };
+        let cfg = |rt| JobSpec::repair(name).runtime(rt).scale(scale).misaligned();
         rows.push(Row {
             name,
             base: set.push(cfg(RuntimeKind::Pthreads)),
-            manual: set.push(Experiment::repair(name).scale(scale).fixed()),
+            manual: set.push(JobSpec::repair(name).scale(scale).fixed()),
             sheriff: spec
                 .sheriff_compatible
                 .then(|| set.push(cfg(RuntimeKind::SheriffProtect))),
@@ -572,7 +592,7 @@ pub fn table3(exec: &Executor, scale: f64) -> String {
         .iter()
         .map(|&name| {
             let job = set.push(
-                Experiment::repair(name)
+                JobSpec::repair(name)
                     .runtime(RuntimeKind::TmiProtect)
                     .scale(scale)
                     .misaligned(),
@@ -622,12 +642,12 @@ pub fn fig10(exec: &Executor, scale: f64) -> String {
         .iter()
         .map(|&name| {
             let small = set.push(
-                Experiment::new(name)
+                JobSpec::new(name)
                     .runtime(RuntimeKind::TmiDetect)
                     .scale(scale),
             );
             let huge = set.push(
-                Experiment::new(name)
+                JobSpec::new(name)
                     .runtime(RuntimeKind::TmiDetect)
                     .scale(scale)
                     .huge_pages(),
@@ -679,7 +699,7 @@ pub fn fig11(exec: &Executor, scale: f64) -> String {
         .iter()
         .map(|&rt| {
             set.push(
-                Experiment::repair("canneal")
+                JobSpec::repair("canneal")
                     .runtime(rt)
                     .scale(scale)
                     .max_ops(30_000_000), // bound broken runs
@@ -736,9 +756,7 @@ pub fn fig12(exec: &Executor) -> String {
         .iter()
         .map(|&rt| {
             set.push(
-                Experiment::repair("cholesky")
-                    .runtime(rt)
-                    .max_ops(8_000_000), // bound the hang
+                JobSpec::repair("cholesky").runtime(rt).max_ops(8_000_000), // bound the hang
             )
         })
         .collect();
@@ -797,12 +815,7 @@ pub fn ablate_ptsb_everywhere(exec: &Executor, scale: f64) -> String {
     let jobs: Vec<(&str, usize, usize, usize)> = WORKLOADS
         .iter()
         .map(|&name| {
-            let cfg = |rt| {
-                Experiment::repair(name)
-                    .runtime(rt)
-                    .scale(scale)
-                    .misaligned()
-            };
+            let cfg = |rt| JobSpec::repair(name).runtime(rt).scale(scale).misaligned();
             (
                 name,
                 set.push(cfg(RuntimeKind::Pthreads)),
@@ -854,7 +867,7 @@ pub fn sweep_threads(exec: &Executor, name: &str, scale: f64) -> String {
         .iter()
         .map(|&threads| {
             let cfg = |rt| {
-                Experiment::repair(name)
+                JobSpec::repair(name)
                     .runtime(rt)
                     .scale(scale)
                     .misaligned()
@@ -863,12 +876,7 @@ pub fn sweep_threads(exec: &Executor, name: &str, scale: f64) -> String {
             (
                 threads,
                 set.push(cfg(RuntimeKind::Pthreads)),
-                set.push(
-                    Experiment::repair(name)
-                        .scale(scale)
-                        .fixed()
-                        .threads(threads),
-                ),
+                set.push(JobSpec::repair(name).scale(scale).fixed().threads(threads)),
                 set.push(cfg(RuntimeKind::TmiProtect)),
             )
         })
@@ -952,7 +960,7 @@ pub fn table1(exec: &Executor, scale: f64) -> String {
                 })
                 .map(|&name| {
                     set.push(
-                        Experiment::new(name)
+                        JobSpec::new(name)
                             .runtime(rt)
                             .scale(scale)
                             .max_ops(40_000_000),
@@ -968,16 +976,12 @@ pub fn table1(exec: &Executor, scale: f64) -> String {
         .map(|&rt| {
             (
                 set.push(
-                    Experiment::repair("canneal")
+                    JobSpec::repair("canneal")
                         .runtime(rt)
                         .scale(0.5)
                         .max_ops(20_000_000),
                 ),
-                set.push(
-                    Experiment::repair("cholesky")
-                        .runtime(rt)
-                        .max_ops(6_000_000),
-                ),
+                set.push(JobSpec::repair("cholesky").runtime(rt).max_ops(6_000_000)),
             )
         })
         .collect();
@@ -992,8 +996,8 @@ pub fn table1(exec: &Executor, scale: f64) -> String {
                 .iter()
                 .map(|&name| {
                     (
-                        set.push(Experiment::new(name).scale(oscale)),
-                        set.push(Experiment::new(name).runtime(rt).scale(oscale)),
+                        set.push(JobSpec::new(name).scale(oscale)),
+                        set.push(JobSpec::new(name).runtime(rt).scale(oscale)),
                     )
                 })
                 .collect()
@@ -1020,15 +1024,10 @@ pub fn table1(exec: &Executor, scale: f64) -> String {
                     if rt == RuntimeKind::SheriffProtect && !spec.sheriff_compatible {
                         return FracJob::Incompatible;
                     }
-                    let cfg = |k| {
-                        Experiment::repair(name)
-                            .runtime(k)
-                            .scale(fscale)
-                            .misaligned()
-                    };
+                    let cfg = |k| JobSpec::repair(name).runtime(k).scale(fscale).misaligned();
                     FracJob::Runs {
                         base: set.push(cfg(RuntimeKind::Pthreads)),
-                        manual: set.push(Experiment::repair(name).scale(fscale).fixed()),
+                        manual: set.push(JobSpec::repair(name).scale(fscale).fixed()),
                         r: set.push(cfg(rt).max_ops(60_000_000)),
                     }
                 })
@@ -1127,6 +1126,18 @@ pub fn table1(exec: &Executor, scale: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fig3_tmi_row_runs_with_xs_page_armed() {
+        let (x, engine) = ambsa::tmi_protect();
+        assert!(x == 0xAB00 || x == 0x00CD, "AMBSA holds: x = {x:#06x}");
+        let m = engine.metrics("tmi");
+        assert!(
+            m.u64("tmi.repair.protected_pages") >= 1,
+            "the PTSB must be armed on x's page"
+        );
+        assert_eq!(m.u64("tmi.repair.converted"), 1);
+    }
 
     #[test]
     fn sections_are_unique_and_quick_rows_match_the_golden_banners() {

@@ -36,6 +36,9 @@ use crate::exec::pool_map;
 use crate::harness::RuntimeKind;
 use crate::spec::JobSpec;
 
+/// A campaign keeps full reports for at most this many divergent seeds.
+const MAX_REPORTS: usize = 5;
+
 /// Campaign parameters.
 #[derive(Clone, Debug)]
 pub struct FuzzConfig {
@@ -48,8 +51,6 @@ pub struct FuzzConfig {
     pub ablate_code_centric: bool,
     /// Worker threads (`None` = [`std::thread::available_parallelism`]).
     pub workers: Option<usize>,
-    /// Full reports kept for at most this many divergent seeds.
-    pub max_reports: usize,
     /// Base fault seed: run every checked seed under a seeded fault
     /// schedule (per-program seed derived via
     /// [`tmi_oracle::derive_fault_seed`]). Repair may retry, degrade,
@@ -80,7 +81,6 @@ impl Default for FuzzConfig {
             start_seed: 0,
             ablate_code_centric: false,
             workers: None,
-            max_reports: 5,
             faults: None,
             transistency: false,
             enumerate: 0,
@@ -148,8 +148,7 @@ pub struct CampaignResult {
     pub total_steps: u64,
     /// Static coverage summed over every checked program.
     pub coverage: Coverage,
-    /// Full reports for the first [`FuzzConfig::max_reports`] divergent
-    /// seeds.
+    /// Full reports for the first five divergent seeds.
     pub reports: Vec<CheckReport>,
     /// Fault-campaign aggregates (present iff [`FuzzConfig::faults`]).
     pub faults: Option<CampaignFaults>,
@@ -293,7 +292,7 @@ impl CampaignResult {
 /// exactly like a campaign seed.
 pub fn check_spec(spec: &JobSpec) -> Result<CheckReport, String> {
     let check = CheckConfig {
-        code_centric: spec.cfg.runtime != RuntimeKind::TmiNoCodeCentric,
+        code_centric: spec.runtime != RuntimeKind::TmiNoCodeCentric,
         faults: (spec.seed != 0).then_some(spec.seed),
         ..CheckConfig::default()
     };
@@ -312,7 +311,6 @@ fn campaign_check(cfg: &FuzzConfig) -> CheckConfig {
         code_centric: !cfg.ablate_code_centric,
         faults: cfg.faults,
         ablate_shootdown: cfg.ablate_shootdown,
-        ..CheckConfig::default()
     }
 }
 
@@ -374,7 +372,7 @@ pub fn run_campaign(cfg: &FuzzConfig) -> CampaignResult {
             if out.divergent_seeds.last() != Some(&r.seed) {
                 out.divergent_seeds.push(r.seed);
             }
-            if out.reports.len() < cfg.max_reports {
+            if out.reports.len() < MAX_REPORTS {
                 out.reports.push(r);
             }
         }

@@ -97,59 +97,6 @@ impl RuntimeKind {
     }
 }
 
-/// Full configuration for one run.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct RunConfig {
-    /// The runtime supervising the run.
-    pub runtime: RuntimeKind,
-    /// Worker threads (= cores).
-    pub threads: usize,
-    /// Work scale (1.0 = benchmark size).
-    pub scale: f64,
-    /// Apply the manual source fix.
-    pub fixed: bool,
-    /// Force misaligned allocation (repair experiments, §4.3).
-    pub misaligned: bool,
-    /// Map application memory with 2 MiB huge pages (§4.4).
-    pub huge_pages: bool,
-    /// perf sampling period (Fig. 4 sweeps this).
-    pub period: u64,
-    /// Detection-tick interval in cycles.
-    pub tick_interval: u64,
-    /// Livelock backstop in dynamic ops.
-    pub max_ops: u64,
-}
-
-impl RunConfig {
-    /// Defaults: 8 threads (the detection machine), benchmark scale,
-    /// period 100, 0.5 ms ticks.
-    pub fn new(runtime: RuntimeKind) -> Self {
-        RunConfig {
-            runtime,
-            threads: 8,
-            scale: 1.0,
-            fixed: false,
-            misaligned: false,
-            huge_pages: false,
-            period: 100,
-            tick_interval: 1_700_000,
-            max_ops: 80_000_000,
-        }
-    }
-
-    /// The 4-thread configuration of the repair experiments (§4.1), with a
-    /// faster detection tick so that detection latency occupies the same
-    /// small fraction of these shorter runs as the paper's 1 Hz analysis
-    /// does of its minute-long ones.
-    pub fn repair(runtime: RuntimeKind) -> Self {
-        RunConfig {
-            threads: 4,
-            tick_interval: 400_000,
-            ..Self::new(runtime)
-        }
-    }
-}
-
 /// Everything measured in one run.
 #[derive(Clone, Debug)]
 pub struct RunResult {
@@ -219,13 +166,13 @@ impl RunResult {
     }
 }
 
-fn alloc_config(cfg: &RunConfig, allocator_sensitive: bool) -> AllocConfig {
+fn alloc_config(spec: &JobSpec, allocator_sensitive: bool) -> AllocConfig {
     let mut ac = AllocConfig::default();
-    if allocator_sensitive && !cfg.fixed && !cfg.runtime.has_own_allocator() {
+    if allocator_sensitive && !spec.fixed && !spec.runtime.has_own_allocator() {
         // The glibc-style layout that packs cross-thread allocations, the
         // condition under which lu-ncb exhibits false sharing.
         ac.policy = AllocPolicy::Glibc;
-        if cfg.misaligned {
+        if spec.misaligned {
             ac.misalign = 8;
         }
     }
@@ -238,19 +185,16 @@ struct Built<R: RuntimeHooks> {
     aspace: tmi_os::AsId,
 }
 
-fn build<R: RuntimeHooks>(
-    name: &str,
-    cfg: &RunConfig,
-    make_runtime: impl FnOnce(AppLayout) -> R,
-) -> Built<R> {
+fn build<R: RuntimeHooks>(spec: &JobSpec, make_runtime: impl FnOnce(AppLayout) -> R) -> Built<R> {
+    let name = &spec.workload;
     let mut workload =
         tmi_workloads::by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
-    let spec = workload.spec();
+    let props = workload.spec();
 
-    let app_len: u64 = if spec.big_memory { 64 << 20 } else { 16 << 20 };
-    let mut engine_cfg = EngineConfig::with_cores(cfg.threads.max(1));
-    engine_cfg.tick_interval = cfg.tick_interval;
-    engine_cfg.max_ops = cfg.max_ops;
+    let app_len: u64 = if props.big_memory { 64 << 20 } else { 16 << 20 };
+    let mut engine_cfg = EngineConfig::with_cores(spec.threads.max(1));
+    engine_cfg.tick_interval = spec.tick_interval;
+    engine_cfg.max_ops = spec.max_ops;
     engine_cfg.max_cycles = 60_000_000_000;
 
     // The runtime is constructed against the layout before the engine
@@ -260,7 +204,7 @@ fn build<R: RuntimeHooks>(
         app_len,
         internal_start: VAddr::new(INTERNAL_START),
         internal_len: INTERNAL_LEN,
-        huge_pages: cfg.huge_pages,
+        huge_pages: spec.huge_pages,
     };
     let mut engine = Engine::new(engine_cfg, make_runtime(layout));
 
@@ -274,7 +218,7 @@ fn build<R: RuntimeHooks>(
     let internal_obj = kernel.create_object(INTERNAL_LEN);
     let aspace = kernel.create_aspace();
     let mut req = MapRequest::object(VAddr::new(APP_START), app_len, app_obj, 0);
-    if cfg.huge_pages {
+    if spec.huge_pages {
         req = req.huge();
     }
     kernel.map(aspace, req).expect("map app object");
@@ -291,13 +235,13 @@ fn build<R: RuntimeHooks>(
     let mut alloc = SimAllocator::new(
         VAddr::new(APP_START),
         app_len,
-        alloc_config(cfg, spec.allocator_sensitive),
+        alloc_config(spec, props.allocator_sensitive),
     );
     let params = WorkloadParams {
-        threads: cfg.threads,
-        scale: cfg.scale,
-        fixed: cfg.fixed,
-        misaligned: cfg.misaligned,
+        threads: spec.threads,
+        scale: spec.scale,
+        fixed: spec.fixed,
+        misaligned: spec.misaligned,
     };
     let core = engine.core_mut();
     let programs = {
@@ -332,10 +276,10 @@ fn split_core(core: &mut tmi_sim::EngineCore) -> EngineCoreView<'_> {
     EngineCoreView { kernel, code }
 }
 
-fn base_result(name: &str, cfg: &RunConfig) -> RunResult {
+fn base_result(spec: &JobSpec) -> RunResult {
     RunResult {
-        workload: name.to_owned(),
-        runtime: cfg.runtime.label(),
+        workload: spec.workload.clone(),
+        runtime: spec.runtime.label(),
         halt: Halt::Completed,
         cycles: 0,
         seconds: 0.0,
@@ -357,8 +301,7 @@ fn base_result(name: &str, cfg: &RunConfig) -> RunResult {
 }
 
 fn finish<R: RuntimeHooks + MetricSource>(
-    name: &str,
-    cfg: &RunConfig,
+    spec: &JobSpec,
     metric_prefix: &str,
     mut built: Built<R>,
     faults: Option<&FaultInjector>,
@@ -376,7 +319,7 @@ fn finish<R: RuntimeHooks + MetricSource>(
             .set_fault_injector(inj.clone());
     }
     let report = built.engine.run();
-    let mut r = base_result(name, cfg);
+    let mut r = base_result(spec);
     r.halt = report.halt.clone();
     r.cycles = report.cycles;
     r.seconds = report.seconds();
@@ -405,12 +348,11 @@ fn finish<R: RuntimeHooks + MetricSource>(
 }
 
 /// The single synchronous entry point every run funnels through: the
-/// [`crate::Experiment`] builder, the executor and the service worker
-/// pool all lower to a [`JobSpec`] and land here. Honors the spec's
-/// fault-schedule seed (a seeded [`FaultInjector`] installed into the
-/// kernel and, for TMI runtimes, the perf monitor and repair governor).
-/// `tracer` receives the run's events when enabled; it never changes the
-/// result.
+/// [`JobSpec`] run methods, the executor and the service worker pool all
+/// land here. Honors the spec's fault-schedule seed (a seeded
+/// [`FaultInjector`] installed into the kernel and, for TMI runtimes, the
+/// perf monitor and repair governor). `tracer` receives the run's events
+/// when enabled; it never changes the result.
 ///
 /// # Panics
 ///
@@ -418,76 +360,74 @@ fn finish<R: RuntimeHooks + MetricSource>(
 pub fn execute_spec(spec: &JobSpec, tracer: &Tracer) -> RunResult {
     let injector = (spec.seed != 0).then(|| FaultInjector::new(FaultPlan::from_seed(spec.seed)));
     let faults = injector.as_ref();
-    let (name, cfg) = (spec.workload.as_str(), &spec.cfg);
-    let tmi_cfg = |preset: TmiConfig| TmiConfig {
-        perf: PerfConfig::with_period(cfg.period),
-        ..preset
-    };
-    let make_tmi = |c: TmiConfig| {
-        move |l: AppLayout| {
-            let mut rt = TmiRuntime::new(c, l);
-            rt.set_tracer(tracer.clone());
-            if let Some(inj) = faults {
-                rt.set_fault_injector(inj.clone());
-            }
-            rt
-        }
-    };
-    let make_sheriff = |c: SheriffConfig| {
-        move |l: AppLayout| {
-            let mut rt = SheriffRuntime::new(c, l);
-            rt.set_tracer(tracer.clone());
-            rt
-        }
-    };
-    match cfg.runtime {
+    match spec.runtime {
         RuntimeKind::Pthreads | RuntimeKind::TmiAlloc => {
-            let built = build(name, cfg, |_| NullRuntime);
-            finish(name, cfg, "runtime", built, faults, |_rt, _core, _r| {})
+            let built = build(spec, |_| NullRuntime);
+            finish(spec, "runtime", built, faults, |_rt, _core, _r| {})
         }
-        RuntimeKind::TmiDetect => {
-            let built = build(name, cfg, make_tmi(tmi_cfg(TmiConfig::detect_only())));
-            finish(name, cfg, "tmi", built, faults, fill_tmi)
+        RuntimeKind::TmiDetect
+        | RuntimeKind::TmiProtect
+        | RuntimeKind::TmiPtsbEverywhere
+        | RuntimeKind::TmiNoCodeCentric => {
+            let built = build(spec, |l| {
+                let mut rt = TmiRuntime::new(tmi_config(spec), l);
+                rt.set_tracer(tracer.clone());
+                if let Some(inj) = faults {
+                    rt.set_fault_injector(inj.clone());
+                }
+                rt
+            });
+            finish(spec, "tmi", built, faults, fill_tmi)
         }
-        RuntimeKind::TmiProtect => {
-            let built = build(name, cfg, make_tmi(tmi_cfg(TmiConfig::protect())));
-            finish(name, cfg, "tmi", built, faults, fill_tmi)
-        }
-        RuntimeKind::TmiPtsbEverywhere => {
-            let built = build(name, cfg, make_tmi(tmi_cfg(TmiConfig::ptsb_everywhere())));
-            finish(name, cfg, "tmi", built, faults, fill_tmi)
-        }
-        RuntimeKind::TmiNoCodeCentric => {
-            let c = TmiConfig {
-                code_centric: false,
-                ..tmi_cfg(TmiConfig::protect())
+        RuntimeKind::SheriffDetect | RuntimeKind::SheriffProtect => {
+            let config = SheriffConfig {
+                detect_mode: spec.runtime == RuntimeKind::SheriffDetect,
             };
-            let built = build(name, cfg, make_tmi(c));
-            finish(name, cfg, "tmi", built, faults, fill_tmi)
-        }
-        RuntimeKind::SheriffDetect => {
-            let built = build(name, cfg, make_sheriff(SheriffConfig::detect()));
-            finish(name, cfg, "sheriff", built, faults, fill_sheriff)
-        }
-        RuntimeKind::SheriffProtect => {
-            let built = build(name, cfg, make_sheriff(SheriffConfig::protect()));
-            finish(name, cfg, "sheriff", built, faults, fill_sheriff)
+            let built = build(spec, |l| {
+                let mut rt = SheriffRuntime::new(config, l);
+                rt.set_tracer(tracer.clone());
+                rt
+            });
+            finish(spec, "sheriff", built, faults, fill_sheriff)
         }
         RuntimeKind::Laser => {
-            let perf = PerfConfig::with_period(cfg.period);
-            let built = build(name, cfg, |l| LaserRuntime::new(perf, l));
-            finish(name, cfg, "laser", built, faults, |_rt, _core, r| {
+            let perf = PerfConfig::with_period(spec.period);
+            let built = build(spec, |l| LaserRuntime::new(perf, l));
+            finish(spec, "laser", built, faults, |_rt, _core, r| {
                 r.repaired = r.metrics.u64("laser.repaired") != 0;
                 r.perf_events = r.metrics.u64("laser.emulated_stores"); // proxy
             })
         }
         RuntimeKind::Plastic => {
-            let perf = PerfConfig::with_period(cfg.period);
-            let built = build(name, cfg, |l| PlasticRuntime::new(perf, l));
-            finish(name, cfg, "plastic", built, faults, |_rt, _core, r| {
+            let perf = PerfConfig::with_period(spec.period);
+            let built = build(spec, |l| PlasticRuntime::new(perf, l));
+            finish(spec, "plastic", built, faults, |_rt, _core, r| {
                 r.repaired = r.metrics.u64("plastic.remapped_lines") > 0;
             })
         }
+    }
+}
+
+/// The TMI configuration a spec on one of TMI's runtime kinds runs under:
+/// the kind's preset, sampling at the spec's perf period.
+///
+/// # Panics
+///
+/// Panics if the spec's runtime is not a TMI mode.
+fn tmi_config(spec: &JobSpec) -> TmiConfig {
+    let preset = match spec.runtime {
+        RuntimeKind::TmiDetect => TmiConfig::detect_only(),
+        RuntimeKind::TmiProtect => TmiConfig::protect(),
+        RuntimeKind::TmiPtsbEverywhere => TmiConfig::ptsb_everywhere(),
+        RuntimeKind::TmiNoCodeCentric => TmiConfig {
+            code_centric: false,
+            ..TmiConfig::protect()
+        },
+        other => panic!("{} is not a TMI runtime", other.label()),
+    };
+    TmiConfig {
+        perf: PerfConfig::with_period(spec.period),
+        ..preset
     }
 }
 
@@ -517,32 +457,23 @@ fn fill_sheriff(rt: &SheriffRuntime, _core: &tmi_sim::EngineCore, r: &mut RunRes
     r.memory_bytes = r.app_bytes + r.metrics.u64("sheriff.repair.twin_peak_bytes");
 }
 
-/// Implementation behind [`crate::Experiment::run_detect_report`].
-pub(crate) fn execute_detect_report(
-    name: &str,
-    cfg: &RunConfig,
-) -> (RunResult, tmi::ContentionReport, f64) {
-    let mut cfg = *cfg;
-    cfg.runtime = RuntimeKind::TmiDetect;
-    let c = TmiConfig {
-        perf: PerfConfig::with_period(cfg.period),
-        ..TmiConfig::detect_only()
-    };
-    let built = build(name, &cfg, |l| TmiRuntime::new(c, l));
+/// Implementation behind [`JobSpec::run_detect_report`]: the spec under
+/// `tmi-detect`, without tracing or faults.
+pub(crate) fn execute_detect_report(spec: &JobSpec) -> (RunResult, tmi::ContentionReport, f64) {
+    let spec = spec.clone().runtime(RuntimeKind::TmiDetect);
+    let built = build(&spec, |l| TmiRuntime::new(tmi_config(&spec), l));
     let mut report = tmi::ContentionReport::default();
-    let r = finish(name, &cfg, "tmi", built, None, |rt, core, res| {
+    let r = finish(&spec, "tmi", built, None, |rt, core, res| {
         fill_tmi(rt, core, res);
         report = tmi::ContentionReport::build(rt.observe().detector(), &core.code, 16);
     });
-    let predicted =
-        report.predict_manual_speedup_calibrated(r.cycles, cfg.threads, Some(r.perf_events));
+    let predicted = report.predict_manual_speedup_calibrated(r.cycles, Some(r.perf_events));
     (r, report, predicted)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Experiment;
 
     #[test]
     fn runtime_kind_properties() {
@@ -561,26 +492,25 @@ mod tests {
 
     #[test]
     fn alloc_config_selects_glibc_only_for_sensitive_baselines() {
-        let cfg = |e: Experiment| e.spec().cfg;
-        let base = cfg(Experiment::repair("lu-ncb").misaligned());
+        let base = JobSpec::repair("lu-ncb").misaligned();
         let ac = alloc_config(&base, true);
         assert_eq!(ac.policy, AllocPolicy::Glibc);
         assert_eq!(ac.misalign, 8);
         // Runtimes with their own allocator escape the bad layout.
-        let tmi = cfg(Experiment::repair("lu-ncb")
+        let tmi = JobSpec::repair("lu-ncb")
             .runtime(RuntimeKind::TmiProtect)
-            .misaligned());
+            .misaligned();
         assert_eq!(alloc_config(&tmi, true).policy, AllocPolicy::Lockless);
         // Non-sensitive workloads keep the default even on baselines.
         assert_eq!(alloc_config(&base, false).policy, AllocPolicy::Lockless);
         // The manual fix also escapes it.
-        let fixed = cfg(Experiment::repair("lu-ncb").fixed());
+        let fixed = JobSpec::repair("lu-ncb").fixed();
         assert_eq!(alloc_config(&fixed, true).policy, AllocPolicy::Lockless);
     }
 
     #[test]
     fn result_time_conversions() {
-        let mut r = base_result("x", &RunConfig::new(RuntimeKind::Pthreads));
+        let mut r = base_result(&JobSpec::new("x"));
         r.cycles = 3_400_000;
         r.seconds = 1e-3;
         r.commits = 34;

@@ -29,9 +29,10 @@
 //! | `sweep_threads` | extension: FS penalty & repair quality vs thread count on lreg |
 //! | `table1` | Table 1 — requirements matrix |
 //!
-//! The public API is the [`Experiment`] builder for a single run and
+//! A cell of the experiment matrix is one [`JobSpec`]: build it with its
+//! builder methods and [`JobSpec::run`] it, or batch cells with
 //! [`ExperimentSet`] / [`Executor`] ([`exec`]) for deterministic parallel
-//! batches; [`figures`] holds the rendering behind each section, and
+//! execution; [`figures`] holds the rendering behind each section, and
 //! [`harness`] is the machine-assembly layer underneath.
 
 pub mod exec;
@@ -42,10 +43,14 @@ pub mod report;
 pub mod spec;
 pub mod telemetry;
 
-pub use harness::{RunConfig, RunResult, RuntimeKind};
+pub use harness::{RunResult, RuntimeKind};
 pub use harness::{APP_START, INTERNAL_LEN, INTERNAL_START};
 
-pub use exec::{pool_map, Executor, Experiment, ExperimentSet, JobResult};
+pub use exec::{pool_map, Executor, ExperimentSet, JobResult};
 pub use fuzz::{check_spec, run_campaign, CampaignResult, FuzzConfig};
 pub use report::SpeedupTable;
 pub use spec::JobSpec;
+
+/// The former name of the cell builder, kept for the standalone
+/// `perfbench` package; workspace code names [`JobSpec`].
+pub type Experiment = JobSpec;

@@ -1,10 +1,11 @@
 //! The shared job-specification vocabulary.
 //!
-//! [`JobSpec`] is the one config type every way of running a simulation
-//! speaks: the [`crate::Experiment`] builder lowers into it, the
-//! [`crate::Executor`] memoizes on it, the fuzz driver
-//! ([`crate::fuzz::check_spec`]) consumes it for litmus jobs, and the
-//! `tmi-service` wire protocol serializes it as the request body. One
+//! [`JobSpec`] is the one description of a cell of the experiment matrix
+//! (§4.1: one workload under one runtime and configuration). Figures and
+//! tests build it with its builder methods and run it
+//! ([`JobSpec::run`]), the [`crate::Executor`] memoizes on it, the fuzz
+//! driver ([`crate::fuzz::check_spec`]) consumes it for litmus jobs, and
+//! the `tmi-service` wire protocol serializes it as the request body. One
 //! vocabulary end to end means a job submitted over the socket, replayed
 //! from a CLI flag set, or built in a test is *the same job* — same
 //! memoization key, same deterministic result bytes.
@@ -18,13 +19,15 @@
 //!   flag set shared by `tmi_client`, `probe` and friends, replacing the
 //!   per-bin ad-hoc parsers.
 
-use tmi_machine::MAX_CORES;
+use tmi_machine::{LatencyModel, MAX_CORES};
 use tmi_telemetry::json::{self, Json};
+use tmi_telemetry::{chrome, Tracer};
 
-use crate::harness::{RunConfig, RuntimeKind};
+use crate::harness::{self, RunResult, RuntimeKind};
 
-/// One cell of the experiment matrix: a workload under a configuration,
-/// plus the fault-schedule seed that completes a job's identity.
+/// One cell of the experiment matrix: a workload under a runtime and
+/// configuration, plus the fault-schedule seed that completes a job's
+/// identity.
 ///
 /// `workload` is either a suite workload name (`tmi_workloads::SUITE`) or
 /// a pseudo-workload: `litmus:<seed>` runs the seeded litmus program
@@ -32,13 +35,40 @@ use crate::harness::{RunConfig, RuntimeKind};
 /// schedule-exploration clients submit), and `litmus+vm:<seed>` runs the
 /// seed's *transistency* program (VM operations interleaved with the
 /// consistency vocabulary) the same way.
+///
+/// ```
+/// use tmi_bench::{JobSpec, RuntimeKind};
+///
+/// let r = JobSpec::new("histogram")
+///     .runtime(RuntimeKind::TmiProtect)
+///     .threads(4)
+///     .scale(0.05)
+///     .run();
+/// assert!(r.ok());
+/// ```
 #[derive(Clone, PartialEq, Debug)]
 pub struct JobSpec {
     /// Workload name (see `tmi_workloads::SUITE`), `litmus:<seed>`, or
     /// `litmus+vm:<seed>`.
     pub workload: String,
-    /// Full run configuration.
-    pub cfg: RunConfig,
+    /// The runtime supervising the run.
+    pub runtime: RuntimeKind,
+    /// Worker threads (= cores).
+    pub threads: usize,
+    /// Work scale (1.0 = benchmark size).
+    pub scale: f64,
+    /// Apply the manual source fix.
+    pub fixed: bool,
+    /// Force misaligned allocation (repair experiments, §4.3).
+    pub misaligned: bool,
+    /// Map application memory with 2 MiB huge pages (§4.4).
+    pub huge_pages: bool,
+    /// perf sampling period (Fig. 4 sweeps this).
+    pub period: u64,
+    /// Detection-tick interval in cycles.
+    pub tick_interval: u64,
+    /// Livelock backstop in dynamic ops.
+    pub max_ops: u64,
     /// Fault-schedule seed. `0` disables injection; any other value runs
     /// the job under the seeded [`tmi_faultpoint::FaultPlan`] (for litmus
     /// jobs, the campaign base seed that
@@ -49,13 +79,33 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A spec on `workload` with the detection-machine defaults
-    /// ([`RunConfig::new`], pthreads, no faults).
+    /// A spec on `workload` with the detection-machine defaults: pthreads,
+    /// 8 threads, benchmark scale, period 100, 0.5 ms ticks, no faults.
     pub fn new(workload: impl Into<String>) -> Self {
         JobSpec {
             workload: workload.into(),
-            cfg: RunConfig::new(RuntimeKind::Pthreads),
+            runtime: RuntimeKind::Pthreads,
+            threads: 8,
+            scale: 1.0,
+            fixed: false,
+            misaligned: false,
+            huge_pages: false,
+            period: 100,
+            tick_interval: 1_700_000,
+            max_ops: 80_000_000,
             seed: 0,
+        }
+    }
+
+    /// A spec with the 4-thread configuration of the repair experiments
+    /// (§4.1), with a faster detection tick so that detection latency
+    /// occupies the same small fraction of these shorter runs as the
+    /// paper's 1 Hz analysis does of its minute-long ones.
+    pub fn repair(workload: impl Into<String>) -> Self {
+        JobSpec {
+            threads: 4,
+            tick_interval: 400_000,
+            ..JobSpec::new(workload)
         }
     }
 
@@ -63,11 +113,7 @@ impl JobSpec {
     /// repair — the unit of work of the differential fuzz campaign and
     /// of schedule-exploration service clients.
     pub fn litmus(program_seed: u64) -> Self {
-        JobSpec {
-            workload: format!("litmus:{program_seed}"),
-            cfg: RunConfig::repair(RuntimeKind::TmiProtect),
-            seed: 0,
-        }
+        JobSpec::repair(format!("litmus:{program_seed}")).runtime(RuntimeKind::TmiProtect)
     }
 
     /// A *transistency* litmus-check job: the seeded VM-op program
@@ -79,6 +125,100 @@ impl JobSpec {
             workload: format!("litmus+vm:{program_seed}"),
             ..JobSpec::litmus(program_seed)
         }
+    }
+
+    /// Sets the supervising runtime.
+    pub fn runtime(mut self, rt: RuntimeKind) -> Self {
+        self.runtime = rt;
+        self
+    }
+
+    /// Sets the worker-thread (= core) count.
+    pub fn threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
+        self
+    }
+
+    /// Sets the work scale (1.0 = benchmark size).
+    pub fn scale(mut self, scale: f64) -> Self {
+        self.scale = scale;
+        self
+    }
+
+    /// Applies the manual source fix (the `manual` bars of Fig. 9).
+    pub fn fixed(mut self) -> Self {
+        self.fixed = true;
+        self
+    }
+
+    /// Forces the misaligned allocation that exposes allocator-sensitive
+    /// false sharing (§4.3).
+    pub fn misaligned(mut self) -> Self {
+        self.misaligned = true;
+        self
+    }
+
+    /// Maps application memory with 2 MiB huge pages (§4.4).
+    pub fn huge_pages(mut self) -> Self {
+        self.huge_pages = true;
+        self
+    }
+
+    /// Sets the perf sampling period (Fig. 4 sweeps this).
+    pub fn period(mut self, period: u64) -> Self {
+        self.period = period;
+        self
+    }
+
+    /// Sets the detection-tick interval in cycles.
+    pub fn tick_interval(mut self, cycles: u64) -> Self {
+        self.tick_interval = cycles;
+        self
+    }
+
+    /// Sets the livelock backstop in dynamic ops.
+    pub fn max_ops(mut self, ops: u64) -> Self {
+        self.max_ops = ops;
+        self
+    }
+
+    /// Returns the spec unchanged; it ends a builder chain written
+    /// against the [`crate::Experiment`] name.
+    pub fn spec(self) -> Self {
+        self
+    }
+
+    /// Runs this cell synchronously on the current thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics on unknown workload names, like the harness.
+    pub fn run(&self) -> RunResult {
+        harness::execute_spec(self, &Tracer::disabled())
+    }
+
+    /// Runs under `tmi-detect` and also returns the perf-c2c-style
+    /// contention report plus the Cheetah-style predicted manual-fix
+    /// speedup (the runtime is forced to [`RuntimeKind::TmiDetect`]).
+    pub fn run_detect_report(&self) -> (RunResult, tmi::ContentionReport, f64) {
+        harness::execute_detect_report(self)
+    }
+
+    /// Runs this cell with telemetry tracing enabled and returns the
+    /// result plus the Chrome `trace_event` JSON document — load it at
+    /// `chrome://tracing` or <https://ui.perfetto.dev>. The trace embeds
+    /// the run's metrics snapshot and per-phase cycle profile under
+    /// `otherData`.
+    pub fn run_traced(&self) -> (RunResult, String) {
+        let tracer = Tracer::enabled();
+        let r = harness::execute_spec(self, &tracer);
+        let trace = chrome::export_trace(
+            &tracer.take_events(),
+            &r.phases,
+            LatencyModel::CLOCK_HZ,
+            Some(&r.metrics),
+        );
+        (r, trace)
     }
 
     /// The litmus program seed, if this is a plain litmus job.
@@ -102,36 +242,34 @@ impl JobSpec {
     /// spelled out in stable order. Byte-stable for equal specs, so it
     /// doubles as a cache key.
     pub fn to_json(&self) -> String {
-        let c = &self.cfg;
         format!(
             "{{\"workload\": {}, \"runtime\": {}, \"threads\": {}, \
              \"scale\": {}, \"fixed\": {}, \"misaligned\": {}, \
              \"huge_pages\": {}, \"period\": {}, \"tick_interval\": {}, \
              \"max_ops\": {}, \"seed\": {}}}",
             json::string(&self.workload),
-            json::string(c.runtime.label()),
-            c.threads,
-            json::fmt_f64(c.scale),
-            c.fixed,
-            c.misaligned,
-            c.huge_pages,
-            c.period,
-            c.tick_interval,
-            c.max_ops,
+            json::string(self.runtime.label()),
+            self.threads,
+            json::fmt_f64(self.scale),
+            self.fixed,
+            self.misaligned,
+            self.huge_pages,
+            self.period,
+            self.tick_interval,
+            self.max_ops,
             self.seed,
         )
     }
 
     /// Decodes the wire form. Only `workload` is required; every other
-    /// member defaults from [`RunConfig::new`] under the requested (or
+    /// member defaults from [`JobSpec::new`] under the requested (or
     /// pthreads) runtime, so minimal requests stay minimal.
     pub fn from_json(v: &Json) -> Result<JobSpec, String> {
         let obj = v.as_obj().ok_or("job spec must be a JSON object")?;
         let workload = v
             .get("workload")
             .and_then(Json::as_str)
-            .ok_or("job spec needs a string \"workload\"")?
-            .to_string();
+            .ok_or("job spec needs a string \"workload\"")?;
         let runtime = match v.get("runtime") {
             None => RuntimeKind::Pthreads,
             Some(r) => {
@@ -140,7 +278,7 @@ impl JobSpec {
                     .ok_or_else(|| format!("unknown runtime {label:?}"))?
             }
         };
-        let mut cfg = RunConfig::new(runtime);
+        let mut spec = JobSpec::new(workload).runtime(runtime);
         let num = |key: &str| -> Result<Option<f64>, String> {
             match obj.get(key) {
                 None => Ok(None),
@@ -158,31 +296,28 @@ impl JobSpec {
             }
         };
         if let Some(t) = num("threads")? {
-            cfg.threads = thread_count("\"threads\"", t)?;
+            spec.threads = thread_count("\"threads\"", t)?;
         }
         if let Some(s) = num("scale")? {
-            cfg.scale = work_scale("\"scale\"", s)?;
+            spec.scale = work_scale("\"scale\"", s)?;
         }
         if let Some(p) = num("period")? {
-            cfg.period = p as u64;
+            spec.period = p as u64;
         }
         if let Some(t) = num("tick_interval")? {
-            cfg.tick_interval = t as u64;
+            spec.tick_interval = t as u64;
         }
         if let Some(m) = num("max_ops")? {
-            cfg.max_ops = m as u64;
+            spec.max_ops = m as u64;
         }
-        cfg.fixed = flag("fixed")?.unwrap_or(false);
-        cfg.misaligned = flag("misaligned")?.unwrap_or(false);
-        cfg.huge_pages = flag("huge_pages")?.unwrap_or(false);
+        spec.fixed = flag("fixed")?.unwrap_or(false);
+        spec.misaligned = flag("misaligned")?.unwrap_or(false);
+        spec.huge_pages = flag("huge_pages")?.unwrap_or(false);
         // Unknown members are ignored, which keeps documents persisted by
         // older builds (journals and cache spills that still carry the
         // retired shard-count, fast-path and trace members) decodable.
-        Ok(JobSpec {
-            workload,
-            cfg,
-            seed: num("seed")?.map(|s| s as u64).unwrap_or(0),
-        })
+        spec.seed = num("seed")?.map(|s| s as u64).unwrap_or(0);
+        Ok(spec)
     }
 
     /// Parses one CLI argument against this spec, pulling flag values
@@ -202,29 +337,29 @@ impl JobSpec {
             "--workload" => self.workload = value("--workload")?,
             "--runtime" => {
                 let label = value("--runtime")?;
-                self.cfg.runtime = RuntimeKind::from_label(&label)
+                self.runtime = RuntimeKind::from_label(&label)
                     .ok_or_else(|| format!("unknown runtime {label:?}"))?;
             }
             "--threads" => {
                 let t = parse_u64("--threads", value("--threads")?)?;
-                self.cfg.threads = thread_count("--threads", t as f64)?;
+                self.threads = thread_count("--threads", t as f64)?;
             }
             "--scale" => {
                 let v = value("--scale")?;
                 let s = v
                     .parse::<f64>()
                     .map_err(|_| format!("--scale expects a number, got {v:?}"))?;
-                self.cfg.scale = work_scale("--scale", s)?;
+                self.scale = work_scale("--scale", s)?;
             }
-            "--period" => self.cfg.period = parse_u64("--period", value("--period")?)?,
+            "--period" => self.period = parse_u64("--period", value("--period")?)?,
             "--tick-interval" => {
-                self.cfg.tick_interval = parse_u64("--tick-interval", value("--tick-interval")?)?
+                self.tick_interval = parse_u64("--tick-interval", value("--tick-interval")?)?
             }
-            "--max-ops" => self.cfg.max_ops = parse_u64("--max-ops", value("--max-ops")?)?,
+            "--max-ops" => self.max_ops = parse_u64("--max-ops", value("--max-ops")?)?,
             "--seed" => self.seed = parse_u64("--seed", value("--seed")?)?,
-            "--fixed" => self.cfg.fixed = true,
-            "--misaligned" => self.cfg.misaligned = true,
-            "--huge-pages" => self.cfg.huge_pages = true,
+            "--fixed" => self.fixed = true,
+            "--misaligned" => self.misaligned = true,
+            "--huge-pages" => self.huge_pages = true,
             _ => return Ok(false),
         }
         Ok(true)
@@ -273,14 +408,42 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn json_round_trip_preserves_every_field() {
-        let spec = crate::Experiment::repair("histogramfs")
+    fn builder_composes() {
+        // The §4.1 repair preset: 4 threads and a faster detection tick.
+        let preset = JobSpec::repair("lreg");
+        assert_eq!(preset.threads, 4);
+        assert!(preset.tick_interval < JobSpec::new("lreg").tick_interval);
+
+        let spec = JobSpec::repair("lreg")
             .runtime(RuntimeKind::TmiProtect)
+            .threads(2)
             .scale(0.25)
+            .fixed()
             .misaligned()
+            .huge_pages()
             .period(10)
-            .fault_seed(42)
-            .spec();
+            .tick_interval(123)
+            .max_ops(456);
+        assert_eq!(spec.workload, "lreg");
+        assert_eq!(spec.runtime, RuntimeKind::TmiProtect);
+        assert_eq!(spec.threads, 2);
+        assert_eq!(spec.scale, 0.25);
+        assert!(spec.fixed && spec.misaligned && spec.huge_pages);
+        assert_eq!(spec.period, 10);
+        assert_eq!(spec.tick_interval, 123);
+        assert_eq!(spec.max_ops, 456);
+    }
+
+    #[test]
+    fn json_round_trip_preserves_every_field() {
+        let spec = JobSpec {
+            seed: 42,
+            ..JobSpec::repair("histogramfs")
+                .runtime(RuntimeKind::TmiProtect)
+                .scale(0.25)
+                .misaligned()
+                .period(10)
+        };
         let doc = spec.to_json();
         let parsed = JobSpec::from_json(&json::parse(&doc).unwrap()).unwrap();
         assert_eq!(parsed, spec);
@@ -289,11 +452,11 @@ mod tests {
     }
 
     #[test]
-    fn minimal_request_defaults_like_run_config_new() {
+    fn minimal_request_defaults_like_job_spec_new() {
         let v = json::parse(r#"{"workload": "histogram"}"#).unwrap();
         let spec = JobSpec::from_json(&v).unwrap();
         assert_eq!(spec, JobSpec::new("histogram"));
-        assert_eq!(spec.cfg, RunConfig::new(RuntimeKind::Pthreads));
+        assert_eq!(spec.runtime, RuntimeKind::Pthreads);
     }
 
     #[test]
@@ -360,7 +523,13 @@ mod tests {
         assert_eq!(spec.litmus_vm_seed(), Some(31));
         assert_eq!(spec.litmus_seed(), None, "vm jobs are not plain litmus");
         assert!(spec.is_litmus());
-        assert_eq!(spec.cfg, JobSpec::litmus(31).cfg);
+        assert_eq!(
+            JobSpec {
+                workload: "litmus:31".into(),
+                ..spec.clone()
+            },
+            JobSpec::litmus(31)
+        );
         assert_eq!(JobSpec::litmus(31).litmus_vm_seed(), None);
         // The pseudo-workload survives the wire codec like any other name.
         let parsed = JobSpec::from_json(&json::parse(&spec.to_json()).unwrap()).unwrap();
@@ -388,21 +557,18 @@ mod tests {
                     (fixed, misaligned, huge_pages, period),
                     (tick_interval, max_ops, seed),
                 )| {
-                    let mut cfg = RunConfig::new(runtime);
-                    cfg.threads = threads;
+                    let mut spec = JobSpec::new(workload).runtime(runtime);
+                    spec.threads = threads;
                     // Sixteenths are exact in f64 and print/parse exactly.
-                    cfg.scale = f64::from(scale16) / 16.0;
-                    cfg.fixed = fixed;
-                    cfg.misaligned = misaligned;
-                    cfg.huge_pages = huge_pages;
-                    cfg.period = period;
-                    cfg.tick_interval = tick_interval;
-                    cfg.max_ops = max_ops;
-                    JobSpec {
-                        workload,
-                        cfg,
-                        seed,
-                    }
+                    spec.scale = f64::from(scale16) / 16.0;
+                    spec.fixed = fixed;
+                    spec.misaligned = misaligned;
+                    spec.huge_pages = huge_pages;
+                    spec.period = period;
+                    spec.tick_interval = tick_interval;
+                    spec.max_ops = max_ops;
+                    spec.seed = seed;
+                    spec
                 },
             )
     }
@@ -425,17 +591,17 @@ mod tests {
         fn cli_codec_round_trips(spec in spec_strategy()) {
             let mut args = vec![
                 "--workload".to_string(), spec.workload.clone(),
-                "--runtime".to_string(), spec.cfg.runtime.label().to_string(),
-                "--threads".to_string(), spec.cfg.threads.to_string(),
-                "--scale".to_string(), format!("{}", spec.cfg.scale),
-                "--period".to_string(), spec.cfg.period.to_string(),
-                "--tick-interval".to_string(), spec.cfg.tick_interval.to_string(),
-                "--max-ops".to_string(), spec.cfg.max_ops.to_string(),
+                "--runtime".to_string(), spec.runtime.label().to_string(),
+                "--threads".to_string(), spec.threads.to_string(),
+                "--scale".to_string(), format!("{}", spec.scale),
+                "--period".to_string(), spec.period.to_string(),
+                "--tick-interval".to_string(), spec.tick_interval.to_string(),
+                "--max-ops".to_string(), spec.max_ops.to_string(),
                 "--seed".to_string(), spec.seed.to_string(),
             ];
-            if spec.cfg.fixed { args.push("--fixed".into()); }
-            if spec.cfg.misaligned { args.push("--misaligned".into()); }
-            if spec.cfg.huge_pages { args.push("--huge-pages".into()); }
+            if spec.fixed { args.push("--fixed".into()); }
+            if spec.misaligned { args.push("--misaligned".into()); }
+            if spec.huge_pages { args.push("--huge-pages".into()); }
             let mut rebuilt = JobSpec::new("placeholder");
             let mut it = args.into_iter();
             while let Some(arg) = it.next() {
@@ -473,11 +639,11 @@ mod tests {
             }
         }
         assert_eq!(spec.workload, "lreg");
-        assert_eq!(spec.cfg.runtime, RuntimeKind::TmiProtect);
-        assert_eq!(spec.cfg.threads, 2);
-        assert_eq!(spec.cfg.scale, 0.5);
+        assert_eq!(spec.runtime, RuntimeKind::TmiProtect);
+        assert_eq!(spec.threads, 2);
+        assert_eq!(spec.scale, 0.5);
         assert_eq!(spec.seed, 7);
-        assert!(spec.cfg.misaligned);
+        assert!(spec.misaligned);
         assert_eq!(leftover, ["--not-ours"]);
     }
 
@@ -492,13 +658,13 @@ mod tests {
                 err.contains("--scale must be a finite number greater than 0"),
                 "--scale {s}: {err}"
             );
-            assert_eq!(spec.cfg.scale, 1.0, "a refused scale leaves the spec alone");
+            assert_eq!(spec.scale, 1.0, "a refused scale leaves the spec alone");
         }
         let mut spec = JobSpec::new("histogram");
         assert!(spec
             .apply_cli_arg("--scale", &mut || Some("0.05".to_string()))
             .unwrap());
-        assert_eq!(spec.cfg.scale, 0.05);
+        assert_eq!(spec.scale, 0.05);
     }
 
     #[test]
@@ -514,6 +680,6 @@ mod tests {
         assert!(spec
             .apply_cli_arg("--threads", &mut || Some("64".to_string()))
             .unwrap());
-        assert_eq!(spec.cfg.threads, 64);
+        assert_eq!(spec.threads, 64);
     }
 }

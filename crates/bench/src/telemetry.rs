@@ -188,7 +188,7 @@ mod tests {
 
     #[test]
     fn traced_run_passes_the_trace_gate() {
-        let (r, trace) = crate::Experiment::repair("histogramfs")
+        let (r, trace) = crate::JobSpec::repair("histogramfs")
             .runtime(crate::RuntimeKind::TmiProtect)
             .scale(0.25)
             .misaligned()

@@ -2,11 +2,11 @@
 //! under the baseline, and the key repair behaviours reproduce at small
 //! scale.
 
-use tmi_bench::{Experiment, RunResult, RuntimeKind};
+use tmi_bench::{JobSpec, RunResult, RuntimeKind};
 
 /// The workload under pthreads at a small scale.
 fn small(name: &str) -> RunResult {
-    Experiment::new(name).scale(0.03).run()
+    JobSpec::new(name).scale(0.03).run()
 }
 
 #[test]
@@ -46,8 +46,8 @@ fn quiet_workloads_do_not() {
 
 #[test]
 fn tmi_protect_repairs_lreg_at_small_scale() {
-    let base = Experiment::new("lreg").scale(0.3).run();
-    let tmi = Experiment::new("lreg")
+    let base = JobSpec::new("lreg").scale(0.3).run();
+    let tmi = JobSpec::new("lreg")
         .runtime(RuntimeKind::TmiProtect)
         .scale(0.3)
         .run();

@@ -26,10 +26,14 @@
 
 use std::collections::HashMap;
 
-use tmi_machine::{VAddr, LINE_SIZE};
+use tmi_faultpoint::FaultInjector;
+use tmi_machine::{AccessOutcome, LatencyModel, VAddr, LINE_SIZE};
 use tmi_os::Tid;
-use tmi_perf::{PebsRecord, PerfConfig};
+use tmi_perf::{PebsRecord, PerfConfig, PerfMonitor};
 use tmi_program::{CodeRegistry, InstrKind};
+use tmi_sim::{AccessInfo, EngineCtl};
+
+use crate::layout::AppLayout;
 
 /// Kind of sharing diagnosed on a line.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -315,6 +319,115 @@ impl tmi_telemetry::MetricSource for FalseSharingDetector {
         out.u64("lines_tracked", self.lines.len() as u64);
         out.u64("table_bytes", self.table_bytes());
         out.f64("total_scaled_events", self.total_scaled_events());
+    }
+}
+
+/// The detection loop that TMI and the LASER and Plastic baselines share
+/// (LASER detects with the same PEBS events, §2): a [`PerfMonitor`]
+/// sampling HITM events on the application and internal regions, feeding
+/// a [`FalseSharingDetector`] once per detection tick.
+///
+/// A runtime calls [`DetectionLoop::start`] from its `on_start` hook,
+/// [`DetectionLoop::capture`] from `post_access` and
+/// [`DetectionLoop::tick`] from `on_tick`, then acts on the reports.
+#[derive(Debug)]
+pub struct DetectionLoop {
+    layout: AppLayout,
+    perf: PerfMonitor,
+    detector: FalseSharingDetector,
+    last_tick: u64,
+}
+
+/// What one detection tick saw.
+#[derive(Clone, Debug)]
+pub struct DetectionWindow {
+    /// PEBS records drained from the perf buffers.
+    pub records: usize,
+    /// Simulated cycles since the previous tick (at least 1).
+    pub cycles: u64,
+    /// Lines whose scaled HITM rate crossed the threshold, hottest first.
+    pub reports: Vec<SharingReport>,
+}
+
+impl DetectionLoop {
+    /// A loop sampling with `perf` and monitoring the application and
+    /// internal regions of `layout`.
+    pub fn new(perf: PerfConfig, layout: AppLayout) -> Self {
+        let ranges = vec![
+            (layout.app_start, layout.app_len),
+            (layout.internal_start, layout.internal_len),
+        ];
+        DetectionLoop {
+            layout,
+            perf: PerfMonitor::new(perf),
+            detector: FalseSharingDetector::new(perf, ranges),
+            last_tick: 0,
+        }
+    }
+
+    /// Installs a fault injector on the perf monitor's `pebs_drop` point.
+    pub fn set_fault_injector(&mut self, faults: FaultInjector) {
+        self.perf.set_fault_injector(faults);
+    }
+
+    /// Opens a perf buffer for every thread (the interposed
+    /// `pthread_create` of §3.1).
+    pub fn start(&mut self, ctl: &mut dyn EngineCtl) {
+        for tid in ctl.tids() {
+            self.perf.open_thread(tid);
+        }
+    }
+
+    /// Reports the access's HITM event, if it had one on a monitored
+    /// region, to the perf monitor. Returns the cycles the record capture
+    /// cost the accessing core.
+    #[inline]
+    pub fn capture(&mut self, tid: Tid, acc: &AccessInfo, outcome: &AccessOutcome) -> u64 {
+        let Some(hitm) = &outcome.hitm else { return 0 };
+        if !self.layout.in_app(acc.vaddr) && !self.layout.in_internal(acc.vaddr) {
+            return 0;
+        }
+        self.perf.on_hitm(tid, acc.pc, acc.vaddr, hitm.kind)
+    }
+
+    /// One detection-thread pass at cycle `now`: drains the perf buffers
+    /// into the detector and reports the lines whose scaled event rate
+    /// since the previous tick crosses `threshold_per_sec`.
+    pub fn tick(
+        &mut self,
+        ctl: &mut dyn EngineCtl,
+        now: u64,
+        threshold_per_sec: f64,
+    ) -> DetectionWindow {
+        let records = self.perf.drain();
+        self.detector.ingest(&records, ctl.code());
+        let cycles = now.saturating_sub(self.last_tick).max(1);
+        self.last_tick = now;
+        let reports = self
+            .detector
+            .analyze_window(LatencyModel::cycles_to_secs(cycles), threshold_per_sec);
+        DetectionWindow {
+            records: records.len(),
+            cycles,
+            reports,
+        }
+    }
+
+    /// The perf monitor (records and events, Fig. 4).
+    pub fn perf(&self) -> &PerfMonitor {
+        &self.perf
+    }
+
+    /// The detector (line profiles and record counts).
+    pub fn detector(&self) -> &FalseSharingDetector {
+        &self.detector
+    }
+}
+
+impl tmi_telemetry::MetricSource for DetectionLoop {
+    fn metrics(&self, out: &mut tmi_telemetry::MetricSink) {
+        out.source("perf", &self.perf);
+        out.source("detector", &self.detector);
     }
 }
 

@@ -45,7 +45,9 @@ pub mod runtime;
 pub mod twins;
 
 pub use config::{TmiConfig, FS_THRESHOLD_PER_SEC};
-pub use detect::{FalseSharingDetector, LineProfile, SharingKind, SharingReport};
+pub use detect::{
+    DetectionLoop, DetectionWindow, FalseSharingDetector, LineProfile, SharingKind, SharingReport,
+};
 pub use layout::AppLayout;
 pub use locks::{LockRedirector, LOCK_INDIRECT_CYCLES};
 pub use memstats::MemoryBreakdown;

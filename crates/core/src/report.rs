@@ -120,7 +120,7 @@ impl ContentionReport {
     /// Cheetah-style prediction of the speedup a manual fix of all
     /// false-sharing lines would yield: the fraction of runtime spent in
     /// (amortized) HITM stalls on falsely-shared lines is recovered.
-    /// `run_cycles` is the observed wall time; `threads` the worker count.
+    /// `run_cycles` is the observed wall time.
     /// `actual_hitm_events`, if given, rescales the detector's
     /// period-reconstructed event counts to the true total (the runtime
     /// knows it from the counting side of perf even when only 1-in-n
@@ -128,10 +128,8 @@ impl ContentionReport {
     pub fn predict_manual_speedup_calibrated(
         &self,
         run_cycles: u64,
-        threads: usize,
         actual_hitm_events: Option<u64>,
     ) -> f64 {
-        let _ = threads;
         // A ping-pong stalls its two participants alternately, so
         // wall-clock stall ≈ events × penalty / 2.
         let penalty = FS_EVENT_PENALTY as f64;
@@ -267,11 +265,11 @@ mod tests {
         let penalty_events = r.false_sharing_events;
         let stall = penalty_events * FS_EVENT_PENALTY as f64;
         let run = stall as u64; // stall/2 of the run → predicted 2x
-        let pred = r.predict_manual_speedup_calibrated(run, 1, None);
+        let pred = r.predict_manual_speedup_calibrated(run, None);
         assert!((1.8..2.2).contains(&pred), "{pred}");
         // No FS events → 1.0x.
         let empty = ContentionReport::default();
-        assert_eq!(empty.predict_manual_speedup_calibrated(1000, 4, None), 1.0);
+        assert_eq!(empty.predict_manual_speedup_calibrated(1000, None), 1.0);
     }
 
     #[test]

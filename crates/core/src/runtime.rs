@@ -5,7 +5,7 @@
 use std::collections::BTreeSet;
 
 use tmi_faultpoint::FaultInjector;
-use tmi_machine::{AccessOutcome, LatencyModel, VAddr, Vpn, LINE_SIZE};
+use tmi_machine::{AccessOutcome, VAddr, Vpn, LINE_SIZE};
 use tmi_os::{FaultResolution, Kernel, OsError, Tid};
 use tmi_perf::PerfMonitor;
 use tmi_program::VmOp;
@@ -14,7 +14,7 @@ use tmi_telemetry::{MetricSink, MetricSource, MetricsSnapshot, Phase, PhaseProfi
 
 use crate::config::TmiConfig;
 use crate::consistency;
-use crate::detect::{FalseSharingDetector, SharingKind, SharingReport};
+use crate::detect::{DetectionLoop, FalseSharingDetector, SharingKind, SharingReport};
 use crate::layout::AppLayout;
 use crate::locks::{LockRedirector, LOCK_INDIRECT_CYCLES};
 use crate::memstats::MemoryBreakdown;
@@ -62,12 +62,10 @@ impl MetricSource for TmiStats {
 pub struct TmiRuntime {
     config: TmiConfig,
     layout: AppLayout,
-    perf: PerfMonitor,
-    detector: FalseSharingDetector,
+    detection: DetectionLoop,
     repair: RepairManager,
     locks: LockRedirector,
     stats: TmiStats,
-    last_tick: u64,
     /// Commit cycles already seen by the efficacy monitor at the last tick.
     last_commit_cycles: u64,
     /// True while an engine-level fault retry is outstanding, so the next
@@ -83,13 +81,8 @@ pub struct TmiRuntime {
 impl TmiRuntime {
     /// Creates a runtime for the given configuration and layout.
     pub fn new(config: TmiConfig, layout: AppLayout) -> Self {
-        let ranges = vec![
-            (layout.app_start, layout.app_len),
-            (layout.internal_start, layout.internal_len),
-        ];
         TmiRuntime {
-            perf: PerfMonitor::new(config.perf),
-            detector: FalseSharingDetector::new(config.perf, ranges),
+            detection: DetectionLoop::new(config.perf, layout),
             repair: RepairManager::new(),
             // The lock area starts one line in, leaving line 0 for TMI
             // state, and uses the first quarter of the internal region.
@@ -98,7 +91,6 @@ impl TmiRuntime {
                 layout.internal_len / 4,
             ),
             stats: TmiStats::default(),
-            last_tick: 0,
             last_commit_cycles: 0,
             engine_retry_pending: false,
             phases: PhaseProfile::new(),
@@ -122,7 +114,7 @@ impl TmiRuntime {
     /// installed separately via [`Kernel::set_fault_injector`]; pass the
     /// same (cloned) injector for one shared fault schedule and stats.
     pub fn set_fault_injector(&mut self, faults: FaultInjector) {
-        self.perf.set_fault_injector(faults.clone());
+        self.detection.set_fault_injector(faults.clone());
         self.repair.set_fault_injector(faults);
     }
 
@@ -249,12 +241,12 @@ impl<'a> RuntimeView<'a> {
 
     /// The detector (line profiles and record counts).
     pub fn detector(&self) -> &'a FalseSharingDetector {
-        &self.rt.detector
+        self.rt.detection.detector()
     }
 
     /// The perf monitor (records/events, Fig. 4).
     pub fn perf(&self) -> &'a PerfMonitor {
-        &self.rt.perf
+        self.rt.detection.perf()
     }
 
     /// The lock redirector.
@@ -272,8 +264,8 @@ impl<'a> RuntimeView<'a> {
     pub fn memory(&self, kernel: &Kernel) -> MemoryBreakdown {
         MemoryBreakdown {
             app_bytes: kernel.physmem().peak_allocated_frames() as u64 * tmi_machine::FRAME_SIZE,
-            perf_bytes: self.rt.perf.buffer_bytes(),
-            detector_bytes: self.rt.detector.table_bytes() + DETECTOR_FIXED_BYTES,
+            perf_bytes: self.perf().buffer_bytes(),
+            detector_bytes: self.detector().table_bytes() + DETECTOR_FIXED_BYTES,
             twin_bytes: self.rt.repair.twins().peak_bytes(),
             lock_bytes: self.rt.locks.bytes_used(),
         }
@@ -305,8 +297,7 @@ impl MetricSource for TmiRuntime {
             u64::from(self.repair.active() || self.stats.lock_repads > 0),
         );
         out.source("repair", &self.repair);
-        out.source("perf", &self.perf);
-        out.source("detector", &self.detector);
+        self.detection.metrics(out);
         out.source("locks", &self.locks);
         out.source("phase", &self.observe().phases());
     }
@@ -314,9 +305,7 @@ impl MetricSource for TmiRuntime {
 
 impl RuntimeHooks for TmiRuntime {
     fn on_start(&mut self, ctl: &mut dyn EngineCtl) {
-        for tid in ctl.tids() {
-            self.perf.open_thread(tid);
-        }
+        self.detection.start(ctl);
     }
 
     fn pre_access(&mut self, ctl: &mut dyn EngineCtl, tid: Tid, acc: &AccessInfo) -> PreAccess {
@@ -349,11 +338,7 @@ impl RuntimeHooks for TmiRuntime {
             self.engine_retry_pending = false;
             self.repair.note_recovery();
         }
-        let Some(hitm) = &outcome.hitm else { return 0 };
-        if !self.layout.in_app(acc.vaddr) && !self.layout.in_internal(acc.vaddr) {
-            return 0;
-        }
-        let capture_cycles = self.perf.on_hitm(tid, acc.pc, acc.vaddr, hitm.kind);
+        let capture_cycles = self.detection.capture(tid, acc, outcome);
         self.phases.add(Phase::Detect, capture_cycles);
         capture_cycles
     }
@@ -486,25 +471,20 @@ impl RuntimeHooks for TmiRuntime {
 
     fn on_tick(&mut self, ctl: &mut dyn EngineCtl, now: u64) {
         self.stats.ticks += 1;
-        let records = self.perf.drain();
-        self.detector.ingest(&records, ctl.code());
-        let window_cycles = now.saturating_sub(self.last_tick).max(1);
-        let window_secs = LatencyModel::cycles_to_secs(window_cycles);
-        self.last_tick = now;
-        let reports = self
-            .detector
-            .analyze_window(window_secs, self.config.fs_threshold_per_sec);
+        let window = self
+            .detection
+            .tick(ctl, now, self.config.fs_threshold_per_sec);
         self.tracer.instant(
             "tmi.detect.tick",
             "detect",
             tmi_telemetry::GLOBAL_TID,
             now,
             &[
-                ("records", records.len() as u64),
-                ("reports", reports.len() as u64),
+                ("records", window.records as u64),
+                ("reports", window.reports.len() as u64),
             ],
         );
-        self.handle_reports(ctl, &reports, now);
+        self.handle_reports(ctl, &window.reports, now);
 
         // Repair-efficacy monitor: if the fraction of this window spent in
         // PTSB commits exceeds the threshold, repair costs more than the
@@ -516,7 +496,7 @@ impl RuntimeHooks for TmiRuntime {
                 .stats()
                 .commit_cycles
                 .saturating_sub(self.last_commit_cycles);
-            if commit_delta as f64 / window_cycles as f64 > self.config.efficacy_revert_threshold {
+            if commit_delta as f64 / window.cycles as f64 > self.config.efficacy_revert_threshold {
                 self.repair.revert(ctl, &self.layout);
             }
         }

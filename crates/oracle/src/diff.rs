@@ -37,16 +37,15 @@ use tmi_sim::{Engine, EngineConfig, Halt, TraceStep};
 use crate::interp::Interp;
 use crate::litmus::{self, Coverage, Litmus};
 
+/// Cap on the per-step value divergences recorded for one program.
+const MAX_DIVERGENCES: usize = 8;
+
 /// Checker configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckConfig {
     /// Code-centric consistency on (the real system) or off (the
     /// Sheriff-style ablation that is *expected* to diverge).
     pub code_centric: bool,
-    /// Minimize divergent programs before reporting.
-    pub minimize: bool,
-    /// Cap on recorded per-step divergences.
-    pub max_divergences: usize,
     /// Fault-campaign base seed: `Some(base)` runs the repaired execution
     /// under a seeded fault schedule derived from
     /// [`derive_fault_seed`]`(base, program_seed)`, so `(program seed,
@@ -66,8 +65,6 @@ impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
             code_centric: true,
-            minimize: true,
-            max_divergences: 8,
             faults: None,
             ablate_shootdown: false,
         }
@@ -182,7 +179,7 @@ pub struct CheckReport {
     pub divergences: Vec<Divergence>,
     /// Static coverage of the reported program.
     pub coverage: Coverage,
-    /// The reported program (minimized if divergent and enabled).
+    /// The reported program (minimized if divergent).
     pub litmus: Litmus,
     /// True if the program was successfully shrunk.
     pub minimized: bool,
@@ -384,7 +381,7 @@ pub fn check_litmus(lit: &Litmus, cfg: &CheckConfig) -> CheckReport {
     let (mut divergences, mut steps, faults) = run_once(lit, cfg);
     let mut litmus = lit.clone();
     let mut minimized = false;
-    if let (Some(first), true) = (divergences.first(), cfg.minimize) {
+    if let Some(first) = divergences.first() {
         let target = first.kind;
         let small = minimize(lit, cfg, target);
         if small != *lit {
@@ -529,7 +526,6 @@ fn run_traced(
     Option<FaultSummary>,
     tmi_telemetry::PhaseProfile,
 ) {
-    let max_div = cfg.max_divergences;
     let faults = cfg.faults.map(|base| {
         let fseed = derive_fault_seed(base, lit.seed);
         (base, fseed, FaultInjector::new(FaultPlan::from_seed(fseed)))
@@ -585,7 +581,7 @@ fn run_traced(
                     // state to predict them (they are checked TLB-on vs
                     // TLB-off by the equivalence suite instead).
                     let vm = matches!(st.op, Op::Vm { .. });
-                    if !vm && r.value != st.value && divs.len() < max_div {
+                    if !vm && r.value != st.value && divs.len() < MAX_DIVERGENCES {
                         divs.push(Divergence {
                             kind: DivergenceKind::ValueMismatch,
                             step: Some(k),

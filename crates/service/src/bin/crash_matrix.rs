@@ -56,8 +56,8 @@ fn job_list() -> Vec<JobSpec> {
     let mut jobs = Vec::new();
     for seed in 1..=6u64 {
         let mut spec = JobSpec::new("histogramfs");
-        spec.cfg.threads = 4;
-        spec.cfg.scale = 0.02;
+        spec.threads = 4;
+        spec.scale = 0.02;
         spec.seed = seed;
         jobs.push(spec);
     }

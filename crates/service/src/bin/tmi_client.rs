@@ -11,7 +11,7 @@
 //!
 //! `run` takes the shared [`JobSpec`] flags (`--workload`, `--runtime`,
 //! `--threads`, `--scale`, `--seed`, ... — the same vocabulary as
-//! `probe` and the library's `Experiment` builder), streams progress to
+//! `probe` and the library's `JobSpec` builder), streams progress to
 //! **stderr**, and prints exactly the result payload to **stdout** — so
 //! two invocations can be compared with `cmp` to prove the service's
 //! byte-determinism (cold vs cached vs fault-retried).

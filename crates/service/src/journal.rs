@@ -223,7 +223,7 @@ mod tests {
 
     fn accepted(id: u64, tenant: &str) -> JournalRecord {
         let mut spec = JobSpec::new("histogramfs");
-        spec.cfg.scale = 0.02;
+        spec.scale = 0.02;
         spec.seed = id;
         JournalRecord::Accepted {
             id,

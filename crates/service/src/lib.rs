@@ -9,9 +9,9 @@
 //! `fresh` submit really re-simulates), and streaming progress sourced
 //! from the `service.*` metrics registry.
 //!
-//! The request-facing vocabulary is the same [`JobSpec`] used by the
-//! [`tmi_bench::Experiment`] builder, the fuzz campaign, and the CLI
-//! flags — one job description across library, wire, and command line.
+//! The request-facing vocabulary is the same [`JobSpec`] the bench
+//! figures build, the fuzz campaign checks, and the CLI flags set — one
+//! job description across library, wire, and command line.
 //!
 //! ```no_run
 //! use tmi_service::{Client, Service, ServiceConfig};
@@ -20,7 +20,7 @@
 //! let service = Service::start(ServiceConfig::default()).unwrap();
 //! let mut client = Client::connect(service.addr()).unwrap();
 //! let mut spec = JobSpec::new("histogramfs");
-//! spec.cfg.scale = 0.05;
+//! spec.scale = 0.05;
 //! let out = client.run("ci", &spec, 1, false, |_| {}).unwrap();
 //! assert!(!out.cached);
 //! // Identical spec → byte-identical payload, served from the cache.

@@ -4,7 +4,7 @@
 //!
 //! The request vocabulary is the shared [`JobSpec`]: the `job` member of
 //! a `submit` line is exactly [`JobSpec::to_json`], so a job submitted
-//! over the socket, built with the [`tmi_bench::Experiment`] builder, or
+//! over the socket, built with the [`JobSpec`] builder methods, or
 //! replayed from CLI flags is the same job with the same cache identity.
 //!
 //! ## Requests

@@ -1,200 +1,24 @@
-//! End-to-end crash-recovery test: a real `tmi_serve` daemon, killed
-//! with SIGKILL mid-job, must after a warm restart on the same data
-//! directory produce byte-identical replies to a cold run — with the
-//! cached ones served from the spilled result cache, not re-simulated.
-//! A single cell of the `crash_matrix` campaign, small enough for the
-//! regular test suite.
+//! End-to-end crash-recovery test: the `crash_matrix` campaign at one
+//! kill point. It boots real `tmi_serve` daemons, kills each with
+//! SIGKILL while a job is in flight under every persistence fault plan,
+//! restarts it on the same data directory, and byte-compares the
+//! post-restart replies with the pre-kill ones and an unkilled
+//! reference; every restart must serve warm cache hits and re-execute a
+//! journal-replayed job exactly once, and a SIGTERM drain must exit 0.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
-
-use tmi_service::{client, proto, ClientConfig, JobSpec};
-use tmi_telemetry::json::{self, Json};
-
-fn serve_bin() -> &'static Path {
-    Path::new(env!("CARGO_BIN_EXE_tmi_serve"))
-}
-
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Daemon {
-    fn boot(data_dir: &Path) -> Daemon {
-        let port_file = data_dir.join("port");
-        let _ = std::fs::remove_file(&port_file);
-        let child = Command::new(serve_bin())
-            .args(["--addr", "127.0.0.1:0", "--workers", "1"])
-            .arg("--data-dir")
-            .arg(data_dir)
-            .arg("--port-file")
-            .arg(&port_file)
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn tmi_serve");
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let addr = loop {
-            if let Ok(s) = std::fs::read_to_string(&port_file) {
-                let s = s.trim().to_string();
-                if !s.is_empty() {
-                    break s;
-                }
-            }
-            assert!(Instant::now() < deadline, "daemon never wrote its port");
-            std::thread::sleep(Duration::from_millis(10));
-        };
-        Daemon { child, addr }
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-fn cfg() -> ClientConfig {
-    ClientConfig {
-        connect_timeout: Duration::from_secs(2),
-        read_timeout: Duration::from_secs(60),
-        retries: 4,
-        backoff_base_ms: 25,
-        retry_seed: 1,
-    }
-}
-
-fn job(seed: u64) -> JobSpec {
-    let mut spec = JobSpec::new("histogramfs");
-    spec.cfg.threads = 4;
-    spec.cfg.scale = 0.02;
-    spec.seed = seed;
-    spec
-}
-
-fn run_job(addr: &str, spec: &JobSpec) -> String {
-    client::run_with_retry(addr, &cfg(), "e2e", spec, 1, false, |_| {})
-        .expect("job run")
-        .payload
-}
-
-fn metric(addr: &str, name: &str) -> u64 {
-    let mut c = tmi_service::Client::connect_with(addr, &cfg()).expect("stats connect");
-    let stats = c.stats().expect("stats");
-    json::parse(&stats)
-        .ok()
-        .and_then(|v| v.get(name).and_then(Json::as_f64))
-        .unwrap_or(0.0) as u64
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tmi-crash-restart-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use std::process::Command;
 
 #[test]
-fn kill9_then_warm_restart_serves_byte_identical_replies() {
-    let jobs: Vec<JobSpec> = (1..=3).map(job).collect();
-
-    // Cold reference: a daemon that is never killed.
-    let ref_dir = tmp_dir("ref");
-    let daemon = Daemon::boot(&ref_dir);
-    let reference: Vec<String> = jobs.iter().map(|s| run_job(&daemon.addr, s)).collect();
-    drop(daemon);
-
-    // Crash run: complete the first job, put a second in flight, and
-    // SIGKILL the daemon — nothing gets a chance to flush gracefully.
-    let dir = tmp_dir("kill");
-    let mut daemon = Daemon::boot(&dir);
-    let pre_kill = run_job(&daemon.addr, &jobs[0]);
-    {
-        let stream = TcpStream::connect(&daemon.addr).expect("connect");
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(stream);
-        writeln!(
-            writer,
-            "{}",
-            proto::render_submit("e2e", &jobs[1], 1, false, false)
-        )
-        .unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains("\"accepted\""), "in-flight submit: {line}");
-    }
-    let _ = daemon.child.kill();
-    let _ = daemon.child.wait();
-
-    // Warm restart on the same data dir: the journal re-enqueues the
-    // in-flight job; wait for it to settle before resubmitting.
-    let daemon = Daemon::boot(&dir);
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let submitted = metric(&daemon.addr, "service.jobs_submitted");
-        let terminal = metric(&daemon.addr, "service.jobs_completed")
-            + metric(&daemon.addr, "service.jobs_failed");
-        if terminal >= submitted {
-            break;
-        }
-        assert!(Instant::now() < deadline, "replayed job never settled");
-        std::thread::sleep(Duration::from_millis(25));
-    }
-
-    let warm: Vec<String> = jobs.iter().map(|s| run_job(&daemon.addr, s)).collect();
-    assert_eq!(
-        warm, reference,
-        "post-restart replies must be byte-identical"
-    );
-    assert_eq!(
-        pre_kill, reference[0],
-        "pre-kill reply must match reference"
-    );
-
-    // The completed pre-kill job must come back from the spilled cache,
-    // not a fresh simulation.
-    assert!(
-        metric(&daemon.addr, "service.persist.cache.warm_hits") > 0,
-        "warm restart must serve spilled cache entries"
-    );
-    // Exactly-once: every submitted job reached exactly one terminal
-    // state, no lost or doubled work.
-    assert_eq!(
-        metric(&daemon.addr, "service.jobs_submitted"),
-        metric(&daemon.addr, "service.jobs_completed")
-            + metric(&daemon.addr, "service.jobs_failed"),
-    );
-
-    drop(daemon);
-    let _ = std::fs::remove_dir_all(&ref_dir);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn sigterm_drains_gracefully_with_exit_zero() {
-    let dir = tmp_dir("drain");
-    let mut daemon = Daemon::boot(&dir);
-    run_job(&daemon.addr, &job(9));
-
-    extern "C" {
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    unsafe {
-        kill(daemon.child.id() as i32, 15);
-    }
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let status = loop {
-        if let Some(status) = daemon.child.try_wait().expect("wait") {
-            break status;
-        }
-        assert!(Instant::now() < deadline, "daemon ignored SIGTERM");
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    assert_eq!(status.code(), Some(0), "graceful drain must exit 0");
-    let _ = std::fs::remove_dir_all(&dir);
+fn crash_matrix_recovers_byte_identical_replies_at_one_kill_point() {
+    let data_root = std::env::temp_dir().join(format!("tmi-crash-test-{}", std::process::id()));
+    let status = Command::new(env!("CARGO_BIN_EXE_crash_matrix"))
+        .arg("--serve-bin")
+        .arg(env!("CARGO_BIN_EXE_tmi_serve"))
+        .args(["--kill-points", "1"])
+        .arg("--data-root")
+        .arg(&data_root)
+        .status()
+        .expect("spawn crash_matrix");
+    let _ = std::fs::remove_dir_all(&data_root);
+    assert!(status.success(), "crash_matrix failed: {status}");
 }

@@ -42,15 +42,15 @@ fn arb_spec() -> impl Strategy<Value = JobSpec> {
                 (max_ops, seed),
             )| {
                 let mut spec = JobSpec::new(workload);
-                spec.cfg.runtime = RuntimeKind::ALL[rt];
-                spec.cfg.threads = threads;
-                spec.cfg.scale = scale_millis as f64 / 1_000.0;
-                spec.cfg.fixed = fixed;
-                spec.cfg.misaligned = misaligned;
-                spec.cfg.huge_pages = huge_pages;
-                spec.cfg.period = period;
-                spec.cfg.tick_interval = tick_interval;
-                spec.cfg.max_ops = max_ops;
+                spec.runtime = RuntimeKind::ALL[rt];
+                spec.threads = threads;
+                spec.scale = scale_millis as f64 / 1_000.0;
+                spec.fixed = fixed;
+                spec.misaligned = misaligned;
+                spec.huge_pages = huge_pages;
+                spec.period = period;
+                spec.tick_interval = tick_interval;
+                spec.max_ops = max_ops;
                 spec.seed = seed;
                 spec
             },

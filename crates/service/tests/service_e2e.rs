@@ -18,8 +18,8 @@ use tmi_telemetry::json::{self, Json};
 /// `run_all --quick` cells).
 fn small_spec() -> JobSpec {
     let mut spec = JobSpec::new("histogramfs");
-    spec.cfg.threads = 4;
-    spec.cfg.scale = 0.02;
+    spec.threads = 4;
+    spec.scale = 0.02;
     spec
 }
 
@@ -382,7 +382,7 @@ fn drain_with_jobs_in_flight_finishes_them_and_stops() {
     let submits: Vec<String> = (1..=3)
         .map(|seed| {
             let mut spec = small_spec();
-            spec.cfg.scale = 0.25;
+            spec.scale = 0.25;
             spec.seed = seed;
             proto::render_submit("drain", &spec, 1, false, false)
         })

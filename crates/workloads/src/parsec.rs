@@ -3,7 +3,7 @@
 
 use rand::RngCore;
 use tmi_machine::{VAddr, Width};
-use tmi_program::{InstrKind, MemOrder, Op, RmwOp, ThreadProgram};
+use tmi_program::{InstrKind, MemOrder, Op, ThreadProgram};
 
 use crate::env::{fn_program, Lcg, SetupCtx, Suite, Workload, WorkloadParams, WorkloadSpec};
 
@@ -812,8 +812,3 @@ impl Workload for Fluidanimate {
             .collect()
     }
 }
-
-// Keep the RMW import used (canneal uses Cas/AtomicStore; raytrace-style
-// counters live in the splash module).
-#[allow(unused)]
-fn _keep(_: RmwOp) {}

@@ -13,15 +13,15 @@
 //! cargo run --release --example code_centric_consistency
 //! ```
 
-use tmi_bench::{Experiment, RuntimeKind};
+use tmi_bench::{JobSpec, RuntimeKind};
 
 fn main() {
     // 1. The relaxed-atomic optimization.
     println!("1. relaxed atomics need atomicity, not ordering — so they bypass the PTSB");
     println!("   without flushing it (Table 2 refinement):\n");
     for name in ["shptr-relaxed", "shptr-lock"] {
-        let base = Experiment::repair(name).scale(2.0).run();
-        let tmi = Experiment::repair(name)
+        let base = JobSpec::repair(name).scale(2.0).run();
+        let tmi = JobSpec::repair(name)
             .runtime(RuntimeKind::TmiProtect)
             .scale(2.0)
             .run();
@@ -39,7 +39,7 @@ fn main() {
     // 2. canneal's atomic swaps.
     println!("2. canneal's lock-free element swaps, with and without the guard:\n");
     for rt in [RuntimeKind::TmiProtect, RuntimeKind::SheriffProtect] {
-        let r = Experiment::repair("canneal")
+        let r = JobSpec::repair("canneal")
             .runtime(rt)
             .scale(0.5)
             .max_ops(20_000_000)
@@ -57,7 +57,7 @@ fn main() {
     // 3. cholesky's volatile flag.
     println!("\n3. cholesky's volatile-flag handshake (Fig. 12):\n");
     for rt in [RuntimeKind::TmiProtect, RuntimeKind::SheriffProtect] {
-        let r = Experiment::repair("cholesky")
+        let r = JobSpec::repair("cholesky")
             .runtime(rt)
             .max_ops(6_000_000)
             .run();

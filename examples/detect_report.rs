@@ -7,14 +7,14 @@
 //! cargo run --release --example detect_report [workload]
 //! ```
 
-use tmi_repro::bench::Experiment;
+use tmi_repro::bench::JobSpec;
 
 fn main() {
     let name = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "lreg".to_string());
 
-    let (result, report, predicted) = Experiment::repair(&name)
+    let (result, report, predicted) = JobSpec::repair(&name)
         .scale(1.0)
         .misaligned()
         .run_detect_report();
@@ -28,8 +28,8 @@ fn main() {
     println!("\npredicted manual-fix speedup (Cheetah-style): {predicted:.2}x");
 
     // Validate the prediction against reality.
-    let base = Experiment::repair(&name).scale(1.0).misaligned().run();
-    let fixed = Experiment::repair(&name).scale(1.0).fixed().run();
+    let base = JobSpec::repair(&name).scale(1.0).misaligned().run();
+    let fixed = JobSpec::repair(&name).scale(1.0).fixed().run();
     if base.ok() && fixed.ok() {
         println!(
             "measured manual-fix speedup:                  {:.2}x",

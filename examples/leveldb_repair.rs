@@ -7,26 +7,26 @@
 //! cargo run --release --example leveldb_repair
 //! ```
 
-use tmi_bench::{Experiment, RuntimeKind};
+use tmi_bench::{JobSpec, RuntimeKind};
 
 fn main() {
     let scale = 2.0;
     println!("leveldb (readwhilewriting-style, 4 threads) with the injected counter bug\n");
 
-    let base = Experiment::repair("leveldb-fs").scale(scale).run();
+    let base = JobSpec::repair("leveldb-fs").scale(scale).run();
     println!(
         "pthreads, buggy      : {:>12} cycles  ({} HITM events)",
         base.cycles, base.hitm_events
     );
 
-    let manual = Experiment::repair("leveldb-fs").scale(scale).fixed().run();
+    let manual = JobSpec::repair("leveldb-fs").scale(scale).fixed().run();
     println!(
         "pthreads, source fix : {:>12} cycles  ({:.2}x)",
         manual.cycles,
         base.cycles as f64 / manual.cycles as f64
     );
 
-    let tmi = Experiment::repair("leveldb-fs")
+    let tmi = JobSpec::repair("leveldb-fs")
         .runtime(RuntimeKind::TmiProtect)
         .scale(scale)
         .run();
@@ -52,7 +52,7 @@ fn main() {
 
     // The pristine store for contrast: mostly true sharing, nothing for
     // TMI to repair (§4.2).
-    let pristine = Experiment::repair("leveldb")
+    let pristine = JobSpec::repair("leveldb")
         .runtime(RuntimeKind::TmiDetect)
         .scale(scale)
         .run();

@@ -44,7 +44,6 @@ fn main() {
     let campaign = run_campaign(&FuzzConfig {
         seeds: 32,
         ablate_code_centric: true,
-        max_reports: 1,
         ..FuzzConfig::default()
     });
     print!("{}", campaign.render());

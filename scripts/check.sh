@@ -3,6 +3,11 @@
 # workflow (.github/workflows/ci.yml) exactly so a local run is
 # authoritative: if this script passes, CI passes.
 #
+# Every cargo command that resolves dependencies runs with --locked, so a
+# manifest change that would rewrite Cargo.lock or perfbench/Cargo.lock
+# (removing a dependency edge of a crate perfbench builds does) fails
+# here instead of silently editing the lockfile.
+#
 #   fmt      rustfmt, check-only (the tree must already be formatted)
 #   clippy   workspace lints over every target (libraries, binaries,
 #            tests, examples), warnings are errors
@@ -69,11 +74,11 @@ echo "== fmt"
 cargo fmt --all -- --check
 
 echo "== clippy"
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
 echo "== tier-1 build + test"
-cargo build --release --workspace
-cargo test -q --workspace
+cargo build --locked --release --workspace
+cargo test --locked -q --workspace
 
 echo "== smoke: run_all --quick"
 smoke_dir=$(mktemp -d)
@@ -121,8 +126,8 @@ grep -q '"service.job"' "$smoke_dir/service_trace.json" \
   || { echo "service trace has no job spans"; exit 1; }
 
 echo "== bench-smoke: perfbench tests + smoke"
-cargo test -q --offline --manifest-path perfbench/Cargo.toml
-cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml --bin bench -- run --smoke
+cargo test --locked -q --offline --manifest-path perfbench/Cargo.toml
+cargo run --locked --release --quiet --offline --manifest-path perfbench/Cargo.toml --bin bench -- run --smoke
 
 echo "== crash: seeded kill -9 matrix + byte-identical recovery"
 target/release/crash_matrix --kill-points 8 --data-root "$smoke_dir/crash"

@@ -2,7 +2,7 @@
 //! produce identical cycle counts, HITM counts and repair decisions. This
 //! is what makes every number in EXPERIMENTS.md reproducible exactly.
 
-use tmi_repro::bench::{Experiment, RuntimeKind};
+use tmi_repro::bench::{JobSpec, RuntimeKind};
 
 fn fingerprint(r: &tmi_repro::bench::RunResult) -> (u64, u64, u64, bool, u64, Option<u64>) {
     (
@@ -24,8 +24,8 @@ fn identical_runs_are_bit_identical() {
         ("spinlockpool", RuntimeKind::Laser),
         ("canneal", RuntimeKind::Pthreads),
     ] {
-        let cell = Experiment::repair(name).runtime(rt).scale(0.2).misaligned();
-        let a = cell.clone().run();
+        let cell = JobSpec::repair(name).runtime(rt).scale(0.2).misaligned();
+        let a = cell.run();
         let b = cell.run();
         assert_eq!(
             fingerprint(&a),
@@ -40,7 +40,7 @@ fn identical_runs_are_bit_identical() {
 fn different_seeds_of_work_change_results() {
     // Sanity check that the fingerprint actually discriminates: changing
     // the scale must change the outcome.
-    let a = Experiment::repair("lreg").scale(0.2).run();
-    let b = Experiment::repair("lreg").scale(0.25).run();
+    let a = JobSpec::repair("lreg").scale(0.2).run();
+    let b = JobSpec::repair("lreg").scale(0.25).run();
     assert_ne!(a.cycles, b.cycles);
 }

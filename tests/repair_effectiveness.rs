@@ -2,17 +2,17 @@
 //! reduced scale: repair helps where it should, stays out of the way where
 //! it shouldn't, and the comparison systems order the way Table 1 says.
 
-use tmi_repro::bench::{Experiment, RunResult, RuntimeKind};
+use tmi_repro::bench::{JobSpec, RunResult, RuntimeKind};
 
 /// A §4.1 repair cell at benchmark scale with the misaligned allocation.
 fn repair_run(name: &str, rt: RuntimeKind) -> RunResult {
-    Experiment::repair(name).runtime(rt).misaligned().run()
+    JobSpec::repair(name).runtime(rt).misaligned().run()
 }
 
 #[test]
 fn tmi_recovers_most_of_the_manual_speedup_on_lreg() {
     let base = repair_run("lreg", RuntimeKind::Pthreads);
-    let manual = Experiment::repair("lreg").fixed().run();
+    let manual = JobSpec::repair("lreg").fixed().run();
     let tmi = repair_run("lreg", RuntimeKind::TmiProtect);
     assert!(base.ok() && manual.ok() && tmi.ok());
     assert!(tmi.repaired, "repair must trigger");
@@ -91,8 +91,8 @@ fn spinlockpool_is_repaired_by_lock_repadding() {
 #[test]
 fn no_contention_means_no_intervention() {
     for name in ["blackscholes", "swaptions", "matrix"] {
-        let base = Experiment::repair(name).scale(0.2).run();
-        let tmi = Experiment::repair(name)
+        let base = JobSpec::repair(name).scale(0.2).run();
+        let tmi = JobSpec::repair(name)
             .runtime(RuntimeKind::TmiProtect)
             .scale(0.2)
             .run();
@@ -107,7 +107,7 @@ fn no_contention_means_no_intervention() {
 fn detection_classifies_leveldbs_queue_as_true_sharing() {
     // §4.2: TMI sees the pristine store's contention but declines to
     // repair it (true sharing dominates).
-    let r = Experiment::new("leveldb")
+    let r = JobSpec::new("leveldb")
         .runtime(RuntimeKind::TmiProtect)
         .scale(0.4)
         .run();
@@ -122,10 +122,10 @@ fn detection_classifies_leveldbs_queue_as_true_sharing() {
 
 #[test]
 fn huge_pages_cut_fault_counts_by_orders_of_magnitude() {
-    let cell = Experiment::new("ocean-cp")
+    let cell = JobSpec::new("ocean-cp")
         .runtime(RuntimeKind::TmiDetect)
         .scale(0.2);
-    let small = cell.clone().run();
+    let small = cell.run();
     let huge = cell.huge_pages().run();
     assert!(small.ok() && huge.ok());
     assert!(
@@ -139,7 +139,7 @@ fn huge_pages_cut_fault_counts_by_orders_of_magnitude() {
 #[test]
 fn ptsb_everywhere_is_worse_than_targeted_on_histogram() {
     let run = |rt| {
-        Experiment::repair("histogram")
+        JobSpec::repair("histogram")
             .runtime(rt)
             .scale(2.0)
             .misaligned()

@@ -2,11 +2,11 @@
 //! compatibility must complete and verify; known-broken combinations must
 //! fail in exactly the way the paper describes.
 
-use tmi_repro::bench::{Experiment, RuntimeKind};
+use tmi_repro::bench::{JobSpec, RuntimeKind};
 use tmi_repro::sim::Halt;
 
-fn small(name: &str, rt: RuntimeKind) -> Experiment {
-    Experiment::new(name)
+fn small(name: &str, rt: RuntimeKind) -> JobSpec {
+    JobSpec::new(name)
         .runtime(rt)
         .scale(0.05)
         .tick_interval(300_000)

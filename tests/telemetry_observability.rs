@@ -18,7 +18,7 @@ use std::path::Path;
 
 use proptest::prelude::*;
 use tmi_repro::bench::telemetry::{registered_metric_names, validate_trace};
-use tmi_repro::bench::{Experiment, RuntimeKind};
+use tmi_repro::bench::{JobSpec, RuntimeKind};
 use tmi_repro::oracle::{trace_seed, CheckConfig};
 use tmi_repro::service::service_metric_names;
 
@@ -61,12 +61,12 @@ fn chrome_trace_matches_golden_byte_for_byte() {
 
 #[test]
 fn tracing_does_not_perturb_the_simulation() {
-    let quiet = Experiment::repair("histogramfs")
+    let quiet = JobSpec::repair("histogramfs")
         .runtime(RuntimeKind::TmiProtect)
         .scale(0.1)
         .misaligned()
         .run();
-    let (traced, trace) = Experiment::repair("histogramfs")
+    let (traced, trace) = JobSpec::repair("histogramfs")
         .runtime(RuntimeKind::TmiProtect)
         .scale(0.1)
         .misaligned()
@@ -92,7 +92,7 @@ fn tracing_does_not_perturb_the_simulation() {
 #[test]
 fn run_exports_only_schema_names() {
     let schema: BTreeSet<String> = registered_metric_names().into_iter().collect();
-    let r = Experiment::repair("histogramfs")
+    let r = JobSpec::repair("histogramfs")
         .runtime(RuntimeKind::TmiProtect)
         .scale(0.1)
         .misaligned()
