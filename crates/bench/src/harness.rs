@@ -395,7 +395,7 @@ pub fn execute_spec(spec: &JobSpec, tracer: &Tracer) -> RunResult {
             let built = build(spec, |l| LaserRuntime::new(perf, l));
             finish(spec, "laser", built, faults, |_rt, _core, r| {
                 r.repaired = r.metrics.u64("laser.repaired") != 0;
-                r.perf_events = r.metrics.u64("laser.emulated_stores"); // proxy
+                fill_perf("laser", r);
             })
         }
         RuntimeKind::Plastic => {
@@ -403,6 +403,7 @@ pub fn execute_spec(spec: &JobSpec, tracer: &Tracer) -> RunResult {
             let built = build(spec, |l| PlasticRuntime::new(perf, l));
             finish(spec, "plastic", built, faults, |_rt, _core, r| {
                 r.repaired = r.metrics.u64("plastic.remapped_lines") > 0;
+                fill_perf("plastic", r);
             })
         }
     }
@@ -436,8 +437,7 @@ fn fill_tmi(rt: &TmiRuntime, core: &tmi_sim::EngineCore, r: &mut RunResult) {
     // during the engine snapshot; fold it in here under `tmi.memory.`.
     let mem: MemoryBreakdown = rt.observe().memory(&core.kernel);
     r.metrics.absorb("tmi.memory", &mem);
-    r.perf_records = r.metrics.u64("tmi.perf.records_taken");
-    r.perf_events = r.metrics.u64("tmi.perf.events_seen");
+    fill_perf("tmi", r);
     r.repaired = r.metrics.u64("tmi.repaired") != 0;
     r.commits = r.metrics.u64("tmi.repair.commits");
     r.converted_at = (r.metrics.u64("tmi.repair.converted") != 0)
@@ -446,6 +446,13 @@ fn fill_tmi(rt: &TmiRuntime, core: &tmi_sim::EngineCore, r: &mut RunResult) {
     r.memory_bytes = r.metrics.u64("tmi.memory.total_bytes");
     r.app_bytes = r.metrics.u64("tmi.memory.app_bytes");
     r.phases = rt.observe().phases();
+}
+
+/// The perf monitor's counts, for the runtimes that sample through one
+/// (TMI, LASER and Plastic share `tmi::DetectionLoop`).
+fn fill_perf(prefix: &str, r: &mut RunResult) {
+    r.perf_records = r.metrics.u64(&format!("{prefix}.perf.records_taken"));
+    r.perf_events = r.metrics.u64(&format!("{prefix}.perf.events_seen"));
 }
 
 fn fill_sheriff(rt: &SheriffRuntime, _core: &tmi_sim::EngineCore, r: &mut RunResult) {

@@ -65,3 +65,25 @@ fn tmi_protect_repairs_lreg_at_small_scale() {
         base.cycles
     );
 }
+
+#[test]
+fn laser_and_plastic_report_their_perf_monitor_counts() {
+    for (rt, prefix) in [
+        (RuntimeKind::Laser, "laser"),
+        (RuntimeKind::Plastic, "plastic"),
+    ] {
+        let r = JobSpec::new("lreg")
+            .runtime(rt)
+            .threads(4)
+            .tick_interval(400_000)
+            .scale(0.25)
+            .misaligned()
+            .run();
+        assert!(r.ok(), "{prefix}: {:?}", r.verified);
+        assert!(r.perf_records > 0, "{prefix} took no PEBS records");
+        let records = r.metrics.u64(&format!("{prefix}.perf.records_taken"));
+        let events = r.metrics.u64(&format!("{prefix}.perf.events_seen"));
+        assert_eq!(r.perf_records, records, "{prefix} perf_records");
+        assert_eq!(r.perf_events, events, "{prefix} perf_events");
+    }
+}

@@ -56,10 +56,6 @@ pub enum FaultPoint {
     /// of an OOM-killed or segfaulted worker process); the job must be
     /// requeued and retried with an identical result.
     WorkerKill,
-    /// The service admission queue reports full even when capacity
-    /// remains (load-shedding under pressure); the client must receive a
-    /// backpressure reply, never a hang.
-    QueueFull,
     /// The service result-cache store is dropped after a computed job
     /// (cache eviction under memory pressure); later duplicates recompute
     /// and must still produce byte-identical payloads.
@@ -81,7 +77,7 @@ pub enum FaultPoint {
 impl FaultPoint {
     /// Every fault point, in stable order (used for stats aggregation
     /// and deterministic rendering).
-    pub const ALL: [FaultPoint; 12] = [
+    pub const ALL: [FaultPoint; 11] = [
         FaultPoint::FrameAlloc,
         FaultPoint::MapTransient,
         FaultPoint::ProtectPage,
@@ -89,7 +85,6 @@ impl FaultPoint {
         FaultPoint::PebsDrop,
         FaultPoint::TwinAlloc,
         FaultPoint::WorkerKill,
-        FaultPoint::QueueFull,
         FaultPoint::CacheDrop,
         FaultPoint::JournalTear,
         FaultPoint::CacheCorrupt,
@@ -119,7 +114,6 @@ impl FaultPoint {
             FaultPoint::PebsDrop => "pebs_drop",
             FaultPoint::TwinAlloc => "twin_alloc",
             FaultPoint::WorkerKill => "worker_kill",
-            FaultPoint::QueueFull => "queue_full",
             FaultPoint::CacheDrop => "cache_drop",
             FaultPoint::JournalTear => "journal_tear",
             FaultPoint::CacheCorrupt => "cache_corrupt",
@@ -136,11 +130,10 @@ impl FaultPoint {
             FaultPoint::PebsDrop => 4,
             FaultPoint::TwinAlloc => 5,
             FaultPoint::WorkerKill => 6,
-            FaultPoint::QueueFull => 7,
-            FaultPoint::CacheDrop => 8,
-            FaultPoint::JournalTear => 9,
-            FaultPoint::CacheCorrupt => 10,
-            FaultPoint::FlushFail => 11,
+            FaultPoint::CacheDrop => 7,
+            FaultPoint::JournalTear => 8,
+            FaultPoint::CacheCorrupt => 9,
+            FaultPoint::FlushFail => 10,
         }
     }
 }
@@ -587,7 +580,6 @@ mod tests {
         }
         for p in [
             FaultPoint::WorkerKill,
-            FaultPoint::QueueFull,
             FaultPoint::CacheDrop,
             FaultPoint::JournalTear,
             FaultPoint::CacheCorrupt,

@@ -28,7 +28,14 @@
 //! resubmission pass is timed against the cold reference as an
 //! advisory wall-time check.
 //!
-//! Exits nonzero on the first byte mismatch, lost job, or cold cache.
+//! Each restart must also show the plan's damage, so a fault roll that
+//! stopped firing cannot pass vacuously: no torn journal record and no
+//! dropped cache entry under `none`, a torn one under `journal`, and a
+//! dropped one under `cache` from kill point 2 on (it corrupts every
+//! second spill, and only one is spilled before kill point 1).
+//!
+//! Exits nonzero on the first byte mismatch, lost job, cold cache or
+//! undamaged fault cell. `--kill-points` must be at least 1.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -148,7 +155,7 @@ fn client_cfg() -> ClientConfig {
 
 /// Runs one job to completion, returning its payload bytes.
 fn run_job(addr: &str, spec: &JobSpec) -> String {
-    client::run_with_retry(addr, &client_cfg(), "chaos", spec, 1, false, |_| {})
+    client::run_with_retry(addr, &client_cfg(), spec, false)
         .unwrap_or_else(|e| fail(&format!("job against {addr}: {e}")))
         .payload
 }
@@ -161,12 +168,8 @@ fn submit_no_wait(addr: &str, spec: &JobSpec) {
         .unwrap_or_else(|e| fail(&format!("connect for no-wait submit: {e}")));
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    writeln!(
-        writer,
-        "{}",
-        proto::render_submit("chaos", spec, 1, false, false)
-    )
-    .unwrap_or_else(|e| fail(&format!("no-wait submit: {e}")));
+    writeln!(writer, "{}", proto::render_submit(spec, false))
+        .unwrap_or_else(|e| fail(&format!("no-wait submit: {e}")));
     let mut line = String::new();
     reader
         .read_line(&mut line)
@@ -185,7 +188,7 @@ fn metric(stats_json: &str, name: &str) -> u64 {
 }
 
 fn fetch_stats(addr: &str) -> String {
-    let mut c = tmi_service::Client::connect_with(addr, &client_cfg())
+    let mut c = tmi_service::Client::connect(addr, &client_cfg())
         .unwrap_or_else(|e| fail(&format!("stats connect {addr}: {e}")));
     c.stats().unwrap_or_else(|e| fail(&format!("stats: {e}")))
 }
@@ -220,7 +223,10 @@ fn main() {
         let mut value = || args.next().unwrap_or_else(|| usage());
         match arg.as_str() {
             "--serve-bin" => serve_bin = Some(value().into()),
-            "--kill-points" => kill_points = value().parse().unwrap_or_else(|_| usage()),
+            "--kill-points" => match value().parse() {
+                Ok(n) if n > 0 => kill_points = n,
+                _ => usage(),
+            },
             "--data-root" => data_root = Some(value().into()),
             _ => usage(),
         }
@@ -309,6 +315,20 @@ fn main() {
                     "plan={plan_name} k={k}: no warm cache hits after restart"
                 ));
             }
+            // The plan must have damaged exactly what it targets.
+            let torn = metric(&stats, "service.persist.journal.torn_skipped");
+            let corrupt = metric(&stats, "service.persist.cache.corrupt_dropped");
+            let damaged = match plan_name {
+                "journal" => torn >= 1,
+                "cache" => k < 2 || corrupt >= 1,
+                _ => torn == 0 && corrupt == 0,
+            };
+            if !damaged {
+                fail(&format!(
+                    "plan={plan_name} k={k}: torn_skipped={torn} corrupt_dropped={corrupt} \
+                     does not show the plan's damage"
+                ));
+            }
             // A journal-replayed job re-executes exactly once: every
             // submitted job reaches exactly one terminal state.
             let submitted = metric(&stats, "service.jobs_submitted");
@@ -328,6 +348,7 @@ fn main() {
             }
             println!(
                 "plan={plan_name} k={k}: replies byte-identical, warm_hits={warm_hits}, \
+                 torn_skipped={torn}, corrupt_dropped={corrupt}, \
                  warm pass {warm_secs:.2}s vs cold {cold_secs:.2}s"
             );
             cells += 1;

@@ -3,7 +3,7 @@
 //! ```text
 //! tmi_client (--addr HOST:PORT | --port-file PATH)
 //!            [--timeout SECS] [--retries N]
-//!            run [SPEC FLAGS] [--tenant NAME] [--priority N] [--fresh] [--no-stream]
+//!            run [SPEC FLAGS] [--fresh]
 //! tmi_client (--addr ... | --port-file ...) stats
 //! tmi_client (--addr ... | --port-file ...) drain
 //! tmi_client (--addr ... | --port-file ...) shutdown
@@ -11,14 +11,16 @@
 //!
 //! `run` takes the shared [`JobSpec`] flags (`--workload`, `--runtime`,
 //! `--threads`, `--scale`, `--seed`, ... — the same vocabulary as
-//! `probe` and the library's `JobSpec` builder), streams progress to
-//! **stderr**, and prints exactly the result payload to **stdout** — so
-//! two invocations can be compared with `cmp` to prove the service's
+//! `probe` and the library's `JobSpec` builder), prints a one-line job
+//! summary to **stderr** and exactly the result payload to **stdout** —
+//! so two invocations can be compared with `cmp` to prove the service's
 //! byte-determinism (cold vs cached vs fault-retried).
 //!
-//! Every connection carries connect and read deadlines, so a daemon
-//! that vanishes mid-reply yields a nonzero exit and a one-line error
-//! naming the address, elapsed time, and attempts — never a hang. `run`
+//! Every connection carries connect and read deadlines (`--timeout SECS`
+//! sets the read deadline: a finite number greater than 0, default 30),
+//! so a daemon that vanishes mid-reply yields a nonzero exit and a
+//! one-line error naming the address, elapsed time, and attempts —
+//! never a hang. `run`
 //! retries transient failures (refused/dropped connections, timeouts,
 //! `draining` rejections) with seeded-jitter backoff; resubmission is
 //! idempotent because replies are deterministic functions of the spec.
@@ -34,7 +36,7 @@ fn usage() -> ! {
         "usage: tmi_client (--addr HOST:PORT | --port-file PATH) \
          [--timeout SECS] [--retries N] COMMAND\n\
          commands:\n  \
-         run [SPEC FLAGS] [--tenant NAME] [--priority N] [--fresh] [--no-stream]\n  \
+         run [SPEC FLAGS] [--fresh]\n  \
          stats\n  \
          drain\n  \
          shutdown\n\
@@ -69,7 +71,10 @@ fn main() {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage());
-                cfg.read_timeout = Duration::from_secs_f64(secs.max(0.001));
+                cfg.read_timeout = Duration::try_from_secs_f64(secs)
+                    .ok()
+                    .filter(|d| !d.is_zero())
+                    .unwrap_or_else(|| usage());
             }
             "--retries" => {
                 cfg.retries = args
@@ -91,21 +96,10 @@ fn main() {
     // share one deadline-armed connection.
     if command == "run" {
         let mut spec = JobSpec::new("histogramfs");
-        let mut tenant = "cli".to_string();
-        let mut priority = 1usize;
         let mut fresh = false;
-        let mut quiet = false;
         while let Some(arg) = args.next() {
             match arg.as_str() {
-                "--tenant" => tenant = args.next().unwrap_or_else(|| usage()),
-                "--priority" => {
-                    priority = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage())
-                }
                 "--fresh" => fresh = true,
-                "--no-stream" => quiet = true,
                 other => {
                     let mut next = || args.next();
                     match spec.apply_cli_arg(other, &mut next) {
@@ -116,15 +110,7 @@ fn main() {
                 }
             }
         }
-        let outcome = client::run_with_retry(&addr, &cfg, &tenant, &spec, priority, fresh, |p| {
-            if !quiet {
-                eprintln!(
-                    "progress: job {} {} (attempt {})",
-                    p.job_id, p.state, p.attempt
-                );
-            }
-        });
-        match outcome {
+        match client::run_with_retry(&addr, &cfg, &spec, fresh) {
             Ok(out) => {
                 eprintln!(
                     "job {} done: cached={} attempts={}",
@@ -138,7 +124,7 @@ fn main() {
         return;
     }
 
-    let mut client = match Client::connect_with(addr.as_str(), &cfg) {
+    let mut client = match Client::connect(addr.as_str(), &cfg) {
         Ok(c) => c,
         Err(e) => fail(&format!("failed to connect to {addr}: {e}")),
     };

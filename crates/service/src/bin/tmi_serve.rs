@@ -1,21 +1,16 @@
-//! `tmi_serve` — boot the multi-tenant simulation job server.
+//! `tmi_serve` — boot the simulation job server.
 //!
 //! ```text
-//! tmi_serve [--addr HOST:PORT] [--workers N] [--queue-capacity N]
-//!           [--quota N] [--max-attempts N] [--service-faults SEED]
-//!           [--persist-faults journal|cache] [--data-dir PATH]
-//!           [--chrome-trace PATH] [--port-file PATH]
+//! tmi_serve [--addr HOST:PORT] [--workers N] [--service-faults SEED]
+//!           [--persist-faults none|journal|cache] [--data-dir PATH]
+//!           [--port-file PATH]
 //! ```
 //!
 //! Binds (port 0 picks a free port), prints `listening on HOST:PORT`,
 //! optionally writes the bound address to `--port-file` (for scripts
 //! that need to find the daemon), and serves until a client sends
 //! `shutdown` or `drain`. On shutdown, prints the final `service.*`
-//! metrics and — with `--chrome-trace` — writes the per-job span trace.
-//!
-//! `--queue-capacity N` (default 64) lets each priority class hold
-//! exactly N queued jobs; the next submission to a full class gets a
-//! `queue_full` rejection.
+//! metrics.
 //!
 //! `--data-dir` arms the crash-safety layer: accepted jobs are
 //! journaled and result payloads spilled under the directory, so a
@@ -30,7 +25,7 @@
 //! firings that the retry and cache layers must absorb without changing
 //! a single result byte. `--persist-faults journal|cache` layers the
 //! at-rest IO faults (`journal_tear`/`cache_corrupt`/`flush_fail`) on
-//! top ([`tmi_service::persist_chaos_plan`]).
+//! top ([`tmi_service::persist_chaos_plan`]); `none` adds nothing.
 
 use std::process::exit;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -39,10 +34,8 @@ use tmi_service::{chaos_plan, persist_chaos_plan, Service, ServiceConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: tmi_serve [--addr HOST:PORT] [--workers N] [--queue-capacity N] \
-         [--quota N] [--max-attempts N] [--service-faults SEED] \
-         [--persist-faults journal|cache] [--data-dir PATH] \
-         [--chrome-trace PATH] [--port-file PATH]"
+        "usage: tmi_serve [--addr HOST:PORT] [--workers N] [--service-faults SEED] \
+         [--persist-faults none|journal|cache] [--data-dir PATH] [--port-file PATH]"
     );
     exit(2);
 }
@@ -70,8 +63,7 @@ fn install_signal_handlers() {
 
 fn main() {
     let mut cfg = ServiceConfig::default();
-    let mut persist_faults: Option<String> = None;
-    let mut chrome_trace: Option<String> = None;
+    let mut persist_faults = "none".to_string();
     let mut port_file: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -85,20 +77,19 @@ fn main() {
         match arg.as_str() {
             "--addr" => cfg.addr = value(),
             "--workers" => cfg.workers = parse(value(), "--workers") as usize,
-            "--queue-capacity" => cfg.queue_capacity = parse(value(), "--queue-capacity") as usize,
-            "--quota" => cfg.default_quota = parse(value(), "--quota") as usize,
-            "--max-attempts" => cfg.max_attempts = (parse(value(), "--max-attempts") as u32).max(1),
             "--service-faults" => cfg.faults = chaos_plan(parse(value(), "--service-faults")),
-            "--persist-faults" => persist_faults = Some(value()),
+            "--persist-faults" => {
+                persist_faults = value();
+                if !matches!(persist_faults.as_str(), "none" | "journal" | "cache") {
+                    usage();
+                }
+            }
             "--data-dir" => cfg.data_dir = Some(value().into()),
-            "--chrome-trace" => chrome_trace = Some(value()),
             "--port-file" => port_file = Some(value()),
             _ => usage(),
         }
     }
-    if let Some(kind) = &persist_faults {
-        cfg.faults = persist_chaos_plan(kind, cfg.faults.take());
-    }
+    cfg.faults = persist_chaos_plan(&persist_faults, cfg.faults.take());
 
     install_signal_handlers();
     let service = match Service::start(cfg) {
@@ -125,13 +116,5 @@ fn main() {
         }
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
-    let report = service.wait();
-    println!("{}", report.metrics.to_json(""));
-    if let Some(path) = chrome_trace {
-        if let Err(e) = std::fs::write(&path, &report.chrome_trace) {
-            eprintln!("tmi_serve: failed to write {path}: {e}");
-            exit(1);
-        }
-        eprintln!("wrote {path}");
-    }
+    println!("{}", service.wait().to_json(""));
 }

@@ -21,7 +21,7 @@ use crate::proto;
 pub struct ClientConfig {
     /// Deadline for establishing the TCP connection.
     pub connect_timeout: Duration,
-    /// Deadline for each blocking read (accept/progress/result lines).
+    /// Deadline for each blocking read (accepted and result lines).
     pub read_timeout: Duration,
     /// Additional attempts after the first (0 = single shot).
     pub retries: u32,
@@ -64,17 +64,14 @@ fn is_transient(err: &str) -> bool {
 /// connection under `cfg`'s deadlines, and transient failures (refused
 /// or dropped connections, read timeouts, `draining` rejections) back
 /// off with seeded jitter before resubmitting. Non-transient verdicts
-/// (quota, bad request, job failure) surface immediately. The terminal
-/// error is a single actionable line carrying the address, elapsed
-/// time, and attempt count.
+/// (bad request, full queue, job failure) surface immediately. The
+/// terminal error is a single actionable line carrying the address,
+/// elapsed time, and attempt count.
 pub fn run_with_retry(
     addr: &str,
     cfg: &ClientConfig,
-    tenant: &str,
     spec: &JobSpec,
-    priority: usize,
     fresh: bool,
-    mut on_progress: impl FnMut(&Progress),
 ) -> Result<RunOutcome, String> {
     let started = Instant::now();
     let attempts = cfg.retries + 1;
@@ -86,9 +83,9 @@ pub fn run_with_retry(
                 % cfg.backoff_base_ms.max(1);
             std::thread::sleep(Duration::from_millis(base + jitter));
         }
-        let result = Client::connect_with(addr, cfg)
+        let result = Client::connect(addr, cfg)
             .map_err(|e| format!("connect failed: {e}"))
-            .and_then(|mut c| c.run(tenant, spec, priority, fresh, &mut on_progress));
+            .and_then(|mut c| c.run(spec, fresh));
         match result {
             Ok(out) => return Ok(out),
             Err(e) if is_transient(&e) => last = e,
@@ -112,21 +109,8 @@ pub struct RunOutcome {
     /// abandoned an attempt and the job was retried).
     pub attempts: u32,
     /// The deterministic result payload, byte-exact as sent on the wire
-    /// (extracted with [`proto::extract_payload`]).
+    /// (extracted with [`proto::extract_member`]).
     pub payload: String,
-}
-
-/// One streamed progress event.
-#[derive(Clone, Debug)]
-pub struct Progress {
-    /// Job the event belongs to.
-    pub job_id: u64,
-    /// `queued`, `running`, `retrying`, `done`, or `failed`.
-    pub state: String,
-    /// Attempt the event happened on (0 before first pickup).
-    pub attempt: u32,
-    /// Rendered `service.*` snapshot at event time.
-    pub metrics: String,
 }
 
 /// A connected client. One request/reply conversation at a time.
@@ -136,36 +120,26 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to a running server (no deadlines — test/library use).
-    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        Client::from_stream(stream)
-    }
-
     /// Connects under `cfg`'s connect deadline and arms its read
     /// deadline on the stream, so a daemon that vanishes mid-reply
     /// yields a timeout error instead of blocking forever.
-    pub fn connect_with(addr: impl ToSocketAddrs, cfg: &ClientConfig) -> std::io::Result<Client> {
+    pub fn connect(addr: impl ToSocketAddrs, cfg: &ClientConfig) -> std::io::Result<Client> {
         let mut last = std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "no address");
         for resolved in addr.to_socket_addrs()? {
             match TcpStream::connect_timeout(&resolved, cfg.connect_timeout) {
                 Ok(stream) => {
                     stream.set_read_timeout(Some(cfg.read_timeout))?;
-                    return Client::from_stream(stream);
+                    stream.set_nodelay(true)?;
+                    let writer = stream.try_clone()?;
+                    return Ok(Client {
+                        reader: BufReader::new(stream),
+                        writer,
+                    });
                 }
                 Err(e) => last = e,
             }
         }
         Err(last)
-    }
-
-    fn from_stream(stream: TcpStream) -> std::io::Result<Client> {
-        stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
-        Ok(Client {
-            reader: BufReader::new(stream),
-            writer,
-        })
     }
 
     fn send(&mut self, line: &str) -> Result<(), String> {
@@ -181,38 +155,18 @@ impl Client {
         }
     }
 
-    /// Submits a job and blocks to its terminal reply, feeding each
-    /// progress event to `on_progress`. `fresh` bypasses the cache read.
-    pub fn run(
-        &mut self,
-        tenant: &str,
-        spec: &JobSpec,
-        priority: usize,
-        fresh: bool,
-        mut on_progress: impl FnMut(&Progress),
-    ) -> Result<RunOutcome, String> {
-        self.send(&proto::render_submit(tenant, spec, priority, fresh, true))?;
+    /// Submits a job and blocks to its terminal reply. `fresh` bypasses
+    /// the cache read.
+    pub fn run(&mut self, spec: &JobSpec, fresh: bool) -> Result<RunOutcome, String> {
+        self.send(&proto::render_submit(spec, fresh))?;
         loop {
             let line = self.recv()?;
             let v = json::parse(&line).map_err(|e| format!("bad reply {line:?}: {e}"))?;
             let num = |key: &str| v.get(key).and_then(Json::as_f64).unwrap_or(0.0) as u64;
             match v.get("type").and_then(Json::as_str).unwrap_or("") {
                 "accepted" => {}
-                "progress" => on_progress(&Progress {
-                    job_id: num("job_id"),
-                    state: v
-                        .get("state")
-                        .and_then(Json::as_str)
-                        .unwrap_or("")
-                        .to_string(),
-                    attempt: num("attempt") as u32,
-                    metrics: v
-                        .get("metrics")
-                        .map(|_| extract_object(&line, "\"metrics\": "))
-                        .unwrap_or_default(),
-                }),
                 "result" => {
-                    let payload = proto::extract_payload(&line)
+                    let payload = proto::extract_member(&line, "payload")
                         .ok_or_else(|| format!("result line without payload: {line:?}"))?
                         .to_string();
                     return Ok(RunOutcome {
@@ -252,7 +206,9 @@ impl Client {
         let line = self.recv()?;
         let v = json::parse(&line).map_err(|e| format!("bad reply {line:?}: {e}"))?;
         match v.get("type").and_then(Json::as_str) {
-            Some("stats") => Ok(extract_object(&line, "\"metrics\": ")),
+            Some("stats") => proto::extract_member(&line, "metrics")
+                .map(str::to_string)
+                .ok_or_else(|| format!("stats reply without metrics: {line:?}")),
             _ => Err(format!("unexpected reply {line:?}")),
         }
     }
@@ -260,22 +216,17 @@ impl Client {
     /// Asks the server to drain gracefully (finish in-flight jobs,
     /// flush durable state, exit); returns once acknowledged.
     pub fn drain(&mut self) -> Result<(), String> {
-        self.send("{\"type\": \"drain\"}")?;
-        let line = self.recv()?;
-        match json::parse(&line)
-            .ok()
-            .as_ref()
-            .and_then(|v| v.get("type"))
-            .and_then(Json::as_str)
-        {
-            Some("ok") => Ok(()),
-            _ => Err(format!("unexpected reply {line:?}")),
-        }
+        self.control("drain")
     }
 
     /// Asks the server to shut down; returns once acknowledged.
     pub fn shutdown(&mut self) -> Result<(), String> {
-        self.send("{\"type\": \"shutdown\"}")?;
+        self.control("shutdown")
+    }
+
+    /// Sends a request of type `kind` and expects a plain `ok` reply.
+    fn control(&mut self, kind: &str) -> Result<(), String> {
+        self.send(&format!("{{\"type\": \"{kind}\"}}"))?;
         let line = self.recv()?;
         match json::parse(&line)
             .ok()
@@ -286,17 +237,5 @@ impl Client {
             Some("ok") => Ok(()),
             _ => Err(format!("unexpected reply {line:?}")),
         }
-    }
-}
-
-/// Pulls the raw bytes of a trailing JSON object member out of a reply
-/// line (reply renderers always place the object member last).
-fn extract_object(line: &str, marker: &str) -> String {
-    match line.find(marker) {
-        Some(at) => {
-            let line = line.trim_end();
-            line[at + marker.len()..line.len() - 1].to_string()
-        }
-        None => String::new(),
     }
 }

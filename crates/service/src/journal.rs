@@ -4,24 +4,23 @@
 //! ## Protocol
 //!
 //! Admission appends [`JournalRecord::Accepted`] *before* the job enters
-//! its queue; completion appends [`JournalRecord::Done`] (or `Failed`). A
-//! restarting daemon replays the file ([`Journal::replay`]): any
+//! the queue; completion appends [`JournalRecord::Done`] (or `Failed`). A
+//! restarting daemon recovers the file ([`Journal::recover`]): any
 //! accepted record without a matching terminal marker is an *unfinished*
-//! job the crash orphaned — the server re-enqueues it (it re-executes
-//! exactly once) and rebuilds the tenant's quota accounting from the
-//! same records.
+//! job the crash orphaned, and the server re-enqueues it (it re-executes
+//! exactly once).
 //!
-//! Job ids restart from 1 on every boot, so replay renumbers: recovery
-//! compacts the journal ([`Journal::compact`]) down to fresh `Accepted`
-//! records for just the unfinished jobs under their new ids, via the
-//! atomic tmp-file+rename rotation in [`crate::persist::FrameLog`].
+//! Job ids restart from 1 on every boot, so recovery renumbers: it
+//! compacts the journal down to `Accepted` records for just the
+//! unfinished jobs under ids `1..=k` (atomic tmp-file+rename, see
+//! [`crate::persist::FrameLog`]), and the server re-creates them first.
 //!
 //! Records ride the CRC framing of [`crate::persist`]; a torn tail
 //! (crash mid-append) is skipped cleanly — the torn record's job never
 //! got its `accepted` reply flushed to the client either, so the client
 //! resubmits and nothing is lost.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use tmi_bench::JobSpec;
 use tmi_faultpoint::FaultInjector;
@@ -36,10 +35,6 @@ pub enum JournalRecord {
     Accepted {
         /// Server-assigned job id (unique within one daemon lifetime).
         id: u64,
-        /// Tenant the job counts against.
-        tenant: String,
-        /// Priority class it was queued on.
-        priority: usize,
         /// The full job identity.
         spec: JobSpec,
     },
@@ -59,15 +54,8 @@ impl JournalRecord {
     /// Renders the canonical JSON payload for one record.
     pub fn encode(&self) -> String {
         match self {
-            JournalRecord::Accepted {
-                id,
-                tenant,
-                priority,
-                spec,
-            } => format!(
-                "{{\"rec\": \"accepted\", \"id\": {id}, \"tenant\": {}, \
-                 \"priority\": {priority}, \"job\": {}}}",
-                json::string(tenant),
+            JournalRecord::Accepted { id, spec } => format!(
+                "{{\"rec\": \"accepted\", \"id\": {id}, \"job\": {}}}",
                 spec.to_json(),
             ),
             JournalRecord::Done { id } => format!("{{\"rec\": \"done\", \"id\": {id}}}"),
@@ -75,7 +63,9 @@ impl JournalRecord {
         }
     }
 
-    /// Parses one record payload.
+    /// Parses one record payload. Members older daemons wrote (an
+    /// `accepted` record's `tenant` and `priority`) are ignored, so
+    /// their journals still replay.
     pub fn decode(payload: &str) -> Result<JournalRecord, String> {
         let v = json::parse(payload).map_err(|e| format!("bad journal JSON: {e}"))?;
         let id = v
@@ -84,24 +74,9 @@ impl JournalRecord {
             .ok_or("journal record needs a numeric \"id\"")? as u64;
         match v.get("rec").and_then(Json::as_str) {
             Some("accepted") => {
-                let tenant = v
-                    .get("tenant")
-                    .and_then(Json::as_str)
-                    .ok_or("accepted record needs a string \"tenant\"")?
-                    .to_string();
-                let priority = v
-                    .get("priority")
-                    .and_then(Json::as_f64)
-                    .ok_or("accepted record needs a numeric \"priority\"")?
-                    as usize;
                 let spec =
                     JobSpec::from_json(v.get("job").ok_or("accepted record needs a \"job\"")?)?;
-                Ok(JournalRecord::Accepted {
-                    id,
-                    tenant,
-                    priority,
-                    spec,
-                })
+                Ok(JournalRecord::Accepted { id, spec })
             }
             Some("done") => Ok(JournalRecord::Done { id }),
             Some("failed") => Ok(JournalRecord::Failed { id }),
@@ -110,17 +85,15 @@ impl JournalRecord {
     }
 }
 
-/// What a journal replay recovered.
+/// What a journal recovery found.
 #[derive(Debug, Default)]
 pub struct Replay {
-    /// Accepted-but-unfinished jobs, in original admission order.
-    pub unfinished: Vec<JournalRecord>,
-    /// Per-tenant `(submitted, completed)` counts across the whole
-    /// journal — the quota bookkeeping a restart resumes from.
-    pub tenants: Vec<(String, u64, u64)>,
+    /// Accepted-but-unfinished jobs, in original admission order; the
+    /// recovered journal holds them under ids `1..=unfinished.len()`.
+    pub unfinished: Vec<JobSpec>,
     /// Intact records seen (any kind).
     pub records: u64,
-    /// Records dropped: torn-tail bytes skipped plus undecodable frames.
+    /// Records dropped: a torn or corrupt tail plus undecodable frames.
     pub skipped: u64,
 }
 
@@ -131,11 +104,46 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Opens (creating if absent) the journal at `path` for appending.
-    pub fn open(path: impl Into<PathBuf>) -> std::io::Result<Journal> {
-        Ok(Journal {
+    /// Recovers the journal at `path` (absent = empty): replays it,
+    /// tolerating a torn or corrupt tail, atomically rewrites it to
+    /// `Accepted { id: 1..=k, spec }` for the `k` unfinished jobs, and
+    /// opens it for appending.
+    pub fn recover(path: &Path) -> std::io::Result<(Journal, Replay)> {
+        let scan = FrameLog::scan_file(path)?;
+        let mut replay = Replay {
+            skipped: u64::from(scan.torn),
+            ..Replay::default()
+        };
+        let mut open: Vec<(u64, JobSpec)> = Vec::new();
+        for frame in &scan.payloads {
+            let rec = std::str::from_utf8(frame)
+                .map_err(|e| e.to_string())
+                .and_then(JournalRecord::decode);
+            let Ok(rec) = rec else {
+                replay.skipped += 1;
+                continue;
+            };
+            replay.records += 1;
+            match rec {
+                JournalRecord::Accepted { id, spec } => open.push((id, spec)),
+                JournalRecord::Done { id } | JournalRecord::Failed { id } => {
+                    open.retain(|(a, _)| *a != id)
+                }
+            }
+        }
+        replay.unfinished = open.into_iter().map(|(_, spec)| spec).collect();
+        let compacted: Vec<Vec<u8>> = (1u64..)
+            .zip(&replay.unfinished)
+            .map(|(id, spec)| {
+                let spec = spec.clone();
+                JournalRecord::Accepted { id, spec }.encode().into_bytes()
+            })
+            .collect();
+        FrameLog::rewrite(path, &compacted)?;
+        let journal = Journal {
             log: FrameLog::open(path)?,
-        })
+        };
+        Ok((journal, replay))
     }
 
     /// Forces a durability flush of the journal file.
@@ -151,68 +159,13 @@ impl Journal {
     ) -> AppendOutcome {
         self.log.append(record.encode().as_bytes(), faults, false)
     }
-
-    /// Replays the journal at `path`, tolerating a torn/corrupt tail.
-    pub fn replay(path: &Path) -> std::io::Result<Replay> {
-        let scan = FrameLog::scan_file(path)?;
-        let mut out = Replay {
-            skipped: u64::from(scan.torn),
-            ..Replay::default()
-        };
-        let mut open: Vec<JournalRecord> = Vec::new();
-        let mut tenants: std::collections::BTreeMap<String, (u64, u64)> = Default::default();
-        for frame in &scan.payloads {
-            let rec = std::str::from_utf8(frame)
-                .map_err(|e| e.to_string())
-                .and_then(JournalRecord::decode);
-            let rec = match rec {
-                Ok(rec) => rec,
-                Err(_) => {
-                    out.skipped += 1;
-                    continue;
-                }
-            };
-            out.records += 1;
-            match rec {
-                JournalRecord::Accepted { ref tenant, .. } => {
-                    tenants.entry(tenant.clone()).or_default().0 += 1;
-                    open.push(rec);
-                }
-                JournalRecord::Done { id } => {
-                    if let Some(at) = open.iter().position(
-                        |r| matches!(r, JournalRecord::Accepted { id: a, .. } if *a == id),
-                    ) {
-                        if let JournalRecord::Accepted { tenant, .. } = &open[at] {
-                            tenants.entry(tenant.clone()).or_default().1 += 1;
-                        }
-                        open.remove(at);
-                    }
-                }
-                JournalRecord::Failed { id } => {
-                    open.retain(
-                        |r| !matches!(r, JournalRecord::Accepted { id: a, .. } if *a == id),
-                    );
-                }
-            }
-        }
-        out.unfinished = open;
-        out.tenants = tenants.into_iter().map(|(t, (s, c))| (t, s, c)).collect();
-        Ok(out)
-    }
-
-    /// Atomically rewrites the journal at `path` to exactly `records`
-    /// (recovery compaction: finished jobs drop out, unfinished jobs are
-    /// renumbered under the fresh boot's ids).
-    pub fn compact(path: &Path, records: &[JournalRecord]) -> std::io::Result<()> {
-        let payloads: Vec<Vec<u8>> = records.iter().map(|r| r.encode().into_bytes()).collect();
-        FrameLog::rewrite(path, &payloads)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write as _;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("tmi-journal-{name}-{}", std::process::id()));
@@ -221,22 +174,30 @@ mod tests {
         dir.join("journal.log")
     }
 
-    fn accepted(id: u64, tenant: &str) -> JournalRecord {
+    fn spec(seed: u64) -> JobSpec {
         let mut spec = JobSpec::new("histogramfs");
         spec.scale = 0.02;
-        spec.seed = id;
-        JournalRecord::Accepted {
-            id,
-            tenant: tenant.to_string(),
-            priority: 1,
-            spec,
-        }
+        spec.seed = seed;
+        spec
+    }
+
+    fn accepted(id: u64) -> JournalRecord {
+        JournalRecord::Accepted { id, spec: spec(id) }
+    }
+
+    /// The records the file at `path` holds, decoded.
+    fn records(path: &Path) -> Vec<JournalRecord> {
+        let scan = FrameLog::scan_file(path).unwrap();
+        scan.payloads
+            .iter()
+            .map(|f| JournalRecord::decode(std::str::from_utf8(f).unwrap()).unwrap())
+            .collect()
     }
 
     #[test]
     fn records_round_trip_through_the_codec() {
         for rec in [
-            accepted(3, "ci"),
+            accepted(3),
             JournalRecord::Done { id: 3 },
             JournalRecord::Failed { id: 9 },
         ] {
@@ -245,39 +206,59 @@ mod tests {
     }
 
     #[test]
-    fn replay_separates_finished_from_unfinished() {
+    fn accepted_records_from_older_daemons_still_decode() {
+        let old = format!(
+            "{{\"rec\": \"accepted\", \"id\": 4, \"tenant\": \"ci\", \"priority\": 1, \
+             \"job\": {}}}",
+            spec(4).to_json()
+        );
+        assert_eq!(JournalRecord::decode(&old).unwrap(), accepted(4));
+    }
+
+    #[test]
+    fn recover_keeps_unfinished_jobs_and_renumbers_them() {
         let path = tmp("replay");
-        let mut j = Journal::open(&path).unwrap();
-        j.append(&accepted(1, "ci"), None);
-        j.append(&accepted(2, "ci"), None);
-        j.append(&accepted(3, "other"), None);
-        j.append(&JournalRecord::Done { id: 1 }, None);
-        j.append(&JournalRecord::Failed { id: 3 }, None);
-        let replay = Journal::replay(&path).unwrap();
+        let (mut j, _) = Journal::recover(&path).unwrap();
+        for rec in [
+            accepted(1),
+            accepted(2),
+            accepted(3),
+            JournalRecord::Done { id: 1 },
+            JournalRecord::Failed { id: 3 },
+        ] {
+            j.append(&rec, None);
+        }
+        drop(j);
+        let (_, replay) = Journal::recover(&path).unwrap();
         assert_eq!(replay.records, 5);
         assert_eq!(replay.skipped, 0);
-        assert_eq!(replay.unfinished, vec![accepted(2, "ci")]);
+        assert_eq!(replay.unfinished, vec![spec(2)]);
+        // Compacted to the one survivor, renumbered as this boot's job 1.
         assert_eq!(
-            replay.tenants,
-            vec![("ci".to_string(), 2, 1), ("other".to_string(), 1, 0)]
+            records(&path),
+            vec![JournalRecord::Accepted {
+                id: 1,
+                spec: spec(2)
+            }]
         );
     }
 
     #[test]
     fn torn_tail_is_skipped_cleanly_at_every_truncation_point() {
         let path = tmp("torn");
-        let mut j = Journal::open(&path).unwrap();
-        j.append(&accepted(1, "ci"), None);
+        let (mut j, _) = Journal::recover(&path).unwrap();
+        j.append(&accepted(1), None);
         j.append(&JournalRecord::Done { id: 1 }, None);
         let intact = std::fs::read(&path).unwrap();
-        j.append(&accepted(2, "ci"), None);
+        j.append(&accepted(2), None);
+        drop(j);
         let full = std::fs::read(&path).unwrap();
         for cut in intact.len()..full.len() {
             std::fs::File::create(&path)
                 .unwrap()
                 .write_all(&full[..cut])
                 .unwrap();
-            let replay = Journal::replay(&path).unwrap();
+            let (_, replay) = Journal::recover(&path).unwrap();
             assert_eq!(replay.records, 2, "cut at {cut}");
             assert!(replay.unfinished.is_empty(), "cut at {cut}");
             assert_eq!(
@@ -285,59 +266,7 @@ mod tests {
                 u64::from(cut > intact.len()),
                 "cut at {cut}"
             );
+            assert!(records(&path).is_empty(), "cut at {cut}");
         }
-    }
-
-    #[test]
-    fn compact_renumbers_down_to_the_survivors() {
-        let path = tmp("compact");
-        let mut j = Journal::open(&path).unwrap();
-        j.append(&accepted(1, "ci"), None);
-        j.append(&accepted(2, "ci"), None);
-        j.append(&JournalRecord::Done { id: 1 }, None);
-        drop(j);
-        let replay = Journal::replay(&path).unwrap();
-        let renumbered: Vec<JournalRecord> = replay
-            .unfinished
-            .iter()
-            .enumerate()
-            .map(|(i, r)| match r {
-                JournalRecord::Accepted {
-                    tenant,
-                    priority,
-                    spec,
-                    ..
-                } => JournalRecord::Accepted {
-                    id: i as u64 + 1,
-                    tenant: tenant.clone(),
-                    priority: *priority,
-                    spec: spec.clone(),
-                },
-                other => other.clone(),
-            })
-            .collect();
-        Journal::compact(&path, &renumbered).unwrap();
-        let after = Journal::replay(&path).unwrap();
-        assert_eq!(after.records, 1);
-        assert_eq!(
-            after.unfinished,
-            vec![accepted(2, "ci")]
-                .into_iter()
-                .map(|r| match r {
-                    JournalRecord::Accepted {
-                        tenant,
-                        priority,
-                        spec,
-                        ..
-                    } => JournalRecord::Accepted {
-                        id: 1,
-                        tenant,
-                        priority,
-                        spec
-                    },
-                    other => other,
-                })
-                .collect::<Vec<_>>()
-        );
     }
 }

@@ -37,7 +37,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use tmi_faultpoint::{FaultInjector, FaultPoint};
@@ -77,8 +77,6 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 pub struct FrameScan {
     /// Intact payloads, in append order.
     pub payloads: Vec<Vec<u8>>,
-    /// Bytes of torn/corrupt tail skipped (0 for a clean file).
-    pub torn_bytes: u64,
     /// Whether the scan stopped early on a bad frame.
     pub torn: bool,
 }
@@ -105,10 +103,7 @@ pub fn scan_frames(bytes: &[u8]) -> FrameScan {
         scan.payloads.push(payload.to_vec());
         at += 8 + len as usize;
     }
-    if at < bytes.len() {
-        scan.torn = true;
-        scan.torn_bytes = (bytes.len() - at) as u64;
-    }
+    scan.torn = at < bytes.len();
     scan
 }
 
@@ -125,21 +120,14 @@ pub struct AppendOutcome {
 /// An append-only CRC-framed log file.
 #[derive(Debug)]
 pub struct FrameLog {
-    path: PathBuf,
     file: File,
 }
 
 impl FrameLog {
     /// Opens `path` for appending, creating it if absent.
-    pub fn open(path: impl Into<PathBuf>) -> std::io::Result<FrameLog> {
-        let path = path.into();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(FrameLog { path, file })
-    }
-
-    /// The file backing this log.
-    pub fn path(&self) -> &Path {
-        &self.path
+    pub fn open(path: &Path) -> std::io::Result<FrameLog> {
+        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        Ok(FrameLog { file })
     }
 
     /// Appends one frame, rolling the IO fault points: `JournalTear`
@@ -220,10 +208,9 @@ impl FrameLog {
 pub struct CacheLoad {
     /// Recovered entries: canonical spec JSON → payload bytes.
     pub entries: Vec<(String, Arc<String>)>,
-    /// Frames whose JSON shape was wrong (dropped).
-    pub corrupt_dropped: u64,
-    /// Whether the file had a torn/corrupt tail.
-    pub torn: bool,
+    /// Frames dropped: those whose JSON shape was wrong, plus one for a
+    /// torn or corrupt tail.
+    pub dropped: u64,
 }
 
 /// The result-cache spill: one frame per store, payload
@@ -237,7 +224,7 @@ pub struct CacheSpill {
 
 impl CacheSpill {
     /// Opens the spill file for appending.
-    pub fn open(path: impl Into<PathBuf>) -> std::io::Result<CacheSpill> {
+    pub fn open(path: &Path) -> std::io::Result<CacheSpill> {
         Ok(CacheSpill {
             log: FrameLog::open(path)?,
         })
@@ -274,7 +261,7 @@ impl CacheSpill {
     pub fn load(path: &Path) -> std::io::Result<CacheLoad> {
         let scan = FrameLog::scan_file(path)?;
         let mut out = CacheLoad {
-            torn: scan.torn,
+            dropped: u64::from(scan.torn),
             ..CacheLoad::default()
         };
         let mut good: Vec<Vec<u8>> = Vec::new();
@@ -290,10 +277,10 @@ impl CacheSpill {
                     out.entries.push((key, Arc::new(payload)));
                     good.push(frame.clone());
                 }
-                None => out.corrupt_dropped += 1,
+                None => out.dropped += 1,
             }
         }
-        if scan.torn || out.corrupt_dropped > 0 {
+        if out.dropped > 0 {
             FrameLog::rewrite(path, &good)?;
         }
         Ok(out)
@@ -303,6 +290,7 @@ impl CacheSpill {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use tmi_faultpoint::{FaultPlan, PointPlan};
 
     fn tmp(name: &str) -> PathBuf {
@@ -368,8 +356,7 @@ mod tests {
         spill.store("{\"workload\": \"a\"}", "{\"cycles\": 1}", None);
         spill.store("{\"workload\": \"b\"}", "{\"cycles\": 2}", None);
         let load = CacheSpill::load(&path).unwrap();
-        assert!(!load.torn);
-        assert_eq!(load.corrupt_dropped, 0);
+        assert_eq!(load.dropped, 0);
         assert_eq!(load.entries.len(), 2);
         assert_eq!(load.entries[0].0, "{\"workload\": \"a\"}");
         assert_eq!(*load.entries[1].1, "{\"cycles\": 2}");
@@ -391,10 +378,10 @@ mod tests {
         // the intact first entry survives.
         assert_eq!(load.entries.len(), 1);
         assert_eq!(load.entries[0].0, "k1");
-        assert!(load.torn);
+        assert_eq!(load.dropped, 1);
         // The load scrubbed the file: a second load is clean.
         let again = CacheSpill::load(&path).unwrap();
-        assert!(!again.torn);
+        assert_eq!(again.dropped, 0);
         assert_eq!(again.entries.len(), 1);
     }
 

@@ -10,59 +10,41 @@
 //! ## Requests
 //!
 //! ```json
-//! {"type": "submit", "tenant": "ci", "job": {"workload": "histogramfs", ...},
-//!  "priority": 1, "fresh": false, "stream": true}
-//! {"type": "wait", "job_id": 3, "stream": true}
+//! {"type": "submit", "job": {"workload": "histogramfs", ...}, "fresh": false}
 //! {"type": "stats"}
 //! {"type": "drain"}
 //! {"type": "shutdown"}
 //! ```
 //!
+//! A `submit` line may still carry the members older clients sent
+//! (`tenant`, `priority`, `stream`); they are ignored.
+//!
 //! ## Replies
 //!
 //! `submit` answers `accepted` or `rejected` (reasons: `queue_full`,
-//! `quota_exceeded`, `bad_request`, `draining`) on the first line. An accepted
-//! streaming submission is followed by `progress` events — each carrying
-//! the live `service.*` metrics snapshot — and finally one `result` (or
-//! `job_error`) line. The `payload` member of a `result` line is the
-//! deterministic product of the job alone: it contains no job id, host
-//! timing or cache flag, so a cache-served reply is **byte-identical**
-//! to the compute that produced it.
+//! `bad_request`, `draining`), and an accepted job then gets exactly one
+//! `result` (or `job_error`) line on the same connection. The `payload`
+//! member of a `result` line is the deterministic product of the job
+//! alone: it contains no job id, host timing or cache flag, so a
+//! cache-served reply is **byte-identical** to the compute that produced
+//! it.
 
 use tmi_bench::{JobSpec, RunResult};
 use tmi_oracle::CheckReport;
 use tmi_telemetry::json::{self, Json};
 
-/// Number of priority classes (0 = highest, `PRIORITIES - 1` = lowest).
-pub const PRIORITIES: usize = 3;
-
 /// One parsed request line.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Request {
-    /// Submit a job for `tenant`.
+    /// Submit a job and wait for its result on this connection.
     Submit {
-        /// Tenant name (quota accounting key).
-        tenant: String,
         /// The job, in the shared vocabulary.
         job: JobSpec,
-        /// Priority class, `0..PRIORITIES` (0 served first).
-        priority: usize,
         /// Bypass the result cache read (the job still computes and
         /// stores; used to prove determinism against a cached reply).
         fresh: bool,
-        /// Stream progress events and the final result on this
-        /// connection.
-        stream: bool,
     },
-    /// Wait for a previously submitted job, optionally replaying its
-    /// progress events.
-    Wait {
-        /// The id from the `accepted` reply.
-        job_id: u64,
-        /// Replay progress events before the result line.
-        stream: bool,
-    },
-    /// Fetch the `service.*` metrics (including per-tenant counters).
+    /// Fetch the `service.*` metrics.
     Stats,
     /// Begin a graceful drain: refuse new submissions with a
     /// `draining` rejection, finish in-flight jobs, flush durable
@@ -79,49 +61,15 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         .get("type")
         .and_then(Json::as_str)
         .ok_or("request needs a string \"type\"")?;
-    let flag = |key: &str, default: bool| match v.get(key) {
-        None => Ok(default),
-        Some(Json::Bool(b)) => Ok(*b),
-        Some(_) => Err(format!("\"{key}\" must be a boolean")),
-    };
     match kind {
         "submit" => {
-            let tenant = v
-                .get("tenant")
-                .and_then(Json::as_str)
-                .ok_or("submit needs a string \"tenant\"")?
-                .to_string();
-            if tenant.is_empty() {
-                return Err("tenant must be non-empty".into());
-            }
             let job = JobSpec::from_json(v.get("job").ok_or("submit needs a \"job\" object")?)?;
-            let priority = match v.get("priority") {
-                None => 1,
-                Some(p) => {
-                    let p = p.as_f64().ok_or("\"priority\" must be a number")? as usize;
-                    if p >= PRIORITIES {
-                        return Err(format!("priority must be 0..{PRIORITIES}"));
-                    }
-                    p
-                }
+            let fresh = match v.get("fresh") {
+                None => false,
+                Some(Json::Bool(b)) => *b,
+                Some(_) => return Err("\"fresh\" must be a boolean".into()),
             };
-            Ok(Request::Submit {
-                tenant,
-                job,
-                priority,
-                fresh: flag("fresh", false)?,
-                stream: flag("stream", true)?,
-            })
-        }
-        "wait" => {
-            let job_id = v
-                .get("job_id")
-                .and_then(Json::as_f64)
-                .ok_or("wait needs a numeric \"job_id\"")? as u64;
-            Ok(Request::Wait {
-                job_id,
-                stream: flag("stream", true)?,
-            })
+            Ok(Request::Submit { job, fresh })
         }
         "stats" => Ok(Request::Stats),
         "drain" => Ok(Request::Drain),
@@ -132,18 +80,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 
 /// Renders a `submit` request line (the client side of
 /// [`parse_request`]).
-pub fn render_submit(
-    tenant: &str,
-    job: &JobSpec,
-    priority: usize,
-    fresh: bool,
-    stream: bool,
-) -> String {
+pub fn render_submit(job: &JobSpec, fresh: bool) -> String {
     format!(
-        "{{\"type\": \"submit\", \"tenant\": {}, \"job\": {}, \
-         \"priority\": {priority}, \"fresh\": {fresh}, \"stream\": {stream}}}",
-        json::string(tenant),
-        job.to_json(),
+        "{{\"type\": \"submit\", \"job\": {}, \"fresh\": {fresh}}}",
+        job.to_json()
     )
 }
 
@@ -152,22 +92,12 @@ pub fn accepted(job_id: u64) -> String {
     format!("{{\"type\": \"accepted\", \"job_id\": {job_id}}}")
 }
 
-/// `rejected` reply line (the backpressure/quota/bad-request surface).
+/// `rejected` reply line (the backpressure/bad-request/drain surface).
 pub fn rejected(reason: &str, detail: &str) -> String {
     format!(
         "{{\"type\": \"rejected\", \"reason\": {}, \"detail\": {}}}",
         json::string(reason),
         json::string(detail),
-    )
-}
-
-/// `progress` event line; `metrics` is a rendered `service.*` snapshot
-/// object (the registry is the source of streamed progress).
-pub fn progress(job_id: u64, state: &str, attempt: u32, metrics: &str) -> String {
-    format!(
-        "{{\"type\": \"progress\", \"job_id\": {job_id}, \"state\": {}, \
-         \"attempt\": {attempt}, \"metrics\": {metrics}}}",
-        json::string(state),
     )
 }
 
@@ -189,7 +119,7 @@ pub fn job_error(job_id: u64, message: &str) -> String {
     )
 }
 
-/// Protocol-level error line (malformed request, unknown job id).
+/// Protocol-level error line (malformed request).
 pub fn error(message: &str) -> String {
     format!(
         "{{\"type\": \"error\", \"message\": {}}}",
@@ -202,17 +132,20 @@ pub fn stats_reply(metrics: &str) -> String {
     format!("{{\"type\": \"stats\", \"metrics\": {metrics}}}")
 }
 
-/// Plain acknowledgement (`shutdown`).
+/// Plain acknowledgement (`drain`, `shutdown`).
 pub fn ok() -> String {
     "{\"type\": \"ok\"}".to_string()
 }
 
-/// Extracts the exact `payload` bytes from a `result` line — the
-/// byte-comparison target for the determinism guarantees. Relies on the
-/// renderer above always placing `payload` last.
-pub fn extract_payload(result_line: &str) -> Option<&str> {
-    let line = result_line.trim_end();
-    let start = result_line.find("\"payload\": ")? + "\"payload\": ".len();
+/// Extracts the exact bytes of the `key` member from a reply line — the
+/// `payload` of a `result` line is the byte-comparison target for the
+/// determinism guarantees, the `metrics` of a `stats` line the document
+/// it carries. Relies on the renderers above always placing that member
+/// last.
+pub fn extract_member<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let line = line.trim_end();
+    let marker = format!("\"{key}\": ");
+    let start = line.find(&marker)? + marker.len();
     line.ends_with('}').then(|| &line[start..line.len() - 1])
 }
 
@@ -273,81 +206,64 @@ mod tests {
     fn submit_round_trips_through_parse() {
         let mut job = JobSpec::new("histogramfs");
         job.seed = 9;
-        let line = render_submit("ci", &job, 0, true, false);
-        let parsed = parse_request(&line).unwrap();
-        assert_eq!(
-            parsed,
-            Request::Submit {
-                tenant: "ci".into(),
-                job,
-                priority: 0,
-                fresh: true,
-                stream: false,
-            }
-        );
+        let parsed = parse_request(&render_submit(&job, true)).unwrap();
+        assert_eq!(parsed, Request::Submit { job, fresh: true });
     }
 
     #[test]
     fn submit_defaults_and_validation() {
-        let line = r#"{"type": "submit", "tenant": "t", "job": {"workload": "histogram"}}"#;
-        match parse_request(line).unwrap() {
-            Request::Submit {
-                priority,
-                fresh,
-                stream,
-                ..
-            } => {
-                assert_eq!(priority, 1);
-                assert!(!fresh);
-                assert!(stream);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let line = r#"{"type": "submit", "job": {"workload": "histogram"}}"#;
+        assert!(matches!(
+            parse_request(line).unwrap(),
+            Request::Submit { fresh: false, .. }
+        ));
         assert!(parse_request(r#"{"type": "submit", "tenant": "t"}"#).is_err());
         assert!(
-            parse_request(r#"{"type": "submit", "tenant": "", "job": {"workload": "x"}}"#).is_err()
+            parse_request(r#"{"type": "submit", "job": {"workload": "x"}, "fresh": 1}"#).is_err()
         );
-        assert!(parse_request(
-            r#"{"type": "submit", "tenant": "t", "job": {"workload": "x"}, "priority": 3}"#
-        )
-        .is_err());
         assert!(parse_request("not json").is_err());
         assert!(parse_request(r#"{"type": "frobnicate"}"#).is_err());
+        // `wait` was a request type once; it is not one now.
+        assert!(parse_request(r#"{"type": "wait", "job_id": 7}"#).is_err());
     }
 
     #[test]
-    fn wait_stats_shutdown_parse() {
+    fn submit_lines_with_retired_members_still_parse() {
+        let line = r#"{"type": "submit", "tenant": "ci", "job": {"workload": "histogramfs"},
+                      "priority": 2, "fresh": true, "stream": false}"#;
         assert_eq!(
-            parse_request(r#"{"type": "wait", "job_id": 7, "stream": false}"#).unwrap(),
-            Request::Wait {
-                job_id: 7,
-                stream: false
+            parse_request(line).unwrap(),
+            Request::Submit {
+                job: JobSpec::new("histogramfs"),
+                fresh: true
             }
         );
-        assert_eq!(
-            parse_request(r#"{"type": "stats"}"#).unwrap(),
-            Request::Stats
-        );
-        assert_eq!(
-            parse_request(r#"{"type": "drain"}"#).unwrap(),
-            Request::Drain
-        );
-        assert_eq!(
-            parse_request(r#"{"type": "shutdown"}"#).unwrap(),
-            Request::Shutdown
-        );
+    }
+
+    #[test]
+    fn stats_drain_shutdown_parse() {
+        for (line, want) in [
+            (r#"{"type": "stats"}"#, Request::Stats),
+            (r#"{"type": "drain"}"#, Request::Drain),
+            (r#"{"type": "shutdown"}"#, Request::Shutdown),
+        ] {
+            assert_eq!(parse_request(line).unwrap(), want);
+        }
     }
 
     #[test]
     fn payload_extraction_is_byte_exact() {
         let payload = r#"{"kind": "run", "spec": {"workload": "x"}, "ops": 3}"#;
         let line = result(12, true, 1, payload);
-        assert_eq!(extract_payload(&line), Some(payload));
+        assert_eq!(extract_member(&line, "payload"), Some(payload));
         // The reply envelope differs between cached and fresh replies,
         // but the payload bytes must not.
         let fresh = result(99, false, 2, payload);
         assert_ne!(line, fresh);
-        assert_eq!(extract_payload(&line), extract_payload(&fresh));
+        assert_eq!(
+            extract_member(&line, "payload"),
+            extract_member(&fresh, "payload")
+        );
     }
 
     #[test]
@@ -355,7 +271,6 @@ mod tests {
         for line in [
             accepted(3),
             rejected("queue_full", "queue at capacity"),
-            progress(1, "running", 2, "{\"service.jobs_submitted\": 1}"),
             result(1, false, 1, "{}"),
             job_error(1, "boom"),
             error("bad line"),

@@ -1,10 +1,9 @@
-//! The multi-tenant job server.
+//! The job server.
 //!
 //! One [`Service`] owns a TCP listener, a fixed worker pool that runs
-//! jobs straight through the harness ([`execute_spec`]), one locked
-//! admission queue holding a FIFO per priority class, a result cache
-//! keyed on the canonical [`JobSpec`] JSON, and per-tenant quota
-//! accounting.
+//! jobs straight through the harness ([`execute_spec`]), one locked FIFO
+//! admission queue, and a result cache keyed on the canonical
+//! [`JobSpec`] JSON.
 //!
 //! ## Determinism contract
 //!
@@ -23,7 +22,7 @@
 //! so a `fresh`, cache-dropped or retried job really re-simulates. The
 //! integration suite and `scripts/check.sh` byte-compare all three.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -31,21 +30,27 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use tmi_bench::harness::execute_spec;
 use tmi_bench::JobSpec;
 use tmi_faultpoint::{FaultInjector, FaultPlan, FaultPoint, PointPlan};
-use tmi_telemetry::{
-    chrome, EventKind, MetricSink, MetricsSnapshot, PhaseProfile, TraceEvent, Tracer,
-};
+use tmi_telemetry::{MetricsSnapshot, Tracer};
 
 use crate::journal::{Journal, JournalRecord};
 use crate::persist::CacheSpill;
-use crate::proto::{self, Request, PRIORITIES};
+use crate::proto::{self, Request};
 use crate::stats::ServiceStats;
 
-/// Server tuning knobs.
+/// Jobs the admission queue holds at once, exactly; the next submission
+/// that must compute gets a `queue_full` rejection.
+pub const QUEUE_CAPACITY: usize = 64;
+
+/// Total attempts a job gets before it fails; attempts beyond the first
+/// happen only when a `worker_kill` firing abandons one.
+pub const MAX_ATTEMPTS: u32 = 3;
+
+/// Server deployment settings.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Bind address; port 0 picks a free port (read it back with
@@ -55,24 +60,15 @@ pub struct ServiceConfig {
     /// but never execute (the backpressure tests use this to fill the
     /// queue deterministically).
     pub workers: usize,
-    /// Jobs each priority class may hold queued at once, exactly; the
-    /// next submission to a full class gets a `queue_full` rejection.
-    pub queue_capacity: usize,
-    /// Outstanding-job quota applied to tenants.
-    pub default_quota: usize,
-    /// Total attempts a job gets before it fails (≥ 1); attempts beyond
-    /// the first happen only when a `worker_kill` firing abandons one.
-    pub max_attempts: u32,
     /// Fault plan for the service fault points (`worker_kill`,
-    /// `queue_full`, `cache_drop`, `journal_tear`, `cache_corrupt`,
-    /// `flush_fail`); `None` runs clean.
+    /// `cache_drop`, `journal_tear`, `cache_corrupt`, `flush_fail`);
+    /// `None` runs clean.
     pub faults: Option<FaultPlan>,
     /// Durable-state directory (job journal + result-cache spill).
-    /// `None` runs fully in-memory, exactly as before this layer
-    /// existed. With a directory, a restarted daemon replays the
-    /// journal (re-enqueueing unfinished jobs and rebuilding tenant
-    /// quota state) and reloads the spilled cache, so warm restarts
-    /// serve byte-identical cached replies without re-simulating.
+    /// `None` runs fully in-memory. With a directory, a restarted daemon
+    /// replays the journal (re-enqueueing unfinished jobs) and reloads
+    /// the spilled cache, so warm restarts serve byte-identical cached
+    /// replies without re-simulating.
     pub data_dir: Option<PathBuf>,
 }
 
@@ -81,9 +77,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            queue_capacity: 64,
-            default_quota: 8,
-            max_attempts: 3,
             faults: None,
             data_dir: None,
         }
@@ -92,8 +85,7 @@ impl Default for ServiceConfig {
 
 /// The deterministic chaos plan used by CI and the fault campaign tests:
 /// every second worker pickup dies, every third cache store is dropped.
-/// `queue_full` stays off (backpressure is exercised by actually filling
-/// the queue). Seed 0 means no faults.
+/// Seed 0 means no faults.
 pub fn chaos_plan(seed: u64) -> Option<FaultPlan> {
     (seed != 0).then(|| {
         FaultPlan::quiet()
@@ -126,38 +118,18 @@ pub fn persist_chaos_plan(kind: &str, base: Option<FaultPlan>) -> Option<FaultPl
     }
 }
 
-/// Per-job progress event, retained for streaming and `wait` replay.
-struct JobEvent {
-    state: &'static str,
-    attempt: u32,
-    /// Rendered `service.*` snapshot at the moment of the event — the
-    /// metrics registry is the source of streamed progress.
-    metrics: String,
-}
-
+/// A job is `Pending` (queued or running) until it reaches a terminal
+/// state.
 enum JobState {
-    Queued,
-    Running,
+    Pending,
     Done { payload: Arc<String>, cached: bool },
     Failed { message: String },
 }
 
 struct Job {
-    tenant: String,
     spec: JobSpec,
-    priority: usize,
     attempts: u32,
     state: JobState,
-    events: Vec<JobEvent>,
-}
-
-#[derive(Default)]
-struct Tenant {
-    quota: usize,
-    outstanding: usize,
-    submitted: u64,
-    completed: u64,
-    rejected: u64,
 }
 
 /// One result-cache slot. `warm` marks entries loaded from the disk
@@ -169,22 +141,20 @@ struct CacheEntry {
 
 /// Everything the connection and worker threads share.
 struct ServiceInner {
-    cfg: ServiceConfig,
-    /// Queued job ids, one FIFO per priority class; workers drain 0
-    /// first. Admission enforces `queue_capacity` under this lock, and
-    /// idle workers park on `queue_cv` until a job is queued or the
-    /// server stops.
-    queue: Mutex<[VecDeque<u64>; PRIORITIES]>,
+    faults: Option<FaultInjector>,
+    /// Queued job ids, oldest first. Admission enforces
+    /// [`QUEUE_CAPACITY`] under this lock, and idle workers park on
+    /// `queue_cv` until a job is queued or the server stops.
+    queue: Mutex<VecDeque<u64>>,
     queue_cv: Condvar,
-    /// Job table indexed by `job_id - 1`; `job_cv` wakes streamers on
-    /// any job-state change.
+    /// Job table indexed by `job_id - 1`; `job_cv` wakes connections
+    /// waiting on a job when any job reaches a terminal state or the
+    /// server stops.
     jobs: Mutex<Vec<Job>>,
     job_cv: Condvar,
     /// Result cache: canonical spec JSON → rendered payload bytes.
     cache: Mutex<HashMap<String, CacheEntry>>,
-    tenants: Mutex<BTreeMap<String, Tenant>>,
     stats: ServiceStats,
-    faults: Option<FaultInjector>,
     /// Write-ahead job journal (None without a `data_dir`).
     journal: Option<Mutex<Journal>>,
     /// Result-cache spill file (None without a `data_dir`).
@@ -194,10 +164,6 @@ struct ServiceInner {
     /// server.
     draining: AtomicBool,
     shutdown: AtomicBool,
-    /// Chrome-trace spans (one per job completion), stamped in host
-    /// microseconds since boot.
-    trace: Mutex<Vec<TraceEvent>>,
-    started: Instant,
 }
 
 /// What `submit` admission decided.
@@ -210,58 +176,11 @@ enum Admission {
 }
 
 impl ServiceInner {
-    fn now_us(&self) -> u64 {
-        self.started.elapsed().as_micros() as u64
-    }
-
-    fn rendered_stats(&self) -> String {
-        self.stats.snapshot().to_json("")
-    }
-
-    /// The full metrics document for `stats` replies: the schema-stable
-    /// `service.*` aggregates plus dynamic per-tenant counters (never
-    /// part of the golden schema).
-    fn stats_with_tenants(&self) -> MetricsSnapshot {
-        let mut sink = MetricSink::new();
-        sink.source("service", &self.stats);
-        for (name, t) in self.tenants.lock().unwrap().iter() {
-            let k = |field: &str| format!("service.tenant.{name}.{field}");
-            sink.u64(&k("quota"), t.quota as u64);
-            sink.u64(&k("outstanding"), t.outstanding as u64);
-            sink.u64(&k("submitted"), t.submitted);
-            sink.u64(&k("completed"), t.completed);
-            sink.u64(&k("rejected"), t.rejected);
-        }
-        sink.finish()
-    }
-
     fn roll(&self, point: FaultPoint) -> bool {
         self.faults
             .as_ref()
             .map(|inj| inj.should_fail(point))
             .unwrap_or(false)
-    }
-
-    /// Appends a progress event to a job (caller holds the jobs lock).
-    fn push_event(job: &mut Job, state: &'static str, metrics: String) {
-        let attempt = job.attempts;
-        job.events.push(JobEvent {
-            state,
-            attempt,
-            metrics,
-        });
-    }
-
-    /// Decrements a tenant's outstanding count (job reached a terminal
-    /// state or was served from cache at admission).
-    fn release_tenant(&self, tenant: &str, completed: bool) {
-        let mut tenants = self.tenants.lock().unwrap();
-        if let Some(t) = tenants.get_mut(tenant) {
-            t.outstanding = t.outstanding.saturating_sub(1);
-            if completed {
-                t.completed += 1;
-            }
-        }
     }
 
     /// Appends one record to the job journal (no-op without a
@@ -276,9 +195,9 @@ impl ServiceInner {
         }
     }
 
-    /// The admission path: validate, check drain state, check quota,
-    /// consult the cache, roll the `queue_full` fault, journal, enqueue.
-    fn admit(&self, tenant_name: &str, spec: JobSpec, priority: usize, fresh: bool) -> Admission {
+    /// The admission path: check drain state, validate, consult the
+    /// cache, journal, enqueue.
+    fn admit(&self, spec: JobSpec, fresh: bool) -> Admission {
         // Draining servers admit nothing: the client's retry layer
         // treats this reply as transient and resubmits elsewhere/later.
         if self.draining.load(Ordering::SeqCst) {
@@ -289,200 +208,110 @@ impl ServiceInner {
             };
         }
 
-        // Reject jobs naming no known workload before they consume
-        // quota. `is_litmus` is seed-parse-strict (a malformed
-        // `litmus:`/`litmus+vm:` seed makes it false), so this one check
-        // also covers bad litmus workloads.
+        // Reject jobs naming no known workload. `is_litmus` is
+        // seed-parse-strict (a malformed `litmus:`/`litmus+vm:` seed
+        // makes it false), so this one check also covers bad litmus
+        // workloads.
         let known = spec.is_litmus() || tmi_workloads::by_name(&spec.workload).is_some();
         if !known {
             self.stats.inc(&self.stats.reject_bad_request);
-            self.note_tenant_reject(tenant_name);
             return Admission::Rejected {
                 reason: "bad_request",
                 detail: format!("unknown workload {:?}", spec.workload),
             };
         }
 
-        // Quota: reserve an outstanding slot under the tenants lock.
-        {
-            let mut tenants = self.tenants.lock().unwrap();
-            let t = tenants.entry(tenant_name.to_string()).or_insert_with(|| {
-                self.stats.inc(&self.stats.tenants);
-                Tenant {
-                    quota: self.cfg.default_quota,
-                    ..Tenant::default()
-                }
-            });
-            if t.outstanding >= t.quota {
-                t.rejected += 1;
-                self.stats.inc(&self.stats.reject_quota);
-                return Admission::Rejected {
-                    reason: "quota_exceeded",
-                    detail: format!(
-                        "tenant {tenant_name:?} has {} outstanding jobs (quota {})",
-                        t.outstanding, t.quota
-                    ),
-                };
-            }
-            t.outstanding += 1;
-        }
-
-        let cache_key = spec.to_json();
         if !fresh {
-            let hit = {
-                let cache = self.cache.lock().unwrap();
-                cache
-                    .get(&cache_key)
-                    .map(|e| (Arc::clone(&e.payload), e.warm))
-            };
-            if let Some((payload, warm)) = hit {
-                // Served straight from the cache: the job is born Done
-                // and never touches the queue or the workers. A `warm`
-                // entry came off disk — this hit is the restart saving
-                // a re-simulation.
-                if warm {
-                    self.stats.inc(&self.stats.cache_warm_hits);
-                }
-                self.stats.inc(&self.stats.cache_hits);
-                self.stats.inc(&self.stats.jobs_submitted);
-                self.stats.inc(&self.stats.jobs_completed);
-                self.release_tenant(tenant_name, true);
-                if let Some(t) = self.tenants.lock().unwrap().get_mut(tenant_name) {
-                    t.submitted += 1;
-                }
-                let done = JobState::Done {
-                    payload,
-                    cached: true,
-                };
-                return Admission::Accepted(self.new_job(tenant_name, spec, priority, done));
+            if let Some(id) = self.serve_cached(&spec) {
+                return Admission::Accepted(id);
             }
         }
         self.stats.inc(&self.stats.cache_misses);
 
-        // The queue_full fault point models load-shedding under
-        // admission pressure: a firing sheds this request even though
-        // the queue has room.
-        if self.roll(FaultPoint::QueueFull) {
-            self.stats.inc(&self.stats.reject_queue_full);
-            self.release_tenant(tenant_name, false);
-            self.note_tenant_reject(tenant_name);
-            return Admission::Rejected {
-                reason: "queue_full",
-                detail: "admission shed by the queue_full fault point".to_string(),
-            };
-        }
-
-        // Create the job, then queue its id on its priority class.
-        let id = self.new_job(tenant_name, spec.clone(), priority, JobState::Queued);
+        let id = self.new_job(spec.clone(), JobState::Pending);
         // Write-ahead: the accepted record hits the journal before the
         // job can run (or the accepted reply can flush), so a crash
         // from here on leaves a record to replay. A queue-full rejection
         // below lands a terminal `failed` record after it.
-        self.journal_append(&JournalRecord::Accepted {
-            id,
-            tenant: tenant_name.to_string(),
-            priority,
-            spec,
-        });
-        if !self.enqueue(id, priority) {
-            // Class full: true backpressure. The job record stays as a
+        self.journal_append(&JournalRecord::Accepted { id, spec });
+        if !self.enqueue(id) {
+            // Queue full: true backpressure. The job record stays as a
             // tombstone so its id never re-enters circulation.
             self.fail_job(id, "rejected at admission: queue full".to_string());
             self.stats.inc(&self.stats.reject_queue_full);
-            self.note_tenant_reject(tenant_name);
             return Admission::Rejected {
                 reason: "queue_full",
-                detail: format!(
-                    "priority-{priority} queue at capacity {}",
-                    self.cfg.queue_capacity
-                ),
+                detail: format!("queue at capacity {QUEUE_CAPACITY}"),
             };
         }
         self.stats.inc(&self.stats.jobs_submitted);
-        if let Some(t) = self.tenants.lock().unwrap().get_mut(tenant_name) {
-            t.submitted += 1;
-        }
         Admission::Accepted(id)
     }
 
-    /// Appends a job born in `state` — `Queued`, or `Done` from the
-    /// cache — with its first progress event, and returns its id.
-    /// Admission and journal replay both create jobs here.
-    fn new_job(&self, tenant: &str, spec: JobSpec, priority: usize, state: JobState) -> u64 {
-        let event = match state {
-            JobState::Queued => "queued",
-            _ => "done",
+    /// Answers `spec` from the result cache if it holds the payload: the
+    /// job is born Done and never touches the queue or the workers.
+    /// Returns its id, or `None` on a miss.
+    fn serve_cached(&self, spec: &JobSpec) -> Option<u64> {
+        let (payload, warm) = {
+            let cache = self.cache.lock().unwrap();
+            let entry = cache.get(&spec.to_json())?;
+            (Arc::clone(&entry.payload), entry.warm)
         };
-        let snapshot = self.rendered_stats();
+        // A `warm` entry came off disk — this hit is the restart saving
+        // a re-simulation.
+        if warm {
+            self.stats.inc(&self.stats.cache_warm_hits);
+        }
+        self.stats.inc(&self.stats.cache_hits);
+        self.stats.inc(&self.stats.jobs_submitted);
+        self.stats.inc(&self.stats.jobs_completed);
+        let done = JobState::Done {
+            payload,
+            cached: true,
+        };
+        Some(self.new_job(spec.clone(), done))
+    }
+
+    /// Appends a job born in `state` — `Pending`, or `Done` from the
+    /// cache — and returns its id. Admission and journal replay both
+    /// create jobs here.
+    fn new_job(&self, spec: JobSpec, state: JobState) -> u64 {
         let mut jobs = self.jobs.lock().unwrap();
-        let mut job = Job {
-            tenant: tenant.to_string(),
+        jobs.push(Job {
             spec,
-            priority,
             attempts: 0,
             state,
-            events: Vec::new(),
-        };
-        Self::push_event(&mut job, event, snapshot);
-        jobs.push(job);
-        self.job_cv.notify_all();
+        });
         jobs.len() as u64
     }
 
-    /// Queues `id` on its priority class and wakes one idle worker, or
-    /// returns false if the class already holds `queue_capacity` jobs.
-    fn enqueue(&self, id: u64, priority: usize) -> bool {
+    /// Queues `id` and wakes one idle worker, or returns false if the
+    /// queue already holds [`QUEUE_CAPACITY`] jobs.
+    fn enqueue(&self, id: u64) -> bool {
         let mut queue = self.queue.lock().unwrap();
-        let class = &mut queue[priority];
-        if class.len() >= self.cfg.queue_capacity {
+        if queue.len() >= QUEUE_CAPACITY {
             return false;
         }
-        class.push_back(id);
-        self.stats.note_queue_depth(class.len() as u64);
+        queue.push_back(id);
+        self.stats.note_queue_depth(queue.len() as u64);
         self.queue_cv.notify_one();
         true
     }
 
-    fn note_tenant_reject(&self, tenant: &str) {
-        if let Some(t) = self.tenants.lock().unwrap().get_mut(tenant) {
-            t.rejected += 1;
-        }
-    }
-
-    /// Moves a job to `Failed` and releases its tenant slot.
+    /// Moves a job to `Failed`.
     fn fail_job(&self, id: u64, message: String) {
         self.journal_append(&JournalRecord::Failed { id });
         self.stats.inc(&self.stats.jobs_failed);
-        let snapshot = self.rendered_stats();
-        let tenant;
-        {
-            let mut jobs = self.jobs.lock().unwrap();
-            let job = &mut jobs[id as usize - 1];
-            tenant = job.tenant.clone();
-            job.state = JobState::Failed {
-                message: message.clone(),
-            };
-            Self::push_event(job, "failed", snapshot);
-        }
-        self.release_tenant(&tenant, false);
+        self.jobs.lock().unwrap()[id as usize - 1].state = JobState::Failed { message };
         self.job_cv.notify_all();
         self.finish_drain_if_idle();
     }
 
-    /// Moves a job to `Done`, stores the payload in the result cache
-    /// (unless `cache_drop` fires), emits the job's trace span, and
-    /// releases the tenant slot.
-    fn complete_job(&self, id: u64, payload: String, span_start_us: u64, worker: u64) {
+    /// Moves a job to `Done` and stores the payload in the result cache
+    /// (unless `cache_drop` fires).
+    fn complete_job(&self, id: u64, payload: String) {
         let payload = Arc::new(payload);
-        let (cache_key, tenant, priority, attempts);
-        {
-            let jobs = self.jobs.lock().unwrap();
-            let job = &jobs[id as usize - 1];
-            cache_key = job.spec.to_json();
-            tenant = job.tenant.clone();
-            priority = job.priority;
-            attempts = job.attempts;
-        }
+        let cache_key = self.jobs.lock().unwrap()[id as usize - 1].spec.to_json();
         if self.roll(FaultPoint::CacheDrop) {
             self.stats.inc(&self.stats.cache_drops);
         } else {
@@ -506,45 +335,23 @@ impl ServiceInner {
         }
         self.journal_append(&JournalRecord::Done { id });
         self.stats.inc(&self.stats.jobs_completed);
-        self.release_tenant(&tenant, true);
-        let snapshot = self.rendered_stats();
-        {
-            let mut jobs = self.jobs.lock().unwrap();
-            let job = &mut jobs[id as usize - 1];
-            job.state = JobState::Done {
-                payload,
-                cached: false,
-            };
-            Self::push_event(job, "done", snapshot);
-        }
-        let end = self.now_us();
-        self.trace.lock().unwrap().push(TraceEvent {
-            name: "service.job",
-            cat: "service",
-            tid: worker,
-            cycle: span_start_us,
-            kind: EventKind::Complete {
-                dur_cycles: end.saturating_sub(span_start_us),
-            },
-            args: vec![
-                ("job_id", id),
-                ("attempt", attempts as u64),
-                ("priority", priority as u64),
-            ],
-        });
+        self.jobs.lock().unwrap()[id as usize - 1].state = JobState::Done {
+            payload,
+            cached: false,
+        };
         self.job_cv.notify_all();
         self.finish_drain_if_idle();
     }
 
-    /// Blocks until a job is queued and pops the highest-priority one,
-    /// or returns `None` once the server stops.
+    /// Blocks until a job is queued and pops the oldest, or returns
+    /// `None` once the server stops.
     fn next_job(&self) -> Option<u64> {
         let mut queue = self.queue.lock().unwrap();
         loop {
             if self.shutdown.load(Ordering::SeqCst) {
                 return None;
             }
-            if let Some(id) = queue.iter_mut().find_map(VecDeque::pop_front) {
+            if let Some(id) = queue.pop_front() {
                 return Some(id);
             }
             queue = self.queue_cv.wait(queue).unwrap();
@@ -552,13 +359,15 @@ impl ServiceInner {
     }
 
     /// Stops the server: idle workers wake and exit, busy ones exit
-    /// after their current job, and the accept loop returns.
+    /// after their current job, connections waiting on a job return,
+    /// and the accept loop returns.
     fn stop(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Notifying under the queue lock means a worker has either not
-        // yet checked the flag or is already parked on the condvar.
-        let _queue = self.queue.lock().unwrap();
+        // Passing through each lock before notifying means a waiter has
+        // either not yet checked the flag or is already parked.
+        drop(self.queue.lock().unwrap());
         self.queue_cv.notify_all();
+        drop(self.jobs.lock().unwrap());
         self.job_cv.notify_all();
     }
 
@@ -607,38 +416,23 @@ impl ServiceInner {
     /// `worker_kill` firing abandons the attempt before any work is
     /// done — the job is requeued (or failed on its last attempt) and
     /// the worker carries on with the next pickup.
-    fn worker_loop(&self, worker: u64) {
+    fn worker_loop(&self) {
         while let Some(id) = self.next_job() {
-            let span_start = self.now_us();
-            let spec = {
-                let snapshot = self.rendered_stats();
+            let (spec, attempts) = {
                 let mut jobs = self.jobs.lock().unwrap();
                 let job = &mut jobs[id as usize - 1];
                 job.attempts += 1;
-                job.state = JobState::Running;
-                Self::push_event(job, "running", snapshot);
-                job.spec.clone()
+                (job.spec.clone(), job.attempts)
             };
-            self.job_cv.notify_all();
 
             // The kill point sits between pickup and compute, so a
             // killed attempt has observably done no work — the retry
             // simulates from scratch and must produce the same bytes.
             if self.roll(FaultPoint::WorkerKill) {
                 self.stats.inc(&self.stats.worker_kills);
-                let mut jobs = self.jobs.lock().unwrap();
-                let job = &mut jobs[id as usize - 1];
-                // Requeue under the jobs lock: the job reads Queued before
-                // the next worker can pick it up and mark it Running.
-                if job.attempts < self.cfg.max_attempts && self.enqueue(id, job.priority) {
+                if attempts < MAX_ATTEMPTS && self.enqueue(id) {
                     self.stats.inc(&self.stats.jobs_retried);
-                    job.state = JobState::Queued;
-                    Self::push_event(job, "retrying", self.rendered_stats());
-                    drop(jobs);
-                    self.job_cv.notify_all();
                 } else {
-                    let attempts = job.attempts;
-                    drop(jobs);
                     self.fail_job(id, format!("worker killed on final attempt {attempts}"));
                 }
                 continue;
@@ -653,7 +447,7 @@ impl ServiceInner {
                 }
             }));
             match computed {
-                Ok(Ok(payload)) => self.complete_job(id, payload, span_start, worker),
+                Ok(Ok(payload)) => self.complete_job(id, payload),
                 Ok(Err(e)) => self.fail_job(id, e),
                 Err(panic) => {
                     let msg = panic
@@ -667,47 +461,27 @@ impl ServiceInner {
         }
     }
 
-    /// Streams a job's progress events and final line to `out`.
-    /// `stream` = false skips progress and writes only the final line.
-    fn stream_job(&self, id: u64, stream: bool, out: &mut TcpStream) -> std::io::Result<()> {
-        let mut next_event = 0usize;
-        loop {
-            // Collect under the lock, write outside it.
-            let (batch, terminal) = {
-                let jobs = self.jobs.lock().unwrap();
-                let Some(job) = jobs.get(id as usize - 1) else {
-                    return writeln!(out, "{}", proto::error(&format!("unknown job id {id}")));
-                };
-                let batch: Vec<String> = if stream {
-                    job.events[next_event..]
-                        .iter()
-                        .map(|e| proto::progress(id, e.state, e.attempt, &e.metrics))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                next_event = job.events.len();
-                let terminal = match &job.state {
-                    JobState::Done { payload, cached } => {
-                        Some(proto::result(id, *cached, job.attempts.max(1), payload))
-                    }
-                    JobState::Failed { message } => Some(proto::job_error(id, message)),
-                    _ => None,
-                };
-                (batch, terminal)
-            };
-            for line in &batch {
-                writeln!(out, "{line}")?;
+    /// Blocks until job `id` is terminal and writes its one `result` or
+    /// `job_error` line to `out`. Returns without a line if the server
+    /// stops first.
+    fn await_job(&self, id: u64, out: &mut TcpStream) -> std::io::Result<()> {
+        let mut jobs = self.jobs.lock().unwrap();
+        let line = loop {
+            let job = &jobs[id as usize - 1];
+            match &job.state {
+                JobState::Done { payload, cached } => {
+                    break proto::result(id, *cached, job.attempts.max(1), payload)
+                }
+                JobState::Failed { message } => break proto::job_error(id, message),
+                JobState::Pending => {}
             }
-            if let Some(line) = terminal {
-                return writeln!(out, "{line}");
+            if self.shutdown.load(Ordering::SeqCst) {
+                return Ok(());
             }
-            let guard = self.jobs.lock().unwrap();
-            let _ = self
-                .job_cv
-                .wait_timeout(guard, Duration::from_millis(50))
-                .unwrap();
-        }
+            jobs = self.job_cv.wait(jobs).unwrap();
+        };
+        drop(jobs);
+        writeln!(out, "{line}")
     }
 
     /// One connection: read request lines, write reply lines. Malformed
@@ -734,41 +508,17 @@ impl ServiceInner {
                 }
             };
             let io = match req {
-                Request::Submit {
-                    tenant,
-                    job,
-                    priority,
-                    fresh,
-                    stream,
-                } => match self.admit(&tenant, job, priority, fresh) {
+                Request::Submit { job, fresh } => match self.admit(job, fresh) {
                     Admission::Accepted(id) => writeln!(writer, "{}", proto::accepted(id))
-                        .and_then(|()| {
-                            if stream {
-                                self.stream_job(id, true, &mut writer)
-                            } else {
-                                Ok(())
-                            }
-                        }),
+                        .and_then(|()| self.await_job(id, &mut writer)),
                     Admission::Rejected { reason, detail } => {
                         writeln!(writer, "{}", proto::rejected(reason, &detail))
                     }
                 },
-                Request::Wait { job_id, stream } => {
-                    let known = job_id >= 1 && (job_id as usize) <= self.jobs.lock().unwrap().len();
-                    if known {
-                        self.stream_job(job_id, stream, &mut writer)
-                    } else {
-                        writeln!(
-                            writer,
-                            "{}",
-                            proto::error(&format!("unknown job id {job_id}"))
-                        )
-                    }
-                }
                 Request::Stats => writeln!(
                     writer,
                     "{}",
-                    proto::stats_reply(&self.stats_with_tenants().to_json(""))
+                    proto::stats_reply(&self.stats.snapshot().to_json(""))
                 ),
                 Request::Drain => {
                     self.begin_drain();
@@ -777,24 +527,16 @@ impl ServiceInner {
                 Request::Shutdown => {
                     let io = writeln!(writer, "{}", proto::ok());
                     self.stop();
-                    return io.unwrap_or(());
+                    io
                 }
             };
-            if io.is_err() {
+            // A stopped server closes every connection, so a client
+            // still waiting on a job sees it go instead of a silence.
+            if io.is_err() || self.shutdown.load(Ordering::SeqCst) {
                 return;
             }
         }
     }
-}
-
-/// Final report from a stopped service: the boot-to-shutdown stats and
-/// the Chrome trace of every completed job.
-pub struct ServiceReport {
-    /// `service.*` aggregates at shutdown.
-    pub metrics: MetricsSnapshot,
-    /// Chrome `trace_event` JSON (one `service.job` span per computed
-    /// job, microsecond timestamps).
-    pub chrome_trace: String,
 }
 
 /// A running job server. Dropping the handle does not stop the server;
@@ -815,161 +557,73 @@ impl Service {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let workers = cfg.workers;
-
         // Crash recovery, step 1: reload durable state before anything
         // can execute. The cache spill comes back warm; the journal is
         // replayed (torn tail skipped) and compacted down to just the
         // unfinished jobs, renumbered under this boot's ids 1..k.
-        let mut journal = None;
-        let mut spill = None;
-        let mut warm_cache: Vec<(String, Arc<String>)> = Vec::new();
-        let mut recovery: Option<crate::journal::Replay> = None;
-        let mut loaded_corrupt = 0u64;
+        let stats = ServiceStats::default();
+        let mut cache = HashMap::new();
+        let (mut journal, mut spill, mut unfinished) = (None, None, Vec::new());
         if let Some(dir) = &cfg.data_dir {
             std::fs::create_dir_all(dir)?;
-            let journal_path = dir.join("journal.log");
             let spill_path = dir.join("cache.log");
             let load = CacheSpill::load(&spill_path)?;
-            loaded_corrupt = load.corrupt_dropped + u64::from(load.torn);
-            warm_cache = load.entries;
-            let replay = Journal::replay(&journal_path)?;
-            let renumbered: Vec<JournalRecord> = replay
-                .unfinished
-                .iter()
-                .enumerate()
-                .map(|(i, rec)| match rec {
-                    JournalRecord::Accepted {
-                        tenant,
-                        priority,
-                        spec,
-                        ..
-                    } => JournalRecord::Accepted {
-                        id: i as u64 + 1,
-                        tenant: tenant.clone(),
-                        priority: *priority,
-                        spec: spec.clone(),
+            stats.add(&stats.cache_loaded, load.entries.len() as u64);
+            stats.add(&stats.cache_corrupt_dropped, load.dropped);
+            for (key, payload) in load.entries {
+                cache.insert(
+                    key,
+                    CacheEntry {
+                        payload,
+                        warm: true,
                     },
-                    other => other.clone(),
-                })
-                .collect();
-            Journal::compact(&journal_path, &renumbered)?;
-            journal = Some(Mutex::new(Journal::open(&journal_path)?));
+                );
+            }
+            let (recovered, replay) = Journal::recover(&dir.join("journal.log"))?;
+            stats.inc(&stats.journal_compactions);
+            stats.add(&stats.journal_replayed, replay.records);
+            stats.add(&stats.journal_torn_skipped, replay.skipped);
+            journal = Some(Mutex::new(recovered));
             spill = Some(Mutex::new(CacheSpill::open(&spill_path)?));
-            recovery = Some(replay);
+            unfinished = replay.unfinished;
         }
 
         let inner = Arc::new(ServiceInner {
-            faults: cfg.faults.clone().map(FaultInjector::new),
-            queue: Mutex::new(Default::default()),
+            faults: cfg.faults.map(FaultInjector::new),
+            queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             jobs: Mutex::new(Vec::new()),
             job_cv: Condvar::new(),
-            cache: Mutex::new(HashMap::new()),
-            tenants: Mutex::new(BTreeMap::new()),
-            stats: ServiceStats::default(),
+            cache: Mutex::new(cache),
+            stats,
             journal,
             spill,
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
-            trace: Mutex::new(Vec::new()),
-            started: Instant::now(),
-            cfg,
         });
 
-        // Crash recovery, step 2: publish the recovered state. Warm
-        // cache entries answer admission hits without re-simulating;
-        // unfinished jobs are re-created (under their compacted ids)
-        // and re-enqueued so each re-executes exactly once; tenant
-        // accounting picks up where the dead process left off.
-        for (key, payload) in warm_cache {
-            inner.stats.inc(&inner.stats.cache_loaded);
-            inner.cache.lock().unwrap().insert(
-                key,
-                CacheEntry {
-                    payload,
-                    warm: true,
-                },
-            );
-        }
-        for _ in 0..loaded_corrupt {
-            inner.stats.inc(&inner.stats.cache_corrupt_dropped);
-        }
-        if let Some(replay) = recovery {
-            inner.stats.inc(&inner.stats.journal_compactions);
-            for _ in 0..replay.records {
-                inner.stats.inc(&inner.stats.journal_replayed);
-            }
-            for _ in 0..replay.skipped {
-                inner.stats.inc(&inner.stats.journal_torn_skipped);
-            }
-            for (name, submitted, completed) in replay.tenants {
-                inner.stats.inc(&inner.stats.tenants);
-                inner.tenants.lock().unwrap().insert(
-                    name,
-                    Tenant {
-                        quota: inner.cfg.default_quota,
-                        outstanding: 0,
-                        submitted,
-                        completed,
-                        rejected: 0,
-                    },
-                );
-            }
-            for rec in replay.unfinished {
-                let JournalRecord::Accepted {
-                    tenant,
-                    priority,
-                    spec,
-                    ..
-                } = rec
-                else {
-                    continue;
-                };
-                let priority = priority.min(PRIORITIES - 1);
+        // Crash recovery, step 2: re-create the unfinished jobs under
+        // their compacted ids. One whose payload survived in the spill
+        // (its `done` record was torn but the store landed) is born Done
+        // from the warm entry; the rest re-execute exactly once.
+        for spec in unfinished {
+            if let Some(id) = inner.serve_cached(&spec) {
+                inner.journal_append(&JournalRecord::Done { id });
+            } else {
                 inner.stats.inc(&inner.stats.jobs_submitted);
-
-                // If the job's payload survived in the spilled cache
-                // (its `done` journal record was torn but the result
-                // store landed), it is born Done from the warm entry —
-                // re-simulating would be pure waste. Otherwise it
-                // re-enqueues and re-executes exactly once.
-                let warm_payload = {
-                    let cache = inner.cache.lock().unwrap();
-                    cache.get(&spec.to_json()).map(|e| Arc::clone(&e.payload))
-                };
-                if let Some(payload) = warm_payload {
-                    inner.stats.inc(&inner.stats.cache_hits);
-                    inner.stats.inc(&inner.stats.cache_warm_hits);
-                    inner.stats.inc(&inner.stats.jobs_completed);
-                    if let Some(t) = inner.tenants.lock().unwrap().get_mut(&tenant) {
-                        t.completed += 1;
-                    }
-                    let done = JobState::Done {
-                        payload,
-                        cached: true,
-                    };
-                    let id = inner.new_job(&tenant, spec, priority, done);
-                    inner.journal_append(&JournalRecord::Done { id });
-                    continue;
-                }
-
-                let id = inner.new_job(&tenant, spec, priority, JobState::Queued);
-                if let Some(t) = inner.tenants.lock().unwrap().get_mut(&tenant) {
-                    t.outstanding += 1;
-                }
-                if !inner.enqueue(id, priority) {
+                let id = inner.new_job(spec, JobState::Pending);
+                if !inner.enqueue(id) {
                     inner.fail_job(id, "recovery re-enqueue: queue full".to_string());
                 }
             }
         }
 
-        let workers = (0..workers as u64)
+        let workers = (0..cfg.workers)
             .map(|idx| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("tmi-service-worker-{idx}"))
-                    .spawn(move || inner.worker_loop(idx))
+                    .spawn(move || inner.worker_loop())
                     .expect("spawn worker")
             })
             .collect();
@@ -1013,7 +667,7 @@ impl Service {
         self.addr
     }
 
-    /// A live `service.*` snapshot (aggregates only).
+    /// A live `service.*` snapshot.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.inner.stats.snapshot()
     }
@@ -1040,21 +694,12 @@ impl Service {
     /// Blocks until the server has shut down (a client sent `shutdown`
     /// or `drain`, [`Service::shutdown_now`] or [`Service::begin_drain`]
     /// was called), joins the accept loop and every worker, and returns
-    /// the final report.
-    pub fn wait(self) -> ServiceReport {
+    /// the final `service.*` snapshot.
+    pub fn wait(self) -> MetricsSnapshot {
         let _ = self.listener.join();
         for worker in self.workers {
             let _ = worker.join();
         }
-        let metrics = self.inner.stats.snapshot();
-        let events = self.inner.trace.lock().unwrap();
-        // clock_hz = 1e6 maps the host-microsecond stamps 1:1 onto the
-        // trace format's microsecond timeline.
-        let chrome_trace =
-            chrome::export_trace(&events, &PhaseProfile::new(), 1_000_000, Some(&metrics));
-        ServiceReport {
-            metrics,
-            chrome_trace,
-        }
+        self.inner.stats.snapshot()
     }
 }

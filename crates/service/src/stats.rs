@@ -1,11 +1,9 @@
 //! Service-level counters: one [`ServiceStats`] per server, exported
 //! through the workspace metrics registry under the `service.` prefix.
 //!
-//! The aggregate names here are part of the telemetry schema
-//! (`tests/golden/metric_names.txt`, enforced by `validate_telemetry`);
-//! per-tenant counters are rendered with dynamic
-//! `service.tenant.<name>.*` names into `stats` replies only, so tenant
-//! churn never perturbs the golden schema.
+//! The names are what `stats` replies and `tmi_serve`'s exit report
+//! carry; `crash_matrix` and `scripts/check.sh` read them, and the unit
+//! test below pins every one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -29,21 +27,16 @@ pub struct ServiceStats {
     pub cache_misses: AtomicU64,
     /// Cache stores dropped by the `cache_drop` fault point.
     pub cache_drops: AtomicU64,
-    /// Rejections because the admission queue was full (or the
-    /// `queue_full` fault point forced load-shedding).
+    /// Rejections because the admission queue was full.
     pub reject_queue_full: AtomicU64,
-    /// Rejections because the tenant hit its outstanding-job quota.
-    pub reject_quota: AtomicU64,
     /// Rejections because the request itself was invalid.
     pub reject_bad_request: AtomicU64,
     /// Lines that failed to parse as a request.
     pub malformed_requests: AtomicU64,
     /// `worker_kill` fault-point firings.
     pub worker_kills: AtomicU64,
-    /// High-water mark of any one priority class's queue depth.
+    /// High-water mark of the queue depth.
     pub queue_peak_depth: AtomicU64,
-    /// Distinct tenants seen since boot.
-    pub tenants: AtomicU64,
     /// Journal records appended (write-ahead accepted/done/failed).
     pub journal_appended: AtomicU64,
     /// Intact journal records replayed at boot.
@@ -71,7 +64,12 @@ pub struct ServiceStats {
 impl ServiceStats {
     /// Adds one to a counter.
     pub fn inc(&self, c: &AtomicU64) {
-        c.fetch_add(1, Ordering::Relaxed);
+        self.add(c, 1);
+    }
+
+    /// Adds `n` to a counter.
+    pub fn add(&self, c: &AtomicU64, n: u64) {
+        c.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Raises the queue-depth high-water mark to at least `depth`.
@@ -98,12 +96,10 @@ impl MetricSource for ServiceStats {
         out.u64("cache_misses", g(&self.cache_misses));
         out.u64("cache_drops", g(&self.cache_drops));
         out.u64("reject_queue_full", g(&self.reject_queue_full));
-        out.u64("reject_quota", g(&self.reject_quota));
         out.u64("reject_bad_request", g(&self.reject_bad_request));
         out.u64("malformed_requests", g(&self.malformed_requests));
         out.u64("worker_kills", g(&self.worker_kills));
         out.u64("queue_peak_depth", g(&self.queue_peak_depth));
-        out.u64("tenants", g(&self.tenants));
         out.u64("persist.journal.appended", g(&self.journal_appended));
         out.u64("persist.journal.replayed", g(&self.journal_replayed));
         out.u64(
@@ -124,32 +120,45 @@ impl MetricSource for ServiceStats {
     }
 }
 
-/// The canonical `service.*` metric names, sorted — the service's
-/// contribution to the telemetry schema, merged with the simulation
-/// names by `validate_telemetry` and the schema gate tests.
-pub fn service_metric_names() -> Vec<String> {
-    ServiceStats::default()
-        .snapshot()
-        .names()
-        .map(str::to_string)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every counter name, in snapshot (sorted) order. `crash_matrix`,
+    /// `scripts/check.sh` and EXPERIMENTS.md read these names, so a
+    /// rename must fail here.
     #[test]
-    fn names_are_stable_sorted_and_prefixed() {
-        let names = service_metric_names();
-        assert_eq!(names.len(), 25);
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted, "snapshot order is sorted");
-        assert!(names.iter().all(|n| n.starts_with("service.")));
-        assert!(names.contains(&"service.worker_kills".to_string()));
-        assert!(names.contains(&"service.persist.cache.warm_hits".to_string()));
-        assert!(names.contains(&"service.drain.requests".to_string()));
+    fn names_are_pinned() {
+        let snap = ServiceStats::default().snapshot();
+        let names: Vec<&str> = snap.names().collect();
+        assert_eq!(
+            names,
+            [
+                "service.cache_drops",
+                "service.cache_hits",
+                "service.cache_misses",
+                "service.drain.rejected_submits",
+                "service.drain.requests",
+                "service.jobs_completed",
+                "service.jobs_failed",
+                "service.jobs_retried",
+                "service.jobs_submitted",
+                "service.malformed_requests",
+                "service.persist.cache.corrupt_dropped",
+                "service.persist.cache.loaded",
+                "service.persist.cache.stores",
+                "service.persist.cache.warm_hits",
+                "service.persist.flush_fails",
+                "service.persist.journal.appended",
+                "service.persist.journal.compactions",
+                "service.persist.journal.replayed",
+                "service.persist.journal.torn_skipped",
+                "service.queue_peak_depth",
+                "service.reject_bad_request",
+                "service.reject_queue_full",
+                "service.worker_kills",
+            ]
+        );
     }
 
     #[test]

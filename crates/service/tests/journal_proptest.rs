@@ -3,9 +3,9 @@
 //!
 //! The journal is the service's crash-recovery ground truth, so its
 //! codec must round-trip *every* representable record — including
-//! tenants and workload names with quotes, backslashes, control
-//! characters and non-ASCII text — and replay must recover exactly the
-//! intact record prefix from any torn file.
+//! workload names with quotes, backslashes, control characters and
+//! non-ASCII text — and recovery must replay exactly the intact record
+//! prefix from any torn file.
 
 use proptest::prelude::*;
 use tmi_bench::{JobSpec, RuntimeKind};
@@ -59,14 +59,7 @@ fn arb_spec() -> impl Strategy<Value = JobSpec> {
 
 fn arb_record() -> impl Strategy<Value = JournalRecord> {
     prop_oneof![
-        (0u64..MAX_EXACT, arb_string(), 0usize..4, arb_spec()).prop_map(
-            |(id, tenant, priority, spec)| JournalRecord::Accepted {
-                id,
-                tenant,
-                priority,
-                spec,
-            }
-        ),
+        (0u64..MAX_EXACT, arb_spec()).prop_map(|(id, spec)| JournalRecord::Accepted { id, spec }),
         (0u64..MAX_EXACT).prop_map(|id| JournalRecord::Done { id }),
         (0u64..MAX_EXACT).prop_map(|id| JournalRecord::Failed { id }),
     ]
@@ -100,7 +93,7 @@ proptest! {
 
         // Record the file length after each append so every possible
         // "intact prefix count" is known exactly.
-        let mut j = Journal::open(&path).unwrap();
+        let (mut j, _) = Journal::recover(&path).unwrap();
         let mut ends = vec![0u64];
         for rec in &recs {
             j.append(rec, None);
@@ -114,7 +107,7 @@ proptest! {
         std::fs::write(&path, &full[..cut]).unwrap();
 
         let intact = ends.iter().filter(|&&e| e <= cut as u64).count() - 1;
-        let replay = Journal::replay(&path).unwrap();
+        let (_, replay) = Journal::recover(&path).unwrap();
         prop_assert_eq!(replay.records, intact as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -20,18 +20,6 @@ use proptest::prelude::*;
 use tmi_repro::bench::telemetry::{registered_metric_names, validate_trace};
 use tmi_repro::bench::{JobSpec, RuntimeKind};
 use tmi_repro::oracle::{trace_seed, CheckConfig};
-use tmi_repro::service::service_metric_names;
-
-/// The full deployed schema: the simulation registry's names merged
-/// with the job server's `service.*` aggregates — exactly what
-/// `validate_telemetry` writes to `tests/golden/metric_names.txt`.
-fn schema_metric_names() -> Vec<String> {
-    let mut names = registered_metric_names();
-    names.extend(service_metric_names());
-    names.sort();
-    names.dedup();
-    names
-}
 
 #[test]
 fn chrome_trace_matches_golden_byte_for_byte() {
@@ -109,14 +97,14 @@ proptest! {
     /// and they match the checked-in schema file exactly.
     #[test]
     fn registered_names_are_unique_and_stable(rounds in 1usize..4) {
-        let first = schema_metric_names();
+        let first = registered_metric_names();
         let unique: BTreeSet<&String> = first.iter().collect();
         prop_assert_eq!(unique.len(), first.len(), "duplicate metric names");
         let mut sorted = first.clone();
         sorted.sort();
         prop_assert_eq!(&sorted, &first, "names must come out sorted");
         for _ in 0..rounds {
-            prop_assert_eq!(&schema_metric_names(), &first);
+            prop_assert_eq!(&registered_metric_names(), &first);
         }
         let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/metric_names.txt");
         let checked_in: Vec<String> = std::fs::read_to_string(path)
