@@ -35,12 +35,21 @@
 //! campaigns large enough to matter) every fault point must fire with
 //! retry, rollback and efficacy-revert each exercised at least once.
 //!
-//! `--trace out.json` re-runs the campaign's first seed with telemetry
-//! tracing enabled after the campaign and writes the Chrome `trace_event`
-//! timeline of that repaired run to `out.json` (stderr note only; the
-//! campaign report on stdout is unchanged).
+//! `--trace out.json` re-checks the campaign's first program (plain or
+//! transistency, under the campaign's ablations and fault seed) with
+//! telemetry tracing enabled after the campaign and writes the Chrome
+//! `trace_event` timeline of that repaired run to `out.json` (stderr note
+//! only; the campaign report on stdout is unchanged).
+//!
+//! `--seeds` must be at least 1: a campaign that checks nothing proves
+//! nothing.
 
-use tmi_bench::fuzz::{run_campaign, FuzzConfig};
+use tmi_bench::fuzz::{run_campaign, trace_first_seed, FuzzConfig};
+
+const USAGE: &str = "usage: fuzz_consistency [--seeds N] [--start N] \
+                     [--ablate-code-centric] [--transistency] [--enumerate N] \
+                     [--ablate-shootdown] [--workers N] [--faults SEED] \
+                     [--trace out.json]";
 
 fn main() {
     let mut cfg = FuzzConfig::default();
@@ -72,15 +81,14 @@ fn main() {
                 }
             },
             _ => {
-                eprintln!(
-                    "usage: fuzz_consistency [--seeds N] [--start N] \
-                     [--ablate-code-centric] [--transistency] [--enumerate N] \
-                     [--ablate-shootdown] [--workers N] [--faults SEED] \
-                     [--trace out.json]"
-                );
+                eprintln!("{USAGE}");
                 std::process::exit(2);
             }
         }
+    }
+    if cfg.seeds == 0 {
+        eprintln!("--seeds must be at least 1\n{USAGE}");
+        std::process::exit(2);
     }
     if cfg.faults.is_some() && (cfg.ablate_code_centric || cfg.ablate_shootdown) {
         eprintln!(
@@ -98,12 +106,7 @@ fn main() {
     print!("{}", result.render());
 
     if let Some(out) = trace_path {
-        let check = tmi_oracle::CheckConfig {
-            code_centric: !cfg.ablate_code_centric,
-            faults: cfg.faults,
-            ..Default::default()
-        };
-        let (report, trace) = tmi_oracle::trace_seed(cfg.start_seed, &check);
+        let (report, trace) = trace_first_seed(&cfg);
         if let Err(e) = std::fs::write(&out, trace) {
             eprintln!("failed to write {out}: {e}");
             std::process::exit(1);

@@ -28,8 +28,8 @@
 use tmi::GovernorState;
 use tmi_faultpoint::{FaultPoint, FaultStats};
 use tmi_oracle::{
-    check_seed, check_transistency_seed, check_transistency_variants, CheckConfig, CheckReport,
-    Coverage,
+    check_litmus, check_seed, check_transistency_seed, check_transistency_variants, trace_litmus,
+    CheckConfig, CheckReport, Coverage, Litmus,
 };
 
 use crate::exec::pool_map;
@@ -314,6 +314,23 @@ fn campaign_check(cfg: &FuzzConfig) -> CheckConfig {
     }
 }
 
+/// The litmus program a campaign checks for `seed`: the transistency
+/// program in `--transistency` mode, the plain one otherwise.
+fn campaign_program(cfg: &FuzzConfig, seed: u64) -> Litmus {
+    if cfg.transistency {
+        Litmus::generate_vm(seed)
+    } else {
+        Litmus::generate(seed)
+    }
+}
+
+/// Re-checks the campaign's first program under the campaign's checker
+/// configuration with telemetry tracing on, and returns its report and
+/// Chrome `trace_event` JSON (the `fuzz_consistency --trace` output).
+pub fn trace_first_seed(cfg: &FuzzConfig) -> (CheckReport, String) {
+    trace_litmus(&campaign_program(cfg, cfg.start_seed), &campaign_check(cfg))
+}
+
 /// Runs the campaign: checks every seed in the range in parallel, plus
 /// its enumerated VM-op variants, and aggregates in seed order.
 pub fn run_campaign(cfg: &FuzzConfig) -> CampaignResult {
@@ -326,11 +343,7 @@ pub fn run_campaign(cfg: &FuzzConfig) -> CampaignResult {
     let n = usize::try_from(cfg.seeds).expect("seed count fits usize");
     let results = pool_map(workers, n, |i| {
         let seed = cfg.start_seed + i as u64;
-        let mut reports = vec![if cfg.transistency {
-            check_transistency_seed(seed, &check)
-        } else {
-            check_seed(seed, &check)
-        }];
+        let mut reports = vec![check_litmus(&campaign_program(cfg, seed), &check)];
         if cfg.enumerate > 0 {
             reports.extend(check_transistency_variants(
                 seed,

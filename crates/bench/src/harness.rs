@@ -435,7 +435,7 @@ fn tmi_config(spec: &JobSpec) -> TmiConfig {
 fn fill_tmi(rt: &TmiRuntime, core: &tmi_sim::EngineCore, r: &mut RunResult) {
     // The memory breakdown needs the kernel, so it cannot register itself
     // during the engine snapshot; fold it in here under `tmi.memory.`.
-    let mem: MemoryBreakdown = rt.observe().memory(&core.kernel);
+    let mem: MemoryBreakdown = rt.memory(&core.kernel);
     r.metrics.absorb("tmi.memory", &mem);
     fill_perf("tmi", r);
     r.repaired = r.metrics.u64("tmi.repaired") != 0;
@@ -445,7 +445,7 @@ fn fill_tmi(rt: &TmiRuntime, core: &tmi_sim::EngineCore, r: &mut RunResult) {
     r.t2p_cycles = r.metrics.u64("tmi.repair.t2p_cycles");
     r.memory_bytes = r.metrics.u64("tmi.memory.total_bytes");
     r.app_bytes = r.metrics.u64("tmi.memory.app_bytes");
-    r.phases = rt.observe().phases();
+    r.phases = rt.phases();
 }
 
 /// The perf monitor's counts, for the runtimes that sample through one
@@ -472,7 +472,7 @@ pub(crate) fn execute_detect_report(spec: &JobSpec) -> (RunResult, tmi::Contenti
     let mut report = tmi::ContentionReport::default();
     let r = finish(&spec, "tmi", built, None, |rt, core, res| {
         fill_tmi(rt, core, res);
-        report = tmi::ContentionReport::build(rt.observe().detector(), &core.code, 16);
+        report = tmi::ContentionReport::build(rt.detector(), &core.code, 16);
     });
     let predicted = report.predict_manual_speedup_calibrated(r.cycles, Some(r.perf_events));
     (r, report, predicted)

@@ -41,7 +41,6 @@ pub mod fuzz;
 pub mod harness;
 pub mod report;
 pub mod spec;
-pub mod telemetry;
 
 pub use harness::{RunResult, RuntimeKind};
 pub use harness::{APP_START, INTERNAL_LEN, INTERNAL_START};

@@ -301,14 +301,23 @@ impl JobSpec {
         if let Some(s) = num("scale")? {
             spec.scale = work_scale("\"scale\"", s)?;
         }
-        if let Some(p) = num("period")? {
-            spec.period = p as u64;
+        let count = |key: &str, min: u64| -> Result<Option<u64>, String> {
+            let Some(v) = num(key)? else { return Ok(None) };
+            // `u64::MAX as f64` is 2^64, the first value past the range.
+            if v.fract() == 0.0 && v >= min as f64 && v < u64::MAX as f64 {
+                Ok(Some(v as u64))
+            } else {
+                Err(count_error(&format!("\"{key}\""), min, v))
+            }
+        };
+        if let Some(p) = count("period", 1)? {
+            spec.period = p;
         }
-        if let Some(t) = num("tick_interval")? {
-            spec.tick_interval = t as u64;
+        if let Some(t) = count("tick_interval", 1)? {
+            spec.tick_interval = t;
         }
-        if let Some(m) = num("max_ops")? {
-            spec.max_ops = m as u64;
+        if let Some(m) = count("max_ops", 0)? {
+            spec.max_ops = m;
         }
         spec.fixed = flag("fixed")?.unwrap_or(false);
         spec.misaligned = flag("misaligned")?.unwrap_or(false);
@@ -316,7 +325,7 @@ impl JobSpec {
         // Unknown members are ignored, which keeps documents persisted by
         // older builds (journals and cache spills that still carry the
         // retired shard-count, fast-path and trace members) decodable.
-        spec.seed = num("seed")?.map(|s| s as u64).unwrap_or(0);
+        spec.seed = count("seed", 0)?.unwrap_or(0);
         Ok(spec)
     }
 
@@ -332,6 +341,10 @@ impl JobSpec {
         let parse_u64 = |name: &str, v: String| {
             v.parse::<u64>()
                 .map_err(|_| format!("{name} expects a number, got {v:?}"))
+        };
+        let count = |name: &str, v: String, min: u64| match v.parse::<u64>() {
+            Ok(n) if n >= min => Ok(n),
+            _ => Err(count_error(name, min, v)),
         };
         match arg {
             "--workload" => self.workload = value("--workload")?,
@@ -351,12 +364,12 @@ impl JobSpec {
                     .map_err(|_| format!("--scale expects a number, got {v:?}"))?;
                 self.scale = work_scale("--scale", s)?;
             }
-            "--period" => self.period = parse_u64("--period", value("--period")?)?,
+            "--period" => self.period = count("--period", value("--period")?, 1)?,
             "--tick-interval" => {
-                self.tick_interval = parse_u64("--tick-interval", value("--tick-interval")?)?
+                self.tick_interval = count("--tick-interval", value("--tick-interval")?, 1)?
             }
-            "--max-ops" => self.max_ops = parse_u64("--max-ops", value("--max-ops")?)?,
-            "--seed" => self.seed = parse_u64("--seed", value("--seed")?)?,
+            "--max-ops" => self.max_ops = count("--max-ops", value("--max-ops")?, 0)?,
+            "--seed" => self.seed = count("--seed", value("--seed")?, 0)?,
             "--fixed" => self.fixed = true,
             "--misaligned" => self.misaligned = true,
             "--huge-pages" => self.huge_pages = true,
@@ -386,6 +399,14 @@ fn thread_count(name: &str, t: f64) -> Result<usize, String> {
             "{name} must be an integer in 1..={MAX_CORES}, got {t}"
         ))
     }
+}
+
+/// The error for a count member (`period`, `tick_interval`, `max_ops`,
+/// `seed`) that is not a whole number of at least `min`. The sampling
+/// period and the detection tick need at least 1: a zero tick would
+/// never end the engine's tick catch-up loop.
+fn count_error(name: &str, min: u64, got: impl std::fmt::Display) -> String {
+    format!("{name} must be a whole number >= {min}, got {got}")
 }
 
 /// Validates a requested work scale. Workloads size their iteration
@@ -503,6 +524,27 @@ mod tests {
                 "scale {s}: {err}"
             );
         }
+        // Counts are whole numbers, never cast: a zero tick would hang the
+        // engine, and `"seed": -3` must not silently become seed 0.
+        for (key, v, min) in [
+            ("period", "0", 1),
+            ("tick_interval", "0", 1),
+            ("tick_interval", "-1", 1),
+            ("tick_interval", "0.5", 1),
+            ("max_ops", "-1", 0),
+            ("max_ops", "2.5", 0),
+            ("seed", "-3", 0),
+            ("seed", "1e400", 0),
+        ] {
+            let doc = format!(r#"{{"workload": "x", "{key}": {v}}}"#);
+            let err = JobSpec::from_json(&json::parse(&doc).unwrap()).unwrap_err();
+            assert!(
+                err.contains(&format!("\"{key}\" must be a whole number >= {min}")),
+                "{key} {v}: {err}"
+            );
+        }
+        let doc = r#"{"workload": "x", "period": 1, "tick_interval": 1, "max_ops": 0, "seed": 0}"#;
+        assert!(JobSpec::from_json(&json::parse(doc).unwrap()).is_ok());
         let no_workload = json::parse(r#"{"threads": 4}"#).unwrap();
         assert!(JobSpec::from_json(&no_workload).is_err());
     }
@@ -681,5 +723,37 @@ mod tests {
             .apply_cli_arg("--threads", &mut || Some("64".to_string()))
             .unwrap());
         assert_eq!(spec.threads, 64);
+    }
+
+    #[test]
+    fn cli_counts_must_be_whole_numbers_in_range() {
+        for (flag, v, min) in [
+            ("--period", "0", 1),
+            ("--tick-interval", "0", 1),
+            ("--tick-interval", "-1", 1),
+            ("--max-ops", "2.5", 0),
+            ("--seed", "-3", 0),
+        ] {
+            let mut spec = JobSpec::new("histogram");
+            let err = spec
+                .apply_cli_arg(flag, &mut || Some(v.to_string()))
+                .unwrap_err();
+            assert!(
+                err.contains(&format!("{flag} must be a whole number >= {min}")),
+                "{flag} {v}: {err}"
+            );
+            assert_eq!(spec, JobSpec::new("histogram"), "{flag} {v}");
+        }
+        let mut spec = JobSpec::new("histogram");
+        for (flag, v) in [
+            ("--tick-interval", "1"),
+            ("--max-ops", "0"),
+            ("--seed", "0"),
+        ] {
+            assert!(spec
+                .apply_cli_arg(flag, &mut || Some(v.to_string()))
+                .unwrap());
+        }
+        assert_eq!((spec.tick_interval, spec.max_ops, spec.seed), (1, 0, 0));
     }
 }

@@ -53,5 +53,5 @@ pub use locks::{LockRedirector, LOCK_INDIRECT_CYCLES};
 pub use memstats::MemoryBreakdown;
 pub use repair::{GovernorState, RepairManager, RepairStats};
 pub use report::{ContentionReport, LineReport};
-pub use runtime::{RuntimeView, TmiRuntime, TmiStats};
+pub use runtime::{TmiRuntime, TmiStats};
 pub use twins::{PageCommit, TwinStore};

@@ -995,7 +995,7 @@ mod tests {
         ctl.kernel.force_write(root, base, Width::W8, 1).unwrap();
 
         rt.force_repair(&mut ctl, &[base.vpn()]);
-        assert!(rt.observe().repair().active());
+        assert!(rt.repair().active());
         let a0 = ctl.kernel.thread_aspace(t0);
         let res = ctl.kernel.handle_fault(a0, base, true).unwrap();
         rt.on_fault(&mut ctl, t0, &res);
@@ -1004,12 +1004,12 @@ mod tests {
         assert!(rt.on_sync(&mut ctl, t0, SyncEvent::MutexUnlock(base)) > 0);
 
         rt.on_tick(&mut ctl, 1_000_000);
-        assert_eq!(rt.observe().repair().state(), GovernorState::Reverted);
-        assert_eq!(rt.observe().repair().stats().efficacy_reverts, 1);
+        assert_eq!(rt.repair().state(), GovernorState::Reverted);
+        assert_eq!(rt.repair().stats().efficacy_reverts, 1);
         assert_eq!(ctl.kernel.force_read(root, base, Width::W8).unwrap(), 42);
         // Later ticks are no-ops for the monitor.
         rt.on_tick(&mut ctl, 2_000_000);
-        assert_eq!(rt.observe().repair().stats().efficacy_reverts, 1);
+        assert_eq!(rt.repair().stats().efficacy_reverts, 1);
     }
 
     // ------------------------------------------------------------------
@@ -1046,10 +1046,10 @@ mod tests {
             0,
             "denied conversion reports the page unprotected"
         );
-        assert_eq!(rt.observe().repair().state(), GovernorState::Aborted);
-        assert_eq!(rt.observe().repair().stats().rollbacks, 1);
-        assert_eq!(rt.observe().repair().protected_pages(), 0);
-        assert_eq!(rt.observe().repair().twins().current_bytes(), 0);
+        assert_eq!(rt.repair().state(), GovernorState::Aborted);
+        assert_eq!(rt.repair().stats().rollbacks, 1);
+        assert_eq!(rt.repair().protected_pages(), 0);
+        assert_eq!(rt.repair().twins().current_bytes(), 0);
         assert_eq!(
             ctl.kernel.physmem().allocated_frames(),
             frames_before,
@@ -1070,9 +1070,9 @@ mod tests {
         assert_eq!(rt.on_vm_op(&mut ctl, t0, VmOp::TwinCommit, base), 0);
         assert_eq!(rt.on_vm_op(&mut ctl, t0, VmOp::CowBreak, base), 0);
         assert_eq!(rt.on_vm_op(&mut ctl, t0, VmOp::Shootdown, base), 1);
-        assert_eq!(rt.observe().repair().state(), GovernorState::Aborted);
-        assert_eq!(rt.observe().repair().stats().rollbacks, 1);
-        assert_eq!(rt.observe().repair().twins().current_bytes(), 0);
+        assert_eq!(rt.repair().state(), GovernorState::Aborted);
+        assert_eq!(rt.repair().stats().rollbacks, 1);
+        assert_eq!(rt.repair().twins().current_bytes(), 0);
         assert_eq!(ctl.kernel.physmem().allocated_frames(), frames_before);
     }
 

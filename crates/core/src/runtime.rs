@@ -10,7 +10,7 @@ use tmi_os::{FaultResolution, Kernel, OsError, Tid};
 use tmi_perf::PerfMonitor;
 use tmi_program::VmOp;
 use tmi_sim::{AccessInfo, EngineCtl, PreAccess, RegionEvent, RuntimeHooks, SyncEvent};
-use tmi_telemetry::{MetricSink, MetricSource, MetricsSnapshot, Phase, PhaseProfile, Tracer};
+use tmi_telemetry::{MetricSink, MetricSource, Phase, PhaseProfile, Tracer};
 
 use crate::config::TmiConfig;
 use crate::consistency;
@@ -118,16 +118,51 @@ impl TmiRuntime {
         self.repair.set_fault_injector(faults);
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &TmiConfig {
-        &self.config
+    /// Summary statistics.
+    pub fn stats(&self) -> &TmiStats {
+        &self.stats
     }
 
-    /// The read-only observability facade: every view of a run — summary
-    /// stats, repair/detector/perf/lock internals, memory breakdown, phase
-    /// profile and the flat metrics snapshot — hangs off this one method.
-    pub fn observe(&self) -> RuntimeView<'_> {
-        RuntimeView { rt: self }
+    /// The repair manager (T2P and commit statistics, Table 3).
+    pub fn repair(&self) -> &RepairManager {
+        &self.repair
+    }
+
+    /// The detector (line profiles and record counts).
+    pub fn detector(&self) -> &FalseSharingDetector {
+        self.detection.detector()
+    }
+
+    /// The perf monitor (records/events, Fig. 4).
+    pub fn perf(&self) -> &PerfMonitor {
+        self.detection.perf()
+    }
+
+    /// Whether repair has been activated during the run.
+    pub fn repaired(&self) -> bool {
+        self.repair.active() || self.stats.lock_repads > 0
+    }
+
+    /// Memory breakdown for Fig. 8. `app_bytes` is the peak physical
+    /// memory of the application (from the kernel).
+    pub fn memory(&self, kernel: &Kernel) -> MemoryBreakdown {
+        MemoryBreakdown {
+            app_bytes: kernel.physmem().peak_allocated_frames() as u64 * tmi_machine::FRAME_SIZE,
+            perf_bytes: self.perf().buffer_bytes(),
+            detector_bytes: self.detector().table_bytes() + DETECTOR_FIXED_BYTES,
+            twin_bytes: self.repair.twins().peak_bytes(),
+            lock_bytes: self.locks.bytes_used(),
+        }
+    }
+
+    /// The per-phase cycle attribution of the run so far: the runtime's
+    /// own charges plus the repair manager's.
+    pub fn phases(&self) -> PhaseProfile {
+        let mut total = self.phases;
+        for (phase, cycles) in self.repair.phases().iter() {
+            total.add(phase, cycles);
+        }
+        total
     }
 
     /// Arms the PTSB on `pages` immediately, converting threads to
@@ -213,93 +248,14 @@ impl TmiRuntime {
     }
 }
 
-/// Read-only observability facade over a [`TmiRuntime`], obtained from
-/// [`TmiRuntime::observe`].
-///
-/// Borrows the runtime immutably, so it can be held while the engine is
-/// paused and consulted repeatedly without re-plumbing individual accessors.
-#[derive(Clone, Copy, Debug)]
-pub struct RuntimeView<'a> {
-    rt: &'a TmiRuntime,
-}
-
-impl<'a> RuntimeView<'a> {
-    /// The configuration in effect.
-    pub fn config(&self) -> &'a TmiConfig {
-        &self.rt.config
-    }
-
-    /// Summary statistics.
-    pub fn stats(&self) -> &'a TmiStats {
-        &self.rt.stats
-    }
-
-    /// The repair manager (T2P and commit statistics, Table 3).
-    pub fn repair(&self) -> &'a RepairManager {
-        &self.rt.repair
-    }
-
-    /// The detector (line profiles and record counts).
-    pub fn detector(&self) -> &'a FalseSharingDetector {
-        self.rt.detection.detector()
-    }
-
-    /// The perf monitor (records/events, Fig. 4).
-    pub fn perf(&self) -> &'a PerfMonitor {
-        self.rt.detection.perf()
-    }
-
-    /// The lock redirector.
-    pub fn locks(&self) -> &'a LockRedirector {
-        &self.rt.locks
-    }
-
-    /// Whether repair has been activated during the run.
-    pub fn repaired(&self) -> bool {
-        self.rt.repair.active() || self.rt.stats.lock_repads > 0
-    }
-
-    /// Memory breakdown for Fig. 8. `app_bytes` is the peak physical
-    /// memory of the application (from the kernel).
-    pub fn memory(&self, kernel: &Kernel) -> MemoryBreakdown {
-        MemoryBreakdown {
-            app_bytes: kernel.physmem().peak_allocated_frames() as u64 * tmi_machine::FRAME_SIZE,
-            perf_bytes: self.perf().buffer_bytes(),
-            detector_bytes: self.detector().table_bytes() + DETECTOR_FIXED_BYTES,
-            twin_bytes: self.rt.repair.twins().peak_bytes(),
-            lock_bytes: self.rt.locks.bytes_used(),
-        }
-    }
-
-    /// The per-phase cycle attribution of the run so far: the runtime's
-    /// own charges plus the repair manager's.
-    pub fn phases(&self) -> PhaseProfile {
-        let mut total = self.rt.phases;
-        for (phase, cycles) in self.rt.repair.phases().iter() {
-            total.add(phase, cycles);
-        }
-        total
-    }
-
-    /// The flat metrics snapshot of the whole runtime (no prefix; callers
-    /// composing several sources should use [`MetricSink::source`] on the
-    /// runtime instead).
-    pub fn metrics(&self) -> MetricsSnapshot {
-        MetricsSnapshot::of(self.rt)
-    }
-}
-
 impl MetricSource for TmiRuntime {
     fn metrics(&self, out: &mut MetricSink) {
         self.stats.metrics(out);
-        out.u64(
-            "repaired",
-            u64::from(self.repair.active() || self.stats.lock_repads > 0),
-        );
+        out.u64("repaired", u64::from(self.repaired()));
         out.source("repair", &self.repair);
         self.detection.metrics(out);
         out.source("locks", &self.locks);
-        out.source("phase", &self.observe().phases());
+        out.source("phase", &self.phases());
     }
 }
 

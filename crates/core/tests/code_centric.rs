@@ -164,7 +164,7 @@ fn ordering_atomic_store_is_immediately_shared() {
     let (r, _) = run_litmus(&mut f, t0, vec![Op::Compute { cycles: 1000 }]);
     assert!(r.completed());
     assert!(
-        f.engine.runtime().observe().repair().active(),
+        f.engine.runtime().repair().active(),
         "warm-up must trigger repair"
     );
     assert_eq!(shared_value(&mut f, x), 41, "flushed by the atomic");
@@ -208,7 +208,7 @@ fn relaxed_atomic_bypasses_without_flushing() {
     ];
     let (r, observed) = run_litmus(&mut f, t0, t1);
     assert!(r.completed());
-    assert!(f.engine.runtime().observe().repair().active());
+    assert!(f.engine.runtime().repair().active());
     let seen = observed.last().copied().flatten().unwrap();
     assert_eq!(
         seen, 42,
@@ -218,7 +218,7 @@ fn relaxed_atomic_bypasses_without_flushing() {
     // atomic must not have forced an early flush: commits at most at sync
     // points. We can't observe "not flushed" directly here beyond the
     // commit counter staying at the sync-point count.
-    assert!(f.engine.runtime().observe().repair().stats().commits <= 4);
+    assert!(f.engine.runtime().repair().stats().commits <= 4);
 }
 
 /// Case 5 (asm × asm): stores inside assembly regions get TSO semantics —
@@ -278,7 +278,7 @@ fn plain_racy_stores_are_buffered_until_sync() {
     ];
     let (r, observed) = run_litmus(&mut f, t0, t1);
     assert!(r.completed());
-    assert!(f.engine.runtime().observe().repair().active());
+    assert!(f.engine.runtime().repair().active());
     assert_eq!(
         observed.last().copied().flatten(),
         Some(0),
@@ -314,7 +314,7 @@ fn without_code_centric_atomics_lose_their_semantics() {
     ];
     let (r, observed) = run_litmus(&mut f, t0, t1);
     assert!(r.completed());
-    assert!(f.engine.runtime().observe().repair().active());
+    assert!(f.engine.runtime().repair().active());
     assert_eq!(
         observed.last().copied().flatten(),
         Some(0),

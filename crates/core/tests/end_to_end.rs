@@ -98,15 +98,12 @@ fn run_counters<R: RuntimeHooks>(runtime: R, stride: u64, iters: usize) -> (u64,
 fn tmi_detects_false_sharing() {
     let runtime = TmiRuntime::new(TmiConfig::detect_only(), layout_only());
     let (_cycles, e) = run_counters(runtime, 8, 20_000);
-    let stats = e.runtime().observe().stats();
+    let stats = e.runtime().stats();
     assert!(
         !stats.fs_lines.is_empty(),
         "detector must flag the packed counter line"
     );
-    assert!(
-        !e.runtime().observe().repaired(),
-        "detect-only must not repair"
-    );
+    assert!(!e.runtime().repaired(), "detect-only must not repair");
     let hot = APP_START / 64;
     assert!(
         stats.fs_lines.contains(&hot),
@@ -119,8 +116,8 @@ fn tmi_detects_false_sharing() {
 fn tmi_does_not_flag_padded_counters() {
     let runtime = TmiRuntime::new(TmiConfig::detect_only(), layout_only());
     let (_cycles, e) = run_counters(runtime, 64, 20_000);
-    assert!(e.runtime().observe().stats().fs_lines.is_empty());
-    assert!(e.runtime().observe().perf().events_seen() < 100);
+    assert!(e.runtime().stats().fs_lines.is_empty());
+    assert!(e.runtime().perf().events_seen() < 100);
 }
 
 #[test]
@@ -140,10 +137,7 @@ fn tmi_repairs_false_sharing_and_speeds_up() {
         iters,
     );
 
-    assert!(
-        e.runtime().observe().repair().active(),
-        "repair must trigger"
-    );
+    assert!(e.runtime().repair().active(), "repair must trigger");
     let speedup = buggy as f64 / repaired as f64;
     let manual_speedup = buggy as f64 / manual as f64;
     assert!(
@@ -166,7 +160,7 @@ fn tmi_overhead_without_contention_is_small() {
         256,
         iters,
     );
-    assert!(!e.runtime().observe().repaired());
+    assert!(!e.runtime().repaired());
     let overhead = tmi as f64 / base as f64 - 1.0;
     assert!(
         overhead < 0.05,
@@ -187,7 +181,7 @@ fn repaired_data_is_still_correct() {
     counter_threads(&mut e, 8, iters, 4);
     let r = e.run();
     assert!(r.completed());
-    assert!(e.runtime().observe().repair().active());
+    assert!(e.runtime().repair().active());
     for i in 0..4u64 {
         let addr = VAddr::new(APP_START + i * 8);
         // Read through the shared object view (what any new thread or the
@@ -246,10 +240,7 @@ fn atomic_counters_remain_atomic_under_repair() {
     }
     let r = e.run();
     assert!(r.completed());
-    assert!(
-        e.runtime().observe().repair().active(),
-        "repair must have triggered"
-    );
+    assert!(e.runtime().repair().active(), "repair must have triggered");
     let pa = e
         .core_mut()
         .kernel
@@ -312,8 +303,8 @@ fn mutex_workload_commits_at_sync_and_stays_correct() {
     }
     let r = e.run();
     assert!(r.completed(), "halt: {:?}", r.halt);
-    if e.runtime().observe().repair().active() {
-        assert!(e.runtime().observe().repair().stats().commits > 0);
+    if e.runtime().repair().active() {
+        assert!(e.runtime().repair().stats().commits > 0);
     }
     let _ = aspace;
 }

@@ -291,14 +291,13 @@ pub fn check_transistency_variants(seed: u64, cap: usize, cfg: &CheckConfig) -> 
         .collect()
 }
 
-/// Checks `seed`'s litmus program once (no minimization) with telemetry
+/// Checks one litmus program once (no minimization) with telemetry
 /// tracing enabled, and returns the report together with the Chrome
 /// `trace_event` JSON of the repaired run — the full repair episode
 /// (trigger → fork/T2P → twin snapshots → commits) on the litmus fixture.
-pub fn trace_seed(seed: u64, cfg: &CheckConfig) -> (CheckReport, String) {
-    let lit = Litmus::generate(seed);
+pub fn trace_litmus(lit: &Litmus, cfg: &CheckConfig) -> (CheckReport, String) {
     let tracer = tmi_telemetry::Tracer::enabled();
-    let (divergences, steps, faults, phases) = run_traced(&lit, cfg, &tracer);
+    let (divergences, steps, faults, phases) = run_traced(lit, cfg, &tracer);
     let report = CheckReport {
         seed: lit.seed,
         code_centric: cfg.code_centric,
@@ -306,7 +305,7 @@ pub fn trace_seed(seed: u64, cfg: &CheckConfig) -> (CheckReport, String) {
         steps,
         divergences,
         coverage: lit.coverage(),
-        litmus: lit,
+        litmus: lit.clone(),
         minimized: false,
         faults,
     };
@@ -625,10 +624,10 @@ fn run_traced(
         base_seed: base,
         fault_seed: fseed,
         stats: inj.stats(),
-        governor: engine.runtime().observe().repair().stats().clone(),
-        state: engine.runtime().observe().repair().state(),
+        governor: engine.runtime().repair().stats().clone(),
+        state: engine.runtime().repair().state(),
     });
-    (divs, steps, summary, engine.runtime().observe().phases())
+    (divs, steps, summary, engine.runtime().phases())
 }
 
 fn fmt_val(v: Option<u64>) -> String {

@@ -52,7 +52,7 @@ pub mod litmus;
 
 pub use diff::{
     check_litmus, check_seed, check_transistency_seed, check_transistency_variants,
-    derive_fault_seed, run_seed_raw, run_transistency_seed_raw, trace_seed, CheckConfig,
+    derive_fault_seed, run_seed_raw, run_transistency_seed_raw, trace_litmus, CheckConfig,
     CheckReport, Divergence, DivergenceKind, FaultSummary, RawRun,
 };
 pub use interp::{Interp, RefStep};

@@ -2,8 +2,9 @@
 //! through the workspace metrics registry under the `service.` prefix.
 //!
 //! The names are what `stats` replies and `tmi_serve`'s exit report
-//! carry; `crash_matrix` and `scripts/check.sh` read them, and the unit
-//! test below pins every one.
+//! carry; `crash_matrix` and `scripts/check.sh` read them, and the
+//! workspace metric schema (`tests/golden/metric_names.txt`) pins every
+//! one, checked by the unit test below.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -124,41 +125,21 @@ impl MetricSource for ServiceStats {
 mod tests {
     use super::*;
 
-    /// Every counter name, in snapshot (sorted) order. `crash_matrix`,
-    /// `scripts/check.sh` and EXPERIMENTS.md read these names, so a
-    /// rename must fail here.
+    /// Every counter name, in snapshot (sorted) order, equals the
+    /// `service.` lines of the workspace schema: `crash_matrix`,
+    /// `scripts/check.sh` and EXPERIMENTS.md read these names, so a rename
+    /// fails here as well as in the schema check, with no second list.
     #[test]
     fn names_are_pinned() {
+        let schema = include_str!("../../../tests/golden/metric_names.txt");
+        let pinned: Vec<&str> = schema
+            .lines()
+            .filter(|n| n.starts_with("service."))
+            .collect();
         let snap = ServiceStats::default().snapshot();
         let names: Vec<&str> = snap.names().collect();
-        assert_eq!(
-            names,
-            [
-                "service.cache_drops",
-                "service.cache_hits",
-                "service.cache_misses",
-                "service.drain.rejected_submits",
-                "service.drain.requests",
-                "service.jobs_completed",
-                "service.jobs_failed",
-                "service.jobs_retried",
-                "service.jobs_submitted",
-                "service.malformed_requests",
-                "service.persist.cache.corrupt_dropped",
-                "service.persist.cache.loaded",
-                "service.persist.cache.stores",
-                "service.persist.cache.warm_hits",
-                "service.persist.flush_fails",
-                "service.persist.journal.appended",
-                "service.persist.journal.compactions",
-                "service.persist.journal.replayed",
-                "service.persist.journal.torn_skipped",
-                "service.queue_peak_depth",
-                "service.reject_bad_request",
-                "service.reject_queue_full",
-                "service.worker_kills",
-            ]
-        );
+        assert!(!pinned.is_empty(), "the schema lists no service.* names");
+        assert_eq!(names, pinned);
     }
 
     #[test]

@@ -27,10 +27,12 @@ fn arb_string() -> impl Strategy<Value = String> {
         .prop_map(|ix| ix.into_iter().map(|i| ALPHABET[i]).collect())
 }
 
+/// Specs the decoder accepts: threads in 1..=64, a scale above 0, and
+/// whole-number counts with `period` and `tick_interval` at least 1.
 fn arb_spec() -> impl Strategy<Value = JobSpec> {
     (
         (arb_string(), 0..RuntimeKind::ALL.len(), 1usize..64),
-        (0u64..4_000, any::<bool>(), any::<bool>()),
+        (1u64..4_000, any::<bool>(), any::<bool>()),
         (any::<bool>(), 1u64..1_000, 1u64..1_000),
         (0u64..MAX_EXACT, 0u64..MAX_EXACT),
     )

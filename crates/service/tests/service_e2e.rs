@@ -299,12 +299,13 @@ fn drain_with_jobs_in_flight_finishes_them_and_stops() {
         ..ServiceConfig::default()
     })
     .unwrap();
-    // One worker and three distinct jobs of a few hundred milliseconds
-    // each: when the drain begins, at least two are still in flight.
-    for seed in 1..=3 {
+    // One worker and three distinct jobs of a hundred milliseconds or
+    // more each: when the drain begins, at least two are still in flight.
+    // They run fault-free; under a fault seed this cell halts on its
+    // first injected fault within a few thousand ops.
+    for scale in [0.25, 0.3, 0.35] {
         let mut spec = small_spec();
-        spec.scale = 0.25;
-        spec.seed = seed;
+        spec.scale = scale;
         let reply = admit(service.addr(), &spec, false);
         let v = json::parse(&reply).unwrap();
         assert_eq!(reply_field(&v, "type"), "accepted", "reply: {reply}");

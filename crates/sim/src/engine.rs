@@ -269,7 +269,16 @@ pub struct Engine<R: RuntimeHooks> {
 
 impl<R: RuntimeHooks> Engine<R> {
     /// Creates an engine with an empty kernel and cold caches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.tick_interval` is 0: the tick catch-up loop in
+    /// [`Engine::run`] would never end.
     pub fn new(config: EngineConfig, runtime: R) -> Self {
+        assert!(
+            config.tick_interval > 0,
+            "the tick interval must be positive"
+        );
         let mut code = CodeRegistry::new();
         let internal_pcs = InternalPcs {
             mutex_rmw: code.asm_instr("glibc::pthread_mutex_lock", InstrKind::Rmw, Width::W4),
@@ -1279,6 +1288,14 @@ mod tests {
             slow > 3 * fast,
             "false sharing should be >3x slower (got {slow} vs {fast})"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "tick interval must be positive")]
+    fn zero_tick_interval_is_refused() {
+        let mut cfg = EngineConfig::with_cores(1);
+        cfg.tick_interval = 0;
+        let _ = Engine::new(cfg, NullRuntime);
     }
 
     #[test]

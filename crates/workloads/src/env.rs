@@ -9,29 +9,11 @@ use tmi_machine::{VAddr, Width};
 use tmi_os::{AsId, Kernel};
 use tmi_program::{CodeRegistry, Op, OpResult, ThreadProgram};
 
-/// Which suite a workload comes from (for report grouping, matching the
-/// paper's Fig. 7 ordering).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Suite {
-    /// PARSEC 3.0.
-    Parsec,
-    /// Phoenix 1.0.
-    Phoenix,
-    /// Splash2x.
-    Splash2x,
-    /// Real-world applications (leveldb).
-    App,
-    /// Boost microbenchmarks.
-    Micro,
-}
-
 /// Static facts about a workload that the harness consults.
 #[derive(Clone, Copy, Debug)]
 pub struct WorkloadSpec {
     /// Canonical name (the paper's label, e.g. `"lreg"`).
     pub name: &'static str,
-    /// Source suite.
-    pub suite: Suite,
     /// Whether the buggy variant exhibits repairable false sharing.
     pub false_sharing: bool,
     /// Uses C/C++ atomic operations.

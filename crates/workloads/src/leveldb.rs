@@ -15,7 +15,7 @@ use rand::RngCore;
 use tmi_machine::{VAddr, Width};
 use tmi_program::{InstrKind, MemOrder, Op, RmwOp, ThreadProgram};
 
-use crate::env::{fn_program, Lcg, SetupCtx, Suite, Workload, WorkloadParams, WorkloadSpec};
+use crate::env::{fn_program, Lcg, SetupCtx, Workload, WorkloadParams, WorkloadSpec};
 
 /// The leveldb workload. `inject_bug` packs per-thread op counters into
 /// one line (the §4.3 experiment); without it the store only has its
@@ -51,7 +51,6 @@ impl Workload for LevelDb {
     fn spec(&self) -> WorkloadSpec {
         WorkloadSpec {
             name: "leveldb",
-            suite: Suite::App,
             false_sharing: self.inject_bug,
             uses_atomics: true,
             uses_asm: true,

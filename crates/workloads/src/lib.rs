@@ -34,4 +34,4 @@ pub mod phoenix;
 pub mod splash;
 
 pub use catalog::{by_name, REPAIR_SUITE, SUITE};
-pub use env::{fn_program, Lcg, SetupCtx, Suite, Workload, WorkloadParams, WorkloadSpec};
+pub use env::{fn_program, Lcg, SetupCtx, Workload, WorkloadParams, WorkloadSpec};

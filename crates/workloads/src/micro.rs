@@ -7,12 +7,11 @@
 use tmi_machine::{VAddr, Width, LINE_SIZE};
 use tmi_program::{InstrKind, MemOrder, Op, RmwOp, ThreadProgram};
 
-use crate::env::{fn_program, Lcg, SetupCtx, Suite, Workload, WorkloadParams, WorkloadSpec};
+use crate::env::{fn_program, Lcg, SetupCtx, Workload, WorkloadParams, WorkloadSpec};
 
 fn spec(name: &'static str) -> WorkloadSpec {
     WorkloadSpec {
         name,
-        suite: Suite::Micro,
         false_sharing: true,
         uses_atomics: false,
         uses_asm: false,

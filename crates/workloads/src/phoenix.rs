@@ -12,7 +12,7 @@ use rand::RngCore;
 use tmi_machine::{VAddr, Width};
 use tmi_program::{InstrKind, Op, ThreadProgram};
 
-use crate::env::{fn_program, Lcg, SetupCtx, Suite, Workload, WorkloadParams, WorkloadSpec};
+use crate::env::{fn_program, Lcg, SetupCtx, Workload, WorkloadParams, WorkloadSpec};
 
 /// Simulated malloc header: the natural misalignment of glibc allocations.
 const MALLOC_HEADER: u64 = 8;
@@ -20,7 +20,6 @@ const MALLOC_HEADER: u64 = 8;
 fn spec(name: &'static str, false_sharing: bool) -> WorkloadSpec {
     WorkloadSpec {
         name,
-        suite: Suite::Phoenix,
         false_sharing,
         uses_atomics: false,
         uses_asm: false,

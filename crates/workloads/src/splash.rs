@@ -8,12 +8,11 @@ use rand::RngCore;
 use tmi_machine::{VAddr, Width};
 use tmi_program::{InstrKind, Op, ThreadProgram};
 
-use crate::env::{fn_program, Lcg, SetupCtx, Suite, Workload, WorkloadParams, WorkloadSpec};
+use crate::env::{fn_program, Lcg, SetupCtx, Workload, WorkloadParams, WorkloadSpec};
 
 fn spec(name: &'static str) -> WorkloadSpec {
     WorkloadSpec {
         name,
-        suite: Suite::Splash2x,
         false_sharing: false,
         uses_atomics: false,
         uses_asm: false,

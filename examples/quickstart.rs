@@ -107,13 +107,13 @@ fn main() {
     //    threads become processes and the hot page goes copy-on-write.
     let mut tmi = build(TmiRuntime::new(TmiConfig::protect(), layout()), 8, iters);
     let r_tmi = tmi.run();
-    let view = tmi.runtime().observe();
+    let rt = tmi.runtime();
     println!(
         "TMI     (online repair)  : {:>12} cycles, repaired={}, commits={}, T2P at cycle {:?}",
         r_tmi.cycles,
-        view.repaired(),
-        view.repair().stats().commits,
-        view.repair().stats().converted_at_cycle,
+        rt.repaired(),
+        rt.repair().stats().commits,
+        rt.repair().stats().converted_at_cycle,
     );
 
     let manual = r_buggy.cycles as f64 / r_fixed.cycles as f64;

@@ -12,21 +12,16 @@
 #   clippy   workspace lints over every target (libraries, binaries,
 #            tests, examples), warnings are errors
 #   tier-1   release build + every workspace crate's test suite (--workspace
-#            also covers the vendored stand-ins under vendor/)
+#            also covers the vendored stand-ins under vendor/); it holds
+#            the telemetry contract, tests/telemetry_observability.rs
+#            (metric-name schema, schema-only exports from every runtime,
+#            repair-episode trace; regenerate its goldens deliberately with
+#            TMI_BLESS=1 cargo test --test telemetry_observability)
 #   smoke    run_all --quick, the in-process harness end to end, which
-#            also exercises the parallel executor and BENCH_harness.json;
-#            its report must byte-match tests/golden/run_all_quick.txt
-#            (regenerate deliberately with
+#            also exercises the parallel executor, BENCH_harness.json and
+#            the --trace writer; its report must byte-match
+#            tests/golden/run_all_quick.txt (regenerate deliberately with
 #            target/release/run_all --quick > tests/golden/run_all_quick.txt)
-#   telemetry  the observability export gate: the metric names the
-#            registry exports must match tests/golden/metric_names.txt
-#            exactly (regenerate deliberately with
-#            target/release/validate_telemetry --schema
-#            tests/golden/metric_names.txt --write-schema), every metric
-#            in the smoke run's BENCH_harness.json must be in that
-#            schema, and the smoke run's Chrome trace must be
-#            structurally valid and contain a full repair episode
-#            (trigger -> T2P -> twin -> commit)
 #   bench-smoke  the benchmark gate: the standalone perfbench package
 #            (its own cargo package and the only timing harness, see
 #            perfbench/README.md): its unit, API-guard and self-check
@@ -87,15 +82,10 @@ smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 (cd "$smoke_dir" && "$OLDPWD"/target/release/run_all --quick --trace trace_quick.json > run_all_quick.txt)
 test -s "$smoke_dir/BENCH_harness.json"
+test -s "$smoke_dir/trace_quick.json"
 grep -q '"schema": "tmi-bench-harness/2"' "$smoke_dir/BENCH_harness.json"
 diff -u tests/golden/run_all_quick.txt "$smoke_dir/run_all_quick.txt" \
   || { echo "run_all --quick drifted from tests/golden/run_all_quick.txt"; exit 1; }
-
-echo "== telemetry: metric schema + trace gate"
-target/release/validate_telemetry \
-  --schema tests/golden/metric_names.txt \
-  --report "$smoke_dir/BENCH_harness.json" \
-  --trace "$smoke_dir/trace_quick.json" --expect-repair-episode
 
 echo "== service: daemon boot + cold/cached/fault-retried byte equality"
 target/release/tmi_serve --workers 2 --service-faults 1 \

@@ -1,15 +1,17 @@
-//! The observability layer's three contracts:
+//! The observability layer's contracts. This file is the one gate on the
+//! telemetry export; regenerate its goldens deliberately with
+//! `TMI_BLESS=1 cargo test --test telemetry_observability`.
 //!
 //! 1. **Determinism** — the Chrome-trace exporter is a pure function of
 //!    the simulated execution, so the same seed produces a byte-identical
-//!    trace, checked against a committed golden file
-//!    (`tests/golden/trace_seed7.json`; regenerate with
-//!    `TMI_BLESS=1 cargo test --test telemetry_observability`).
-//! 2. **Schema stability** — every metric name the registry can export
-//!    is unique and identical across repeated registrations, and every
-//!    name a real run exports is in the canonical schema
-//!    (`tests/golden/metric_names.txt`, the `scripts/check.sh` gate).
-//! 3. **Zero perturbation** — enabling tracing must not change the
+//!    trace, checked against `tests/golden/trace_seed7.json`.
+//! 2. **Schema stability** — the metric names the registry can export,
+//!    for every runtime and for the job service, equal
+//!    `tests/golden/metric_names.txt`, and every runtime's real runs
+//!    export only those names.
+//! 3. **Repair episodes** — the cell `run_all --trace` traces shows one
+//!    full repair episode (trigger → T2P → twin → commit).
+//! 4. **Zero perturbation** — enabling tracing must not change the
 //!    simulation: cycle counts, repair decisions and every registered
 //!    metric are identical with the tracer on and off.
 
@@ -17,23 +19,67 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 use proptest::prelude::*;
-use tmi_repro::bench::telemetry::{registered_metric_names, validate_trace};
-use tmi_repro::bench::{JobSpec, RuntimeKind};
-use tmi_repro::oracle::{trace_seed, CheckConfig};
+use tmi_repro::baselines::{LaserRuntime, PlasticRuntime, SheriffConfig, SheriffRuntime};
+use tmi_repro::bench::{JobSpec, RuntimeKind, APP_START, INTERNAL_START};
+use tmi_repro::machine::{MachineStats, VAddr};
+use tmi_repro::oracle::{trace_litmus, CheckConfig, Litmus};
+use tmi_repro::os::{OsStats, TlbStats};
+use tmi_repro::perf::PerfConfig;
+use tmi_repro::service::stats::ServiceStats;
+use tmi_repro::telemetry::json::{self, Json};
+use tmi_repro::telemetry::MetricSink;
+use tmi_repro::tmi::{AppLayout, MemoryBreakdown, TmiConfig, TmiRuntime};
+
+/// Every metric name the registry can export, sorted: default-constructed
+/// sources under the prefixes the harness and the job service register
+/// them under. A counter added to any of these sources appears here
+/// without further registration, and [`MetricSink`] panics on a
+/// duplicate name.
+fn registered_metric_names() -> Vec<String> {
+    let layout = AppLayout {
+        app_start: VAddr::new(APP_START),
+        app_len: 1 << 20,
+        internal_start: VAddr::new(INTERNAL_START),
+        internal_len: 1 << 20,
+        huge_pages: false,
+    };
+    let perf = PerfConfig::default();
+    let mut sink = MetricSink::new();
+    sink.source("machine", &MachineStats::default());
+    sink.source("os", &OsStats::default());
+    sink.source("os.tlb", &TlbStats::default());
+    sink.source("tmi", &TmiRuntime::new(TmiConfig::default(), layout));
+    sink.source("tmi.memory", &MemoryBreakdown::default());
+    let sheriff = SheriffRuntime::new(SheriffConfig::protect(), layout);
+    sink.source("sheriff", &sheriff);
+    sink.source("laser", &LaserRuntime::new(perf, layout));
+    sink.source("plastic", &PlasticRuntime::new(perf, layout));
+    sink.source("service", &ServiceStats::default());
+    sink.finish().names().map(String::from).collect()
+}
+
+/// The contents of `tests/golden/<name>`, first overwritten with `fresh`
+/// when `TMI_BLESS` is set.
+fn golden(name: &str, fresh: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var("TMI_BLESS").is_ok() {
+        std::fs::write(&path, fresh).expect("write golden");
+    }
+    std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "tests/golden/{name}: {e}; regenerate with \
+             TMI_BLESS=1 cargo test --test telemetry_observability"
+        )
+    })
+}
 
 #[test]
 fn chrome_trace_matches_golden_byte_for_byte() {
-    let (report, trace) = trace_seed(7, &CheckConfig::default());
+    let (report, trace) = trace_litmus(&Litmus::generate(7), &CheckConfig::default());
     assert!(report.clean(), "{}", report.render());
-
-    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/trace_seed7.json");
-    if std::env::var("TMI_BLESS").is_ok() {
-        std::fs::write(&golden_path, &trace).expect("write golden");
-    }
-    let golden = std::fs::read_to_string(&golden_path).expect(
-        "tests/golden/trace_seed7.json missing — regenerate with \
-         TMI_BLESS=1 cargo test --test telemetry_observability",
-    );
+    let golden = golden("trace_seed7.json", &trace);
     assert!(
         trace == golden,
         "trace for seed 7 drifted from the committed golden \
@@ -42,9 +88,6 @@ fn chrome_trace_matches_golden_byte_for_byte() {
         trace.len(),
         golden.len()
     );
-
-    let summary = validate_trace(&trace).expect("golden trace validates");
-    assert!(summary.events > 0);
 }
 
 #[test]
@@ -77,52 +120,85 @@ fn tracing_does_not_perturb_the_simulation() {
     );
 }
 
+/// The registry's names equal the checked-in schema line for line: a
+/// renamed, removed or unregistered metric fails here.
+#[test]
+fn registered_names_are_unique_and_stable() {
+    let names = registered_metric_names();
+    let mut fresh = names.join("\n");
+    fresh.push('\n');
+    let checked_in = golden("metric_names.txt", &fresh);
+    let old: BTreeSet<&str> = checked_in.lines().collect();
+    let new: BTreeSet<&str> = names.iter().map(String::as_str).collect();
+    assert!(
+        checked_in == fresh,
+        "metric names drifted from tests/golden/metric_names.txt \
+         (removed or renamed: {:?}; not in the schema: {:?}); if the change \
+         is intentional, regenerate with TMI_BLESS=1",
+        old.difference(&new).collect::<Vec<_>>(),
+        new.difference(&old).collect::<Vec<_>>()
+    );
+}
+
+/// Every runtime, on a repair workload and on a workload without false
+/// sharing, exports only schema names: a counter a runtime registers
+/// outside its default-constructed source fails here.
 #[test]
 fn run_exports_only_schema_names() {
     let schema: BTreeSet<String> = registered_metric_names().into_iter().collect();
-    let r = JobSpec::repair("histogramfs")
+    for workload in ["histogramfs", "blackscholes"] {
+        for rt in RuntimeKind::ALL {
+            let r = JobSpec::repair(workload)
+                .runtime(rt)
+                .scale(0.05)
+                .misaligned()
+                .run();
+            assert!(!r.metrics.is_empty(), "{workload} under {}", rt.label());
+            for name in r.metrics.names() {
+                assert!(
+                    schema.contains(name),
+                    "{workload} under {} exported unknown metric {name}",
+                    rt.label()
+                );
+            }
+        }
+    }
+}
+
+/// The cell `run_all --trace` writes shows one full repair episode.
+#[test]
+fn traced_repair_cell_holds_a_full_episode() {
+    let (r, trace) = JobSpec::repair("histogramfs")
         .runtime(RuntimeKind::TmiProtect)
-        .scale(0.1)
+        .scale(0.25)
         .misaligned()
-        .run();
-    assert!(!r.metrics.is_empty());
-    for name in r.metrics.names() {
-        assert!(schema.contains(name), "run exported unknown metric {name}");
+        .run_traced();
+    assert!(r.ok(), "{:?}", r.verified);
+    let doc = json::parse(&trace).expect("the trace is JSON");
+    let events = doc.get("traceEvents").and_then(Json::as_arr);
+    let names: BTreeSet<&str> = events
+        .expect("the trace has a traceEvents array")
+        .iter()
+        .filter_map(|ev| ev.get("name").and_then(Json::as_str))
+        .collect();
+    for want in [
+        "tmi.repair.trigger",
+        "tmi.repair.t2p",
+        "tmi.repair.twin",
+        "tmi.repair.commit",
+    ] {
+        assert!(names.contains(want), "no {want} event; saw {names:?}");
     }
 }
 
 proptest! {
-    /// The registry's name set is a pure function: registering the same
-    /// sources any number of times yields the same unique, sorted names,
-    /// and they match the checked-in schema file exactly.
-    #[test]
-    fn registered_names_are_unique_and_stable(rounds in 1usize..4) {
-        let first = registered_metric_names();
-        let unique: BTreeSet<&String> = first.iter().collect();
-        prop_assert_eq!(unique.len(), first.len(), "duplicate metric names");
-        let mut sorted = first.clone();
-        sorted.sort();
-        prop_assert_eq!(&sorted, &first, "names must come out sorted");
-        for _ in 0..rounds {
-            prop_assert_eq!(&registered_metric_names(), &first);
-        }
-        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/metric_names.txt");
-        let checked_in: Vec<String> = std::fs::read_to_string(path)
-            .expect("tests/golden/metric_names.txt")
-            .lines()
-            .map(str::to_string)
-            .collect();
-        prop_assert_eq!(&checked_in, &first, "schema file drifted; \
-            regenerate with validate_telemetry --write-schema");
-    }
-
     /// The exporter is deterministic across arbitrary seeds, not just the
     /// golden one: tracing the same litmus seed twice is byte-identical.
     #[test]
     fn trace_export_is_deterministic_for_any_seed(seed in 0u64..64) {
         let cfg = CheckConfig::default();
-        let (ra, ta) = trace_seed(seed, &cfg);
-        let (rb, tb) = trace_seed(seed, &cfg);
+        let (ra, ta) = trace_litmus(&Litmus::generate(seed), &cfg);
+        let (rb, tb) = trace_litmus(&Litmus::generate(seed), &cfg);
         prop_assert_eq!(ra.clean(), rb.clean());
         prop_assert_eq!(ta, tb, "trace for seed {} is not deterministic", seed);
     }
