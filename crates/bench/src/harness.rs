@@ -526,4 +526,51 @@ mod tests {
         assert!((r.t2p_micros() - 100.0).abs() < 1e-6);
         assert!(r.ok());
     }
+
+    /// Runs `built` and returns its pool's peak allocated and peak stored
+    /// frame counts.
+    fn peak_frames<R: RuntimeHooks + MetricSource>(
+        spec: &JobSpec,
+        built: Built<R>,
+    ) -> (usize, usize) {
+        let mut peaks = (0, 0);
+        let r = finish(spec, "runtime", built, None, |_rt, core, _r| {
+            let pm = core.kernel.physmem();
+            peaks = (pm.peak_allocated_frames(), pm.peak_stored_frames());
+        });
+        assert!(r.ok(), "{:?} {:?}", r.halt, r.verified);
+        peaks
+    }
+
+    #[test]
+    fn frames_the_program_never_writes_hold_no_host_storage() {
+        // Sheriff arms the whole app object, so its run allocates a frame
+        // for every page it protects, written or not (the run_all --quick
+        // Fig. 7 cell).
+        let spec = JobSpec::new("reverse")
+            .runtime(RuntimeKind::SheriffDetect)
+            .scale(0.05);
+        let built = build(&spec, |l| {
+            SheriffRuntime::new(SheriffConfig { detect_mode: true }, l)
+        });
+        let (allocated, stored) = peak_frames(&spec, built);
+        assert_eq!(allocated, 16_805, "the simulated frame count is unchanged");
+        assert!(
+            stored <= 1_000,
+            "{stored} of {allocated} frames hold storage"
+        );
+
+        // PTSB-everywhere twins every page it buffers (the ablation cell).
+        let spec = JobSpec::repair("histogramfs")
+            .runtime(RuntimeKind::TmiPtsbEverywhere)
+            .scale(0.25)
+            .misaligned();
+        let built = build(&spec, |l| TmiRuntime::new(tmi_config(&spec), l));
+        let (allocated, stored) = peak_frames(&spec, built);
+        assert_eq!(allocated, 4_255, "the simulated frame count is unchanged");
+        assert!(
+            stored <= 1_000,
+            "{stored} of {allocated} frames hold storage"
+        );
+    }
 }

@@ -303,8 +303,7 @@ impl JobSpec {
         }
         let count = |key: &str, min: u64| -> Result<Option<u64>, String> {
             let Some(v) = num(key)? else { return Ok(None) };
-            // `u64::MAX as f64` is 2^64, the first value past the range.
-            if v.fract() == 0.0 && v >= min as f64 && v < u64::MAX as f64 {
+            if v.fract() == 0.0 && v >= min as f64 && v <= MAX_COUNT as f64 {
                 Ok(Some(v as u64))
             } else {
                 Err(count_error(&format!("\"{key}\""), min, v))
@@ -343,7 +342,7 @@ impl JobSpec {
                 .map_err(|_| format!("{name} expects a number, got {v:?}"))
         };
         let count = |name: &str, v: String, min: u64| match v.parse::<u64>() {
-            Ok(n) if n >= min => Ok(n),
+            Ok(n) if (min..=MAX_COUNT).contains(&n) => Ok(n),
             _ => Err(count_error(name, min, v)),
         };
         match arg {
@@ -401,12 +400,18 @@ fn thread_count(name: &str, t: f64) -> Result<usize, String> {
     }
 }
 
+/// The largest count (`period`, `tick_interval`, `max_ops`, `seed`) the
+/// codecs accept: 2^53 - 1, the largest whole number the JSON codec
+/// carries exactly (its numbers are `f64`). A larger seed would reach the
+/// service as a different job than the one submitted.
+const MAX_COUNT: u64 = (1 << 53) - 1;
+
 /// The error for a count member (`period`, `tick_interval`, `max_ops`,
-/// `seed`) that is not a whole number of at least `min`. The sampling
-/// period and the detection tick need at least 1: a zero tick would
-/// never end the engine's tick catch-up loop.
+/// `seed`) that is not a whole number from `min` to [`MAX_COUNT`]. The
+/// sampling period and the detection tick need at least 1: a zero tick
+/// would never end the engine's tick catch-up loop.
 fn count_error(name: &str, min: u64, got: impl std::fmt::Display) -> String {
-    format!("{name} must be a whole number >= {min}, got {got}")
+    format!("{name} must be a whole number in {min}..={MAX_COUNT}, got {got}")
 }
 
 /// Validates a requested work scale. Workloads size their iteration
@@ -535,11 +540,20 @@ mod tests {
             ("max_ops", "2.5", 0),
             ("seed", "-3", 0),
             ("seed", "1e400", 0),
+            // 2^53 and 2^53 + 1: past what the f64 number path carries
+            // exactly (2^53 + 1 parses as 2^53).
+            ("period", "9007199254740992", 1),
+            ("tick_interval", "9007199254740993", 1),
+            ("max_ops", "9007199254740992", 0),
+            ("seed", "9007199254740992", 0),
+            ("seed", "9007199254740993", 0),
         ] {
             let doc = format!(r#"{{"workload": "x", "{key}": {v}}}"#);
             let err = JobSpec::from_json(&json::parse(&doc).unwrap()).unwrap_err();
             assert!(
-                err.contains(&format!("\"{key}\" must be a whole number >= {min}")),
+                err.contains(&format!(
+                    "\"{key}\" must be a whole number in {min}..={MAX_COUNT}"
+                )),
                 "{key} {v}: {err}"
             );
         }
@@ -586,12 +600,12 @@ mod tests {
             (0u64..10_000).prop_map(|s| format!("litmus+vm:{s}")),
         ];
         let runtime = (0usize..RuntimeKind::ALL.len()).prop_map(|i| RuntimeKind::ALL[i]);
+        // Small counts, or any the codecs accept.
+        let count = |min: u64| prop_oneof![min..1_000, min..MAX_COUNT + 1];
         (
             (workload, runtime, 1usize..MAX_CORES + 1, 1u32..64),
-            (any::<bool>(), any::<bool>(), any::<bool>(), 1u64..1000),
-            // Seeds stay below 2^32: the JSON codec routes numbers through
-            // f64, which is exact only up to 2^53.
-            (1u64..10_000_000, 1u64..100_000_000, 0u64..1 << 32),
+            (any::<bool>(), any::<bool>(), any::<bool>(), count(1)),
+            (count(1), count(0), count(0)),
         )
             .prop_map(
                 |(
@@ -654,6 +668,24 @@ mod tests {
             }
             prop_assert_eq!(rebuilt, spec);
         }
+    }
+
+    #[test]
+    fn the_largest_counts_round_trip_exactly_through_both_codecs() {
+        let mut spec = JobSpec::new("histogram");
+        for flag in ["--period", "--tick-interval", "--max-ops", "--seed"] {
+            assert!(spec
+                .apply_cli_arg(flag, &mut || Some("9007199254740991".to_string()))
+                .unwrap());
+        }
+        let counts = (spec.period, spec.tick_interval, spec.max_ops, spec.seed);
+        assert_eq!(counts, (MAX_COUNT, MAX_COUNT, MAX_COUNT, MAX_COUNT));
+        let doc = spec.to_json();
+        assert!(doc.contains("\"seed\": 9007199254740991"), "{doc}");
+        assert_eq!(
+            JobSpec::from_json(&json::parse(&doc).unwrap()).unwrap(),
+            spec
+        );
     }
 
     #[test]
@@ -733,13 +765,20 @@ mod tests {
             ("--tick-interval", "-1", 1),
             ("--max-ops", "2.5", 0),
             ("--seed", "-3", 0),
+            ("--period", "9007199254740992", 1),
+            ("--tick-interval", "9007199254740993", 1),
+            ("--max-ops", "9007199254740992", 0),
+            ("--seed", "9007199254740992", 0),
+            ("--seed", "9007199254740993", 0),
         ] {
             let mut spec = JobSpec::new("histogram");
             let err = spec
                 .apply_cli_arg(flag, &mut || Some(v.to_string()))
                 .unwrap_err();
             assert!(
-                err.contains(&format!("{flag} must be a whole number >= {min}")),
+                err.contains(&format!(
+                    "{flag} must be a whole number in {min}..={MAX_COUNT}"
+                )),
                 "{flag} {v}: {err}"
             );
             assert_eq!(spec, JobSpec::new("histogram"), "{flag} {v}");

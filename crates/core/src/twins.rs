@@ -11,6 +11,7 @@
 
 use std::collections::HashMap;
 
+use tmi_machine::physmem::ZERO_FRAME;
 use tmi_machine::{FrameId, Vpn, FRAME_SIZE};
 use tmi_os::{AsId, Kernel, OsError};
 
@@ -46,10 +47,17 @@ pub struct PageCommit {
     pub rearmed: bool,
 }
 
-/// Twin snapshots, keyed by (address space, page).
+/// A twin snapshot. `None` is all zeros: the snapshot of a private frame
+/// that was never written (see [`tmi_machine::PhysMem`]) holds no host
+/// memory either.
+type Twin = Option<Box<[u8; FRAME_SIZE as usize]>>;
+
+/// Twin snapshots, keyed by (address space, page). The byte counters
+/// charge `FRAME_SIZE` per twin, stored or not: they model the paper's
+/// twin memory (Fig. 8), not the host's.
 #[derive(Debug, Default)]
 pub struct TwinStore {
-    twins: HashMap<AsId, HashMap<Vpn, Box<[u8; FRAME_SIZE as usize]>>>,
+    twins: HashMap<AsId, HashMap<Vpn, Twin>>,
     current_bytes: u64,
     peak_bytes: u64,
 }
@@ -71,7 +79,7 @@ impl TwinStore {
         if per_as.contains_key(&vpn) {
             return;
         }
-        let data = Box::new(*kernel.physmem().frame_bytes(frame));
+        let data = kernel.physmem().frame_bytes(frame).map(|b| Box::new(*b));
         per_as.insert(vpn, data);
         self.current_bytes += FRAME_SIZE;
         self.peak_bytes = self.peak_bytes.max(self.current_bytes);
@@ -121,8 +129,6 @@ impl TwinStore {
         let private = kernel
             .private_frame(aspace, vpn)
             .ok_or(OsError::NoSuchEntity("private frame for twin"))?;
-        let private_bytes = *kernel.physmem().frame_bytes(private);
-
         let shared_pa = kernel.object_paddr(aspace, vpn.base())?;
         let shared_frame: FrameId = shared_pa.frame();
 
@@ -134,19 +140,32 @@ impl TwinStore {
             .expect("twin presence checked above");
         self.current_bytes -= FRAME_SIZE;
 
-        // Diff and merge only the changed bytes.
-        let mut merged = 0u64;
-        let identical = private_bytes[..] == twin[..];
-        if !identical {
-            for i in 0..FRAME_SIZE as usize {
-                if private_bytes[i] != twin[i] {
-                    kernel
-                        .physmem_mut()
-                        .write_byte(shared_frame.base().offset(i as u64), private_bytes[i]);
-                    merged += 1;
+        // Diff the private copy against the twin, then merge only the
+        // changed bytes. A side without storage reads as zeros, and two
+        // such sides are identical without a scan.
+        let private_bytes = kernel.physmem().frame_bytes(private);
+        let changed: Vec<(u64, u8)> = match (private_bytes, twin.as_deref()) {
+            (None, None) => Vec::new(),
+            (private_bytes, twin) => {
+                let private_bytes = private_bytes.unwrap_or(&ZERO_FRAME);
+                let twin = twin.unwrap_or(&ZERO_FRAME);
+                if private_bytes == twin {
+                    Vec::new()
+                } else {
+                    (0..FRAME_SIZE as usize)
+                        .filter(|&i| private_bytes[i] != twin[i])
+                        .map(|i| (i as u64, private_bytes[i]))
+                        .collect()
                 }
             }
+        };
+        for &(offset, byte) in &changed {
+            kernel
+                .physmem_mut()
+                .write_byte(shared_frame.base().offset(offset), byte);
         }
+        let merged = changed.len() as u64;
+        let identical = merged == 0;
 
         // The merge has landed; a failed re-arm (injected mprotect fault)
         // leaves the page unmapped here and is reported to the governor
@@ -282,6 +301,30 @@ mod tests {
         k.force_write(a, base, Width::W8, 5).unwrap();
         let pc = tw.commit_page(&mut k, a, base.vpn(), false).unwrap();
         assert_eq!(pc.bytes_merged, 0);
+    }
+
+    #[test]
+    fn twins_of_never_written_pages_hold_no_storage() {
+        let (mut k, a, base) = setup();
+        let mut tw = TwinStore::new();
+        for page in [base, base.offset(FRAME_SIZE)] {
+            k.protect_page_cow(a, page.vpn()).unwrap();
+            k.handle_fault(a, page, true).unwrap();
+            tw.snapshot(&k, a, page.vpn());
+            assert_eq!(tw.twins[&a][&page.vpn()], None);
+        }
+        assert_eq!(tw.current_bytes(), 2 * FRAME_SIZE, "twin memory is modeled");
+        assert_eq!(k.physmem().stored_frames(), 0);
+        // Neither side written: nothing to merge.
+        let clean = tw.commit_page(&mut k, a, base.vpn(), false).unwrap();
+        assert_eq!(clean.bytes_merged, 0);
+        // A write after the snapshot is diffed against the zero twin.
+        let page = base.offset(FRAME_SIZE);
+        k.force_write(a, page.offset(8), Width::W2, 0xAB00).unwrap();
+        let dirty = tw.commit_page(&mut k, a, page.vpn(), false).unwrap();
+        assert_eq!(dirty.bytes_merged, 1);
+        let shared = k.object_paddr(a, page).unwrap();
+        assert_eq!(k.physmem().read(shared.offset(8), Width::W2), 0xAB00);
     }
 
     #[test]

@@ -3,12 +3,23 @@
 //! This is the data plane of the simulator. The OS layer (`tmi-os`) owns a
 //! [`PhysMem`] and hands out frames to shared-memory objects, anonymous
 //! mappings and copy-on-write copies; reference counting lives up there.
-//! Down here a frame is just 4 KiB of bytes.
+//!
+//! Frame *identities* are handed out eagerly, frame *storage* lazily, the
+//! way Linux backs a mapped page that was never written with its shared
+//! zero page. An allocated frame reads as zeros until its first write gives
+//! it 4 KiB of host memory, a copy of such a frame stays without storage,
+//! and a 2 MiB huge page costs nothing until its frames are written. Only
+//! host memory depends on this: frame ids, their allocation order and
+//! [`PhysMem::peak_allocated_frames`] (the app bytes of Fig. 8) are what
+//! they would be if every frame were zero-filled when allocated.
 
 use crate::addr::{FrameId, PhysAddr, Width, FRAME_SIZE};
 
-/// One 4 KiB physical frame.
+/// The bytes of one 4 KiB physical frame.
 type Frame = Box<[u8; FRAME_SIZE as usize]>;
+
+/// What every allocated frame without storage reads as.
+pub static ZERO_FRAME: [u8; FRAME_SIZE as usize] = [0; FRAME_SIZE as usize];
 
 fn zero_frame() -> Frame {
     // `vec![0; N].into_boxed_slice().try_into()` avoids a 4 KiB stack copy.
@@ -16,6 +27,11 @@ fn zero_frame() -> Frame {
         .into_boxed_slice()
         .try_into()
         .expect("frame size mismatch")
+}
+
+/// The `N` bytes of `frame` at `off`, which the caller has bounds-checked.
+fn le_bytes<const N: usize>(frame: &[u8; FRAME_SIZE as usize], off: usize) -> [u8; N] {
+    frame[off..off + N].try_into().expect("an N-byte slice")
 }
 
 /// A pool of physical frames addressed by [`PhysAddr`].
@@ -26,12 +42,22 @@ fn zero_frame() -> Frame {
 /// machine check, i.e. a bug in the OS layer, never in application code.
 #[derive(Debug, Default)]
 pub struct PhysMem {
+    /// Storage of each slot: `Some` once an allocated frame is written,
+    /// `None` for a free slot and for an allocated frame that reads as
+    /// zeros.
     frames: Vec<Option<Frame>>,
+    /// Whether each slot is allocated. An access consults it only for a
+    /// `None` slot, so an access to a written frame never does.
+    live: Vec<bool>,
     free: Vec<FrameId>,
     allocated: usize,
     /// High-water mark of simultaneously allocated frames, for memory
     /// accounting (Fig. 8).
     peak_allocated: usize,
+    /// Frames that hold storage, and their high-water mark: the host
+    /// memory behind the simulated frames.
+    stored: usize,
+    peak_stored: usize,
 }
 
 impl PhysMem {
@@ -40,28 +66,29 @@ impl PhysMem {
         Self::default()
     }
 
-    /// Allocates a zeroed frame.
+    /// Allocates a frame, which reads as zeros.
     pub fn alloc_frame(&mut self) -> FrameId {
         self.allocated += 1;
         self.peak_allocated = self.peak_allocated.max(self.allocated);
         if let Some(id) = self.free.pop() {
-            self.frames[id.index()] = Some(zero_frame());
+            self.live[id.index()] = true;
             return id;
         }
         let id = FrameId(self.frames.len() as u32);
-        self.frames.push(Some(zero_frame()));
+        self.frames.push(None);
+        self.live.push(true);
         id
     }
 
-    /// Allocates `n` physically contiguous zeroed frames and returns the
-    /// first. Used for 2 MiB huge pages, which must be frame-contiguous so
-    /// that line addresses within the huge page are contiguous too.
+    /// Allocates `n` physically contiguous frames, which read as zeros,
+    /// and returns the first. Used for 2 MiB huge pages, which must be
+    /// frame-contiguous so that line addresses within the huge page are
+    /// contiguous too.
     pub fn alloc_contiguous(&mut self, n: usize) -> FrameId {
         // Contiguity forces fresh allocation at the end of the pool.
         let first = FrameId(self.frames.len() as u32);
-        for _ in 0..n {
-            self.frames.push(Some(zero_frame()));
-        }
+        self.frames.resize_with(self.frames.len() + n, || None);
+        self.live.resize(self.live.len() + n, true);
         self.allocated += n;
         self.peak_allocated = self.peak_allocated.max(self.allocated);
         first
@@ -73,12 +100,15 @@ impl PhysMem {
     ///
     /// Panics if the frame is not currently allocated (double free).
     pub fn free_frame(&mut self, id: FrameId) {
-        let slot = self
-            .frames
+        let live = self
+            .live
             .get_mut(id.index())
             .expect("free of out-of-range frame");
-        assert!(slot.is_some(), "double free of {id:?}");
-        *slot = None;
+        assert!(*live, "double free of {id:?}");
+        *live = false;
+        if self.frames[id.index()].take().is_some() {
+            self.stored -= 1;
+        }
         self.free.push(id);
         self.allocated -= 1;
     }
@@ -93,18 +123,58 @@ impl PhysMem {
         self.peak_allocated
     }
 
-    fn frame(&self, id: FrameId) -> &[u8; FRAME_SIZE as usize] {
-        self.frames
-            .get(id.index())
-            .and_then(Option::as_ref)
-            .unwrap_or_else(|| panic!("access to unallocated {id:?}"))
+    /// Number of allocated frames that hold host storage: those written
+    /// since their allocation or copied from such a frame. The others read
+    /// as zeros and cost no host memory.
+    pub fn stored_frames(&self) -> usize {
+        self.stored
     }
 
+    /// High-water mark of [`PhysMem::stored_frames`] over the lifetime of
+    /// the pool.
+    pub fn peak_stored_frames(&self) -> usize {
+        self.peak_stored
+    }
+
+    fn assert_live(&self, id: FrameId) {
+        assert!(
+            self.live.get(id.index()).copied().unwrap_or(false),
+            "access to unallocated {id:?}"
+        );
+    }
+
+    /// The storage of allocated frame `id`, or `None` if it reads as zeros.
+    fn stored(&self, id: FrameId) -> Option<&Frame> {
+        let frame = self.frames.get(id.index()).and_then(Option::as_ref);
+        if frame.is_none() {
+            self.assert_live(id);
+        }
+        frame
+    }
+
+    /// Replaces the storage of allocated frame `id` (`None`: it reads as
+    /// zeros), keeping the stored-frame counts.
+    fn set_storage(&mut self, id: FrameId, storage: Option<Frame>) {
+        self.assert_live(id);
+        let slot = &mut self.frames[id.index()];
+        self.stored = self.stored - usize::from(slot.is_some()) + usize::from(storage.is_some());
+        self.peak_stored = self.peak_stored.max(self.stored);
+        *slot = storage;
+    }
+
+    fn frame(&self, id: FrameId) -> &[u8; FRAME_SIZE as usize] {
+        self.stored(id).map_or(&ZERO_FRAME, |frame| &**frame)
+    }
+
+    /// The bytes of allocated frame `id` for writing: its first write
+    /// gives it storage.
     fn frame_mut(&mut self, id: FrameId) -> &mut [u8; FRAME_SIZE as usize] {
-        self.frames
-            .get_mut(id.index())
-            .and_then(Option::as_mut)
-            .unwrap_or_else(|| panic!("access to unallocated {id:?}"))
+        if self.stored(id).is_none() {
+            self.set_storage(id, Some(zero_frame()));
+        }
+        self.frames[id.index()]
+            .as_mut()
+            .expect("a written frame holds storage")
     }
 
     /// Reads an integer of the given width. The access must not cross a
@@ -116,15 +186,17 @@ impl PhysMem {
     /// Panics if the access crosses a frame boundary or the frame is free.
     pub fn read(&self, addr: PhysAddr, width: Width) -> u64 {
         let off = addr.frame_offset() as usize;
-        let n = width.bytes() as usize;
         assert!(
-            off + n <= FRAME_SIZE as usize,
+            off + width.bytes() as usize <= FRAME_SIZE as usize,
             "physical read crosses frame boundary at {addr}"
         );
-        let bytes = &self.frame(addr.frame())[off..off + n];
-        let mut buf = [0u8; 8];
-        buf[..n].copy_from_slice(bytes);
-        u64::from_le_bytes(buf)
+        let frame = self.frame(addr.frame());
+        match width {
+            Width::W1 => u64::from(frame[off]),
+            Width::W2 => u64::from(u16::from_le_bytes(le_bytes(frame, off))),
+            Width::W4 => u64::from(u32::from_le_bytes(le_bytes(frame, off))),
+            Width::W8 => u64::from_le_bytes(le_bytes(frame, off)),
+        }
     }
 
     /// Writes the low `width` bytes of `value` at `addr` (little-endian).
@@ -134,24 +206,40 @@ impl PhysMem {
     /// Panics if the access crosses a frame boundary or the frame is free.
     pub fn write(&mut self, addr: PhysAddr, width: Width, value: u64) {
         let off = addr.frame_offset() as usize;
-        let n = width.bytes() as usize;
         assert!(
-            off + n <= FRAME_SIZE as usize,
+            off + width.bytes() as usize <= FRAME_SIZE as usize,
             "physical write crosses frame boundary at {addr}"
         );
         let frame = self.frame_mut(addr.frame());
-        frame[off..off + n].copy_from_slice(&value.to_le_bytes()[..n]);
+        match width {
+            Width::W1 => frame[off] = value as u8,
+            Width::W2 => frame[off..off + 2].copy_from_slice(&(value as u16).to_le_bytes()),
+            Width::W4 => frame[off..off + 4].copy_from_slice(&(value as u32).to_le_bytes()),
+            Width::W8 => frame[off..off + 8].copy_from_slice(&value.to_le_bytes()),
+        }
     }
 
-    /// Returns the full contents of a frame (used to snapshot twin pages).
-    pub fn frame_bytes(&self, id: FrameId) -> &[u8; FRAME_SIZE as usize] {
-        self.frame(id)
+    /// Returns the contents of a frame that holds storage, or `None` for
+    /// one that reads as zeros (the twin snapshot and the commit diff use
+    /// it, so that the twin of a never-written page holds no storage
+    /// either).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame is free.
+    pub fn frame_bytes(&self, id: FrameId) -> Option<&[u8; FRAME_SIZE as usize]> {
+        self.stored(id).map(|frame| &**frame)
     }
 
-    /// Copies frame `src` into frame `dst` (the COW copy).
+    /// Copies frame `src` into frame `dst` (the COW copy). A copy of a
+    /// frame that reads as zeros holds no storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either frame is free.
     pub fn copy_frame(&mut self, src: FrameId, dst: FrameId) {
-        let data = *self.frame(src);
-        *self.frame_mut(dst) = data;
+        let copy = self.stored(src).cloned();
+        self.set_storage(dst, copy);
     }
 
     /// Writes a single byte; used by the diff-and-merge commit, which must
@@ -247,5 +335,92 @@ mod tests {
         let mut pm = PhysMem::new();
         let f = pm.alloc_frame();
         let _ = pm.read(f.base().offset(FRAME_SIZE - 4), Width::W8);
+    }
+
+    #[test]
+    #[should_panic(expected = "crosses frame boundary")]
+    fn cross_frame_write_panics() {
+        let mut pm = PhysMem::new();
+        let f = pm.alloc_frame();
+        pm.write(f.base().offset(FRAME_SIZE - 1), Width::W2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "free of out-of-range frame")]
+    fn free_of_never_allocated_frame_panics() {
+        PhysMem::new().free_frame(FrameId(0));
+    }
+
+    #[test]
+    fn unwritten_frames_read_as_zeros_without_storage() {
+        let mut pm = PhysMem::new();
+        let a = pm.alloc_frame();
+        let huge = pm.alloc_contiguous(512);
+        let b = pm.alloc_frame();
+        assert_eq!(pm.read(FrameId(huge.0 + 511).base(), Width::W8), 0);
+        assert_eq!(pm.frame_bytes(a), None);
+        pm.copy_frame(a, b);
+        assert_eq!((pm.allocated_frames(), pm.stored_frames()), (514, 0));
+        pm.write(b.base(), Width::W1, 9);
+        pm.copy_frame(b, a);
+        assert_eq!(pm.frame_bytes(a).map(|bytes| bytes[0]), Some(9));
+        assert_eq!(pm.stored_frames(), 2);
+        // A copy of an unwritten frame drops the target's storage.
+        pm.copy_frame(huge, b);
+        assert_eq!(pm.read(b.base(), Width::W1), 0);
+        pm.free_frame(a);
+        assert_eq!((pm.stored_frames(), pm.peak_stored_frames()), (0, 2));
+    }
+
+    /// A pool with one frame freed without ever being written, and one
+    /// live frame.
+    fn pool_with_freed_unwritten_frame() -> (PhysMem, FrameId, FrameId) {
+        let mut pm = PhysMem::new();
+        let freed = pm.alloc_frame();
+        let live = pm.alloc_frame();
+        pm.free_frame(freed);
+        (pm, freed, live)
+    }
+
+    #[test]
+    #[should_panic(expected = "access to unallocated")]
+    fn read_of_freed_unwritten_frame_panics() {
+        let (pm, freed, _) = pool_with_freed_unwritten_frame();
+        let _ = pm.read(freed.base(), Width::W4);
+    }
+
+    #[test]
+    #[should_panic(expected = "access to unallocated")]
+    fn write_of_freed_unwritten_frame_panics() {
+        let (mut pm, freed, _) = pool_with_freed_unwritten_frame();
+        pm.write(freed.base(), Width::W4, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "access to unallocated")]
+    fn copy_of_freed_unwritten_frame_panics() {
+        let (mut pm, freed, live) = pool_with_freed_unwritten_frame();
+        pm.copy_frame(freed, live);
+    }
+
+    #[test]
+    #[should_panic(expected = "access to unallocated")]
+    fn copy_onto_freed_frame_panics() {
+        let (mut pm, freed, live) = pool_with_freed_unwritten_frame();
+        pm.copy_frame(live, freed);
+    }
+
+    #[test]
+    #[should_panic(expected = "access to unallocated")]
+    fn write_byte_of_freed_frame_panics() {
+        let (mut pm, freed, _) = pool_with_freed_unwritten_frame();
+        pm.write_byte(freed.base(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "access to unallocated")]
+    fn frame_bytes_of_freed_frame_panics() {
+        let (pm, freed, _) = pool_with_freed_unwritten_frame();
+        let _ = pm.frame_bytes(freed);
     }
 }

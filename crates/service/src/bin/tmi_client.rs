@@ -98,15 +98,13 @@ fn main() {
         let mut spec = JobSpec::new("histogramfs");
         let mut fresh = false;
         while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--fresh" => fresh = true,
-                other => {
-                    let mut next = || args.next();
-                    match spec.apply_cli_arg(other, &mut next) {
-                        Ok(true) => {}
-                        Ok(false) => usage(),
-                        Err(e) => fail(&e),
-                    }
+            match spec.apply_cli_arg(&arg, &mut || args.next()) {
+                Ok(true) => {}
+                Ok(false) if arg == "--fresh" => fresh = true,
+                Ok(false) => usage(),
+                Err(e) => {
+                    eprintln!("tmi_client: {e}");
+                    usage()
                 }
             }
         }

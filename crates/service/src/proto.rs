@@ -38,8 +38,8 @@ use tmi_telemetry::json::{self, Json};
 pub enum Request {
     /// Submit a job and wait for its result on this connection.
     Submit {
-        /// The job, in the shared vocabulary.
-        job: JobSpec,
+        /// The job, or why [`JobSpec::from_json`] refused it (a `bad_request`).
+        job: Result<JobSpec, String>,
         /// Bypass the result cache read (the job still computes and
         /// stores; used to prove determinism against a cached reply).
         fresh: bool,
@@ -63,7 +63,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         .ok_or("request needs a string \"type\"")?;
     match kind {
         "submit" => {
-            let job = JobSpec::from_json(v.get("job").ok_or("submit needs a \"job\" object")?)?;
+            let job = JobSpec::from_json(v.get("job").ok_or("submit needs a \"job\" object")?);
             let fresh = match v.get("fresh") {
                 None => false,
                 Some(Json::Bool(b)) => *b,
@@ -207,6 +207,7 @@ mod tests {
         let mut job = JobSpec::new("histogramfs");
         job.seed = 9;
         let parsed = parse_request(&render_submit(&job, true)).unwrap();
+        let job = Ok(job);
         assert_eq!(parsed, Request::Submit { job, fresh: true });
     }
 
@@ -234,7 +235,7 @@ mod tests {
         assert_eq!(
             parse_request(line).unwrap(),
             Request::Submit {
-                job: JobSpec::new("histogramfs"),
+                job: Ok(JobSpec::new("histogramfs")),
                 fresh: true
             }
         );

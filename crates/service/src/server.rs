@@ -179,8 +179,7 @@ impl ServiceInner {
     fn roll(&self, point: FaultPoint) -> bool {
         self.faults
             .as_ref()
-            .map(|inj| inj.should_fail(point))
-            .unwrap_or(false)
+            .is_some_and(|inj| inj.should_fail(point))
     }
 
     /// Appends one record to the job journal (no-op without a
@@ -197,7 +196,7 @@ impl ServiceInner {
 
     /// The admission path: check drain state, validate, consult the
     /// cache, journal, enqueue.
-    fn admit(&self, spec: JobSpec, fresh: bool) -> Admission {
+    fn admit(&self, spec: Result<JobSpec, String>, fresh: bool) -> Admission {
         // Draining servers admit nothing: the client's retry layer
         // treats this reply as transient and resubmits elsewhere/later.
         if self.draining.load(Ordering::SeqCst) {
@@ -208,18 +207,19 @@ impl ServiceInner {
             };
         }
 
-        // Reject jobs naming no known workload. `is_litmus` is
-        // seed-parse-strict (a malformed `litmus:`/`litmus+vm:` seed
-        // makes it false), so this one check also covers bad litmus
-        // workloads.
-        let known = spec.is_litmus() || tmi_workloads::by_name(&spec.workload).is_some();
-        if !known {
-            self.stats.inc(&self.stats.reject_bad_request);
-            return Admission::Rejected {
-                reason: "bad_request",
-                detail: format!("unknown workload {:?}", spec.workload),
-            };
-        }
+        // Reject jobs the decoder refused or naming no known workload;
+        // `is_litmus` is seed-parse-strict, so a malformed `litmus:` or
+        // `litmus+vm:` seed counts as unknown.
+        let spec = match spec {
+            Ok(s) if s.is_litmus() || tmi_workloads::by_name(&s.workload).is_some() => s,
+            e => {
+                self.stats.inc(&self.stats.reject_bad_request);
+                return Admission::Rejected {
+                    reason: "bad_request",
+                    detail: e.map_or_else(|e| e, |s| format!("unknown workload {:?}", s.workload)),
+                };
+            }
+        };
 
         if !fresh {
             if let Some(id) = self.serve_cached(&spec) {

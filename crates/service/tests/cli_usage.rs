@@ -38,6 +38,12 @@ fn client_timeout_must_be_finite_and_positive() {
 }
 
 #[test]
+fn client_refuses_a_bad_spec_flag_value_with_usage() {
+    let args = ["--addr", "127.0.0.1:9", "run", "--seed", "-3"];
+    assert_usage(env!("CARGO_BIN_EXE_tmi_client"), &args);
+}
+
+#[test]
 fn crash_matrix_needs_at_least_one_kill_point() {
     // A missing serve binary keeps a build that accepts 0 from booting
     // anything: it fails with status 1 instead.

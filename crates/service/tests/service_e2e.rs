@@ -88,6 +88,7 @@ fn malformed_lines_get_error_replies_and_the_connection_survives() {
             "this is not json".to_string(),
             r#"{"type": "submit", "tenant": "t"}"#.to_string(),
             r#"{"type": "wait", "job_id": 99}"#.to_string(),
+            r#"{"type": "submit", "job": {"workload": "histogramfs", "threads": 0}}"#.to_string(),
             r#"{"type": "stats"}"#.to_string(),
         ],
     );
@@ -95,11 +96,21 @@ fn malformed_lines_get_error_replies_and_the_connection_survives() {
         let v = json::parse(reply).unwrap();
         assert_eq!(reply_field(&v, "type"), "error", "reply: {reply}");
     }
-    let v = json::parse(&replies[3]).unwrap();
+    // A job the decoder refuses is an invalid job, not a malformed line:
+    // it gets the same reply and counter as an unknown workload.
+    let reply = &replies[3];
+    let v = json::parse(reply).unwrap();
+    assert_eq!(reply_field(&v, "reason"), "bad_request", "reply: {reply}");
+    assert!(
+        reply_field(&v, "detail").contains("1..=64"),
+        "reply: {reply}"
+    );
+    let v = json::parse(&replies[4]).unwrap();
     assert_eq!(reply_field(&v, "type"), "stats");
     // The unparseable line, the submit without a job and the retired
     // `wait` request all count as malformed.
     assert_eq!(service.metrics().u64("service.malformed_requests"), 3);
+    assert_eq!(service.metrics().u64("service.reject_bad_request"), 1);
     service.shutdown_now();
     service.wait();
 }
@@ -113,9 +124,14 @@ fn unknown_workloads_are_rejected_as_bad_requests() {
     .unwrap();
     let mut spec = small_spec();
     spec.workload = "no-such-workload".to_string();
-    let v = json::parse(&admit(service.addr(), &spec, false)).unwrap();
+    let reply = admit(service.addr(), &spec, false);
+    let v = json::parse(&reply).unwrap();
     assert_eq!(reply_field(&v, "type"), "rejected");
     assert_eq!(reply_field(&v, "reason"), "bad_request");
+    assert!(
+        reply_field(&v, "detail").contains("unknown workload"),
+        "reply: {reply}"
+    );
     assert_eq!(service.metrics().u64("service.reject_bad_request"), 1);
     service.shutdown_now();
     service.wait();
