@@ -12,7 +12,7 @@
 //! The protocol is *specified* as snooping — every remote query is defined
 //! by a broadcast probe of all sibling caches in ascending core order — but
 //! *answered* by an exact sharer/owner directory. Every line held by any
-//! private cache has one [`DirTable`] entry: the sharer bitmap, the core
+//! private cache has one `DirTable` entry: the sharer bitmap, the core
 //! holding the line Modified (if any) and the line's HITM streak. The
 //! entry is created by the fill that brings in the first copy, updated on
 //! every upgrade, downgrade, invalidation and eviction, and dropped when

@@ -11,6 +11,8 @@
 #   fmt      rustfmt, check-only (the tree must already be formatted)
 #   clippy   workspace lints over every target (libraries, binaries,
 #            tests, examples), warnings are errors
+#   docs     rustdoc over every workspace crate, warnings are errors (a
+#            public item's docs must not link a private or missing item)
 #   tier-1   release build + every workspace crate's test suite (--workspace
 #            also covers the vendored stand-ins under vendor/); it holds
 #            the telemetry contract, tests/telemetry_observability.rs
@@ -72,6 +74,9 @@ cargo fmt --all -- --check
 
 echo "== clippy"
 cargo clippy --locked --workspace --all-targets -- -D warnings
+
+echo "== docs"
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --offline --no-deps --workspace
 
 echo "== tier-1 build + test"
 cargo build --locked --release --workspace
