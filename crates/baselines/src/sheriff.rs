@@ -64,10 +64,8 @@ pub struct SheriffRuntime {
 impl SheriffRuntime {
     /// Creates a Sheriff runtime over the given layout.
     pub fn new(config: SheriffConfig, layout: AppLayout) -> Self {
-        let mut locks = tmi::LockRedirector::new(
-            VAddr::new(layout.internal_start.raw() + tmi_machine::LINE_SIZE),
-            layout.internal_len / 4,
-        );
+        let (lock_start, lock_len) = layout.lock_area();
+        let mut locks = tmi::LockRedirector::new(lock_start, lock_len);
         // Sheriff's process-shared locks are its own full-line objects.
         locks.repad();
         SheriffRuntime {

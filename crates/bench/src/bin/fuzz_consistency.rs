@@ -68,11 +68,11 @@ fn main() {
             "--seeds" => cfg.seeds = num("--seeds"),
             "--start" => cfg.start_seed = num("--start"),
             "--workers" => cfg.workers = Some(num("--workers") as usize),
-            "--ablate-code-centric" => cfg.ablate_code_centric = true,
+            "--ablate-code-centric" => cfg.check.code_centric = false,
             "--transistency" => cfg.transistency = true,
             "--enumerate" => cfg.enumerate = num("--enumerate"),
-            "--ablate-shootdown" => cfg.ablate_shootdown = true,
-            "--faults" => cfg.faults = Some(num("--faults")),
+            "--ablate-shootdown" => cfg.check.ablate_shootdown = true,
+            "--faults" => cfg.check.faults = Some(num("--faults")),
             "--trace" => match args.next() {
                 Some(p) => trace_path = Some(p),
                 None => {
@@ -90,14 +90,14 @@ fn main() {
         eprintln!("--seeds must be at least 1\n{USAGE}");
         std::process::exit(2);
     }
-    if cfg.faults.is_some() && (cfg.ablate_code_centric || cfg.ablate_shootdown) {
+    if cfg.check.faults.is_some() && cfg.check.ablated() {
         eprintln!(
             "--faults asserts zero divergence and cannot combine with an \
              ablation (which expects divergences)"
         );
         std::process::exit(2);
     }
-    if (cfg.ablate_shootdown || cfg.enumerate > 0) && !cfg.transistency {
+    if (cfg.check.ablate_shootdown || cfg.enumerate > 0) && !cfg.transistency {
         eprintln!("--ablate-shootdown and --enumerate require --transistency");
         std::process::exit(2);
     }

@@ -153,7 +153,7 @@ pub fn fig3() -> String {
 
     // Sheriff: whole-heap PTSB, no consistency guard → word tearing.
     let (sheriff, _) = ambsa::litmus(
-        SheriffRuntime::new(SheriffConfig::protect(), ambsa::layout()),
+        SheriffRuntime::new(SheriffConfig::protect(), ambsa::LAYOUT),
         |_| {},
     );
     table.row(vec![
@@ -189,25 +189,19 @@ pub fn fig3() -> String {
 mod ambsa {
     use tmi::{AppLayout, TmiConfig, TmiRuntime};
     use tmi_machine::{VAddr, Width, FRAME_SIZE};
-    use tmi_os::MapRequest;
     use tmi_program::{InstrKind, Op, SequenceProgram};
     use tmi_sim::{Engine, EngineConfig, RuntimeHooks};
 
-    const APP: u64 = 0x10_0000;
-    const INTERNAL: u64 = 0x80_0000;
+    /// The litmus's process layout, for runtimes built against one.
+    pub(super) const LAYOUT: AppLayout = AppLayout {
+        app_start: VAddr::new(0x10_0000),
+        app_len: 16 * FRAME_SIZE,
+        internal_start: VAddr::new(0x80_0000),
+        internal_len: 4 * FRAME_SIZE,
+        huge_pages: false,
+    };
     /// The contended location, 2-byte aligned.
-    const X: u64 = APP + 0x100;
-
-    /// The litmus's memory layout, for runtimes built against one.
-    pub(super) fn layout() -> AppLayout {
-        AppLayout {
-            app_start: VAddr::new(APP),
-            app_len: 16 * FRAME_SIZE,
-            internal_start: VAddr::new(INTERNAL),
-            internal_len: 4 * FRAME_SIZE,
-            huge_pages: false,
-        }
-    }
+    const X: VAddr = LAYOUT.app_start.offset(0x100);
 
     /// Runs the litmus under `runtime`, each store inside an inline-asm
     /// region. `arm` runs once both threads exist, before the first
@@ -218,26 +212,8 @@ mod ambsa {
         arm: impl FnOnce(&mut Engine<R>),
     ) -> (u64, Engine<R>) {
         let mut e = Engine::new(EngineConfig::with_cores(2), runtime);
-        let app_obj = e.core_mut().kernel.create_object(16 * FRAME_SIZE);
-        let int_obj = e.core_mut().kernel.create_object(4 * FRAME_SIZE);
-        let aspace = e.core_mut().kernel.create_aspace();
-        e.core_mut()
-            .kernel
-            .map(
-                aspace,
-                MapRequest::object(VAddr::new(APP), 16 * FRAME_SIZE, app_obj, 0),
-            )
-            .unwrap();
-        e.core_mut()
-            .kernel
-            .map(
-                aspace,
-                MapRequest::object(VAddr::new(INTERNAL), 4 * FRAME_SIZE, int_obj, 0),
-            )
-            .unwrap();
-        e.create_root_process(aspace);
+        let aspace = LAYOUT.install(&mut e);
 
-        let x = VAddr::new(X);
         let st = e
             .core_mut()
             .code
@@ -247,7 +223,7 @@ mod ambsa {
                 Op::AsmEnter,
                 Op::Store {
                     pc: st,
-                    addr: x,
+                    addr: X,
                     width: Width::W2,
                     value,
                 },
@@ -258,7 +234,7 @@ mod ambsa {
         arm(&mut e);
         let r = e.run();
         assert!(r.completed(), "litmus must complete: {:?}", r.halt);
-        let pa = e.core_mut().kernel.object_paddr(aspace, x).unwrap();
+        let pa = e.core_mut().kernel.object_paddr(aspace, X).unwrap();
         let value = e.core_mut().kernel.physmem().read(pa, Width::W2);
         (value, e)
     }
@@ -268,9 +244,9 @@ mod ambsa {
     /// oracle's fixture arms its data pages. Two stores are far too few to
     /// trigger repair by sampling.
     pub(super) fn tmi_protect() -> (u64, Engine<TmiRuntime>) {
-        litmus(TmiRuntime::new(TmiConfig::protect(), layout()), |e| {
+        litmus(TmiRuntime::new(TmiConfig::protect(), LAYOUT), |e| {
             let (rt, core) = e.runtime_and_core();
-            rt.force_repair(core, &[VAddr::new(X).vpn()]);
+            rt.force_repair(core, &[X.vpn()]);
         })
     }
 }

@@ -46,16 +46,17 @@ pub struct FuzzConfig {
     pub seeds: u64,
     /// First seed of the range.
     pub start_seed: u64,
-    /// Disable code-centric consistency in the repaired run (the
-    /// divergence-expecting ablation).
-    pub ablate_code_centric: bool,
+    /// The checker configuration every seed runs under: code-centric
+    /// consistency on or off (`--ablate-code-centric`, the
+    /// divergence-expecting ablation), the base fault seed (`--faults`;
+    /// repair may retry, degrade, abort or revert, and the campaign must
+    /// still find zero divergences), and the shootdown ablation
+    /// (`--ablate-shootdown`, which requires
+    /// [`FuzzConfig::transistency`]; a [`JobSpec`] cannot express it, so a
+    /// service client cannot request a broken kernel).
+    pub check: CheckConfig,
     /// Worker threads (`None` = [`std::thread::available_parallelism`]).
     pub workers: Option<usize>,
-    /// Base fault seed: run every checked seed under a seeded fault
-    /// schedule (per-program seed derived via
-    /// [`tmi_oracle::derive_fault_seed`]). Repair may retry, degrade,
-    /// abort or revert — the campaign must still find zero divergences.
-    pub faults: Option<u64>,
     /// Transistency mode: check each seed's *VM-op* litmus program
     /// ([`tmi_oracle::Litmus::generate_vm`] — `mprotect`, COW breaks, T2P
     /// conversions, twin commits, TLB shootdowns interleaved with the
@@ -66,12 +67,6 @@ pub struct FuzzConfig {
     /// base program ([`tmi_oracle::Litmus::vm_variants`]). `0` disables;
     /// requires [`FuzzConfig::transistency`].
     pub enumerate: u64,
-    /// Disable precise per-PTE TLB shootdowns in the repaired runs — the
-    /// transistency ablation that *must* diverge (stale translations
-    /// serve dead frames and bypass COW tracking). Requires
-    /// [`FuzzConfig::transistency`]. A [`JobSpec`] cannot express it, so
-    /// a service client cannot request a broken kernel.
-    pub ablate_shootdown: bool,
 }
 
 impl Default for FuzzConfig {
@@ -79,12 +74,10 @@ impl Default for FuzzConfig {
         FuzzConfig {
             seeds: 1000,
             start_seed: 0,
-            ablate_code_centric: false,
+            check: CheckConfig::default(),
             workers: None,
-            faults: None,
             transistency: false,
             enumerate: 0,
-            ablate_shootdown: false,
         }
     }
 }
@@ -150,7 +143,8 @@ pub struct CampaignResult {
     pub coverage: Coverage,
     /// Full reports for the first five divergent seeds.
     pub reports: Vec<CheckReport>,
-    /// Fault-campaign aggregates (present iff [`FuzzConfig::faults`]).
+    /// Fault-campaign aggregates (present iff the campaign's
+    /// [`CheckConfig::faults`] is set).
     pub faults: Option<CampaignFaults>,
 }
 
@@ -158,7 +152,7 @@ impl CampaignResult {
     /// True if the campaign outcome matches its mode: clean under the
     /// shipping configuration, divergent under either ablation.
     pub fn ok(&self) -> bool {
-        if self.cfg.ablate_code_centric || self.cfg.ablate_shootdown {
+        if self.cfg.check.ablated() {
             !self.divergent_seeds.is_empty()
         } else {
             self.divergent_seeds.is_empty()
@@ -169,12 +163,12 @@ impl CampaignResult {
     /// divergent seeds).
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
-        let mut mode = String::from(if self.cfg.ablate_code_centric {
-            "code-centric OFF (ablation)"
-        } else {
+        let mut mode = String::from(if self.cfg.check.code_centric {
             "code-centric on"
+        } else {
+            "code-centric OFF (ablation)"
         });
-        if self.cfg.ablate_shootdown {
+        if self.cfg.check.ablate_shootdown {
             mode.push_str(", TLB shootdowns OFF (ablation)");
         }
         let kind = if self.cfg.transistency {
@@ -227,7 +221,7 @@ impl CampaignResult {
                 }
             );
         }
-        if let (Some(f), Some(base)) = (&self.faults, self.cfg.faults) {
+        if let (Some(f), Some(base)) = (&self.faults, self.cfg.check.faults) {
             let _ = writeln!(s, "  fault campaign (base seed {base}): {}", f.stats);
             let _ = writeln!(
                 s,
@@ -264,7 +258,7 @@ impl CampaignResult {
             let _ = writeln!(s, "---");
             s.push_str(&r.render());
         }
-        let ablated = self.cfg.ablate_code_centric || self.cfg.ablate_shootdown;
+        let ablated = self.cfg.check.ablated();
         let verdict = if self.ok() {
             if ablated {
                 "OK (ablation diverges as the paper predicts)"
@@ -305,15 +299,6 @@ pub fn check_spec(spec: &JobSpec) -> Result<CheckReport, String> {
     }
 }
 
-/// The one checker configuration every seed of a campaign runs under.
-fn campaign_check(cfg: &FuzzConfig) -> CheckConfig {
-    CheckConfig {
-        code_centric: !cfg.ablate_code_centric,
-        faults: cfg.faults,
-        ablate_shootdown: cfg.ablate_shootdown,
-    }
-}
-
 /// The litmus program a campaign checks for `seed`: the transistency
 /// program in `--transistency` mode, the plain one otherwise.
 fn campaign_program(cfg: &FuzzConfig, seed: u64) -> Litmus {
@@ -328,7 +313,7 @@ fn campaign_program(cfg: &FuzzConfig, seed: u64) -> Litmus {
 /// configuration with telemetry tracing on, and returns its report and
 /// Chrome `trace_event` JSON (the `fuzz_consistency --trace` output).
 pub fn trace_first_seed(cfg: &FuzzConfig) -> (CheckReport, String) {
-    trace_litmus(&campaign_program(cfg, cfg.start_seed), &campaign_check(cfg))
+    trace_litmus(&campaign_program(cfg, cfg.start_seed), &cfg.check)
 }
 
 /// Runs the campaign: checks every seed in the range in parallel, plus
@@ -339,16 +324,16 @@ pub fn run_campaign(cfg: &FuzzConfig) -> CampaignResult {
             .map(|n| n.get())
             .unwrap_or(1)
     });
-    let check = campaign_check(cfg);
+    let check = &cfg.check;
     let n = usize::try_from(cfg.seeds).expect("seed count fits usize");
     let results = pool_map(workers, n, |i| {
         let seed = cfg.start_seed + i as u64;
-        let mut reports = vec![check_litmus(&campaign_program(cfg, seed), &check)];
+        let mut reports = vec![check_litmus(&campaign_program(cfg, seed), check)];
         if cfg.enumerate > 0 {
             reports.extend(check_transistency_variants(
                 seed,
                 cfg.enumerate as usize,
-                &check,
+                check,
             ));
         }
         reports
@@ -361,7 +346,7 @@ pub fn run_campaign(cfg: &FuzzConfig) -> CampaignResult {
         total_steps: 0,
         coverage: Coverage::default(),
         reports: Vec::new(),
-        faults: cfg.faults.map(|_| CampaignFaults::default()),
+        faults: cfg.check.faults.map(|_| CampaignFaults::default()),
     };
     for r in results.into_iter().flatten() {
         out.checked += 1;
@@ -397,6 +382,20 @@ pub fn run_campaign(cfg: &FuzzConfig) -> CampaignResult {
 mod tests {
     use super::*;
 
+    fn ablate_code_centric() -> CheckConfig {
+        CheckConfig {
+            code_centric: false,
+            ..CheckConfig::default()
+        }
+    }
+
+    fn faults(base: u64) -> CheckConfig {
+        CheckConfig {
+            faults: Some(base),
+            ..CheckConfig::default()
+        }
+    }
+
     #[test]
     fn small_clean_campaign_passes() {
         let cfg = FuzzConfig {
@@ -416,7 +415,7 @@ mod tests {
         let base = FuzzConfig {
             seeds: 6,
             start_seed: 100,
-            ablate_code_centric: true,
+            check: ablate_code_centric(),
             ..FuzzConfig::default()
         };
         let serial = run_campaign(&FuzzConfig {
@@ -436,7 +435,7 @@ mod tests {
             seeds: 12,
             start_seed: 0,
             workers: Some(4),
-            faults: Some(7),
+            check: faults(7),
             ..FuzzConfig::default()
         };
         let r = run_campaign(&cfg);
@@ -451,19 +450,15 @@ mod tests {
     #[test]
     fn check_spec_matches_direct_check_seed() {
         let via_spec = check_spec(&JobSpec::litmus(3)).unwrap();
-        let direct = check_seed(3, &campaign_check(&FuzzConfig::default()));
+        let direct = check_seed(3, &CheckConfig::default());
         assert_eq!(via_spec.render(), direct.render());
         let faulted = JobSpec {
             seed: 7,
             ..JobSpec::litmus(3)
         };
-        let campaign = FuzzConfig {
-            faults: Some(7),
-            ..FuzzConfig::default()
-        };
         assert_eq!(
             check_spec(&faulted).unwrap().render(),
-            check_seed(3, &campaign_check(&campaign)).render()
+            check_seed(3, &faults(7)).render()
         );
         assert!(check_spec(&JobSpec::new("histogram")).is_err());
     }
@@ -474,7 +469,7 @@ mod tests {
             seeds: 16,
             start_seed: 0,
             workers: Some(2),
-            faults: Some(0),
+            check: faults(0),
             ..FuzzConfig::default()
         };
         let r = run_campaign(&cfg);
@@ -517,7 +512,10 @@ mod tests {
             seeds: 24,
             start_seed: 0,
             transistency: true,
-            ablate_shootdown: true,
+            check: CheckConfig {
+                ablate_shootdown: true,
+                ..CheckConfig::default()
+            },
             workers: Some(4),
             ..FuzzConfig::default()
         };
@@ -531,12 +529,8 @@ mod tests {
 
     #[test]
     fn transistency_spec_routes_through_check_spec() {
-        let cfg = FuzzConfig {
-            transistency: true,
-            ..FuzzConfig::default()
-        };
         let via_spec = check_spec(&JobSpec::litmus_vm(3)).unwrap();
-        let direct = check_transistency_seed(3, &campaign_check(&cfg));
+        let direct = check_transistency_seed(3, &CheckConfig::default());
         assert_eq!(via_spec.render(), direct.render());
     }
 
@@ -545,7 +539,7 @@ mod tests {
         let cfg = FuzzConfig {
             seeds: 24,
             start_seed: 0,
-            ablate_code_centric: true,
+            check: ablate_code_centric(),
             workers: Some(4),
             ..FuzzConfig::default()
         };

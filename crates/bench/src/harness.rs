@@ -7,20 +7,25 @@ use tmi_alloc::{AllocConfig, AllocPolicy, SimAllocator};
 use tmi_baselines::{LaserRuntime, PlasticRuntime, SheriffConfig, SheriffRuntime};
 use tmi_faultpoint::{FaultInjector, FaultPlan};
 use tmi_machine::{LatencyModel, VAddr, FRAME_SIZE};
-use tmi_os::MapRequest;
 use tmi_perf::PerfConfig;
-use tmi_sim::{Engine, EngineConfig, Halt, NullRuntime, RuntimeHooks};
+use tmi_sim::{Engine, EngineConfig, EngineCore, Halt, NullRuntime, RuntimeHooks};
 use tmi_telemetry::{MetricSource, MetricsSnapshot, PhaseProfile, Tracer};
 use tmi_workloads::{SetupCtx, Workload, WorkloadParams};
 
 use crate::spec::JobSpec;
 
-/// Base of the primary application mapping.
-pub const APP_START: u64 = 0x40_0000 * 16; // 64 MiB mark, 2 MiB aligned
-/// Base of TMI's internal shared region.
-pub const INTERNAL_START: u64 = 0x4000_0000;
-/// Internal region size.
-pub const INTERNAL_LEN: u64 = 8 * 1024 * 1024;
+/// The process layout of a harness run: the app object at the 64 MiB
+/// mark (2 MiB aligned, so huge pages fit), 16 MiB long or 64 MiB for a
+/// big-memory workload, and TMI's 8 MiB internal region at 1 GiB.
+pub fn app_layout(big_memory: bool, huge_pages: bool) -> AppLayout {
+    AppLayout {
+        app_start: VAddr::new(64 << 20),
+        app_len: if big_memory { 64 << 20 } else { 16 << 20 },
+        internal_start: VAddr::new(1 << 30),
+        internal_len: 8 << 20,
+        huge_pages,
+    }
+}
 
 /// Which runtime system supervises the run.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -191,7 +196,6 @@ fn build<R: RuntimeHooks>(spec: &JobSpec, make_runtime: impl FnOnce(AppLayout) -
         tmi_workloads::by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
     let props = workload.spec();
 
-    let app_len: u64 = if props.big_memory { 64 << 20 } else { 16 << 20 };
     let mut engine_cfg = EngineConfig::with_cores(spec.threads.max(1));
     engine_cfg.tick_interval = spec.tick_interval;
     engine_cfg.max_ops = spec.max_ops;
@@ -199,42 +203,19 @@ fn build<R: RuntimeHooks>(spec: &JobSpec, make_runtime: impl FnOnce(AppLayout) -
 
     // The runtime is constructed against the layout before the engine
     // exists (TMI sets its memory up at program start, §3.2).
-    let layout = AppLayout {
-        app_start: VAddr::new(APP_START),
-        app_len,
-        internal_start: VAddr::new(INTERNAL_START),
-        internal_len: INTERNAL_LEN,
-        huge_pages: spec.huge_pages,
-    };
+    let layout = app_layout(props.big_memory, spec.huge_pages);
     let mut engine = Engine::new(engine_cfg, make_runtime(layout));
 
-    // Map the application region and the internal region, both backed by
-    // shared objects: process-based runtimes need that to survive T2P, and
-    // the baselines use it too so that cold-start demand paging behaves
-    // uniformly (anonymous memory cannot survive the residency reset
-    // between setup and simulation).
-    let kernel = &mut engine.core_mut().kernel;
-    let app_obj = kernel.create_object(app_len);
-    let internal_obj = kernel.create_object(INTERNAL_LEN);
-    let aspace = kernel.create_aspace();
-    let mut req = MapRequest::object(VAddr::new(APP_START), app_len, app_obj, 0);
-    if spec.huge_pages {
-        req = req.huge();
-    }
-    kernel.map(aspace, req).expect("map app object");
-    kernel
-        .map(
-            aspace,
-            MapRequest::object(VAddr::new(INTERNAL_START), INTERNAL_LEN, internal_obj, 0),
-        )
-        .expect("map internal");
-
-    engine.create_root_process(aspace);
+    // Both regions are backed by shared objects: process-based runtimes
+    // need that to survive T2P, and the baselines use it too so that
+    // cold-start demand paging behaves uniformly (anonymous memory cannot
+    // survive the residency reset between setup and simulation).
+    let aspace = layout.install(&mut engine);
 
     // Build the workload.
     let mut alloc = SimAllocator::new(
-        VAddr::new(APP_START),
-        app_len,
+        layout.app_start,
+        layout.app_len,
         alloc_config(spec, props.allocator_sensitive),
     );
     let params = WorkloadParams {
@@ -243,14 +224,9 @@ fn build<R: RuntimeHooks>(spec: &JobSpec, make_runtime: impl FnOnce(AppLayout) -
         fixed: spec.fixed,
         misaligned: spec.misaligned,
     };
-    let core = engine.core_mut();
-    let programs = {
-        // Split borrows of the engine core for the setup context.
-        let EngineCoreView { kernel, code } = split_core(core);
-        let mut ctx = SetupCtx::new(kernel, code, &mut alloc, aspace);
-        workload.build(&mut ctx, &params)
-    };
-    for p in programs {
+    let EngineCore { kernel, code, .. } = engine.core_mut();
+    let mut ctx = SetupCtx::new(kernel, code, &mut alloc, aspace);
+    for p in workload.build(&mut ctx, &params) {
         engine.add_thread(p);
     }
 
@@ -263,17 +239,6 @@ fn build<R: RuntimeHooks>(spec: &JobSpec, make_runtime: impl FnOnce(AppLayout) -
         workload,
         aspace,
     }
-}
-
-struct EngineCoreView<'a> {
-    kernel: &'a mut tmi_os::Kernel,
-    code: &'a mut tmi_program::CodeRegistry,
-}
-
-fn split_core(core: &mut tmi_sim::EngineCore) -> EngineCoreView<'_> {
-    // `kernel` and `code` are distinct public fields; reborrow them.
-    let tmi_sim::EngineCore { kernel, code, .. } = core;
-    EngineCoreView { kernel, code }
 }
 
 fn base_result(spec: &JobSpec) -> RunResult {
@@ -305,7 +270,7 @@ fn finish<R: RuntimeHooks + MetricSource>(
     metric_prefix: &str,
     mut built: Built<R>,
     faults: Option<&FaultInjector>,
-    fill: impl FnOnce(&R, &tmi_sim::EngineCore, &mut RunResult),
+    fill: impl FnOnce(&R, &EngineCore, &mut RunResult),
 ) -> RunResult {
     // Faults target the simulated run, not workload setup: the injector
     // reaches the kernel only once the machine is assembled, so every
@@ -334,11 +299,8 @@ fn finish<R: RuntimeHooks + MetricSource>(
 
     // Verification (only meaningful if the run completed).
     if report.halt == Halt::Completed {
-        let core = built.engine.core_mut();
-        let EngineCoreView { kernel, code } = split_core(core);
-        let mut alloc = SimAllocator::new(VAddr::new(APP_START), 1 << 20, AllocConfig::default());
-        let mut ctx = SetupCtx::new(kernel, code, &mut alloc, built.aspace);
-        r.verified = built.workload.verify(&mut ctx);
+        let kernel = &mut built.engine.core_mut().kernel;
+        r.verified = built.workload.verify(kernel, built.aspace);
     } else {
         r.verified = Err(format!("run did not complete: {:?}", report.halt));
     }
@@ -432,7 +394,7 @@ fn tmi_config(spec: &JobSpec) -> TmiConfig {
     }
 }
 
-fn fill_tmi(rt: &TmiRuntime, core: &tmi_sim::EngineCore, r: &mut RunResult) {
+fn fill_tmi(rt: &TmiRuntime, core: &EngineCore, r: &mut RunResult) {
     // The memory breakdown needs the kernel, so it cannot register itself
     // during the engine snapshot; fold it in here under `tmi.memory.`.
     let mem: MemoryBreakdown = rt.memory(&core.kernel);
@@ -455,7 +417,7 @@ fn fill_perf(prefix: &str, r: &mut RunResult) {
     r.perf_events = r.metrics.u64(&format!("{prefix}.perf.events_seen"));
 }
 
-fn fill_sheriff(rt: &SheriffRuntime, _core: &tmi_sim::EngineCore, r: &mut RunResult) {
+fn fill_sheriff(rt: &SheriffRuntime, _core: &EngineCore, r: &mut RunResult) {
     r.repaired = true;
     r.phases = rt.repair().phases();
     r.commits = r.metrics.u64("sheriff.repair.commits");

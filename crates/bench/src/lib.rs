@@ -43,7 +43,6 @@ pub mod report;
 pub mod spec;
 
 pub use harness::{RunResult, RuntimeKind};
-pub use harness::{APP_START, INTERNAL_LEN, INTERNAL_START};
 
 pub use exec::{pool_map, Executor, ExperimentSet, JobResult};
 pub use fuzz::{check_spec, run_campaign, CampaignResult, FuzzConfig};

@@ -55,6 +55,20 @@ pub(crate) fn retry_backoff(attempt: u32) -> u64 {
     REPAIR_RETRY_BACKOFF_CYCLES << attempt.saturating_sub(1).min(6)
 }
 
+/// The distinct address spaces of the app's threads, in thread order,
+/// each with the first thread that runs in it (the one charged for work
+/// done there).
+fn thread_aspaces(ctl: &mut dyn EngineCtl) -> Vec<(Tid, AsId)> {
+    let mut out = Vec::new();
+    for tid in ctl.tids() {
+        let aspace = ctl.kernel().thread_aspace(tid);
+        if out.iter().all(|&(_, a)| a != aspace) {
+            out.push((tid, aspace));
+        }
+    }
+    out
+}
+
 /// Lifecycle of the repair governor.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum GovernorState {
@@ -272,29 +286,18 @@ impl RepairManager {
                 targets.insert(vpn);
             }
         }
+        let aspaces = thread_aspaces(ctl);
         for vpn in targets {
             if self.protected.contains(&vpn) {
                 continue;
             }
-            let mut armed: Vec<AsId> = Vec::new();
-            let mut failed = false;
-            for &tid in &tids {
-                let aspace = ctl.kernel().thread_aspace(tid);
-                if armed.contains(&aspace) {
-                    continue;
-                }
-                match self.protect_retrying(ctl, tid, aspace, vpn) {
-                    Ok(()) => armed.push(aspace),
-                    Err(_) => {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            if failed {
+            let failed = aspaces
+                .iter()
+                .position(|&(tid, aspace)| self.protect_retrying(ctl, tid, aspace, vpn).is_err());
+            if let Some(armed) = failed {
                 // A page armed in some processes but not all would buffer
                 // writes asymmetrically; give it back everywhere instead.
-                for aspace in armed {
+                for &(_, aspace) in &aspaces[..armed] {
                     let _ = ctl.kernel().unprotect_page(aspace, vpn);
                 }
                 self.stats.pages_degraded += 1;
@@ -340,36 +343,57 @@ impl RepairManager {
             if !self.protected.contains(&vpn) {
                 continue;
             }
-            let mut attempt = 0u32;
-            loop {
-                let fail = self
-                    .faults
-                    .as_ref()
-                    .is_some_and(|f| f.should_fail(FaultPoint::TwinAlloc));
-                if !fail {
-                    self.twins.snapshot(ctl.kernel(), aspace, vpn);
-                    self.tracer.instant(
-                        "tmi.repair.twin",
-                        "repair",
-                        u64::from(tid.0),
-                        ctl.now(),
-                        &[("vpn", vpn.0)],
-                    );
+            let snapshot =
+                self.retrying(ctl, tid, Phase::FaultHandling, |rm, _| match &rm.faults {
+                    Some(f) if f.should_fail(FaultPoint::TwinAlloc) => Err(OsError::OutOfFrames {
+                        context: "twin snapshot",
+                    }),
+                    _ => Ok(()),
+                });
+            if snapshot.is_err() {
+                self.degrade_page(ctl, layout, vpn);
+                continue;
+            }
+            self.twins.snapshot(ctl.kernel(), aspace, vpn);
+            self.tracer.instant(
+                "tmi.repair.twin",
+                "repair",
+                u64::from(tid.0),
+                ctl.now(),
+                &[("vpn", vpn.0)],
+            );
+        }
+    }
+
+    /// Runs `op` until it succeeds, fails with a non-transient error, or
+    /// has failed transiently [`REPAIR_RETRY_LIMIT`] extra times. Each
+    /// retry counts in `retries` and charges `tid` an exponential
+    /// backoff, booked to `phase`; a success after a retry counts as a
+    /// transient recovery.
+    fn retrying<T>(
+        &mut self,
+        ctl: &mut dyn EngineCtl,
+        tid: Tid,
+        phase: Phase,
+        mut op: impl FnMut(&mut Self, &mut dyn EngineCtl) -> Result<T, OsError>,
+    ) -> Result<T, OsError> {
+        let mut attempt = 0u32;
+        loop {
+            match op(self, ctl) {
+                Ok(v) => {
                     if attempt > 0 {
                         self.stats.transient_recoveries += 1;
                     }
-                    break;
+                    return Ok(v);
                 }
-                if attempt < REPAIR_RETRY_LIMIT {
+                Err(e) if e.is_transient() && attempt < REPAIR_RETRY_LIMIT => {
                     attempt += 1;
                     self.stats.retries += 1;
                     let backoff = retry_backoff(attempt);
                     ctl.add_cycles(tid, backoff);
-                    self.phases.add(Phase::FaultHandling, backoff);
-                } else {
-                    self.degrade_page(ctl, layout, vpn);
-                    break;
+                    self.phases.add(phase, backoff);
                 }
+                Err(e) => return Err(e),
             }
         }
     }
@@ -378,30 +402,22 @@ impl RepairManager {
     /// Records the original pid so rollback/revert can rejoin.
     fn convert_retrying(&mut self, ctl: &mut dyn EngineCtl, tid: Tid) -> Result<(), OsError> {
         let old_pid = ctl.kernel().thread(tid).pid;
-        let mut attempt = 0u32;
-        loop {
+        let converted = self.retrying(ctl, tid, Phase::Arm, |_, ctl| {
             match ctl.kernel().convert_thread_to_process(tid) {
-                Ok(_) => {
-                    self.converted.push((tid, old_pid));
-                    if attempt > 0 {
-                        self.stats.transient_recoveries += 1;
-                    }
-                    return Ok(());
-                }
+                Ok(_) => Ok(true),
                 // The root process keeps its (unscheduled) main thread, so
                 // every worker can convert; a sole-thread error means the
-                // workload had one thread and conversion is moot.
-                Err(OsError::AlreadyConverted { .. }) => return Ok(()),
-                Err(e) if e.is_transient() && attempt < REPAIR_RETRY_LIMIT => {
-                    attempt += 1;
-                    self.stats.retries += 1;
-                    let backoff = retry_backoff(attempt);
-                    ctl.add_cycles(tid, backoff);
-                    self.phases.add(Phase::Arm, backoff);
-                }
-                Err(e) => return Err(e),
+                // workload had one thread and conversion is moot. The
+                // kernel reports it before it tries to fork, so it never
+                // follows a transient failure.
+                Err(OsError::AlreadyConverted { .. }) => Ok(false),
+                Err(e) => Err(e),
             }
+        })?;
+        if converted {
+            self.converted.push((tid, old_pid));
         }
+        Ok(())
     }
 
     /// Arms COW protection for one page in one address space, retrying
@@ -413,25 +429,9 @@ impl RepairManager {
         aspace: AsId,
         vpn: Vpn,
     ) -> Result<(), OsError> {
-        let mut attempt = 0u32;
-        loop {
-            match ctl.kernel().protect_page_cow(aspace, vpn) {
-                Ok(()) => {
-                    if attempt > 0 {
-                        self.stats.transient_recoveries += 1;
-                    }
-                    return Ok(());
-                }
-                Err(e) if e.is_transient() && attempt < REPAIR_RETRY_LIMIT => {
-                    attempt += 1;
-                    self.stats.retries += 1;
-                    let backoff = retry_backoff(attempt);
-                    ctl.add_cycles(tid, backoff);
-                    self.phases.add(Phase::Arm, backoff);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.retrying(ctl, tid, Phase::Arm, |_, ctl| {
+            ctl.kernel().protect_page_cow(aspace, vpn)
+        })
     }
 
     /// Gives one page back to shared memory in every process: commits its
@@ -449,14 +449,7 @@ impl RepairManager {
             ctl.now(),
             &[("vpn", vpn.0)],
         );
-        let tids = ctl.tids();
-        let mut seen: Vec<AsId> = Vec::new();
-        for &tid in &tids {
-            let aspace = ctl.kernel().thread_aspace(tid);
-            if seen.contains(&aspace) {
-                continue;
-            }
-            seen.push(aspace);
+        for (tid, aspace) in thread_aspaces(ctl) {
             if self.twins.has_twin(aspace, vpn) {
                 match self
                     .twins
@@ -490,20 +483,14 @@ impl RepairManager {
             let cycles = self.commit_thread(ctl, tid, layout);
             ctl.add_cycles(tid, cycles);
         }
-        let mut aspaces: Vec<AsId> = Vec::new();
-        for &tid in &tids {
-            let a = ctl.kernel().thread_aspace(tid);
-            if !aspaces.contains(&a) {
-                aspaces.push(a);
-            }
-        }
+        let aspaces = thread_aspaces(ctl);
         for &vpn in &std::mem::take(&mut self.protected) {
-            for &a in &aspaces {
+            for &(_, a) in &aspaces {
                 let _ = ctl.kernel().unprotect_page(a, vpn);
             }
         }
         // Safety net: no twin may survive the flush above.
-        for &a in &aspaces {
+        for &(_, a) in &aspaces {
             self.twins.discard_aspace(a);
         }
         for (tid, pid) in std::mem::take(&mut self.converted) {

@@ -5,7 +5,7 @@
 use std::collections::BTreeSet;
 
 use tmi_faultpoint::FaultInjector;
-use tmi_machine::{AccessOutcome, VAddr, Vpn, LINE_SIZE};
+use tmi_machine::{AccessOutcome, VAddr, Vpn};
 use tmi_os::{FaultResolution, Kernel, OsError, Tid};
 use tmi_perf::PerfMonitor;
 use tmi_program::VmOp;
@@ -81,15 +81,11 @@ pub struct TmiRuntime {
 impl TmiRuntime {
     /// Creates a runtime for the given configuration and layout.
     pub fn new(config: TmiConfig, layout: AppLayout) -> Self {
+        let (lock_start, lock_len) = layout.lock_area();
         TmiRuntime {
             detection: DetectionLoop::new(config.perf, layout),
             repair: RepairManager::new(),
-            // The lock area starts one line in, leaving line 0 for TMI
-            // state, and uses the first quarter of the internal region.
-            locks: LockRedirector::new(
-                VAddr::new(layout.internal_start.raw() + LINE_SIZE),
-                layout.internal_len / 4,
-            ),
+            locks: LockRedirector::new(lock_start, lock_len),
             stats: TmiStats::default(),
             last_commit_cycles: 0,
             engine_retry_pending: false,

@@ -8,14 +8,17 @@
 
 use tmi::{AppLayout, TmiConfig, TmiRuntime};
 use tmi_machine::{VAddr, Width, FRAME_SIZE};
-use tmi_os::MapRequest;
 use tmi_program::{InstrKind, MemOrder, Op, Pc, SequenceProgram};
 use tmi_sim::{Engine, EngineConfig};
 
-const APP: u64 = 0x10_0000;
-const APP_LEN: u64 = 64 * FRAME_SIZE;
-const INTERNAL: u64 = 0x100_0000;
-const INTERNAL_LEN: u64 = 16 * FRAME_SIZE;
+const LAYOUT: AppLayout = AppLayout {
+    app_start: VAddr::new(0x10_0000),
+    app_len: 64 * FRAME_SIZE,
+    internal_start: VAddr::new(0x100_0000),
+    internal_len: 16 * FRAME_SIZE,
+    huge_pages: false,
+};
+const APP: u64 = LAYOUT.app_start.raw();
 
 struct Fixture {
     engine: Engine<TmiRuntime>,
@@ -29,30 +32,12 @@ struct Fixture {
 fn fixture(code_centric: bool) -> Fixture {
     let mut cfg = EngineConfig::with_cores(2);
     cfg.tick_interval = 150_000;
-    let layout = AppLayout {
-        app_start: VAddr::new(APP),
-        app_len: APP_LEN,
-        internal_start: VAddr::new(INTERNAL),
-        internal_len: INTERNAL_LEN,
-        huge_pages: false,
-    };
     let tmi_cfg = TmiConfig {
         code_centric,
         ..TmiConfig::protect()
     };
-    let mut engine = Engine::new(cfg, TmiRuntime::new(tmi_cfg, layout));
-    let k = &mut engine.core_mut().kernel;
-    let app = k.create_object(APP_LEN);
-    let internal = k.create_object(INTERNAL_LEN);
-    let aspace = k.create_aspace();
-    k.map(aspace, MapRequest::object(VAddr::new(APP), APP_LEN, app, 0))
-        .unwrap();
-    k.map(
-        aspace,
-        MapRequest::object(VAddr::new(INTERNAL), INTERNAL_LEN, internal, 0),
-    )
-    .unwrap();
-    engine.create_root_process(aspace);
+    let mut engine = Engine::new(cfg, TmiRuntime::new(tmi_cfg, LAYOUT));
+    let aspace = LAYOUT.install(&mut engine);
     let st = engine
         .core_mut()
         .code
@@ -102,11 +87,13 @@ fn warmup_ops(f: &Fixture, thread: u64, iters: usize) -> Vec<Op> {
 
 const BARRIER: u64 = APP + 8 * FRAME_SIZE;
 
+/// Runs the warm-up, a barrier, then each thread's litmus tail. Returns
+/// the run report and the value thread 1's last load observed.
 fn run_litmus(
     f: &mut Fixture,
     t0_tail: Vec<Op>,
     t1_tail: Vec<Op>,
-) -> (tmi_sim::RunReport, Vec<Option<u64>>) {
+) -> (tmi_sim::RunReport, Option<u64>) {
     let mut ops0 = warmup_ops(f, 0, 120_000);
     ops0.push(Op::BarrierWait {
         barrier: VAddr::new(BARRIER),
@@ -117,13 +104,17 @@ fn run_litmus(
         barrier: VAddr::new(BARRIER),
     });
     ops1.extend(t1_tail);
-    let p0 = SequenceProgram::new(ops0);
-    let p1 = SequenceProgram::new(ops1);
-    let log1 = p1.log();
-    f.engine.add_thread(Box::new(p0));
-    f.engine.add_thread(Box::new(p1));
+    f.engine.add_thread(Box::new(SequenceProgram::new(ops0)));
+    f.engine.add_thread(Box::new(SequenceProgram::new(ops1)));
+    f.engine.enable_trace();
     let r = f.engine.run();
-    let observed = log1.borrow().clone();
+    let observed = f
+        .engine
+        .take_trace()
+        .into_iter()
+        .rev()
+        .find(|s| s.thread == 1 && matches!(s.op, Op::Load { .. }))
+        .and_then(|s| s.value);
     (r, observed)
 }
 
@@ -209,9 +200,9 @@ fn relaxed_atomic_bypasses_without_flushing() {
     let (r, observed) = run_litmus(&mut f, t0, t1);
     assert!(r.completed());
     assert!(f.engine.runtime().repair().active());
-    let seen = observed.last().copied().flatten().unwrap();
     assert_eq!(
-        seen, 42,
+        observed,
+        Some(42),
         "relaxed atomic visible to the other process at once"
     );
     // The plain store eventually commits (thread exit), but the relaxed
@@ -248,7 +239,7 @@ fn asm_region_stores_are_immediately_shared() {
     ];
     let (r, observed) = run_litmus(&mut f, t0, t1);
     assert!(r.completed());
-    assert_eq!(observed.last().copied().flatten(), Some(7));
+    assert_eq!(observed, Some(7));
 }
 
 /// Case 1 (regular × regular, racy): plain stores to a protected page ARE
@@ -280,7 +271,7 @@ fn plain_racy_stores_are_buffered_until_sync() {
     assert!(r.completed());
     assert!(f.engine.runtime().repair().active());
     assert_eq!(
-        observed.last().copied().flatten(),
+        observed,
         Some(0),
         "racy plain store may hide in the PTSB until commit"
     );
@@ -316,7 +307,7 @@ fn without_code_centric_atomics_lose_their_semantics() {
     assert!(r.completed());
     assert!(f.engine.runtime().repair().active());
     assert_eq!(
-        observed.last().copied().flatten(),
+        observed,
         Some(0),
         "the guard-less PTSB buffers even SeqCst atomics (the Sheriff flaw)"
     );

@@ -3,55 +3,25 @@
 
 use tmi::{AppLayout, TmiConfig, TmiRuntime};
 use tmi_machine::{VAddr, Width, FRAME_SIZE};
-use tmi_os::{AsId, MapRequest};
+use tmi_os::AsId;
 use tmi_program::{InstrKind, MemOrder, Op, RmwOp, SequenceProgram};
 use tmi_sim::{Engine, EngineConfig, NullRuntime, RuntimeHooks};
 
-const APP_START: u64 = 0x10_0000;
-const APP_LEN: u64 = 64 * FRAME_SIZE;
-const INTERNAL_START: u64 = 0x200_0000;
-const INTERNAL_LEN: u64 = 16 * FRAME_SIZE;
+const LAYOUT: AppLayout = AppLayout {
+    app_start: VAddr::new(0x10_0000),
+    app_len: 64 * FRAME_SIZE,
+    internal_start: VAddr::new(0x200_0000),
+    internal_len: 16 * FRAME_SIZE,
+    huge_pages: false,
+};
+const APP_START: u64 = LAYOUT.app_start.raw();
 
-fn build_engine<R: RuntimeHooks>(runtime: R, cores: usize) -> (Engine<R>, AsId, AppLayout) {
+fn build_engine<R: RuntimeHooks>(runtime: R, cores: usize) -> (Engine<R>, AsId) {
     let mut cfg = EngineConfig::with_cores(cores);
     cfg.tick_interval = 200_000; // fast detection for small tests
     let mut e = Engine::new(cfg, runtime);
-    let app_obj = e.core_mut().kernel.create_object(APP_LEN);
-    let internal_obj = e.core_mut().kernel.create_object(INTERNAL_LEN);
-    let aspace = e.core_mut().kernel.create_aspace();
-    e.core_mut()
-        .kernel
-        .map(
-            aspace,
-            MapRequest::object(VAddr::new(APP_START), APP_LEN, app_obj, 0),
-        )
-        .unwrap();
-    e.core_mut()
-        .kernel
-        .map(
-            aspace,
-            MapRequest::object(VAddr::new(INTERNAL_START), INTERNAL_LEN, internal_obj, 0),
-        )
-        .unwrap();
-    e.create_root_process(aspace);
-    let layout = AppLayout {
-        app_start: VAddr::new(APP_START),
-        app_len: APP_LEN,
-        internal_start: VAddr::new(INTERNAL_START),
-        internal_len: INTERNAL_LEN,
-        huge_pages: false,
-    };
-    (e, aspace, layout)
-}
-
-fn layout_only() -> AppLayout {
-    AppLayout {
-        app_start: VAddr::new(APP_START),
-        app_len: APP_LEN,
-        internal_start: VAddr::new(INTERNAL_START),
-        internal_len: INTERNAL_LEN,
-        huge_pages: false,
-    }
+    let aspace = LAYOUT.install(&mut e);
+    (e, aspace)
 }
 
 /// A counter-increment false-sharing workload: each thread hammers its own
@@ -87,7 +57,7 @@ fn counter_threads(e: &mut Engine<impl RuntimeHooks>, stride: u64, iters: usize,
 }
 
 fn run_counters<R: RuntimeHooks>(runtime: R, stride: u64, iters: usize) -> (u64, Engine<R>) {
-    let (mut e, _aspace, _l) = build_engine(runtime, 4);
+    let (mut e, _aspace) = build_engine(runtime, 4);
     counter_threads(&mut e, stride, iters, 4);
     let r = e.run();
     assert!(r.completed(), "halt: {:?}", r.halt);
@@ -96,7 +66,7 @@ fn run_counters<R: RuntimeHooks>(runtime: R, stride: u64, iters: usize) -> (u64,
 
 #[test]
 fn tmi_detects_false_sharing() {
-    let runtime = TmiRuntime::new(TmiConfig::detect_only(), layout_only());
+    let runtime = TmiRuntime::new(TmiConfig::detect_only(), LAYOUT);
     let (_cycles, e) = run_counters(runtime, 8, 20_000);
     let stats = e.runtime().stats();
     assert!(
@@ -114,7 +84,7 @@ fn tmi_detects_false_sharing() {
 
 #[test]
 fn tmi_does_not_flag_padded_counters() {
-    let runtime = TmiRuntime::new(TmiConfig::detect_only(), layout_only());
+    let runtime = TmiRuntime::new(TmiConfig::detect_only(), LAYOUT);
     let (_cycles, e) = run_counters(runtime, 64, 20_000);
     assert!(e.runtime().stats().fs_lines.is_empty());
     assert!(e.runtime().perf().events_seen() < 100);
@@ -131,11 +101,7 @@ fn tmi_repairs_false_sharing_and_speeds_up() {
     // Manual fix: padded layout under plain pthreads.
     let (manual, _) = run_counters(NullRuntime, 64, iters);
     // TMI: buggy layout, online repair.
-    let (repaired, e) = run_counters(
-        TmiRuntime::new(TmiConfig::protect(), layout_only()),
-        8,
-        iters,
-    );
+    let (repaired, e) = run_counters(TmiRuntime::new(TmiConfig::protect(), LAYOUT), 8, iters);
 
     assert!(e.runtime().repair().active(), "repair must trigger");
     let speedup = buggy as f64 / repaired as f64;
@@ -155,11 +121,7 @@ fn tmi_overhead_without_contention_is_small() {
     // Threads working on disjoint lines: TMI must stay out of the way.
     let iters = 30_000;
     let (base, _) = run_counters(NullRuntime, 256, iters);
-    let (tmi, e) = run_counters(
-        TmiRuntime::new(TmiConfig::protect(), layout_only()),
-        256,
-        iters,
-    );
+    let (tmi, e) = run_counters(TmiRuntime::new(TmiConfig::protect(), LAYOUT), 256, iters);
     assert!(!e.runtime().repaired());
     let overhead = tmi as f64 / base as f64 - 1.0;
     assert!(
@@ -175,9 +137,7 @@ fn repaired_data_is_still_correct() {
     // run the final values must be exactly iters-1 (last stored value),
     // visible in shared memory (commits must have merged everything).
     let iters = 60_000;
-    let (mut e, aspace, layout) =
-        build_engine(TmiRuntime::new(TmiConfig::protect(), layout_only()), 4);
-    let _ = layout;
+    let (mut e, aspace) = build_engine(TmiRuntime::new(TmiConfig::protect(), LAYOUT), 4);
     counter_threads(&mut e, 8, iters, 4);
     let r = e.run();
     assert!(r.completed());
@@ -198,7 +158,7 @@ fn atomic_counters_remain_atomic_under_repair() {
     // also false-sharing plain counters on the same page. Code-centric
     // consistency routes the atomics to shared memory, so no increment is
     // lost.
-    let (mut e, aspace, _l) = build_engine(TmiRuntime::new(TmiConfig::protect(), layout_only()), 4);
+    let (mut e, aspace) = build_engine(TmiRuntime::new(TmiConfig::protect(), LAYOUT), 4);
     let ld = e.core_mut().code.instr("w::ld", InstrKind::Load, Width::W8);
     let st = e
         .core_mut()
@@ -259,7 +219,7 @@ fn mutex_workload_commits_at_sync_and_stays_correct() {
     // A lock-protected shared counter plus per-thread false sharing: the
     // PTSB commits at every lock operation, so the critical-section data
     // stays coherent.
-    let (mut e, aspace, _l) = build_engine(TmiRuntime::new(TmiConfig::protect(), layout_only()), 4);
+    let (mut e, aspace) = build_engine(TmiRuntime::new(TmiConfig::protect(), LAYOUT), 4);
     let ld = e.core_mut().code.instr("m::ld", InstrKind::Load, Width::W8);
     let st = e
         .core_mut()

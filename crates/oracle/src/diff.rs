@@ -27,10 +27,10 @@
 
 use std::fmt;
 
-use tmi::{AppLayout, GovernorState, RepairStats, TmiConfig, TmiRuntime};
+use tmi::{GovernorState, RepairStats, TmiConfig, TmiRuntime};
 use tmi_faultpoint::{FaultInjector, FaultPlan, FaultStats};
 use tmi_machine::{VAddr, Width};
-use tmi_os::{AsId, Kernel, MapRequest};
+use tmi_os::{AsId, Kernel};
 use tmi_program::{width_mask, Op, SequenceProgram};
 use tmi_sim::{Engine, EngineConfig, Halt, TraceStep};
 
@@ -59,6 +59,14 @@ pub struct CheckConfig {
     /// Expected to diverge on VM-op programs — the proof that the oracle
     /// can see transistency violations.
     pub ablate_shootdown: bool,
+}
+
+impl CheckConfig {
+    /// True under either ablation: the configuration is *expected* to
+    /// diverge.
+    pub fn ablated(&self) -> bool {
+        !self.code_centric || self.ablate_shootdown
+    }
 }
 
 impl Default for CheckConfig {
@@ -433,13 +441,6 @@ fn build_fixture(
     // Litmus runs are far too short for the sampling detector; repair is
     // forced below and the detection thread never ticks.
     ecfg.tick_interval = u64::MAX;
-    let layout = AppLayout {
-        app_start: VAddr::new(litmus::APP_START),
-        app_len: litmus::APP_LEN,
-        internal_start: VAddr::new(litmus::INTERNAL_START),
-        internal_len: litmus::INTERNAL_LEN,
-        huge_pages: false,
-    };
     let mut tcfg = TmiConfig {
         code_centric: cfg.code_centric,
         fs_threshold_per_sec: f64::INFINITY,
@@ -458,7 +459,7 @@ fn build_fixture(
             tcfg.efficacy_revert_threshold = 0.0;
         }
     }
-    let mut rt = TmiRuntime::new(tcfg, layout);
+    let mut rt = TmiRuntime::new(tcfg, litmus::LAYOUT);
     rt.set_tracer(tracer.clone());
     if let Some(inj) = injector {
         rt.set_fault_injector(inj.clone());
@@ -474,29 +475,9 @@ fn build_fixture(
     if cfg.ablate_shootdown {
         k.set_tlb_shootdown(false);
     }
-    let app = k.create_object(litmus::APP_LEN);
-    let internal = k.create_object(litmus::INTERNAL_LEN);
-    let aspace = k.create_aspace();
-    // Fixture maps tolerate injected transient map failures (burst length
-    // is bounded well below this retry budget).
-    k.map_retrying(
-        aspace,
-        MapRequest::object(VAddr::new(litmus::APP_START), litmus::APP_LEN, app, 0),
-        8,
-    )
-    .expect("map app object");
-    k.map_retrying(
-        aspace,
-        MapRequest::object(
-            VAddr::new(litmus::INTERNAL_START),
-            litmus::INTERNAL_LEN,
-            internal,
-            0,
-        ),
-        8,
-    )
-    .expect("map internal object");
-    engine.create_root_process(aspace);
+    // The kernel seams go in before the process is built, so the
+    // injector's map rolls land where the campaign's schedule expects.
+    let aspace = litmus::LAYOUT.install(&mut engine);
     for ops in &lit.threads {
         engine.add_thread(Box::new(SequenceProgram::new(ops.clone())));
     }

@@ -39,17 +39,22 @@ use std::fmt::Write as _;
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+use tmi::AppLayout;
 use tmi_machine::{VAddr, Vpn, Width, FRAME_SIZE};
 use tmi_program::{MemOrder, Op, OpBuilder, Pc, RmwOp, VmOp};
 
-/// Base of the application shared object every litmus program maps.
-pub const APP_START: u64 = 0x10_0000;
-/// Length of the application object.
-pub const APP_LEN: u64 = 64 * FRAME_SIZE;
-/// Base of the TMI-internal region (lock redirection target).
-pub const INTERNAL_START: u64 = 0x100_0000;
-/// Length of the internal region.
-pub const INTERNAL_LEN: u64 = 16 * FRAME_SIZE;
+/// The process every litmus program runs in: a 64-page application
+/// object at 1 MiB and a 16-page TMI-internal region (the lock
+/// redirection target) at 16 MiB.
+pub const LAYOUT: AppLayout = AppLayout {
+    app_start: VAddr::new(0x10_0000),
+    app_len: 64 * FRAME_SIZE,
+    internal_start: VAddr::new(0x100_0000),
+    internal_len: 16 * FRAME_SIZE,
+    huge_pages: false,
+};
+/// Base of the application object, where the data and sync pages lie.
+const APP_START: u64 = LAYOUT.app_start.raw();
 
 /// Number of PTSB-armed data pages at the start of the app region.
 const DATA_PAGE_COUNT: u64 = 2;

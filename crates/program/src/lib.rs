@@ -45,4 +45,4 @@ pub mod program;
 pub use build::OpBuilder;
 pub use code::{CodeRegistry, InstrInfo, InstrKind, Pc};
 pub use op::{width_mask, MemOrder, Op, RmwOp, VmOp};
-pub use program::{OpResult, SequenceProgram, SharedLog, ThreadProgram};
+pub use program::{OpResult, SequenceProgram, ThreadProgram};

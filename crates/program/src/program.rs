@@ -1,8 +1,5 @@
 //! Thread programs: resumable state machines that emit [`Op`]s.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use crate::op::Op;
 
 /// The result of the previously executed op, fed back into
@@ -51,43 +48,25 @@ pub trait ThreadProgram {
     fn next(&mut self, last: OpResult) -> Op;
 }
 
-/// A shared, append-only log of op results, for litmus tests that need to
-/// observe what a [`SequenceProgram`] loaded.
-pub type SharedLog = Rc<RefCell<Vec<Option<u64>>>>;
-
-/// The simplest [`ThreadProgram`]: plays a fixed list of ops and records
-/// every op result into a [`SharedLog`]. Used heavily by litmus tests
-/// (e.g. the Fig. 3 word-tearing program).
+/// The simplest [`ThreadProgram`]: plays a fixed list of ops, then exits.
+/// Litmus programs are sequences (Fig. 3's word-tearing pair, the
+/// differential oracle's generated programs); what they loaded is read
+/// from the engine's execution trace (`Engine::enable_trace`).
 #[derive(Debug)]
 pub struct SequenceProgram {
     ops: Vec<Op>,
     idx: usize,
-    log: SharedLog,
 }
 
 impl SequenceProgram {
     /// Creates a program that runs `ops` then exits.
     pub fn new(ops: Vec<Op>) -> Self {
-        SequenceProgram {
-            ops,
-            idx: 0,
-            log: Rc::new(RefCell::new(Vec::new())),
-        }
-    }
-
-    /// A handle to the result log; entry *i* is the result observed *after*
-    /// op *i* completed (so entry 0 is the first op's result, recorded when
-    /// the second op is requested).
-    pub fn log(&self) -> SharedLog {
-        Rc::clone(&self.log)
+        SequenceProgram { ops, idx: 0 }
     }
 }
 
 impl ThreadProgram for SequenceProgram {
-    fn next(&mut self, last: OpResult) -> Op {
-        if self.idx > 0 && self.idx <= self.ops.len() {
-            self.log.borrow_mut().push(last.value);
-        }
+    fn next(&mut self, _last: OpResult) -> Op {
         let op = self.ops.get(self.idx).copied().unwrap_or(Op::Exit);
         self.idx += 1;
         op
@@ -112,23 +91,6 @@ mod tests {
         assert_eq!(p.next(OpResult::of(42)), Op::Compute { cycles: 10 });
         assert_eq!(p.next(OpResult::none()), Op::Exit);
         assert_eq!(p.next(OpResult::none()), Op::Exit);
-    }
-
-    #[test]
-    fn log_records_results_in_order() {
-        let load = Op::Load {
-            pc: Pc(0x400000),
-            addr: VAddr::new(0x1000),
-            width: Width::W8,
-        };
-        let mut p = SequenceProgram::new(vec![load, load]);
-        let log = p.log();
-        p.next(OpResult::none());
-        p.next(OpResult::of(1));
-        p.next(OpResult::of(2));
-        // A trailing Exit request records nothing further.
-        p.next(OpResult::none());
-        assert_eq!(*log.borrow(), vec![Some(1), Some(2)]);
     }
 
     #[test]

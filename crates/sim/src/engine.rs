@@ -945,6 +945,16 @@ mod tests {
         e.core_mut().code.instr(name, kind, w)
     }
 
+    /// The values `thread`'s ops produced in a traced run, one per
+    /// executed op in program order, `Exit` left out.
+    fn observed(trace: &[TraceStep], thread: u32) -> Vec<Option<u64>> {
+        trace
+            .iter()
+            .filter(|s| s.thread == thread && s.op != Op::Exit)
+            .map(|s| s.value)
+            .collect()
+    }
+
     #[test]
     fn single_thread_store_load_roundtrip() {
         let (mut e, _) = engine(1);
@@ -964,11 +974,11 @@ mod tests {
                 width: Width::W8,
             },
         ]);
-        let log = prog.log();
         e.add_thread(Box::new(prog));
+        e.enable_trace();
         let r = e.run();
         assert!(r.completed(), "{:?}", r.halt);
-        assert_eq!(log.borrow().as_slice(), &[None, Some(1234)]);
+        assert_eq!(observed(&e.take_trace(), 0), [None, Some(1234)]);
         assert!(r.cycles > 0);
         assert_eq!(r.ops, 3); // store, load, exit
     }
@@ -995,12 +1005,12 @@ mod tests {
                 width: Width::W8,
             },
         ]);
-        let rlog = reader.log();
         e.add_thread(Box::new(writer));
         e.add_thread(Box::new(reader));
+        e.enable_trace();
         let r = e.run();
         assert!(r.completed());
-        assert_eq!(rlog.borrow()[1], Some(7));
+        assert_eq!(observed(&e.take_trace(), 1)[1], Some(7));
     }
 
     #[test]
@@ -1114,7 +1124,6 @@ mod tests {
         let ld = pc(&mut e, "b::ld", InstrKind::Load, Width::W8);
         let bar = VAddr::new(0x10000);
         let slot = |i: u64| VAddr::new(0x10200 + i * 8);
-        let mut logs = Vec::new();
         for i in 0..3u64 {
             let prog = SequenceProgram::new(vec![
                 Op::Store {
@@ -1136,19 +1145,18 @@ mod tests {
                     width: Width::W8,
                 },
             ]);
-            logs.push(prog.log());
             e.add_thread(Box::new(prog));
         }
+        e.enable_trace();
         let r = e.run();
         assert!(r.completed());
         let _ = aspace;
-        for (i, log) in logs.iter().enumerate() {
-            let l = log.borrow();
-            let a = l[2].unwrap();
-            let b = l[3].unwrap();
-            let expect_a = ((i as u64 + 1) % 3) + 1;
-            let expect_b = ((i as u64 + 2) % 3) + 1;
-            assert_eq!((a, b), (expect_a, expect_b), "thread {i}");
+        let trace = e.take_trace();
+        for i in 0..3u32 {
+            let seen = observed(&trace, i);
+            let expect_a = ((u64::from(i) + 1) % 3) + 1;
+            let expect_b = ((u64::from(i) + 2) % 3) + 1;
+            assert_eq!(seen[2..], [Some(expect_a), Some(expect_b)], "thread {i}");
         }
     }
 

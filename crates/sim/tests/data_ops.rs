@@ -20,7 +20,18 @@ fn engine() -> (Engine<NullRuntime>, tmi_os::AsId) {
         )
         .unwrap();
     e.create_root_process(aspace);
+    e.enable_trace();
     (e, aspace)
+}
+
+/// The values the traced run's ops produced, one per executed op in
+/// program order, `Exit` left out.
+fn observed(e: &mut Engine<NullRuntime>) -> Vec<Option<u64>> {
+    e.take_trace()
+        .iter()
+        .filter(|s| s.op != Op::Exit)
+        .map(|s| s.value)
+        .collect()
 }
 
 #[test]
@@ -64,10 +75,9 @@ fn cas_success_and_failure_semantics() {
             order: MemOrder::SeqCst,
         },
     ]);
-    let log = prog.log();
     e.add_thread(Box::new(prog));
     assert!(e.run().completed());
-    assert_eq!(log.borrow().as_slice(), &[Some(5), Some(5), Some(9)]);
+    assert_eq!(observed(&mut e), [Some(5), Some(5), Some(9)]);
     assert_eq!(
         e.core_mut()
             .kernel
@@ -100,11 +110,10 @@ fn atomic_load_returns_value_and_fence_costs_cycles() {
             order: MemOrder::SeqCst,
         },
     ]);
-    let log = prog.log();
     e.add_thread(Box::new(prog));
     let r = e.run();
     assert!(r.completed());
-    assert_eq!(log.borrow()[0], Some(77));
+    assert_eq!(observed(&mut e)[0], Some(77));
     assert!(r.cycles >= LatencyModel::FENCE);
 }
 
@@ -128,11 +137,10 @@ fn narrow_rmw_wraps_at_width() {
         operand: 1,
         order: MemOrder::Relaxed,
     }]);
-    let log = prog.log();
     e.add_thread(Box::new(prog));
     assert!(e.run().completed());
     assert_eq!(
-        log.borrow()[0],
+        observed(&mut e)[0],
         Some(0xff),
         "RMW returns the previous value"
     );

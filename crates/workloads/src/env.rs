@@ -122,23 +122,20 @@ impl<'a> SetupCtx<'a> {
             .force_write(self.aspace, addr, width, value)
             .expect("setup write");
     }
+}
 
-    /// Reads one word back (verification).
-    pub fn read(&mut self, addr: VAddr, width: Width) -> u64 {
-        self.kernel
-            .force_read(self.aspace, addr, width)
-            .expect("setup read")
-    }
-
-    /// Reads the *shared* view of one word — what every process sees after
-    /// commits (used by verification, since worker processes may hold
-    /// stale private pages at exit in broken runtimes). Falls back to a
-    /// plain read for anonymous (single-process baseline) memory.
-    pub fn read_shared(&mut self, addr: VAddr, width: Width) -> u64 {
-        match self.kernel.object_paddr(self.aspace, addr) {
-            Ok(pa) => self.kernel.physmem().read(pa, width),
-            Err(_) => self.read(addr, width),
-        }
+/// Reads the *shared* view of one word of `aspace` — what every process
+/// sees after commits (verification reads this, since worker processes
+/// may hold stale private pages at exit in broken runtimes). Falls back
+/// to a plain read for anonymous (single-process baseline) memory.
+///
+/// # Panics
+///
+/// Panics if `addr` is not mapped in `aspace`.
+pub fn read_shared(kernel: &mut Kernel, aspace: AsId, addr: VAddr, width: Width) -> u64 {
+    match kernel.object_paddr(aspace, addr) {
+        Ok(pa) => kernel.physmem().read(pa, width),
+        Err(_) => kernel.force_read(aspace, addr, width).expect("verify read"),
     }
 }
 
@@ -197,11 +194,12 @@ pub trait Workload {
         params: &WorkloadParams,
     ) -> Vec<Box<dyn ThreadProgram>>;
 
-    /// Checks output correctness after the run (reads the shared view).
-    /// The default accepts anything; workloads with checkable invariants
-    /// (canneal, the counter benchmarks) override it.
-    fn verify(&self, ctx: &mut SetupCtx<'_>) -> Result<(), String> {
-        let _ = ctx;
+    /// Checks output correctness after the run, reading the root address
+    /// space `aspace` through [`read_shared`]. The default accepts
+    /// anything; workloads with checkable invariants (canneal, the counter
+    /// benchmarks) override it.
+    fn verify(&self, kernel: &mut Kernel, aspace: AsId) -> Result<(), String> {
+        let _ = (kernel, aspace);
         Ok(())
     }
 }

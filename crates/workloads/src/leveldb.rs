@@ -13,9 +13,10 @@
 
 use rand::RngCore;
 use tmi_machine::{VAddr, Width};
+use tmi_os::{AsId, Kernel};
 use tmi_program::{InstrKind, MemOrder, Op, RmwOp, ThreadProgram};
 
-use crate::env::{fn_program, Lcg, SetupCtx, Workload, WorkloadParams, WorkloadSpec};
+use crate::env::{fn_program, read_shared, Lcg, SetupCtx, Workload, WorkloadParams, WorkloadSpec};
 
 /// The leveldb workload. `inject_bug` packs per-thread op counters into
 /// one line (the §4.3 experiment); without it the store only has its
@@ -286,12 +287,12 @@ impl Workload for LevelDb {
             .collect()
     }
 
-    fn verify(&self, ctx: &mut SetupCtx<'_>) -> Result<(), String> {
+    fn verify(&self, kernel: &mut Kernel, aspace: AsId) -> Result<(), String> {
         // Every op-counter increment must survive: the per-thread counters
         // are only touched by their owners, so any deficit means lost
         // updates (a broken PTSB commit).
         for (i, &c) in self.counters.iter().enumerate() {
-            let v = ctx.read_shared(c, Width::W8);
+            let v = read_shared(kernel, aspace, c, Width::W8);
             if v != self.ops_per_thread as u64 {
                 return Err(format!(
                     "thread {i} op counter = {v}, expected {}",

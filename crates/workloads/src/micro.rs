@@ -5,9 +5,10 @@
 //! atomics (no PTSB flush under TMI) vs a mutex (flush per lock op).
 
 use tmi_machine::{VAddr, Width, LINE_SIZE};
+use tmi_os::{AsId, Kernel};
 use tmi_program::{InstrKind, MemOrder, Op, RmwOp, ThreadProgram};
 
-use crate::env::{fn_program, Lcg, SetupCtx, Workload, WorkloadParams, WorkloadSpec};
+use crate::env::{fn_program, read_shared, Lcg, SetupCtx, Workload, WorkloadParams, WorkloadSpec};
 
 fn spec(name: &'static str) -> WorkloadSpec {
     WorkloadSpec {
@@ -287,9 +288,9 @@ impl Workload for SharedPtr {
             .collect()
     }
 
-    fn verify(&self, ctx: &mut SetupCtx<'_>) -> Result<(), String> {
+    fn verify(&self, kernel: &mut Kernel, aspace: AsId) -> Result<(), String> {
         for (i, &c) in self.counters.iter().enumerate() {
-            let v = ctx.read_shared(c, Width::W8);
+            let v = read_shared(kernel, aspace, c, Width::W8);
             if v != self.iters as u64 {
                 return Err(format!("thread {i} counter = {v}, expected {}", self.iters));
             }

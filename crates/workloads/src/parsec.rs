@@ -3,9 +3,10 @@
 
 use rand::RngCore;
 use tmi_machine::{VAddr, Width};
+use tmi_os::{AsId, Kernel};
 use tmi_program::{InstrKind, MemOrder, Op, ThreadProgram};
 
-use crate::env::{fn_program, Lcg, SetupCtx, Workload, WorkloadParams, WorkloadSpec};
+use crate::env::{fn_program, read_shared, Lcg, SetupCtx, Workload, WorkloadParams, WorkloadSpec};
 
 fn spec(name: &'static str) -> WorkloadSpec {
     WorkloadSpec {
@@ -377,12 +378,12 @@ impl Workload for Canneal {
             .collect()
     }
 
-    fn verify(&self, ctx: &mut SetupCtx<'_>) -> Result<(), String> {
+    fn verify(&self, kernel: &mut Kernel, aspace: AsId) -> Result<(), String> {
         // The multiset of elements must be exactly {1..=n}: any lost or
         // replicated element (Fig. 11) is detected here.
         let mut seen = vec![false; self.n_slots as usize + 1];
         for s in 0..self.n_slots {
-            let v = ctx.read_shared(self.slots.offset(s * 64), Width::W8);
+            let v = read_shared(kernel, aspace, self.slots.offset(s * 64), Width::W8);
             if v == 0 || v > self.n_slots {
                 return Err(format!("slot {s} holds out-of-range element {v}"));
             }

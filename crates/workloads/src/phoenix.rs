@@ -10,9 +10,10 @@
 
 use rand::RngCore;
 use tmi_machine::{VAddr, Width};
+use tmi_os::{AsId, Kernel};
 use tmi_program::{InstrKind, Op, ThreadProgram};
 
-use crate::env::{fn_program, Lcg, SetupCtx, Workload, WorkloadParams, WorkloadSpec};
+use crate::env::{fn_program, read_shared, Lcg, SetupCtx, Workload, WorkloadParams, WorkloadSpec};
 
 /// Simulated malloc header: the natural misalignment of glibc allocations.
 const MALLOC_HEADER: u64 = 8;
@@ -232,11 +233,11 @@ impl Workload for Histogram {
             .collect()
     }
 
-    fn verify(&self, ctx: &mut SetupCtx<'_>) -> Result<(), String> {
+    fn verify(&self, kernel: &mut Kernel, aspace: AsId) -> Result<(), String> {
         for (i, &bins) in self.bins.iter().enumerate() {
             let mut sum = 0u64;
             for b in 0..128u64 {
-                sum += ctx.read_shared(bins.offset(b * 8), Width::W8);
+                sum += read_shared(kernel, aspace, bins.offset(b * 8), Width::W8);
             }
             if sum != self.iters as u64 {
                 return Err(format!(
@@ -402,10 +403,10 @@ impl Workload for LinearRegression {
             .collect()
     }
 
-    fn verify(&self, ctx: &mut SetupCtx<'_>) -> Result<(), String> {
+    fn verify(&self, kernel: &mut Kernel, aspace: AsId) -> Result<(), String> {
         for (i, (&args, exp)) in self.args.iter().zip(&self.expected).enumerate() {
             for (k, &want) in exp.iter().enumerate() {
-                let v = ctx.read_shared(args.offset(k as u64 * 8), Width::W8);
+                let v = read_shared(kernel, aspace, args.offset(k as u64 * 8), Width::W8);
                 if v != want {
                     return Err(format!("thread {i} field {k}: {v} != {want}"));
                 }

@@ -6,9 +6,10 @@
 
 use rand::RngCore;
 use tmi_machine::{VAddr, Width};
+use tmi_os::{AsId, Kernel};
 use tmi_program::{InstrKind, Op, ThreadProgram};
 
-use crate::env::{fn_program, Lcg, SetupCtx, Workload, WorkloadParams, WorkloadSpec};
+use crate::env::{fn_program, read_shared, Lcg, SetupCtx, Workload, WorkloadParams, WorkloadSpec};
 
 fn spec(name: &'static str) -> WorkloadSpec {
     WorkloadSpec {
@@ -947,8 +948,8 @@ impl Workload for Cholesky {
         progs
     }
 
-    fn verify(&self, ctx: &mut SetupCtx<'_>) -> Result<(), String> {
-        let v = ctx.read_shared(self.flag, Width::W8);
+    fn verify(&self, kernel: &mut Kernel, aspace: AsId) -> Result<(), String> {
+        let v = read_shared(kernel, aspace, self.flag, Width::W8);
         if v == 1 {
             Ok(())
         } else {

@@ -156,18 +156,20 @@ fn canneal_verifier_catches_corruption() {
     let mut ctx = SetupCtx::new(&mut e.kernel, &mut e.code, &mut e.alloc, e.aspace);
     let _progs = w.build(&mut ctx, &params);
     // Pristine state verifies.
-    let mut ctx = SetupCtx::new(&mut e.kernel, &mut e.code, &mut e.alloc, e.aspace);
-    assert!(w.verify(&mut ctx).is_ok());
+    assert!(w.verify(&mut e.kernel, e.aspace).is_ok());
     // Duplicate one element (what a broken PTSB does) — must be caught.
-    let slots_probe = {
-        // Element 1 lives in the first slot initially.
-        VAddr::new(APP) // slots are the first allocation
-    };
-    let v0 = ctx.read(slots_probe, Width::W8);
-    ctx.write(slots_probe.offset(64), Width::W8, v0);
-    let mut ctx = SetupCtx::new(&mut e.kernel, &mut e.code, &mut e.alloc, e.aspace);
+    // Element 1 lives in the first slot initially; slots are the first
+    // allocation.
+    let slots_probe = VAddr::new(APP);
+    let v0 = e
+        .kernel
+        .force_read(e.aspace, slots_probe, Width::W8)
+        .unwrap();
+    e.kernel
+        .force_write(e.aspace, slots_probe.offset(64), Width::W8, v0)
+        .unwrap();
     assert!(
-        w.verify(&mut ctx).is_err(),
+        w.verify(&mut e.kernel, e.aspace).is_err(),
         "replicated element must fail verify"
     );
 }
@@ -180,8 +182,7 @@ fn leveldb_counter_verifier_catches_lost_updates() {
     let mut ctx = SetupCtx::new(&mut e.kernel, &mut e.code, &mut e.alloc, e.aspace);
     let mut progs = w.build(&mut ctx, &params);
     // Nothing ran: counters are zero, so verify must fail (expected ops).
-    let mut ctx = SetupCtx::new(&mut e.kernel, &mut e.code, &mut e.alloc, e.aspace);
-    assert!(w.verify(&mut ctx).is_err());
+    assert!(w.verify(&mut e.kernel, e.aspace).is_err());
     let _ = trace_addresses(&mut progs, 10);
 }
 

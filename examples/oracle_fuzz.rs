@@ -43,7 +43,10 @@ fn main() {
     println!("=== a small ablated campaign ===");
     let campaign = run_campaign(&FuzzConfig {
         seeds: 32,
-        ablate_code_centric: true,
+        check: CheckConfig {
+            code_centric: false,
+            ..CheckConfig::default()
+        },
         ..FuzzConfig::default()
     });
     print!("{}", campaign.render());

@@ -6,15 +6,21 @@
 //! ```
 
 use tmi_repro::machine::{VAddr, Width, FRAME_SIZE};
-use tmi_repro::os::MapRequest;
 use tmi_repro::program::{InstrKind, Op, SequenceProgram};
 use tmi_repro::sim::{Engine, EngineConfig, NullRuntime, RuntimeHooks};
 use tmi_repro::tmi::{AppLayout, TmiConfig, TmiRuntime};
 
-const APP: u64 = 0x10_0000;
-const APP_LEN: u64 = 64 * FRAME_SIZE;
-const INTERNAL: u64 = 0x80_0000;
-const INTERNAL_LEN: u64 = 16 * FRAME_SIZE;
+/// All application memory lives in one shared-memory object, as under
+/// TMI's allocator (Fig. 6) — that is what lets threads later become
+/// processes while still sharing the heap. A second object holds TMI's
+/// own state.
+const LAYOUT: AppLayout = AppLayout {
+    app_start: VAddr::new(0x10_0000),
+    app_len: 64 * FRAME_SIZE,
+    internal_start: VAddr::new(0x80_0000),
+    internal_len: 16 * FRAME_SIZE,
+    huge_pages: false,
+};
 
 /// Builds an engine with 4 threads, each hammering its own 8-byte counter.
 /// With `stride = 8` the four counters pack into one cache line: textbook
@@ -23,25 +29,7 @@ fn build<R: RuntimeHooks>(runtime: R, stride: u64, iters: usize) -> Engine<R> {
     let mut cfg = EngineConfig::with_cores(4);
     cfg.tick_interval = 400_000; // detector analysis cadence
     let mut e = Engine::new(cfg, runtime);
-
-    // All application memory lives in one shared-memory object, as under
-    // TMI's allocator (Fig. 6) — that is what lets threads later become
-    // processes while still sharing the heap.
-    let app = e.core_mut().kernel.create_object(APP_LEN);
-    let internal = e.core_mut().kernel.create_object(INTERNAL_LEN);
-    let aspace = e.core_mut().kernel.create_aspace();
-    e.core_mut()
-        .kernel
-        .map(aspace, MapRequest::object(VAddr::new(APP), APP_LEN, app, 0))
-        .expect("map app");
-    e.core_mut()
-        .kernel
-        .map(
-            aspace,
-            MapRequest::object(VAddr::new(INTERNAL), INTERNAL_LEN, internal, 0),
-        )
-        .expect("map internal");
-    e.create_root_process(aspace);
+    LAYOUT.install(&mut e);
 
     let ld = e
         .core_mut()
@@ -52,7 +40,7 @@ fn build<R: RuntimeHooks>(runtime: R, stride: u64, iters: usize) -> Engine<R> {
         .code
         .instr("quickstart::store", InstrKind::Store, Width::W8);
     for i in 0..4u64 {
-        let addr = VAddr::new(APP + i * stride);
+        let addr = LAYOUT.app_start.offset(i * stride);
         let mut ops = Vec::with_capacity(iters * 2);
         for n in 0..iters {
             ops.push(Op::Load {
@@ -70,16 +58,6 @@ fn build<R: RuntimeHooks>(runtime: R, stride: u64, iters: usize) -> Engine<R> {
         e.add_thread(Box::new(SequenceProgram::new(ops)));
     }
     e
-}
-
-fn layout() -> AppLayout {
-    AppLayout {
-        app_start: VAddr::new(APP),
-        app_len: APP_LEN,
-        internal_start: VAddr::new(INTERNAL),
-        internal_len: INTERNAL_LEN,
-        huge_pages: false,
-    }
 }
 
 fn main() {
@@ -105,7 +83,7 @@ fn main() {
 
     // 3. The buggy program under TMI: detection via HITM sampling, then
     //    threads become processes and the hot page goes copy-on-write.
-    let mut tmi = build(TmiRuntime::new(TmiConfig::protect(), layout()), 8, iters);
+    let mut tmi = build(TmiRuntime::new(TmiConfig::protect(), LAYOUT), 8, iters);
     let r_tmi = tmi.run();
     let rt = tmi.runtime();
     println!(

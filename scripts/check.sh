@@ -66,6 +66,19 @@
 #            find divergences with a minimized reproducer, or the
 #            campaign has no teeth (see EXPERIMENTS.md "Transistency
 #            campaigns")
+#
+# The five campaign reports of the last three stages are deterministic
+# for any worker count, and each must also byte-match its golden under
+# tests/golden/. If a report changes deliberately, regenerate the golden
+# with the stage's own command:
+#   target/release/fuzz_consistency --seeds 64 > tests/golden/fuzz_seeds64.txt
+#   target/release/fuzz_consistency --seeds 16 --ablate-code-centric \
+#     > tests/golden/fuzz_ablate_code_centric.txt
+#   target/release/fuzz_consistency --seeds 128 --faults 1 > tests/golden/fuzz_faults.txt
+#   target/release/fuzz_consistency --transistency --seeds 500 --enumerate 8 \
+#     > tests/golden/fuzz_transistency.txt
+#   target/release/fuzz_consistency --transistency --ablate-shootdown --seeds 40 \
+#     > tests/golden/fuzz_ablate_shootdown.txt
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -125,22 +138,39 @@ cargo run --locked --release --quiet --offline --manifest-path perfbench/Cargo.t
 echo "== crash: seeded kill -9 matrix + byte-identical recovery"
 target/release/crash_matrix --kill-points 8 --data-root "$smoke_dir/crash"
 
+# Byte-compares the campaign report $smoke_dir/$1 with tests/golden/$1.
+campaign_golden() {
+  diff -u "tests/golden/$1" "$smoke_dir/$1" \
+    || { echo "campaign report drifted from tests/golden/$1"; exit 1; }
+}
+
 echo "== fuzz: differential consistency oracle"
-target/release/fuzz_consistency --seeds 64
-target/release/fuzz_consistency --seeds 16 --ablate-code-centric > /dev/null \
+target/release/fuzz_consistency --seeds 64 > "$smoke_dir/fuzz_seeds64.txt" \
+  || { cat "$smoke_dir/fuzz_seeds64.txt"; echo "fuzz campaign diverged"; exit 1; }
+campaign_golden fuzz_seeds64.txt
+target/release/fuzz_consistency --seeds 16 --ablate-code-centric \
+  > "$smoke_dir/fuzz_ablate_code_centric.txt" \
   || { echo "ablated fuzz campaign failed to diverge"; exit 1; }
+campaign_golden fuzz_ablate_code_centric.txt
 
 echo "== faults: seeded fault-injection matrix"
-fault_out=$(target/release/fuzz_consistency --seeds 128 --faults 1) \
-  || { printf '%s\n' "$fault_out"; echo "fault campaign diverged or left coverage incomplete"; exit 1; }
-printf '%s\n' "$fault_out" | grep -q 'fault coverage: OK' \
-  || { printf '%s\n' "$fault_out"; echo "fault campaign coverage incomplete"; exit 1; }
+fault_out="$smoke_dir/fuzz_faults.txt"
+target/release/fuzz_consistency --seeds 128 --faults 1 > "$fault_out" \
+  || { cat "$fault_out"; echo "fault campaign diverged or left coverage incomplete"; exit 1; }
+grep -q 'fault coverage: OK' "$fault_out" \
+  || { cat "$fault_out"; echo "fault campaign coverage incomplete"; exit 1; }
+campaign_golden fuzz_faults.txt
 
 echo "== transistency: VM operations x consistency"
-target/release/fuzz_consistency --transistency --seeds 500 --enumerate 8
-ablate_out=$(target/release/fuzz_consistency --transistency --ablate-shootdown --seeds 40) \
-  || { printf '%s\n' "$ablate_out"; echo "shootdown-ablated campaign failed to diverge"; exit 1; }
-printf '%s\n' "$ablate_out" | grep -q -- '--ablate-shootdown' \
-  || { printf '%s\n' "$ablate_out"; echo "ablated campaign report lacks a reproducer line"; exit 1; }
+target/release/fuzz_consistency --transistency --seeds 500 --enumerate 8 \
+  > "$smoke_dir/fuzz_transistency.txt" \
+  || { cat "$smoke_dir/fuzz_transistency.txt"; echo "transistency campaign diverged"; exit 1; }
+campaign_golden fuzz_transistency.txt
+ablate_out="$smoke_dir/fuzz_ablate_shootdown.txt"
+target/release/fuzz_consistency --transistency --ablate-shootdown --seeds 40 > "$ablate_out" \
+  || { cat "$ablate_out"; echo "shootdown-ablated campaign failed to diverge"; exit 1; }
+grep -q -- '--ablate-shootdown' "$ablate_out" \
+  || { cat "$ablate_out"; echo "ablated campaign report lacks a reproducer line"; exit 1; }
+campaign_golden fuzz_ablate_shootdown.txt
 
 echo "== ok"

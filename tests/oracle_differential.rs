@@ -31,7 +31,10 @@ fn ablation_reproduces_paper_failure_modes() {
     let cfg = FuzzConfig {
         seeds: 96,
         start_seed: 0,
-        ablate_code_centric: true,
+        check: CheckConfig {
+            code_centric: false,
+            ..CheckConfig::default()
+        },
         workers: Some(4),
         ..FuzzConfig::default()
     };

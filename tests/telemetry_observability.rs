@@ -20,15 +20,16 @@ use std::path::Path;
 
 use proptest::prelude::*;
 use tmi_repro::baselines::{LaserRuntime, PlasticRuntime, SheriffConfig, SheriffRuntime};
-use tmi_repro::bench::{JobSpec, RuntimeKind, APP_START, INTERNAL_START};
-use tmi_repro::machine::{MachineStats, VAddr};
+use tmi_repro::bench::harness::app_layout;
+use tmi_repro::bench::{JobSpec, RuntimeKind};
+use tmi_repro::machine::MachineStats;
 use tmi_repro::oracle::{trace_litmus, CheckConfig, Litmus};
 use tmi_repro::os::{OsStats, TlbStats};
 use tmi_repro::perf::PerfConfig;
 use tmi_repro::service::stats::ServiceStats;
 use tmi_repro::telemetry::json::{self, Json};
 use tmi_repro::telemetry::MetricSink;
-use tmi_repro::tmi::{AppLayout, MemoryBreakdown, TmiConfig, TmiRuntime};
+use tmi_repro::tmi::{MemoryBreakdown, TmiConfig, TmiRuntime};
 
 /// Every metric name the registry can export, sorted: default-constructed
 /// sources under the prefixes the harness and the job service register
@@ -36,13 +37,7 @@ use tmi_repro::tmi::{AppLayout, MemoryBreakdown, TmiConfig, TmiRuntime};
 /// without further registration, and [`MetricSink`] panics on a
 /// duplicate name.
 fn registered_metric_names() -> Vec<String> {
-    let layout = AppLayout {
-        app_start: VAddr::new(APP_START),
-        app_len: 1 << 20,
-        internal_start: VAddr::new(INTERNAL_START),
-        internal_len: 1 << 20,
-        huge_pages: false,
-    };
+    let layout = app_layout(false, false);
     let perf = PerfConfig::default();
     let mut sink = MetricSink::new();
     sink.source("machine", &MachineStats::default());
