@@ -38,7 +38,7 @@ pub enum AllocPolicy {
 }
 
 /// Allocator configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct AllocConfig {
     /// Placement policy.
     pub policy: AllocPolicy,
@@ -46,59 +46,18 @@ pub struct AllocConfig {
     /// off cache-line boundaries (must keep 8-byte alignment; the repair
     /// experiments use 8–40). `0` disables.
     pub misalign: u64,
-    /// Chunk size handed to each arena under [`AllocPolicy::Lockless`].
-    pub chunk: u64,
-}
-
-impl Default for AllocConfig {
-    fn default() -> Self {
-        AllocConfig {
-            policy: AllocPolicy::Lockless,
-            misalign: 0,
-            chunk: 16 * 1024,
-        }
-    }
-}
-
-impl AllocConfig {
-    /// Lockless policy with a forced misalignment (repair experiments).
-    pub fn misaligned(misalign: u64) -> Self {
-        AllocConfig {
-            misalign,
-            ..Default::default()
-        }
-    }
 }
 
 /// Minimum allocation alignment (both modeled allocators guarantee 16).
 pub const MIN_ALIGN: u64 = 16;
 
+/// Chunk size handed to each arena under [`AllocPolicy::Lockless`].
+const CHUNK: u64 = 16 * 1024;
+
 #[derive(Debug, Default, Clone, Copy)]
 struct Arena {
     cursor: u64,
     end: u64,
-}
-
-/// Allocation statistics, for the memory-overhead experiment (Fig. 8).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AllocStats {
-    /// Bytes currently live.
-    pub live_bytes: u64,
-    /// High-water mark of live bytes.
-    pub peak_bytes: u64,
-    /// Total allocations performed.
-    pub allocations: u64,
-    /// Bytes of virtual address space consumed (bump high-water mark).
-    pub reserved_bytes: u64,
-}
-
-impl tmi_telemetry::MetricSource for AllocStats {
-    fn metrics(&self, out: &mut tmi_telemetry::MetricSink) {
-        out.u64("live_bytes", self.live_bytes);
-        out.u64("peak_bytes", self.peak_bytes);
-        out.u64("allocations", self.allocations);
-        out.u64("reserved_bytes", self.reserved_bytes);
-    }
 }
 
 /// A deterministic size-class allocator over a pre-mapped virtual range.
@@ -110,7 +69,6 @@ impl tmi_telemetry::MetricSource for AllocStats {
 /// let mut a = SimAllocator::new(VAddr::new(0x10000), 1 << 20, AllocConfig {
 ///     policy: AllocPolicy::Glibc,
 ///     misalign: 0,
-///     chunk: 4096,
 /// });
 /// // glibc-style packing: two threads' records land on one line...
 /// let x = a.alloc(0, 16);
@@ -127,21 +85,12 @@ pub struct SimAllocator {
     len: u64,
     bump: u64,
     arenas: Vec<Arena>,
-    free_lists: Vec<Vec<VAddr>>, // indexed by size class
-    /// Provenance of size-class blocks (the "chunk header" of a real
-    /// allocator): only these may be recycled through the free lists —
-    /// bypass allocations are exactly their requested size and recycling
-    /// them as class blocks would hand out overlapping memory.
-    class_blocks: std::collections::HashMap<VAddr, usize>,
-    stats: AllocStats,
 }
 
-/// Size classes in bytes; larger requests are rounded to 64 and bump-fed.
+/// Size classes in bytes: a small request takes its class's whole block,
+/// so consecutive 24-byte allocations land 32 bytes apart. Larger
+/// requests are line aligned.
 const CLASSES: [u64; 9] = [16, 32, 48, 64, 128, 256, 512, 1024, 2048];
-
-fn class_of(size: u64) -> Option<usize> {
-    CLASSES.iter().position(|&c| size <= c)
-}
 
 impl SimAllocator {
     /// Creates an allocator over `[start, start+len)`, which the caller
@@ -167,20 +116,12 @@ impl SimAllocator {
             len,
             bump: 0,
             arenas: Vec::new(),
-            free_lists: vec![Vec::new(); CLASSES.len()],
-            class_blocks: std::collections::HashMap::new(),
-            stats: AllocStats::default(),
         }
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &AllocConfig {
         &self.config
-    }
-
-    /// Allocation statistics.
-    pub fn stats(&self) -> &AllocStats {
-        &self.stats
     }
 
     fn bump_take(&mut self, size: u64, align: u64) -> VAddr {
@@ -194,7 +135,6 @@ impl SimAllocator {
             self.len
         );
         self.bump = end - self.start.raw();
-        self.stats.reserved_bytes = self.stats.reserved_bytes.max(self.bump);
         VAddr::new(aligned)
     }
 
@@ -207,7 +147,7 @@ impl SimAllocator {
             a.cursor.next_multiple_of(align) + self.config.misalign + size > a.end
         };
         if need_new_chunk {
-            let chunk = self.config.chunk.max(size + align + self.config.misalign);
+            let chunk = CHUNK.max(size + align + self.config.misalign);
             let base = self.bump_take(chunk, LINE_SIZE).raw() - self.config.misalign;
             self.arenas[arena] = Arena {
                 cursor: base,
@@ -236,33 +176,19 @@ impl SimAllocator {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
         let align = align.max(MIN_ALIGN);
         let size = size.max(1);
-        self.stats.allocations += 1;
-        self.stats.live_bytes += size;
-        self.stats.peak_bytes = self.stats.peak_bytes.max(self.stats.live_bytes);
-
-        // Explicitly aligned or forcibly misaligned requests bypass free
-        // lists so placement stays predictable.
-        if align > MIN_ALIGN || self.config.misalign != 0 {
-            return match self.config.policy {
-                AllocPolicy::Glibc => self.bump_take(size, align),
-                AllocPolicy::Lockless => self.arena_take(arena, size, align),
-            };
-        }
-        if let Some(class) = class_of(size) {
-            if let Some(addr) = self.free_lists[class].pop() {
-                return addr;
+        // Explicitly aligned or forcibly misaligned requests take exactly
+        // their size so placement stays predictable.
+        let (size, align) = if align > MIN_ALIGN || self.config.misalign != 0 {
+            (size, align)
+        } else {
+            match CLASSES.iter().find(|&&c| size <= c) {
+                Some(&class_size) => (class_size, MIN_ALIGN),
+                None => (size, LINE_SIZE),
             }
-            let class_size = CLASSES[class];
-            let addr = match self.config.policy {
-                AllocPolicy::Glibc => self.bump_take(class_size, MIN_ALIGN),
-                AllocPolicy::Lockless => self.arena_take(arena, class_size, MIN_ALIGN),
-            };
-            self.class_blocks.insert(addr, class);
-            return addr;
-        }
+        };
         match self.config.policy {
-            AllocPolicy::Glibc => self.bump_take(size, LINE_SIZE),
-            AllocPolicy::Lockless => self.arena_take(arena, size, LINE_SIZE),
+            AllocPolicy::Glibc => self.bump_take(size, align),
+            AllocPolicy::Lockless => self.arena_take(arena, size, align),
         }
     }
 
@@ -277,17 +203,6 @@ impl SimAllocator {
         self.config.misalign = save;
         addr
     }
-
-    /// Returns `size` bytes at `addr` to the allocator. Only blocks that
-    /// came from the size-class path are recycled; bypass allocations
-    /// (explicit alignment, large, or misaligned) just drop their live
-    /// accounting — their address space is not reused.
-    pub fn free(&mut self, addr: VAddr, size: u64) {
-        self.stats.live_bytes = self.stats.live_bytes.saturating_sub(size.max(1));
-        if let Some(&class) = self.class_blocks.get(&addr) {
-            self.free_lists[class].push(addr);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -298,11 +213,7 @@ mod tests {
         SimAllocator::new(
             VAddr::new(0x10000),
             1 << 20,
-            AllocConfig {
-                policy,
-                misalign,
-                chunk: 1024,
-            },
+            AllocConfig { policy, misalign },
         )
     }
 
@@ -321,7 +232,7 @@ mod tests {
         let x = a.alloc(0, 16);
         let y = a.alloc(1, 16);
         assert!(
-            y.raw().abs_diff(x.raw()) >= 1024,
+            y.raw().abs_diff(x.raw()) >= CHUNK,
             "different arenas: different chunks"
         );
         // Same-thread allocations stay adjacent.
@@ -355,26 +266,6 @@ mod tests {
         assert_eq!(p.raw() % LINE_SIZE, 0);
         let q = a.alloc_line_padded(0, 10);
         assert!(q.raw() - p.raw() >= LINE_SIZE, "padded to a full line");
-    }
-
-    #[test]
-    fn free_list_recycles_size_classes() {
-        let mut a = alloc(AllocPolicy::Glibc, 0);
-        let p = a.alloc(0, 32);
-        a.free(p, 32);
-        let q = a.alloc(0, 30); // same class (48? no: 32-class) — reuse
-        assert_eq!(p, q);
-    }
-
-    #[test]
-    fn stats_track_live_and_peak() {
-        let mut a = alloc(AllocPolicy::Glibc, 0);
-        let p = a.alloc(0, 100);
-        assert_eq!(a.stats().live_bytes, 100);
-        a.free(p, 100);
-        assert_eq!(a.stats().live_bytes, 0);
-        assert_eq!(a.stats().peak_bytes, 100);
-        assert_eq!(a.stats().allocations, 1);
     }
 
     #[test]

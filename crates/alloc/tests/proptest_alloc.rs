@@ -1,4 +1,4 @@
-//! Property tests for the allocator: live allocations never overlap,
+//! Property tests for the allocator: allocations never overlap,
 //! alignment promises hold, and the policies place things where their
 //! docs say.
 
@@ -17,7 +17,6 @@ enum AllocOp {
         arena: usize,
         size: u64,
     },
-    FreeOldest,
 }
 
 fn op_strategy() -> impl Strategy<Value = AllocOp> {
@@ -25,7 +24,6 @@ fn op_strategy() -> impl Strategy<Value = AllocOp> {
         4 => (0..4usize, 1..3000u64, 4..8u32)
             .prop_map(|(arena, size, align_pow)| AllocOp::Alloc { arena, size, align_pow }),
         2 => (0..4usize, 1..500u64).prop_map(|(arena, size)| AllocOp::Padded { arena, size }),
-        1 => Just(AllocOp::FreeOldest),
     ]
 }
 
@@ -34,7 +32,7 @@ fn policies() -> impl Strategy<Value = AllocPolicy> {
 }
 
 proptest! {
-    /// No two live allocations overlap, under any policy, any op sequence.
+    /// No two allocations overlap, under any policy, any op sequence.
     #[test]
     fn live_allocations_never_overlap(
         policy in policies(),
@@ -44,7 +42,7 @@ proptest! {
         let mut a = SimAllocator::new(
             VAddr::new(0x100000),
             8 << 20,
-            AllocConfig { policy, misalign, chunk: 4096 },
+            AllocConfig { policy, misalign },
         );
         let mut live: Vec<(u64, u64)> = Vec::new(); // (start, size)
         for op in ops {
@@ -70,12 +68,6 @@ proptest! {
                     }
                     live.push((p, padded));
                 }
-                AllocOp::FreeOldest => {
-                    if !live.is_empty() {
-                        let (p, sz) = live.remove(0);
-                        a.free(VAddr::new(p), sz);
-                    }
-                }
             }
         }
     }
@@ -91,7 +83,6 @@ proptest! {
         let mut a = SimAllocator::new(VAddr::new(0x100000), 4 << 20, AllocConfig {
             policy,
             misalign: 0,
-            chunk: 8192,
         });
         for (i, &size) in sizes.iter().enumerate() {
             let p = a.alloc(i % 4, size);
@@ -110,7 +101,7 @@ proptest! {
         let mut a = SimAllocator::new(
             VAddr::new(0x100000),
             8 << 20,
-            AllocConfig { policy: AllocPolicy::Lockless, misalign: 0, chunk: 4096 },
+            AllocConfig { policy: AllocPolicy::Lockless, misalign: 0 },
         );
         let mut by_arena: Vec<Vec<u64>> = vec![Vec::new(); 4];
         for (i, &size) in sizes.iter().enumerate() {
@@ -127,37 +118,6 @@ proptest! {
                     );
                 }
             }
-        }
-    }
-
-    /// Accounting: live bytes equals the sum of live allocation sizes and
-    /// peak never decreases.
-    #[test]
-    fn stats_accounting(ops in proptest::collection::vec(op_strategy(), 1..60)) {
-        let mut a = SimAllocator::new(VAddr::new(0x100000), 8 << 20, AllocConfig::default());
-        let mut live: Vec<(u64, u64)> = Vec::new();
-        let mut peak = 0;
-        for op in ops {
-            match op {
-                AllocOp::Alloc { arena, size, .. } => {
-                    let p = a.alloc(arena, size);
-                    live.push((p.raw(), size));
-                }
-                AllocOp::Padded { arena, size } => {
-                    let p = a.alloc_line_padded(arena, size);
-                    live.push((p.raw(), size.next_multiple_of(LINE_SIZE)));
-                }
-                AllocOp::FreeOldest => {
-                    if !live.is_empty() {
-                        let (p, sz) = live.remove(0);
-                        a.free(VAddr::new(p), sz);
-                    }
-                }
-            }
-            let expect: u64 = live.iter().map(|&(_, s)| s).sum();
-            prop_assert_eq!(a.stats().live_bytes, expect);
-            prop_assert!(a.stats().peak_bytes >= peak);
-            peak = a.stats().peak_bytes;
         }
     }
 }

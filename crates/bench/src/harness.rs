@@ -418,7 +418,7 @@ fn fill_perf(prefix: &str, r: &mut RunResult) {
 }
 
 fn fill_sheriff(rt: &SheriffRuntime, _core: &EngineCore, r: &mut RunResult) {
-    r.repaired = true;
+    r.repaired = r.metrics.u64("sheriff.repaired") != 0;
     r.phases = rt.repair().phases();
     r.commits = r.metrics.u64("sheriff.repair.commits");
     r.t2p_cycles = r.metrics.u64("sheriff.repair.t2p_cycles");
@@ -487,6 +487,22 @@ mod tests {
         assert!((r.commits_per_sec() - 34_000.0).abs() < 1.0);
         assert!((r.t2p_micros() - 100.0).abs() < 1e-6);
         assert!(r.ok());
+    }
+
+    #[test]
+    fn sheriff_reports_repaired_from_its_governor() {
+        let spec = JobSpec::repair("histogram")
+            .runtime(RuntimeKind::SheriffProtect)
+            .scale(0.02);
+        let clean = spec.clone().run();
+        assert!(clean.ok(), "{:?} {:?}", clean.halt, clean.verified);
+        assert!(clean.repaired);
+        // Under fault seed 1 the governor rolls the repair back (state
+        // Aborted), so the run must not claim it repaired.
+        let rolled_back = JobSpec { seed: 1, ..spec }.run();
+        assert_eq!(rolled_back.metrics.u64("sheriff.repair.rollbacks"), 1);
+        assert_eq!(rolled_back.metrics.u64("sheriff.repaired"), 0);
+        assert!(!rolled_back.repaired);
     }
 
     /// Runs `built` and returns its pool's peak allocated and peak stored

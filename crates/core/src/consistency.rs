@@ -20,7 +20,6 @@
 //! AMBSA holds) but do **not** force a PTSB flush — the optimization that
 //! makes `shptr-relaxed` fast (§4.3).
 
-use tmi_program::MemOrder;
 use tmi_sim::{AccessInfo, RegionEvent, Route};
 
 /// Per-access decision.
@@ -41,10 +40,9 @@ pub fn access_decision(code_centric: bool, acc: &AccessInfo) -> Decision {
     if !code_centric {
         return Decision::default();
     }
-    if acc.atomic {
-        let flush = acc.order.map(MemOrder::is_ordering).unwrap_or(true);
+    if let Some(order) = acc.order {
         return Decision {
-            flush,
+            flush: order.is_ordering(),
             shared: true,
         };
     }
@@ -84,15 +82,14 @@ pub fn route_of(d: Decision) -> Route {
 mod tests {
     use super::*;
     use tmi_machine::{AccessKind, VAddr, Width};
-    use tmi_program::Pc;
+    use tmi_program::{MemOrder, Pc};
 
-    fn acc(atomic: bool, order: Option<MemOrder>, in_asm: bool) -> AccessInfo {
+    fn acc(order: Option<MemOrder>, in_asm: bool) -> AccessInfo {
         AccessInfo {
             pc: Pc(0x400000),
             vaddr: VAddr::new(0x1000),
             width: Width::W8,
             kind: AccessKind::Store,
-            atomic,
             order,
             in_asm,
         }
@@ -100,7 +97,7 @@ mod tests {
 
     #[test]
     fn regular_code_uses_ptsb_freely() {
-        let d = access_decision(true, &acc(false, None, false));
+        let d = access_decision(true, &acc(None, false));
         assert_eq!(
             d,
             Decision {
@@ -112,7 +109,7 @@ mod tests {
 
     #[test]
     fn relaxed_atomics_bypass_without_flush() {
-        let d = access_decision(true, &acc(true, Some(MemOrder::Relaxed), false));
+        let d = access_decision(true, &acc(Some(MemOrder::Relaxed), false));
         assert_eq!(
             d,
             Decision {
@@ -130,7 +127,7 @@ mod tests {
             MemOrder::AcqRel,
             MemOrder::SeqCst,
         ] {
-            let d = access_decision(true, &acc(true, Some(order), false));
+            let d = access_decision(true, &acc(Some(order), false));
             assert_eq!(
                 d,
                 Decision {
@@ -144,7 +141,7 @@ mod tests {
 
     #[test]
     fn asm_accesses_bypass_flush_at_entry() {
-        let d = access_decision(true, &acc(false, None, true));
+        let d = access_decision(true, &acc(None, true));
         assert_eq!(
             d,
             Decision {
@@ -165,10 +162,7 @@ mod tests {
     #[test]
     fn without_code_centric_everything_is_unsafe_ptsb() {
         // The Sheriff-style ablation: atomics and asm go through the PTSB.
-        for a in [
-            acc(true, Some(MemOrder::SeqCst), false),
-            acc(false, None, true),
-        ] {
+        for a in [acc(Some(MemOrder::SeqCst), false), acc(None, true)] {
             let d = access_decision(false, &a);
             assert_eq!(d, Decision::default());
         }

@@ -4,7 +4,7 @@
 use tmi::{AppLayout, TmiConfig, TmiRuntime};
 use tmi_machine::{VAddr, Width, FRAME_SIZE};
 use tmi_os::AsId;
-use tmi_program::{InstrKind, MemOrder, Op, RmwOp, SequenceProgram};
+use tmi_program::{InstrKind, MemOrder, Op, OpResult, RmwOp, SequenceProgram, ThreadProgram};
 use tmi_sim::{Engine, EngineConfig, NullRuntime, RuntimeHooks};
 
 const LAYOUT: AppLayout = AppLayout {
@@ -214,11 +214,38 @@ fn atomic_counters_remain_atomic_under_repair() {
     );
 }
 
+/// A thread program that plays `ops` but makes each store to `shared`
+/// write back the value its preceding load returned, plus one: a
+/// load-increment-store of a shared counter.
+struct Incrementer {
+    ops: std::vec::IntoIter<Op>,
+    shared: VAddr,
+}
+
+impl ThreadProgram for Incrementer {
+    fn next(&mut self, last: OpResult) -> Op {
+        match self.ops.next() {
+            Some(Op::Store {
+                pc, addr, width, ..
+            }) if addr == self.shared => Op::Store {
+                pc,
+                addr,
+                width,
+                value: last.value.expect("the counter was just loaded") + 1,
+            },
+            Some(op) => op,
+            None => Op::Exit,
+        }
+    }
+}
+
 #[test]
 fn mutex_workload_commits_at_sync_and_stays_correct() {
-    // A lock-protected shared counter plus per-thread false sharing: the
-    // PTSB commits at every lock operation, so the critical-section data
-    // stays coherent.
+    // Per-thread counters falsely share one line, so repair arms their
+    // page; a lock-protected shared counter sits on the same page, one
+    // line away. Each locked increment writes a thread's private copy of
+    // the page, and only the PTSB commits at the lock operations publish
+    // it to the next lock holder, so a missed commit loses increments.
     let (mut e, aspace) = build_engine(TmiRuntime::new(TmiConfig::protect(), LAYOUT), 4);
     let ld = e.core_mut().code.instr("m::ld", InstrKind::Load, Width::W8);
     let st = e
@@ -226,7 +253,7 @@ fn mutex_workload_commits_at_sync_and_stays_correct() {
         .code
         .instr("m::st", InstrKind::Store, Width::W8);
     let lock = VAddr::new(APP_START + 2048);
-    let shared = VAddr::new(APP_START + 4096);
+    let shared = VAddr::new(APP_START + 64);
     let iters = 8_000usize;
     for i in 0..4u64 {
         let mine = VAddr::new(APP_START + i * 8);
@@ -250,6 +277,7 @@ fn mutex_workload_commits_at_sync_and_stays_correct() {
                     addr: shared,
                     width: Width::W8,
                 });
+                // The value is the loaded one + 1 (see `Incrementer`).
                 ops.push(Op::Store {
                     pc: st,
                     addr: shared,
@@ -259,12 +287,24 @@ fn mutex_workload_commits_at_sync_and_stays_correct() {
                 ops.push(Op::MutexUnlock { lock });
             }
         }
-        e.add_thread(Box::new(SequenceProgram::new(ops)));
+        e.add_thread(Box::new(Incrementer {
+            ops: ops.into_iter(),
+            shared,
+        }));
     }
     let r = e.run();
     assert!(r.completed(), "halt: {:?}", r.halt);
-    if e.runtime().repair().active() {
-        assert!(e.runtime().repair().stats().commits > 0);
-    }
-    let _ = aspace;
+    assert!(e.runtime().repair().active(), "repair must have triggered");
+    assert!(e.runtime().repair().stats().commits > 0);
+    assert!(
+        e.runtime().repair().is_protected(shared.vpn()),
+        "the counter's page is armed"
+    );
+    let pa = e.core_mut().kernel.object_paddr(aspace, shared).unwrap();
+    let total = e.core_mut().kernel.physmem().read(pa, Width::W8);
+    assert_eq!(
+        total as usize,
+        4 * iters.div_ceil(200),
+        "no lost increments"
+    );
 }

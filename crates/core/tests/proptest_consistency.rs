@@ -25,12 +25,11 @@ fn order_strategy() -> impl Strategy<Value = Option<MemOrder>> {
 
 fn access_strategy() -> impl Strategy<Value = AccessInfo> {
     (
-        any::<bool>(),
         order_strategy(),
         any::<bool>(),
         (0..3u64, 0..4u64, any::<u64>()),
     )
-        .prop_map(|(atomic, order, in_asm, (kind, width, addr))| AccessInfo {
+        .prop_map(|(order, in_asm, (kind, width, addr))| AccessInfo {
             pc: Pc(0x40_0000 + (addr & 0xfff0)),
             vaddr: VAddr::new(addr & 0xffff_fff8),
             width: match width {
@@ -44,7 +43,6 @@ fn access_strategy() -> impl Strategy<Value = AccessInfo> {
                 1 => AccessKind::Store,
                 _ => AccessKind::Rmw,
             },
-            atomic,
             order,
             in_asm,
         })
@@ -57,13 +55,12 @@ proptest! {
     #[test]
     fn decision_matches_table2(acc in access_strategy()) {
         let d = access_decision(true, &acc);
-        if acc.atomic {
+        if let Some(order) = acc.order {
             // Cases 2 & 4: atomics always bypass the PTSB (AMBSA).
             prop_assert!(d.shared, "atomics must route shared: {acc:?}");
             // Refinement: relaxed requires atomicity only — no flush;
-            // ordering orders (and order-less sync RMWs) flush.
-            let expect_flush = acc.order.map(MemOrder::is_ordering).unwrap_or(true);
-            prop_assert_eq!(d.flush, expect_flush, "{:?}", acc);
+            // ordering orders flush.
+            prop_assert_eq!(d.flush, order.is_ordering(), "{:?}", acc);
         } else if acc.in_asm {
             // Cases 3 & 5: asm runs on shared memory (TSO); the flush
             // already happened at AsmEnter, not per access.
@@ -74,15 +71,15 @@ proptest! {
         }
     }
 
-    /// The decision is a pure function of (atomic, order, in_asm): two
-    /// accesses agreeing on those three always decide identically.
+    /// The decision is a pure function of (order, in_asm): two accesses
+    /// agreeing on those two always decide identically.
     #[test]
     fn decision_ignores_address_kind_and_width(
         a in access_strategy(),
         b in access_strategy(),
         code_centric in any::<bool>(),
     ) {
-        if a.atomic == b.atomic && a.order == b.order && a.in_asm == b.in_asm {
+        if a.order == b.order && a.in_asm == b.in_asm {
             prop_assert_eq!(
                 access_decision(code_centric, &a),
                 access_decision(code_centric, &b)

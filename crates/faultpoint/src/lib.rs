@@ -198,8 +198,10 @@ pub struct FaultPlan {
     /// The seed this plan was derived from (0 for hand-built plans).
     pub seed: u64,
     plans: [PointPlan; NPOINTS],
-    /// When set, the harness should run with an aggressive efficacy
-    /// threshold so the revert path is exercised.
+    /// When set, the differential oracle's litmus fixture (`tmi-oracle`)
+    /// runs with a fast detection tick and an efficacy threshold of 0, so
+    /// the repair-efficacy revert path is exercised. Only that fixture
+    /// honours it; the bench harness ignores it.
     pub efficacy_probe: bool,
 }
 
@@ -330,17 +332,6 @@ impl FaultStats {
             a.rolls += b.rolls;
             a.fired += b.fired;
         }
-    }
-}
-
-impl tmi_telemetry::MetricSource for FaultStats {
-    fn metrics(&self, out: &mut tmi_telemetry::MetricSink) {
-        for point in FaultPoint::ALL {
-            let ps = self.get(point);
-            out.u64(&format!("{}.rolls", point.name()), ps.rolls);
-            out.u64(&format!("{}.fired", point.name()), ps.fired);
-        }
-        out.u64("total_fired", self.total_fired());
     }
 }
 

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use tmi_machine::{FrameId, PhysAddr, VAddr, Vpn};
+use tmi_machine::{FrameId, VAddr, Vpn};
 
 use crate::tlb::Tlb;
 use crate::vma::Vma;
@@ -154,23 +154,12 @@ impl AddressSpace {
     pub fn ptes(&self) -> impl Iterator<Item = (Vpn, Pte)> + '_ {
         self.ptes.iter().map(|(&v, &p)| (v, p))
     }
-
-    /// Translates `addr` through the page table without faulting: returns
-    /// the physical address if present and, for writes, writable.
-    pub fn translate(&self, addr: VAddr, is_write: bool) -> Option<PhysAddr> {
-        let (frame, writable) = self.lookup_translation(addr.vpn())?;
-        if is_write && !writable {
-            return None;
-        }
-        Some(frame.base().offset(addr.page_offset()))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vma::{Backing, PageSize, Perms};
-    use tmi_machine::FRAME_SIZE;
 
     fn anon_vma(start: u64, len: u64) -> Vma {
         Vma {
@@ -194,10 +183,10 @@ mod tests {
                 owned: false,
             },
         );
-        let addr = VAddr::new(4 * FRAME_SIZE + 100);
-        let pa = a.translate(addr, false).expect("read ok");
-        assert_eq!(pa.raw(), 9 * FRAME_SIZE + 100);
-        assert_eq!(a.translate(addr, true), None, "write must fault");
+        // The entry translates, but read-only: `Kernel::translate` turns
+        // that into a write fault.
+        assert_eq!(a.lookup_translation(Vpn(4)), Some((FrameId(9), false)));
+        assert_eq!(a.lookup_translation(Vpn(5)), None);
     }
 
     #[test]
@@ -240,7 +229,6 @@ mod tests {
     #[test]
     fn pte_mutations_shoot_down_the_tlb() {
         let mut a = AddressSpace::new(true);
-        let addr = VAddr::new(4 * FRAME_SIZE);
         a.set_pte(
             Vpn(4),
             Pte {
@@ -251,8 +239,8 @@ mod tests {
             },
         );
         // Walk once (miss + fill), then hit.
-        assert!(a.translate(addr, true).is_some());
-        assert!(a.translate(addr, true).is_some());
+        assert!(a.lookup_translation(Vpn(4)).is_some());
+        assert!(a.lookup_translation(Vpn(4)).is_some());
         assert_eq!(a.tlb().stats().hits, 1);
         // Remap onto another frame: the cached translation must die.
         a.set_pte(
@@ -266,11 +254,11 @@ mod tests {
         );
         assert_eq!(a.tlb().stats().shootdowns, 1);
         assert_eq!(
-            a.translate(addr, false).unwrap().raw(),
-            11 * FRAME_SIZE,
+            a.lookup_translation(Vpn(4)),
+            Some((FrameId(11), true)),
             "post-shootdown walk sees the new frame"
         );
         a.remove_pte(Vpn(4));
-        assert_eq!(a.translate(addr, false), None);
+        assert_eq!(a.lookup_translation(Vpn(4)), None);
     }
 }

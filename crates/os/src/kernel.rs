@@ -309,10 +309,15 @@ impl Kernel {
     /// address space's software TLB may fill behind this call, exactly as
     /// a hardware TLB fills on a walk — never changing the result.)
     ///
+    /// Every simulated access translates here, so the TLB lookup is forced
+    /// inline: the engine's access path is one large function, and there a
+    /// plain `#[inline]` hint was declined, costing an out-of-line call per
+    /// access.
+    ///
     /// # Errors
     ///
     /// Returns the [`PageFault`] the MMU would raise.
-    #[inline]
+    #[inline(always)]
     pub fn translate(
         &self,
         aspace: AsId,
@@ -371,10 +376,7 @@ impl Kernel {
         addr: VAddr,
         is_write: bool,
     ) -> Result<FaultResolution, OsError> {
-        let vma = *self
-            .aspace(aspace)
-            .vma_for(addr)
-            .ok_or(OsError::UnmappedAddress { aspace, addr })?;
+        let vma = self.vma(aspace, addr)?;
         if is_write && !vma.perms.write {
             return Err(OsError::ProtectionViolation { aspace, addr });
         }
@@ -403,13 +405,8 @@ impl Kernel {
             (Backing::Anon, PageSize::Huge) => {
                 Err(OsError::InvalidMapping("anonymous huge pages unsupported"))
             }
-            (Backing::Object { obj, offset }, PageSize::Small) => {
-                let page_in_obj = (addr.raw() - vma.start.raw() + offset) / FRAME_SIZE;
-                if self.objects[obj.0 as usize].frame(page_in_obj).is_none() {
-                    self.inject_frame_alloc("object demand paging")?;
-                }
-                let (frame, fresh) =
-                    self.objects[obj.0 as usize].frame_or_populate(page_in_obj, &mut self.physmem);
+            (Backing::Object { .. }, PageSize::Small) => {
+                let (frame, fresh) = self.object_frame(&vma, addr, Some("object demand paging"))?;
                 self.aspace_mut(aspace).set_pte(
                     addr.vpn(),
                     Pte {
@@ -431,29 +428,21 @@ impl Kernel {
                     huge: false,
                 })
             }
-            (Backing::Object { obj, offset }, PageSize::Huge) => {
+            (Backing::Object { .. }, PageSize::Huge) => {
                 // Populate the whole 2 MiB chunk containing `addr`.
-                let chunk_off = (addr.raw() - vma.start.raw()) / PageSize::Huge.bytes()
-                    * PageSize::Huge.bytes();
-                let first_vpn = Vpn((vma.start.raw() + chunk_off) / FRAME_SIZE);
-                let first_page_in_obj = (chunk_off + offset) / FRAME_SIZE;
-                let needs_alloc = (0..FRAMES_PER_HUGE_PAGE).any(|i| {
-                    self.objects[obj.0 as usize]
-                        .frame(first_page_in_obj + i)
-                        .is_none()
-                });
+                let first_vpn = huge_chunk(&vma, addr);
+                let (obj, first_page_in_obj) = object_page(&vma, first_vpn.base())?;
+                let object = &mut self.objects[obj.0 as usize];
+                let needs_alloc = (0..FRAMES_PER_HUGE_PAGE)
+                    .any(|i| object.frame(first_page_in_obj + i).is_none());
                 if needs_alloc {
                     self.inject_frame_alloc("huge-page population")?;
                 }
-                let fresh = self.objects[obj.0 as usize].populate_run(
-                    first_page_in_obj,
-                    FRAMES_PER_HUGE_PAGE,
-                    &mut self.physmem,
-                );
+                let object = &mut self.objects[obj.0 as usize];
+                let fresh =
+                    object.populate_run(first_page_in_obj, FRAMES_PER_HUGE_PAGE, &mut self.physmem);
                 for i in 0..FRAMES_PER_HUGE_PAGE {
-                    let frame = self.objects[obj.0 as usize]
-                        .frame(first_page_in_obj + i)
-                        .expect("just populated");
+                    let frame = object.frame(first_page_in_obj + i).expect("just populated");
                     self.aspaces[aspace.0 as usize].set_pte(
                         Vpn(first_vpn.0 + i),
                         Pte {
@@ -476,25 +465,16 @@ impl Kernel {
     }
 
     fn break_cow(&mut self, aspace: AsId, addr: VAddr) -> Result<FaultResolution, OsError> {
-        let vma = *self
-            .aspace(aspace)
-            .vma_for(addr)
-            .ok_or(OsError::UnmappedAddress { aspace, addr })?;
+        let vma = self.vma(aspace, addr)?;
         // Rolled before any PTE is touched: a failed break leaves the
         // page exactly as it was, so the fault can simply be retried.
         self.inject_frame_alloc("copy-on-write break")?;
         let huge = vma.page_size == PageSize::Huge;
         let (first_vpn, pages) = if huge {
-            let chunk_off =
-                (addr.raw() - vma.start.raw()) / PageSize::Huge.bytes() * PageSize::Huge.bytes();
-            (
-                Vpn((vma.start.raw() + chunk_off) / FRAME_SIZE),
-                FRAMES_PER_HUGE_PAGE,
-            )
+            (huge_chunk(&vma, addr), FRAMES_PER_HUGE_PAGE)
         } else {
             (addr.vpn(), 1)
         };
-
         let mut first_old = None;
         let mut first_new = None;
         for i in 0..pages {
@@ -587,32 +567,23 @@ impl Kernel {
     /// call has no side effects in that case and may be retried).
     pub fn protect_page_cow(&mut self, aspace: AsId, vpn: Vpn) -> Result<(), OsError> {
         let addr = vpn.base();
-        let vma = *self
-            .aspace(aspace)
-            .vma_for(addr)
-            .ok_or(OsError::UnmappedAddress { aspace, addr })?;
-        let Backing::Object { obj, offset } = vma.backing else {
+        let vma = self.vma(aspace, addr)?;
+        if vma.backing == Backing::Anon {
             return Err(OsError::NotProtectable { vpn });
-        };
+        }
         if self.inject(FaultPoint::ProtectPage) {
             return Err(OsError::TransientMapFailure { op: "mprotect" });
         }
         let pte = match self.aspace(aspace).pte(vpn) {
             Some(p) => p,
-            None => {
-                let page_in_obj = (addr.raw() - vma.start.raw() + offset) / FRAME_SIZE;
-                if self.objects[obj.0 as usize].frame(page_in_obj).is_none() {
-                    self.inject_frame_alloc("protect-time population")?;
-                }
-                let (frame, _) =
-                    self.objects[obj.0 as usize].frame_or_populate(page_in_obj, &mut self.physmem);
-                Pte {
-                    frame,
-                    writable: vma.perms.write,
-                    cow: false,
-                    owned: false,
-                }
-            }
+            None => Pte {
+                frame: self
+                    .object_frame(&vma, addr, Some("protect-time population"))?
+                    .0,
+                writable: vma.perms.write,
+                cow: false,
+                owned: false,
+            },
         };
         if pte.owned {
             return Err(OsError::NotProtectable { vpn });
@@ -663,16 +634,8 @@ impl Kernel {
     pub fn unprotect_page(&mut self, aspace: AsId, vpn: Vpn) -> Result<Option<FrameId>, OsError> {
         let discarded = self.remove_private(aspace, vpn);
         let addr = vpn.base();
-        let vma = *self
-            .aspace(aspace)
-            .vma_for(addr)
-            .ok_or(OsError::UnmappedAddress { aspace, addr })?;
-        let Backing::Object { obj, offset } = vma.backing else {
-            return Err(OsError::NotProtectable { vpn });
-        };
-        let page_in_obj = (addr.raw() - vma.start.raw() + offset) / FRAME_SIZE;
-        let (frame, _) =
-            self.objects[obj.0 as usize].frame_or_populate(page_in_obj, &mut self.physmem);
+        let vma = self.vma(aspace, addr)?;
+        let (frame, _) = self.object_frame(&vma, addr, None)?;
         self.aspace_mut(aspace).set_pte(
             vpn,
             Pte {
@@ -712,17 +675,46 @@ impl Kernel {
     /// Returns [`OsError::UnmappedAddress`] if no VMA covers the address or
     /// [`OsError::NotProtectable`] if the VMA is anonymous.
     pub fn object_paddr(&mut self, aspace: AsId, addr: VAddr) -> Result<PhysAddr, OsError> {
-        let vma = *self
-            .aspace(aspace)
-            .vma_for(addr)
-            .ok_or(OsError::UnmappedAddress { aspace, addr })?;
-        let Backing::Object { obj, offset } = vma.backing else {
-            return Err(OsError::NotProtectable { vpn: addr.vpn() });
-        };
-        let page_in_obj = (addr.raw() - vma.start.raw() + offset) / FRAME_SIZE;
-        let (frame, _) =
-            self.objects[obj.0 as usize].frame_or_populate(page_in_obj, &mut self.physmem);
+        let vma = self.vma(aspace, addr)?;
+        let (frame, _) = self.object_frame(&vma, addr, None)?;
         Ok(frame.base().offset(addr.page_offset()))
+    }
+
+    /// The VMA covering `addr`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OsError::UnmappedAddress`] (SIGSEGV) if none does.
+    fn vma(&self, aspace: AsId, addr: VAddr) -> Result<Vma, OsError> {
+        self.aspace(aspace)
+            .vma_for(addr)
+            .copied()
+            .ok_or(OsError::UnmappedAddress { aspace, addr })
+    }
+
+    /// The object frame behind `addr` in `vma` — the always-shared first
+    /// mapping of Fig. 6 — populated on first touch. With `alloc_context`
+    /// set, a page that needs a fresh frame first rolls the
+    /// frame-allocation fault point under that context. Returns the frame
+    /// and whether it was freshly populated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OsError::NotProtectable`] if `vma` is anonymous, or
+    /// [`OsError::OutOfFrames`] if the roll fires.
+    fn object_frame(
+        &mut self,
+        vma: &Vma,
+        addr: VAddr,
+        alloc_context: Option<&'static str>,
+    ) -> Result<(FrameId, bool), OsError> {
+        let (obj, page) = object_page(vma, addr)?;
+        if let Some(context) = alloc_context {
+            if self.objects[obj.0 as usize].frame(page).is_none() {
+                self.inject_frame_alloc(context)?;
+            }
+        }
+        Ok(self.objects[obj.0 as usize].frame_or_populate(page, &mut self.physmem))
     }
 
     /// Drops all residency (PTEs) from an address space, freeing private
@@ -952,6 +944,26 @@ impl Kernel {
             }
         }
     }
+}
+
+/// The object and object page that back `addr` through `vma`.
+///
+/// # Errors
+///
+/// Returns [`OsError::NotProtectable`] if `vma` is anonymous.
+fn object_page(vma: &Vma, addr: VAddr) -> Result<(ObjId, u64), OsError> {
+    let Backing::Object { obj, offset } = vma.backing else {
+        return Err(OsError::NotProtectable { vpn: addr.vpn() });
+    };
+    Ok((obj, (addr.raw() - vma.start.raw() + offset) / FRAME_SIZE))
+}
+
+/// The first page of the 2 MiB chunk of a huge-page `vma` that holds
+/// `addr`: chunks are aligned to the VMA's start.
+fn huge_chunk(vma: &Vma, addr: VAddr) -> Vpn {
+    let huge = PageSize::Huge.bytes();
+    let chunk_off = (addr.raw() - vma.start.raw()) / huge * huge;
+    Vpn((vma.start.raw() + chunk_off) / FRAME_SIZE)
 }
 
 #[cfg(test)]

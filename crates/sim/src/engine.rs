@@ -154,17 +154,17 @@ struct ThreadCtx {
 /// simulated glibc: lock words are touched by inline-assembly locked
 /// instructions).
 #[derive(Clone, Copy, Debug)]
-pub struct InternalPcs {
+struct InternalPcs {
     /// RMW inside `pthread_mutex_lock`.
-    pub mutex_rmw: Pc,
+    mutex_rmw: Pc,
     /// Release store inside `pthread_mutex_unlock`.
-    pub mutex_store: Pc,
+    mutex_store: Pc,
     /// RMW inside `pthread_barrier_wait`.
-    pub barrier_rmw: Pc,
+    barrier_rmw: Pc,
     /// RMW of a spinlock acquire loop.
-    pub spin_rmw: Pc,
+    spin_rmw: Pc,
     /// Release store of a spinlock.
-    pub spin_store: Pc,
+    spin_store: Pc,
 }
 
 /// Everything the engine owns except the thread programs and the runtime —
@@ -187,11 +187,6 @@ pub struct EngineCore {
 }
 
 impl EngineCore {
-    /// The engine's internal PCs (for tests and detectors).
-    pub fn internal_pcs(&self) -> InternalPcs {
-        self.internal_pcs
-    }
-
     /// Registers the engine-owned counters (machine and OS layers) into a
     /// metrics sink under the `machine.` and `os.` prefixes, plus the
     /// software-TLB counters under `os.tlb.` (summed across address
@@ -252,11 +247,113 @@ impl EngineCtl for EngineCore {
     }
 }
 
+/// What an access does to the value plane. The access kind follows from
+/// it: a read loads, a write stores, an RMW or CAS is a locked
+/// read-modify-write.
+#[derive(Clone, Copy)]
 enum DataAction {
     Read,
     Write(u64),
     Rmw(RmwOp, u64),
     Cas { expected: u64, desired: u64 },
+}
+
+/// One memory access as the engine resolves it: a program's load, store,
+/// atomic or CAS, or the simulated glibc's access to a lock or barrier
+/// word. An access is atomic exactly when it carries a memory order.
+#[derive(Clone, Copy)]
+struct MemAccess {
+    pc: Pc,
+    addr: VAddr,
+    width: Width,
+    order: Option<MemOrder>,
+    action: DataAction,
+}
+
+impl MemAccess {
+    /// The access a load, store, atomic or CAS makes; `None` for any
+    /// other op.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an atomic that is not naturally aligned.
+    #[inline(always)]
+    fn of(op: Op) -> Option<MemAccess> {
+        let (pc, addr, width, order, action) = match op {
+            Op::Load { pc, addr, width } => (pc, addr, width, None, DataAction::Read),
+            Op::Store {
+                pc,
+                addr,
+                width,
+                value,
+            } => (pc, addr, width, None, DataAction::Write(value)),
+            Op::AtomicLoad {
+                pc,
+                addr,
+                width,
+                order,
+            } => (pc, addr, width, Some(order), DataAction::Read),
+            Op::AtomicStore {
+                pc,
+                addr,
+                width,
+                value,
+                order,
+            } => (pc, addr, width, Some(order), DataAction::Write(value)),
+            Op::AtomicRmw {
+                pc,
+                addr,
+                width,
+                rmw,
+                operand,
+                order,
+            } => (pc, addr, width, Some(order), DataAction::Rmw(rmw, operand)),
+            Op::Cas {
+                pc,
+                addr,
+                width,
+                expected,
+                desired,
+                order,
+            } => (
+                pc,
+                addr,
+                width,
+                Some(order),
+                DataAction::Cas { expected, desired },
+            ),
+            _ => return None,
+        };
+        if order.is_some() {
+            assert!(addr.is_aligned(width), "unaligned atomic at {addr}");
+        }
+        Some(MemAccess {
+            pc,
+            addr,
+            width,
+            order,
+            action,
+        })
+    }
+
+    /// A 4-byte access to a lock or barrier word.
+    fn word(pc: Pc, addr: VAddr, order: Option<MemOrder>, action: DataAction) -> MemAccess {
+        MemAccess {
+            pc,
+            addr,
+            width: Width::W4,
+            order,
+            action,
+        }
+    }
+
+    fn kind(self) -> AccessKind {
+        match self.action {
+            DataAction::Read => AccessKind::Load,
+            DataAction::Write(_) => AccessKind::Store,
+            DataAction::Rmw(..) | DataAction::Cas { .. } => AccessKind::Rmw,
+        }
+    }
 }
 
 /// The execution engine, parameterized by a runtime system.
@@ -460,6 +557,31 @@ impl<R: RuntimeHooks> Engine<R> {
             None => self.programs[idx].next(pending),
         };
         self.core.ops += 1;
+        // Most ops are data accesses. Mapping them first dispatches an
+        // access on the op once; a second `match` on it, inside one arm
+        // shared by all six memory ops, ran large working sets measurably
+        // slower.
+        match MemAccess::of(op) {
+            Some(m) => {
+                let value = self.data_access(idx, m)?;
+                self.core.threads[idx].pending = OpResult { value };
+            }
+            None => self.control_op(idx, op)?,
+        }
+        if let Some(trace) = self.trace.as_mut() {
+            trace.push(TraceStep {
+                thread: idx as u32,
+                op,
+                value: self.core.threads[idx].pending.value,
+            });
+        }
+        Ok(())
+    }
+
+    /// Executes an op that is not a data access: compute, exit, fences
+    /// and assembly regions, VM requests, and synchronization (whose
+    /// lock-word accesses go through `data_access`).
+    fn control_op(&mut self, idx: usize, op: Op) -> Result<(), OsError> {
         match op {
             Op::Compute { cycles } => {
                 self.core.threads[idx].clock += cycles;
@@ -471,116 +593,6 @@ impl<R: RuntimeHooks> Engine<R> {
                     .on_sync(&mut self.core, tid, SyncEvent::ThreadExit);
                 self.core.threads[idx].clock += commit;
                 self.core.threads[idx].state = ThreadState::Done;
-            }
-            Op::Load { pc, addr, width } => {
-                let v = self.data_access(
-                    idx,
-                    pc,
-                    addr,
-                    width,
-                    AccessKind::Load,
-                    false,
-                    None,
-                    DataAction::Read,
-                )?;
-                self.core.threads[idx].pending = OpResult { value: v };
-            }
-            Op::Store {
-                pc,
-                addr,
-                width,
-                value,
-            } => {
-                self.data_access(
-                    idx,
-                    pc,
-                    addr,
-                    width,
-                    AccessKind::Store,
-                    false,
-                    None,
-                    DataAction::Write(value),
-                )?;
-            }
-            Op::AtomicLoad {
-                pc,
-                addr,
-                width,
-                order,
-            } => {
-                assert!(addr.is_aligned(width), "unaligned atomic at {addr}");
-                let v = self.data_access(
-                    idx,
-                    pc,
-                    addr,
-                    width,
-                    AccessKind::Load,
-                    true,
-                    Some(order),
-                    DataAction::Read,
-                )?;
-                self.core.threads[idx].pending = OpResult { value: v };
-            }
-            Op::AtomicStore {
-                pc,
-                addr,
-                width,
-                value,
-                order,
-            } => {
-                assert!(addr.is_aligned(width), "unaligned atomic at {addr}");
-                self.data_access(
-                    idx,
-                    pc,
-                    addr,
-                    width,
-                    AccessKind::Store,
-                    true,
-                    Some(order),
-                    DataAction::Write(value),
-                )?;
-            }
-            Op::AtomicRmw {
-                pc,
-                addr,
-                width,
-                rmw,
-                operand,
-                order,
-            } => {
-                assert!(addr.is_aligned(width), "unaligned atomic at {addr}");
-                let v = self.data_access(
-                    idx,
-                    pc,
-                    addr,
-                    width,
-                    AccessKind::Rmw,
-                    true,
-                    Some(order),
-                    DataAction::Rmw(rmw, operand),
-                )?;
-                self.core.threads[idx].pending = OpResult { value: v };
-            }
-            Op::Cas {
-                pc,
-                addr,
-                width,
-                expected,
-                desired,
-                order,
-            } => {
-                assert!(addr.is_aligned(width), "unaligned atomic at {addr}");
-                let v = self.data_access(
-                    idx,
-                    pc,
-                    addr,
-                    width,
-                    AccessKind::Rmw,
-                    true,
-                    Some(order),
-                    DataAction::Cas { expected, desired },
-                )?;
-                self.core.threads[idx].pending = OpResult { value: v };
             }
             Op::Fence { order } => {
                 self.core.threads[idx].clock += LatencyModel::FENCE;
@@ -623,29 +635,23 @@ impl<R: RuntimeHooks> Engine<R> {
             Op::SpinLock { lock } => self.spin_lock(idx, op, lock)?,
             Op::SpinUnlock { lock } => self.spin_unlock(idx, lock)?,
             Op::BarrierWait { barrier } => self.barrier_wait(idx, barrier)?,
-        }
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push(TraceStep {
-                thread: idx as u32,
-                op,
-                value: self.core.threads[idx].pending.value,
-            });
+            Op::Load { .. }
+            | Op::Store { .. }
+            | Op::AtomicLoad { .. }
+            | Op::AtomicStore { .. }
+            | Op::AtomicRmw { .. }
+            | Op::Cas { .. } => unreachable!("{op:?} is a data access"),
         }
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn data_access(
-        &mut self,
-        idx: usize,
-        pc: Pc,
-        vaddr: VAddr,
-        width: Width,
-        kind: AccessKind,
-        atomic: bool,
-        order: Option<MemOrder>,
-        action: DataAction,
-    ) -> Result<Option<u64>, OsError> {
+    /// Runs one memory access of thread `idx`: the runtime's
+    /// `pre_access` decision, translation along the chosen route with
+    /// fault resolution, the coherent cache access, the value-plane
+    /// action and `post_access`. Returns the value a load, RMW or CAS
+    /// observed.
+    #[inline(always)]
+    fn data_access(&mut self, idx: usize, m: MemAccess) -> Result<Option<u64>, OsError> {
         // Hoist the immutable per-thread fields (tid, pinned core, asm
         // depth) out of the access path: hooks can add cycles to a thread
         // but never migrate it or change its identity, so one indexed read
@@ -654,12 +660,19 @@ impl<R: RuntimeHooks> Engine<R> {
             let t = &self.core.threads[idx];
             (t.tid, t.core, t.asm_depth > 0)
         };
+        let kind = m.kind();
+        let MemAccess {
+            pc,
+            addr: vaddr,
+            width,
+            order,
+            action,
+        } = m;
         let acc = AccessInfo {
             pc,
             vaddr,
             width,
             kind,
-            atomic,
             order,
             in_asm,
         };
@@ -671,56 +684,43 @@ impl<R: RuntimeHooks> Engine<R> {
 
         let aspace = self.core.kernel.thread_aspace(tid);
         let is_write = kind.is_write();
-        // Kernel errors while resolving the access (out of frames, vetoed
-        // remaps) are offered to the runtime's governor via
+        // A shared-object access reads the object frame behind the
+        // address; any other route translates through the thread's page
+        // table, resolving page faults (and charging them) until the
+        // translation holds. Kernel errors on either route (out of
+        // frames, vetoed remaps) are offered to the runtime's governor via
         // `on_fault_error`: `Some(backoff)` charges the thread and retries
         // the same access, `None` aborts the run — which is the default,
         // so runtimes without a governor behave exactly as before.
         let mut attempts = 0u32;
-        let paddr = match route {
-            Route::SharedObject => loop {
+        let paddr = loop {
+            let err = if route == Route::SharedObject {
                 match self.core.kernel.object_paddr(aspace, vaddr) {
                     Ok(pa) => break pa,
-                    Err(err) => {
-                        attempts += 1;
-                        match self.runtime.on_fault_error(
-                            &mut self.core,
-                            tid,
-                            vaddr,
-                            &err,
-                            attempts,
-                        ) {
-                            Some(backoff) => self.core.threads[idx].clock += backoff,
-                            None => return Err(err),
-                        }
+                    Err(err) => err,
+                }
+            } else {
+                if let Ok(pa) = self.core.kernel.translate(aspace, vaddr, is_write) {
+                    break pa;
+                }
+                match self.core.kernel.handle_fault(aspace, vaddr, is_write) {
+                    Ok(res) => {
+                        attempts = 0;
+                        self.core.threads[idx].clock += fault_cost(&res);
+                        self.runtime.on_fault(&mut self.core, tid, &res);
+                        continue;
                     }
+                    Err(err) => err,
                 }
-            },
-            Route::Normal | Route::Uncached => loop {
-                match self.core.kernel.translate(aspace, vaddr, is_write) {
-                    Ok(pa) => break pa,
-                    Err(_) => match self.core.kernel.handle_fault(aspace, vaddr, is_write) {
-                        Ok(res) => {
-                            attempts = 0;
-                            self.core.threads[idx].clock += fault_cost(&res);
-                            self.runtime.on_fault(&mut self.core, tid, &res);
-                        }
-                        Err(err) => {
-                            attempts += 1;
-                            match self.runtime.on_fault_error(
-                                &mut self.core,
-                                tid,
-                                vaddr,
-                                &err,
-                                attempts,
-                            ) {
-                                Some(backoff) => self.core.threads[idx].clock += backoff,
-                                None => return Err(err),
-                            }
-                        }
-                    },
-                }
-            },
+            };
+            attempts += 1;
+            match self
+                .runtime
+                .on_fault_error(&mut self.core, tid, vaddr, &err, attempts)
+            {
+                Some(backoff) => self.core.threads[idx].clock += backoff,
+                None => return Err(err),
+            }
         };
 
         let outcome = if route == Route::Uncached {
@@ -778,13 +778,7 @@ impl<R: RuntimeHooks> Engine<R> {
         let pc = self.core.internal_pcs.mutex_rmw;
         self.data_access(
             idx,
-            pc,
-            mapped,
-            Width::W4,
-            AccessKind::Rmw,
-            false,
-            None,
-            DataAction::Rmw(RmwOp::Or, 1),
+            MemAccess::word(pc, mapped, None, DataAction::Rmw(RmwOp::Or, 1)),
         )?;
         let m = self.core.sync.mutex(lock);
         if m.owner.is_none() {
@@ -805,16 +799,7 @@ impl<R: RuntimeHooks> Engine<R> {
             .on_sync(&mut self.core, tid, SyncEvent::MutexUnlock(mapped));
         self.core.threads[idx].clock += commit + MUTEX_OP;
         let pc = self.core.internal_pcs.mutex_store;
-        self.data_access(
-            idx,
-            pc,
-            mapped,
-            Width::W4,
-            AccessKind::Store,
-            false,
-            None,
-            DataAction::Write(0),
-        )?;
+        self.data_access(idx, MemAccess::word(pc, mapped, None, DataAction::Write(0)))?;
         let m = self.core.sync.mutex(lock);
         assert_eq!(m.owner, Some(tid), "mutex unlock by non-owner");
         match m.waiters.pop_front() {
@@ -834,16 +819,8 @@ impl<R: RuntimeHooks> Engine<R> {
         let tid = self.core.threads[idx].tid;
         let pc = self.core.internal_pcs.spin_rmw;
         // xchg(lock, 1) — generates contention traffic on every attempt.
-        self.data_access(
-            idx,
-            pc,
-            lock,
-            Width::W4,
-            AccessKind::Rmw,
-            true,
-            Some(MemOrder::AcqRel),
-            DataAction::Rmw(RmwOp::Xchg, 1),
-        )?;
+        let xchg = DataAction::Rmw(RmwOp::Xchg, 1);
+        self.data_access(idx, MemAccess::word(pc, lock, Some(MemOrder::AcqRel), xchg))?;
         if !self.core.sync.try_spin_lock(lock, tid) {
             self.core.threads[idx].clock += SPIN_RETRY;
             self.core.threads[idx].replay = Some(op);
@@ -856,13 +833,7 @@ impl<R: RuntimeHooks> Engine<R> {
         let pc = self.core.internal_pcs.spin_store;
         self.data_access(
             idx,
-            pc,
-            lock,
-            Width::W4,
-            AccessKind::Store,
-            true,
-            Some(MemOrder::Release),
-            DataAction::Write(0),
+            MemAccess::word(pc, lock, Some(MemOrder::Release), DataAction::Write(0)),
         )?;
         self.core.sync.spin_unlock(lock, tid);
         Ok(())
@@ -881,13 +852,7 @@ impl<R: RuntimeHooks> Engine<R> {
         let pc = self.core.internal_pcs.barrier_rmw;
         self.data_access(
             idx,
-            pc,
-            barrier,
-            Width::W4,
-            AccessKind::Rmw,
-            false,
-            None,
-            DataAction::Rmw(RmwOp::Add, 1),
+            MemAccess::word(pc, barrier, None, DataAction::Rmw(RmwOp::Add, 1)),
         )?;
         let b = self.core.sync.barrier(barrier);
         b.arrived.push(tid);

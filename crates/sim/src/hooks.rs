@@ -20,6 +20,12 @@ use tmi_os::{FaultResolution, Tid};
 use tmi_program::{MemOrder, Pc, VmOp};
 
 /// Description of a memory access about to execute (or just executed).
+///
+/// As in the C/C++ memory model, an access is atomic exactly when it
+/// carries a memory order: the program's atomic loads, stores, RMWs and
+/// CASes, and the spinlock's exchange and release store. A plain access,
+/// including the simulated glibc's locked RMW on a mutex or barrier word,
+/// has none.
 #[derive(Clone, Copy, Debug)]
 pub struct AccessInfo {
     /// Static instruction.
@@ -30,9 +36,7 @@ pub struct AccessInfo {
     pub width: Width,
     /// Load / store / RMW.
     pub kind: AccessKind,
-    /// True for C++11 atomic operations.
-    pub atomic: bool,
-    /// Memory order (None for plain accesses).
+    /// Memory order of an atomic access; `None` for a plain one.
     pub order: Option<MemOrder>,
     /// True if the issuing thread is inside an inline-assembly region.
     pub in_asm: bool,

@@ -39,7 +39,7 @@ pub mod engine;
 pub mod hooks;
 pub mod sync;
 
-pub use engine::{Engine, EngineConfig, EngineCore, Halt, InternalPcs, RunReport, TraceStep};
+pub use engine::{Engine, EngineConfig, EngineCore, Halt, RunReport, TraceStep};
 pub use hooks::{
     AccessInfo, EngineCtl, NullRuntime, PreAccess, RegionEvent, Route, RuntimeHooks, SyncEvent,
 };

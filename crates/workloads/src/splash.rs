@@ -311,12 +311,10 @@ impl Workload for LuNcb {
             .map(|i| {
                 if params.fixed {
                     ctx.alloc.alloc_line_padded(i, 24)
-                } else if params.misaligned {
-                    // Forced misaligned allocation of the repair runs.
-                    ctx.alloc.alloc(0, 24)
                 } else {
-                    // Natural layout: whatever the configured policy does
-                    // for main-thread allocations.
+                    // Whatever the configured policy (and the repair runs'
+                    // forced misalignment) does for main-thread
+                    // allocations.
                     ctx.alloc.alloc(0, 24)
                 }
             })
