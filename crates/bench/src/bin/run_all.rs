@@ -21,7 +21,8 @@
 //! have a fixed size and ignore it. (Before the section table, a bare
 //! SCALE reached only fig4, fig7, fig8 and fig10.) `run_all fig9 0.5`
 //! prints the Fig. 9 table at half the default work. A SCALE that is not
-//! a finite number greater than 0 (`inf`, `nan`, `0`, `-1`) exits 2.
+//! a finite number greater than 0 (`inf`, `nan`, `0`, `-1`) exits 2, and
+//! so does a second SCALE.
 //!
 //! `TMI_BENCH_JOBS=N` bounds the pool; the printed report is
 //! byte-identical for every pool size. A machine-readable per-job timing
@@ -71,6 +72,12 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Plan, String> {
         } else if arg == "--trace" {
             trace = Some(args.next().ok_or("--trace requires an output path")?);
         } else if let Ok(s) = arg.parse::<f64>() {
+            if scale.is_some() {
+                return Err(format!(
+                    "only one SCALE may be given, got a second: {arg:?}\n{}",
+                    usage()
+                ));
+            }
             scale = Some(work_scale("SCALE", s).map_err(|e| format!("{e}\n{}", usage()))?);
         } else if let Some(section) = figures::section(&arg) {
             named.push(section.name);
@@ -196,6 +203,13 @@ mod tests {
             assert!(err.contains("usage: run_all"), "{bad}: {err}");
         }
         assert_eq!(picked(&parse_line("fig4 0.05").unwrap()), [("fig4", 0.05)]);
+    }
+
+    #[test]
+    fn a_second_scale_is_a_usage_error() {
+        let err = parse_line("fig4 0.5 0.05").unwrap_err();
+        assert!(err.contains("only one SCALE"), "{err}");
+        assert!(err.contains("usage: run_all"), "{err}");
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //! sound because runs are deterministic: a cache hit returns exactly the
 //! bytes a rerun would.
 //!
-//! A cell is a [`JobSpec`]; [`ExperimentSet`] batches cells for parallel
-//! execution. The executor also keeps a per-job timing log which
+//! A cell is a [`JobSpec`] and a batch is a `Vec<JobSpec>` passed to
+//! [`Executor::run`], which runs every spec it is given, repeats
+//! included. The executor also keeps a per-job timing log which
 //! [`Executor::write_json`] emits as `BENCH_harness.json`.
 
 use std::collections::HashMap;
@@ -358,63 +359,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "panic (non-string payload)".to_string()
-    }
-}
-
-/// An ordered batch of cells destined for parallel execution.
-///
-/// ```
-/// use tmi_bench::{Executor, ExperimentSet, JobSpec, RuntimeKind};
-///
-/// let mut set = ExperimentSet::new();
-/// let base = set.push(JobSpec::new("histogram").scale(0.05));
-/// let tmi = set.push(
-///     JobSpec::new("histogram")
-///         .runtime(RuntimeKind::TmiProtect)
-///         .scale(0.05),
-/// );
-/// let results = set.run_on(&Executor::new(2));
-/// assert!(results[base].ok() && results[tmi].ok());
-/// ```
-#[derive(Default)]
-pub struct ExperimentSet {
-    specs: Vec<JobSpec>,
-}
-
-impl ExperimentSet {
-    /// An empty batch.
-    pub fn new() -> Self {
-        ExperimentSet::default()
-    }
-
-    /// Queues one cell and returns its submission index — the position
-    /// of its result in the vector `run_on` returns.
-    ///
-    /// Identical cells are submitted once: pushing a spec equal to one
-    /// already queued returns the earlier index instead of queueing a
-    /// duplicate, so figures can share baselines without re-running them
-    /// (and without two identical jobs racing within one batch).
-    pub fn push(&mut self, spec: JobSpec) -> usize {
-        if let Some(i) = self.specs.iter().position(|s| *s == spec) {
-            return i;
-        }
-        self.specs.push(spec);
-        self.specs.len() - 1
-    }
-
-    /// Number of queued cells.
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// True if nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
-    /// Runs the batch on an existing executor (sharing its memo cache).
-    pub fn run_on(self, exec: &Executor) -> Vec<JobResult> {
-        exec.run(self.specs)
     }
 }
 

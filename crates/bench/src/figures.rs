@@ -1,24 +1,28 @@
 //! Rendered reproductions of every table and figure of the paper's
 //! evaluation (§4).
 //!
-//! Each function submits its (workload × runtime) matrix through an
-//! [`Executor`] and returns the finished report as a `String`.
-//! [`SECTIONS`] lists them in report order with the scales they render
-//! at; the `run_all` binary walks that table on one shared executor, so
-//! repeated cells (most prominently the pthreads baselines) are
-//! simulated once.
+//! Each section but [`fig3`] submits its (workload × runtime) matrix to
+//! an [`Executor`] as one batch, and each returns the finished report as
+//! a `String`. A section names each cell by its [`JobSpec`], once to submit
+//! it and again to read its result, the same key the executor's memo
+//! uses. [`SECTIONS`] lists the sections in report order with the scales
+//! they render at; the `run_all` binary walks that table on one shared
+//! executor, so repeated cells (most prominently the pthreads baselines)
+//! are simulated once.
 //!
 //! Determinism contract: a figure's string depends only on its inputs,
-//! never on the executor's pool size — cells are consumed by submission
-//! index and every simulation is deterministic. A cell whose simulation
-//! panicked renders as `failed` instead of aborting the whole figure,
-//! except where the old binaries asserted success (baselines), where the
-//! panic message is propagated.
+//! never on the executor's pool size — a batch's results come back in
+//! submission order and every simulation is deterministic. A cell whose
+//! simulation panicked renders as `failed` instead of aborting the whole
+//! figure, except where the old binaries asserted success (baselines),
+//! where the panic message is propagated.
 
 use std::fmt::Write as _;
 
-use crate::exec::{Executor, ExperimentSet, JobResult};
-use crate::report::{mean, pct, SpeedupTable, Table};
+use tmi_machine::LatencyModel;
+
+use crate::exec::{Executor, JobResult};
+use crate::report::{geomean, mb, mean, pct, ratio, Table};
 use crate::{JobSpec, RunResult, RuntimeKind};
 
 /// One section of the evaluation report, as `run_all` renders it.
@@ -117,10 +121,72 @@ pub fn section(name: &str) -> Option<&'static Section> {
     SECTIONS.iter().find(|s| s.name == name)
 }
 
-/// The run behind a non-asserted cell, if it neither panicked nor ran
-/// afoul of the harness.
-fn completed(jr: &JobResult) -> Option<&RunResult> {
-    jr.outcome.as_ref().ok()
+/// One section's batch of cells, looked up by spec.
+struct Cells(Vec<(JobSpec, JobResult)>);
+
+impl Cells {
+    /// Runs `specs` on `exec` as one batch. A spec listed more than once
+    /// is submitted once, where it first appears, so sections can share
+    /// baselines without two identical jobs racing within the batch.
+    fn run(exec: &Executor, specs: impl IntoIterator<Item = JobSpec>) -> Cells {
+        let mut batch: Vec<JobSpec> = Vec::new();
+        for spec in specs {
+            if !batch.contains(&spec) {
+                batch.push(spec);
+            }
+        }
+        let results = exec.run(batch.clone());
+        Cells(batch.into_iter().zip(results).collect())
+    }
+
+    /// The result of `spec`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec` was not in the batch — a bug in the section.
+    fn get(&self, spec: &JobSpec) -> &JobResult {
+        match self.0.iter().find(|(s, _)| s == spec) {
+            Some((_, r)) => r,
+            None => panic!("cell {} was not submitted", spec.to_json()),
+        }
+    }
+
+    /// The run of `spec`, unless its simulation panicked.
+    fn completed(&self, spec: &JobSpec) -> Option<&RunResult> {
+        self.get(spec).outcome.as_ref().ok()
+    }
+
+    /// The run of `spec`, which must have completed and verified.
+    fn verified(&self, spec: &JobSpec) -> &RunResult {
+        let r = self.get(spec).result();
+        assert!(r.ok(), "{}: {:?}", spec.to_json(), r.verified);
+        r
+    }
+
+    /// `spec`'s cell as text: `value` of its run if the run verified,
+    /// `broken` if it completed with a wrong result, `failed` if it
+    /// panicked.
+    fn text(&self, spec: &JobSpec, value: impl FnOnce(&RunResult) -> String) -> String {
+        match self.completed(spec) {
+            Some(r) if r.ok() => value(r),
+            Some(_) => "broken".into(),
+            None => "failed".into(),
+        }
+    }
+}
+
+/// A section's text: the title, the table, then the notes, with a blank
+/// line between each.
+fn layout(title: &str, table: &Table, notes: &str) -> String {
+    format!("{title}\n\n{}\n{notes}\n", table.render())
+}
+
+/// Whether Sheriff runs the suite workload `name` at all.
+fn sheriff_compatible(name: &str) -> bool {
+    tmi_workloads::by_name(name)
+        .expect("a suite workload")
+        .spec()
+        .sheriff_compatible
 }
 
 /// Fig. 3 — the AMBSA word-tearing litmus.
@@ -135,54 +201,39 @@ pub fn fig3() -> String {
     use tmi_baselines::{SheriffConfig, SheriffRuntime};
     use tmi_sim::NullRuntime;
 
+    let rows = [
+        ("native (pthreads)", ambsa::litmus(NullRuntime, |_| {}).0),
+        // Sheriff: whole-heap PTSB, no consistency guard → word tearing.
+        (
+            "sheriff-protect",
+            ambsa::litmus(
+                SheriffRuntime::new(SheriffConfig::protect(), ambsa::LAYOUT),
+                |_| {},
+            )
+            .0,
+        ),
+        // TMI with code-centric consistency and x's page PTSB-armed by a
+        // pre-triggered repair: asm-region stores are routed to shared
+        // memory, so AMBSA holds even with the page armed.
+        ("tmi-protect", ambsa::tmi_protect().0),
+    ];
     let mut table = Table::new(&["execution", "final x", "AMBSA"]);
-    let verdict = |x: u64| {
-        if x == 0xAB00 || x == 0x00CD {
+    for (execution, x) in rows {
+        let ambsa = if x == 0xAB00 || x == 0x00CD {
             "preserved".to_string()
         } else {
             format!("VIOLATED (x = {x:#06x}, written by no thread)")
-        }
-    };
-
-    let (native, _) = ambsa::litmus(NullRuntime, |_| {});
-    table.row(vec![
-        "native (pthreads)".into(),
-        format!("{native:#06x}"),
-        verdict(native),
-    ]);
-
-    // Sheriff: whole-heap PTSB, no consistency guard → word tearing.
-    let (sheriff, _) = ambsa::litmus(
-        SheriffRuntime::new(SheriffConfig::protect(), ambsa::LAYOUT),
-        |_| {},
-    );
-    table.row(vec![
-        "sheriff-protect".into(),
-        format!("{sheriff:#06x}"),
-        verdict(sheriff),
-    ]);
-
-    // TMI with code-centric consistency and x's page PTSB-armed by a
-    // pre-triggered repair: asm-region stores are routed to shared
-    // memory, so AMBSA holds even with the page armed.
-    let (tmi, _) = ambsa::tmi_protect();
-    table.row(vec![
-        "tmi-protect".into(),
-        format!("{tmi:#06x}"),
-        verdict(tmi),
-    ]);
-
-    let mut out = String::new();
-    let _ = writeln!(out, "Fig. 3: the AMBSA word-tearing litmus\n");
-    out.push_str(&table.render());
-    let _ = writeln!(
-        out,
-        "\nThe merge interleaving (Fig. 2/3): each thread's diff sees only its one\n\
+        };
+        table.row(vec![execution.into(), format!("{x:#06x}"), ambsa]);
+    }
+    layout(
+        "Fig. 3: the AMBSA word-tearing litmus",
+        &table,
+        "The merge interleaving (Fig. 2/3): each thread's diff sees only its one\n\
          changed byte, so both bytes land in shared memory: 0xABCD.\n\
          (tmi-sim's twin-store unit tests exercise the same tearing deterministically:\n\
-         crates/core/src/twins.rs::word_tearing_is_reproducible_at_byte_granularity)"
-    );
-    out
+         crates/core/src/twins.rs::word_tearing_is_reproducible_at_byte_granularity)",
+    )
 }
 
 /// The two-thread litmus engine behind [`fig3`].
@@ -254,528 +305,373 @@ mod ambsa {
 /// Fig. 4 — runtime and HITM records vs perf sampling period on leveldb.
 pub fn fig4(exec: &Executor, scale: f64) -> String {
     const PERIODS: [u64; 6] = [1, 5, 10, 50, 100, 1000];
-    let mut set = ExperimentSet::new();
-    let jobs: Vec<usize> = PERIODS
-        .iter()
-        .map(|&p| {
-            set.push(
-                JobSpec::new("leveldb")
-                    .runtime(RuntimeKind::TmiDetect)
-                    .scale(scale)
-                    .period(p),
-            )
-        })
-        .collect();
-    let results = set.run_on(exec);
+    let cell = |period| {
+        JobSpec::new("leveldb")
+            .runtime(RuntimeKind::TmiDetect)
+            .scale(scale)
+            .period(period)
+    };
+    let cells = Cells::run(exec, PERIODS.map(cell));
 
-    let mut table = SpeedupTable::new(
+    let mut table = Table::new(&[
         "period",
-        &["runtime (ms sim)", "HITM records", "scaled estimate"],
-    );
-    let mut total_events = 0u64;
-    for (&period, &job) in PERIODS.iter().zip(&jobs) {
-        let r = results[job].result();
-        assert!(r.ok(), "leveldb @ period {period}: {:?}", r.verified);
+        "runtime (ms sim)",
+        "HITM records",
+        "scaled estimate",
+    ]);
+    let mut total_events = 0;
+    for period in PERIODS {
+        let r = cells.verified(&cell(period));
         total_events = r.perf_events;
-        let row = period.to_string();
-        table.set(&row, "runtime (ms sim)", format!("{:.2}", r.seconds * 1e3));
-        table.count(&row, "HITM records", r.perf_records);
-        table.set(
-            &row,
-            "scaled estimate",
+        table.row(vec![
+            period.to_string(),
+            format!("{:.2}", r.seconds * 1e3),
+            r.perf_records.to_string(),
             format!("{:.0}", r.perf_records as f64 * period as f64),
-        );
+        ]);
     }
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Fig. 4: runtime and HITM records vs perf sampling period (leveldb, scale {scale})\n"
-    );
-    out.push_str(&table.render());
-    let _ = writeln!(
-        out,
-        "\nTotal HITM events generated by the hardware: {total_events}"
-    );
-    let _ = writeln!(
-        out,
-        "(paper: runtime inflates at small periods; record counts fall roughly as 1/period,\n\
-         so TMI scales each record by the period to estimate true event counts, §3.1)"
-    );
-    out
+    layout(
+        &format!(
+            "Fig. 4: runtime and HITM records vs perf sampling period (leveldb, scale {scale})"
+        ),
+        &table,
+        &format!(
+            "Total HITM events generated by the hardware: {total_events}\n\
+             (paper: runtime inflates at small periods; record counts fall roughly as 1/period,\n\
+             so TMI scales each record by the period to estimate true event counts, §3.1)"
+        ),
+    )
 }
 
 /// Fig. 7 — detection overhead across the suite, normalized to pthreads.
 pub fn fig7(exec: &Executor, scale: f64) -> String {
-    struct Row {
-        name: &'static str,
-        base: usize,
-        sheriff: Option<usize>,
-        alloc: usize,
-        detect: usize,
-    }
-    let mut set = ExperimentSet::new();
-    let mut rows = Vec::new();
-    let mut sheriff_compat = 0usize;
-    for name in tmi_workloads::SUITE {
-        let spec = tmi_workloads::by_name(name).unwrap().spec();
-        let base = set.push(JobSpec::new(name).scale(scale));
-        let sheriff = spec.sheriff_compatible.then(|| {
-            sheriff_compat += 1;
-            set.push(
-                JobSpec::new(name)
-                    .runtime(RuntimeKind::SheriffDetect)
-                    .scale(scale),
-            )
-        });
-        let alloc = set.push(
-            JobSpec::new(name)
-                .runtime(RuntimeKind::TmiAlloc)
-                .scale(scale),
-        );
-        let detect = set.push(
-            JobSpec::new(name)
-                .runtime(RuntimeKind::TmiDetect)
-                .scale(scale),
-        );
-        rows.push(Row {
-            name,
-            base,
-            sheriff,
-            alloc,
-            detect,
-        });
-    }
-    let results = set.run_on(exec);
+    let cell = |name, rt| JobSpec::new(name).runtime(rt).scale(scale);
+    let sheriff = |name| sheriff_compatible(name).then(|| cell(name, RuntimeKind::SheriffDetect));
+    let cells = Cells::run(
+        exec,
+        tmi_workloads::SUITE.iter().flat_map(|&name| {
+            [
+                Some(cell(name, RuntimeKind::Pthreads)),
+                sheriff(name),
+                Some(cell(name, RuntimeKind::TmiAlloc)),
+                Some(cell(name, RuntimeKind::TmiDetect)),
+            ]
+            .into_iter()
+            .flatten()
+        }),
+    );
 
-    let mut table = SpeedupTable::new("workload", &["sheriff-detect", "tmi-alloc", "tmi-detect"]);
+    let mut table = Table::new(&["workload", "sheriff-detect", "tmi-alloc", "tmi-detect"]);
     let mut detect_over = Vec::new();
-    for row in &rows {
-        let name = row.name;
-        let base = results[row.base].result();
-        assert!(base.ok(), "{name} baseline: {:?}", base.verified);
-        let norm = |r: &RunResult| r.cycles as f64 / base.cycles as f64;
-
-        match row.sheriff {
-            Some(job) => match completed(&results[job]) {
-                Some(r) if r.ok() => table.norm(name, "sheriff-detect", norm(r)),
-                Some(_) => table.set(name, "sheriff-detect", "broken"),
-                None => table.set(name, "sheriff-detect", "failed"),
-            },
-            None => table.set(name, "sheriff-detect", "x"),
-        }
-        match completed(&results[row.alloc]) {
-            Some(r) => table.norm(name, "tmi-alloc", norm(r)),
-            None => table.set(name, "tmi-alloc", "failed"),
-        }
-        let detect = results[row.detect].result();
-        assert!(detect.ok(), "{name} tmi-detect: {:?}", detect.verified);
-        detect_over.push(norm(detect));
-        table.norm(name, "tmi-detect", norm(detect));
+    for name in tmi_workloads::SUITE {
+        let base = cells.verified(&cell(name, RuntimeKind::Pthreads)).cycles as f64;
+        let norm = |r: &RunResult| format!("{:.2}", r.cycles as f64 / base);
+        let detect = cells.verified(&cell(name, RuntimeKind::TmiDetect));
+        detect_over.push(detect.cycles as f64 / base);
+        table.row(vec![
+            name.into(),
+            sheriff(name).map_or("x".into(), |s| cells.text(&s, norm)),
+            cells
+                .completed(&cell(name, RuntimeKind::TmiAlloc))
+                .map_or("failed".into(), norm),
+            norm(detect),
+        ]);
     }
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Fig. 7: detection overhead, normalized to pthreads (8 threads, scale {scale})\n"
-    );
-    out.push_str(&table.render());
-    out.push('\n');
-    let _ = writeln!(
-        out,
-        "tmi-detect mean overhead: {:+.1}%   (paper: +2% mean, +17% max)",
-        (mean(&detect_over) - 1.0) * 100.0
-    );
-    let _ = writeln!(
-        out,
-        "tmi-detect max overhead:  {:+.1}%",
-        (detect_over.iter().cloned().fold(f64::MIN, f64::max) - 1.0) * 100.0
-    );
-    let _ = writeln!(
-        out,
-        "sheriff-compatible workloads: {sheriff_compat} of {}   (paper: 11 of 35)",
-        tmi_workloads::SUITE.len()
-    );
-    out
+    let sheriff_compat = tmi_workloads::SUITE
+        .iter()
+        .filter(|name| sheriff_compatible(name))
+        .count();
+    layout(
+        &format!("Fig. 7: detection overhead, normalized to pthreads (8 threads, scale {scale})"),
+        &table,
+        &format!(
+            "tmi-detect mean overhead: {:+.1}%   (paper: +2% mean, +17% max)\n\
+             tmi-detect max overhead:  {:+.1}%\n\
+             sheriff-compatible workloads: {sheriff_compat} of {}   (paper: 11 of 35)",
+            (mean(&detect_over) - 1.0) * 100.0,
+            (detect_over.iter().cloned().fold(f64::MIN, f64::max) - 1.0) * 100.0,
+            tmi_workloads::SUITE.len()
+        ),
+    )
 }
 
 /// Fig. 8 — peak memory usage, pthreads vs TMI-full.
 pub fn fig8(exec: &Executor, scale: f64) -> String {
-    let mut set = ExperimentSet::new();
-    let jobs: Vec<(&str, usize, usize)> = tmi_workloads::SUITE
-        .iter()
-        .map(|&name| {
-            let base = set.push(JobSpec::new(name).scale(scale));
-            let tmi = set.push(
-                JobSpec::new(name)
-                    .runtime(RuntimeKind::TmiProtect)
-                    .scale(scale),
-            );
-            (name, base, tmi)
-        })
-        .collect();
-    let results = set.run_on(exec);
+    let cell = |name, rt| JobSpec::new(name).runtime(rt).scale(scale);
+    let runtimes = [RuntimeKind::Pthreads, RuntimeKind::TmiProtect];
+    let cells = Cells::run(
+        exec,
+        tmi_workloads::SUITE
+            .iter()
+            .flat_map(|&name| runtimes.map(|rt| cell(name, rt))),
+    );
 
-    let mut table = SpeedupTable::new("workload", &["pthreads MB", "TMI-full MB", "overhead MB"]);
+    let mut table = Table::new(&["workload", "pthreads MB", "TMI-full MB", "overhead MB"]);
     let mut ratios = Vec::new();
-    for &(name, base_job, tmi_job) in &jobs {
-        match (completed(&results[base_job]), completed(&results[tmi_job])) {
+    for name in tmi_workloads::SUITE {
+        let [base, tmi] = runtimes.map(|rt| cells.completed(&cell(name, rt)));
+        let [pthreads, tmi, over] = match (base, tmi) {
             (Some(base), Some(tmi)) => {
-                let over = tmi.memory_bytes.saturating_sub(base.memory_bytes);
                 if base.memory_bytes > 32 << 20 {
                     ratios.push(tmi.memory_bytes as f64 / base.memory_bytes as f64);
                 }
-                table.mb(name, "pthreads MB", base.memory_bytes);
-                table.mb(name, "TMI-full MB", tmi.memory_bytes);
-                table.mb(name, "overhead MB", over);
+                let over = tmi.memory_bytes.saturating_sub(base.memory_bytes);
+                [base.memory_bytes, tmi.memory_bytes, over].map(mb)
             }
-            _ => {
-                table.set(name, "pthreads MB", "failed");
-                table.set(name, "TMI-full MB", "failed");
-                table.set(name, "overhead MB", "failed");
-            }
-        }
+            _ => ["failed"; 3].map(String::from),
+        };
+        table.row(vec![name.into(), pthreads, tmi, over]);
     }
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Fig. 8: peak memory usage in MB (8 threads, scale {scale})\n"
-    );
-    out.push_str(&table.render());
-    out.push('\n');
-    let _ = writeln!(
-        out,
+    let mut notes = String::from(
         "Small-footprint workloads carry a fixed ~90 MB of perf buffers and detector\n\
          structures (paper: \"about 90MB of memory overhead\"); for larger workloads the\n\
-         relative overhead is modest (paper: 19% beyond the small-memory cases)."
+         relative overhead is modest (paper: 19% beyond the small-memory cases).",
     );
     if !ratios.is_empty() {
-        let gm = crate::report::geomean(&ratios);
-        let _ = writeln!(out, "geomean TMI/pthreads over larger workloads: {gm:.2}x");
+        let gm = geomean(&ratios);
+        let _ = write!(
+            notes,
+            "\ngeomean TMI/pthreads over larger workloads: {gm:.2}x"
+        );
     }
-    out
+    layout(
+        &format!("Fig. 8: peak memory usage in MB (8 threads, scale {scale})"),
+        &table,
+        &notes,
+    )
 }
 
 /// Fig. 9 — repair speedups over the buggy pthreads baseline.
 pub fn fig9(exec: &Executor, scale: f64) -> String {
-    struct Row {
-        name: &'static str,
-        base: usize,
-        manual: usize,
-        sheriff: Option<usize>,
-        laser: usize,
-        tmi: usize,
-    }
-    let mut set = ExperimentSet::new();
-    let mut rows = Vec::new();
-    for name in tmi_workloads::REPAIR_SUITE {
-        let spec = tmi_workloads::by_name(name).unwrap().spec();
-        let cfg = |rt| JobSpec::repair(name).runtime(rt).scale(scale).misaligned();
-        rows.push(Row {
-            name,
-            base: set.push(cfg(RuntimeKind::Pthreads)),
-            manual: set.push(JobSpec::repair(name).scale(scale).fixed()),
-            sheriff: spec
-                .sheriff_compatible
-                .then(|| set.push(cfg(RuntimeKind::SheriffProtect))),
-            laser: set.push(cfg(RuntimeKind::Laser)),
-            tmi: set.push(cfg(RuntimeKind::TmiProtect)),
-        });
-    }
-    let results = set.run_on(exec);
-
-    let mut table = SpeedupTable::new(
-        "workload",
-        &["manual", "sheriff-protect", "LASER", "TMI-protect"],
+    let cell = |name, rt| JobSpec::repair(name).runtime(rt).scale(scale).misaligned();
+    let manual = |name| JobSpec::repair(name).scale(scale).fixed();
+    let sheriff = |name| sheriff_compatible(name).then(|| cell(name, RuntimeKind::SheriffProtect));
+    let cells = Cells::run(
+        exec,
+        tmi_workloads::REPAIR_SUITE.iter().flat_map(|&name| {
+            [
+                Some(cell(name, RuntimeKind::Pthreads)),
+                Some(manual(name)),
+                sheriff(name),
+                Some(cell(name, RuntimeKind::Laser)),
+                Some(cell(name, RuntimeKind::TmiProtect)),
+            ]
+            .into_iter()
+            .flatten()
+        }),
     );
+
+    let mut table = Table::new(&[
+        "workload",
+        "manual",
+        "sheriff-protect",
+        "LASER",
+        "TMI-protect",
+    ]);
     let mut tmi_speedups = Vec::new();
     let mut manual_fracs = Vec::new();
-    for row in &rows {
-        let name = row.name;
-        let base = results[row.base].result();
-        assert!(base.ok(), "{name} baseline failed: {:?}", base.verified);
+    for name in tmi_workloads::REPAIR_SUITE {
+        let base = cells.verified(&cell(name, RuntimeKind::Pthreads)).cycles as f64;
         let speedup = |r: &RunResult| {
             if r.ok() {
-                base.cycles as f64 / r.cycles as f64
+                base / r.cycles as f64
             } else {
                 f64::NAN
             }
         };
-
-        match (
-            completed(&results[row.manual]),
-            completed(&results[row.tmi]),
-        ) {
-            (Some(manual), Some(tmi)) => {
-                let s_manual = speedup(manual);
-                let s_tmi = speedup(tmi);
-                tmi_speedups.push(s_tmi);
-                manual_fracs.push(s_tmi / s_manual);
-                table.ratio(name, "manual", s_manual);
-                table.ratio(name, "TMI-protect", s_tmi);
-            }
-            (manual, tmi) => {
-                match manual {
-                    Some(r) => table.ratio(name, "manual", speedup(r)),
-                    None => table.set(name, "manual", "failed"),
-                }
-                match tmi {
-                    Some(r) => table.ratio(name, "TMI-protect", speedup(r)),
-                    None => table.set(name, "TMI-protect", "failed"),
-                }
-            }
+        let speedup_of = |spec| cells.completed(&spec).map(speedup);
+        let s_manual = speedup_of(manual(name));
+        let s_tmi = speedup_of(cell(name, RuntimeKind::TmiProtect));
+        if let (Some(s_manual), Some(s_tmi)) = (s_manual, s_tmi) {
+            tmi_speedups.push(s_tmi);
+            manual_fracs.push(s_tmi / s_manual);
         }
-        match row.sheriff {
-            Some(job) => match completed(&results[job]) {
-                Some(r) if r.ok() => table.ratio(name, "sheriff-protect", speedup(r)),
-                Some(_) => table.set(name, "sheriff-protect", "broken"),
-                None => table.set(name, "sheriff-protect", "failed"),
-            },
-            None => table.set(name, "sheriff-protect", "incompatible"),
-        }
-        match completed(&results[row.laser]) {
-            Some(r) => table.ratio(name, "LASER", speedup(r)),
-            None => table.set(name, "LASER", "failed"),
-        }
+        let text = |s: Option<f64>| s.map_or("failed".into(), ratio);
+        table.row(vec![
+            name.into(),
+            text(s_manual),
+            sheriff(name).map_or("incompatible".into(), |s| {
+                cells.text(&s, |r| ratio(speedup(r)))
+            }),
+            text(speedup_of(cell(name, RuntimeKind::Laser))),
+            text(s_tmi),
+        ]);
     }
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Fig. 9: repair speedups over pthreads (4 threads, scale {scale})\n"
-    );
-    out.push_str(&table.render());
-    out.push('\n');
-    let _ = writeln!(
-        out,
-        "TMI mean speedup: {:.2}x   (paper: 5.2x mean across the repaired programs)",
-        mean(&tmi_speedups)
-    );
-    let _ = writeln!(
-        out,
-        "TMI fraction of manual speedup: {:.0}%   (paper: 88%)",
-        mean(&manual_fracs) * 100.0
-    );
-    out
+    layout(
+        &format!("Fig. 9: repair speedups over pthreads (4 threads, scale {scale})"),
+        &table,
+        &format!(
+            "TMI mean speedup: {:.2}x   (paper: 5.2x mean across the repaired programs)\n\
+             TMI fraction of manual speedup: {:.0}%   (paper: 88%)",
+            mean(&tmi_speedups),
+            mean(&manual_fracs) * 100.0
+        ),
+    )
 }
 
 /// Table 3 — repair characterization: detection latency, T2P cost,
 /// commit rate.
 pub fn table3(exec: &Executor, scale: f64) -> String {
-    let mut set = ExperimentSet::new();
-    let jobs: Vec<(&str, usize)> = tmi_workloads::REPAIR_SUITE
-        .iter()
-        .map(|&name| {
-            let job = set.push(
-                JobSpec::repair(name)
-                    .runtime(RuntimeKind::TmiProtect)
-                    .scale(scale)
-                    .misaligned(),
-            );
-            (name, job)
-        })
-        .collect();
-    let results = set.run_on(exec);
+    let cell = |name| {
+        JobSpec::repair(name)
+            .runtime(RuntimeKind::TmiProtect)
+            .scale(scale)
+            .misaligned()
+    };
+    let cells = Cells::run(exec, tmi_workloads::REPAIR_SUITE.map(cell));
 
-    let mut table = SpeedupTable::new("app", &["unrepaired (ms sim)", "T2P (us)", "commits/s"]);
-    for &(name, job) in &jobs {
-        let r = results[job].result();
-        assert!(r.ok(), "{name}: {:?}", r.verified);
-        let unrepaired_ms = r.converted_at.map(|c| c as f64 / 3.4e6).unwrap_or(f64::NAN);
-        table.set(
-            name,
-            "unrepaired (ms sim)",
-            if unrepaired_ms.is_nan() {
-                "no T2P (allocator/lock repair)".to_string()
-            } else {
-                format!("{unrepaired_ms:.2}")
+    let cycles_per_ms = LatencyModel::CLOCK_HZ as f64 / 1e3;
+    let mut table = Table::new(&["app", "unrepaired (ms sim)", "T2P (us)", "commits/s"]);
+    for name in tmi_workloads::REPAIR_SUITE {
+        let r = cells.verified(&cell(name));
+        table.row(vec![
+            name.into(),
+            match r.converted_at {
+                Some(c) => format!("{:.2}", c as f64 / cycles_per_ms),
+                None => "no T2P (allocator/lock repair)".into(),
             },
-        );
-        table.set(name, "T2P (us)", format!("{:.0}", r.t2p_micros()));
-        table.set(name, "commits/s", format!("{:.2}", r.commits_per_sec()));
+            format!("{:.0}", r.t2p_micros()),
+            format!("{:.2}", r.commits_per_sec()),
+        ]);
     }
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Table 3: TMI repair characterization (4 threads, scale {scale})\n"
-    );
-    out.push_str(&table.render());
-    let _ = writeln!(
-        out,
-        "\n(paper: detection within 1-2 s of its 1 Hz analysis — here scaled to the\n\
+    layout(
+        &format!("Table 3: TMI repair characterization (4 threads, scale {scale})"),
+        &table,
+        "(paper: detection within 1-2 s of its 1 Hz analysis — here scaled to the\n\
          simulator's tick; T2P under 200 us for all applications; commit rates span\n\
-         0.38-34 per second across the suite)"
-    );
-    out
+         0.38-34 per second across the suite)",
+    )
 }
 
 /// Fig. 10 — 4 KiB vs 2 MiB huge pages for the shared app memory.
 pub fn fig10(exec: &Executor, scale: f64) -> String {
-    let mut set = ExperimentSet::new();
-    let jobs: Vec<(&str, usize, usize)> = tmi_workloads::SUITE
-        .iter()
-        .map(|&name| {
-            let small = set.push(
-                JobSpec::new(name)
-                    .runtime(RuntimeKind::TmiDetect)
-                    .scale(scale),
-            );
-            let huge = set.push(
-                JobSpec::new(name)
-                    .runtime(RuntimeKind::TmiDetect)
-                    .scale(scale)
-                    .huge_pages(),
-            );
-            (name, small, huge)
-        })
-        .collect();
-    let results = set.run_on(exec);
+    let cell = |name| {
+        JobSpec::new(name)
+            .runtime(RuntimeKind::TmiDetect)
+            .scale(scale)
+    };
+    let cells = Cells::run(
+        exec,
+        tmi_workloads::SUITE
+            .iter()
+            .flat_map(|&name| [cell(name), cell(name).huge_pages()]),
+    );
 
-    let mut table = SpeedupTable::new("workload", &["4KB faults", "2MB faults", "4KB overhead"]);
+    let mut table = Table::new(&["workload", "4KB faults", "2MB faults", "4KB overhead"]);
     let mut overheads = Vec::new();
-    for &(name, small_job, huge_job) in &jobs {
-        let small = results[small_job].result();
-        let huge = results[huge_job].result();
-        assert!(small.ok() && huge.ok(), "{name}");
+    for name in tmi_workloads::SUITE {
+        let small = cells.verified(&cell(name));
+        let huge = cells.verified(&cell(name).huge_pages());
         let over = small.cycles as f64 / huge.cycles as f64 - 1.0;
         overheads.push(over);
-        table.count(name, "4KB faults", small.faults);
-        table.count(name, "2MB faults", huge.faults);
-        table.pct(name, "4KB overhead", over);
+        table.row(vec![
+            name.into(),
+            small.faults.to_string(),
+            huge.faults.to_string(),
+            pct(over),
+        ]);
     }
+    layout(
+        "Fig. 10: 4 KiB vs 2 MiB huge pages for the shared file-backed app memory",
+        &table,
+        &format!(
+            "mean 4KB overhead vs huge pages: {}   (paper: huge pages a 6% overall win,\n\
+             dominated by canneal/reverse/fft/fmm/ocean-ncp/radix class workloads)",
+            pct(mean(&overheads))
+        ),
+    )
+}
 
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Fig. 10: 4 KiB vs 2 MiB huge pages for the shared file-backed app memory\n"
-    );
-    out.push_str(&table.render());
-    out.push('\n');
-    let _ = writeln!(
-        out,
-        "mean 4KB overhead vs huge pages: {}   (paper: huge pages a 6% overall win,\n\
-         dominated by canneal/reverse/fft/fmm/ocean-ncp/radix class workloads)",
-        pct(mean(&overheads))
-    );
-    out
+/// The table of Figs. 11 and 12: one row per runtime, with its label and
+/// the two columns `outcome` renders from the run of `cell(runtime)`, or
+/// `failed` twice if the cell panicked.
+fn outcomes(
+    exec: &Executor,
+    header: [&str; 3],
+    runtimes: &[RuntimeKind],
+    cell: impl Fn(RuntimeKind) -> JobSpec,
+    outcome: impl Fn(&RunResult) -> [String; 2],
+) -> Table {
+    let cells = Cells::run(exec, runtimes.iter().map(|&rt| cell(rt)));
+    let mut table = Table::new(&header);
+    for &rt in runtimes {
+        let [a, b] = cells
+            .completed(&cell(rt))
+            .map_or(["failed"; 2].map(String::from), &outcome);
+        table.row(vec![rt.label().into(), a, b]);
+    }
+    table
 }
 
 /// Fig. 11 — canneal's atomic element swaps under different runtimes.
 pub fn fig11(exec: &Executor, scale: f64) -> String {
-    const RUNTIMES: [RuntimeKind; 4] = [
-        RuntimeKind::Pthreads,
-        RuntimeKind::TmiProtect,
-        RuntimeKind::SheriffProtect,
-        RuntimeKind::SheriffDetect,
-    ];
-    let mut set = ExperimentSet::new();
-    let jobs: Vec<usize> = RUNTIMES
-        .iter()
-        .map(|&rt| {
-            set.push(
-                JobSpec::repair("canneal")
-                    .runtime(rt)
-                    .scale(scale)
-                    .max_ops(30_000_000), // bound broken runs
-            )
-        })
-        .collect();
-    let results = set.run_on(exec);
-
-    let mut table = Table::new(&["runtime", "completed", "result"]);
-    for (&rt, &job) in RUNTIMES.iter().zip(&jobs) {
-        match completed(&results[job]) {
-            Some(r) => table.row(vec![
-                rt.label().to_string(),
+    let table = outcomes(
+        exec,
+        ["runtime", "completed", "result"],
+        &[
+            RuntimeKind::Pthreads,
+            RuntimeKind::TmiProtect,
+            RuntimeKind::SheriffProtect,
+            RuntimeKind::SheriffDetect,
+        ],
+        |rt| {
+            JobSpec::repair("canneal")
+                .runtime(rt)
+                .scale(scale)
+                .max_ops(30_000_000) // bound broken runs
+        },
+        |r| {
+            [
                 format!("{:?}", r.halt),
                 match &r.verified {
-                    Ok(()) => "correct (all elements present exactly once)".to_string(),
+                    Ok(()) => "correct (all elements present exactly once)".into(),
                     Err(e) => format!("CORRUPTED: {e}"),
                 },
-            ]),
-            None => table.row(vec![
-                rt.label().to_string(),
-                "failed".to_string(),
-                "failed".to_string(),
-            ]),
-        }
-    }
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Fig. 11: canneal's atomic swaps under different runtimes (scale {scale})\n"
+            ]
+        },
     );
-    out.push_str(&table.render());
-    let _ = writeln!(
-        out,
-        "\n(paper: Sheriff corrupts canneal because its PTSB has no consistency guard;\n\
-         TMI routes the atomic/assembly swap code to shared memory and stays correct)"
-    );
-    out
+    layout(
+        &format!("Fig. 11: canneal's atomic swaps under different runtimes (scale {scale})"),
+        &table,
+        "(paper: Sheriff corrupts canneal because its PTSB has no consistency guard;\n\
+         TMI routes the atomic/assembly swap code to shared memory and stays correct)",
+    )
 }
 
 /// Fig. 12 — cholesky's volatile-flag synchronization under different
 /// runtimes.
 pub fn fig12(exec: &Executor) -> String {
-    const RUNTIMES: [RuntimeKind; 5] = [
-        RuntimeKind::Pthreads,
-        RuntimeKind::TmiDetect,
-        RuntimeKind::TmiProtect,
-        RuntimeKind::SheriffProtect,
-        RuntimeKind::SheriffDetect,
-    ];
-    let mut set = ExperimentSet::new();
-    let jobs: Vec<usize> = RUNTIMES
-        .iter()
-        .map(|&rt| {
-            set.push(
-                JobSpec::repair("cholesky").runtime(rt).max_ops(8_000_000), // bound the hang
-            )
-        })
-        .collect();
-    let results = set.run_on(exec);
-
-    let mut table = Table::new(&["runtime", "outcome", "flag visible"]);
-    for (&rt, &job) in RUNTIMES.iter().zip(&jobs) {
-        match completed(&results[job]) {
-            Some(r) => {
-                let outcome = match r.halt {
-                    tmi_sim::Halt::Completed => "completed".to_string(),
-                    tmi_sim::Halt::Hang => "HANGS (stale private flag)".to_string(),
+    let table = outcomes(
+        exec,
+        ["runtime", "outcome", "flag visible"],
+        &[
+            RuntimeKind::Pthreads,
+            RuntimeKind::TmiDetect,
+            RuntimeKind::TmiProtect,
+            RuntimeKind::SheriffProtect,
+            RuntimeKind::SheriffDetect,
+        ],
+        |rt| JobSpec::repair("cholesky").runtime(rt).max_ops(8_000_000), // bound the hang
+        |r| {
+            [
+                match r.halt {
+                    tmi_sim::Halt::Completed => "completed".into(),
+                    tmi_sim::Halt::Hang => "HANGS (stale private flag)".into(),
                     tmi_sim::Halt::Fault(ref e) => format!("fault: {e}"),
-                };
-                table.row(vec![
-                    rt.label().to_string(),
-                    outcome,
-                    match &r.verified {
-                        Ok(()) => "yes".to_string(),
-                        Err(e) => e.clone(),
-                    },
-                ]);
-            }
-            None => table.row(vec![
-                rt.label().to_string(),
-                "failed".to_string(),
-                "failed".to_string(),
-            ]),
-        }
-    }
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Fig. 12: cholesky's volatile-flag synchronization under different runtimes\n"
+                },
+                match &r.verified {
+                    Ok(()) => "yes".into(),
+                    Err(e) => e.clone(),
+                },
+            ]
+        },
     );
-    out.push_str(&table.render());
-    let _ = writeln!(
-        out,
-        "\n(paper: Sheriff hangs on cholesky; TMI performs detection on all of these\n\
-         benchmarks without causing incorrect results, §4.5)"
-    );
-    out
+    layout(
+        "Fig. 12: cholesky's volatile-flag synchronization under different runtimes",
+        &table,
+        "(paper: Sheriff hangs on cholesky; TMI performs detection on all of these\n\
+         benchmarks without causing incorrect results, §4.5)",
+    )
 }
 
 /// §4.3 ablation — targeted page protection vs PTSB-everywhere.
@@ -787,115 +683,81 @@ pub fn ablate_ptsb_everywhere(exec: &Executor, scale: f64) -> String {
         "stringmatch",
         "shptr-relaxed",
     ];
-    let mut set = ExperimentSet::new();
-    let jobs: Vec<(&str, usize, usize, usize)> = WORKLOADS
-        .iter()
-        .map(|&name| {
-            let cfg = |rt| JobSpec::repair(name).runtime(rt).scale(scale).misaligned();
-            (
-                name,
-                set.push(cfg(RuntimeKind::Pthreads)),
-                set.push(cfg(RuntimeKind::TmiProtect)),
-                set.push(cfg(RuntimeKind::TmiPtsbEverywhere)),
-            )
-        })
-        .collect();
-    let results = set.run_on(exec);
+    const RUNTIMES: [RuntimeKind; 3] = [
+        RuntimeKind::Pthreads,
+        RuntimeKind::TmiProtect,
+        RuntimeKind::TmiPtsbEverywhere,
+    ];
+    let cell = |name, rt| JobSpec::repair(name).runtime(rt).scale(scale).misaligned();
+    let cells = Cells::run(
+        exec,
+        WORKLOADS
+            .iter()
+            .flat_map(|&name| RUNTIMES.map(|rt| cell(name, rt))),
+    );
 
-    let mut table = SpeedupTable::new("workload", &["TMI (targeted)", "PTSB-everywhere"]);
-    for &(name, base_job, targeted_job, everywhere_job) in &jobs {
-        let base = results[base_job].result();
-        let targeted = results[targeted_job].result();
-        let everywhere = results[everywhere_job].result();
-        assert!(base.ok() && targeted.ok() && everywhere.ok(), "{name}");
-        table.ratio(
-            name,
-            "TMI (targeted)",
-            base.cycles as f64 / targeted.cycles as f64,
-        );
-        table.ratio(
-            name,
-            "PTSB-everywhere",
-            base.cycles as f64 / everywhere.cycles as f64,
-        );
+    let mut table = Table::new(&["workload", "TMI (targeted)", "PTSB-everywhere"]);
+    for name in WORKLOADS {
+        let [base, targeted, everywhere] =
+            RUNTIMES.map(|rt| cells.verified(&cell(name, rt)).cycles);
+        let speedup = |cycles| ratio(base as f64 / cycles as f64);
+        table.row(vec![name.into(), speedup(targeted), speedup(everywhere)]);
     }
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "PTSB-everywhere ablation: speedup over pthreads (4 threads, scale {scale})\n"
-    );
-    out.push_str(&table.render());
-    let _ = writeln!(
-        out,
-        "\n(paper: indiscriminate PTSB use turns histogram's 1.29x speedup into a 0.74x\n\
-         slowdown and halves histogramfs's benefit — motivating targeted repair, §4.3)"
-    );
-    out
+    layout(
+        &format!("PTSB-everywhere ablation: speedup over pthreads (4 threads, scale {scale})"),
+        &table,
+        "(paper: indiscriminate PTSB use turns histogram's 1.29x speedup into a 0.74x\n\
+         slowdown and halves histogramfs's benefit — motivating targeted repair, §4.3)",
+    )
 }
 
 /// Extension sweep — false-sharing penalty and repair quality vs thread
 /// count.
 pub fn sweep_threads(exec: &Executor, name: &str, scale: f64) -> String {
     const THREADS: [usize; 4] = [2, 4, 8, 16];
-    let mut set = ExperimentSet::new();
-    let jobs: Vec<(usize, usize, usize, usize)> = THREADS
-        .iter()
-        .map(|&threads| {
-            let cfg = |rt| {
-                JobSpec::repair(name)
-                    .runtime(rt)
-                    .scale(scale)
-                    .misaligned()
-                    .threads(threads)
-            };
-            (
-                threads,
-                set.push(cfg(RuntimeKind::Pthreads)),
-                set.push(JobSpec::repair(name).scale(scale).fixed().threads(threads)),
-                set.push(cfg(RuntimeKind::TmiProtect)),
-            )
-        })
-        .collect();
-    let results = set.run_on(exec);
+    let cell = |threads, rt| {
+        JobSpec::repair(name)
+            .runtime(rt)
+            .scale(scale)
+            .misaligned()
+            .threads(threads)
+    };
+    let manual = |threads| JobSpec::repair(name).scale(scale).fixed().threads(threads);
+    let cells = Cells::run(
+        exec,
+        THREADS.iter().flat_map(|&threads| {
+            [
+                cell(threads, RuntimeKind::Pthreads),
+                manual(threads),
+                cell(threads, RuntimeKind::TmiProtect),
+            ]
+        }),
+    );
 
-    let mut table = SpeedupTable::new(
+    let mut table = Table::new(&[
         "threads",
-        &[
-            "FS slowdown (buggy/fixed)",
-            "TMI speedup",
-            "TMI % of manual",
-        ],
-    );
-    for &(threads, base_job, fixed_job, tmi_job) in &jobs {
-        let base = results[base_job].result();
-        let fixed = results[fixed_job].result();
-        let tmi = results[tmi_job].result();
-        assert!(base.ok() && fixed.ok() && tmi.ok(), "{name} @ {threads}");
-        let manual = base.cycles as f64 / fixed.cycles as f64;
-        let s_tmi = base.cycles as f64 / tmi.cycles as f64;
-        let row = threads.to_string();
-        table.ratio(&row, "FS slowdown (buggy/fixed)", manual);
-        table.ratio(&row, "TMI speedup", s_tmi);
-        table.set(
-            &row,
-            "TMI % of manual",
-            format!("{:.0}%", 100.0 * s_tmi / manual),
-        );
+        "FS slowdown (buggy/fixed)",
+        "TMI speedup",
+        "TMI % of manual",
+    ]);
+    for threads in THREADS {
+        let base = cells.verified(&cell(threads, RuntimeKind::Pthreads)).cycles as f64;
+        let speedup = |spec| base / cells.verified(&spec).cycles as f64;
+        let s_manual = speedup(manual(threads));
+        let s_tmi = speedup(cell(threads, RuntimeKind::TmiProtect));
+        table.row(vec![
+            threads.to_string(),
+            ratio(s_manual),
+            ratio(s_tmi),
+            format!("{:.0}%", 100.0 * s_tmi / s_manual),
+        ]);
     }
-
-    let mut out = String::new();
-    let _ = writeln!(out, "Thread-count sweep on {name} (scale {scale})\n");
-    out.push_str(&table.render());
-    let _ = writeln!(
-        out,
-        "\n(extension: more sharers per line → more invalidation traffic per write →"
-    );
-    let _ = writeln!(
-        out,
-        " larger false-sharing penalty; TMI's repair tracks the manual fix throughout)"
-    );
-    out
+    layout(
+        &format!("Thread-count sweep on {name} (scale {scale})"),
+        &table,
+        "(extension: more sharers per line → more invalidation traffic per write →\n \
+         larger false-sharing penalty; TMI's repair tracks the manual fix throughout)",
+    )
 }
 
 /// Table 1 — the requirements matrix, every cell measured.
@@ -919,184 +781,123 @@ pub fn table1(exec: &Executor, scale: f64) -> String {
         RuntimeKind::Laser,
         RuntimeKind::TmiProtect,
     ];
-
-    let mut set = ExperimentSet::new();
-
+    let runs = |rt, name: &str| {
+        sheriff_compatible(name)
+            || !matches!(rt, RuntimeKind::SheriffDetect | RuntimeKind::SheriffProtect)
+    };
     // compatible (suite coverage): every workload the system claims to
     // run, bounded against livelock.
-    let compat_jobs: Vec<Vec<usize>> = DETECTORS
-        .iter()
-        .map(|&rt| {
-            tmi_workloads::SUITE
-                .iter()
-                .filter(|name| {
-                    let spec = tmi_workloads::by_name(name).unwrap().spec();
-                    spec.sheriff_compatible
-                        || !matches!(rt, RuntimeKind::SheriffDetect | RuntimeKind::SheriffProtect)
-                })
-                .map(|&name| {
-                    set.push(
-                        JobSpec::new(name)
-                            .runtime(rt)
-                            .scale(scale)
-                            .max_ops(40_000_000),
-                    )
-                })
-                .collect()
-        })
-        .collect();
-
+    let compat = |rt, name| {
+        JobSpec::new(name)
+            .runtime(rt)
+            .scale(scale)
+            .max_ops(40_000_000)
+    };
     // memory consistency: canneal (atomics) + cholesky (racy flag).
-    let cons_jobs: Vec<(usize, usize)> = PROTECTORS
-        .iter()
-        .map(|&rt| {
-            (
-                set.push(
-                    JobSpec::repair("canneal")
-                        .runtime(rt)
-                        .scale(0.5)
-                        .max_ops(20_000_000),
-                ),
-                set.push(JobSpec::repair("cholesky").runtime(rt).max_ops(6_000_000)),
-            )
-        })
-        .collect();
-
+    let consistency = |rt| {
+        [
+            JobSpec::repair("canneal")
+                .runtime(rt)
+                .scale(0.5)
+                .max_ops(20_000_000),
+            JobSpec::repair("cholesky").runtime(rt).max_ops(6_000_000),
+        ]
+    };
     // overhead w/o contention: fixed stop-the-world costs amortize over
-    // realistic run lengths, so measure at full benchmark scale.
-    let oscale = scale.max(2.0);
-    let over_jobs: Vec<Vec<(usize, usize)>> = DETECTORS
-        .iter()
-        .map(|&rt| {
+    // realistic run lengths, so measure at full benchmark scale; % of
+    // manual speedup: the fig9 metric, at fig9's scale.
+    let big = scale.max(2.0);
+    let quiet = |rt, name| JobSpec::new(name).runtime(rt).scale(big);
+    let repair = |rt, name| JobSpec::repair(name).runtime(rt).scale(big).misaligned();
+    let manual = |name| JobSpec::repair(name).scale(big).fixed();
+    let repaired = |rt, name| repair(rt, name).max_ops(60_000_000);
+
+    let mut specs = Vec::new();
+    for rt in DETECTORS {
+        let names = tmi_workloads::SUITE.iter().filter(|&&name| runs(rt, name));
+        specs.extend(names.map(|&name| compat(rt, name)));
+    }
+    specs.extend(PROTECTORS.iter().flat_map(|&rt| consistency(rt)));
+    for rt in DETECTORS {
+        specs.extend(
             QUIET
                 .iter()
-                .map(|&name| {
-                    (
-                        set.push(JobSpec::new(name).scale(oscale)),
-                        set.push(JobSpec::new(name).runtime(rt).scale(oscale)),
-                    )
-                })
-                .collect()
-        })
-        .collect();
-
-    // % of manual speedup: the fig9 metric, at fig9's scale.
-    let fscale = scale.max(2.0);
-    enum FracJob {
-        Incompatible,
-        Runs {
-            base: usize,
-            manual: usize,
-            r: usize,
-        },
+                .flat_map(|&name| [quiet(RuntimeKind::Pthreads, name), quiet(rt, name)]),
+        );
     }
-    let frac_jobs: Vec<Vec<FracJob>> = PROTECTORS
-        .iter()
-        .map(|&rt| {
-            tmi_workloads::REPAIR_SUITE
-                .iter()
-                .map(|&name| {
-                    let spec = tmi_workloads::by_name(name).unwrap().spec();
-                    if rt == RuntimeKind::SheriffProtect && !spec.sheriff_compatible {
-                        return FracJob::Incompatible;
-                    }
-                    let cfg = |k| JobSpec::repair(name).runtime(k).scale(fscale).misaligned();
-                    FracJob::Runs {
-                        base: set.push(cfg(RuntimeKind::Pthreads)),
-                        manual: set.push(JobSpec::repair(name).scale(fscale).fixed()),
-                        r: set.push(cfg(rt).max_ops(60_000_000)),
-                    }
-                })
-                .collect()
-        })
-        .collect();
-
-    let results = set.run_on(exec);
-    let n = tmi_workloads::SUITE.len();
+    for rt in PROTECTORS {
+        let names = tmi_workloads::REPAIR_SUITE
+            .iter()
+            .filter(|&&name| runs(rt, name));
+        specs.extend(names.flat_map(|&name| {
+            [
+                repair(RuntimeKind::Pthreads, name),
+                manual(name),
+                repaired(rt, name),
+            ]
+        }));
+    }
+    let cells = Cells::run(exec, specs);
 
     let mut table = Table::new(&["requirement", "Sheriff", "Plastic", "LASER", "TMI"]);
-
-    table.row({
-        let mut v = vec!["compatible (suite coverage)".to_string()];
-        v.extend(compat_jobs.iter().map(|jobs| {
-            let compat = jobs.iter().filter(|&&j| results[j].ok()).count();
-            format!("{compat}/{n}")
-        }));
-        v
+    let mut row =
+        |requirement: &str, runtimes: [RuntimeKind; 4], value: &dyn Fn(RuntimeKind) -> String| {
+            let mut line = vec![requirement.to_string()];
+            line.extend(runtimes.map(value));
+            table.row(line);
+        };
+    row("compatible (suite coverage)", DETECTORS, &|rt| {
+        let suite = tmi_workloads::SUITE;
+        let ok = suite
+            .iter()
+            .filter(|&&name| runs(rt, name) && cells.get(&compat(rt, name)).ok())
+            .count();
+        format!("{ok}/{}", suite.len())
     });
-
-    table.row({
-        let mut v = vec!["memory consistency preserved".to_string()];
-        v.extend(cons_jobs.iter().map(|&(canneal, cholesky)| {
-            if results[canneal].ok() && results[cholesky].ok() {
-                "yes".to_string()
-            } else {
-                "NO".to_string()
-            }
-        }));
-        v
+    row("memory consistency preserved", PROTECTORS, &|rt| {
+        if consistency(rt).iter().all(|spec| cells.get(spec).ok()) {
+            "yes".into()
+        } else {
+            "NO".into()
+        }
     });
-
-    table.row({
-        let mut v = vec!["overhead w/o contention".to_string()];
-        v.extend(over_jobs.iter().map(|jobs| {
-            let mut overs = Vec::new();
-            for &(base_job, r_job) in jobs {
-                if let (Some(base), Some(r)) =
-                    (completed(&results[base_job]), completed(&results[r_job]))
-                {
-                    if r.ok() && base.ok() {
-                        overs.push(r.cycles as f64 / base.cycles as f64 - 1.0);
-                    }
-                }
-            }
-            format!("{:+.0}%", mean(&overs) * 100.0)
-        }));
-        v
+    row("overhead w/o contention", DETECTORS, &|rt| {
+        let overs: Vec<f64> = QUIET
+            .iter()
+            .filter_map(|&name| {
+                let base = cells.completed(&quiet(RuntimeKind::Pthreads, name))?;
+                let r = cells.completed(&quiet(rt, name))?;
+                (r.ok() && base.ok()).then(|| r.cycles as f64 / base.cycles as f64 - 1.0)
+            })
+            .collect();
+        format!("{:+.0}%", mean(&overs) * 100.0)
     });
-
-    table.row({
-        let mut v = vec!["% of manual speedup".to_string()];
-        v.extend(frac_jobs.iter().map(|jobs| {
-            let mut fracs = Vec::new();
-            let mut skipped = 0usize;
-            for job in jobs {
-                match job {
-                    FracJob::Incompatible => skipped += 1,
-                    FracJob::Runs { base, manual, r } => match completed(&results[*r]) {
-                        Some(r) if r.ok() => {
-                            let base = results[*base].result();
-                            let manual = results[*manual].result();
-                            let manual_speedup = base.cycles as f64 / manual.cycles as f64;
-                            let speedup = base.cycles as f64 / r.cycles as f64;
-                            fracs.push(speedup / manual_speedup);
-                        }
-                        _ => skipped += 1,
-                    },
-                }
-            }
-            let f = mean(&fracs);
-            if skipped > 0 {
-                format!("{:.0}% ({skipped} n/a)", f * 100.0)
-            } else {
-                format!("{:.0}%", f * 100.0)
-            }
-        }));
-        v
+    row("% of manual speedup", PROTECTORS, &|rt| {
+        let fracs: Vec<f64> = tmi_workloads::REPAIR_SUITE
+            .iter()
+            .filter(|&&name| runs(rt, name))
+            .filter_map(|&name| {
+                let r = cells.completed(&repaired(rt, name)).filter(|r| r.ok())?;
+                let base = cells.get(&repair(RuntimeKind::Pthreads, name)).result();
+                let manual = cells.get(&manual(name)).result();
+                let manual_speedup = base.cycles as f64 / manual.cycles as f64;
+                Some(base.cycles as f64 / r.cycles as f64 / manual_speedup)
+            })
+            .collect();
+        let skipped = tmi_workloads::REPAIR_SUITE.len() - fracs.len();
+        let f = mean(&fracs) * 100.0;
+        if skipped > 0 {
+            format!("{f:.0}% ({skipped} n/a)")
+        } else {
+            format!("{f:.0}%")
+        }
     });
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Table 1: requirements matrix, measured from this reproduction (scale {scale})\n"
-    );
-    out.push_str(&table.render());
-    let _ = writeln!(
-        out,
-        "\n(paper: Sheriff 27% overhead / 92% of manual / consistency broken;\n\
-         Plastic 6% / ~30%; LASER 2% / 24%; TMI 2% / 88%)"
-    );
-    out
+    layout(
+        &format!("Table 1: requirements matrix, measured from this reproduction (scale {scale})"),
+        &table,
+        "(paper: Sheriff 27% overhead / 92% of manual / consistency broken;\n\
+         Plastic 6% / ~30%; LASER 2% / 24%; TMI 2% / 88%)",
+    )
 }
 
 #[cfg(test)]
@@ -1113,6 +914,20 @@ mod tests {
             "the PTSB must be armed on x's page"
         );
         assert_eq!(m.u64("tmi.repair.converted"), 1);
+    }
+
+    #[test]
+    fn cells_submit_a_repeated_spec_once() {
+        let exec = Executor::new(2);
+        let copies = [
+            JobSpec::new("histogram").scale(0.03),
+            JobSpec::new("histogram").scale(0.03),
+        ];
+        let cells = Cells::run(&exec, copies.clone());
+        assert_eq!(exec.job_log().len(), 1, "one job for both copies");
+        for spec in &copies {
+            assert!(cells.get(spec).ok());
+        }
     }
 
     #[test]

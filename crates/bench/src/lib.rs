@@ -30,10 +30,11 @@
 //! | `table1` | Table 1 — requirements matrix |
 //!
 //! A cell of the experiment matrix is one [`JobSpec`]: build it with its
-//! builder methods and [`JobSpec::run`] it, or batch cells with
-//! [`ExperimentSet`] / [`Executor`] ([`exec`]) for deterministic parallel
-//! execution; [`figures`] holds the rendering behind each section, and
-//! [`harness`] is the machine-assembly layer underneath.
+//! builder methods and [`JobSpec::run`] it, or pass a batch of them to
+//! [`Executor::run`] ([`exec`]) for deterministic parallel execution.
+//! [`figures`] holds the rendering behind each section, which looks its
+//! cells up by spec, and [`harness`] is the machine-assembly layer
+//! underneath.
 
 pub mod exec;
 pub mod figures;
@@ -44,9 +45,8 @@ pub mod spec;
 
 pub use harness::{RunResult, RuntimeKind};
 
-pub use exec::{pool_map, Executor, ExperimentSet, JobResult};
+pub use exec::{pool_map, Executor, JobResult};
 pub use fuzz::{check_spec, run_campaign, CampaignResult, FuzzConfig};
-pub use report::SpeedupTable;
 pub use spec::JobSpec;
 
 /// The former name of the cell builder, kept for the standalone

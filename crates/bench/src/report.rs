@@ -59,96 +59,6 @@ impl Table {
     }
 }
 
-/// A figure-style comparison grid on top of [`Table`]: columns are fixed
-/// up front (typically [`crate::RuntimeKind::label`] strings), rows
-/// appear in first-touch order, and cells are set by `(row, column)` key
-/// through the shared formatters below — so every experiment binary
-/// normalizes and prints its results the same way.
-#[derive(Debug)]
-pub struct SpeedupTable {
-    corner: String,
-    cols: Vec<String>,
-    rows: Vec<String>,
-    cells: std::collections::HashMap<(String, String), String>,
-}
-
-impl SpeedupTable {
-    /// Creates a grid with a row-label header (`corner`) and the value
-    /// columns in display order.
-    pub fn new(corner: &str, cols: &[&str]) -> Self {
-        SpeedupTable {
-            corner: corner.to_string(),
-            cols: cols.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-            cells: std::collections::HashMap::new(),
-        }
-    }
-
-    /// Sets a preformatted cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is not one of the declared columns — a bug in the
-    /// experiment binary, like [`Table::row`]'s arity check.
-    pub fn set(&mut self, row: &str, col: &str, text: impl Into<String>) {
-        assert!(
-            self.cols.iter().any(|c| c == col),
-            "unknown column {col:?} (have {:?})",
-            self.cols
-        );
-        if !self.rows.iter().any(|r| r == row) {
-            self.rows.push(row.to_string());
-        }
-        self.cells
-            .insert((row.to_string(), col.to_string()), text.into());
-    }
-
-    /// Sets a speedup cell (`1.23x`).
-    pub fn ratio(&mut self, row: &str, col: &str, x: f64) {
-        self.set(row, col, ratio(x));
-    }
-
-    /// Sets a normalized-runtime cell (`1.02`, baseline = 1.00).
-    pub fn norm(&mut self, row: &str, col: &str, x: f64) {
-        self.set(row, col, format!("{x:.2}"));
-    }
-
-    /// Sets a signed-percentage cell (`+3.4%`).
-    pub fn pct(&mut self, row: &str, col: &str, x: f64) {
-        self.set(row, col, pct(x));
-    }
-
-    /// Sets a megabyte cell from a byte count.
-    pub fn mb(&mut self, row: &str, col: &str, bytes: u64) {
-        self.set(row, col, mb(bytes));
-    }
-
-    /// Sets an integer-count cell.
-    pub fn count(&mut self, row: &str, col: &str, n: u64) {
-        self.set(row, col, n.to_string());
-    }
-
-    /// Renders the grid through [`Table`] (unset cells are blank).
-    pub fn render(&self) -> String {
-        let mut header = vec![self.corner.as_str()];
-        header.extend(self.cols.iter().map(String::as_str));
-        let mut table = Table::new(&header);
-        for row in &self.rows {
-            let mut cells = vec![row.clone()];
-            for col in &self.cols {
-                cells.push(
-                    self.cells
-                        .get(&(row.clone(), col.clone()))
-                        .cloned()
-                        .unwrap_or_default(),
-                );
-            }
-            table.row(cells);
-        }
-        table.render()
-    }
-}
-
 /// Formats a ratio as `1.23x`.
 pub fn ratio(x: f64) -> String {
     format!("{x:.2}x")
@@ -206,27 +116,6 @@ mod tests {
     fn arity_mismatch_panics() {
         let mut t = Table::new(&["a", "b"]);
         t.row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn speedup_table_matches_equivalent_table() {
-        let mut st = SpeedupTable::new("workload", &["manual", "tmi-protect"]);
-        st.ratio("histogram", "manual", 1.8);
-        st.ratio("histogram", "tmi-protect", 1.29);
-        st.set("lreg", "manual", "broken");
-        st.norm("lreg", "tmi-protect", 1.0161);
-
-        let mut t = Table::new(&["workload", "manual", "tmi-protect"]);
-        t.row(vec!["histogram".into(), "1.80x".into(), "1.29x".into()]);
-        t.row(vec!["lreg".into(), "broken".into(), "1.02".into()]);
-        assert_eq!(st.render(), t.render());
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown column")]
-    fn speedup_table_rejects_unknown_columns() {
-        let mut st = SpeedupTable::new("workload", &["manual"]);
-        st.set("histogram", "laser", "1.00x");
     }
 
     #[test]

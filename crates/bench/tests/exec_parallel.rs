@@ -2,22 +2,23 @@
 //! results, their order, or their values in any way, and a panicking
 //! cell must fail alone instead of killing the batch.
 
-use tmi_bench::{Executor, ExperimentSet, JobResult, JobSpec, RuntimeKind};
+use tmi_bench::{Executor, JobResult, JobSpec, RuntimeKind};
 
 const WORKLOADS: [&str; 4] = ["histogram", "lreg", "blackscholes", "stringmatch"];
 
-fn build_set() -> ExperimentSet {
-    let mut set = ExperimentSet::new();
-    for name in WORKLOADS {
-        set.push(JobSpec::new(name).scale(0.05));
-        set.push(
-            JobSpec::repair(name)
-                .runtime(RuntimeKind::TmiProtect)
-                .scale(0.05)
-                .misaligned(),
-        );
-    }
-    set
+fn batch() -> Vec<JobSpec> {
+    WORKLOADS
+        .iter()
+        .flat_map(|&name| {
+            [
+                JobSpec::new(name).scale(0.05),
+                JobSpec::repair(name)
+                    .runtime(RuntimeKind::TmiProtect)
+                    .scale(0.05)
+                    .misaligned(),
+            ]
+        })
+        .collect()
 }
 
 fn fingerprint(r: &JobResult) -> (String, u64, u64, u64, u64, bool, Result<(), String>) {
@@ -35,8 +36,8 @@ fn fingerprint(r: &JobResult) -> (String, u64, u64, u64, u64, bool, Result<(), S
 
 #[test]
 fn pool_size_one_and_four_produce_identical_result_streams() {
-    let serial = build_set().run_on(&Executor::new(1));
-    let parallel = build_set().run_on(&Executor::new(4));
+    let serial = Executor::new(1).run(batch());
+    let parallel = Executor::new(4).run(batch());
     assert_eq!(serial.len(), parallel.len());
     assert_eq!(serial.len(), 2 * WORKLOADS.len());
     for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
@@ -49,13 +50,14 @@ fn pool_size_one_and_four_produce_identical_result_streams() {
 
 #[test]
 fn panicking_job_marks_one_cell_failed_and_spares_the_rest() {
-    let mut set = ExperimentSet::new();
-    for name in WORKLOADS {
-        set.push(JobSpec::new(name).scale(0.03));
-    }
-    let bad = set.push(JobSpec::new("no-such-workload").scale(0.03));
+    let mut specs: Vec<JobSpec> = WORKLOADS
+        .iter()
+        .map(|&name| JobSpec::new(name).scale(0.03))
+        .collect();
+    specs.push(JobSpec::new("no-such-workload").scale(0.03));
+    let bad = specs.len() - 1;
     let exec = Executor::new(4);
-    let results = set.run_on(&exec);
+    let results = exec.run(specs);
 
     assert_eq!(results.len(), WORKLOADS.len() + 1);
     let failed: Vec<usize> = (0..results.len())
@@ -77,20 +79,11 @@ fn panicking_job_marks_one_cell_failed_and_spares_the_rest() {
 }
 
 #[test]
-fn identical_cells_dedupe_at_submission_and_memoize_across_batches() {
-    let mut set = ExperimentSet::new();
-    let first = set.push(JobSpec::new("histogram").scale(0.03));
-    let dup = set.push(JobSpec::new("histogram").scale(0.03));
-    assert_eq!(first, dup, "equal experiments share one submission slot");
-    assert_eq!(set.len(), 1);
-
+fn identical_cells_memoize_across_batches() {
     let exec = Executor::new(2);
-    let batch1 = set.run_on(&exec);
-
-    let mut again = ExperimentSet::new();
-    again.push(JobSpec::new("histogram").scale(0.03));
-    let batch2 = again.run_on(&exec);
-    assert_eq!(batch1[first].result().cycles, batch2[0].result().cycles);
+    let batch1 = exec.run(vec![JobSpec::new("histogram").scale(0.03)]);
+    let batch2 = exec.run(vec![JobSpec::new("histogram").scale(0.03)]);
+    assert_eq!(batch1[0].result().cycles, batch2[0].result().cycles);
 
     let log = exec.job_log();
     assert_eq!(log.len(), 2);
@@ -105,9 +98,7 @@ fn identical_cells_dedupe_at_submission_and_memoize_across_batches() {
 #[test]
 fn job_log_json_has_the_documented_shape() {
     let exec = Executor::new(1);
-    let mut set = ExperimentSet::new();
-    set.push(JobSpec::new("histogram").scale(0.03));
-    set.run_on(&exec);
+    exec.run(vec![JobSpec::new("histogram").scale(0.03)]);
     let json = exec.to_json();
     for needle in [
         "\"schema\": \"tmi-bench-harness/2\"",

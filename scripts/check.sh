@@ -23,7 +23,14 @@
 #            also exercises the parallel executor, BENCH_harness.json and
 #            the --trace writer; its report must byte-match
 #            tests/golden/run_all_quick.txt (regenerate deliberately with
-#            target/release/run_all --quick > tests/golden/run_all_quick.txt)
+#            target/release/run_all --quick > tests/golden/run_all_quick.txt).
+#            Two of the three sections without a quick scale render at
+#            scale 0.05 and must byte-match
+#            tests/golden/run_all_fig11_sweep_threads.txt (regenerate with
+#            target/release/run_all fig11 sweep_threads 0.05 \
+#              > tests/golden/run_all_fig11_sweep_threads.txt); table1 is
+#            left out, as its overhead rows run at scale 2 whatever the
+#            SCALE (~30 s)
 #   bench-smoke  the benchmark gate: the standalone perfbench package
 #            (its own cargo package and the only timing harness, see
 #            perfbench/README.md): its unit, API-guard and self-check
@@ -104,6 +111,10 @@ test -s "$smoke_dir/trace_quick.json"
 grep -q '"schema": "tmi-bench-harness/2"' "$smoke_dir/BENCH_harness.json"
 diff -u tests/golden/run_all_quick.txt "$smoke_dir/run_all_quick.txt" \
   || { echo "run_all --quick drifted from tests/golden/run_all_quick.txt"; exit 1; }
+(cd "$smoke_dir" && "$OLDPWD"/target/release/run_all fig11 sweep_threads 0.05 \
+  > run_all_fig11_sweep_threads.txt)
+diff -u tests/golden/run_all_fig11_sweep_threads.txt "$smoke_dir/run_all_fig11_sweep_threads.txt" \
+  || { echo "run_all fig11 sweep_threads drifted from its golden"; exit 1; }
 
 echo "== service: daemon boot + cold/cached/fault-retried byte equality"
 target/release/tmi_serve --workers 2 --service-faults 1 \
