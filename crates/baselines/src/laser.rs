@@ -14,7 +14,7 @@
 //!   operation, so workloads with frequent synchronization (the Boost
 //!   microbenchmarks) never activate repair at all.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use tmi::{AppLayout, DetectionLoop, SharingKind, FS_THRESHOLD_PER_SEC};
 use tmi_machine::{AccessOutcome, LatencyModel, VAddr, LINE_SIZE};
@@ -62,7 +62,10 @@ impl tmi_telemetry::MetricSource for LaserStats {
 #[derive(Debug)]
 pub struct LaserRuntime {
     detection: DetectionLoop,
-    repaired: HashSet<u64>,
+    /// Virtual line numbers under repair. Probed on every access once
+    /// non-empty; it holds a few lines, so an ordered set's comparisons
+    /// cost less than hashing the key with SipHash.
+    repaired: BTreeSet<u64>,
     store_seq: u64,
     sync_events_window: u64,
     stats: LaserStats,
@@ -74,7 +77,7 @@ impl LaserRuntime {
     pub fn new(perf: PerfConfig, layout: AppLayout) -> Self {
         LaserRuntime {
             detection: DetectionLoop::new(perf, layout),
-            repaired: HashSet::new(),
+            repaired: BTreeSet::new(),
             store_seq: 0,
             sync_events_window: 0,
             stats: LaserStats::default(),

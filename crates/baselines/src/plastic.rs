@@ -12,7 +12,7 @@
 //! the manual-fix benefit because every instrumented access pays a DBI
 //! translation tax.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use tmi::{AppLayout, DetectionLoop, SharingKind, FS_THRESHOLD_PER_SEC};
 use tmi_machine::{AccessOutcome, LINE_SIZE};
@@ -46,7 +46,9 @@ impl tmi_telemetry::MetricSource for PlasticStats {
 #[derive(Debug)]
 pub struct PlasticRuntime {
     detection: DetectionLoop,
-    remapped: HashSet<u64>,
+    /// Virtual line numbers remapped at byte granularity, probed like
+    /// LASER's repaired lines (an ordered set, for the same reason).
+    remapped: BTreeSet<u64>,
     overhead_acc: u64,
     stats: PlasticStats,
 }
@@ -57,7 +59,7 @@ impl PlasticRuntime {
     pub fn new(perf: PerfConfig, layout: AppLayout) -> Self {
         PlasticRuntime {
             detection: DetectionLoop::new(perf, layout),
-            remapped: HashSet::new(),
+            remapped: BTreeSet::new(),
             overhead_acc: 0,
             stats: PlasticStats::default(),
         }

@@ -1,7 +1,6 @@
 //! Address spaces: a VMA list plus a page table.
 
-use std::collections::BTreeMap;
-
+use tmi_machine::addr::FRAMES_PER_HUGE_PAGE;
 use tmi_machine::{FrameId, VAddr, Vpn};
 
 use crate::tlb::Tlb;
@@ -29,17 +28,110 @@ pub struct Pte {
     pub owned: bool,
 }
 
+/// Pages per page-table leaf: one 2 MiB region.
+const LEAF_PAGES: u64 = FRAMES_PER_HUGE_PAGE;
+
+/// The entries of one 2 MiB-aligned region of pages.
+#[derive(Debug)]
+struct Leaf {
+    ptes: [Option<Pte>; LEAF_PAGES as usize],
+    /// Number of present entries.
+    present: usize,
+}
+
+/// A two-level page table: one leaf of 512 entries per 2 MiB region that
+/// holds a present page, found by a binary search of the regions'
+/// numbers, so a walk (every software-TLB miss) costs a search of a short
+/// list and an index. A leaf goes when its last entry does. Iteration
+/// runs in VPN order: `Kernel::drop_residency` frees private frames in
+/// that order, which decides the frame ids later allocations reuse, and
+/// `Kernel::fork_aspace` copies entries in it.
+#[derive(Debug, Default)]
+struct PageTable {
+    /// `vpn / 512` of each leaf, ascending; `leaves[i]` covers `regions[i]`.
+    regions: Vec<u64>,
+    leaves: Vec<Box<Leaf>>,
+    len: usize,
+}
+
+impl PageTable {
+    /// `vpn`'s region number and its slot in the region's leaf.
+    fn split(vpn: Vpn) -> (u64, usize) {
+        (vpn.0 / LEAF_PAGES, (vpn.0 % LEAF_PAGES) as usize)
+    }
+
+    #[inline]
+    fn get(&self, vpn: Vpn) -> Option<Pte> {
+        let (region, slot) = Self::split(vpn);
+        let i = self.regions.binary_search(&region).ok()?;
+        self.leaves[i].ptes[slot]
+    }
+
+    fn insert(&mut self, vpn: Vpn, pte: Pte) -> Option<Pte> {
+        let (region, slot) = Self::split(vpn);
+        let i = self.regions.binary_search(&region).unwrap_or_else(|i| {
+            self.regions.insert(i, region);
+            self.leaves.insert(
+                i,
+                Box::new(Leaf {
+                    ptes: [None; LEAF_PAGES as usize],
+                    present: 0,
+                }),
+            );
+            i
+        });
+        let leaf = &mut self.leaves[i];
+        let old = leaf.ptes[slot].replace(pte);
+        if old.is_none() {
+            leaf.present += 1;
+            self.len += 1;
+        }
+        old
+    }
+
+    fn remove(&mut self, vpn: Vpn) -> Option<Pte> {
+        let (region, slot) = Self::split(vpn);
+        let i = self.regions.binary_search(&region).ok()?;
+        let leaf = &mut self.leaves[i];
+        let old = leaf.ptes[slot].take()?;
+        leaf.present -= 1;
+        self.len -= 1;
+        if leaf.present == 0 {
+            self.regions.remove(i);
+            self.leaves.remove(i);
+        }
+        Some(old)
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Every present entry, in VPN order.
+    fn iter(&self) -> impl Iterator<Item = (Vpn, Pte)> + '_ {
+        self.regions
+            .iter()
+            .zip(&self.leaves)
+            .flat_map(|(&region, leaf)| {
+                (region * LEAF_PAGES..)
+                    .zip(leaf.ptes.iter())
+                    .filter_map(|(vpn, pte)| pte.map(|p| (Vpn(vpn), p)))
+            })
+    }
+}
+
 /// One simulated address space: the analogue of an `mm_struct`.
 ///
 /// VMAs are kept sorted by start address (they are disjoint by
 /// construction), so covering-VMA lookup and overlap checks are binary
 /// searches. Present-page translation goes through a per-space software
-/// [`Tlb`] that every PTE mutation shoots down; see the `tlb` module docs.
+/// [`Tlb`] that every PTE mutation shoots down (see the `tlb` module
+/// docs), in front of a two-level page table.
 #[derive(Debug)]
 pub struct AddressSpace {
     /// Sorted by `start`; pairwise disjoint.
     vmas: Vec<Vma>,
-    ptes: BTreeMap<Vpn, Pte>,
+    ptes: PageTable,
     tlb: Tlb,
 }
 
@@ -47,7 +139,7 @@ impl AddressSpace {
     pub(crate) fn new(tlb_enabled: bool) -> Self {
         AddressSpace {
             vmas: Vec::new(),
-            ptes: BTreeMap::new(),
+            ptes: PageTable::default(),
             tlb: Tlb::new(tlb_enabled),
         }
     }
@@ -106,7 +198,7 @@ impl AddressSpace {
 
     /// The page-table entry for `vpn`, if present.
     pub fn pte(&self, vpn: Vpn) -> Option<Pte> {
-        self.ptes.get(&vpn).copied()
+        self.ptes.get(vpn)
     }
 
     /// The `(frame, writable)` pair for `vpn` via the TLB, falling back to
@@ -120,12 +212,12 @@ impl AddressSpace {
             // catch what they break.
             debug_assert!(
                 !self.tlb.precise()
-                    || Some(hit) == self.ptes.get(&vpn).map(|p| (p.frame, p.writable)),
+                    || Some(hit) == self.ptes.get(vpn).map(|p| (p.frame, p.writable)),
                 "stale TLB entry for {vpn:?}"
             );
             return Some(hit);
         }
-        let pte = self.ptes.get(&vpn)?;
+        let pte = self.ptes.get(vpn)?;
         self.tlb.fill(vpn, pte.frame, pte.writable);
         Some((pte.frame, pte.writable))
     }
@@ -137,7 +229,7 @@ impl AddressSpace {
 
     pub(crate) fn remove_pte(&mut self, vpn: Vpn) -> Option<Pte> {
         self.tlb.shootdown(vpn);
-        self.ptes.remove(&vpn)
+        self.ptes.remove(vpn)
     }
 
     /// This space's software TLB (counters and test hooks).
@@ -150,9 +242,9 @@ impl AddressSpace {
         self.ptes.len()
     }
 
-    /// Iterates over all present page-table entries.
+    /// Iterates over all present page-table entries in VPN order.
     pub fn ptes(&self) -> impl Iterator<Item = (Vpn, Pte)> + '_ {
-        self.ptes.iter().map(|(&v, &p)| (v, p))
+        self.ptes.iter()
     }
 }
 
@@ -160,6 +252,7 @@ impl AddressSpace {
 mod tests {
     use super::*;
     use crate::vma::{Backing, PageSize, Perms};
+    use std::collections::BTreeMap;
 
     fn anon_vma(start: u64, len: u64) -> Vma {
         Vma {
@@ -224,6 +317,63 @@ mod tests {
         let mut a = AddressSpace::new(true);
         a.push_vma(anon_vma(0x10000, 0x2000));
         a.push_vma(anon_vma(0x11000, 0x2000));
+    }
+
+    #[test]
+    fn page_table_mirrors_a_btreemap() {
+        // A deterministic pseudo-random op stream over four regions, diffed
+        // against a `BTreeMap`.
+        let mut t = PageTable::default();
+        let mut m: BTreeMap<Vpn, Pte> = BTreeMap::new();
+        let pte = |x: u64| Pte {
+            frame: FrameId(x as u32),
+            writable: x & 1 == 0,
+            cow: x & 2 == 0,
+            owned: x & 4 == 0,
+        };
+        let check = |t: &PageTable, m: &BTreeMap<Vpn, Pte>| {
+            assert_eq!(t.len(), m.len());
+            assert!(t.iter().eq(m.iter().map(|(&v, &p)| (v, p))));
+        };
+        let regions = [0, 1, 7, 1 << 30];
+        let mut x = 0x0123_4567_89ab_cdefu64;
+        for step in 0..20_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let vpn = Vpn(regions[(x % 4) as usize] * LEAF_PAGES + (x >> 8) % 24 * 21);
+            match x >> 61 {
+                0..=3 => assert_eq!(t.insert(vpn, pte(x)), m.insert(vpn, pte(x))),
+                4 | 5 => assert_eq!(t.remove(vpn), m.remove(&vpn)),
+                _ => assert_eq!(t.get(vpn), m.get(&vpn).copied()),
+            }
+            assert_eq!(t.len(), m.len());
+            if step % 1_000 == 0 {
+                check(&t, &m);
+            }
+        }
+        check(&t, &m);
+
+        // A full huge-page leaf: all 512 entries of one region, then its
+        // neighbours on both sides, then the leaf emptied again.
+        let base = 3 * LEAF_PAGES;
+        for vpn in (base..base + LEAF_PAGES).rev() {
+            assert_eq!(t.insert(Vpn(vpn), pte(vpn)), m.insert(Vpn(vpn), pte(vpn)));
+        }
+        for vpn in [base - 1, base + LEAF_PAGES] {
+            assert_eq!(t.insert(Vpn(vpn), pte(vpn)), m.insert(Vpn(vpn), pte(vpn)));
+        }
+        check(&t, &m);
+        assert_eq!(
+            t.get(Vpn(base + LEAF_PAGES - 1)),
+            Some(pte(base + LEAF_PAGES - 1))
+        );
+        for vpn in base..base + LEAF_PAGES {
+            assert_eq!(t.remove(Vpn(vpn)), m.remove(&Vpn(vpn)));
+        }
+        check(&t, &m);
+        assert!(!t.regions.contains(&3), "an empty leaf is dropped");
+        assert_eq!(t.get(Vpn(base)), None);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! A per-address-space software TLB: a direct-mapped translation cache in
-//! front of the `BTreeMap` page table.
+//! front of the two-level page table.
 //!
 //! [`crate::Kernel::translate`] is the hottest kernel path — every
 //! simulated memory access walks it — so each address space keeps a small

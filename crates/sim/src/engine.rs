@@ -7,6 +7,9 @@
 //! conservative oldest-first policy yields a legal fine-grained
 //! interleaving of the threads, so contention phenomena (line ping-pong,
 //! lock convoys) emerge naturally rather than being modeled analytically.
+//!
+//! The pick and the global time come from a run queue kept in the
+//! [`EngineCore`], not from a scan of every thread per op (DESIGN.md §9).
 
 use tmi_machine::{AccessKind, LatencyModel, Machine, MachineConfig, VAddr, Width};
 use tmi_os::{FaultResolution, Kernel, OsError, Pid, Tid};
@@ -167,6 +170,35 @@ struct InternalPcs {
     spin_store: Pc,
 }
 
+/// The runnable threads in scheduling order, plus the smallest clock of a
+/// blocked thread: what the oldest-clock-first pick and the global time
+/// need, kept so that neither scans every thread per op.
+///
+/// `keys` holds one `(clock, index)` pair per runnable thread in ascending
+/// order. Its front is therefore exactly the thread the scan "smallest
+/// clock, ties to the lower index" picks, and the global time (the
+/// smallest clock of an unfinished thread) is the smaller of the front's
+/// clock and `blocked_min`.
+///
+/// A step moves only the running thread's clock, unless it changes a
+/// thread's state (blocking, waking, exit) or a hook charges other threads
+/// ([`EngineCtl::add_cycles`], [`EngineCtl::add_cycles_all`]). In the
+/// common case the front key sinks to its new place; every other event
+/// goes through an [`EngineCore`] method that marks the queue stale, and
+/// the run loop rebuilds it from the threads before the next pick. Debug
+/// builds check every pick and every global time against the scans they
+/// replace.
+#[derive(Debug)]
+struct RunQueue {
+    /// `(clock, index)` of each runnable thread, ascending.
+    keys: Vec<(u64, usize)>,
+    /// The smallest clock of a blocked thread; `None` when none is blocked.
+    blocked_min: Option<u64>,
+    /// Whether `keys` and `blocked_min` must be rebuilt before the next
+    /// pick.
+    stale: bool,
+}
+
 /// Everything the engine owns except the thread programs and the runtime —
 /// the part hooks may touch through [`EngineCtl`].
 #[derive(Debug)]
@@ -181,6 +213,7 @@ pub struct EngineCore {
     pub code: CodeRegistry,
     config: EngineConfig,
     threads: Vec<ThreadCtx>,
+    queue: RunQueue,
     root: Option<Pid>,
     internal_pcs: InternalPcs,
     ops: u64,
@@ -209,6 +242,99 @@ impl EngineCore {
             .position(|t| t.tid == tid)
             .expect("unknown tid")
     }
+
+    /// Marks the run queue for a rebuild before the next pick. Every
+    /// change to a thread's state, and to a clock other than the running
+    /// thread's, must come through here.
+    fn requeue(&mut self) {
+        self.queue.stale = true;
+    }
+
+    /// Sets thread `i`'s scheduling state.
+    fn set_state(&mut self, i: usize, state: ThreadState) {
+        self.threads[i].state = state;
+        self.requeue();
+    }
+
+    /// Makes blocked thread `i` runnable, no earlier than cycle `at`.
+    fn wake(&mut self, i: usize, at: u64) {
+        let t = &mut self.threads[i];
+        t.clock = t.clock.max(at);
+        self.set_state(i, ThreadState::Runnable);
+    }
+
+    fn rebuild_queue(&mut self) {
+        let q = &mut self.queue;
+        q.keys.clear();
+        q.blocked_min = None;
+        for (i, t) in self.threads.iter().enumerate() {
+            match t.state {
+                ThreadState::Runnable => q.keys.push((t.clock, i)),
+                ThreadState::BlockedMutex(_) | ThreadState::BlockedBarrier(_) => {
+                    q.blocked_min = Some(q.blocked_min.map_or(t.clock, |m| m.min(t.clock)));
+                }
+                ThreadState::Done => {}
+            }
+        }
+        q.keys.sort_unstable();
+        q.stale = false;
+    }
+
+    /// The runnable thread with the smallest clock (ties to the lower
+    /// index), or `None` if no thread can run.
+    #[inline]
+    fn pick(&mut self) -> Option<usize> {
+        if self.queue.stale {
+            self.rebuild_queue();
+        }
+        let pick = self.queue.keys.first().map(|&(_, i)| i);
+        debug_assert_eq!(pick, self.scan_pick(), "run queue pick diverged");
+        pick
+    }
+
+    /// The pick as a scan of every thread: the debug oracle of
+    /// [`EngineCore::pick`].
+    fn scan_pick(&self) -> Option<usize> {
+        self.threads
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.state == ThreadState::Runnable)
+            .min_by_key(|(_, t)| t.clock)
+            .map(|(i, _)| i)
+    }
+
+    /// Brings the run queue up to date after thread `idx`, the front of
+    /// the queue, ran one step, and returns the global time
+    /// ([`EngineCtl::now`]).
+    #[inline]
+    fn ran(&mut self, idx: usize) -> u64 {
+        if self.queue.stale {
+            self.rebuild_queue();
+        } else {
+            // Only the front's clock moved, and only forward: shift the
+            // keys it passed one place toward the front.
+            let key = (self.threads[idx].clock, idx);
+            let keys = &mut self.queue.keys;
+            debug_assert_eq!(keys[0].1, idx, "the running thread is the front");
+            let mut i = 0;
+            while let Some(&next) = keys.get(i + 1) {
+                if next > key {
+                    break;
+                }
+                keys[i] = next;
+                i += 1;
+            }
+            keys[i] = key;
+        }
+        let now = match (self.queue.keys.first(), self.queue.blocked_min) {
+            (Some(&(front, _)), Some(blocked)) => front.min(blocked),
+            (Some(&(front, _)), None) => front,
+            (None, Some(blocked)) => blocked,
+            (None, None) => self.threads.iter().map(|t| t.clock).max().unwrap_or(0),
+        };
+        debug_assert_eq!(now, EngineCtl::now(self), "run queue time diverged");
+        now
+    }
 }
 
 impl EngineCtl for EngineCore {
@@ -223,6 +349,7 @@ impl EngineCtl for EngineCore {
     fn add_cycles(&mut self, tid: Tid, cycles: u64) {
         let i = self.thread_index(tid);
         self.threads[i].clock += cycles;
+        self.requeue();
     }
 
     fn add_cycles_all(&mut self, cycles: u64) {
@@ -231,8 +358,11 @@ impl EngineCtl for EngineCore {
                 t.clock += cycles;
             }
         }
+        self.requeue();
     }
 
+    // A scan, not the run queue: hooks call this mid-step, before the
+    // running thread's key has sunk to its new clock.
     fn now(&self) -> u64 {
         self.threads
             .iter()
@@ -392,6 +522,11 @@ impl<R: RuntimeHooks> Engine<R> {
                 code,
                 config,
                 threads: Vec::new(),
+                queue: RunQueue {
+                    keys: Vec::new(),
+                    blocked_min: None,
+                    stale: true,
+                },
                 root: None,
                 internal_pcs,
                 ops: 0,
@@ -487,6 +622,7 @@ impl<R: RuntimeHooks> Engine<R> {
             asm_depth: 0,
             replay: None,
         });
+        self.core.requeue();
         self.programs.push(program);
         tid
     }
@@ -502,33 +638,16 @@ impl<R: RuntimeHooks> Engine<R> {
         self.runtime.on_start(&mut self.core);
         let mut next_tick = self.core.config.tick_interval;
         let halt = loop {
-            // Pick the runnable thread with the smallest clock.
-            let idx = match self
-                .core
-                .threads
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.state == ThreadState::Runnable)
-                .min_by_key(|(_, t)| t.clock)
-                .map(|(i, _)| i)
-            {
-                Some(i) => i,
-                None => {
-                    if self
-                        .core
-                        .threads
-                        .iter()
-                        .all(|t| t.state == ThreadState::Done)
-                    {
-                        break Halt::Completed;
-                    }
+            let Some(idx) = self.core.pick() else {
+                if self.core.queue.blocked_min.is_some() {
                     break Halt::Hang; // deadlock
                 }
+                break Halt::Completed;
             };
             if let Err(e) = self.step(idx) {
                 break Halt::Fault(e);
             }
-            let now = self.core.now();
+            let now = self.core.ran(idx);
             if now > self.core.config.max_cycles || self.core.ops > self.core.config.max_ops {
                 break Halt::Hang; // livelock / cycle or op budget exhausted
             }
@@ -592,7 +711,7 @@ impl<R: RuntimeHooks> Engine<R> {
                     .runtime
                     .on_sync(&mut self.core, tid, SyncEvent::ThreadExit);
                 self.core.threads[idx].clock += commit;
-                self.core.threads[idx].state = ThreadState::Done;
+                self.core.set_state(idx, ThreadState::Done);
             }
             Op::Fence { order } => {
                 self.core.threads[idx].clock += LatencyModel::FENCE;
@@ -785,7 +904,7 @@ impl<R: RuntimeHooks> Engine<R> {
             m.owner = Some(tid);
         } else {
             m.waiters.push_back(tid);
-            self.core.threads[idx].state = ThreadState::BlockedMutex(mapped);
+            self.core.set_state(idx, ThreadState::BlockedMutex(mapped));
         }
         Ok(())
     }
@@ -807,8 +926,7 @@ impl<R: RuntimeHooks> Engine<R> {
                 m.owner = Some(next);
                 let wake_at = self.core.threads[idx].clock + WAKE;
                 let ni = self.core.thread_index(next);
-                self.core.threads[ni].clock = self.core.threads[ni].clock.max(wake_at);
-                self.core.threads[ni].state = ThreadState::Runnable;
+                self.core.wake(ni, wake_at);
             }
             None => m.owner = None,
         }
@@ -861,11 +979,11 @@ impl<R: RuntimeHooks> Engine<R> {
             let open_at = self.core.threads[idx].clock + WAKE;
             for t in woken {
                 let i = self.core.thread_index(t);
-                self.core.threads[i].clock = self.core.threads[i].clock.max(open_at);
-                self.core.threads[i].state = ThreadState::Runnable;
+                self.core.wake(i, open_at);
             }
         } else {
-            self.core.threads[idx].state = ThreadState::BlockedBarrier(barrier);
+            self.core
+                .set_state(idx, ThreadState::BlockedBarrier(barrier));
         }
         Ok(())
     }

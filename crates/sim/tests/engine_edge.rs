@@ -1,5 +1,6 @@
 //! Engine edge cases: lock redirection, uncached routing, thread-exit
-//! sync events, oversubscription, and replayed (spinning) operations.
+//! sync events, oversubscription, replayed (spinning) operations, and the
+//! run queue under hooks that charge other threads.
 
 use tmi_machine::{VAddr, Width, FRAME_SIZE};
 use tmi_os::{MapRequest, Tid};
@@ -293,4 +294,148 @@ fn polling_loops_observe_remote_stores() {
     ])));
     let r = e.run();
     assert!(r.completed(), "the waiter must see the flag: {:?}", r.halt);
+}
+
+/// A xorshift step: the seeded randomness of the run-queue test.
+fn xorshift(x: &mut u64) -> u64 {
+    *x ^= *x << 13;
+    *x ^= *x >> 7;
+    *x ^= *x << 17;
+    *x
+}
+
+/// Charges one other thread, or every thread, at random accesses and
+/// ticks: the hook calls that move clocks outside the running thread.
+struct Charger {
+    x: u64,
+    charges: u32,
+}
+
+impl Charger {
+    fn charge(&mut self, ctl: &mut dyn EngineCtl, running: Option<Tid>) {
+        let r = xorshift(&mut self.x);
+        if r % 5 < 2 {
+            let others: Vec<Tid> = ctl
+                .tids()
+                .into_iter()
+                .filter(|&t| Some(t) != running)
+                .collect();
+            let victim = others[(r >> 8) as usize % others.len()];
+            ctl.add_cycles(victim, (r >> 20) % 4_000);
+            self.charges += 1;
+        }
+        if r.is_multiple_of(7) {
+            ctl.add_cycles_all((r >> 32) % 2_000);
+            self.charges += 1;
+        }
+    }
+}
+
+impl RuntimeHooks for Charger {
+    fn post_access(
+        &mut self,
+        ctl: &mut dyn EngineCtl,
+        tid: Tid,
+        _acc: &AccessInfo,
+        _outcome: &tmi_machine::AccessOutcome,
+    ) -> u64 {
+        if xorshift(&mut self.x).is_multiple_of(61) {
+            self.charge(ctl, Some(tid));
+        }
+        0
+    }
+
+    fn on_tick(&mut self, ctl: &mut dyn EngineCtl, _now: u64) {
+        self.charge(ctl, None);
+    }
+}
+
+#[test]
+fn run_queue_survives_blocking_wakes_exits_and_charges() {
+    // Debug builds check every pick and every global time against the
+    // scans the run queue replaces, so reaching the end of each run is the
+    // test; the counter checks that the locks still exclude.
+    for seed in 1..=12u64 {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let rt = Charger { x, charges: 0 };
+        let mut e = Engine::new(
+            EngineConfig {
+                tick_interval: 20_000,
+                ..EngineConfig::with_cores(4)
+            },
+            rt,
+        );
+        let obj = e.core_mut().kernel.create_object(64 * FRAME_SIZE);
+        let aspace = e.core_mut().kernel.create_aspace();
+        e.core_mut()
+            .kernel
+            .map(
+                aspace,
+                MapRequest::object(VAddr::new(APP), 64 * FRAME_SIZE, obj, 0),
+            )
+            .unwrap();
+        e.create_root_process(aspace);
+        let rmw = e
+            .core_mut()
+            .code
+            .atomic_instr("q::inc", InstrKind::Rmw, Width::W8);
+        let (mutex, spin, barrier) = (VAddr::new(APP), VAddr::new(APP + 64), VAddr::new(APP + 128));
+        let counter = VAddr::new(APP + 256);
+        let threads = 3 + (seed % 4) as usize; // 3..=6 threads on 4 cores
+        let mut increments = 0;
+        for _ in 0..threads {
+            let mut ops = Vec::new();
+            for _ in 0..6 {
+                for _ in 0..xorshift(&mut x) % 4 {
+                    let r = xorshift(&mut x);
+                    let (lock, unlock) = if r.is_multiple_of(2) {
+                        (
+                            Op::MutexLock { lock: mutex },
+                            Op::MutexUnlock { lock: mutex },
+                        )
+                    } else {
+                        (Op::SpinLock { lock: spin }, Op::SpinUnlock { lock: spin })
+                    };
+                    ops.push(lock);
+                    // Costs from 0 (ties with the runner-up) to ~3k cycles.
+                    ops.push(Op::Compute {
+                        cycles: (r >> 8) % 4 * ((r >> 16) % 1_000),
+                    });
+                    ops.push(Op::AtomicRmw {
+                        pc: rmw,
+                        addr: counter,
+                        width: Width::W8,
+                        rmw: tmi_program::RmwOp::Add,
+                        operand: 1,
+                        order: tmi_program::MemOrder::Relaxed,
+                    });
+                    ops.push(unlock);
+                    increments += 1;
+                }
+                ops.push(Op::Compute {
+                    cycles: xorshift(&mut x) % 3 * 5_000,
+                });
+                ops.push(Op::BarrierWait { barrier });
+            }
+            // Threads leave at different times after the last barrier.
+            ops.push(Op::Compute {
+                cycles: xorshift(&mut x) % 50_000,
+            });
+            e.add_thread(Box::new(SequenceProgram::new(ops)));
+        }
+        let r = e.run();
+        assert!(r.completed(), "seed {seed}: {:?}", r.halt);
+        assert!(
+            e.runtime().charges > 0,
+            "seed {seed}: the hook never charged"
+        );
+        assert_eq!(
+            e.core_mut()
+                .kernel
+                .force_read(aspace, counter, Width::W8)
+                .unwrap(),
+            increments,
+            "seed {seed}"
+        );
+    }
 }

@@ -1,17 +1,25 @@
 #!/usr/bin/env bash
-# Sampled host-time profile of run_all, split by the simulator's layers.
+# Sampled host-time profile of run_all or of a perfbench workload, split by
+# the simulator's layers.
 #
 #   scripts/profile.sh [run_all args]        e.g. scripts/profile.sh --quick
+#   scripts/profile.sh --bench WORKLOAD [--seconds N]
+#                                            e.g. scripts/profile.sh --bench synth_private
 #
-# Builds run_all with line tables and frame pointers (the release settings
-# plus debug = "line-tables-only" and -C force-frame-pointers=yes) into
-# target/profile, and runs it with scripts/profile_sampler.c preloaded: a
-# SIGPROF sampler, built here with cc, that records the interrupted PC and
-# up to three frame-pointer return addresses about once per
-# CPU-millisecond and dumps them and /proc/self/maps at exit. Each address
-# is turned into an ELF virtual address of run_all (its file offset
-# through the LOAD headers from readelf -lW) and symbolized with
-# addr2line -a -f -i -C.
+# Builds run_all (or perfbench's bench) with line tables and frame pointers
+# (the release settings plus debug = "line-tables-only" and -C
+# force-frame-pointers=yes) into target/profile, and runs it with
+# scripts/profile_sampler.c preloaded: a SIGPROF sampler, built here with
+# cc, that records the interrupted PC and up to three frame-pointer return
+# addresses about once per CPU-millisecond and dumps them and
+# /proc/self/maps at exit. Each address is turned into an ELF virtual
+# address of the binary (its file offset through the LOAD headers from
+# readelf -lW) and symbolized with addr2line -a -f -i -C.
+#
+# --bench runs `bench run --workload WORKLOAD --seconds N --trace 0`
+# (N defaults to 20) from the repository root, as BENCHMARK.json does, and
+# keeps its stdout in target/profile/out/bench.txt. It is the only way to
+# get a layer table of the synthetic workloads, which run_all never runs.
 #
 # A sample is charged to the innermost inlined frame at its PC whose
 # source file is in this repository. When the PC has none (libc's malloc
@@ -31,16 +39,40 @@ repo=$(pwd -P)
 target="$repo/target/profile"
 out="$target/out"
 
-CARGO_PROFILE_RELEASE_DEBUG=line-tables-only RUSTFLAGS="-C force-frame-pointers=yes" \
-    CARGO_TARGET_DIR="$target" cargo build --locked --offline --release --quiet --bin run_all
+build() {
+    CARGO_PROFILE_RELEASE_DEBUG=line-tables-only RUSTFLAGS="-C force-frame-pointers=yes" \
+        CARGO_TARGET_DIR="$target" cargo build --locked --offline --release --quiet "$@"
+}
+
+if [[ "${1:-}" == --bench ]]; then
+    workload=${2:?"usage: scripts/profile.sh --bench WORKLOAD [--seconds N]"}
+    seconds=20
+    if [[ $# -gt 2 ]]; then
+        [[ $# -eq 4 && "$3" == --seconds ]] || {
+            echo "usage: scripts/profile.sh --bench WORKLOAD [--seconds N]" >&2
+            exit 2
+        }
+        seconds=$4
+    fi
+    build --manifest-path perfbench/Cargo.toml --bin bench
+    exe="$target/release/bench"
+    run=(run --workload "$workload" --seconds "$seconds" --trace 0)
+    stdout=bench.txt
+    cwd=$repo # bench reads its golden report relative to the root
+else
+    build --bin run_all
+    exe="$target/release/run_all"
+    run=("$@")
+    stdout=run_all.txt
+    cwd=$out # run_all writes BENCH_harness.json to its working directory
+fi
 rm -rf "$out"
 mkdir -p "$out"
 cc -O2 -shared -fPIC -o "$out/sampler.so" scripts/profile_sampler.c
-exe="$target/release/run_all"
-(cd "$out" && LD_PRELOAD="$out/sampler.so" "$exe" "$@" > run_all.txt)
+(cd "$cwd" && PROFILE_SAMPLER_DIR="$out" LD_PRELOAD="$out/sampler.so" "$exe" "${run[@]}" > "$out/$stdout")
 
 echo "host: $(nproc) cpus, $(rustc --version), git $(git rev-parse --short HEAD)"
-echo "run_all $*: stdout in $out/run_all.txt"
+echo "$(basename "$exe") ${run[*]}: stdout in $out/$stdout"
 python3 - "$repo" "$exe" "$out" <<'PY'
 import collections, functools, os, subprocess, sys
 
@@ -49,9 +81,9 @@ repo, exe, out = sys.argv[1:]
 samples = [tuple(int(a, 16) for a in line.split()) for line in open(f"{out}/sampler_pcs.txt")]
 samples = [s for s in samples if s]
 if not samples:
-    sys.exit("no samples: did run_all run?")
+    sys.exit(f"no samples: did {exe} run?")
 
-# Executable mappings of run_all: (start, end, file offset).
+# Executable mappings of the binary: (start, end, file offset).
 maps = []
 for line in open(f"{out}/sampler_maps.txt"):
     f = line.split()

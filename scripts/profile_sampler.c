@@ -7,14 +7,16 @@
  * buffer allocated up front, so the signal handler neither allocates nor
  * locks. At exit it writes one line per sample to sampler_pcs.txt (the
  * PC, then the return addresses, in hex) and a copy of /proc/self/maps to
- * sampler_maps.txt, both in the current directory. profile.sh turns them
- * into source lines.
+ * sampler_maps.txt, both in the directory PROFILE_SAMPLER_DIR names, or
+ * in the current directory when it is unset. profile.sh turns them into
+ * source lines.
  */
 #define _GNU_SOURCE
 #include <signal.h>
 #include <stdatomic.h>
 #include <stdint.h>
 #include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
 #include <sys/time.h>
 #include <ucontext.h>
@@ -77,6 +79,18 @@ __attribute__((constructor)) static void sampler_start(void) {
     setitimer(ITIMER_PROF, &every_ms, NULL);
 }
 
+/* Opens `name` for writing in the output directory. */
+static FILE *open_output(const char *name) {
+    const char *dir = getenv("PROFILE_SAMPLER_DIR");
+    char path[4096];
+    snprintf(path, sizeof path, "%s/%s", dir != NULL ? dir : ".", name);
+    FILE *f = fopen(path, "w");
+    if (f == NULL) {
+        perror(path);
+    }
+    return f;
+}
+
 __attribute__((destructor)) static void sampler_dump(void) {
     struct itimerval off;
     memset(&off, 0, sizeof off);
@@ -87,9 +101,8 @@ __attribute__((destructor)) static void sampler_dump(void) {
                 n - MAX_SAMPLES);
         n = MAX_SAMPLES;
     }
-    FILE *pcs = fopen("sampler_pcs.txt", "w");
+    FILE *pcs = open_output("sampler_pcs.txt");
     if (pcs == NULL) {
-        perror("profile_sampler: sampler_pcs.txt");
         return;
     }
     for (size_t i = 0; i < n; i++) {
@@ -101,9 +114,8 @@ __attribute__((destructor)) static void sampler_dump(void) {
     fclose(pcs);
 
     FILE *in = fopen("/proc/self/maps", "r");
-    FILE *out = in != NULL ? fopen("sampler_maps.txt", "w") : NULL;
+    FILE *out = in != NULL ? open_output("sampler_maps.txt") : NULL;
     if (out == NULL) {
-        perror("profile_sampler: sampler_maps.txt");
         if (in != NULL) {
             fclose(in);
         }
