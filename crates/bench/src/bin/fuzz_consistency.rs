@@ -42,7 +42,8 @@
 //! only; the campaign report on stdout is unchanged).
 //!
 //! `--seeds` must be at least 1: a campaign that checks nothing proves
-//! nothing.
+//! nothing. The range `[--start, --start + --seeds)` must end within
+//! `u64`: a range that wrapped past `u64::MAX` would check seed 0 again.
 
 use tmi_bench::fuzz::{run_campaign, trace_first_seed, FuzzConfig};
 
@@ -88,6 +89,10 @@ fn main() {
     }
     if cfg.seeds == 0 {
         eprintln!("--seeds must be at least 1\n{USAGE}");
+        std::process::exit(2);
+    }
+    if cfg.end_seed().is_none() {
+        eprintln!("--start + --seeds must not pass u64::MAX\n{USAGE}");
         std::process::exit(2);
     }
     if cfg.check.faults.is_some() && cfg.check.ablated() {

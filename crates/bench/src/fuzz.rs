@@ -69,6 +69,14 @@ pub struct FuzzConfig {
     pub enumerate: u64,
 }
 
+impl FuzzConfig {
+    /// One past the last seed of the range, or `None` when that does not
+    /// fit in a `u64` (the range would wrap past `u64::MAX`).
+    pub fn end_seed(&self) -> Option<u64> {
+        self.start_seed.checked_add(self.seeds)
+    }
+}
+
 impl Default for FuzzConfig {
     fn default() -> Self {
         FuzzConfig {
@@ -182,7 +190,9 @@ impl CampaignResult {
             "fuzz_consistency: {} {kind} [{}, {}) under {mode}",
             self.cfg.seeds,
             self.cfg.start_seed,
-            self.cfg.start_seed + self.cfg.seeds
+            self.cfg
+                .end_seed()
+                .expect("a campaign's seed range fits in u64")
         );
         if self.cfg.enumerate > 0 {
             let _ = writeln!(
@@ -318,6 +328,8 @@ pub fn trace_first_seed(cfg: &FuzzConfig) -> (CheckReport, String) {
 
 /// Runs the campaign: checks every seed in the range in parallel, plus
 /// its enumerated VM-op variants, and aggregates in seed order.
+///
+/// Panics if the range does not end within `u64` ([`FuzzConfig::end_seed`]).
 pub fn run_campaign(cfg: &FuzzConfig) -> CampaignResult {
     let workers = cfg.workers.unwrap_or_else(|| {
         std::thread::available_parallelism()
@@ -325,6 +337,10 @@ pub fn run_campaign(cfg: &FuzzConfig) -> CampaignResult {
             .unwrap_or(1)
     });
     let check = &cfg.check;
+    assert!(
+        cfg.end_seed().is_some(),
+        "the seed range wraps past u64::MAX: {cfg:?}"
+    );
     let n = usize::try_from(cfg.seeds).expect("seed count fits usize");
     let results = pool_map(workers, n, |i| {
         let seed = cfg.start_seed + i as u64;

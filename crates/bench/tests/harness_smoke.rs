@@ -1,21 +1,12 @@
-//! Smoke tests for the harness: every workload completes and verifies
-//! under the baseline, and the key repair behaviours reproduce at small
-//! scale.
+//! Smoke tests for the harness: the key repair behaviours reproduce at
+//! small scale. That every workload completes and verifies under the
+//! baseline is `tests/suite_correctness.rs`'s job.
 
 use tmi_bench::{JobSpec, RunResult, RuntimeKind};
 
 /// The workload under pthreads at a small scale.
 fn small(name: &str) -> RunResult {
     JobSpec::new(name).scale(0.03).run()
-}
-
-#[test]
-fn whole_suite_completes_under_pthreads() {
-    for name in tmi_workloads::SUITE {
-        let r = small(name);
-        assert!(r.ok(), "{name}: halt={:?} verify={:?}", r.halt, r.verified);
-        assert!(r.cycles > 0);
-    }
 }
 
 #[test]

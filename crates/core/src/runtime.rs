@@ -21,7 +21,9 @@ use crate::memstats::MemoryBreakdown;
 use crate::repair::{retry_backoff, RepairManager, REPAIR_RETRY_LIMIT, STOP_WORLD_CYCLES};
 
 /// Fixed detector memory overhead in bytes: disassembly tables and
-/// dynamic tracking structures (the ≈90 MB floor of Fig. 8).
+/// dynamic tracking structures. With a 1.5 MiB PEBS buffer for each of
+/// 8 threads it makes Fig. 8's 84.0 MB floor (the paper reports about
+/// 90 MB).
 const DETECTOR_FIXED_BYTES: u64 = 72 * 1024 * 1024;
 
 /// Summary counters exposed after a run.

@@ -8,7 +8,6 @@
 //! workloads mint a [`Pc`] per static instruction and the detector later
 //! looks the metadata back up.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use tmi_machine::Width;
@@ -70,25 +69,29 @@ pub struct InstrInfo {
 /// instructions with symbol names for reporting.
 ///
 /// PCs are handed out sequentially starting at `0x40_0000` (a traditional
-/// ELF text base) with 4-byte spacing.
-#[derive(Debug, Default)]
+/// ELF text base) with 4-byte spacing, so a PC's entry is found by
+/// index: `(pc - 0x40_0000) / 4`.
+#[derive(Debug)]
 pub struct CodeRegistry {
-    table: HashMap<Pc, InstrInfo>,
-    symbols: HashMap<Pc, String>,
-    next: u64,
+    instrs: Vec<(InstrInfo, String)>,
 }
 
 /// Base address of the simulated text segment.
 const TEXT_BASE: u64 = 0x40_0000;
 
+/// Bytes between consecutive PCs.
+const PC_STRIDE: u64 = 4;
+
+impl Default for CodeRegistry {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl CodeRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
-        CodeRegistry {
-            table: HashMap::new(),
-            symbols: HashMap::new(),
-            next: TEXT_BASE,
-        }
+        CodeRegistry { instrs: Vec::new() }
     }
 
     /// Registers a plain (non-atomic, non-asm) instruction and returns its
@@ -133,33 +136,40 @@ impl CodeRegistry {
     }
 
     fn register(&mut self, symbol: &str, info: InstrInfo) -> Pc {
-        let pc = Pc(self.next);
-        self.next += 4;
-        self.table.insert(pc, info);
-        self.symbols.insert(pc, symbol.to_owned());
+        let pc = Pc(TEXT_BASE + self.instrs.len() as u64 * PC_STRIDE);
+        self.instrs.push((info, symbol.to_owned()));
         pc
+    }
+
+    /// The table entry of `pc`, if the registry handed it out.
+    fn entry(&self, pc: Pc) -> Option<&(InstrInfo, String)> {
+        let offset = pc.0.checked_sub(TEXT_BASE)?;
+        if offset % PC_STRIDE != 0 {
+            return None;
+        }
+        self.instrs.get(usize::try_from(offset / PC_STRIDE).ok()?)
     }
 
     /// Disassembles one PC: the lookup TMI's detector performs for every
     /// PEBS record (§3.1).
     pub fn disassemble(&self, pc: Pc) -> Option<InstrInfo> {
-        self.table.get(&pc).copied()
+        self.entry(pc).map(|(info, _)| *info)
     }
 
     /// The symbol registered for `pc`, for human-readable reports.
     pub fn symbol(&self, pc: Pc) -> Option<&str> {
-        self.symbols.get(&pc).map(String::as_str)
+        self.entry(pc).map(|(_, symbol)| symbol.as_str())
     }
 
     /// Number of static instructions registered. The detector's memory
     /// footprint scales with this (Fig. 8 discussion).
     pub fn len(&self) -> usize {
-        self.table.len()
+        self.instrs.len()
     }
 
     /// True if no instructions have been registered.
     pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
+        self.instrs.is_empty()
     }
 }
 
@@ -201,6 +211,28 @@ mod tests {
     fn unknown_pc_disassembles_to_none() {
         let c = CodeRegistry::new();
         assert_eq!(c.disassemble(Pc(0x1234)), None);
+    }
+
+    #[test]
+    fn pcs_outside_the_table_have_no_entry() {
+        let mut c = CodeRegistry::new();
+        let a = c.instr("a", InstrKind::Load, Width::W4);
+        let b = c.instr("b", InstrKind::Store, Width::W4);
+        assert_eq!(b.0, a.0 + PC_STRIDE);
+        for pc in [Pc(a.0 - PC_STRIDE), Pc(a.0 + 1), Pc(b.0 + PC_STRIDE), Pc(0)] {
+            assert_eq!(c.disassemble(pc), None, "{pc}");
+            assert_eq!(c.symbol(pc), None, "{pc}");
+        }
+        assert_eq!(c.symbol(b), Some("b"));
+    }
+
+    #[test]
+    fn default_numbers_pcs_like_new() {
+        let mut d = CodeRegistry::default();
+        let mut n = CodeRegistry::new();
+        let pc = d.instr("x", InstrKind::Load, Width::W1);
+        assert_eq!(pc, n.instr("x", InstrKind::Load, Width::W1));
+        assert_eq!(pc, Pc(TEXT_BASE));
     }
 
     #[test]

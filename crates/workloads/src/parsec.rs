@@ -666,10 +666,12 @@ fn barrier_kernel(
     }
     let barrier = ctx.alloc.alloc_aligned(0, 64, 64);
     let accs: Vec<VAddr> = (0..t).map(|i| ctx.alloc.alloc_line_padded(i, 64)).collect();
-    let ld_name: &'static str = Box::leak(format!("{name}::load").into_boxed_str());
-    let st_name: &'static str = Box::leak(format!("{name}::store_acc").into_boxed_str());
-    let ld = ctx.code.instr(ld_name, InstrKind::Load, Width::W8);
-    let st = ctx.code.instr(st_name, InstrKind::Store, Width::W8);
+    let ld = ctx
+        .code
+        .instr(&format!("{name}::load"), InstrKind::Load, Width::W8);
+    let st = ctx
+        .code
+        .instr(&format!("{name}::store_acc"), InstrKind::Store, Width::W8);
 
     (0..t)
         .map(|i| {

@@ -44,8 +44,9 @@ fn phase_kernel(
     }
     let barrier = ctx.alloc.alloc_aligned(0, 64, 64);
     let ld = ctx.code.instr(name, InstrKind::Load, Width::W8);
-    let st_name: &'static str = Box::leak(format!("{name}_store").into_boxed_str());
-    let st = ctx.code.instr(st_name, InstrKind::Store, Width::W8);
+    let st = ctx
+        .code
+        .instr(&format!("{name}_store"), InstrKind::Store, Width::W8);
 
     let band = array_words / threads as u64;
     (0..threads)

@@ -18,6 +18,7 @@ fn whole_suite_verifies_under_pthreads() {
     for name in tmi_repro::workloads::SUITE {
         let r = small(name, RuntimeKind::Pthreads).run();
         assert!(r.ok(), "{name}: halt={:?} verify={:?}", r.halt, r.verified);
+        assert!(r.cycles > 0, "{name}");
     }
 }
 
